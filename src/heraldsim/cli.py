@@ -250,10 +250,8 @@ def _reconstruction_payload(args, with_mc: bool) -> dict:
         "tangle": tangle(result.rho),
         "chsh": chsh_max(result.rho),
     }
-    warm_start = None
     if args.optimize_local:
-        f_opt, _, warm_start = optimize_local_fidelity(result.rho)
-        payload["fidelity_optimized"] = f_opt
+        payload["fidelity_optimized"] = optimize_local_fidelity(result.rho)[0]
     if with_mc and args.mc_samples > 0:
         functionals = {
             "tangle": tangle,
@@ -261,9 +259,7 @@ def _reconstruction_payload(args, with_mc: bool) -> dict:
             "fidelity_phi_plus": fidelity_to_phi_plus,
         }
         if args.optimize_local:
-            functionals["fidelity_optimized"] = (
-                lambda r: optimize_local_fidelity(r, starts=[warm_start])[0]
-            )
+            functionals["fidelity_optimized"] = lambda r: optimize_local_fidelity(r)[0]
         report = monte_carlo_report(table, args.mc_samples, args.seed, functionals)
         payload["monte_carlo"] = {
             name: {

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detection import COINCIDENCE_PATTERNS
-from .metrics import PAULIS, PHI_PLUS, check_density_matrix
+from .metrics import PAULIS, check_density_matrix
 
 AXES = ("x", "y", "z")
 SETTINGS: tuple[tuple[str, str], ...] = tuple((a, b) for a in AXES for b in AXES)
@@ -176,95 +175,98 @@ def write_counts(table: CountTable, path) -> None:
             writer.writerow([table.ratio or "", *setting, *pattern, count])
 
 
+# Sign of each port (HH, HV, VH, VV) in the correlation and in the arm-1 and
+# arm-2 marginals of one setting.
+_PORT_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+# sigma_a x sigma_b in setting order, then sigma_a x 1, then 1 x sigma_b.
+_PAULI_PRODUCTS = np.stack(
+    [np.kron(PAULIS[a], PAULIS[b]) for a, b in SETTINGS]
+    + [np.kron(PAULIS[a], np.eye(2)) for a in AXES]
+    + [np.kron(np.eye(2), PAULIS[b]) for b in AXES]
+)
+
+
 def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
-    """Pauli-correlation estimate of rho from per-setting frequencies."""
-    freqs = np.zeros_like(coincidences)
-    for i, row in enumerate(coincidences):
-        total = row.sum()
-        freqs[i] = row / total if total > 0 else np.full(4, 0.25)
-    rho = np.eye(4, dtype=complex) / 4.0
-    corr_sign = np.array([1.0, -1.0, -1.0, 1.0])
-    arm1_sign = np.array([1.0, 1.0, -1.0, -1.0])
-    arm2_sign = np.array([1.0, -1.0, 1.0, -1.0])
-    marg1 = {a: [] for a in AXES}
-    marg2 = {b: [] for b in AXES}
-    for (a, b), f in zip(SETTINGS, freqs):
-        corr = float(corr_sign @ f)
-        rho += corr * np.kron(PAULIS[a], PAULIS[b]) / 4.0
-        marg1[a].append(float(arm1_sign @ f))
-        marg2[b].append(float(arm2_sign @ f))
-    for a in AXES:
-        rho += np.mean(marg1[a]) * np.kron(PAULIS[a], np.eye(2)) / 4.0
-        rho += np.mean(marg2[a]) * np.kron(np.eye(2), PAULIS[a]) / 4.0
-    return rho
+    """Pauli-correlation estimate of rho from (..., 9, 4) per-setting counts."""
+    totals = coincidences.sum(axis=-1, keepdims=True)
+    freqs = np.divide(
+        coincidences, totals, out=np.full(coincidences.shape, 0.25), where=totals > 0
+    )
+    corr, marg1, marg2 = np.moveaxis(freqs @ _PORT_SIGNS.T, -1, 0)
+    per_axis = coincidences.shape[:-2] + (3, 3)
+    coeffs = np.concatenate(
+        [corr, marg1.reshape(per_axis).mean(axis=-1), marg2.reshape(per_axis).mean(axis=-2)],
+        axis=-1,
+    )
+    return (np.eye(4) + np.tensordot(coeffs, _PAULI_PRODUCTS, axes=1)) / 4.0
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def _psd_floor(rho: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     """Project onto strictly positive states (eigenvalue floor, retrace)."""
-    rho = (rho + rho.conj().T) / 2.0
-    eigs, vecs = np.linalg.eigh(rho)
-    eigs = np.clip(eigs, floor, None)
-    rho = (vecs * eigs) @ vecs.conj().T
-    return rho / np.trace(rho).real
+    eigs, vecs = np.linalg.eigh((rho + _dagger(rho)) / 2.0)
+    rho = (vecs * np.clip(eigs, floor, None)[..., None, :]) @ _dagger(vecs)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _lower_triangular_factor(rho: np.ndarray) -> np.ndarray:
     """Lower-triangular T with T†T = rho (Cholesky with reversed ordering)."""
     flip = np.eye(4)[::-1]
     chol = np.linalg.cholesky(flip @ rho @ flip)
-    upper = flip @ chol @ flip
-    return upper.conj().T
+    return _dagger(flip @ chol @ flip)
 
 
-_LOWER_IDX = [(r, c) for r in range(4) for c in range(r)]
+# Parameter layout: the four real diagonal entries of T, then the real and
+# imaginary parts of each strictly-lower entry, row by row.
+_DIAG = np.arange(4)
+_ROWS, _COLS = np.tril_indices(4, -1)
 
 
 def _params_to_t(params: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        t[i, i] = params[i]
-    for k, (r, c) in enumerate(_LOWER_IDX):
-        t[r, c] = params[4 + 2 * k] + 1.0j * params[5 + 2 * k]
+    t = np.zeros(params.shape[:-1] + (4, 4), dtype=complex)
+    t[..., _DIAG, _DIAG] = params[..., :4]
+    t[..., _ROWS, _COLS] = params[..., 4::2] + 1.0j * params[..., 5::2]
     return t
 
 
 def _t_to_params(t: np.ndarray) -> np.ndarray:
-    params = np.zeros(16)
-    for i in range(4):
-        params[i] = t[i, i].real
-    for k, (r, c) in enumerate(_LOWER_IDX):
-        params[4 + 2 * k] = t[r, c].real
-        params[5 + 2 * k] = t[r, c].imag
+    params = np.empty(t.shape[:-2] + (16,))
+    params[..., :4] = t[..., _DIAG, _DIAG].real
+    lower = t[..., _ROWS, _COLS]
+    params[..., 4::2] = lower.real
+    params[..., 5::2] = lower.imag
     return params
 
 
-def _stack_projectors() -> np.ndarray:
-    return np.stack([p for s in SETTINGS for p in setting_projectors(s)])
-
-
-_PROJECTORS = _stack_projectors()
+# The 36 projectors flattened to rows; as Pi_k is Hermitian,
+# q_k = tr(Pi_k A) = sum_ij conj(Pi_k)_ij A_ij.  Products with them keep a
+# row axis of length one per sample: a stack of small BLAS calls, where one
+# (S, 16) x (16, 36) product lets OpenBLAS start threads from S ~ 100 on,
+# which on a 2-core host with the other core busy took 8 ms, not 0.05 ms.
+_PROJECTORS = np.stack([p for s in SETTINGS for p in setting_projectors(s)]).reshape(36, 16)
+_PROJECTORS_CONJ_T = _PROJECTORS.conj().T
 
 
 def _log_likelihood_and_grad(params: np.ndarray, counts: np.ndarray):
-    """Poisson log-likelihood (intensity profiled out) and its gradient."""
+    """Poisson log-likelihood (intensity profiled out) and its gradient.
+
+    ``params`` is (..., 16) and ``counts`` (..., 36); every leading index is
+    an independent sample.
+    """
     t = _params_to_t(params)
-    a = t.conj().T @ t
-    trace = float(np.real(np.trace(a)))
-    q = np.real(np.einsum("kij,ji->k", _PROJECTORS, a))
+    a = _dagger(t) @ t
+    trace = np.square(params).sum(axis=-1)  # tr(T†T) = sum of |T_ij|^2
+    q = (a.reshape(a.shape[:-2] + (1, 16)) @ _PROJECTORS_CONJ_T)[..., 0, :].real
     q = np.clip(q, 1e-300, None)
-    n_total = counts.sum()
-    logl = float(counts @ np.log(q) - n_total * math.log(trace))
+    n_total = counts.sum(axis=-1)
+    logl = (counts * np.log(q)).sum(axis=-1) - n_total * np.log(trace)
     # d q_k / dT = 2 T Pi_k (real part for Re-params, imag part for Im-params)
-    weights = counts / q
-    weighted_pi = np.einsum("k,kij->ij", weights, _PROJECTORS)
-    grad_matrix = 2.0 * t @ weighted_pi - (2.0 * n_total / trace) * t
-    grad = np.zeros(16)
-    for i in range(4):
-        grad[i] = grad_matrix[i, i].real
-    for k, (r, c) in enumerate(_LOWER_IDX):
-        grad[4 + 2 * k] = grad_matrix[r, c].real
-        grad[5 + 2 * k] = grad_matrix[r, c].imag
-    return logl, grad
+    weighted_pi = ((counts / q)[..., None, :] @ _PROJECTORS).reshape(t.shape)
+    grad_matrix = 2.0 * t @ weighted_pi - (2.0 * n_total / trace)[..., None, None] * t
+    return logl, _t_to_params(grad_matrix)
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,68 @@ class MleResult:
     history: tuple[float, ...] | None = None
 
 
+def _coincidence_matrix(table: CountTable) -> np.ndarray:
+    """(9, 4) counts of a table that has every setting and some counts."""
+    missing = [s for s in SETTINGS if s not in set(table.settings_present())]
+    if missing:
+        raise ValueError(f"count table is missing settings: {missing}")
+    coincidences = table.coincidence_matrix()
+    if coincidences.sum() == 0:
+        raise ValueError("all coincidence counts are zero; cannot reconstruct")
+    return coincidences
+
+
+def _ascend(coincidences: np.ndarray, keep_history: bool = False):
+    """Likelihood ascent for each of S count tables, all in one loop.
+
+    ``coincidences`` is (S, 9, 4).  Each sample starts from its PSD-projected
+    linear inversion and runs its own gradient ascent on the 16 real
+    parameters of the lower-triangular factor: a step that raises the
+    log-likelihood is taken and the step grows by 1.6, otherwise the step
+    halves.  A sample stops when an accepted step improves the
+    log-likelihood by less than 1e-10 relative, or when no step above
+    1e-300 improves it, and then leaves the active set.  A sample still
+    running after ``MAX_ITERATIONS`` accepted steps has not converged.
+
+    Returns rho (S, 4, 4), log-likelihood (S,), iterations (S,), a converged
+    flag (S,) and, if asked, each sample's log-likelihood at the start and
+    after every accepted step.
+    """
+    n_samples = coincidences.shape[0]
+    counts = coincidences.reshape(n_samples, 36)
+    params = _t_to_params(_lower_triangular_factor(_psd_floor(_linear_inversion(coincidences))))
+    logl, grad = _log_likelihood_and_grad(params, counts)
+    step = 1.0 / np.maximum(1.0, counts.sum(axis=1))
+    iterations = np.ones(n_samples, dtype=int)
+    converged = np.zeros(n_samples, dtype=bool)
+    history = [[value] for value in logl] if keep_history else None
+    active = np.arange(n_samples)
+    while active.size:
+        trial = params[active] + step[active, None] * grad[active]
+        trial_logl, trial_grad = _log_likelihood_and_grad(trial, counts[active])
+        last = logl[active]
+        up = np.isfinite(trial_logl) & (trial_logl > last)
+        small = trial_logl - last < LOG_LIKELIHOOD_TOL * np.maximum(1.0, np.abs(trial_logl))
+        accepted = active[up]
+        params[accepted] = trial[up]
+        logl[accepted] = trial_logl[up]
+        grad[accepted] = trial_grad[up]
+        if history is not None:
+            for s in accepted:
+                history[s].append(logl[s])
+        step[active] *= np.where(up, 1.6, 0.5)
+        done = np.where(up, small, ~(step[active] > 1e-300))
+        converged[active[done]] = True
+        stay = ~done & (~up | (iterations[active] < MAX_ITERATIONS))
+        iterations[active[stay & up]] += 1
+        active = active[stay]
+    t = _params_to_t(params)
+    rho = _dagger(t) @ t
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    rho = (rho + _dagger(rho)) / 2.0
+    return rho, logl, iterations, converged, history
+
+
 def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
     """Maximum-likelihood density matrix from coincidence counts.
 
@@ -285,120 +349,44 @@ def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
     PSD-projected linear inversion, until the relative log-likelihood
     improvement drops below 1e-10.
     """
-    missing = [s for s in SETTINGS if s not in set(table.settings_present())]
-    if missing:
-        raise ValueError(f"count table is missing settings: {missing}")
-    coincidences = table.coincidence_matrix()
-    counts = coincidences.reshape(-1)
-    if counts.sum() == 0:
-        raise ValueError("all coincidence counts are zero; cannot reconstruct")
-
-    rho0 = _psd_floor(_linear_inversion(coincidences))
-    params = _t_to_params(_lower_triangular_factor(rho0))
-
-    logl, grad = _log_likelihood_and_grad(params, counts)
-    step = 1.0 / max(1.0, counts.sum())
-    iterations = 0
-    converged = False
-    history = [logl] if keep_history else None
-    while iterations < MAX_ITERATIONS:
-        iterations += 1
-        improved = False
-        while step > 1e-300:
-            trial = params + step * grad
-            trial_logl, trial_grad = _log_likelihood_and_grad(trial, counts)
-            if np.isfinite(trial_logl) and trial_logl > logl:
-                improvement = trial_logl - logl
-                params, logl, grad = trial, trial_logl, trial_grad
-                if history is not None:
-                    history.append(logl)
-                step *= 1.6
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            converged = True
-            break
-        if improvement < LOG_LIKELIHOOD_TOL * max(1.0, abs(logl)):
-            converged = True
-            break
-    if not converged:
+    coincidences = _coincidence_matrix(table)
+    rho, logl, iterations, converged, history = _ascend(coincidences[None], keep_history)
+    if not converged[0]:
         raise ConvergenceError(
             f"likelihood ascent did not converge within {MAX_ITERATIONS} iterations "
-            f"(last log-likelihood {logl:.6f})"
+            f"(last log-likelihood {logl[0]:.6f})"
         )
-
-    t = _params_to_t(params)
-    rho = t.conj().T @ t
-    rho = rho / np.trace(rho).real
-    rho = (rho + rho.conj().T) / 2.0
     return MleResult(
-        rho=rho,
-        log_likelihood=logl,
-        iterations=iterations,
-        history=tuple(history) if history is not None else None,
+        rho=rho[0],
+        log_likelihood=float(logl[0]),
+        iterations=int(iterations[0]),
+        history=tuple(float(v) for v in history[0]) if history is not None else None,
     )
 
 
-def _euler_unitary(alpha: float, beta: float, gamma: float) -> np.ndarray:
-    """Single-qubit rotation Rz(alpha) Ry(beta) Rz(gamma)."""
-
-    def rz(a):
-        return np.array([[np.exp(-0.5j * a), 0.0], [0.0, np.exp(0.5j * a)]])
-
-    def ry(b):
-        c, s = math.cos(b / 2.0), math.sin(b / 2.0)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-
-    return rz(alpha) @ ry(beta) @ rz(gamma)
+# Columns Phi+, i Phi-, i Psi+, Psi-: every real unit vector in this basis is
+# a maximally entangled state, and local unitaries act as real rotations.
+_MAGIC_BASIS = np.array(
+    [[1.0, 0.0, 0.0, 1.0], [1.0j, 0.0, 0.0, -1.0j], [0.0, 1.0j, 1.0j, 0.0], [0.0, 1.0, -1.0, 0.0]]
+).T / math.sqrt(2.0)
 
 
-def _clifford_angles() -> list[tuple[float, float, float]]:
-    """Euler angles of the 24 single-qubit Clifford rotations (octahedral group)."""
-    angles = []
-    half = math.pi / 2.0
-    for alpha in (0.0, half, math.pi, 3.0 * half):
-        for beta in (0.0, half, math.pi, 3.0 * half):
-            angles.append((alpha, beta, 0.0))
-    for alpha in (0.0, half, math.pi, 3.0 * half):
-        for beta in (half, 3.0 * half):
-            angles.append((alpha, beta, half))
-    return angles
-
-
-def optimize_local_fidelity(
-    rho: np.ndarray, starts: Sequence[np.ndarray] | None = None
-) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
+def optimize_local_fidelity(rho: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Maximize <phi+|(U1 x U2) rho (U1 x U2)†|phi+> over local unitaries.
 
-    Deterministic multi-start local search: Nelder-Mead over the six Euler
-    angles, by default from each of the 24 axis-aligned (Clifford) starting
-    rotations on arm 1.  Returns the fidelity, the per-arm unitaries and
-    the best angle vector (reusable as a warm start).
+    The maximum is the fully entangled fraction: the largest eigenvalue of
+    Re(M† rho M) in the magic basis M.  Its eigenvector v gives the
+    maximally entangled state psi = M v that rho overlaps most.  With
+    C = psi.reshape(2, 2), psi = (1 x sqrt(2) C^T) phi+, so U1 = 1 and
+    U2 = (sqrt(2) C^T)† = sqrt(2) conj(C) map psi onto phi+.  Returns the
+    fidelity and the per-arm unitaries.
     """
     rho = check_density_matrix(rho)
-
-    def objective(angles: np.ndarray) -> float:
-        u = np.kron(_euler_unitary(*angles[:3]), _euler_unitary(*angles[3:]))
-        return -float(np.real(PHI_PLUS.conj() @ u @ rho @ u.conj().T @ PHI_PLUS))
-
-    if starts is None:
-        starts = [np.array(list(a) + [0.0, 0.0, 0.0]) for a in _clifford_angles()]
-    best_val = math.inf
-    best_angles = None
-    for x0 in starts:
-        res = minimize(
-            objective,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-7, "fatol": 1e-10, "maxiter": 2000},
-        )
-        if res.fun < best_val:
-            best_val = res.fun
-            best_angles = res.x
-    u1 = _euler_unitary(*best_angles[:3])
-    u2 = _euler_unitary(*best_angles[3:])
-    return -best_val, (u1, u2), best_angles
+    m = _MAGIC_BASIS.conj().T @ rho @ _MAGIC_BASIS
+    eigs, vecs = np.linalg.eigh((m + m.conj().T).real / 2.0)
+    psi = _MAGIC_BASIS @ vecs[:, -1]
+    u2 = math.sqrt(2.0) * psi.reshape(2, 2).conj()
+    return float(eigs[-1]), (np.eye(2, dtype=complex), u2)
 
 
 @dataclass(frozen=True)
@@ -425,24 +413,29 @@ def monte_carlo_report(
 ) -> dict[str, MonteCarloResult]:
     """Propagate Poissonian count errors through reconstruction.
 
-    Each sample resamples every count, reconstructs once, and evaluates all
-    functionals; failed reconstructions are counted and skipped.
+    Each sample resamples every count; all resampled tables are
+    reconstructed together, each exactly as ``mle_reconstruct`` would, and
+    every functional is evaluated on each state.  Tables that cannot be
+    reconstructed (missing settings, no counts, no convergence) are counted
+    as failures and skipped.
     """
     if n_samples < 2:
         raise ValueError("need at least two Monte Carlo samples")
     streams = np.random.SeedSequence(seed).spawn(n_samples)
-    values: dict[str, list[float]] = {name: [] for name in functionals}
-    failures = 0
+    coincidences = []
     for stream in streams:
         rng = np.random.Generator(np.random.Philox(stream))
         resampled = resampler(table, rng)
         try:
-            result = mle_reconstruct(resampled)
-        except (ValueError, ConvergenceError):
-            failures += 1
-            continue
-        for name, fn in functionals.items():
-            values[name].append(float(fn(result.rho)))
+            coincidences.append(_coincidence_matrix(resampled))
+        except ValueError:
+            pass  # counted as a failure below
+    rhos = []
+    if coincidences:
+        rho, _, _, converged, _ = _ascend(np.stack(coincidences))
+        rhos = rho[converged]
+    failures = n_samples - len(rhos)
+    values = {name: [float(fn(r)) for r in rhos] for name, fn in functionals.items()}
     report = {}
     for name, vals in values.items():
         if len(vals) < 2:

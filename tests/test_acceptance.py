@@ -139,19 +139,19 @@ def test_criterion_3_total_fidelity_identity():
 def paper_tomography(fixtures_dir):
     start = time.perf_counter()
     rec_30 = mle_reconstruct(ingest_counts(fixtures_dir / "counts_30_70.csv"))
-    f_opt_30, _, warm = optimize_local_fidelity(rec_30.rho)
+    f_opt_30, _ = optimize_local_fidelity(rec_30.rho)
     mc = monte_carlo_report(
         ingest_counts(fixtures_dir / "counts_30_70.csv"),
         n_samples=200,
         seed=20100607,
         functionals={
-            "fidelity_optimized": lambda r: optimize_local_fidelity(r, starts=[warm])[0],
+            "fidelity_optimized": lambda r: optimize_local_fidelity(r)[0],
             "tangle": tangle,
             "chsh": chsh_max,
         },
     )
     rec_50 = mle_reconstruct(ingest_counts(fixtures_dir / "counts_50_50.csv"))
-    f_opt_50, _, _ = optimize_local_fidelity(rec_50.rho)
+    f_opt_50, _ = optimize_local_fidelity(rec_50.rho)
     elapsed = time.perf_counter() - start
     return {
         "rho_30": rec_30.rho,

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import heraldsim
 from heraldsim.cli import main
 from heraldsim.experiments import ExperimentConfig
 from heraldsim.source import SpdcParams
@@ -205,3 +209,16 @@ class TestEmitPlotData:
         assert [p.name for p in written] == ["fig2_series.csv", "fig3_series.csv"]
         assert len((tmp_path / "fig2_series.csv").read_text().strip().split("\n")) == 2
         assert len((tmp_path / "fig3_series.csv").read_text().strip().split("\n")) == 3
+
+
+class TestImport:
+    def test_cli_loads_no_scipy(self):
+        # numpy is the only dependency; a fresh interpreter shows every module the import pulls in
+        src = str(Path(heraldsim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, heraldsim.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

@@ -7,8 +7,10 @@ from heraldsim.metrics import PHI_PLUS, PSI_MINUS, fidelity_to_phi_plus, tangle
 from heraldsim.tomography import (
     SETTINGS,
     CountTable,
+    _ascend,
+    _linear_inversion,
     _log_likelihood_and_grad,
-    _params_to_t,
+    _poisson_resample,
     expected_coincidences,
     ingest_counts,
     mle_reconstruct,
@@ -151,19 +153,29 @@ class TestCountTableIO:
 
 class TestMle:
     def test_gradient_matches_finite_differences(self):
+        # three independent samples in one batch
         rng = np.random.default_rng(31)
-        counts = rng.integers(1, 50, size=36).astype(float)
-        params = rng.normal(size=16)
+        counts = rng.integers(1, 50, size=(3, 36)).astype(float)
+        params = rng.normal(size=(3, 16))
         _, grad = _log_likelihood_and_grad(params, counts)
         eps = 1e-6
         for k in range(16):
             up = params.copy()
-            up[k] += eps
+            up[:, k] += eps
             down = params.copy()
-            down[k] -= eps
+            down[:, k] -= eps
             lu, _ = _log_likelihood_and_grad(up, counts)
             ld, _ = _log_likelihood_and_grad(down, counts)
-            assert grad[k] == pytest.approx((lu - ld) / (2 * eps), rel=1e-4, abs=1e-6)
+            assert grad[:, k] == pytest.approx((lu - ld) / (2 * eps), rel=1e-4, abs=1e-6)
+
+    def test_linear_inversion_recovers_exact_states(self):
+        # a batch of exact frequency tables, scaled to counts, inverts row by row
+        rng = np.random.default_rng(37)
+        states = [random_density_matrix(rng) for _ in range(3)] + [PHI_PLUS_RHO]
+        tables = [1000.0 * np.array([exact_coincidences(r)[s] for s in SETTINGS]) for r in states]
+        estimates = _linear_inversion(np.stack(tables))
+        for rho, estimate in zip(states, estimates, strict=True):
+            assert np.abs(estimate - rho).max() < 1e-12
 
     def test_phi_plus_self_consistency(self):
         counts = simulate_counts(PHI_PLUS_RHO, SETTINGS, 10**5, seed=13)
@@ -220,22 +232,66 @@ class TestMle:
             last = infidelity
 
 
+def local_overlap(rho, u1, u2):
+    u = np.kron(u1, u2)
+    return float(np.real(PHI_PLUS.conj() @ u @ rho @ u.conj().T @ PHI_PLUS))
+
+
+def random_unitary(rng):
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 class TestLocalUnitaryOptimization:
     def test_matches_closed_form_on_random_states(self):
         rng = np.random.default_rng(41)
         for _ in range(6):
             rho = random_density_matrix(rng)
-            numeric, _, _ = optimize_local_fidelity(rho)
-            assert numeric == pytest.approx(fully_entangled_fraction(rho), abs=1e-6)
+            value, _ = optimize_local_fidelity(rho)
+            assert value == pytest.approx(fully_entangled_fraction(rho), abs=1e-12)
+
+    def test_unitaries_attain_the_fidelity(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            rho = random_density_matrix(rng)
+            value, (u1, u2) = optimize_local_fidelity(rho)
+            for u in (u1, u2):
+                assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+            assert local_overlap(rho, u1, u2) == pytest.approx(value, abs=1e-12)
+
+    def test_no_random_local_unitary_does_better(self):
+        rng = np.random.default_rng(47)
+        for _ in range(3):
+            rho = random_density_matrix(rng)
+            value, _ = optimize_local_fidelity(rho)
+            best = max(
+                local_overlap(rho, random_unitary(rng), random_unitary(rng)) for _ in range(300)
+            )
+            assert best <= value + 1e-12
 
     def test_bell_states_locally_equivalent(self):
         rho = np.outer(PSI_MINUS, PSI_MINUS.conj())
-        value, _, _ = optimize_local_fidelity(rho)
+        value, _ = optimize_local_fidelity(rho)
         assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_mixed_state_unmovable(self):
-        value, _, _ = optimize_local_fidelity(MIXED_RHO)
+        value, _ = optimize_local_fidelity(MIXED_RHO)
         assert value == pytest.approx(0.25, abs=1e-8)
+
+
+def draws(table, n_samples, seed):
+    """The resampled tables a Monte Carlo run draws and the states it reconstructs."""
+    tables, rhos = [], []
+
+    def recording(t, rng):
+        tables.append(_poisson_resample(t, rng))
+        return tables[-1]
+
+    result = monte_carlo_errors(table, n_samples, seed,
+                                functional=lambda r: rhos.append(r) or 0.0, resampler=recording)
+    assert result.n_failures == 0
+    return tables, rhos
 
 
 class TestMonteCarlo:
@@ -274,6 +330,43 @@ class TestMonteCarlo:
         single = monte_carlo_errors(table, 10, seed=9, functional=tangle)
         assert report["tangle"] == single
 
+    def test_batch_matches_one_table_at_a_time(self, fixtures_dir):
+        tables, rhos = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 12, seed=5)
+        singles = [mle_reconstruct(t) for t in tables]
+        for rho, single in zip(rhos, singles, strict=True):
+            assert np.abs(rho - single.rho).max() <= 1e-10
+        _, _, iterations, converged, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
+        assert converged.all()
+        assert list(iterations) == [s.iterations for s in singles]
+
+    def test_zero_table_is_one_failure(self, fixtures_dir):
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        zero = CountTable(counts={key: 0 for key in table.counts})
+        calls, kept = [], []
+
+        def zero_third(t, rng):
+            calls.append(None)
+            return zero if len(calls) == 3 else _poisson_resample(t, rng)
+
+        _, rhos = draws(table, 8, seed=6)
+        result = monte_carlo_errors(table, 8, seed=6, functional=lambda r: kept.append(r) or 0.0,
+                                    resampler=zero_third)
+        assert result.n_failures == 1 and result.n_samples == 7
+        del rhos[2]
+        for a, b in zip(rhos, kept, strict=True):
+            assert np.abs(a - b).max() <= 1e-10
+
+    def test_unconverged_samples_are_failures(self, fixtures_dir, monkeypatch):
+        import heraldsim.tomography as tomo
+
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        tables, _ = draws(table, 8, seed=7)
+        _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
+        cap = int(np.sort(iterations)[4])
+        monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
+        result = monte_carlo_errors(table, 8, seed=7, functional=tangle)
+        assert result.n_failures == int((iterations > cap).sum()) > 0
+
 
 class TestLikelihoodPath:
     def test_monotone_non_decreasing(self, fixtures_dir):
@@ -300,7 +393,7 @@ class TestReferenceCrossValidation:
     def test_fidelity_matches_quoted_value(self, fixtures_dir, name, quoted):
         value, sigma = quoted
         rec = mle_reconstruct(ingest_counts(fixtures_dir / f"{name}.csv"))
-        f_opt, _, _ = optimize_local_fidelity(rec.rho)
+        f_opt, _ = optimize_local_fidelity(rec.rho)
         assert abs(f_opt - value) <= sigma
 
 
