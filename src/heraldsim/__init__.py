@@ -3,13 +3,12 @@
 from .detection import (
     ConditionalEnsemble,
     DetectorModel,
-    click_distribution,
     convention_correction,
     herald,
     number_table,
     postselect_two_qubit,
 )
-from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp_map, pbs_map, qwp_map
+from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp_map, qwp_map
 from .experiments import (
     ExperimentConfig,
     calibrate_tau,
@@ -18,7 +17,7 @@ from .experiments import (
     run_sweep,
     simulate_experiment,
 )
-from .fock import Mode, ModeMap, ModeRegister, SparseKet, apply_mode_map, project_occupation, tensor, vacuum
+from .fock import Mode, ModeMap, ModeRegister, SparseKet, apply_mode_map, tensor, vacuum
 from .metrics import (
     RateEstimate,
     chsh_max,
@@ -29,7 +28,7 @@ from .metrics import (
     total_state_fidelity,
     visibility_from_scan,
 )
-from .source import SpdcParams, apply_visibility, pair_term, spdc_state
+from .source import SpdcParams, apply_visibility, pair_term
 from .tomography import (
     CountTable,
     expected_coincidences,

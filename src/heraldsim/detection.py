@@ -94,37 +94,6 @@ def _detected_count_dist(n: int, eta: float) -> list[float]:
     return [math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)]
 
 
-def click_distribution(
-    state: SparseKet, detectors: DetectorModel
-) -> dict[tuple[int, ...], float]:
-    """Exact click-pattern distribution over all register modes.
-
-    Threshold detectors return binary patterns; number-resolving detectors
-    return detected-count tuples.
-    """
-    labels = state.register.labels
-    etas = [detectors.eta(m) for m in labels]
-    dist: dict[tuple[int, ...], float] = defaultdict(float)
-    for occ, amp in state.amplitudes.items():
-        p = abs(amp) ** 2
-        outcomes: list[tuple[tuple[int, ...], float]] = [((), p)]
-        for n, eta in zip(occ, etas):
-            if detectors.resolving == "number":
-                choices = list(enumerate(_detected_count_dist(n, eta)))
-            else:
-                p_click = 1.0 - (1.0 - eta) ** n
-                choices = [(0, 1.0 - p_click), (1, p_click)]
-            outcomes = [
-                (pattern + (k,), w * pk)
-                for pattern, w in outcomes
-                for k, pk in choices
-                if pk > 0.0
-            ]
-        for pattern, w in outcomes:
-            dist[pattern] += w
-    return dict(dist)
-
-
 def herald(
     state: SparseKet, herald_modes: Sequence[Mode], detectors: DetectorModel
 ) -> ConditionalEnsemble:
@@ -306,14 +275,6 @@ def postselect_two_qubit(
     if correction is not None:
         rho = correction @ rho @ correction.conj().T
     return rho
-
-
-def coincidence_probability(
-    ensemble: ConditionalEnsemble, output_detectors: DetectorModel
-) -> float:
-    """Probability, given the herald, of one detected photon per output arm."""
-    table = number_table(ensemble, output_detectors)
-    return sum(table.get(p, 0.0) for p in COINCIDENCE_PATTERNS)
 
 
 def arm_click_probability(

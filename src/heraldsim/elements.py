@@ -15,16 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    Mode,
-    ModeMap,
-    ModeRegister,
-    SparseKet,
-    apply_mode_map,
-    expand_to_register,
-    reorder,
-    register_of,
-)
+from .fock import Mode, ModeMap, ModeRegister, SparseKet, apply_mode_map, register_of
 
 # Emission register: two spatial arms, H and V each.
 SOURCE_REGISTER = register_of(("a1", "H"), ("a1", "V"), ("a2", "H"), ("a2", "V"))
@@ -74,72 +65,30 @@ def qwp_map(angle: float) -> ModeMap:
     return ModeMap(jones)
 
 
-def _on_spatial(jones: ModeMap, spatial: str) -> ModeMap:
-    labels = (Mode(spatial, "H"), Mode(spatial, "V"))
-    return ModeMap(jones.matrix, labels, labels)
-
-
-def pbs_map(spatial: str, transmitted: str, reflected: str) -> ModeMap:
-    """Polarizing beam splitter: H to the transmitted port, V to the reflected.
-
-    A pure relabeling isometry; the two output ports become distinct
-    detection modes carrying a single polarization each.
-    """
-    return ModeMap(
-        np.eye(2, dtype=complex),
-        (Mode(spatial, "H"), Mode(spatial, "V")),
-        (Mode(transmitted, "H"), Mode(reflected, "V")),
-    )
-
-
-def splitter_element(transmission: float, spatial: str, t_out: str, r_out: str) -> ModeMap:
-    """Beam splitter on one spatial arm (other input port in vacuum).
-
-    Polarization independent: each of (H, V) maps onto the transmitted and
-    reflected spatial modes with the first row of the two-port convention.
-    """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must be in [0, 1], got {transmission}")
-    t = math.sqrt(transmission)
-    r = math.sqrt(1.0 - transmission)
-    matrix = np.array(
-        [
-            [t, r, 0.0, 0.0],
-            [0.0, 0.0, t, r],
-        ],
-        dtype=complex,
-    )
-    return ModeMap(
-        matrix,
-        (Mode(spatial, "H"), Mode(spatial, "V")),
-        (Mode(t_out, "H"), Mode(r_out, "H"), Mode(t_out, "V"), Mode(r_out, "V")),
-    )
-
-
-def analysis_elements(spatial: str, setting: str) -> list[ModeMap]:
-    """Wave plates that rotate a Pauli measurement basis onto H/V.
+def _analysis_jones(setting: str) -> np.ndarray:
+    """Wave plates that rotate a Pauli measurement basis onto H/V, as one 2x2 map.
 
     z: none; x: HWP at pi/8 maps +/- onto H/V; y: QWP at pi/4 then HWP at
     pi/4 maps the circular basis onto H/V.
     """
     if setting == "z":
-        return []
+        return np.eye(2, dtype=complex)
     if setting == "x":
-        return [_on_spatial(hwp_map(math.pi / 8.0), spatial)]
+        return hwp_map(math.pi / 8.0).matrix
     if setting == "y":
-        return [
-            _on_spatial(qwp_map(math.pi / 4.0), spatial),
-            _on_spatial(hwp_map(math.pi / 4.0), spatial),
-        ]
+        return qwp_map(math.pi / 4.0).matrix @ hwp_map(math.pi / 4.0).matrix
     raise ValueError(f"unknown analysis setting {setting!r} (use x, y or z)")
 
 
 @dataclass(frozen=True)
 class CircuitLayout:
-    """Assembled circuit: ordered elements plus named detection modes."""
+    """Assembled circuit: one source-to-detector matrix plus named detection modes.
 
-    elements: tuple[ModeMap, ...]
-    input_register: ModeRegister
+    ``matrix`` is the (4, 8) mode-substitution isometry from the source
+    register onto ``register``, whose order is HERALD_NAMES then OUTPUT_NAMES.
+    """
+
+    matrix: np.ndarray
     register: ModeRegister
     herald_modes: dict[str, Mode]
     output_modes: dict[str, Mode]
@@ -154,50 +103,46 @@ class CircuitLayout:
         return tuple(self.output_modes[n] for n in OUTPUT_NAMES)
 
     def run(self, state: SparseKet) -> SparseKet:
-        """Evolve a source-register state through every element."""
-        for element in self.elements:
-            state = apply_mode_map(state, element)
-        return reorder(state, self.register)
+        """Evolve a source-register state through the whole circuit in one pass."""
+        if state.register != SOURCE_REGISTER:
+            raise ValueError("circuit input must be on the source register")
+        return apply_mode_map(state, ModeMap(self.matrix, self.register.labels))
 
     def total_matrix(self) -> np.ndarray:
-        """Composed mode-substitution matrix, source register -> final register."""
-        reg = self.input_register
-        total = np.eye(reg.size, dtype=complex)
-        for element in self.elements:
-            expanded = expand_to_register(reg, element)
-            total = total @ expanded.matrix
-            reg = ModeRegister(expanded.output_labels)
-        perm = np.zeros((reg.size, self.register.size), dtype=complex)
-        for j, label in enumerate(self.register.labels):
-            perm[reg.index(label), j] = 1.0
-        return total @ perm
+        """Mode-substitution matrix, source register -> final register (read-only)."""
+        return self.matrix
 
 
 def build_paper_circuit(
     t1: float, t2: float, settings: tuple[str, str] = ("z", "z")
 ) -> CircuitLayout:
-    """Assemble the full heralded-entanglement circuit.
+    """Assemble the full heralded-entanglement circuit as one matrix.
 
     Arm a1 -> BS(T1) -> (t1, r1); r1 -> PBS -> detectors r1H/r1V.
     Arm a2 -> BS(T2) -> (t2, r2); r2 -> HWP(pi/8) -> PBS -> detectors r2+/r2-.
     Arms t1, t2 -> analysis wave plates for the requested Pauli settings ->
     PBS -> detectors t1H/t1V and t2H/t2V.
+
+    The two arms never meet, and each PBS only relabels H and V into
+    separate detection modes.  So arm a_k's (H, V) rows hold sqrt(R_k)
+    times the reflected arm's Jones map on its two herald detectors and
+    sqrt(T_k) times the analysis map on its two output detectors; (sqrt(T),
+    sqrt(R)) is the first row of ``beam_splitter_map``.
     """
     for s in settings:
         if s not in ANALYSIS_SETTINGS:
             raise ValueError(f"unknown analysis setting {s!r} (use x, y or z)")
 
-    elements: list[ModeMap] = [
-        splitter_element(t1, "a1", "t1", "r1"),
-        splitter_element(t2, "a2", "t2", "r2"),
-        pbs_map("r1", "r1H", "r1V"),
-        _on_spatial(hwp_map(math.pi / 8.0), "r2"),
-        pbs_map("r2", "r2+", "r2-"),
-    ]
-    elements += analysis_elements("t1", settings[0])
-    elements += [pbs_map("t1", "t1H", "t1V")]
-    elements += analysis_elements("t2", settings[1])
-    elements += [pbs_map("t2", "t2H", "t2V")]
+    (sqrt_t1, sqrt_r1), (sqrt_t2, sqrt_r2) = (
+        beam_splitter_map(t).matrix[0].real for t in (t1, t2)
+    )
+    # Rows a1H a1V a2H a2V; columns r1H r1V r2+ r2- t1H t1V t2H t2V.
+    matrix = np.zeros((4, 8), dtype=complex)
+    matrix[0:2, 0:2] = sqrt_r1 * np.eye(2)
+    matrix[2:4, 2:4] = sqrt_r2 * hwp_map(math.pi / 8.0).matrix
+    matrix[0:2, 4:6] = sqrt_t1 * _analysis_jones(settings[0])
+    matrix[2:4, 6:8] = sqrt_t2 * _analysis_jones(settings[1])
+    matrix.setflags(write=False)
 
     herald_modes = {
         "r1H": Mode("r1H", "H"),
@@ -216,8 +161,7 @@ def build_paper_circuit(
         + tuple(output_modes[n] for n in OUTPUT_NAMES)
     )
     return CircuitLayout(
-        elements=tuple(elements),
-        input_register=SOURCE_REGISTER,
+        matrix=matrix,
         register=final,
         herald_modes=herald_modes,
         output_modes=output_modes,

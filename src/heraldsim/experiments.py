@@ -40,7 +40,6 @@ from .metrics import (
     total_state_fidelity_from_values,
 )
 from .source import SpdcParams, emission_components
-from .tomography import SETTINGS
 
 CONFIG_SCHEMA = "heraldsim-config/1"
 
@@ -72,15 +71,10 @@ class ExperimentConfig:
     t2: float = 0.5
     spdc: SpdcParams = field(default_factory=SpdcParams)
     detectors: DetectorModel = field(default_factory=DetectorModel)
-    settings: tuple[tuple[str, str], ...] = SETTINGS
-    events_per_setting: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0):
             raise ValueError("transmissions must be in [0, 1]")
-        if self.events_per_setting < 1:
-            raise ValueError("events_per_setting must be at least 1")
 
     def to_json_dict(self) -> dict:
         return {
@@ -92,9 +86,6 @@ class ExperimentConfig:
             "visibility": self.spdc.visibility,
             "efficiency": self.detectors.efficiency,
             "resolving": self.detectors.resolving,
-            "settings": [list(s) for s in self.settings],
-            "events_per_setting": self.events_per_setting,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -103,7 +94,7 @@ class ExperimentConfig:
             raise ValueError(f"unsupported config schema {data.get('schema')!r}")
         known = {
             "schema", "t1", "t2", "tau", "max_pairs", "visibility",
-            "efficiency", "resolving", "settings", "events_per_setting", "seed",
+            "efficiency", "resolving",
         }
         unknown = set(data) - known
         if unknown:
@@ -117,15 +108,11 @@ class ExperimentConfig:
             efficiency=float(data.get("efficiency", DetectorModel().efficiency)),
             resolving=str(data.get("resolving", "threshold")),
         )
-        settings = tuple(tuple(s) for s in data.get("settings", [list(s) for s in SETTINGS]))
         return cls(
             t1=float(data["t1"]),
             t2=float(data["t2"]),
             spdc=spdc,
             detectors=detectors,
-            settings=settings,
-            events_per_setting=int(data.get("events_per_setting", 1)),
-            seed=data.get("seed"),
         )
 
 
@@ -189,7 +176,7 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
         "tangle": tangle(rho_post),
         "chsh": chsh_max(rho_post),
         "P_direct": direct_preparation_probability(ensemble),
-        "P_estimator": min(p_estimator, 1.0),
+        "P_estimator": p_estimator,
         "P11_detected": p11,
         "visibility": config.spdc.visibility,
     }
@@ -282,7 +269,7 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
                 "t2": config.t2,
                 "herald_probability": ensemble.probability,
                 "P_direct": p_direct,
-                "P_estimator": min(p_estimator, 1.0),
+                "P_estimator": p_estimator,
             }
         )
     max_prob = max(r["herald_probability"] for r in rows)

@@ -134,13 +134,12 @@ class ModeMap:
     ``matrix`` has shape (inputs, outputs); the element rewrites each input
     creation operator as ``a_i† -> sum_j matrix[i, j] b_j†``.  Rows must be
     orthonormal (unitary when square, an isometric embedding when the map
-    enlarges the mode count).  When ``input_labels`` is given the map acts on
-    that labeled subset of a state's register and is padded with the identity
-    elsewhere; ``output_labels`` names the modes it produces.
+    enlarges the mode count).  The map acts positionally on a state's whole
+    register; ``output_labels`` names the modes it produces and is required
+    when the mode count changes.
     """
 
     matrix: np.ndarray
-    input_labels: tuple[Mode, ...] | None = None
     output_labels: tuple[Mode, ...] | None = None
 
     def __post_init__(self):
@@ -148,8 +147,6 @@ class ModeMap:
         if m.ndim != 2:
             raise ValueError("mode map matrix must be 2-dimensional")
         object.__setattr__(self, "matrix", m)
-        if self.input_labels is not None and len(self.input_labels) != m.shape[0]:
-            raise ValueError("input label count does not match matrix rows")
         if self.output_labels is not None and len(self.output_labels) != m.shape[1]:
             raise ValueError("output label count does not match matrix columns")
 
@@ -213,46 +210,6 @@ def _multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-def expand_to_register(register: ModeRegister, mode_map: ModeMap) -> ModeMap:
-    """Pad a labeled mode map with the identity on the rest of ``register``.
-
-    The output register keeps untouched modes in place and splices the map's
-    output modes in at the position of its first input mode.
-    """
-    if mode_map.input_labels is None or mode_map.output_labels is None:
-        raise ValueError("expansion needs input and output labels")
-    touched = mode_map.input_labels
-    touched_set = set(touched)
-    missing = [m for m in touched if m not in register.labels]
-    if missing:
-        raise KeyError(f"map inputs not in register: {[str(m) for m in missing]}")
-    collisions = (set(mode_map.output_labels) - touched_set) & set(register.labels)
-    if collisions:
-        raise ValueError(
-            f"map output labels collide with register: {[str(m) for m in collisions]}"
-        )
-
-    out_labels: list[Mode] = []
-    first_touched = min(register.index(m) for m in touched)
-    for i, label in enumerate(register.labels):
-        if label in touched_set:
-            if i == first_touched:
-                out_labels.extend(mode_map.output_labels)
-        else:
-            out_labels.append(label)
-
-    full = np.zeros((register.size, len(out_labels)), dtype=complex)
-    col_of = {m: j for j, m in enumerate(out_labels)}
-    for i, label in enumerate(register.labels):
-        if label in touched_set:
-            r = touched.index(label)
-            for c, out_label in enumerate(mode_map.output_labels):
-                full[i, col_of[out_label]] = mode_map.matrix[r, c]
-        else:
-            full[i, col_of[label]] = 1.0
-    return ModeMap(full, register.labels, tuple(out_labels))
-
-
 def apply_mode_map(state: SparseKet, mode_map: ModeMap, prune_tol: float = PRUNE_TOL) -> SparseKet:
     """Evolve a state through a passive linear-optical element.
 
@@ -260,20 +217,16 @@ def apply_mode_map(state: SparseKet, mode_map: ModeMap, prune_tol: float = PRUNE
     its creation-operator monomial and expanding, with the sqrt(n!) factors
     converting between operator monomials and normalized Fock kets.
     """
-    if mode_map.input_labels is not None:
-        mode_map = expand_to_register(state.register, mode_map)
+    if mode_map.n_inputs != state.register.size:
+        raise ValueError(
+            f"map has {mode_map.n_inputs} inputs, register has {state.register.size} modes"
+        )
+    if mode_map.output_labels is not None:
         out_register = ModeRegister(mode_map.output_labels)
+    elif mode_map.n_inputs == mode_map.n_outputs:
+        out_register = state.register
     else:
-        if mode_map.n_inputs != state.register.size:
-            raise ValueError(
-                f"map has {mode_map.n_inputs} inputs, register has {state.register.size} modes"
-            )
-        if mode_map.output_labels is not None:
-            out_register = ModeRegister(mode_map.output_labels)
-        elif mode_map.n_inputs == mode_map.n_outputs:
-            out_register = state.register
-        else:
-            raise ValueError("rectangular positional map needs output labels")
+        raise ValueError("rectangular map needs output labels")
     mode_map.check_isometry()
 
     matrix = mode_map.matrix
@@ -319,44 +272,6 @@ def apply_mode_map(state: SparseKet, mode_map: ModeMap, prune_tol: float = PRUNE
     return SparseKet.from_amplitudes(out_register, out, prune_tol)
 
 
-def reorder(state: SparseKet, new_register: ModeRegister) -> SparseKet:
-    """Permute the register to a new ordering of the same mode labels."""
-    if set(new_register.labels) != set(state.register.labels):
-        raise ValueError("reorder requires the same label set")
-    perm = [state.register.index(m) for m in new_register.labels]
-    amps = {tuple(occ[p] for p in perm): a for occ, a in state.amplitudes.items()}
-    return SparseKet(new_register, amps)
-
-
-def project_occupation(
-    state: SparseKet, modes: Sequence[Mode], pattern: Sequence[int]
-) -> tuple[float, SparseKet]:
-    """Project a subset of modes onto a fixed occupation pattern.
-
-    Returns the outcome probability and the renormalized state of the
-    remaining modes (an empty ket when the probability is zero).
-    """
-    idx = state.register.indices(modes)
-    if len(pattern) != len(idx):
-        raise ValueError("pattern length does not match mode subset")
-    pattern = tuple(int(n) for n in pattern)
-    rest_register = state.register.without(modes)
-    keep = [i for i in range(state.register.size) if i not in set(idx)]
-
-    amps: dict[Occupation, complex] = {}
-    prob = 0.0
-    for occ, amp in state.amplitudes.items():
-        if tuple(occ[i] for i in idx) != pattern:
-            continue
-        prob += abs(amp) ** 2
-        rest = tuple(occ[i] for i in keep)
-        amps[rest] = amps.get(rest, 0.0) + amp
-    if prob == 0.0:
-        return 0.0, SparseKet(rest_register, {})
-    s = 1.0 / math.sqrt(prob)
-    return prob, SparseKet.from_amplitudes(rest_register, {o: a * s for o, a in amps.items()})
-
-
 def split_by_occupation(
     state: SparseKet, modes: Sequence[Mode]
 ) -> tuple[ModeRegister, dict[Occupation, dict[Occupation, complex]]]:
@@ -377,15 +292,3 @@ def split_by_occupation(
         bucket = groups[key]
         bucket[rest] = bucket.get(rest, 0.0) + amp
     return rest_register, dict(groups)
-
-
-def truncate_photons(state: SparseKet, cap: int = DEFAULT_PHOTON_CAP) -> tuple[SparseKet, float]:
-    """Drop basis kets above a total-photon cap; returns (state, dropped weight)."""
-    kept: dict[Occupation, complex] = {}
-    dropped = 0.0
-    for occ, amp in state.amplitudes.items():
-        if sum(occ) > cap:
-            dropped += abs(amp) ** 2
-        else:
-            kept[occ] = amp
-    return SparseKet(state.register, kept), dropped

@@ -1,4 +1,4 @@
-"""SPDC emission model: n-pair Fock terms and the truncated squeezed state.
+"""SPDC emission model: n-pair Fock terms, pair-number weights, visibility split.
 
 The two-mode polarization-entangled source emits n pairs with amplitude
 proportional to sqrt(n+1) tau^n; the normalized n-pair term is
@@ -28,7 +28,6 @@ class SpdcParams:
     tau: float = 0.3
     max_pairs: int = 4
     visibility: float = 1.0
-    bell_phase: int = -1
     photon_cap: int = DEFAULT_PHOTON_CAP
 
     def __post_init__(self):
@@ -40,8 +39,6 @@ class SpdcParams:
             raise ValueError("max_pairs exceeds the photon cap")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
-        if self.bell_phase not in (-1, 1):
-            raise ValueError("bell_phase must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class SourceComponent:
     coherent: bool = True
 
 
-def pair_term(n: int, bell_phase: int = -1, photon_cap: int = DEFAULT_PHOTON_CAP) -> SparseKet:
+def pair_term(n: int, photon_cap: int = DEFAULT_PHOTON_CAP) -> SparseKet:
     """Normalized n-pair emission term on the source register."""
     if n < 0:
         raise ValueError("pair number must be non-negative")
@@ -64,7 +61,7 @@ def pair_term(n: int, bell_phase: int = -1, photon_cap: int = DEFAULT_PHOTON_CAP
     norm = 1.0 / math.sqrt(n + 1)
     amps = {}
     for k in range(n + 1):
-        amps[(n - k, k, k, n - k)] = norm * (bell_phase**k)
+        amps[(n - k, k, k, n - k)] = norm * (-1) ** k
     return SparseKet.from_amplitudes(SOURCE_REGISTER, amps)
 
 
@@ -76,18 +73,6 @@ def pair_number_weights(params: SpdcParams) -> list[float]:
     raw = [(n + 1) * params.tau ** (2 * n) for n in range(params.max_pairs + 1)]
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def spdc_state(params: SpdcParams) -> SparseKet:
-    """Truncated emission state, renormalized after the pair-number cutoff."""
-    weights = pair_number_weights(params)
-    amps: dict[tuple[int, ...], complex] = {}
-    for n, w in enumerate(weights):
-        term = pair_term(n, params.bell_phase, params.photon_cap)
-        coeff = math.sqrt(w)
-        for occ, amp in term.amplitudes.items():
-            amps[occ] = amps.get(occ, 0.0) + coeff * amp
-    return SparseKet.from_amplitudes(SOURCE_REGISTER, amps)
 
 
 def apply_visibility(two_pair_block: SparseKet, visibility: float) -> list[SourceComponent]:
@@ -120,7 +105,7 @@ def emission_components(params: SpdcParams) -> list[SourceComponent]:
     for n, w in enumerate(weights):
         if w == 0.0:
             continue
-        block = pair_term(n, params.bell_phase, params.photon_cap)
+        block = pair_term(n, params.photon_cap)
         if n == 2:
             for part in apply_visibility(block, params.visibility):
                 components.append(SourceComponent(w * part.weight, part.state, part.coherent))

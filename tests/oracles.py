@@ -11,24 +11,30 @@ projection, sharing no code with the package's reconstruction.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 
 import numpy as np
 
 
 def permanent(m: np.ndarray) -> complex:
-    """Permanent by direct sum over permutations (tiny matrices only)."""
+    """Permanent as the sum over permutations (tiny matrices only).
+
+    Permutations are grown row by row and a partial product stops at the
+    first exactly-zero entry, so block-sparse circuit matrices skip the
+    permutations that contribute nothing.
+    """
     n = m.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= m[i, j]
-        total += term
-    return total
+    entries = [[(j, m[i, j]) for j in range(n) if m[i, j] != 0.0] for i in range(n)]
+
+    def expand(row: int, used: frozenset, prefix: complex) -> complex:
+        if row == n:
+            return prefix
+        return sum(
+            (expand(row + 1, used | {j}, prefix * x) for j, x in entries[row] if j not in used),
+            0.0 + 0.0j,
+        )
+
+    return expand(0, frozenset(), 1.0 + 0.0j)
 
 
 def _repeat_matrix(matrix: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:

@@ -34,6 +34,15 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_ignored_config_field_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        data = json.loads(config.read_text())
+        data["seed"] = 7
+        config.write_text(json.dumps(data))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert "unknown config fields" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         code = main(["sweep", "--t", "0.5", "--frobnicate", "--out", str(tmp_path)])
         assert code == 1

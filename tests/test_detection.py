@@ -9,8 +9,6 @@ from heraldsim.detection import (
     DetectorModel,
     arm_click_probability,
     classical_occupation_distribution,
-    click_distribution,
-    coincidence_probability,
     convention_correction,
     herald,
     herald_classical,
@@ -19,7 +17,7 @@ from heraldsim.detection import (
     spatial_reduction,
 )
 from heraldsim.elements import build_paper_circuit
-from heraldsim.fock import SparseKet, basis_ket, register_of, vacuum
+from heraldsim.fock import Mode, SparseKet, basis_ket, register_of, vacuum
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, pair_term
 
@@ -31,44 +29,60 @@ def evolved(n_pairs, t1, t2, settings=("z", "z")):
     return layout, layout.run(pair_term(n_pairs))
 
 
+def spectator_register():
+    """Herald mode a plus an undetected spectator b (herald keeps >= 1 mode)."""
+    return register_of(("a", "H"), ("b", "H"))
+
+
+def herald_on_a(state, detectors):
+    return herald(state, [Mode("a", "H")], detectors)
+
+
 class TestClickDistribution:
+    # herald() thins each herald mode binomially: a threshold detector fires
+    # with 1-(1-eta)^n, a number-resolving one reports one photon with
+    # n eta (1-eta)^(n-1).
     def test_vacuum_never_clicks(self):
-        reg = register_of(("a", "H"), ("b", "H"))
-        dist = click_distribution(vacuum(reg), DetectorModel(efficiency=0.42))
-        assert dist[(0, 0)] == pytest.approx(1.0)
+        ens = herald_on_a(vacuum(spectator_register()), DetectorModel(efficiency=0.42))
+        assert ens.probability == 0.0
+        assert ens.components == ()
 
     def test_single_photon_clicks_with_eta(self):
-        st = basis_ket(register_of(("a", "H")), (1,))
-        dist = click_distribution(st, DetectorModel(efficiency=0.42))
-        assert dist[(1,)] == pytest.approx(0.42, abs=1e-12)
+        st = basis_ket(spectator_register(), (1, 0))
+        ens = herald_on_a(st, DetectorModel(efficiency=0.42))
+        assert ens.probability == pytest.approx(0.42, abs=1e-12)
 
     def test_two_photons_threshold(self):
-        st = basis_ket(register_of(("a", "H")), (2,))
-        dist = click_distribution(st, DetectorModel(efficiency=0.5))
+        st = basis_ket(spectator_register(), (2, 0))
+        ens = herald_on_a(st, DetectorModel(efficiency=0.5))
         # 1 - (1-eta)^2, cross-checked by explicit two-photon loss enumeration
         explicit = 0.5 * 0.5 + 2 * 0.5 * 0.5
-        assert dist[(1,)] == pytest.approx(0.75, abs=1e-12)
-        assert dist[(1,)] == pytest.approx(explicit, abs=1e-12)
+        assert ens.probability == pytest.approx(0.75, abs=1e-12)
+        assert ens.probability == pytest.approx(explicit, abs=1e-12)
 
     def test_number_resolving_counts(self):
-        st = basis_ket(register_of(("a", "H")), (2,))
-        dist = click_distribution(st, DetectorModel(efficiency=0.5, resolving="number"))
-        assert dist[(1,)] == pytest.approx(0.5, abs=1e-12)
-        assert dist[(2,)] == pytest.approx(0.25, abs=1e-12)
+        st = basis_ket(spectator_register(), (2, 0))
+        ens = herald_on_a(st, DetectorModel(efficiency=0.5, resolving="number"))
+        # exactly one of two photons detected: 2 eta (1 - eta)
+        assert ens.probability == pytest.approx(0.5, abs=1e-12)
+        ens = herald_on_a(st, DetectorModel(efficiency=0.3, resolving="number"))
+        assert ens.probability == pytest.approx(2 * 0.3 * 0.7, abs=1e-12)
 
     def test_threshold_equals_number_on_single_photon_states(self):
-        reg = register_of(("a", "H"), ("b", "H"))
         st = SparseKet.from_amplitudes(
-            reg, {(1, 0): 0.6, (0, 1): 0.8}
+            spectator_register(), {(1, 0): 0.6, (0, 1): 0.8}
         )
         eta = 0.37
-        th = click_distribution(st, DetectorModel(efficiency=eta))
-        nr = click_distribution(st, DetectorModel(efficiency=eta, resolving="number"))
-        assert set(th) == set(nr)
-        for k in th:
-            assert th[k] == pytest.approx(nr[k], abs=1e-12)
+        th = herald_on_a(st, DetectorModel(efficiency=eta))
+        nr = herald_on_a(st, DetectorModel(efficiency=eta, resolving="number"))
+        assert th.probability == pytest.approx(0.36 * eta, abs=1e-12)
+        assert nr.probability == pytest.approx(th.probability, abs=1e-12)
+        assert [(w, k.amplitudes) for w, k in th.components] == [
+            (w, k.amplitudes) for w, k in nr.components
+        ]
 
     def test_distribution_sums_to_one(self):
+        # herald probability against the thinning formulas summed by hand
         rng = np.random.default_rng(11)
         reg = register_of(("a", "H"), ("b", "H"), ("c", "H"))
         amps = {}
@@ -76,9 +90,21 @@ class TestClickDistribution:
             occ = tuple(int(x) for x in rng.integers(0, 3, 3))
             amps[occ] = complex(rng.normal(), rng.normal())
         st = SparseKet.from_amplitudes(reg, amps).normalized()
-        for resolving in ("threshold", "number"):
-            dist = click_distribution(st, DetectorModel(efficiency=0.3, resolving=resolving))
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+        heralds = [Mode("a", "H"), Mode("b", "H")]
+        eta = 0.3
+        threshold = herald(st, heralds, DetectorModel(efficiency=eta))
+        number = herald(st, heralds, DetectorModel(efficiency=eta, resolving="number"))
+        miss = sum(
+            abs(amp) ** 2 * (1 - (1 - (1 - eta) ** na) * (1 - (1 - eta) ** nb))
+            for (na, nb, _), amp in st.amplitudes.items()
+        )
+        one_each = sum(
+            abs(amp) ** 2 * na * eta * (1 - eta) ** (na - 1) * nb * eta * (1 - eta) ** (nb - 1)
+            for (na, nb, _), amp in st.amplitudes.items()
+            if na and nb
+        )
+        assert threshold.probability + miss == pytest.approx(1.0, abs=1e-12)
+        assert number.probability == pytest.approx(one_each, abs=1e-12)
 
 
 class TestHerald:
@@ -206,14 +232,6 @@ class TestNumberTable:
         table = number_table(ens, DetectorModel(efficiency=0.2))
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_coincidence_probability_matches_table(self):
-        layout, state = evolved(3, 0.4, 0.5)
-        det = DetectorModel(efficiency=0.3)
-        ens = herald(state, layout.herald_labels(), det)
-        table = number_table(ens, det)
-        from_table = sum(table.get(p, 0.0) for p in COINCIDENCE_PATTERNS)
-        assert coincidence_probability(ens, det) == pytest.approx(from_table, abs=1e-12)
-
 
 class TestPostselect:
     def test_ideal_three_pair_is_phi_plus(self):
@@ -293,12 +311,17 @@ class TestArmClicks:
 
 class TestPerModeEfficiency:
     def test_override_applies_to_named_mode(self):
-        from heraldsim.fock import Mode
-
-        reg = register_of(("a", "H"), ("b", "H"))
-        st = basis_ket(reg, (1, 1))
-        det = DetectorModel(efficiency=0.5, per_mode={Mode("b", "H"): 1.0})
-        dist = click_distribution(st, det)
-        assert dist[(1, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert dist.get((0, 1), 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert dist.get((1, 0), 0.0) == pytest.approx(0.0, abs=1e-12)
+        reg = register_of(("a", "H"), ("b", "H"), ("c", "H"))
+        st = basis_ket(reg, (1, 1, 0))
+        heralds = [Mode("a", "H"), Mode("b", "H")]
+        for resolving in ("threshold", "number"):
+            det = DetectorModel(efficiency=0.5, resolving=resolving, per_mode={Mode("b", "H"): 1.0})
+            # b always fires, a with the default 0.5
+            assert herald(st, heralds, det).probability == pytest.approx(0.5, abs=1e-12)
+            plain = DetectorModel(efficiency=0.5, resolving=resolving)
+            assert herald(st, heralds, plain).probability == pytest.approx(0.25, abs=1e-12)
+            # an override on a mode outside the herald set changes nothing
+            spectator = DetectorModel(
+                efficiency=0.5, resolving=resolving, per_mode={Mode("c", "H"): 1.0}
+            )
+            assert herald(st, heralds, spectator).probability == pytest.approx(0.25, abs=1e-12)

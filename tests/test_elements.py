@@ -8,22 +8,21 @@ from heraldsim.elements import (
     HERALD_NAMES,
     OUTPUT_NAMES,
     SOURCE_REGISTER,
-    analysis_elements,
     beam_splitter_map,
     build_paper_circuit,
     hwp_map,
-    pbs_map,
     qwp_map,
-    splitter_element,
 )
-from heraldsim.fock import Mode, apply_mode_map, basis_ket, register_of, vacuum
+from heraldsim.fock import apply_mode_map, basis_ket, register_of
 from heraldsim.source import pair_term
+from heraldsim.tomography import _BASIS_VECTORS
 
+from oracles import dense_evolve
 
-def single_photon(spatial="x", pol="H"):
-    reg = register_of((spatial, "H"), (spatial, "V"))
-    occ = (1, 0) if pol == "H" else (0, 1)
-    return basis_ket(reg, occ)
+# Blocks of the circuit matrix: rows per source arm (a1H a1V | a2H a2V), columns
+# per detector pair in register order (r1H r1V | r2+ r2- | t1H t1V | t2H t2V).
+A1, A2 = slice(0, 2), slice(2, 4)
+R1, R2, T1, T2 = slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 8)
 
 
 class TestBeamSplitter:
@@ -50,13 +49,20 @@ class TestBeamSplitter:
         with pytest.raises(ValueError):
             beam_splitter_map(1.2)
         with pytest.raises(ValueError):
-            splitter_element(-0.1, "a", "t", "r")
+            build_paper_circuit(-0.1, 0.5)
 
     def test_splitter_element_reflected_probability(self):
-        st = single_photon("a", "V")
-        out = apply_mode_map(st, splitter_element(0.7, "a", "t", "r"))
-        assert abs(out.amplitude((0, 0, 1, 0))) ** 2 == pytest.approx(0.7, abs=1e-12)
-        assert abs(out.amplitude((0, 0, 0, 1))) ** 2 == pytest.approx(0.3, abs=1e-12)
+        # a V photon in arm a1 at T1 = 0.7: 70% reaches the t1 detectors, 30% r1V
+        layout = build_paper_circuit(0.7, 0.4, ("x", "y"))
+        out = layout.run(basis_ket(SOURCE_REGISTER, (0, 1, 0, 0)))
+        r1v = layout.register.index(layout.herald_modes["r1V"])
+        t1 = layout.register.indices(layout.output_labels()[:2])
+        p_reflected = sum(abs(a) ** 2 for occ, a in out.amplitudes.items() if occ[r1v])
+        p_transmitted = sum(
+            abs(a) ** 2 for occ, a in out.amplitudes.items() if any(occ[i] for i in t1)
+        )
+        assert p_reflected == pytest.approx(0.3, abs=1e-12)
+        assert p_transmitted == pytest.approx(0.7, abs=1e-12)
 
 
 class TestWavePlates:
@@ -107,20 +113,31 @@ class TestWavePlates:
 
 
 class TestPbs:
+    # The r1 analyzer is a bare PBS: the herald block of arm a1 is sqrt(R1) I.
     def test_h_goes_to_transmitted(self):
-        out = apply_mode_map(single_photon("x", "H"), pbs_map("x", "xt", "xr"))
-        assert out.amplitude((1, 0)) == pytest.approx(1.0)
-        assert out.register.labels[0] == Mode("xt", "H")
+        m = build_paper_circuit(0.3, 0.6).total_matrix()
+        assert m[0, R1] == pytest.approx([math.sqrt(0.7), 0.0], abs=1e-15)
+        assert HERALD_NAMES[0] == "r1H"
 
     def test_v_goes_to_reflected(self):
-        out = apply_mode_map(single_photon("x", "V"), pbs_map("x", "xt", "xr"))
-        assert out.amplitude((0, 1)) == pytest.approx(1.0)
-        assert out.register.labels[1] == Mode("xr", "V")
+        m = build_paper_circuit(0.3, 0.6).total_matrix()
+        assert m[1, R1] == pytest.approx([0.0, math.sqrt(0.7)], abs=1e-15)
+        assert HERALD_NAMES[1] == "r1V"
 
     def test_hv_pair_splits(self):
-        reg = register_of(("x", "H"), ("x", "V"))
-        out = apply_mode_map(basis_ket(reg, (1, 1)), pbs_map("x", "xt", "xr"))
-        assert out.amplitude((1, 1)) == pytest.approx(1.0)
+        layout = build_paper_circuit(0.0, 0.5)
+        out = layout.run(basis_ket(SOURCE_REGISTER, (1, 1, 0, 0)))
+        assert out.amplitude((1, 1, 0, 0, 0, 0, 0, 0)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_plus_minus_onto_r2_ports(self):
+        # the a2 herald block is sqrt(R2) HWP(pi/8): |+> -> r2+, |-> -> r2-
+        m = build_paper_circuit(0.3, 0.6).total_matrix()
+        block = m[A2, R2] / math.sqrt(0.4)
+        plus = np.array([1.0, 1.0]) / math.sqrt(2)
+        minus = np.array([1.0, -1.0]) / math.sqrt(2)
+        assert block.T @ plus == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert block.T @ minus == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert HERALD_NAMES[2:] == ("r2+", "r2-")
 
 
 class TestPlusMinusAnalyzer:
@@ -182,6 +199,38 @@ class TestCircuit:
         assert m.shape == (4, 8)
         assert np.allclose(m @ m.conj().T, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize("t1,t2", [(0.0, 0.42), (0.17, 1.0), (0.3, 0.42), (0.7, 0.0)])
+    def test_block_magnitudes(self, t1, t2):
+        # each arm sends R to its herald detectors and T to its output detectors
+        m = build_paper_circuit(t1, t2, ("y", "x")).total_matrix()
+        for arm, herald, output, t in ((A1, R1, T1, t1), (A2, R2, T2, t2)):
+            reflected = np.sum(np.abs(m[arm, herald]) ** 2, axis=1)
+            transmitted = np.sum(np.abs(m[arm, output]) ** 2, axis=1)
+            assert reflected == pytest.approx([1 - t] * 2, abs=1e-12)
+            assert transmitted == pytest.approx([t] * 2, abs=1e-12)
+        assert np.abs(m[A1, R2]).max() == 0.0 and np.abs(m[A1, T2]).max() == 0.0
+        assert np.abs(m[A2, R1]).max() == 0.0 and np.abs(m[A2, T1]).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "settings,n_pairs",
+        [(a + b, n) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS for n in (0, 1, 2)]
+        + [("zz", 3)],
+    )
+    def test_run_matches_dense_oracle(self, settings, n_pairs):
+        # whole-circuit evolution against the permanent formula on the same matrix
+        layout = build_paper_circuit(0.37, 0.61, tuple(settings))
+        mine = layout.run(pair_term(n_pairs))
+        ref = dense_evolve(dict(pair_term(n_pairs).amplitudes), layout.total_matrix())
+        assert mine.register == layout.register
+        for occ in set(mine.amplitudes) | set(ref):
+            assert mine.amplitude(occ) == pytest.approx(ref.get(occ, 0.0), abs=1e-12)
+
+    def test_input_must_be_on_source_register(self):
+        layout = build_paper_circuit(0.5, 0.5)
+        other = register_of(("b1", "H"), ("b1", "V"), ("b2", "H"), ("b2", "V"))
+        with pytest.raises(ValueError, match="source register"):
+            layout.run(basis_ket(other, (1, 0, 0, 0)))
+
     def test_total_matrix_matches_state_evolution(self):
         layout = build_paper_circuit(0.42, 0.61, ("y", "x"))
         st = basis_ket(SOURCE_REGISTER, (1, 0, 0, 0))
@@ -196,11 +245,10 @@ class TestCircuit:
 class TestAnalysisBases:
     @pytest.mark.parametrize("setting", ["x", "y", "z"])
     def test_analysis_rotates_claimed_eigenvectors_to_ports(self, setting):
-        from heraldsim.tomography import _BASIS_VECTORS
-
+        # the output blocks are sqrt(T) times the analysis map; a photon in
+        # polarization v leaves with amplitudes block.T @ v on (tH, tV)
         v0, v1 = _BASIS_VECTORS[setting]
-        total = np.eye(2, dtype=complex)
-        for element in analysis_elements("t", setting):
-            total = element.matrix.T @ total  # column-vector action chains left
-        assert abs(total @ v0)[0] == pytest.approx(1.0, abs=1e-12)
-        assert abs(total @ v1)[1] == pytest.approx(1.0, abs=1e-12)
+        m = build_paper_circuit(0.37, 0.61, (setting, setting)).total_matrix()
+        for block in (m[A1, T1] / math.sqrt(0.37), m[A2, T2] / math.sqrt(0.61)):
+            assert abs(block.T @ v0)[0] == pytest.approx(1.0, abs=1e-12)
+            assert abs(block.T @ v1)[1] == pytest.approx(1.0, abs=1e-12)

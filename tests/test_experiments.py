@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.detection import DetectorModel
+from heraldsim.detection import DetectorModel, arm_click_probability
 from heraldsim.experiments import (
     REFERENCE_NUMBER_PROBS,
     ExperimentConfig,
@@ -31,15 +31,15 @@ class TestConfig:
             t2=0.7,
             spdc=SpdcParams(tau=0.22, max_pairs=4, visibility=0.9),
             detectors=DetectorModel(efficiency=0.12),
-            events_per_setting=500,
-            seed=11,
         )
         back = ExperimentConfig.from_json_dict(config.to_json_dict())
         assert back == config
 
-    def test_unknown_field_rejected(self):
+    # simulate has no use for seed, events_per_setting or settings, so they are rejected too
+    @pytest.mark.parametrize("name", ["mystery", "seed", "events_per_setting", "settings"])
+    def test_unknown_field_rejected(self, name):
         data = ExperimentConfig().to_json_dict()
-        data["mystery"] = 1
+        data[name] = 1
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json_dict(data)
 
@@ -184,6 +184,18 @@ class TestNumberTables:
 
 
 class TestSimulateExperiment:
+    def test_estimator_is_not_clamped(self):
+        # at high tau and transmission the estimator exceeds 1; it is reported as is
+        det = DetectorModel(efficiency=0.0966)
+        spdc = SpdcParams(tau=0.35, max_pairs=5, visibility=0.862, photon_cap=12)
+        config = ExperimentConfig(t1=0.7, t2=0.7, spdc=spdc, detectors=det)
+        ens = heralded_ensemble(0.7, 0.7, spdc, det)
+        expected = arm_click_probability(ens, det) / det.efficiency**2
+        assert expected > 1.0
+        reported = simulate_experiment(config).metrics["P_estimator"]
+        assert reported == pytest.approx(expected, rel=1e-12)
+        assert run_sweep([config])[0]["P_estimator"] == pytest.approx(expected, rel=1e-12)
+
     def test_metrics_payload_complete(self):
         config = ExperimentConfig(
             t1=0.5, t2=0.5, spdc=SpdcParams(tau=0.2, max_pairs=4, visibility=0.862)

@@ -10,12 +10,9 @@ from heraldsim.fock import (
     SparseKet,
     apply_mode_map,
     basis_ket,
-    project_occupation,
     register_of,
-    reorder,
     split_by_occupation,
     tensor,
-    truncate_photons,
     vacuum,
 )
 
@@ -172,46 +169,61 @@ class TestApplyModeMap:
         st = basis_ket(register_of(("a", "H")), (2,))
         emb = ModeMap(
             np.array([[math.sqrt(0.3), math.sqrt(0.7)]], dtype=complex),
-            (Mode("a", "H"),),
             (Mode("t", "H"), Mode("r", "H")),
         )
         out = apply_mode_map(st, emb)
+        assert out.register == register_of(("t", "H"), ("r", "H"))
         assert abs(out.norm_sq() - 1.0) <= 1e-10
         assert out.amplitude((2, 0)) == pytest.approx(0.3, abs=1e-12)
+
+    def test_rectangular_map_needs_output_labels(self):
+        st = basis_ket(register_of(("a", "H")), (1,))
+        with pytest.raises(ValueError, match="output labels"):
+            apply_mode_map(st, ModeMap(np.array([[0.6, 0.8]], dtype=complex)))
+
+    def test_output_label_count_checked(self):
+        with pytest.raises(ValueError, match="output label count"):
+            ModeMap(np.eye(2, dtype=complex), (Mode("t", "H"),))
+
+
+def pattern_probability(amps):
+    return sum(abs(a) ** 2 for a in amps.values())
 
 
 class TestProjection:
     def test_vacuum_all_zero_pattern(self):
         reg = register_of(("a", "H"), ("b", "H"))
-        prob, rest = project_occupation(vacuum(reg), [Mode("a", "H")], (0,))
-        assert prob == pytest.approx(1.0, abs=1e-15)
-        assert rest.amplitudes == {(0,): 1.0 + 0.0j}
+        rest_reg, groups = split_by_occupation(vacuum(reg), [Mode("a", "H")])
+        assert rest_reg == register_of(("b", "H"))
+        assert groups == {(0,): {(0,): 1.0 + 0.0j}}
 
     def test_half_probability_split(self):
         reg = two_mode_register()
         st = SparseKet.from_amplitudes(
             reg, {(1, 0): 1 / math.sqrt(2), (0, 1): 1 / math.sqrt(2)}
         )
-        prob, rest = project_occupation(st, [Mode("a", "H")], (1,))
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        assert rest.amplitude((0,)) == pytest.approx(1.0, abs=1e-12)
+        _, groups = split_by_occupation(st, [Mode("a", "H")])
+        assert pattern_probability(groups[(1,)]) == pytest.approx(0.5, abs=1e-12)
+        assert set(groups[(1,)]) == {(0,)}
+        assert set(groups[(0,)]) == {(1,)}
 
     def test_zero_probability_gives_empty_ket(self):
+        # a pattern that never occurs has no group at all
         st = basis_ket(two_mode_register(), (1, 0))
-        prob, rest = project_occupation(st, [Mode("a", "H")], (5,))
-        assert prob == 0.0
-        assert rest.amplitudes == {}
+        _, groups = split_by_occupation(st, [Mode("a", "H")])
+        assert set(groups) == {(1,)}
 
     def test_completeness_over_patterns(self):
         rng = np.random.default_rng(6)
         reg = register_of(("a", "H"), ("b", "H"), ("c", "H"))
         st = random_ket(rng, reg, 4)
         subset = [Mode("a", "H"), Mode("c", "H")]
-        _, groups = split_by_occupation(st, subset)
-        total = sum(
-            project_occupation(st, subset, pattern)[0] for pattern in groups
-        )
+        rest_reg, groups = split_by_occupation(st, subset)
+        assert rest_reg == register_of(("b", "H"))
+        total = sum(pattern_probability(amps) for amps in groups.values())
         assert total == pytest.approx(1.0, abs=1e-10)
+        for occ, amp in st.amplitudes.items():
+            assert groups[(occ[0], occ[2])][(occ[1],)] == amp
 
 
 class TestHousekeeping:
@@ -219,19 +231,6 @@ class TestHousekeeping:
         reg = register_of(("a", "H"))
         st = SparseKet.from_amplitudes(reg, {(0,): 1.0, (1,): 1e-16})
         assert (1,) not in st.amplitudes
-
-    def test_truncation_weight(self):
-        reg = register_of(("a", "H"))
-        st = SparseKet.from_amplitudes(reg, {(1,): math.sqrt(0.6), (9,): math.sqrt(0.4)})
-        kept, dropped = truncate_photons(st, cap=8)
-        assert dropped == pytest.approx(0.4, abs=1e-12)
-        assert set(kept.amplitudes) == {(1,)}
-
-    def test_reorder_permutes_occupations(self):
-        reg = two_mode_register()
-        st = basis_ket(reg, (2, 1))
-        flipped = reorder(st, register_of(("b", "H"), ("a", "H")))
-        assert flipped.amplitudes == {(1, 2): 1.0 + 0.0j}
 
     def test_normalize_zero_ket_rejected(self):
         reg = register_of(("a", "H"))
@@ -250,9 +249,10 @@ class TestHeraldProjection:
         t1, t2 = 0.3, 0.6
         layout = build_paper_circuit(t1, t2, ("z", "z"))
         evolved = layout.run(pair_term(3))
-        prob, rest = project_occupation(
-            evolved, layout.herald_labels(), (1, 1, 1, 1)
-        )
+        rest_reg, groups = split_by_occupation(evolved, layout.herald_labels())
+        assert rest_reg.labels == layout.output_labels()
+        prob = pattern_probability(groups[(1, 1, 1, 1)])
+        rest = SparseKet.from_amplitudes(rest_reg, groups[(1, 1, 1, 1)]).normalized()
         assert prob == pytest.approx(t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2, abs=1e-12)
         assert rest.amplitude((1, 0, 1, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
         assert rest.amplitude((0, 1, 0, 1)) == pytest.approx(1 / math.sqrt(2), abs=1e-10)

@@ -11,7 +11,6 @@ from heraldsim.source import (
     emission_components,
     pair_number_weights,
     pair_term,
-    spdc_state,
 )
 
 from oracles import normalized, spdc_pair_operator_expansion
@@ -68,30 +67,45 @@ class TestPairTerm:
             pair_term(5)
 
 
+def block_amplitude(components, occ):
+    """Emission amplitude of one source occupation: sqrt(block weight) times its term."""
+    n = occ[0] + occ[1]
+    (comp,) = [c for c in components if c.state.total_photons() == 2 * n]
+    return math.sqrt(comp.weight) * comp.state.amplitude(occ)
+
+
 class TestSpdcState:
     def test_tau_zero_is_vacuum(self):
-        st = spdc_state(SpdcParams(tau=0.0))
-        assert st.amplitudes == vacuum(SOURCE_REGISTER).amplitudes
+        comps = emission_components(SpdcParams(tau=0.0))
+        assert len(comps) == 1
+        assert comps[0].weight == 1.0
+        assert comps[0].state.amplitudes == vacuum(SOURCE_REGISTER).amplitudes
 
     def test_one_pair_to_vacuum_ratio(self):
         # P(1)/P(0) = 2 tau^2, unaffected by the common renormalization
-        st = spdc_state(SpdcParams(tau=0.3, max_pairs=4))
-        p0 = abs(st.amplitude((0, 0, 0, 0))) ** 2
+        weights = pair_number_weights(SpdcParams(tau=0.3, max_pairs=4))
+        assert weights[1] / weights[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
+        comps = emission_components(SpdcParams(tau=0.3, max_pairs=4))
+        p0 = abs(block_amplitude(comps, (0, 0, 0, 0))) ** 2
         p1 = sum(
-            abs(st.amplitude(occ)) ** 2 for occ in ((1, 0, 0, 1), (0, 1, 1, 0))
+            abs(block_amplitude(comps, occ)) ** 2 for occ in ((1, 0, 0, 1), (0, 1, 1, 0))
         )
         assert p1 / p0 == pytest.approx(2 * 0.3**2, abs=1e-12)
 
     def test_three_to_two_pair_amplitude_ratio(self):
-        st = spdc_state(SpdcParams(tau=0.3, max_pairs=3))
-        a3 = st.amplitude((3, 0, 0, 3)) * 2.0
-        a2 = st.amplitude((2, 0, 0, 2)) * math.sqrt(3.0)
+        comps = emission_components(SpdcParams(tau=0.3, max_pairs=3))
+        a3 = block_amplitude(comps, (3, 0, 0, 3)) * 2.0
+        a2 = block_amplitude(comps, (2, 0, 0, 2)) * math.sqrt(3.0)
         assert abs(a3 / a2) == pytest.approx(math.sqrt(4.0 / 3.0) * 0.3, abs=1e-12)
 
     def test_normalized_after_truncation(self):
         for tau in (0.1, 0.3, 0.6):
-            st = spdc_state(SpdcParams(tau=tau, max_pairs=4))
-            assert st.norm_sq() == pytest.approx(1.0, abs=1e-10)
+            params = SpdcParams(tau=tau, max_pairs=4)
+            assert sum(pair_number_weights(params)) == pytest.approx(1.0, abs=1e-12)
+            comps = emission_components(params)
+            assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
+            for c in comps:
+                assert c.state.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_tail_bound(self):
         # weight beyond 4 pairs stays under 10 tau^10 for tau <= 0.5
