@@ -82,16 +82,28 @@ class ConditionalEnsemble:
         return ConditionalEnsemble(self.register, comps, self.probability * factor)
 
 
-def _click_factor(n: int, eta: float, resolving: str) -> float:
-    """Probability that a detector fires the heralding condition on n photons."""
-    if resolving == "number":
-        return n * eta * (1.0 - eta) ** (n - 1) if n >= 1 else 0.0
-    return 1.0 - (1.0 - eta) ** n
+@functools.lru_cache(maxsize=4096)
+def _thinning(n: int, eta: float) -> tuple[float, ...]:
+    """Binomial thinning: probability that k of n photons are detected, k = 0..n."""
+    return tuple(math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1))
 
 
-def _detected_count_dist(n: int, eta: float) -> list[float]:
-    """Binomial thinning: probability of detecting k of n photons."""
-    return [math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)]
+def _herald_factor(pattern: Occupation, etas: Sequence[float], resolving: str) -> float:
+    """Probability that every herald detector fires on its photon number.
+
+    A threshold detector fires unless all its photons are lost; a
+    number-resolving one must see exactly one.
+    """
+    factor = 1.0
+    for n, eta in zip(pattern, etas):
+        detected = _thinning(n, eta)
+        if resolving == "number":
+            factor *= detected[1] if n >= 1 else 0.0
+        else:
+            factor *= 1.0 - detected[0]
+        if factor == 0.0:
+            break
+    return factor
 
 
 def herald(
@@ -108,11 +120,7 @@ def herald(
     components: list[tuple[float, SparseKet]] = []
     prob = 0.0
     for pattern, rest_amps in groups.items():
-        factor = 1.0
-        for n, eta in zip(pattern, etas):
-            factor *= _click_factor(n, eta, detectors.resolving)
-            if factor == 0.0:
-                break
+        factor = _herald_factor(pattern, etas, detectors.resolving)
         if factor == 0.0:
             continue
         joint = sum(abs(a) ** 2 for a in rest_amps.values())
@@ -181,11 +189,7 @@ def herald_classical(
     weights: dict[Occupation, float] = defaultdict(float)
     prob = 0.0
     for occ, p in occupation_probs.items():
-        factor = 1.0
-        for i, eta in zip(idx, etas):
-            factor *= _click_factor(occ[i], eta, detectors.resolving)
-            if factor == 0.0:
-                break
+        factor = _herald_factor(tuple(occ[i] for i in idx), etas, detectors.resolving)
         if factor == 0.0:
             continue
         rest = tuple(occ[i] for i in keep)
@@ -217,7 +221,7 @@ def number_table(
             p = weight * abs(amp) ** 2
             outcomes: list[tuple[tuple[int, ...], float]] = [((), p)]
             for n, eta in zip(occ, etas):
-                dist = _detected_count_dist(n, eta)
+                dist = _thinning(n, eta)
                 outcomes = [
                     (pattern + (k,), w * pk)
                     for pattern, w in outcomes
@@ -253,20 +257,20 @@ def postselect_two_qubit(
     etas = [output_detectors.eta(m) for m in ensemble.register.labels]
     rho = np.zeros((4, 4), dtype=complex)
     for weight, ket in ensemble.components:
-        vectors: dict[Occupation, np.ndarray] = defaultdict(lambda: np.zeros(4, dtype=complex))
+        vectors: dict[Occupation, list[complex]] = defaultdict(lambda: [0j] * 4)
         for occ, amp in ket.amplitudes.items():
+            detected = [_thinning(n, eta) for n, eta in zip(occ, etas)]
             for k_idx, pattern in enumerate(COINCIDENCE_PATTERNS):
                 env = tuple(n - d for n, d in zip(occ, pattern))
-                if any(e < 0 for e in env):
+                if min(env) < 0:
                     continue
                 a = amp
-                for n, d, eta in zip(occ, pattern, etas):
-                    a *= math.sqrt(
-                        math.comb(n, d) * eta**d * (1.0 - eta) ** (n - d)
-                    )
+                for row, d in zip(detected, pattern):
+                    a *= math.sqrt(row[d])
                 if a != 0.0:
                     vectors[env][k_idx] += a
         for vec in vectors.values():
+            vec = np.array(vec)
             rho += weight * np.outer(vec, vec.conj())
     trace = float(np.real(np.trace(rho)))
     if trace <= 0.0:
@@ -289,8 +293,8 @@ def arm_click_probability(
     for weight, ket in ensemble.components:
         for occ, amp in ket.amplitudes.items():
             p = abs(amp) ** 2
-            miss1 = (1.0 - etas[0]) ** occ[0] * (1.0 - etas[1]) ** occ[1]
-            miss2 = (1.0 - etas[2]) ** occ[2] * (1.0 - etas[3]) ** occ[3]
+            miss1 = _thinning(occ[0], etas[0])[0] * _thinning(occ[1], etas[1])[0]
+            miss2 = _thinning(occ[2], etas[2])[0] * _thinning(occ[3], etas[3])[0]
             total += weight * p * (1.0 - miss1) * (1.0 - miss2)
     return total / ensemble.probability
 

@@ -1,9 +1,13 @@
 """End-to-end experiment reproductions: sweeps, power dependence, tables.
 
-The heralding pipeline evolves each pair-number emission block through the
-circuit separately (blocks of different photon number never interfere in
-photon counting), applies the visibility split to the two-pair block, and
-merges the conditional ensembles with the pair-number weights.
+The heralding pipeline runs in two stages.  ``heralded_blocks`` evolves
+each pair-number block through the circuit and heralds it at unit weight,
+plus a distinguishable-photon copy of the two-pair block; blocks of
+different photon number never interfere in photon counting, so none of this
+depends on tau or the visibility.  ``reweight_blocks`` then scales the
+blocks by the emission weights (the visibility splitting the two-pair
+weight) and merges them.  Commands that visit many values of tau build the
+blocks once and reweight them for each.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from .source import SpdcParams, emission_components
+from .source import SpdcParams, emission_components, pair_term
 
 CONFIG_SCHEMA = "heraldsim-config/1"
 
@@ -121,6 +125,47 @@ def _cached_layout(t1: float, t2: float, settings: tuple[str, str]) -> CircuitLa
     return build_paper_circuit(t1, t2, settings)
 
 
+# Heralded pair blocks at unit weight, keyed by (pair number, coherent).
+PairBlocks = dict[tuple[int, bool], ConditionalEnsemble]
+
+
+def heralded_blocks(
+    t1: float,
+    t2: float,
+    detectors: DetectorModel,
+    max_pairs: int,
+    settings: tuple[str, str] = ("z", "z"),
+) -> PairBlocks:
+    """Evolve and herald each pair block 0..max_pairs once, free of tau and V.
+
+    The two-pair block also appears routed as distinguishable photons, the
+    piece that the visibility mixes in.
+    """
+    layout = _cached_layout(t1, t2, tuple(settings))
+    herald_labels = layout.herald_labels()
+    blocks: PairBlocks = {}
+    for n in range(max_pairs + 1):
+        state = pair_term(n, 2 * max_pairs)
+        blocks[n, True] = herald(layout.run(state), herald_labels, detectors)
+        if n == 2:
+            dist = classical_occupation_distribution(
+                state, layout.total_matrix(), layout.register
+            )
+            blocks[n, False] = herald_classical(
+                dist, layout.register, herald_labels, detectors
+            )
+    return blocks
+
+
+def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> ConditionalEnsemble:
+    """Scale the heralded blocks by the emission weights and merge them."""
+    merged: ConditionalEnsemble | None = None
+    for comp in emission_components(spdc):
+        ens = blocks[comp.pairs, comp.coherent].scaled(comp.weight)
+        merged = ens if merged is None else merged.merged_with(ens)
+    return merged
+
+
 def heralded_ensemble(
     t1: float,
     t2: float,
@@ -128,22 +173,9 @@ def heralded_ensemble(
     detectors: DetectorModel,
     settings: tuple[str, str] = ("z", "z"),
 ) -> ConditionalEnsemble:
-    """Herald the full emission through the circuit, block by block."""
-    layout = _cached_layout(t1, t2, tuple(settings))
-    herald_labels = layout.herald_labels()
-    merged: ConditionalEnsemble | None = None
-    for comp in emission_components(spdc):
-        if comp.coherent:
-            evolved = layout.run(comp.state)
-            ens = herald(evolved, herald_labels, detectors)
-        else:
-            dist = classical_occupation_distribution(
-                comp.state, layout.total_matrix(), layout.register
-            )
-            ens = herald_classical(dist, layout.register, herald_labels, detectors)
-        ens = ens.scaled(comp.weight)
-        merged = ens if merged is None else merged.merged_with(ens)
-    return merged
+    """Herald the full emission through the circuit: its blocks, reweighted at spdc."""
+    blocks = heralded_blocks(t1, t2, detectors, spdc.max_pairs, settings)
+    return reweight_blocks(blocks, spdc)
 
 
 @dataclass(frozen=True)
@@ -212,14 +244,27 @@ def calibrate_tau(
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
     The conditional P(1;1) grows monotonically with tau (the three-pair
-    signal outpaces the two-pair leakage), so a bisection suffices.
+    signal outpaces the two-pair leakage), so a bisection suffices.  Each
+    heralded block reduces to its herald probability and its joint P(1;1)
+    once; a step of the bisection only sums them with the weights at tau.
     """
     detectors = detectors or DetectorModel()
+    reduced = {}
+    for key, block in heralded_blocks(t1, t2, detectors, max_pairs).items():
+        joint_p11 = 0.0
+        if block.probability > 0.0:
+            table = number_table(block, detectors)
+            joint_p11 = block.probability * one_photon_per_arm_probability(table)
+        reduced[key] = (block.probability, joint_p11)
 
     def p11_at(tau: float) -> float:
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
-        ensemble = heralded_ensemble(t1, t2, spdc, detectors)
-        return one_photon_per_arm_probability(number_table(ensemble, detectors))
+        herald_p = joint_p11 = 0.0
+        for comp in emission_components(spdc):
+            block_herald_p, block_joint_p11 = reduced[comp.pairs, comp.coherent]
+            herald_p += comp.weight * block_herald_p
+            joint_p11 += comp.weight * block_joint_p11
+        return joint_p11 / herald_p
 
     lo, hi = tau_lo, tau_hi
     p_lo, p_hi = p11_at(lo), p11_at(hi)
@@ -302,10 +347,11 @@ def run_power_comparison(
         raise ValueError("tau_low must not exceed tau_high")
     detectors = detectors or DetectorModel()
     correction = convention_correction(t, t)
+    blocks = heralded_blocks(t, t, detectors, max_pairs)
     out: dict = {"t": t, "tau_high": tau_high, "tau_low": tau_low}
     for tag, tau in (("high", tau_high), ("low", tau_low)):
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
-        ensemble = heralded_ensemble(t, t, spdc, detectors)
+        ensemble = reweight_blocks(blocks, spdc)
         rho = postselect_two_qubit(ensemble, detectors, correction)
         out[f"F_post_{tag}"] = fidelity_to_phi_plus(rho)
         out[f"bell_diagonal_{tag}"] = bell_diagonal(rho)

@@ -64,9 +64,16 @@ class ModeRegister:
         return tuple(self.index(m) for m in labels)
 
     def without(self, labels: Iterable[Mode]) -> "ModeRegister":
+        """The remaining modes; none remain when every mode is measured."""
         drop = set(labels)
         kept = tuple(m for m in self.labels if m not in drop)
-        return ModeRegister(kept)
+        return ModeRegister(kept) if kept else _NO_MODES
+
+
+# What remains of a register once every mode is measured.  Only ``without``
+# yields it: a register built by hand still needs at least one mode.
+_NO_MODES = object.__new__(ModeRegister)
+object.__setattr__(_NO_MODES, "labels", ())
 
 
 def register_of(*labels: tuple[str, str] | Mode) -> ModeRegister:

@@ -23,18 +23,24 @@ from .fock import DEFAULT_PHOTON_CAP, SparseKet, vacuum
 
 @dataclass(frozen=True)
 class SpdcParams:
-    """Source parameters: emission amplitude, truncation and visibility."""
+    """Source parameters: emission amplitude, truncation and visibility.
+
+    ``photon_cap`` defaults to the 2 * max_pairs photons of the largest
+    block; an explicit cap below that is rejected.
+    """
 
     tau: float = 0.3
     max_pairs: int = 4
     visibility: float = 1.0
-    photon_cap: int = DEFAULT_PHOTON_CAP
+    photon_cap: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         if self.max_pairs < 0:
             raise ValueError("max_pairs must be non-negative")
+        if self.photon_cap is None:
+            object.__setattr__(self, "photon_cap", 2 * self.max_pairs)
         if 2 * self.max_pairs > self.photon_cap:
             raise ValueError("max_pairs exceeds the photon cap")
         if not 0.0 <= self.visibility <= 1.0:
@@ -43,9 +49,10 @@ class SpdcParams:
 
 @dataclass(frozen=True)
 class SourceComponent:
-    """One incoherent piece of the emission: weight, state and coherence flag."""
+    """One incoherent piece of the emission: weight, pair number, state and coherence flag."""
 
     weight: float
+    pairs: int
     state: SparseKet
     coherent: bool = True
 
@@ -87,9 +94,9 @@ def apply_visibility(two_pair_block: SparseKet, visibility: float) -> list[Sourc
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     components = []
     if visibility > 0.0:
-        components.append(SourceComponent(visibility, two_pair_block, coherent=True))
+        components.append(SourceComponent(visibility, 2, two_pair_block, coherent=True))
     if visibility < 1.0:
-        components.append(SourceComponent(1.0 - visibility, two_pair_block, coherent=False))
+        components.append(SourceComponent(1.0 - visibility, 2, two_pair_block, coherent=False))
     return components
 
 
@@ -108,7 +115,7 @@ def emission_components(params: SpdcParams) -> list[SourceComponent]:
         block = pair_term(n, params.photon_cap)
         if n == 2:
             for part in apply_visibility(block, params.visibility):
-                components.append(SourceComponent(w * part.weight, part.state, part.coherent))
+                components.append(SourceComponent(w * part.weight, n, part.state, part.coherent))
         else:
-            components.append(SourceComponent(w, block, coherent=True))
+            components.append(SourceComponent(w, n, block, coherent=True))
     return components

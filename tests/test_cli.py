@@ -95,6 +95,15 @@ class TestCommands:
         assert series[0] == "transmission,P_estimator"
         assert len(series) == 5
 
+    def test_photon_cap_follows_max_pairs(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "schema": "heraldsim-config/1", "t1": 0.5, "t2": 0.5, "tau": 0.25, "max_pairs": 5,
+        }))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        code = main(["sweep", "--t", "0.5", "--pairs", "5", "--out", str(tmp_path / "sweep")])
+        assert code == 0
+
     def test_tomo_sim_round_trip(self, tmp_path):
         out = tmp_path / "tomo"
         code = main([

@@ -30,7 +30,7 @@ def evolved(n_pairs, t1, t2, settings=("z", "z")):
 
 
 def spectator_register():
-    """Herald mode a plus an undetected spectator b (herald keeps >= 1 mode)."""
+    """Herald mode a plus an undetected spectator b."""
     return register_of(("a", "H"), ("b", "H"))
 
 
@@ -105,6 +105,19 @@ class TestClickDistribution:
         )
         assert threshold.probability + miss == pytest.approx(1.0, abs=1e-12)
         assert number.probability == pytest.approx(one_each, abs=1e-12)
+
+    @pytest.mark.parametrize("resolving", ["threshold", "number"])
+    def test_herald_on_every_mode(self, resolving):
+        # no spectator: nothing is left over, and the ensemble is the click probability
+        reg = register_of(("a", "H"))
+        det = DetectorModel(efficiency=0.4, resolving=resolving)
+        ens = herald(basis_ket(reg, (1,)), [Mode("a", "H")], det)
+        assert ens.probability == pytest.approx(0.4, abs=1e-15)
+        assert ens.register.size == 0
+        assert [(w, k.amplitudes) for w, k in ens.components] == [(ens.probability, {(): 1.0})]
+        classical = herald_classical({(1,): 1.0}, reg, [Mode("a", "H")], det)
+        assert classical.probability == pytest.approx(0.4, abs=1e-15)
+        assert classical.register.size == 0
 
 
 class TestHerald:

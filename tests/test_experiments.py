@@ -4,10 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.detection import DetectorModel, arm_click_probability
+import heraldsim.experiments
+from heraldsim.detection import (
+    DetectorModel,
+    arm_click_probability,
+    classical_occupation_distribution,
+    convention_correction,
+    herald,
+    herald_classical,
+    number_table,
+    postselect_two_qubit,
+)
+from heraldsim.elements import CircuitLayout, build_paper_circuit
 from heraldsim.experiments import (
     REFERENCE_NUMBER_PROBS,
+    REFERENCE_TRANSMISSIONS,
     ExperimentConfig,
+    bell_diagonal,
     calibrate_tau,
     heralded_ensemble,
     power_scaled_tau,
@@ -16,7 +29,8 @@ from heraldsim.experiments import (
     run_sweep,
     simulate_experiment,
 )
-from heraldsim.source import SpdcParams
+from heraldsim.metrics import fidelity_to_phi_plus, one_photon_per_arm_probability
+from heraldsim.source import SpdcParams, emission_components
 
 
 def sweep_configs(ts, tau, max_pairs, visibility=0.862):
@@ -71,6 +85,102 @@ class TestCalibration:
         assert power_scaled_tau(0.3) == pytest.approx(0.3 * math.sqrt(0.62 / 1.2))
         with pytest.raises(ValueError):
             power_scaled_tau(0.3, power_low=2.0, power_high=1.0)
+
+
+    def test_converged_truncation_reachable(self):
+        # seven pairs need 14 photons; the cap follows max_pairs
+        assert calibrate_tau(max_pairs=7)["tau"] == pytest.approx(0.2237, abs=1e-4)
+
+
+def per_tau_p11(t, tau, visibility, det):
+    spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
+    return one_photon_per_arm_probability(number_table(heralded_ensemble(t, t, spdc, det), det))
+
+
+def per_tau_rho(t, tau, visibility, det):
+    spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
+    ensemble = heralded_ensemble(t, t, spdc, det)
+    return postselect_two_qubit(ensemble, det, convention_correction(t, t))
+
+
+class TestSharedBlocks:
+    """calibrate and power-compare evolve each pair block once and reweight it per tau."""
+
+    def test_ensemble_matches_component_by_component_evolution(self):
+        # each emission component evolved and heralded on its own, as a one-tau pipeline does
+        det = DetectorModel(efficiency=0.2)
+        for settings in (("z", "z"), ("x", "y")):
+            for visibility in (0.0, 0.862, 1.0):
+                spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
+                layout = build_paper_circuit(0.3, 0.7, settings)
+                heralds = layout.herald_labels()
+                expected = []
+                for comp in emission_components(spdc):
+                    if comp.coherent:
+                        ens = herald(layout.run(comp.state), heralds, det)
+                    else:
+                        dist = classical_occupation_distribution(
+                            comp.state, layout.total_matrix(), layout.register
+                        )
+                        ens = herald_classical(dist, layout.register, heralds, det)
+                    expected.append(ens.scaled(comp.weight))
+                got = heralded_ensemble(0.3, 0.7, spdc, det, settings)
+                assert got.probability == sum(e.probability for e in expected)
+                assert [(w, k.amplitudes) for w, k in got.components] == [
+                    (w, k.amplitudes) for e in expected for w, k in e.components
+                ]
+
+    @pytest.mark.parametrize("ratio", sorted(REFERENCE_TRANSMISSIONS))
+    @pytest.mark.parametrize("visibility", [0.0, 0.862, 1.0])
+    def test_calibration_matches_per_tau_pipeline(self, ratio, visibility):
+        t = REFERENCE_TRANSMISSIONS[ratio]
+        det = DetectorModel()
+        for tau in (0.15, 0.25, 0.35):
+            target = per_tau_p11(t, tau, visibility, det)
+            report = calibrate_tau(target, t, t, det, visibility, rel_tol=1e-9)
+            assert report["tau"] == pytest.approx(tau, rel=1e-6)
+            achieved = per_tau_p11(t, report["tau"], visibility, det)
+            assert report["achieved_p11"] == pytest.approx(achieved, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ratio", sorted(REFERENCE_TRANSMISSIONS))
+    @pytest.mark.parametrize("visibility", [0.0, 0.862, 1.0])
+    def test_power_comparison_matches_per_tau_pipeline(self, ratio, visibility):
+        t = REFERENCE_TRANSMISSIONS[ratio]
+        det = DetectorModel()
+        rho = {tau: per_tau_rho(t, tau, visibility, det) for tau in (0.15, 0.25, 0.35)}
+        for high, low in ((0.35, 0.25), (0.25, 0.15)):
+            result = run_power_comparison(high, low, t, det, visibility)
+            for tag, tau in (("high", high), ("low", low)):
+                assert result[f"F_post_{tag}"] == pytest.approx(
+                    fidelity_to_phi_plus(rho[tau]), rel=0.0, abs=1e-12
+                )
+                want = bell_diagonal(rho[tau])
+                for name, value in result[f"bell_diagonal_{tag}"].items():
+                    assert value == pytest.approx(want[name], rel=0.0, abs=1e-12)
+
+    def test_each_block_evolves_once(self, monkeypatch):
+        convention_correction(0.3, 0.3)  # its own three-pair evolution is cached apart
+        evolved, visited = [], []
+        run = CircuitLayout.run
+
+        def counting_run(self, state):
+            evolved.append(state.total_photons() // 2)
+            return run(self, state)
+
+        def counting_components(spdc):
+            visited.append(spdc.tau)
+            return emission_components(spdc)
+
+        monkeypatch.setattr(CircuitLayout, "run", counting_run)
+        monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
+        calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
+        assert sorted(evolved) == [0, 1, 2, 3, 4]
+        assert len(set(visited)) > 10
+        evolved.clear()
+        visited.clear()
+        run_power_comparison(0.25, power_scaled_tau(0.25), t=0.3, max_pairs=4)
+        assert sorted(evolved) == [0, 1, 2, 3, 4]
+        assert len(set(visited)) == 2
 
 
 class TestSweep:

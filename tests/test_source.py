@@ -125,8 +125,8 @@ class TestSpdcState:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             SpdcParams(tau=1.0)
-        with pytest.raises(ValueError):
-            SpdcParams(tau=0.3, max_pairs=5)
+        with pytest.raises(ValueError, match="photon cap"):
+            SpdcParams(tau=0.3, max_pairs=5, photon_cap=8)
         with pytest.raises(ValueError):
             SpdcParams(tau=0.3, visibility=1.2)
 
