@@ -269,8 +269,8 @@ def postselect_two_qubit(
                     a *= math.sqrt(row[d])
                 if a != 0.0:
                     vectors[env][k_idx] += a
-        for vec in vectors.values():
-            vec = np.array(vec)
+        for amps in vectors.values():
+            vec = np.array(amps)
             rho += weight * np.outer(vec, vec.conj())
     trace = float(np.real(np.trace(rho)))
     if trace <= 0.0:
