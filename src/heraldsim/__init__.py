@@ -3,7 +3,6 @@
 from .detection import (
     ConditionalEnsemble,
     DetectorModel,
-    convention_correction,
     herald,
     number_table,
     postselect_two_qubit,
@@ -25,16 +24,14 @@ from .metrics import (
     fidelity_to_phi_plus,
     preparation_efficiency,
     tangle,
-    total_state_fidelity,
-    visibility_from_scan,
 )
-from .source import SpdcParams, apply_visibility, pair_term
+from .source import SpdcParams, emission_coefficients, pair_term
 from .tomography import (
     CountTable,
     expected_coincidences,
     ingest_counts,
     mle_reconstruct,
-    monte_carlo_errors,
+    monte_carlo_report,
     simulate_counts,
 )
 

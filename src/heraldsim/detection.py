@@ -17,9 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .elements import build_paper_circuit
 from .fock import Mode, ModeRegister, Occupation, SparseKet, split_by_occupation
-from .source import pair_term
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -51,9 +49,6 @@ class DetectorModel:
         if self.per_mode and mode in self.per_mode:
             return self.per_mode[mode]
         return self.efficiency
-
-
-IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 
 
 @dataclass(frozen=True)
@@ -242,17 +237,14 @@ def spatial_reduction(table: Mapping[Occupation, float]) -> dict[tuple[int, int]
 
 
 def postselect_two_qubit(
-    ensemble: ConditionalEnsemble,
-    output_detectors: DetectorModel,
-    correction: np.ndarray | None = None,
+    ensemble: ConditionalEnsemble, output_detectors: DetectorModel
 ) -> np.ndarray:
     """Two-qubit density matrix of the detected coincidences.
 
     Restricts to exactly one detected photon per output spatial arm.  Loss
     on the undetected photons is traced out exactly: amplitudes are grouped
     by the lost-photon environment configuration, so multi-photon
-    components contribute the correct mixed background.  The optional
-    convention-correcting local unitary is applied last.
+    components contribute the correct mixed background.
     """
     etas = [output_detectors.eta(m) for m in ensemble.register.labels]
     rho = np.zeros((4, 4), dtype=complex)
@@ -275,10 +267,7 @@ def postselect_two_qubit(
     trace = float(np.real(np.trace(rho)))
     if trace <= 0.0:
         raise ValueError("zero coincidence probability; nothing to post-select")
-    rho /= trace
-    if correction is not None:
-        rho = correction @ rho @ correction.conj().T
-    return rho
+    return rho / trace
 
 
 def arm_click_probability(
@@ -297,34 +286,3 @@ def arm_click_probability(
             miss2 = _thinning(occ[2], etas[2])[0] * _thinning(occ[3], etas[3])[0]
             total += weight * p * (1.0 - miss1) * (1.0 - miss2)
     return total / ensemble.probability
-
-
-def correction_from_ideal_ensemble(ensemble: ConditionalEnsemble) -> np.ndarray:
-    """Local unitary rotating an ideal heralded ket onto (|HH>+|VV>)/sqrt(2).
-
-    The ensemble must come from heralding the pure three-pair term with
-    ideal number-resolving lossless detectors (a single maximally entangled
-    component); the per-arm unitaries come from the SVD of its 2x2
-    coefficient matrix.
-    """
-    if len(ensemble.components) != 1:
-        raise RuntimeError("ideal three-pair herald should have a single component")
-    _, ket = ensemble.components[0]
-    coeff = np.zeros((2, 2), dtype=complex)
-    for (a, b), pattern in zip(((0, 0), (0, 1), (1, 0), (1, 1)), COINCIDENCE_PATTERNS):
-        coeff[a, b] = ket.amplitude(pattern)
-    u, s, vh = np.linalg.svd(coeff)
-    if not np.allclose(s, [math.sqrt(0.5)] * 2, atol=1e-9):
-        raise RuntimeError("ideal heralded state is not maximally entangled")
-    u1 = u.conj().T
-    u2 = vh.conj()
-    return np.kron(u1, u2)
-
-
-@functools.lru_cache(maxsize=256)
-def convention_correction(t1: float, t2: float) -> np.ndarray:
-    """Convention-correcting local unitary for one splitter pair (cached)."""
-    layout = build_paper_circuit(t1, t2, ("z", "z"))
-    evolved = layout.run(pair_term(3))
-    ensemble = herald(evolved, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
-    return correction_from_ideal_ensemble(ensemble)

@@ -6,8 +6,8 @@ plus a distinguishable-photon copy of the two-pair block; blocks of
 different photon number never interfere in photon counting, so none of this
 depends on tau or the visibility.  ``reweight_blocks`` then scales the
 blocks by the emission weights (the visibility splitting the two-pair
-weight) and merges them.  Commands that visit many values of tau build the
-blocks once and reweight them for each.
+weight) and merges them.  power-compare builds the blocks once for both
+values of tau, and calibrate reduces them to two polynomials in tau^2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .detection import (
     DetectorModel,
     arm_click_probability,
     classical_occupation_distribution,
-    convention_correction,
     herald,
     herald_classical,
     number_table,
@@ -43,7 +42,7 @@ from .metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from .source import SpdcParams, emission_components, pair_term
+from .source import SpdcParams, emission_coefficients, emission_components, pair_term
 
 CONFIG_SCHEMA = "heraldsim-config/1"
 
@@ -62,6 +61,9 @@ REFERENCE_NUMBER_PROBS: dict[str, dict[str, float]] = {
 
 # Transmission of each reference configuration (named reflected/transmitted).
 REFERENCE_TRANSMISSIONS = {"17/83": 0.17, "30/70": 0.30, "50/50": 0.50, "70/30": 0.70}
+
+# Emission amplitudes within which calibrate_tau looks for the target P(1;1).
+CALIBRATION_TAU_BRACKET = (0.02, 0.7)
 
 HIGH_POWER_W = 1.2
 LOW_POWER_W = 0.62
@@ -195,8 +197,7 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     ensemble = heralded_ensemble(config.t1, config.t2, config.spdc, config.detectors)
     table = number_table(ensemble, config.detectors)
     reduction = spatial_reduction(table)
-    correction = convention_correction(config.t1, config.t2)
-    rho_post = postselect_two_qubit(ensemble, config.detectors, correction)
+    rho_post = postselect_two_qubit(ensemble, config.detectors)
     p11 = one_photon_per_arm_probability(table)
     f_post = fidelity_to_phi_plus(rho_post)
     eta = config.detectors.efficiency
@@ -237,53 +238,46 @@ def calibrate_tau(
     detectors: DetectorModel | None = None,
     visibility: float = 0.862,
     max_pairs: int = 4,
-    tau_lo: float = 0.02,
-    tau_hi: float = 0.7,
-    rel_tol: float = 1e-4,
 ) -> dict:
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
-    The conditional P(1;1) grows monotonically with tau (the three-pair
-    signal outpaces the two-pair leakage), so a bisection suffices.  Each
-    heralded block reduces to its herald probability and its joint P(1;1)
-    once; a step of the bisection only sums them with the weights at tau.
+    Each heralded block c of n pairs reduces once to its herald probability
+    H_c and its joint P(1;1) J_c.  With the emission coefficients v_c, the
+    conditional P(1;1) at x = tau^2 is N(x)/D(x), with N = sum v_c J_c x^n
+    and D = sum v_c H_c x^n (the truncation renormalization cancels), so
+    tau is the square root of the single real root of N - target D with
+    tau in CALIBRATION_TAU_BRACKET.
     """
     detectors = detectors or DetectorModel()
-    reduced = {}
-    for key, block in heralded_blocks(t1, t2, detectors, max_pairs).items():
-        joint_p11 = 0.0
+    blocks = heralded_blocks(t1, t2, detectors, max_pairs)
+    herald_poly = np.zeros(max_pairs + 1)
+    joint_poly = np.zeros(max_pairs + 1)
+    for (n, coherent), c in emission_coefficients(max_pairs, visibility).items():
+        block = blocks[n, coherent]
         if block.probability > 0.0:
             table = number_table(block, detectors)
-            joint_p11 = block.probability * one_photon_per_arm_probability(table)
-        reduced[key] = (block.probability, joint_p11)
+            herald_poly[n] += c * block.probability
+            joint_poly[n] += c * block.probability * one_photon_per_arm_probability(table)
+    if not herald_poly.any():
+        raise ValueError(f"zero herald probability for t1={t1}, t2={t2}")
 
-    def p11_at(tau: float) -> float:
-        spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
-        herald_p = joint_p11 = 0.0
-        for comp in emission_components(spdc):
-            block_herald_p, block_joint_p11 = reduced[comp.pairs, comp.coherent]
-            herald_p += comp.weight * block_herald_p
-            joint_p11 += comp.weight * block_joint_p11
-        return joint_p11 / herald_p
+    def p11_at(x: float) -> float:
+        powers = x ** np.arange(max_pairs + 1)
+        return float(joint_poly @ powers / (herald_poly @ powers))
 
-    lo, hi = tau_lo, tau_hi
-    p_lo, p_hi = p11_at(lo), p11_at(hi)
-    if not p_lo < target_p11 < p_hi:
+    lo, hi = CALIBRATION_TAU_BRACKET
+    roots = np.roots((joint_poly - target_p11 * herald_poly)[::-1])
+    inside = [r.real for r in roots if r.imag == 0.0 and lo**2 < r.real < hi**2]
+    if len(inside) != 1:
         raise ValueError(
-            f"target P11 {target_p11:.3e} outside bracket "
-            f"[{p_lo:.3e}, {p_hi:.3e}] for tau in [{lo}, {hi}]"
+            f"target P11 {target_p11:.3e} is not met at a single tau in the bracket "
+            f"[{lo}, {hi}], where P11 goes from {p11_at(lo**2):.3e} to {p11_at(hi**2):.3e}"
         )
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if p11_at(mid) < target_p11:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+    (x,) = inside
     return {
-        "tau": tau,
+        "tau": math.sqrt(x),
         "target_p11": target_p11,
-        "achieved_p11": p11_at(tau),
+        "achieved_p11": p11_at(x),
         "t1": t1,
         "t2": t2,
         "visibility": visibility,
@@ -346,13 +340,12 @@ def run_power_comparison(
     if tau_low > tau_high:
         raise ValueError("tau_low must not exceed tau_high")
     detectors = detectors or DetectorModel()
-    correction = convention_correction(t, t)
     blocks = heralded_blocks(t, t, detectors, max_pairs)
     out: dict = {"t": t, "tau_high": tau_high, "tau_low": tau_low}
     for tag, tau in (("high", tau_high), ("low", tau_low)):
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
         ensemble = reweight_blocks(blocks, spdc)
-        rho = postselect_two_qubit(ensemble, detectors, correction)
+        rho = postselect_two_qubit(ensemble, detectors)
         out[f"F_post_{tag}"] = fidelity_to_phi_plus(rho)
         out[f"bell_diagonal_{tag}"] = bell_diagonal(rho)
     return out

@@ -58,13 +58,9 @@ class RateEstimate:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
 
 
-def fidelity_to_phi_plus(rho: np.ndarray, optimize_local: bool = False) -> float:
-    """Overlap with (|HH>+|VV>)/sqrt(2), optionally maximized over local unitaries."""
+def fidelity_to_phi_plus(rho: np.ndarray) -> float:
+    """Overlap with (|HH>+|VV>)/sqrt(2)."""
     rho = check_density_matrix(rho)
-    if optimize_local:
-        from .tomography import optimize_local_fidelity
-
-        return optimize_local_fidelity(rho)[0]
     return float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
 
 
@@ -148,25 +144,3 @@ def total_state_fidelity_from_values(p11: float, f_post: float) -> float:
     if p11 < 0.0 or f_post < 0.0:
         raise ValueError("inputs must be non-negative")
     return p11 * f_post
-
-
-def total_state_fidelity(
-    table: Mapping[tuple[int, ...], float], rho_post: np.ndarray
-) -> float:
-    """Overlap of the full heralded output with the target pair."""
-    return total_state_fidelity_from_values(
-        one_photon_per_arm_probability(table), fidelity_to_phi_plus(rho_post)
-    )
-
-
-def visibility_from_scan(counts) -> float:
-    """Fringe contrast (max - min) / (max + min) of a coincidence scan."""
-    values = [float(c) for c in counts]
-    if len(values) < 2:
-        raise ValueError("need at least two phase points")
-    if any(v < 0.0 for v in values):
-        raise ValueError("counts must be non-negative")
-    hi, lo = max(values), min(values)
-    if hi + lo == 0.0:
-        raise ValueError("degenerate scan: all counts are zero")
-    return (hi - lo) / (hi + lo)

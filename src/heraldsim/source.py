@@ -49,11 +49,13 @@ class SpdcParams:
 
 @dataclass(frozen=True)
 class SourceComponent:
-    """One incoherent piece of the emission: weight, pair number, state and coherence flag."""
+    """One incoherent piece of the emission: weight, pair number and coherence flag.
+
+    Its state is the normalized ``pair_term(pairs)``.
+    """
 
     weight: float
     pairs: int
-    state: SparseKet
     coherent: bool = True
 
 
@@ -72,32 +74,24 @@ def pair_term(n: int, photon_cap: int = DEFAULT_PHOTON_CAP) -> SparseKet:
     return SparseKet.from_amplitudes(SOURCE_REGISTER, amps)
 
 
-def pair_number_weights(params: SpdcParams) -> list[float]:
-    """Truncation-renormalized pair-number distribution P(0..max_pairs).
+def emission_coefficients(max_pairs: int, visibility: float) -> dict[tuple[int, bool], float]:
+    """The emission law free of tau: a coefficient c per (pairs, coherent) component.
 
-    Before truncation P(n) = (1-tau^2)^2 (n+1) tau^(2n).
-    """
-    raw = [(n + 1) * params.tau ** (2 * n) for n in range(params.max_pairs + 1)]
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
-def apply_visibility(two_pair_block: SparseKet, visibility: float) -> list[SourceComponent]:
-    """Split the two-pair term into interfering and distinguishable pieces.
-
-    The coherent piece (weight V) undergoes full destructive interference at
-    the heralding analyzer; the distinguishable copy (weight 1-V) routes its
-    photons classically, so the two-pair herald leakage scales as (1-V)
-    times the fully distinguishable value.
+    A component of n pairs weighs c tau^(2n) before the common truncation
+    renormalization, with c = n+1 (untruncated, P(n) = (1-tau^2)^2 (n+1)
+    tau^(2n)).  The visibility V splits the two-pair coefficient into a
+    coherent piece (V) and a distinguishable copy (1-V).  Zero
+    coefficients are left out.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
-    components = []
-    if visibility > 0.0:
-        components.append(SourceComponent(visibility, 2, two_pair_block, coherent=True))
-    if visibility < 1.0:
-        components.append(SourceComponent(1.0 - visibility, 2, two_pair_block, coherent=False))
-    return components
+    coefficients = {}
+    for n in range(max_pairs + 1):
+        parts = ((True, visibility), (False, 1.0 - visibility)) if n == 2 else ((True, 1.0),)
+        for coherent, share in parts:
+            if share > 0.0:
+                coefficients[n, coherent] = (n + 1) * share
+    return coefficients
 
 
 def emission_components(params: SpdcParams) -> list[SourceComponent]:
@@ -105,17 +99,23 @@ def emission_components(params: SpdcParams) -> list[SourceComponent]:
 
     Blocks of different total photon number never interfere in photon
     counting, so the emission is handled block by block; only the two-pair
-    block carries the visibility split.
+    block carries the visibility split.  Weights are renormalized over the
+    truncated emission, and zero weights (every block but the vacuum at
+    tau = 0) are left out.
     """
-    weights = pair_number_weights(params)
-    components: list[SourceComponent] = []
-    for n, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        block = pair_term(n, params.photon_cap)
-        if n == 2:
-            for part in apply_visibility(block, params.visibility):
-                components.append(SourceComponent(w * part.weight, n, part.state, part.coherent))
-        else:
-            components.append(SourceComponent(w, n, block, coherent=True))
-    return components
+    coefficients = emission_coefficients(params.max_pairs, params.visibility)
+    raw = {key: c * params.tau ** (2 * key[0]) for key, c in coefficients.items()}
+    total = sum(raw.values())
+    return [
+        SourceComponent(w / total, n, coherent)
+        for (n, coherent), w in raw.items()
+        if w != 0.0
+    ]
+
+
+def pair_number_weights(params: SpdcParams) -> list[float]:
+    """Truncation-renormalized pair-number distribution P(0..max_pairs)."""
+    weights = [0.0] * (params.max_pairs + 1)
+    for comp in emission_components(params):
+        weights[comp.pairs] += comp.weight
+    return weights

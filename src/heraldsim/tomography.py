@@ -450,16 +450,3 @@ def monte_carlo_report(
             n_failures=failures,
         )
     return report
-
-
-def monte_carlo_errors(
-    table: CountTable,
-    n_samples: int,
-    seed: int,
-    functional: Callable[[np.ndarray], float],
-    resampler: Callable[[CountTable, np.random.Generator], CountTable] = _poisson_resample,
-) -> MonteCarloResult:
-    """Mean and standard deviation of one functional over resampled tables."""
-    return monte_carlo_report(
-        table, n_samples, seed, {"value": functional}, resampler
-    )["value"]

@@ -12,11 +12,9 @@ import pytest
 
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
-    IDEAL_NUMBER_DETECTORS,
     DetectorModel,
     arm_click_probability,
     classical_occupation_distribution,
-    correction_from_ideal_ensemble,
     herald,
     herald_classical,
     postselect_two_qubit,
@@ -33,7 +31,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import SpdcParams, apply_visibility, pair_term
+from heraldsim.source import SourceComponent, SpdcParams, emission_coefficients, pair_term
 from heraldsim.tomography import (
     SETTINGS,
     ingest_counts,
@@ -67,15 +65,25 @@ def herald_components(components, layout, detectors):
     """Total herald probability of a list of source components."""
     total = 0.0
     for comp in components:
+        state = pair_term(comp.pairs)
         if comp.coherent:
-            ens = herald(layout.run(comp.state), layout.herald_labels(), detectors)
+            ens = herald(layout.run(state), layout.herald_labels(), detectors)
         else:
             dist = classical_occupation_distribution(
-                comp.state, layout.total_matrix(), layout.register
+                state, layout.total_matrix(), layout.register
             )
             ens = herald_classical(dist, layout.register, layout.herald_labels(), detectors)
         total += comp.weight * ens.probability
     return total
+
+
+def two_pair_pieces(visibility):
+    """The two-pair block split by the visibility, at unit total weight."""
+    return [
+        SourceComponent(c / 3.0, n, coherent)
+        for (n, coherent), c in emission_coefficients(2, visibility).items()
+        if n == 2
+    ]
 
 
 def test_criterion_1_ideal_heralding_exactness():
@@ -85,8 +93,7 @@ def test_criterion_1_ideal_heralding_exactness():
         for t2 in TRANSMISSIONS:
             layout = build_paper_circuit(t1, t2, ("z", "z"))
             ensemble = herald(layout.run(pair_term(3)), layout.herald_labels(), LOSSLESS)
-            correction = correction_from_ideal_ensemble(ensemble)
-            rho = postselect_two_qubit(ensemble, LOSSLESS, correction)
+            rho = postselect_two_qubit(ensemble, LOSSLESS)
             worst = min(worst, fidelity_to_phi_plus(rho))
     elapsed = time.perf_counter() - start
     ok = worst >= 1.0 - 1e-9 and elapsed < 1.0
@@ -102,16 +109,10 @@ def test_criterion_2_two_pair_suppression():
     for t1 in TRANSMISSIONS:
         for t2 in TRANSMISSIONS:
             layout = build_paper_circuit(t1, t2, ("z", "z"))
-            coherent = herald_components(
-                apply_visibility(pair_term(2), 1.0), layout, detectors
-            )
+            coherent = herald_components(two_pair_pieces(1.0), layout, detectors)
             worst_coherent = max(worst_coherent, coherent)
-            leak_v0 = herald_components(
-                apply_visibility(pair_term(2), 0.0), layout, detectors
-            )
-            leak = herald_components(
-                apply_visibility(pair_term(2), 0.862), layout, detectors
-            )
+            leak_v0 = herald_components(two_pair_pieces(0.0), layout, detectors)
+            leak = herald_components(two_pair_pieces(0.862), layout, detectors)
             worst_mismatch = max(worst_mismatch, abs(leak - 0.138 * leak_v0))
     elapsed = time.perf_counter() - start
     ok = worst_coherent <= 1e-12 and worst_mismatch <= 1e-9 and elapsed < 1.0
@@ -319,7 +320,7 @@ def test_criterion_9_metrics_analytic_suite():
         abs(fidelity_to_phi_plus(mixed) - 0.25) < 1e-10,
         abs(tangle(mixed)) < 1e-10,
         abs(chsh_max(mixed)) < 1e-10,
-        abs(fidelity_to_phi_plus(psi, optimize_local=True) - 1.0) < 1e-6,
+        abs(optimize_local_fidelity(psi)[0] - 1.0) < 1e-6,
     ]
     # Werner tangle threshold at weight 1/3
     third = 1.0 / 3.0

@@ -71,6 +71,19 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["simulate", "--config", "{config}"], "zero coincidence probability"),
+        (["power-compare", "--tau-high", "0.25", "--t", "0"], "zero coincidence probability"),
+        (["power-compare", "--tau-high", "0.25", "--t", "1"], "zero coincidence probability"),
+        (["calibrate", "--t", "1"], "zero herald probability"),
+    ], ids=["simulate-t1-0", "power-compare-t-0", "power-compare-t-1", "calibrate-t-1"])
+    def test_edge_transmission_is_data_error(self, tmp_path, capsys, argv, message):
+        config = write_config(tmp_path / "config.json", t1=0.0)
+        argv = [arg.format(config=config) for arg in argv]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_simulate_writes_reports(self, tmp_path):

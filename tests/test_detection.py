@@ -5,11 +5,9 @@ import pytest
 
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
-    IDEAL_NUMBER_DETECTORS,
     DetectorModel,
     arm_click_probability,
     classical_occupation_distribution,
-    convention_correction,
     herald,
     herald_classical,
     number_table,
@@ -21,6 +19,7 @@ from heraldsim.fock import Mode, SparseKet, basis_ket, register_of, vacuum
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, pair_term
 
+IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
 
 
@@ -130,6 +129,17 @@ class TestHerald:
         _, ket = ens.components[0]
         vec = np.array([ket.amplitude(p) for p in COINCIDENCE_PATTERNS])
         assert abs(vec @ PHI_PLUS.conj()) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_ideal_herald_is_phi_plus_at_random_splitters(self):
+        # the heralded three-pair ket is (|HH>+|VV>)/sqrt(2) itself, with no local correction
+        rng = np.random.default_rng(20100607)
+        for t1, t2 in rng.uniform(0.0, 1.0, size=(40, 2)):
+            layout, state = evolved(3, t1, t2)
+            ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+            ((_, ket),) = ens.components
+            assert set(ket.amplitudes) <= set(COINCIDENCE_PATTERNS)
+            for pattern, want in zip(COINCIDENCE_PATTERNS, PHI_PLUS):
+                assert abs(ket.amplitude(pattern) - want) <= 1e-12
 
     @pytest.mark.parametrize("t1,t2", [(0.17, 0.17), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3)])
     def test_herald_probability_closed_form(self, t1, t2):
@@ -250,9 +260,7 @@ class TestPostselect:
     def test_ideal_three_pair_is_phi_plus(self):
         layout, state = evolved(3, 0.3, 0.7)
         ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
-        rho = postselect_two_qubit(
-            ens, DetectorModel(efficiency=1.0), convention_correction(0.3, 0.7)
-        )
+        rho = postselect_two_qubit(ens, DetectorModel(efficiency=1.0))
         check_density_matrix(rho)
         assert fidelity_to_phi_plus(rho) == pytest.approx(1.0, abs=1e-10)
 
@@ -280,7 +288,7 @@ class TestPostselect:
         from heraldsim.experiments import heralded_ensemble
 
         ens = heralded_ensemble(0.7, 0.7, SpdcParams(tau=0.4, max_pairs=4, visibility=0.8), det)
-        rho = postselect_two_qubit(ens, det, convention_correction(0.7, 0.7))
+        rho = postselect_two_qubit(ens, det)
         check_density_matrix(rho)
 
     def test_four_pair_background_is_psi_minus_type(self):
@@ -289,7 +297,7 @@ class TestPostselect:
         det = DetectorModel()
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.862)
         ens = heralded_ensemble(0.3, 0.3, spdc, det)
-        rho = postselect_two_qubit(ens, det, convention_correction(0.3, 0.3))
+        rho = postselect_two_qubit(ens, det)
         diag = bell_diagonal(rho)
         background = {k: v for k, v in diag.items() if k != "phi+"}
         assert max(background, key=background.get) == "psi-"
@@ -298,12 +306,11 @@ class TestPostselect:
         from heraldsim.experiments import heralded_ensemble
 
         det = DetectorModel()
-        correction = convention_correction(0.5, 0.5)
         fids = {}
         for mp in (3, 4):
             spdc = SpdcParams(tau=0.35, max_pairs=mp, visibility=0.862)
             ens = heralded_ensemble(0.5, 0.5, spdc, det)
-            rho = postselect_two_qubit(ens, det, correction)
+            rho = postselect_two_qubit(ens, det)
             fids[mp] = fidelity_to_phi_plus(rho)
         assert fids[4] < fids[3]
 

@@ -9,7 +9,6 @@ from heraldsim.detection import (
     DetectorModel,
     arm_click_probability,
     classical_occupation_distribution,
-    convention_correction,
     herald,
     herald_classical,
     number_table,
@@ -30,7 +29,7 @@ from heraldsim.experiments import (
     simulate_experiment,
 )
 from heraldsim.metrics import fidelity_to_phi_plus, one_photon_per_arm_probability
-from heraldsim.source import SpdcParams, emission_components
+from heraldsim.source import SpdcParams, emission_components, pair_term
 
 
 def sweep_configs(ts, tau, max_pairs, visibility=0.862):
@@ -100,7 +99,7 @@ def per_tau_p11(t, tau, visibility, det):
 def per_tau_rho(t, tau, visibility, det):
     spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
     ensemble = heralded_ensemble(t, t, spdc, det)
-    return postselect_two_qubit(ensemble, det, convention_correction(t, t))
+    return postselect_two_qubit(ensemble, det)
 
 
 class TestSharedBlocks:
@@ -116,11 +115,12 @@ class TestSharedBlocks:
                 heralds = layout.herald_labels()
                 expected = []
                 for comp in emission_components(spdc):
+                    state = pair_term(comp.pairs)
                     if comp.coherent:
-                        ens = herald(layout.run(comp.state), heralds, det)
+                        ens = herald(layout.run(state), heralds, det)
                     else:
                         dist = classical_occupation_distribution(
-                            comp.state, layout.total_matrix(), layout.register
+                            state, layout.total_matrix(), layout.register
                         )
                         ens = herald_classical(dist, layout.register, heralds, det)
                     expected.append(ens.scaled(comp.weight))
@@ -137,8 +137,8 @@ class TestSharedBlocks:
         det = DetectorModel()
         for tau in (0.15, 0.25, 0.35):
             target = per_tau_p11(t, tau, visibility, det)
-            report = calibrate_tau(target, t, t, det, visibility, rel_tol=1e-9)
-            assert report["tau"] == pytest.approx(tau, rel=1e-6)
+            report = calibrate_tau(target, t, t, det, visibility)
+            assert report["tau"] == pytest.approx(tau, rel=1e-9)
             achieved = per_tau_p11(t, report["tau"], visibility, det)
             assert report["achieved_p11"] == pytest.approx(achieved, rel=1e-12, abs=0.0)
 
@@ -159,7 +159,6 @@ class TestSharedBlocks:
                     assert value == pytest.approx(want[name], rel=0.0, abs=1e-12)
 
     def test_each_block_evolves_once(self, monkeypatch):
-        convention_correction(0.3, 0.3)  # its own three-pair evolution is cached apart
         evolved, visited = [], []
         run = CircuitLayout.run
 
@@ -175,9 +174,7 @@ class TestSharedBlocks:
         monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
         calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
         assert sorted(evolved) == [0, 1, 2, 3, 4]
-        assert len(set(visited)) > 10
         evolved.clear()
-        visited.clear()
         run_power_comparison(0.25, power_scaled_tau(0.25), t=0.3, max_pairs=4)
         assert sorted(evolved) == [0, 1, 2, 3, 4]
         assert len(set(visited)) == 2

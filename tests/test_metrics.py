@@ -18,12 +18,12 @@ from heraldsim.metrics import (
     direct_preparation_probability,
     fidelity_to_phi_plus,
     preparation_efficiency,
+    one_photon_per_arm_probability,
     tangle,
-    total_state_fidelity,
     total_state_fidelity_from_values,
-    visibility_from_scan,
 )
 from heraldsim.source import pair_term
+from heraldsim.tomography import optimize_local_fidelity
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 PSI_MINUS_RHO = np.outer(PSI_MINUS, PSI_MINUS.conj())
@@ -49,13 +49,13 @@ class TestFidelity:
 
     def test_maximally_mixed(self):
         assert fidelity_to_phi_plus(MIXED_RHO) == pytest.approx(0.25, abs=1e-12)
-        assert fidelity_to_phi_plus(MIXED_RHO, optimize_local=True) == pytest.approx(
+        assert optimize_local_fidelity(MIXED_RHO)[0] == pytest.approx(
             0.25, abs=1e-7
         )
 
     def test_psi_minus_locally_equivalent(self):
         assert fidelity_to_phi_plus(PSI_MINUS_RHO) == pytest.approx(0.0, abs=1e-12)
-        assert fidelity_to_phi_plus(PSI_MINUS_RHO, optimize_local=True) == pytest.approx(
+        assert optimize_local_fidelity(PSI_MINUS_RHO)[0] == pytest.approx(
             1.0, abs=1e-7
         )
 
@@ -138,10 +138,9 @@ class TestPreparationEfficiency:
 
 class TestDirectPreparation:
     def test_ideal_three_pair_unity(self):
-        from heraldsim.detection import IDEAL_NUMBER_DETECTORS
-
+        ideal = DetectorModel(efficiency=1.0, resolving="number")
         layout = build_paper_circuit(0.5, 0.5)
-        ens = herald(layout.run(pair_term(3)), layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+        ens = herald(layout.run(pair_term(3)), layout.herald_labels(), ideal)
         assert direct_preparation_probability(ens) == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_heralds_near_quadratic_line(self):
@@ -176,28 +175,11 @@ class TestTotalStateFidelity:
     def test_from_table_and_state(self):
         table = {(1, 0, 1, 0): 2.0e-3, (0, 1, 0, 1): 1.06e-3, (0, 0, 0, 0): 0.9969}
         rho = 0.575 * PHI_PLUS_RHO + 0.425 * np.diag([0.0, 1.0, 0.0, 0.0])
-        value = total_state_fidelity(table, rho)
+        value = total_state_fidelity_from_values(
+            one_photon_per_arm_probability(table), fidelity_to_phi_plus(rho)
+        )
         assert value == pytest.approx(3.06e-3 * 0.575, rel=1e-9)
 
     def test_edge_values(self):
         assert total_state_fidelity_from_values(0.0, 0.9) == 0.0
         assert total_state_fidelity_from_values(1.0, 1.0) == 1.0
-
-
-class TestVisibility:
-    def test_perfect_contrast(self):
-        assert visibility_from_scan([100.0, 0.0]) == pytest.approx(1.0)
-
-    def test_reference_contrast(self):
-        assert visibility_from_scan([93.1, 6.9]) == pytest.approx(0.862, abs=1e-12)
-
-    def test_flat_scan(self):
-        assert visibility_from_scan([42.0, 42.0, 42.0]) == pytest.approx(0.0)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            visibility_from_scan([0.0, 0.0])
-
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError, match="two"):
-            visibility_from_scan([5.0])

@@ -7,7 +7,7 @@ from heraldsim.elements import SOURCE_REGISTER
 from heraldsim.fock import vacuum
 from heraldsim.source import (
     SpdcParams,
-    apply_visibility,
+    emission_coefficients,
     emission_components,
     pair_number_weights,
     pair_term,
@@ -70,8 +70,8 @@ class TestPairTerm:
 def block_amplitude(components, occ):
     """Emission amplitude of one source occupation: sqrt(block weight) times its term."""
     n = occ[0] + occ[1]
-    (comp,) = [c for c in components if c.state.total_photons() == 2 * n]
-    return math.sqrt(comp.weight) * comp.state.amplitude(occ)
+    (comp,) = [c for c in components if c.pairs == n]
+    return math.sqrt(comp.weight) * pair_term(comp.pairs).amplitude(occ)
 
 
 class TestSpdcState:
@@ -79,7 +79,7 @@ class TestSpdcState:
         comps = emission_components(SpdcParams(tau=0.0))
         assert len(comps) == 1
         assert comps[0].weight == 1.0
-        assert comps[0].state.amplitudes == vacuum(SOURCE_REGISTER).amplitudes
+        assert pair_term(comps[0].pairs).amplitudes == vacuum(SOURCE_REGISTER).amplitudes
 
     def test_one_pair_to_vacuum_ratio(self):
         # P(1)/P(0) = 2 tau^2, unaffected by the common renormalization
@@ -105,7 +105,7 @@ class TestSpdcState:
             comps = emission_components(params)
             assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
             for c in comps:
-                assert c.state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+                assert pair_term(c.pairs).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_tail_bound(self):
         # weight beyond 4 pairs stays under 10 tau^10 for tau <= 0.5
@@ -133,26 +133,30 @@ class TestSpdcState:
 
 class TestVisibility:
     def test_full_visibility_keeps_only_coherent_part(self):
-        parts = apply_visibility(pair_term(2), 1.0)
-        assert len(parts) == 1
-        assert parts[0].coherent
-        assert parts[0].weight == pytest.approx(1.0)
+        coefficients = emission_coefficients(4, 1.0)
+        assert list(coefficients) == [(n, True) for n in range(5)]
+        assert coefficients[2, True] == pytest.approx(3.0)
 
     def test_zero_visibility_is_fully_distinguishable(self):
-        parts = apply_visibility(pair_term(2), 0.0)
-        assert len(parts) == 1
-        assert not parts[0].coherent
+        coefficients = emission_coefficients(4, 0.0)
+        assert (2, True) not in coefficients
+        assert coefficients[2, False] == pytest.approx(3.0)
 
     def test_mixture_weights(self):
-        parts = apply_visibility(pair_term(2), 0.862)
-        weights = {p.coherent: p.weight for p in parts}
-        assert weights[True] == pytest.approx(0.862, abs=1e-12)
-        assert weights[False] == pytest.approx(0.138, abs=1e-12)
+        # c = n+1 per pair number; the visibility splits only the two-pair coefficient
+        coefficients = emission_coefficients(3, 0.862)
+        assert coefficients == pytest.approx(
+            {(0, True): 1.0, (1, True): 2.0, (2, True): 3 * 0.862, (2, False): 3 * 0.138,
+             (3, True): 4.0},
+            abs=1e-12,
+        )
+        with pytest.raises(ValueError, match="visibility"):
+            emission_coefficients(3, 1.2)
 
     def test_emission_components_split_only_two_pair_block(self):
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4, visibility=0.9))
         incoherent = [c for c in comps if not c.coherent]
         assert len(incoherent) == 1
-        assert incoherent[0].state.total_photons() == 4
+        assert incoherent[0].pairs == 2
         total = sum(c.weight for c in comps)
         assert total == pytest.approx(1.0, abs=1e-12)

@@ -14,7 +14,6 @@ from heraldsim.tomography import (
     expected_coincidences,
     ingest_counts,
     mle_reconstruct,
-    monte_carlo_errors,
     monte_carlo_report,
     optimize_local_fidelity,
     simulate_counts,
@@ -288,8 +287,8 @@ def draws(table, n_samples, seed):
         tables.append(_poisson_resample(t, rng))
         return tables[-1]
 
-    result = monte_carlo_errors(table, n_samples, seed,
-                                functional=lambda r: rhos.append(r) or 0.0, resampler=recording)
+    result = monte_carlo_report(table, n_samples, seed,
+                                {"value": lambda r: rhos.append(r) or 0.0}, recording)["value"]
     assert result.n_failures == 0
     return tables, rhos
 
@@ -297,29 +296,29 @@ def draws(table, n_samples, seed):
 class TestMonteCarlo:
     def test_identity_resampler_gives_zero_std(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_errors(
-            table, 4, seed=1, functional=tangle, resampler=lambda t, rng: t
-        )
+        result = monte_carlo_report(
+            table, 4, seed=1, functionals={"value": tangle}, resampler=lambda t, rng: t
+        )["value"]
         assert result.std == 0.0
 
     def test_trace_functional_trivial(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_errors(
-            table, 6, seed=2, functional=lambda rho: float(np.trace(rho).real)
-        )
+        result = monte_carlo_report(
+            table, 6, seed=2, functionals={"value": lambda rho: float(np.trace(rho).real)}
+        )["value"]
         assert result.mean == pytest.approx(1.0, abs=1e-10)
         assert result.std <= 1e-10
 
     def test_tangle_spread_comparable_to_reference(self, fixtures_dir):
         # reference analysis quotes an uncertainty of 0.19 for this data
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_errors(table, 80, seed=3, functional=tangle)
+        result = monte_carlo_report(table, 80, seed=3, functionals={"value": tangle})["value"]
         assert 0.19 / 4 <= result.std <= 0.19 * 4
 
     def test_deterministic_under_seed(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_50_50.csv")
-        a = monte_carlo_errors(table, 10, seed=9, functional=tangle)
-        b = monte_carlo_errors(table, 10, seed=9, functional=tangle)
+        a = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
+        b = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
         assert a == b
 
     def test_report_shares_reconstructions(self, fixtures_dir):
@@ -327,8 +326,8 @@ class TestMonteCarlo:
         report = monte_carlo_report(
             table, 10, seed=9, functionals={"tangle": tangle, "trace": lambda r: float(np.trace(r).real)}
         )
-        single = monte_carlo_errors(table, 10, seed=9, functional=tangle)
-        assert report["tangle"] == single
+        single = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
+        assert report["tangle"] == single["value"]
 
     def test_batch_matches_one_table_at_a_time(self, fixtures_dir):
         tables, rhos = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 12, seed=5)
@@ -349,8 +348,10 @@ class TestMonteCarlo:
             return zero if len(calls) == 3 else _poisson_resample(t, rng)
 
         _, rhos = draws(table, 8, seed=6)
-        result = monte_carlo_errors(table, 8, seed=6, functional=lambda r: kept.append(r) or 0.0,
-                                    resampler=zero_third)
+        result = monte_carlo_report(
+            table, 8, seed=6, functionals={"value": lambda r: kept.append(r) or 0.0},
+            resampler=zero_third,
+        )["value"]
         assert result.n_failures == 1 and result.n_samples == 7
         del rhos[2]
         for a, b in zip(rhos, kept, strict=True):
@@ -364,7 +365,7 @@ class TestMonteCarlo:
         _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
         cap = int(np.sort(iterations)[4])
         monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
-        result = monte_carlo_errors(table, 8, seed=7, functional=tangle)
+        result = monte_carlo_report(table, 8, seed=7, functionals={"value": tangle})["value"]
         assert result.n_failures == int((iterations > cap).sum()) > 0
 
 
