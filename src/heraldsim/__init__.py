@@ -16,7 +16,7 @@ from .experiments import (
     run_sweep,
     simulate_experiment,
 )
-from .fock import Mode, ModeMap, ModeRegister, SparseKet, apply_mode_map, tensor, vacuum
+from .fock import SparseKet, apply_mode_map, vacuum
 from .metrics import (
     RateEstimate,
     chsh_max,

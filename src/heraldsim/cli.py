@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
             writer.writerow([repr(r[k]) for k in (
                 "t1", "t2", "herald_probability", "P_direct", "P_estimator",
                 "herald_rate_relative")])
-    emit_plot_data(out, sweep_rows=rows)
+    emit_fig2_series(rows, out / "fig2_series.csv")
     print(f"swept {len(rows)} transmissions; results in {out}")
     return EXIT_OK
 
@@ -210,20 +210,6 @@ def emit_fig3_series(result: dict, path: Path) -> None:
         writer.writerow(["power_w", "F_post"])
         writer.writerow([repr(LOW_POWER_W), repr(result["F_post_low"])])
         writer.writerow([repr(HIGH_POWER_W), repr(result["F_post_high"])])
-
-
-def emit_plot_data(out_dir: Path, sweep_rows=None, power_result=None) -> list[Path]:
-    """Write the plot-ready series for whichever results are present."""
-    written = []
-    if sweep_rows is not None:
-        path = out_dir / "fig2_series.csv"
-        emit_fig2_series(sweep_rows, path)
-        written.append(path)
-    if power_result is not None:
-        path = out_dir / "fig3_series.csv"
-        emit_fig3_series(power_result, path)
-        written.append(path)
-    return written
 
 
 def _cmd_tomo_sim(args) -> int:
@@ -332,7 +318,7 @@ def _cmd_power_compare(args) -> int:
         args.tau_high, tau_low, args.t, DetectorModel(efficiency=args.eta)
     )
     _write_json(out / "power_comparison.json", result)
-    emit_plot_data(out, power_result=result)
+    emit_fig3_series(result, out / "fig3_series.csv")
     print(
         f"F_post high {result['F_post_high']:.4f} / low {result['F_post_low']:.4f}; "
         f"results in {out}"

@@ -4,7 +4,9 @@ Loss is applied as per-mode binomial thinning at detection; because every
 element after the source is passive linear optics this is exact and avoids
 explicit loss modes.  All detection POVMs are diagonal in photon number, so
 conditioning on herald clicks yields an ensemble with one pure component
-per herald-mode occupation.
+per herald-mode occupation.  Kets after the circuit hold the detectors in
+the order HERALD_NAMES then OUTPUT_NAMES; heralded components hold the
+output detectors alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import Mode, ModeRegister, Occupation, SparseKet, split_by_occupation
+from .elements import HERALD_NAMES, OUTPUT_NAMES
+from .fock import PRUNE_TOL, Occupation, SparseKet
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -29,11 +32,15 @@ COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Per-mode detection efficiency plus threshold vs number resolution."""
+    """Detection efficiency plus threshold vs number resolution.
+
+    ``per_mode`` overrides the efficiency of single detectors, keyed by
+    their names in HERALD_NAMES and OUTPUT_NAMES.
+    """
 
     efficiency: float = DEFAULT_EFFICIENCY
     resolving: str = "threshold"
-    per_mode: Mapping[Mode, float] | None = None
+    per_mode: Mapping[str, float] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
@@ -41,40 +48,38 @@ class DetectorModel:
         if self.resolving not in ("threshold", "number"):
             raise ValueError("resolving must be 'threshold' or 'number'")
         if self.per_mode:
-            for m, eta in self.per_mode.items():
+            for name, eta in self.per_mode.items():
+                if name not in HERALD_NAMES + OUTPUT_NAMES:
+                    raise ValueError(f"unknown detector {name!r}; detectors are "
+                                     f"{', '.join(HERALD_NAMES + OUTPUT_NAMES)}")
                 if not 0.0 <= eta <= 1.0:
-                    raise ValueError(f"efficiency for {m} out of [0, 1]")
+                    raise ValueError(f"efficiency for {name} out of [0, 1]")
 
-    def eta(self, mode: Mode) -> float:
-        if self.per_mode and mode in self.per_mode:
-            return self.per_mode[mode]
-        return self.efficiency
+    def etas(self, names: Sequence[str]) -> list[float]:
+        """Efficiency of each named detector."""
+        per_mode = self.per_mode or {}
+        return [per_mode.get(name, self.efficiency) for name in names]
 
 
 @dataclass(frozen=True)
 class ConditionalEnsemble:
-    """Heralded output: weighted pure components over the output modes.
+    """Heralded output: weighted pure components over the output detectors.
 
     Component weights are absolute probabilities; they sum to the herald
     probability.  Each component ket is normalized.
     """
 
-    register: ModeRegister
     components: tuple[tuple[float, SparseKet], ...]
     probability: float
 
     def merged_with(self, other: "ConditionalEnsemble") -> "ConditionalEnsemble":
-        if other.register.labels != self.register.labels:
-            raise ValueError("cannot merge ensembles over different registers")
         return ConditionalEnsemble(
-            self.register,
-            self.components + other.components,
-            self.probability + other.probability,
+            self.components + other.components, self.probability + other.probability
         )
 
     def scaled(self, factor: float) -> "ConditionalEnsemble":
         comps = tuple((w * factor, ket) for w, ket in self.components)
-        return ConditionalEnsemble(self.register, comps, self.probability * factor)
+        return ConditionalEnsemble(comps, self.probability * factor)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -101,17 +106,24 @@ def _herald_factor(pattern: Occupation, etas: Sequence[float], resolving: str) -
     return factor
 
 
-def herald(
-    state: SparseKet, herald_modes: Sequence[Mode], detectors: DetectorModel
-) -> ConditionalEnsemble:
-    """Condition on a detection event in every herald mode.
+def herald(state: SparseKet, detectors: DetectorModel) -> ConditionalEnsemble:
+    """Condition on a detection event in each herald detector.
 
-    Threshold detectors require at least one surviving photon per herald
-    mode, number-resolving detectors exactly one detected photon.  Extra
-    clicks in the output modes are never vetoed.
+    The herald detectors are the first four modes (HERALD_NAMES); the
+    components live on the modes after them.  Threshold detectors require
+    at least one surviving photon per herald mode, number-resolving
+    detectors exactly one detected photon.  Extra clicks in the output
+    modes are never vetoed.
     """
-    rest_register, groups = split_by_occupation(state, herald_modes)
-    etas = [detectors.eta(m) for m in herald_modes]
+    n_herald = len(HERALD_NAMES)
+    if state.modes < n_herald:
+        raise ValueError(f"a heralded ket needs the {n_herald} herald modes, got {state.modes}")
+    # Per herald pattern, the unnormalized amplitudes over the remaining
+    # modes; their norm-squared is the joint probability of the pattern.
+    groups: dict[Occupation, dict[Occupation, complex]] = defaultdict(dict)
+    for occ, amp in state.amplitudes.items():
+        groups[occ[:n_herald]][occ[n_herald:]] = amp
+    etas = detectors.etas(HERALD_NAMES)
     components: list[tuple[float, SparseKet]] = []
     prob = 0.0
     for pattern, rest_amps in groups.items():
@@ -123,17 +135,16 @@ def herald(
         if weight <= 0.0:
             continue
         scale = 1.0 / math.sqrt(joint)
-        ket = SparseKet.from_amplitudes(
-            rest_register, {o: a * scale for o, a in rest_amps.items()}
-        )
+        scaled = ((o, a * scale) for o, a in rest_amps.items())
+        ket = SparseKet(state.modes - n_herald, {o: a for o, a in scaled if abs(a) >= PRUNE_TOL})
         components.append((weight, ket))
         prob += weight
     components.sort(key=lambda c: -c[0])
-    return ConditionalEnsemble(rest_register, tuple(components), prob)
+    return ConditionalEnsemble(tuple(components), prob)
 
 
 def classical_occupation_distribution(
-    state: SparseKet, matrix: np.ndarray, out_register: ModeRegister
+    state: SparseKet, matrix: np.ndarray
 ) -> dict[Occupation, float]:
     """Route photons through the circuit as fully distinguishable particles.
 
@@ -166,37 +177,31 @@ def classical_occupation_distribution(
 
 
 def herald_classical(
-    occupation_probs: Mapping[Occupation, float],
-    register: ModeRegister,
-    herald_modes: Sequence[Mode],
-    detectors: DetectorModel,
+    occupation_probs: Mapping[Occupation, float], detectors: DetectorModel
 ) -> ConditionalEnsemble:
     """Herald a classical occupation distribution (distinguishable photons).
 
-    Components are occupation basis kets; the resulting ensemble is a
-    fully dephased mixture.
+    As in ``herald``, the first four modes are the herald detectors.
+    Components are occupation basis kets on the remaining modes; the
+    resulting ensemble is a fully dephased mixture.
     """
-    idx = register.indices(herald_modes)
-    idx_set = set(idx)
-    keep = [i for i in range(register.size) if i not in idx_set]
-    rest_register = register.without(herald_modes)
-    etas = [detectors.eta(m) for m in herald_modes]
+    n_herald = len(HERALD_NAMES)
+    etas = detectors.etas(HERALD_NAMES)
     weights: dict[Occupation, float] = defaultdict(float)
     prob = 0.0
     for occ, p in occupation_probs.items():
-        factor = _herald_factor(tuple(occ[i] for i in idx), etas, detectors.resolving)
+        factor = _herald_factor(occ[:n_herald], etas, detectors.resolving)
         if factor == 0.0:
             continue
-        rest = tuple(occ[i] for i in keep)
         w = p * factor
-        weights[rest] += w
+        weights[occ[n_herald:]] += w
         prob += w
     components = tuple(
-        (w, SparseKet(rest_register, {occ: 1.0 + 0.0j}))
+        (w, SparseKet(len(occ), {occ: 1.0 + 0.0j}))
         for occ, w in sorted(weights.items())
         if w > 0.0
     )
-    return ConditionalEnsemble(rest_register, components, prob)
+    return ConditionalEnsemble(components, prob)
 
 
 def number_table(
@@ -209,7 +214,7 @@ def number_table(
     """
     if ensemble.probability <= 0.0:
         raise ValueError("ensemble has zero herald probability")
-    etas = [output_detectors.eta(m) for m in ensemble.register.labels]
+    etas = output_detectors.etas(OUTPUT_NAMES)
     table: dict[Occupation, float] = defaultdict(float)
     for weight, ket in ensemble.components:
         for occ, amp in ket.amplitudes.items():
@@ -246,7 +251,7 @@ def postselect_two_qubit(
     by the lost-photon environment configuration, so multi-photon
     components contribute the correct mixed background.
     """
-    etas = [output_detectors.eta(m) for m in ensemble.register.labels]
+    etas = output_detectors.etas(OUTPUT_NAMES)
     rho = np.zeros((4, 4), dtype=complex)
     for weight, ket in ensemble.components:
         vectors: dict[Occupation, list[complex]] = defaultdict(lambda: [0j] * 4)
@@ -276,8 +281,7 @@ def arm_click_probability(
     """Probability, given the herald, of at least one click in each output arm."""
     if ensemble.probability <= 0.0:
         raise ValueError("ensemble has zero herald probability")
-    labels = ensemble.register.labels
-    etas = [output_detectors.eta(m) for m in labels]
+    etas = output_detectors.etas(OUTPUT_NAMES)
     total = 0.0
     for weight, ket in ensemble.components:
         for occ, amp in ket.amplitudes.items():

@@ -15,18 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import Mode, ModeMap, ModeRegister, SparseKet, apply_mode_map, register_of
+from .fock import SparseKet, apply_mode_map
 
-# Emission register: two spatial arms, H and V each.
-SOURCE_REGISTER = register_of(("a1", "H"), ("a1", "V"), ("a2", "H"), ("a2", "V"))
-
+# Source modes (the circuit matrix's rows) and detectors (its columns), in order.
+SOURCE_NAMES = ("a1H", "a1V", "a2H", "a2V")
 HERALD_NAMES = ("r1H", "r1V", "r2+", "r2-")
 OUTPUT_NAMES = ("t1H", "t1V", "t2H", "t2V")
 
 ANALYSIS_SETTINGS = ("x", "y", "z")
 
 
-def beam_splitter_map(transmission: float) -> ModeMap:
+def beam_splitter_map(transmission: float) -> np.ndarray:
     """Two-port non-polarizing beam splitter with intensity transmission T.
 
     Real convention [[sqrt(T), sqrt(R)], [sqrt(R), -sqrt(T)]] between the
@@ -37,10 +36,10 @@ def beam_splitter_map(transmission: float) -> ModeMap:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     t = math.sqrt(transmission)
     r = math.sqrt(1.0 - transmission)
-    return ModeMap(np.array([[t, r], [r, -t]], dtype=complex))
+    return np.array([[t, r], [r, -t]], dtype=complex)
 
 
-def hwp_map(angle: float) -> ModeMap:
+def hwp_map(angle: float) -> np.ndarray:
     """Half-wave plate Jones matrix at fast-axis angle theta.
 
     [[cos 2t, sin 2t], [sin 2t, -cos 2t]] acting on the (H, V) pair of one
@@ -48,10 +47,10 @@ def hwp_map(angle: float) -> ModeMap:
     """
     c = math.cos(2.0 * angle)
     s = math.sin(2.0 * angle)
-    return ModeMap(np.array([[c, s], [s, -c]], dtype=complex))
+    return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def qwp_map(angle: float) -> ModeMap:
+def qwp_map(angle: float) -> np.ndarray:
     """Quarter-wave plate Jones matrix at fast-axis angle theta.
 
     Built as R(t) diag(1, -i) R(-t); the global phase is fixed so the
@@ -61,8 +60,7 @@ def qwp_map(angle: float) -> ModeMap:
     rot = np.array([[c, -s], [s, c]], dtype=complex)
     jones = rot @ np.diag([1.0, -1.0j]) @ rot.conj().T
     anchor = jones[0, 0] if abs(jones[0, 0]) > 1e-12 else jones[0, 1]
-    jones = jones * (abs(anchor) / anchor)
-    return ModeMap(jones)
+    return jones * (abs(anchor) / anchor)
 
 
 def _analysis_jones(setting: str) -> np.ndarray:
@@ -74,42 +72,33 @@ def _analysis_jones(setting: str) -> np.ndarray:
     if setting == "z":
         return np.eye(2, dtype=complex)
     if setting == "x":
-        return hwp_map(math.pi / 8.0).matrix
+        return hwp_map(math.pi / 8.0)
     if setting == "y":
-        return qwp_map(math.pi / 4.0).matrix @ hwp_map(math.pi / 4.0).matrix
+        return qwp_map(math.pi / 4.0) @ hwp_map(math.pi / 4.0)
     raise ValueError(f"unknown analysis setting {setting!r} (use x, y or z)")
 
 
 @dataclass(frozen=True)
 class CircuitLayout:
-    """Assembled circuit: one source-to-detector matrix plus named detection modes.
+    """Assembled circuit as one source-to-detector matrix.
 
     ``matrix`` is the (4, 8) mode-substitution isometry from the source
-    register onto ``register``, whose order is HERALD_NAMES then OUTPUT_NAMES.
+    modes SOURCE_NAMES onto the detectors HERALD_NAMES then OUTPUT_NAMES.
     """
 
     matrix: np.ndarray
-    register: ModeRegister
-    herald_modes: dict[str, Mode]
-    output_modes: dict[str, Mode]
     t1: float
     t2: float
     settings: tuple[str, str]
 
-    def herald_labels(self) -> tuple[Mode, ...]:
-        return tuple(self.herald_modes[n] for n in HERALD_NAMES)
-
-    def output_labels(self) -> tuple[Mode, ...]:
-        return tuple(self.output_modes[n] for n in OUTPUT_NAMES)
-
     def run(self, state: SparseKet) -> SparseKet:
-        """Evolve a source-register state through the whole circuit in one pass."""
-        if state.register != SOURCE_REGISTER:
-            raise ValueError("circuit input must be on the source register")
-        return apply_mode_map(state, ModeMap(self.matrix, self.register.labels))
+        """Evolve a ket on the source modes through the whole circuit in one pass."""
+        if state.modes != len(SOURCE_NAMES):
+            raise ValueError(f"circuit input must be a ket on the {len(SOURCE_NAMES)} source modes")
+        return apply_mode_map(state, self.matrix)
 
     def total_matrix(self) -> np.ndarray:
-        """Mode-substitution matrix, source register -> final register (read-only)."""
+        """Substitution matrix, source modes -> detectors (read-only)."""
         return self.matrix
 
 
@@ -134,38 +123,13 @@ def build_paper_circuit(
             raise ValueError(f"unknown analysis setting {s!r} (use x, y or z)")
 
     (sqrt_t1, sqrt_r1), (sqrt_t2, sqrt_r2) = (
-        beam_splitter_map(t).matrix[0].real for t in (t1, t2)
+        beam_splitter_map(t)[0].real for t in (t1, t2)
     )
     # Rows a1H a1V a2H a2V; columns r1H r1V r2+ r2- t1H t1V t2H t2V.
     matrix = np.zeros((4, 8), dtype=complex)
     matrix[0:2, 0:2] = sqrt_r1 * np.eye(2)
-    matrix[2:4, 2:4] = sqrt_r2 * hwp_map(math.pi / 8.0).matrix
+    matrix[2:4, 2:4] = sqrt_r2 * hwp_map(math.pi / 8.0)
     matrix[0:2, 4:6] = sqrt_t1 * _analysis_jones(settings[0])
     matrix[2:4, 6:8] = sqrt_t2 * _analysis_jones(settings[1])
     matrix.setflags(write=False)
-
-    herald_modes = {
-        "r1H": Mode("r1H", "H"),
-        "r1V": Mode("r1V", "V"),
-        "r2+": Mode("r2+", "H"),
-        "r2-": Mode("r2-", "V"),
-    }
-    output_modes = {
-        "t1H": Mode("t1H", "H"),
-        "t1V": Mode("t1V", "V"),
-        "t2H": Mode("t2H", "H"),
-        "t2V": Mode("t2V", "V"),
-    }
-    final = ModeRegister(
-        tuple(herald_modes[n] for n in HERALD_NAMES)
-        + tuple(output_modes[n] for n in OUTPUT_NAMES)
-    )
-    return CircuitLayout(
-        matrix=matrix,
-        register=final,
-        herald_modes=herald_modes,
-        output_modes=output_modes,
-        t1=t1,
-        t2=t2,
-        settings=tuple(settings),
-    )
+    return CircuitLayout(matrix=matrix, t1=t1, t2=t2, settings=tuple(settings))

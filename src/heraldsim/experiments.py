@@ -144,18 +144,13 @@ def heralded_blocks(
     piece that the visibility mixes in.
     """
     layout = _cached_layout(t1, t2, tuple(settings))
-    herald_labels = layout.herald_labels()
     blocks: PairBlocks = {}
     for n in range(max_pairs + 1):
-        state = pair_term(n, 2 * max_pairs)
-        blocks[n, True] = herald(layout.run(state), herald_labels, detectors)
+        state = pair_term(n)
+        blocks[n, True] = herald(layout.run(state), detectors)
         if n == 2:
-            dist = classical_occupation_distribution(
-                state, layout.total_matrix(), layout.register
-            )
-            blocks[n, False] = herald_classical(
-                dist, layout.register, herald_labels, detectors
-            )
+            dist = classical_occupation_distribution(state, layout.total_matrix())
+            blocks[n, False] = herald_classical(dist, detectors)
     return blocks
 
 

@@ -65,13 +65,18 @@ def fidelity_to_phi_plus(rho: np.ndarray) -> float:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state."""
+    """Wootters concurrence of a two-qubit state.
+
+    Wootters' lambdas are the singular values of sqrt(rho) (y x y)
+    sqrt(rho)*, the square roots of the eigenvalues of rho (y x y) rho*
+    (y x y).  Taking them directly keeps full precision where eigenvalues
+    near zero would lose half their digits to the square root.
+    """
     rho = check_density_matrix(rho)
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     yy = np.kron(SIGMA_Y, SIGMA_Y)
-    r = rho @ yy @ rho.conj() @ yy
-    eigs = np.linalg.eigvals(r)
-    lams = np.sqrt(np.clip(np.real(eigs), 0.0, None))
-    lams = np.sort(lams)[::-1]
+    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
     return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
 
 

@@ -1,4 +1,4 @@
-"""SPDC emission model: n-pair Fock terms, pair-number weights, visibility split.
+"""SPDC emission model: n-pair Fock terms, emission weights, visibility split.
 
 The two-mode polarization-entangled source emits n pairs with amplitude
 proportional to sqrt(n+1) tau^n; the normalized n-pair term is
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elements import SOURCE_REGISTER
-from .fock import DEFAULT_PHOTON_CAP, SparseKet, vacuum
+from .elements import SOURCE_NAMES
+from .fock import SparseKet, vacuum
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,15 @@ class SourceComponent:
     coherent: bool = True
 
 
-def pair_term(n: int, photon_cap: int = DEFAULT_PHOTON_CAP) -> SparseKet:
-    """Normalized n-pair emission term on the source register."""
+def pair_term(n: int) -> SparseKet:
+    """Normalized n-pair emission term on the source modes a1H a1V a2H a2V."""
     if n < 0:
         raise ValueError("pair number must be non-negative")
-    if 2 * n > photon_cap:
-        raise ValueError(f"{n} pairs exceed the photon cap of {photon_cap}")
     if n == 0:
-        return vacuum(SOURCE_REGISTER)
+        return vacuum(len(SOURCE_NAMES))
     norm = 1.0 / math.sqrt(n + 1)
-    amps = {}
-    for k in range(n + 1):
-        amps[(n - k, k, k, n - k)] = norm * (-1) ** k
-    return SparseKet.from_amplitudes(SOURCE_REGISTER, amps)
+    amps = {(n - k, k, k, n - k): complex(norm * (-1) ** k) for k in range(n + 1)}
+    return SparseKet(len(SOURCE_NAMES), amps)
 
 
 def emission_coefficients(max_pairs: int, visibility: float) -> dict[tuple[int, bool], float]:
@@ -111,11 +107,3 @@ def emission_components(params: SpdcParams) -> list[SourceComponent]:
         for (n, coherent), w in raw.items()
         if w != 0.0
     ]
-
-
-def pair_number_weights(params: SpdcParams) -> list[float]:
-    """Truncation-renormalized pair-number distribution P(0..max_pairs)."""
-    weights = [0.0] * (params.max_pairs + 1)
-    for comp in emission_components(params):
-        weights[comp.pairs] += comp.weight
-    return weights

@@ -398,10 +398,10 @@ class MonteCarloResult:
 
 
 def _poisson_resample(table: CountTable, rng: np.random.Generator) -> CountTable:
-    out = CountTable(ratio=table.ratio)
-    for (setting, pattern), count in sorted(table.counts.items()):
-        out.add(setting, pattern, int(rng.poisson(count)))
-    return out
+    # One draw per entry in sorted key order, as rng.poisson fills an array in order.
+    keys = sorted(table.counts)
+    draws = rng.poisson([table.counts[k] for k in keys])
+    return CountTable(dict(zip(keys, draws.tolist())), ratio=table.ratio)
 
 
 def monte_carlo_report(

@@ -21,7 +21,7 @@ from heraldsim.detection import (
 )
 from heraldsim.elements import build_paper_circuit
 from heraldsim.experiments import ExperimentConfig, run_sweep
-from heraldsim.fock import ModeMap, SparseKet, apply_mode_map, register_of
+from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import (
     PHI_PLUS,
     PSI_MINUS,
@@ -67,12 +67,10 @@ def herald_components(components, layout, detectors):
     for comp in components:
         state = pair_term(comp.pairs)
         if comp.coherent:
-            ens = herald(layout.run(state), layout.herald_labels(), detectors)
+            ens = herald(layout.run(state), detectors)
         else:
-            dist = classical_occupation_distribution(
-                state, layout.total_matrix(), layout.register
-            )
-            ens = herald_classical(dist, layout.register, layout.herald_labels(), detectors)
+            dist = classical_occupation_distribution(state, layout.total_matrix())
+            ens = herald_classical(dist, detectors)
         total += comp.weight * ens.probability
     return total
 
@@ -92,7 +90,7 @@ def test_criterion_1_ideal_heralding_exactness():
     for t1 in TRANSMISSIONS:
         for t2 in TRANSMISSIONS:
             layout = build_paper_circuit(t1, t2, ("z", "z"))
-            ensemble = herald(layout.run(pair_term(3)), layout.herald_labels(), LOSSLESS)
+            ensemble = herald(layout.run(pair_term(3)), LOSSLESS)
             rho = postselect_two_qubit(ensemble, LOSSLESS)
             worst = min(worst, fidelity_to_phi_plus(rho))
     elapsed = time.perf_counter() - start
@@ -245,7 +243,7 @@ def test_criterion_6_sweep_shape(calibrated_tau):
     worst_dev = 0.0
     for t in (0.17, 0.5, 0.7):
         layout = build_paper_circuit(t, t, ("z", "z"))
-        ens = herald(layout.run(pair_term(3)), layout.herald_labels(), detectors)
+        ens = herald(layout.run(pair_term(3)), detectors)
         p = direct_preparation_probability(ens)
         worst_dev = max(worst_dev, abs(p - t * t) / (t * t))
     shape_ok = worst_dev <= 0.25
@@ -286,8 +284,6 @@ def test_criterion_8_dense_oracle_suite():
     worst = 0.0
     for _ in range(1000):
         n_modes = int(rng.integers(1, 4))
-        labels = [(f"m{i}", "H") for i in range(n_modes)]
-        reg = register_of(*labels)
         amps = {}
         for _ in range(int(rng.integers(1, 4))):
             occ = tuple(int(x) for x in rng.integers(0, 4, n_modes))
@@ -295,11 +291,11 @@ def test_criterion_8_dense_oracle_suite():
                 amps[occ] = complex(rng.normal(), rng.normal())
         if not amps:
             amps[(0,) * n_modes] = 1.0
-        state = SparseKet.from_amplitudes(reg, amps).normalized()
+        state = SparseKet.from_amplitudes(n_modes, amps).normalized()
         z = rng.normal(size=(n_modes, n_modes)) + 1j * rng.normal(size=(n_modes, n_modes))
         q, r = np.linalg.qr(z)
         u = q * (np.diag(r) / np.abs(np.diag(r)))
-        mine = apply_mode_map(state, ModeMap(u))
+        mine = apply_mode_map(state, u)
         ref = dense_evolve(dict(state.amplitudes), u)
         for occ in set(mine.amplitudes) | set(ref):
             worst = max(worst, abs(mine.amplitude(occ) - ref.get(occ, 0.0)))

@@ -230,18 +230,6 @@ class TestPlotSeries:
         assert path.read_text() == "transmission,P_estimator\n"
 
 
-class TestEmitPlotData:
-    def test_dispatches_both_series(self, tmp_path):
-        from heraldsim.cli import emit_plot_data
-
-        rows = [{"t1": 0.5, "P_estimator": 0.3}]
-        power = {"F_post_low": 0.8, "F_post_high": 0.7}
-        written = emit_plot_data(tmp_path, sweep_rows=rows, power_result=power)
-        assert [p.name for p in written] == ["fig2_series.csv", "fig3_series.csv"]
-        assert len((tmp_path / "fig2_series.csv").read_text().strip().split("\n")) == 2
-        assert len((tmp_path / "fig3_series.csv").read_text().strip().split("\n")) == 3
-
-
 class TestImport:
     def test_cli_loads_no_scipy(self):
         # numpy is the only dependency; a fresh interpreter shows every module the import pulls in

@@ -14,8 +14,8 @@ from heraldsim.detection import (
     postselect_two_qubit,
     spatial_reduction,
 )
-from heraldsim.elements import build_paper_circuit
-from heraldsim.fock import Mode, SparseKet, basis_ket, register_of, vacuum
+from heraldsim.elements import HERALD_NAMES, build_paper_circuit
+from heraldsim.fock import SparseKet, vacuum
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, pair_term
 
@@ -28,13 +28,26 @@ def evolved(n_pairs, t1, t2, settings=("z", "z")):
     return layout, layout.run(pair_term(n_pairs))
 
 
-def spectator_register():
-    """Herald mode a plus an undetected spectator b."""
-    return register_of(("a", "H"), ("b", "H"))
+# Perfect detectors on r1V, r2+ and r2-, each holding one photon in herald_on_r1h.
+OTHER_HERALDS_PERFECT = {"r1V": 1.0, "r2+": 1.0, "r2-": 1.0}
 
 
-def herald_on_a(state, detectors):
-    return herald(state, [Mode("a", "H")], detectors)
+def basis_ket(modes, occ):
+    return SparseKet.from_amplitudes(modes, {tuple(occ): 1.0})
+
+
+def herald_on_r1h(amplitudes, efficiency, resolving="threshold"):
+    """Herald a ket given as {(photons in r1H, photons in t1H): amplitude}.
+
+    The other three herald detectors are perfect and see one photon each, so
+    the herald probability is the r1H detector's click probability; t1H is
+    an undetected spectator.
+    """
+    state = SparseKet.from_amplitudes(
+        8, {(a, 1, 1, 1, b, 0, 0, 0): amp for (a, b), amp in amplitudes.items()}
+    )
+    det = DetectorModel(efficiency=efficiency, resolving=resolving, per_mode=OTHER_HERALDS_PERFECT)
+    return herald(state, det)
 
 
 class TestClickDistribution:
@@ -42,38 +55,33 @@ class TestClickDistribution:
     # with 1-(1-eta)^n, a number-resolving one reports one photon with
     # n eta (1-eta)^(n-1).
     def test_vacuum_never_clicks(self):
-        ens = herald_on_a(vacuum(spectator_register()), DetectorModel(efficiency=0.42))
+        ens = herald(vacuum(8), DetectorModel(efficiency=0.42))
         assert ens.probability == 0.0
         assert ens.components == ()
 
     def test_single_photon_clicks_with_eta(self):
-        st = basis_ket(spectator_register(), (1, 0))
-        ens = herald_on_a(st, DetectorModel(efficiency=0.42))
+        ens = herald_on_r1h({(1, 0): 1.0}, 0.42)
         assert ens.probability == pytest.approx(0.42, abs=1e-12)
 
     def test_two_photons_threshold(self):
-        st = basis_ket(spectator_register(), (2, 0))
-        ens = herald_on_a(st, DetectorModel(efficiency=0.5))
+        ens = herald_on_r1h({(2, 0): 1.0}, 0.5)
         # 1 - (1-eta)^2, cross-checked by explicit two-photon loss enumeration
         explicit = 0.5 * 0.5 + 2 * 0.5 * 0.5
         assert ens.probability == pytest.approx(0.75, abs=1e-12)
         assert ens.probability == pytest.approx(explicit, abs=1e-12)
 
     def test_number_resolving_counts(self):
-        st = basis_ket(spectator_register(), (2, 0))
-        ens = herald_on_a(st, DetectorModel(efficiency=0.5, resolving="number"))
+        ens = herald_on_r1h({(2, 0): 1.0}, 0.5, "number")
         # exactly one of two photons detected: 2 eta (1 - eta)
         assert ens.probability == pytest.approx(0.5, abs=1e-12)
-        ens = herald_on_a(st, DetectorModel(efficiency=0.3, resolving="number"))
+        ens = herald_on_r1h({(2, 0): 1.0}, 0.3, "number")
         assert ens.probability == pytest.approx(2 * 0.3 * 0.7, abs=1e-12)
 
     def test_threshold_equals_number_on_single_photon_states(self):
-        st = SparseKet.from_amplitudes(
-            spectator_register(), {(1, 0): 0.6, (0, 1): 0.8}
-        )
+        amps = {(1, 0): 0.6, (0, 1): 0.8}
         eta = 0.37
-        th = herald_on_a(st, DetectorModel(efficiency=eta))
-        nr = herald_on_a(st, DetectorModel(efficiency=eta, resolving="number"))
+        th = herald_on_r1h(amps, eta)
+        nr = herald_on_r1h(amps, eta, "number")
         assert th.probability == pytest.approx(0.36 * eta, abs=1e-12)
         assert nr.probability == pytest.approx(th.probability, abs=1e-12)
         assert [(w, k.amplitudes) for w, k in th.components] == [
@@ -82,24 +90,24 @@ class TestClickDistribution:
 
     def test_distribution_sums_to_one(self):
         # herald probability against the thinning formulas summed by hand
+        # r1H and r1V hold 0-2 photons each, r2+ and r2- one photon on a perfect detector
         rng = np.random.default_rng(11)
-        reg = register_of(("a", "H"), ("b", "H"), ("c", "H"))
         amps = {}
         for _ in range(5):
-            occ = tuple(int(x) for x in rng.integers(0, 3, 3))
-            amps[occ] = complex(rng.normal(), rng.normal())
-        st = SparseKet.from_amplitudes(reg, amps).normalized()
-        heralds = [Mode("a", "H"), Mode("b", "H")]
+            na, nb, nc = (int(x) for x in rng.integers(0, 3, 3))
+            amps[na, nb, 1, 1, nc, 0, 0, 0] = complex(rng.normal(), rng.normal())
+        st = SparseKet.from_amplitudes(8, amps).normalized()
+        perfect = {"r2+": 1.0, "r2-": 1.0}
         eta = 0.3
-        threshold = herald(st, heralds, DetectorModel(efficiency=eta))
-        number = herald(st, heralds, DetectorModel(efficiency=eta, resolving="number"))
+        threshold = herald(st, DetectorModel(efficiency=eta, per_mode=perfect))
+        number = herald(st, DetectorModel(efficiency=eta, resolving="number", per_mode=perfect))
         miss = sum(
             abs(amp) ** 2 * (1 - (1 - (1 - eta) ** na) * (1 - (1 - eta) ** nb))
-            for (na, nb, _), amp in st.amplitudes.items()
+            for (na, nb, *_), amp in st.amplitudes.items()
         )
         one_each = sum(
             abs(amp) ** 2 * na * eta * (1 - eta) ** (na - 1) * nb * eta * (1 - eta) ** (nb - 1)
-            for (na, nb, _), amp in st.amplitudes.items()
+            for (na, nb, *_), amp in st.amplitudes.items()
             if na and nb
         )
         assert threshold.probability + miss == pytest.approx(1.0, abs=1e-12)
@@ -107,22 +115,23 @@ class TestClickDistribution:
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_herald_on_every_mode(self, resolving):
-        # no spectator: nothing is left over, and the ensemble is the click probability
-        reg = register_of(("a", "H"))
-        det = DetectorModel(efficiency=0.4, resolving=resolving)
-        ens = herald(basis_ket(reg, (1,)), [Mode("a", "H")], det)
+        # a ket on the four herald modes alone: nothing is left over, and the
+        # ensemble is r1H's click probability
+        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=OTHER_HERALDS_PERFECT)
+        ens = herald(basis_ket(4, (1, 1, 1, 1)), det)
         assert ens.probability == pytest.approx(0.4, abs=1e-15)
-        assert ens.register.size == 0
-        assert [(w, k.amplitudes) for w, k in ens.components] == [(ens.probability, {(): 1.0})]
-        classical = herald_classical({(1,): 1.0}, reg, [Mode("a", "H")], det)
+        assert [(w, k.modes, k.amplitudes) for w, k in ens.components] == [
+            (ens.probability, 0, {(): 1.0})
+        ]
+        classical = herald_classical({(1, 1, 1, 1): 1.0}, det)
         assert classical.probability == pytest.approx(0.4, abs=1e-15)
-        assert classical.register.size == 0
+        assert [k.modes for _, k in classical.components] == [0]
 
 
 class TestHerald:
     def test_three_pair_ideal_gives_bell_state(self):
         layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+        ens = herald(state, IDEAL_NUMBER_DETECTORS)
         assert len(ens.components) == 1
         # closed form: herald probability T1 T2 R1^2 R2^2 / 2
         assert ens.probability == pytest.approx(0.5 * 0.5 * 0.25**2 / 2, abs=1e-12)
@@ -135,7 +144,7 @@ class TestHerald:
         rng = np.random.default_rng(20100607)
         for t1, t2 in rng.uniform(0.0, 1.0, size=(40, 2)):
             layout, state = evolved(3, t1, t2)
-            ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+            ens = herald(state, IDEAL_NUMBER_DETECTORS)
             ((_, ket),) = ens.components
             assert set(ket.amplitudes) <= set(COINCIDENCE_PATTERNS)
             for pattern, want in zip(COINCIDENCE_PATTERNS, PHI_PLUS):
@@ -144,7 +153,7 @@ class TestHerald:
     @pytest.mark.parametrize("t1,t2", [(0.17, 0.17), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3)])
     def test_herald_probability_closed_form(self, t1, t2):
         layout, state = evolved(3, t1, t2)
-        ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+        ens = herald(state, IDEAL_NUMBER_DETECTORS)
         expected = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
         assert ens.probability == pytest.approx(expected, abs=1e-12)
 
@@ -153,19 +162,19 @@ class TestHerald:
                                            DetectorModel(efficiency=0.0966)])
     def test_two_pair_fully_suppressed(self, t1, t2, detectors):
         layout, state = evolved(2, t1, t2)
-        ens = herald(state, layout.herald_labels(), detectors)
+        ens = herald(state, detectors)
         assert ens.probability <= 1e-12
 
     def test_single_pair_cannot_herald(self):
         layout, state = evolved(1, 0.5, 0.5)
-        ens = herald(state, layout.herald_labels(), LOSSLESS_THRESHOLD)
+        ens = herald(state, LOSSLESS_THRESHOLD)
         assert ens.probability == 0.0
 
     def test_herald_probability_monotone_in_efficiency(self):
         layout, state = evolved(3, 0.4, 0.6)
         probs = []
         for eta in (0.05, 0.1, 0.3, 0.6, 1.0):
-            ens = herald(state, layout.herald_labels(), DetectorModel(efficiency=eta))
+            ens = herald(state, DetectorModel(efficiency=eta))
             probs.append(ens.probability)
         assert all(b >= a - 1e-15 for a, b in zip(probs, probs[1:]))
 
@@ -173,29 +182,29 @@ class TestHerald:
         # bumping any single herald detector's efficiency never lowers the
         # herald probability
         rng = np.random.default_rng(12)
-        layout = build_paper_circuit(0.4, 0.6)
-        heralds = layout.herald_labels()
         for _ in range(10):
             amps = {}
             for _ in range(6):
                 occ = tuple(int(x) for x in rng.integers(0, 3, 8))
                 amps[occ] = complex(rng.normal(), rng.normal())
-            state = SparseKet.from_amplitudes(layout.register, amps).normalized()
-            base_eta = {m: float(rng.uniform(0.05, 0.9)) for m in heralds}
-            base = herald(
-                state, heralds, DetectorModel(efficiency=0.5, per_mode=base_eta)
-            ).probability
-            for bumped in heralds:
+            state = SparseKet.from_amplitudes(8, amps).normalized()
+            base_eta = {name: float(rng.uniform(0.05, 0.9)) for name in HERALD_NAMES}
+            base = herald(state, DetectorModel(efficiency=0.5, per_mode=base_eta)).probability
+            for bumped in HERALD_NAMES:
                 per_mode = dict(base_eta)
                 per_mode[bumped] = min(1.0, per_mode[bumped] + 0.1)
                 boosted = herald(
-                    state, heralds, DetectorModel(efficiency=0.5, per_mode=per_mode)
+                    state, DetectorModel(efficiency=0.5, per_mode=per_mode)
                 ).probability
                 assert boosted >= base - 1e-15
 
+    def test_ket_without_herald_modes_rejected(self):
+        with pytest.raises(ValueError, match="herald modes"):
+            herald(basis_ket(3, (1, 1, 1)), LOSSLESS_THRESHOLD)
+
     def test_component_weights_sum_to_probability(self):
         layout, state = evolved(3, 0.3, 0.6)
-        ens = herald(state, layout.herald_labels(), DetectorModel(efficiency=0.4))
+        ens = herald(state, DetectorModel(efficiency=0.4))
         assert sum(w for w, _ in ens.components) == pytest.approx(ens.probability, abs=1e-14)
         for _, ket in ens.components:
             assert ket.norm_sq() == pytest.approx(1.0, abs=1e-10)
@@ -204,9 +213,7 @@ class TestHerald:
 class TestClassicalChannel:
     def test_distribution_is_normalized(self):
         layout = build_paper_circuit(0.4, 0.6)
-        dist = classical_occupation_distribution(
-            pair_term(2), layout.total_matrix(), layout.register
-        )
+        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_pair_leakage_closed_form(self):
@@ -216,20 +223,16 @@ class TestClassicalChannel:
         t1, t2, eta = 0.3, 0.6, 0.25
         layout = build_paper_circuit(t1, t2)
         det = DetectorModel(efficiency=eta)
-        dist = classical_occupation_distribution(
-            pair_term(2), layout.total_matrix(), layout.register
-        )
-        ens = herald_classical(dist, layout.register, layout.herald_labels(), det)
+        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
+        ens = herald_classical(dist, det)
         expected = (1 / 3) * (1 - t1) ** 2 * (1 - t2) ** 2 * 0.5 * eta**4
         assert ens.probability == pytest.approx(expected, rel=1e-10)
 
     def test_leaked_output_is_vacuum(self):
         layout = build_paper_circuit(0.5, 0.5)
         det = DetectorModel(efficiency=0.3)
-        dist = classical_occupation_distribution(
-            pair_term(2), layout.total_matrix(), layout.register
-        )
-        ens = herald_classical(dist, layout.register, layout.herald_labels(), det)
+        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
+        ens = herald_classical(dist, det)
         assert len(ens.components) == 1
         _, ket = ens.components[0]
         assert set(ket.amplitudes) == {(0, 0, 0, 0)}
@@ -238,20 +241,20 @@ class TestClassicalChannel:
 class TestNumberTable:
     def test_ideal_three_pair_concentrates_at_one_per_arm(self):
         layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+        ens = herald(state, IDEAL_NUMBER_DETECTORS)
         table = number_table(ens, DetectorModel(efficiency=1.0, resolving="number"))
         reduction = spatial_reduction(table)
         assert reduction[(1, 1)] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_output_efficiency_gives_vacuum(self):
         layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, layout.herald_labels(), LOSSLESS_THRESHOLD)
+        ens = herald(state, LOSSLESS_THRESHOLD)
         table = number_table(ens, DetectorModel(efficiency=0.0))
         assert table[(0, 0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         layout, state = evolved(3, 0.3, 0.7)
-        ens = herald(state, layout.herald_labels(), DetectorModel(efficiency=0.2))
+        ens = herald(state, DetectorModel(efficiency=0.2))
         table = number_table(ens, DetectorModel(efficiency=0.2))
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -259,25 +262,23 @@ class TestNumberTable:
 class TestPostselect:
     def test_ideal_three_pair_is_phi_plus(self):
         layout, state = evolved(3, 0.3, 0.7)
-        ens = herald(state, layout.herald_labels(), IDEAL_NUMBER_DETECTORS)
+        ens = herald(state, IDEAL_NUMBER_DETECTORS)
         rho = postselect_two_qubit(ens, DetectorModel(efficiency=1.0))
         check_density_matrix(rho)
         assert fidelity_to_phi_plus(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_basis_component(self):
-        reg = register_of(("t1H", "H"), ("t1V", "V"), ("t2H", "H"), ("t2V", "V"))
         from heraldsim.detection import ConditionalEnsemble
 
-        ket = basis_ket(reg, (1, 0, 1, 0))
-        ens = ConditionalEnsemble(reg, ((1.0, ket),), 1.0)
+        ket = basis_ket(4, (1, 0, 1, 0))
+        ens = ConditionalEnsemble(((1.0, ket),), 1.0)
         rho = postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coincidence_rejected(self):
-        reg = register_of(("t1H", "H"), ("t1V", "V"), ("t2H", "H"), ("t2V", "V"))
         from heraldsim.detection import ConditionalEnsemble
 
-        ens = ConditionalEnsemble(reg, ((1.0, vacuum(reg)),), 1.0)
+        ens = ConditionalEnsemble(((1.0, vacuum(4)),), 1.0)
         with pytest.raises(ValueError, match="coincidence"):
             postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
 
@@ -317,11 +318,10 @@ class TestPostselect:
 
 class TestArmClicks:
     def test_matches_hand_computation_on_basis_state(self):
-        reg = register_of(("t1H", "H"), ("t1V", "V"), ("t2H", "H"), ("t2V", "V"))
         from heraldsim.detection import ConditionalEnsemble
 
-        ket = basis_ket(reg, (2, 0, 1, 0))
-        ens = ConditionalEnsemble(reg, ((1.0, ket),), 1.0)
+        ket = basis_ket(4, (2, 0, 1, 0))
+        ens = ConditionalEnsemble(((1.0, ket),), 1.0)
         eta = 0.3
         expected = (1 - 0.7**2) * 0.3
         assert arm_click_probability(ens, DetectorModel(efficiency=eta)) == pytest.approx(
@@ -331,17 +331,31 @@ class TestArmClicks:
 
 class TestPerModeEfficiency:
     def test_override_applies_to_named_mode(self):
-        reg = register_of(("a", "H"), ("b", "H"), ("c", "H"))
-        st = basis_ket(reg, (1, 1, 0))
-        heralds = [Mode("a", "H"), Mode("b", "H")]
+        st = basis_ket(8, (1, 1, 1, 1, 1, 0, 0, 0))
+        perfect = {"r2+": 1.0, "r2-": 1.0}
         for resolving in ("threshold", "number"):
-            det = DetectorModel(efficiency=0.5, resolving=resolving, per_mode={Mode("b", "H"): 1.0})
-            # b always fires, a with the default 0.5
-            assert herald(st, heralds, det).probability == pytest.approx(0.5, abs=1e-12)
-            plain = DetectorModel(efficiency=0.5, resolving=resolving)
-            assert herald(st, heralds, plain).probability == pytest.approx(0.25, abs=1e-12)
-            # an override on a mode outside the herald set changes nothing
-            spectator = DetectorModel(
-                efficiency=0.5, resolving=resolving, per_mode={Mode("c", "H"): 1.0}
+            det = DetectorModel(
+                efficiency=0.5, resolving=resolving, per_mode={**perfect, "r1V": 1.0}
             )
-            assert herald(st, heralds, spectator).probability == pytest.approx(0.25, abs=1e-12)
+            # r1V always fires, r1H with the default 0.5
+            assert herald(st, det).probability == pytest.approx(0.5, abs=1e-12)
+            plain = DetectorModel(efficiency=0.5, resolving=resolving, per_mode=perfect)
+            assert herald(st, plain).probability == pytest.approx(0.25, abs=1e-12)
+            # an override on an output detector changes nothing
+            output = DetectorModel(
+                efficiency=0.5, resolving=resolving, per_mode={**perfect, "t1H": 1.0}
+            )
+            assert herald(st, output).probability == pytest.approx(0.25, abs=1e-12)
+
+    def test_override_applies_to_output_detector(self):
+        from heraldsim.detection import ConditionalEnsemble
+
+        ens = ConditionalEnsemble(((1.0, basis_ket(4, (1, 0, 1, 0))),), 1.0)
+        det = DetectorModel(efficiency=0.3, per_mode={"t1H": 1.0})
+        assert arm_click_probability(ens, det) == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["t1", "r2+H", "T1H"])
+    def test_unknown_name_rejected(self, name):
+        # a key that names no detector would otherwise be ignored without a word
+        with pytest.raises(ValueError, match="unknown detector"):
+            DetectorModel(per_mode={name: 0.9})

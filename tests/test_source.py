@@ -3,22 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.elements import SOURCE_REGISTER
 from heraldsim.fock import vacuum
-from heraldsim.source import (
-    SpdcParams,
-    emission_coefficients,
-    emission_components,
-    pair_number_weights,
-    pair_term,
-)
+from heraldsim.source import SpdcParams, emission_coefficients, emission_components, pair_term
 
 from oracles import normalized, spdc_pair_operator_expansion
 
 
 class TestPairTerm:
     def test_zero_pairs_is_vacuum(self):
-        assert pair_term(0).amplitudes == vacuum(SOURCE_REGISTER).amplitudes
+        assert pair_term(0).amplitudes == vacuum(4).amplitudes
 
     def test_three_pair_amplitudes(self):
         term = pair_term(3)
@@ -62,10 +55,6 @@ class TestPairTerm:
             swapped = term.amplitude((n1v, n1h, n2v, n2h))
             assert swapped == pytest.approx((-1) ** n * amp, abs=1e-12)
 
-    def test_over_cap_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
-            pair_term(5)
-
 
 def block_amplitude(components, occ):
     """Emission amplitude of one source occupation: sqrt(block weight) times its term."""
@@ -79,13 +68,13 @@ class TestSpdcState:
         comps = emission_components(SpdcParams(tau=0.0))
         assert len(comps) == 1
         assert comps[0].weight == 1.0
-        assert pair_term(comps[0].pairs).amplitudes == vacuum(SOURCE_REGISTER).amplitudes
+        assert pair_term(comps[0].pairs).amplitudes == vacuum(4).amplitudes
 
     def test_one_pair_to_vacuum_ratio(self):
         # P(1)/P(0) = 2 tau^2, unaffected by the common renormalization
-        weights = pair_number_weights(SpdcParams(tau=0.3, max_pairs=4))
-        assert weights[1] / weights[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4))
+        weights = {c.pairs: c.weight for c in comps}
+        assert weights[1] / weights[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
         p0 = abs(block_amplitude(comps, (0, 0, 0, 0))) ** 2
         p1 = sum(
             abs(block_amplitude(comps, occ)) ** 2 for occ in ((1, 0, 0, 1), (0, 1, 1, 0))
@@ -101,7 +90,6 @@ class TestSpdcState:
     def test_normalized_after_truncation(self):
         for tau in (0.1, 0.3, 0.6):
             params = SpdcParams(tau=tau, max_pairs=4)
-            assert sum(pair_number_weights(params)) == pytest.approx(1.0, abs=1e-12)
             comps = emission_components(params)
             assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
             for c in comps:
@@ -117,7 +105,8 @@ class TestSpdcState:
 
     def test_weights_match_distribution(self):
         params = SpdcParams(tau=0.35, max_pairs=4)
-        weights = pair_number_weights(params)
+        # at full visibility there is one component per pair number, in order
+        weights = [c.weight for c in emission_components(params)]
         raw = [(n + 1) * 0.35 ** (2 * n) for n in range(5)]
         total = sum(raw)
         assert weights == pytest.approx([w / total for w in raw], abs=1e-14)

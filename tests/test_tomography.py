@@ -294,6 +294,18 @@ def draws(table, n_samples, seed):
 
 
 class TestMonteCarlo:
+    def test_resample_draws_entry_by_entry(self, fixtures_dir):
+        # one Poisson draw per entry in sorted key order, as a loop over the entries draws them
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        for seed in range(3):
+            loop = np.random.default_rng(seed)
+            want = {key: int(loop.poisson(table.counts[key])) for key in sorted(table.counts)}
+            got = _poisson_resample(table, np.random.default_rng(seed))
+            assert got.counts == want
+            assert list(got.counts) == list(want)
+            assert got.ratio == table.ratio
+            assert all(type(n) is int for n in got.counts.values())
+
     def test_identity_resampler_gives_zero_std(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         result = monte_carlo_report(
