@@ -20,7 +20,6 @@ from .fock import SparseKet, apply_mode_map, vacuum
 from .metrics import (
     RateEstimate,
     chsh_max,
-    direct_preparation_probability,
     fidelity_to_phi_plus,
     preparation_efficiency,
     tangle,

@@ -274,19 +274,3 @@ def postselect_two_qubit(
         raise ValueError("zero coincidence probability; nothing to post-select")
     return rho / trace
 
-
-def arm_click_probability(
-    ensemble: ConditionalEnsemble, output_detectors: DetectorModel
-) -> float:
-    """Probability, given the herald, of at least one click in each output arm."""
-    if ensemble.probability <= 0.0:
-        raise ValueError("ensemble has zero herald probability")
-    etas = output_detectors.etas(OUTPUT_NAMES)
-    total = 0.0
-    for weight, ket in ensemble.components:
-        for occ, amp in ket.amplitudes.items():
-            p = abs(amp) ** 2
-            miss1 = _thinning(occ[0], etas[0])[0] * _thinning(occ[1], etas[1])[0]
-            miss2 = _thinning(occ[2], etas[2])[0] * _thinning(occ[3], etas[3])[0]
-            total += weight * p * (1.0 - miss1) * (1.0 - miss2)
-    return total / ensemble.probability

@@ -12,8 +12,6 @@ values of tau, and calibrate reduces them to two polynomials in tau^2.
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,7 +21,6 @@ import numpy as np
 from .detection import (
     ConditionalEnsemble,
     DetectorModel,
-    arm_click_probability,
     classical_occupation_distribution,
     herald,
     herald_classical,
@@ -31,14 +28,14 @@ from .detection import (
     postselect_two_qubit,
     spatial_reduction,
 )
-from .elements import CircuitLayout, build_paper_circuit
+from .elements import build_paper_circuit
 from .fock import Occupation
 from .metrics import (
     BELL_STATES,
     chsh_max,
-    direct_preparation_probability,
     fidelity_to_phi_plus,
     one_photon_per_arm_probability,
+    photons_in_both_arms_probability,
     tangle,
     total_state_fidelity_from_values,
 )
@@ -65,6 +62,10 @@ REFERENCE_TRANSMISSIONS = {"17/83": 0.17, "30/70": 0.30, "50/50": 0.50, "70/30":
 # Emission amplitudes within which calibrate_tau looks for the target P(1;1).
 CALIBRATION_TAU_BRACKET = (0.02, 0.7)
 
+# Output detectors that miss nothing: their number table counts the photons
+# before any output loss, the P(1;1) that the C6/(C4 eta^2) estimator targets.
+LOSSLESS_OUTPUT = DetectorModel(efficiency=1.0)
+
 HIGH_POWER_W = 1.2
 LOW_POWER_W = 0.62
 
@@ -81,18 +82,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 <= self.t1 <= 1.0 and 0.0 <= self.t2 <= 1.0):
             raise ValueError("transmissions must be in [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "t1": self.t1,
-            "t2": self.t2,
-            "tau": self.spdc.tau,
-            "max_pairs": self.spdc.max_pairs,
-            "visibility": self.spdc.visibility,
-            "efficiency": self.detectors.efficiency,
-            "resolving": self.detectors.resolving,
-        }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentConfig":
@@ -122,11 +111,6 @@ class ExperimentConfig:
         )
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_layout(t1: float, t2: float, settings: tuple[str, str]) -> CircuitLayout:
-    return build_paper_circuit(t1, t2, settings)
-
-
 # Heralded pair blocks at unit weight, keyed by (pair number, coherent).
 PairBlocks = dict[tuple[int, bool], ConditionalEnsemble]
 
@@ -143,7 +127,7 @@ def heralded_blocks(
     The two-pair block also appears routed as distinguishable photons, the
     piece that the visibility mixes in.
     """
-    layout = _cached_layout(t1, t2, tuple(settings))
+    layout = build_paper_circuit(t1, t2, settings)
     blocks: PairBlocks = {}
     for n in range(max_pairs + 1):
         state = pair_term(n)
@@ -196,15 +180,14 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     p11 = one_photon_per_arm_probability(table)
     f_post = fidelity_to_phi_plus(rho_post)
     eta = config.detectors.efficiency
-    p_estimator = arm_click_probability(ensemble, config.detectors) / eta**2
     metrics = {
         "herald_probability": ensemble.probability,
         "fidelity_post": f_post,
         "fidelity_meas": total_state_fidelity_from_values(p11, f_post),
         "tangle": tangle(rho_post),
         "chsh": chsh_max(rho_post),
-        "P_direct": direct_preparation_probability(ensemble),
-        "P_estimator": p_estimator,
+        "P_direct": one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT)),
+        "P_estimator": photons_in_both_arms_probability(table) / eta**2,
         "P11_detected": p11,
         "visibility": config.spdc.visibility,
     }
@@ -292,8 +275,9 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         )
         eta = config.detectors.efficiency
         if ensemble.probability > 0.0:
-            p_direct = direct_preparation_probability(ensemble)
-            p_estimator = arm_click_probability(ensemble, config.detectors) / eta**2
+            p_direct = one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT))
+            table = number_table(ensemble, config.detectors)
+            p_estimator = photons_in_both_arms_probability(table) / eta**2
         else:
             p_direct = 0.0
             p_estimator = 0.0

@@ -2,8 +2,8 @@
 
 States are stored as finite maps from occupation-number tuples to complex
 amplitudes; a mode is its position in the tuple.  Passive linear optics
-acts by creation-operator substitution ``a_i† -> sum_j M[i, j] b_j†``
-expanded multinomially, one input mode at a time, which keeps
+acts by creation-operator substitution ``a_i† -> sum_j M[i, j] b_j†``,
+one input photon at a time, pruning after each input mode, which keeps
 intermediate term growth bounded.
 """
 
@@ -35,12 +35,7 @@ class SparseKet:
     amplitudes: Mapping[Occupation, complex]
 
     @classmethod
-    def from_amplitudes(
-        cls,
-        modes: int,
-        amplitudes: Mapping[Occupation, complex],
-        prune_tol: float = PRUNE_TOL,
-    ) -> "SparseKet":
+    def from_amplitudes(cls, modes: int, amplitudes: Mapping[Occupation, complex]) -> "SparseKet":
         """Validate a ket given from outside: occupation lengths and signs, pruned amplitudes."""
         clean: dict[Occupation, complex] = {}
         for occ, amp in amplitudes.items():
@@ -49,7 +44,7 @@ class SparseKet:
                 raise ValueError(f"occupation {occ} does not have {modes} modes")
             if any(n < 0 for n in occ):
                 raise ValueError("negative occupation number")
-            if abs(amp) >= prune_tol:
+            if abs(amp) >= PRUNE_TOL:
                 clean[occ] = complex(amp)
         return cls(modes, clean)
 
@@ -72,27 +67,6 @@ def vacuum(modes: int) -> SparseKet:
     return SparseKet(modes, {(0,) * modes: 1.0 + 0.0j})
 
 
-_FACT = [math.factorial(n) for n in range(64)]
-_SQRT_FACT = [math.sqrt(f) for f in _FACT]
-
-
-def _compositions(n: int, k: int):
-    """All tuples of k non-negative integers that sum to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _multinomial(n: int, parts: Sequence[int]) -> int:
-    out = _FACT[n]
-    for p in parts:
-        out //= _FACT[p]
-    return out
-
-
 def _check_isometry(matrix: np.ndarray) -> None:
     if matrix.shape[0] > matrix.shape[1]:
         raise ValueError("mode map cannot shrink the mode count")
@@ -101,16 +75,16 @@ def _check_isometry(matrix: np.ndarray) -> None:
         raise ValueError("mode map is not unitary/isometric")
 
 
-def apply_mode_map(state: SparseKet, matrix: np.ndarray, prune_tol: float = PRUNE_TOL) -> SparseKet:
+def apply_mode_map(state: SparseKet, matrix: np.ndarray) -> SparseKet:
     """Evolve a state through a passive linear-optical element.
 
     ``matrix`` has shape (inputs, outputs): the element rewrites input
     creation operator i as ``sum_j matrix[i, j] b_j†``.  Its rows must be
     orthonormal (unitary when square, an isometric embedding when the map
     enlarges the mode count), and the result lives on its output modes.
-    Each basis ket is rewritten by substituting the map into its
-    creation-operator monomial and expanding, with the sqrt(n!) factors
-    converting between operator monomials and normalized Fock kets.
+    Each basis ket |n> = prod_i (a_i†)^(n_i) / sqrt(n_i!) |0> is rebuilt
+    from the vacuum one photon at a time in normalized Fock kets,
+    b_j† |m> = sqrt(m_j + 1) |m + e_j>.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
@@ -121,41 +95,32 @@ def apply_mode_map(state: SparseKet, matrix: np.ndarray, prune_tol: float = PRUN
 
     n_out = matrix.shape[1]
     rows = [
-        [(j, matrix[i, j]) for j in range(n_out) if matrix[i, j] != 0.0]
+        [(j, complex(matrix[i, j])) for j in range(n_out) if matrix[i, j] != 0.0]
         for i in range(matrix.shape[0])
     ]
 
+    # sqrt(k) for every photon number a ket of this state can reach.
+    sqrt = [math.sqrt(k) for k in range(max(map(sum, state.amplitudes), default=0) + 1)]
     out: dict[Occupation, complex] = defaultdict(complex)
     zero = (0,) * n_out
     for occ, amp in state.amplitudes.items():
-        start = amp
-        for n in occ:
-            start /= _SQRT_FACT[n]
-        partial: dict[Occupation, complex] = {zero: start}
+        partial: dict[Occupation, complex] = {zero: amp}
         for i, n in enumerate(occ):
             if n == 0:
                 continue
-            support = rows[i]
-            coeffs = [c for _, c in support]
-            cols = [j for j, _ in support]
-            grown: dict[Occupation, complex] = defaultdict(complex)
-            for mono, coeff in partial.items():
-                for parts in _compositions(n, len(support)):
-                    w = coeff * _multinomial(n, parts)
-                    for c, p in zip(coeffs, parts):
-                        if p:
-                            w *= c**p
-                    if w == 0.0:
-                        continue
-                    key = list(mono)
-                    for j, p in zip(cols, parts):
-                        key[j] += p
-                    grown[tuple(key)] += w
-            partial = {m: c for m, c in grown.items() if abs(c) >= prune_tol}
-        for mono, coeff in partial.items():
-            factor = 1.0
-            for m in mono:
-                factor *= _SQRT_FACT[m]
-            out[mono] += coeff * factor
+            # The k-th photon of mode i also carries 1/sqrt(k): 1/sqrt(n_i!) in all.
+            for k in range(1, n + 1):
+                grown: dict[Occupation, complex] = defaultdict(complex)
+                for ket, coeff in partial.items():
+                    coeff /= sqrt[k]
+                    for j, c in rows[i]:
+                        key = list(ket)
+                        m = key[j]
+                        key[j] = m + 1
+                        grown[tuple(key)] += coeff * c * sqrt[m + 1]
+                partial = grown
+            partial = {o: a for o, a in partial.items() if abs(a) >= PRUNE_TOL}
+        for ket, coeff in partial.items():
+            out[ket] += coeff
 
-    return SparseKet(n_out, {o: complex(a) for o, a in out.items() if abs(a) >= prune_tol})
+    return SparseKet(n_out, {o: complex(a) for o, a in out.items() if abs(a) >= PRUNE_TOL})

@@ -9,8 +9,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .detection import ConditionalEnsemble
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -121,26 +119,17 @@ def preparation_efficiency(rates: RateEstimate) -> float:
     return value
 
 
-def direct_preparation_probability(ensemble: ConditionalEnsemble) -> float:
-    """Probability, given the herald, of one photon in each output arm.
-
-    Counts photons before any output loss; this is the loss-free quantity
-    the C6/(C4 eta^2) estimator targets.
-    """
-    if ensemble.probability <= 0.0:
-        raise ValueError("ensemble has zero herald probability")
-    good = 0.0
-    for weight, ket in ensemble.components:
-        for (n1h, n1v, n2h, n2v), amp in ket.amplitudes.items():
-            if n1h + n1v == 1 and n2h + n2v == 1:
-                good += weight * abs(amp) ** 2
-    return good / ensemble.probability
-
-
 def one_photon_per_arm_probability(table: Mapping[tuple[int, ...], float]) -> float:
     """P(1;1) of a detected number table: one photon per arm, any polarization."""
     return sum(
         p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v == 1 and n2h + n2v == 1
+    )
+
+
+def photons_in_both_arms_probability(table: Mapping[tuple[int, ...], float]) -> float:
+    """P(>=1;>=1) of a detected number table: a threshold click in each arm."""
+    return sum(
+        p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v >= 1 and n2h + n2v >= 1
     )
 
 

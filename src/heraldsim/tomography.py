@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .detection import COINCIDENCE_PATTERNS
-from .metrics import PAULIS, check_density_matrix
+from .metrics import check_density_matrix
 
 AXES = ("x", "y", "z")
 SETTINGS: tuple[tuple[str, str], ...] = tuple((a, b) for a in AXES for b in AXES)
@@ -175,32 +175,6 @@ def write_counts(table: CountTable, path) -> None:
             writer.writerow([table.ratio or "", *setting, *pattern, count])
 
 
-# Sign of each port (HH, HV, VH, VV) in the correlation and in the arm-1 and
-# arm-2 marginals of one setting.
-_PORT_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
-# sigma_a x sigma_b in setting order, then sigma_a x 1, then 1 x sigma_b.
-_PAULI_PRODUCTS = np.stack(
-    [np.kron(PAULIS[a], PAULIS[b]) for a, b in SETTINGS]
-    + [np.kron(PAULIS[a], np.eye(2)) for a in AXES]
-    + [np.kron(np.eye(2), PAULIS[b]) for b in AXES]
-)
-
-
-def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
-    """Pauli-correlation estimate of rho from (..., 9, 4) per-setting counts."""
-    totals = coincidences.sum(axis=-1, keepdims=True)
-    freqs = np.divide(
-        coincidences, totals, out=np.full(coincidences.shape, 0.25), where=totals > 0
-    )
-    corr, marg1, marg2 = np.moveaxis(freqs @ _PORT_SIGNS.T, -1, 0)
-    per_axis = coincidences.shape[:-2] + (3, 3)
-    coeffs = np.concatenate(
-        [corr, marg1.reshape(per_axis).mean(axis=-1), marg2.reshape(per_axis).mean(axis=-2)],
-        axis=-1,
-    )
-    return (np.eye(4) + np.tensordot(coeffs, _PAULI_PRODUCTS, axes=1)) / 4.0
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
@@ -248,6 +222,22 @@ def _t_to_params(t: np.ndarray) -> np.ndarray:
 # which on a 2-core host with the other core busy took 8 ms, not 0.05 ms.
 _PROJECTORS = np.stack([p for s in SETTINGS for p in setting_projectors(s)]).reshape(36, 16)
 _PROJECTORS_CONJ_T = _PROJECTORS.conj().T
+# Least-squares inverse of rho -> (q_k): (36, 16) -> (16, 36), stored transposed.
+_INVERSION_T = np.linalg.pinv(_PROJECTORS.conj()).T
+
+
+def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
+    """Least-squares estimate of rho from (..., 9, 4) per-setting counts.
+
+    The pseudo-inverse of the 36 projectors maps the per-setting
+    frequencies to rho; a setting without counts reads 0.25 per port.
+    """
+    totals = coincidences.sum(axis=-1, keepdims=True)
+    freqs = np.divide(
+        coincidences, totals, out=np.full(coincidences.shape, 0.25), where=totals > 0
+    )
+    rows = freqs.reshape(freqs.shape[:-2] + (1, 36))
+    return (rows @ _INVERSION_T).reshape(freqs.shape[:-2] + (4, 4))
 
 
 def _log_likelihood_and_grad(params: np.ndarray, counts: np.ndarray):

@@ -3,9 +3,11 @@
 These deliberately avoid the package's mode-substitution code path: state
 evolution goes through the permanent formula for second-quantized linear
 optics, and the emission terms come from explicit creation-operator
-algebra.  The tomography estimate reads count tables and estimates the
-state with its own Pauli matrices, linear inversion and positivity
-projection, sharing no code with the package's reconstruction.
+algebra.  Click probabilities are products of per-detector miss
+probabilities rather than sums over a number table.  The tomography
+estimate reads count tables and estimates the state with its own Pauli
+matrices, linear inversion and positivity projection, sharing no code with
+the package's reconstruction.
 """
 
 from __future__ import annotations
@@ -106,6 +108,30 @@ def spdc_pair_operator_expansion(n: int) -> dict:
 def normalized(amplitudes: dict) -> dict:
     norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
     return {k: v / norm for k, v in amplitudes.items()}
+
+
+def arm_click_probability(ensemble, etas) -> float:
+    """P(at least one click in each output arm | herald), as a product of miss probabilities.
+
+    ``etas`` are the efficiencies of the output detectors t1H, t1V, t2H, t2V;
+    a detector with n photons misses them all with probability (1 - eta)^n.
+    """
+    total = 0.0
+    for weight, ket in ensemble.components:
+        for occ, amp in ket.amplitudes.items():
+            miss = [(1.0 - eta) ** n for n, eta in zip(occ, etas)]
+            total += weight * abs(amp) ** 2 * (1.0 - miss[0] * miss[1]) * (1.0 - miss[2] * miss[3])
+    return total / ensemble.probability
+
+
+def one_photon_per_arm_before_loss(ensemble) -> float:
+    """P(exactly one photon in each output arm | herald), counted on the kets themselves."""
+    good = 0.0
+    for weight, ket in ensemble.components:
+        for (n1h, n1v, n2h, n2v), amp in ket.amplitudes.items():
+            if n1h + n1v == 1 and n2h + n2v == 1:
+                good += weight * abs(amp) ** 2
+    return good / ensemble.probability
 
 
 MAGIC_BASIS = np.array(

@@ -13,10 +13,10 @@ import pytest
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
-    arm_click_probability,
     classical_occupation_distribution,
     herald,
     herald_classical,
+    number_table,
     postselect_two_qubit,
 )
 from heraldsim.elements import build_paper_circuit
@@ -26,8 +26,8 @@ from heraldsim.metrics import (
     PHI_PLUS,
     PSI_MINUS,
     chsh_max,
-    direct_preparation_probability,
     fidelity_to_phi_plus,
+    one_photon_per_arm_probability,
     tangle,
     total_state_fidelity_from_values,
 )
@@ -244,7 +244,7 @@ def test_criterion_6_sweep_shape(calibrated_tau):
     for t in (0.17, 0.5, 0.7):
         layout = build_paper_circuit(t, t, ("z", "z"))
         ens = herald(layout.run(pair_term(3)), detectors)
-        p = direct_preparation_probability(ens)
+        p = one_photon_per_arm_probability(number_table(ens, DetectorModel(efficiency=1.0)))
         worst_dev = max(worst_dev, abs(p - t * t) / (t * t))
     shape_ok = worst_dev <= 0.25
 

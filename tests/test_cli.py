@@ -8,19 +8,15 @@ import pytest
 
 import heraldsim
 from heraldsim.cli import main
-from heraldsim.experiments import ExperimentConfig
-from heraldsim.source import SpdcParams
 from heraldsim.tomography import ingest_counts
 
 
 def write_config(path: Path, **overrides) -> Path:
-    config = ExperimentConfig(
-        t1=overrides.pop("t1", 0.5),
-        t2=overrides.pop("t2", 0.5),
-        spdc=SpdcParams(tau=overrides.pop("tau", 0.2), max_pairs=4, visibility=0.862),
-        **overrides,
-    )
-    path.write_text(json.dumps(config.to_json_dict()))
+    config = {
+        "schema": "heraldsim-config/1", "t1": 0.5, "t2": 0.5, "tau": 0.2, "max_pairs": 4,
+        "visibility": 0.862, **overrides,
+    }
+    path.write_text(json.dumps(config))
     return path
 
 

@@ -6,7 +6,6 @@ import pytest
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
-    arm_click_probability,
     classical_occupation_distribution,
     herald,
     herald_classical,
@@ -16,7 +15,12 @@ from heraldsim.detection import (
 )
 from heraldsim.elements import HERALD_NAMES, build_paper_circuit
 from heraldsim.fock import SparseKet, vacuum
-from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
+from heraldsim.metrics import (
+    PHI_PLUS,
+    check_density_matrix,
+    fidelity_to_phi_plus,
+    photons_in_both_arms_probability,
+)
 from heraldsim.source import SpdcParams, pair_term
 
 IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
@@ -324,9 +328,8 @@ class TestArmClicks:
         ens = ConditionalEnsemble(((1.0, ket),), 1.0)
         eta = 0.3
         expected = (1 - 0.7**2) * 0.3
-        assert arm_click_probability(ens, DetectorModel(efficiency=eta)) == pytest.approx(
-            expected, abs=1e-12
-        )
+        table = number_table(ens, DetectorModel(efficiency=eta))
+        assert photons_in_both_arms_probability(table) == pytest.approx(expected, abs=1e-12)
 
 
 class TestPerModeEfficiency:
@@ -352,7 +355,8 @@ class TestPerModeEfficiency:
 
         ens = ConditionalEnsemble(((1.0, basis_ket(4, (1, 0, 1, 0))),), 1.0)
         det = DetectorModel(efficiency=0.3, per_mode={"t1H": 1.0})
-        assert arm_click_probability(ens, det) == pytest.approx(0.3, abs=1e-12)
+        table = number_table(ens, det)
+        assert photons_in_both_arms_probability(table) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["t1", "r2+H", "T1H"])
     def test_unknown_name_rejected(self, name):

@@ -7,7 +7,6 @@ import pytest
 import heraldsim.experiments
 from heraldsim.detection import (
     DetectorModel,
-    arm_click_probability,
     classical_occupation_distribution,
     herald,
     herald_classical,
@@ -31,10 +30,18 @@ from heraldsim.experiments import (
 from heraldsim.metrics import fidelity_to_phi_plus, one_photon_per_arm_probability
 from heraldsim.source import SpdcParams, emission_components, pair_term
 
+from oracles import arm_click_probability, one_photon_per_arm_before_loss
+
 
 def sweep_configs(ts, tau, max_pairs, visibility=0.862):
     spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
     return [ExperimentConfig(t1=t, t2=t, spdc=spdc) for t in ts]
+
+
+CONFIG_DICT = {
+    "schema": "heraldsim-config/1", "t1": 0.3, "t2": 0.7, "tau": 0.22, "max_pairs": 4,
+    "visibility": 0.9, "efficiency": 0.12, "resolving": "threshold",
+}
 
 
 class TestConfig:
@@ -45,20 +52,17 @@ class TestConfig:
             spdc=SpdcParams(tau=0.22, max_pairs=4, visibility=0.9),
             detectors=DetectorModel(efficiency=0.12),
         )
-        back = ExperimentConfig.from_json_dict(config.to_json_dict())
-        assert back == config
+        assert ExperimentConfig.from_json_dict(CONFIG_DICT) == config
 
     # simulate has no use for seed, events_per_setting or settings, so they are rejected too
     @pytest.mark.parametrize("name", ["mystery", "seed", "events_per_setting", "settings"])
     def test_unknown_field_rejected(self, name):
-        data = ExperimentConfig().to_json_dict()
-        data[name] = 1
+        data = {**CONFIG_DICT, name: 1}
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json_dict(data)
 
     def test_bad_schema_rejected(self):
-        data = ExperimentConfig().to_json_dict()
-        data["schema"] = "v999"
+        data = {**CONFIG_DICT, "schema": "v999"}
         with pytest.raises(ValueError, match="schema"):
             ExperimentConfig.from_json_dict(data)
 
@@ -294,11 +298,19 @@ class TestSimulateExperiment:
         spdc = SpdcParams(tau=0.35, max_pairs=5, visibility=0.862, photon_cap=12)
         config = ExperimentConfig(t1=0.7, t2=0.7, spdc=spdc, detectors=det)
         ens = heralded_ensemble(0.7, 0.7, spdc, det)
-        expected = arm_click_probability(ens, det) / det.efficiency**2
+        expected = arm_click_probability(ens, [det.efficiency] * 4) / det.efficiency**2
         assert expected > 1.0
         reported = simulate_experiment(config).metrics["P_estimator"]
         assert reported == pytest.approx(expected, rel=1e-12)
         assert run_sweep([config])[0]["P_estimator"] == pytest.approx(expected, rel=1e-12)
+
+    def test_direct_preparation_counts_photons_before_loss(self):
+        det = DetectorModel(efficiency=0.0966)
+        spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)
+        config = ExperimentConfig(t1=0.3, t2=0.3, spdc=spdc, detectors=det)
+        expected = one_photon_per_arm_before_loss(heralded_ensemble(0.3, 0.3, spdc, det))
+        assert simulate_experiment(config).metrics["P_direct"] == pytest.approx(expected, rel=1e-12)
+        assert run_sweep([config])[0]["P_direct"] == pytest.approx(expected, rel=1e-12)
 
     def test_metrics_payload_complete(self):
         config = ExperimentConfig(

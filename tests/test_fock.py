@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import defaultdict
 
@@ -126,6 +127,24 @@ class TestApplyModeMap:
         assert out.modes == 2
         assert abs(out.norm_sq() - 1.0) <= 1e-10
         assert out.amplitude((2, 0)) == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_many_photons_in_one_mode_closed_form(self, n):
+        # n photons of input mode i end in sqrt(n!/prod m_j!) prod_j M[i, j]^m_j |m>:
+        # the per-photon sqrt factors must pile up to exactly this.
+        rng = np.random.default_rng(40 + n)
+        iso = random_unitary(rng, 4)[:2]
+        for i in range(2):
+            occ = [0, 0]
+            occ[i] = n
+            out = apply_mode_map(basis_ket(2, occ), iso)
+            for m in itertools.product(range(n + 1), repeat=4):
+                if sum(m) != n:
+                    continue
+                want = math.sqrt(math.factorial(n) / math.prod(map(math.factorial, m)))
+                want *= np.prod(iso[i] ** np.array(m))
+                assert abs(out.amplitude(m) - want) <= 1e-12
+            assert all(sum(m) == n for m in out.amplitudes)
 
 
 def pattern_probability(amps):

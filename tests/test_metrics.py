@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heraldsim.detection import ConditionalEnsemble, DetectorModel, herald
+from heraldsim.detection import ConditionalEnsemble, DetectorModel, herald, number_table
 from heraldsim.elements import build_paper_circuit
 from heraldsim.metrics import (
     BELL_STATES,
@@ -14,7 +14,6 @@ from heraldsim.metrics import (
     check_density_matrix,
     chsh_max,
     concurrence,
-    direct_preparation_probability,
     fidelity_to_phi_plus,
     preparation_efficiency,
     one_photon_per_arm_probability,
@@ -154,25 +153,30 @@ class TestPreparationEfficiency:
         assert value == 1.0
 
 
+def direct_preparation(ens):
+    # P(1;1) before any output loss: the number table at unit output efficiency
+    return one_photon_per_arm_probability(number_table(ens, DetectorModel(efficiency=1.0)))
+
+
 class TestDirectPreparation:
     def test_ideal_three_pair_unity(self):
         ideal = DetectorModel(efficiency=1.0, resolving="number")
         layout = build_paper_circuit(0.5, 0.5)
         ens = herald(layout.run(pair_term(3)), ideal)
-        assert direct_preparation_probability(ens) == pytest.approx(1.0, abs=1e-12)
+        assert direct_preparation(ens) == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_heralds_near_quadratic_line(self):
         det = DetectorModel()
         for t in (0.17, 0.5, 0.7):
             layout = build_paper_circuit(t, t)
             ens = herald(layout.run(pair_term(3)), det)
-            p = direct_preparation_probability(ens)
+            p = direct_preparation(ens)
             assert abs(p - t * t) / (t * t) <= 0.25
 
     def test_zero_probability_rejected(self):
         ens = ConditionalEnsemble((), 0.0)
         with pytest.raises(ValueError):
-            direct_preparation_probability(ens)
+            direct_preparation(ens)
 
 
 class TestTotalStateFidelity:

@@ -20,7 +20,12 @@ from heraldsim.tomography import (
     write_counts,
 )
 
-from oracles import exact_coincidences, fully_entangled_fraction, program_free_estimate
+from oracles import (
+    exact_coincidences,
+    fully_entangled_fraction,
+    linear_inversion,
+    program_free_estimate,
+)
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 MIXED_RHO = np.eye(4, dtype=complex) / 4.0
@@ -175,6 +180,18 @@ class TestMle:
         estimates = _linear_inversion(np.stack(tables))
         for rho, estimate in zip(states, estimates, strict=True):
             assert np.abs(estimate - rho).max() < 1e-12
+
+    def test_linear_inversion_matches_pauli_form(self):
+        # noisy counts, some settings empty; an empty setting reads 0.25 per port,
+        # which in the Pauli form is the same as one count in every port
+        rng = np.random.default_rng(38)
+        tables = rng.poisson(20.0, size=(20, 9, 4)).astype(float)
+        tables[::3, 4] = 0.0
+        tables[1::4, :2] = 0.0
+        estimates = _linear_inversion(tables)
+        for table, estimate in zip(tables, estimates, strict=True):
+            filled = {s: c if c.any() else np.ones(4) for s, c in zip(SETTINGS, table)}
+            assert np.abs(estimate - linear_inversion(filled)).max() < 1e-12
 
     def test_phi_plus_self_consistency(self):
         counts = simulate_counts(PHI_PLUS_RHO, SETTINGS, 10**5, seed=13)
