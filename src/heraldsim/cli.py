@@ -71,7 +71,7 @@ def _write_number_table(path: Path, table) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n1H", "n1V", "n2H", "n2V", "probability"])
         for occ, prob in sorted(table.items()):
-            writer.writerow([*occ, repr(prob)])
+            writer.writerow([*occ, repr(float(prob))])
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -184,7 +184,7 @@ def _cmd_sweep(args) -> int:
             ["t1", "t2", "herald_probability", "P_direct", "P_estimator", "herald_rate_relative"]
         )
         for r in rows:
-            writer.writerow([repr(r[k]) for k in (
+            writer.writerow([repr(float(r[k])) for k in (
                 "t1", "t2", "herald_probability", "P_direct", "P_estimator",
                 "herald_rate_relative")])
     emit_fig2_series(rows, out / "fig2_series.csv")
@@ -198,7 +198,7 @@ def emit_fig2_series(rows, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["transmission", "P_estimator"])
         for r in rows:
-            writer.writerow([repr(r["t1"]), repr(r["P_estimator"])])
+            writer.writerow([repr(float(r["t1"])), repr(float(r["P_estimator"]))])
 
 
 def emit_fig3_series(result: dict, path: Path) -> None:
@@ -208,8 +208,8 @@ def emit_fig3_series(result: dict, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["power_w", "F_post"])
-        writer.writerow([repr(LOW_POWER_W), repr(result["F_post_low"])])
-        writer.writerow([repr(HIGH_POWER_W), repr(result["F_post_high"])])
+        writer.writerow([repr(LOW_POWER_W), repr(float(result["F_post_low"]))])
+        writer.writerow([repr(HIGH_POWER_W), repr(float(result["F_post_high"]))])
 
 
 def _cmd_tomo_sim(args) -> int:

@@ -6,12 +6,15 @@ explicit loss modes.  All detection POVMs are diagonal in photon number, so
 conditioning on herald clicks yields an ensemble with one pure component
 per herald-mode occupation.  Kets after the circuit hold the detectors in
 the order HERALD_NAMES then OUTPUT_NAMES; heralded components hold the
-output detectors alone.
+output detectors alone.  The two-pair block's distinguishable photons
+herald only when all four land one in each herald detector, so that block
+heralds the output vacuum, with a probability in closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .elements import HERALD_NAMES, OUTPUT_NAMES
-from .fock import PRUNE_TOL, Occupation, SparseKet
+from .fock import PRUNE_TOL, Occupation, SparseKet, vacuum
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -143,65 +146,35 @@ def herald(state: SparseKet, detectors: DetectorModel) -> ConditionalEnsemble:
     return ConditionalEnsemble(tuple(components), prob)
 
 
-def classical_occupation_distribution(
-    state: SparseKet, matrix: np.ndarray
-) -> dict[Occupation, float]:
-    """Route photons through the circuit as fully distinguishable particles.
-
-    Each photon of each input basis ket lands in output mode j with
-    probability |matrix[i, j]|^2, independently; all interference is
-    discarded.  Returns the classical occupation distribution.
-    """
-    probs = np.abs(np.asarray(matrix)) ** 2
-    n_out = probs.shape[1]
-    out: dict[Occupation, float] = defaultdict(float)
-    zero = (0,) * n_out
-    for occ, amp in state.amplitudes.items():
-        weight = abs(amp) ** 2
-        partial: dict[Occupation, float] = {zero: weight}
-        for i, n in enumerate(occ):
-            for _ in range(n):
-                grown: dict[Occupation, float] = defaultdict(float)
-                for pattern, w in partial.items():
-                    for j in range(n_out):
-                        pj = probs[i, j]
-                        if pj == 0.0:
-                            continue
-                        key = list(pattern)
-                        key[j] += 1
-                        grown[tuple(key)] += w * pj
-                partial = grown
-        for pattern, w in partial.items():
-            out[pattern] += w
-    return dict(out)
-
-
 def herald_classical(
-    occupation_probs: Mapping[Occupation, float], detectors: DetectorModel
+    state: SparseKet, matrix: np.ndarray, detectors: DetectorModel
 ) -> ConditionalEnsemble:
-    """Herald a classical occupation distribution (distinguishable photons).
+    """Herald a four-photon block whose photons pass the circuit as distinguishable particles.
 
-    As in ``herald``, the first four modes are the herald detectors.
-    Components are occupation basis kets on the remaining modes; the
-    resulting ensemble is a fully dephased mixture.
+    Each photon of source mode i lands in detector j with probability
+    |matrix[i, j]|^2, independently; all interference is discarded.  The
+    four photons herald only by landing one in each herald detector (the
+    matrix's first columns), which leaves the outputs empty: per ket, the
+    chance is the permanent of |matrix|^2 on its photons' rows and the
+    herald columns.  The ensemble is the output vacuum, or empty when
+    nothing heralds.
     """
     n_herald = len(HERALD_NAMES)
+    probs = (np.abs(matrix[:, :n_herald]) ** 2).tolist()
+    routed = 0.0
+    for occ, amp in state.amplitudes.items():
+        if sum(occ) != n_herald:
+            raise ValueError(f"a distinguishable block needs {n_herald} photons, got {sum(occ)}")
+        rows = [i for i, n in enumerate(occ) for _ in range(n)]
+        routed += abs(amp) ** 2 * sum(
+            math.prod(probs[i][j] for i, j in zip(rows, cols))
+            for cols in itertools.permutations(range(n_herald))
+        )
     etas = detectors.etas(HERALD_NAMES)
-    weights: dict[Occupation, float] = defaultdict(float)
-    prob = 0.0
-    for occ, p in occupation_probs.items():
-        factor = _herald_factor(occ[:n_herald], etas, detectors.resolving)
-        if factor == 0.0:
-            continue
-        w = p * factor
-        weights[occ[n_herald:]] += w
-        prob += w
-    components = tuple(
-        (w, SparseKet(len(occ), {occ: 1.0 + 0.0j}))
-        for occ, w in sorted(weights.items())
-        if w > 0.0
-    )
-    return ConditionalEnsemble(components, prob)
+    prob = routed * _herald_factor((1,) * n_herald, etas, detectors.resolving)
+    if prob == 0.0:
+        return ConditionalEnsemble((), 0.0)
+    return ConditionalEnsemble(((prob, vacuum(matrix.shape[1] - n_herald)),), prob)
 
 
 def number_table(

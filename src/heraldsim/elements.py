@@ -29,8 +29,8 @@ def beam_splitter_map(transmission: float) -> np.ndarray:
     """Two-port non-polarizing beam splitter with intensity transmission T.
 
     Real convention [[sqrt(T), sqrt(R)], [sqrt(R), -sqrt(T)]] between the
-    (transmitted, reflected) outputs; any lab phase differs from this by a
-    local unitary that is corrected downstream.
+    (transmitted, reflected) outputs.  A lab splitter's phases differ from
+    this by phases on its ports, which leave every photon count unchanged.
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")

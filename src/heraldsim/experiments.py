@@ -2,12 +2,13 @@
 
 The heralding pipeline runs in two stages.  ``heralded_blocks`` evolves
 each pair-number block through the circuit and heralds it at unit weight,
-plus a distinguishable-photon copy of the two-pair block; blocks of
-different photon number never interfere in photon counting, so none of this
-depends on tau or the visibility.  ``reweight_blocks`` then scales the
-blocks by the emission weights (the visibility splitting the two-pair
-weight) and merges them.  power-compare builds the blocks once for both
-values of tau, and calibrate reduces them to two polynomials in tau^2.
+plus a distinguishable-photon copy of the two-pair block, which heralds the
+output vacuum in closed form; blocks of different photon number never
+interfere in photon counting, so none of this depends on tau or the
+visibility.  ``reweight_blocks`` then scales the blocks by the emission
+weights (the visibility splitting the two-pair weight) and merges them.
+power-compare builds the blocks once for both values of tau, and calibrate
+reduces them to two polynomials in tau^2.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import numpy as np
 from .detection import (
     ConditionalEnsemble,
     DetectorModel,
-    classical_occupation_distribution,
     herald,
     herald_classical,
     number_table,
     postselect_two_qubit,
     spatial_reduction,
 )
-from .elements import build_paper_circuit
+from .elements import OUTPUT_NAMES, build_paper_circuit
 from .fock import Occupation
 from .metrics import (
     BELL_STATES,
@@ -63,7 +63,7 @@ REFERENCE_TRANSMISSIONS = {"17/83": 0.17, "30/70": 0.30, "50/50": 0.50, "70/30":
 CALIBRATION_TAU_BRACKET = (0.02, 0.7)
 
 # Output detectors that miss nothing: their number table counts the photons
-# before any output loss, the P(1;1) that the C6/(C4 eta^2) estimator targets.
+# before any output loss, the P(1;1) that the C6/(C4 eta_1 eta_2) estimator targets.
 LOSSLESS_OUTPUT = DetectorModel(efficiency=1.0)
 
 HIGH_POWER_W = 1.2
@@ -124,7 +124,7 @@ def heralded_blocks(
 ) -> PairBlocks:
     """Evolve and herald each pair block 0..max_pairs once, free of tau and V.
 
-    The two-pair block also appears routed as distinguishable photons, the
+    The two-pair block also appears with its photons distinguishable, the
     piece that the visibility mixes in.
     """
     layout = build_paper_circuit(t1, t2, settings)
@@ -133,8 +133,7 @@ def heralded_blocks(
         state = pair_term(n)
         blocks[n, True] = herald(layout.run(state), detectors)
         if n == 2:
-            dist = classical_occupation_distribution(state, layout.total_matrix())
-            blocks[n, False] = herald_classical(dist, detectors)
+            blocks[n, False] = herald_classical(state, layout.total_matrix(), detectors)
     return blocks
 
 
@@ -171,23 +170,43 @@ class ExperimentResult:
     metrics: dict[str, float]
 
 
+def _preparation_probabilities(
+    ensemble: ConditionalEnsemble, table: Mapping[Occupation, float], detectors: DetectorModel
+) -> tuple[float, float]:
+    """P_direct and P_estimator of a heralded ensemble and its detected number table.
+
+    P_direct counts one photon per output arm before output loss.
+    P_estimator is C6/(C4 eta_1 eta_2): the probability of a click in each
+    arm over the two arms' efficiencies, so each arm's H and V detectors
+    must share one nonzero efficiency.
+    """
+    eta_1h, eta_1v, eta_2h, eta_2v = detectors.etas(OUTPUT_NAMES)
+    if eta_1h != eta_1v or eta_2h != eta_2v or 0.0 in (eta_1h, eta_2h):
+        raise ValueError(
+            "P_estimator needs one nonzero efficiency per output arm, got "
+            f"{eta_1h}, {eta_1v} (arm 1) and {eta_2h}, {eta_2v} (arm 2)"
+        )
+    p_direct = one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT))
+    return p_direct, photons_in_both_arms_probability(table) / (eta_1h * eta_2h)
+
+
 def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline and collect every scalar figure of merit."""
     ensemble = heralded_ensemble(config.t1, config.t2, config.spdc, config.detectors)
     table = number_table(ensemble, config.detectors)
+    p_direct, p_estimator = _preparation_probabilities(ensemble, table, config.detectors)
     reduction = spatial_reduction(table)
     rho_post = postselect_two_qubit(ensemble, config.detectors)
     p11 = one_photon_per_arm_probability(table)
     f_post = fidelity_to_phi_plus(rho_post)
-    eta = config.detectors.efficiency
     metrics = {
         "herald_probability": ensemble.probability,
         "fidelity_post": f_post,
         "fidelity_meas": total_state_fidelity_from_values(p11, f_post),
         "tangle": tangle(rho_post),
         "chsh": chsh_max(rho_post),
-        "P_direct": one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT)),
-        "P_estimator": photons_in_both_arms_probability(table) / eta**2,
+        "P_direct": p_direct,
+        "P_estimator": p_estimator,
         "P11_detected": p11,
         "visibility": config.spdc.visibility,
     }
@@ -273,11 +292,9 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         ensemble = heralded_ensemble(
             config.t1, config.t2, config.spdc, config.detectors
         )
-        eta = config.detectors.efficiency
         if ensemble.probability > 0.0:
-            p_direct = one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT))
             table = number_table(ensemble, config.detectors)
-            p_estimator = photons_in_both_arms_probability(table) / eta**2
+            p_direct, p_estimator = _preparation_probabilities(ensemble, table, config.detectors)
         else:
             p_direct = 0.0
             p_estimator = 0.0

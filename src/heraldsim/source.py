@@ -25,8 +25,8 @@ from .fock import SparseKet, vacuum
 class SpdcParams:
     """Source parameters: emission amplitude, truncation and visibility.
 
-    ``photon_cap`` defaults to the 2 * max_pairs photons of the largest
-    block; an explicit cap below that is rejected.
+    ``photon_cap`` is the 2 * max_pairs photons of the largest block; an
+    explicit cap of any other value is rejected.
     """
 
     tau: float = 0.3
@@ -41,8 +41,10 @@ class SpdcParams:
             raise ValueError("max_pairs must be non-negative")
         if self.photon_cap is None:
             object.__setattr__(self, "photon_cap", 2 * self.max_pairs)
-        if 2 * self.max_pairs > self.photon_cap:
-            raise ValueError("max_pairs exceeds the photon cap")
+        if self.photon_cap != 2 * self.max_pairs:
+            raise ValueError(
+                f"photon cap must be 2 * max_pairs = {2 * self.max_pairs}, got {self.photon_cap}"
+            )
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 

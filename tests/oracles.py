@@ -3,11 +3,12 @@
 These deliberately avoid the package's mode-substitution code path: state
 evolution goes through the permanent formula for second-quantized linear
 optics, and the emission terms come from explicit creation-operator
-algebra.  Click probabilities are products of per-detector miss
-probabilities rather than sums over a number table.  The tomography
-estimate reads count tables and estimates the state with its own Pauli
-matrices, linear inversion and positivity projection, sharing no code with
-the package's reconstruction.
+algebra.  Distinguishable photons are routed one at a time through every
+detector, not only the herald detectors.  Click probabilities are products
+of per-detector miss probabilities rather than sums over a number table.
+The tomography estimate reads count tables and estimates the state with
+its own Pauli matrices, linear inversion and positivity projection, sharing
+no code with the package's reconstruction.
 """
 
 from __future__ import annotations
@@ -108,6 +109,56 @@ def spdc_pair_operator_expansion(n: int) -> dict:
 def normalized(amplitudes: dict) -> dict:
     norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
     return {k: v / norm for k, v in amplitudes.items()}
+
+
+def classical_occupation_distribution(amplitudes: dict, matrix: np.ndarray) -> dict:
+    """Route photons through a circuit as fully distinguishable particles.
+
+    Each photon of each input basis ket lands in output mode j with
+    probability |matrix[i, j]|^2, independently; all interference is
+    discarded.  Returns the occupation distribution over every output mode.
+    """
+    probs = np.abs(np.asarray(matrix)) ** 2
+    n_out = probs.shape[1]
+    out: dict[tuple[int, ...], float] = {}
+    for occ, amp in amplitudes.items():
+        partial = {(0,) * n_out: abs(amp) ** 2}
+        for i, n in enumerate(occ):
+            for _ in range(n):
+                grown: dict[tuple[int, ...], float] = {}
+                for pattern, w in partial.items():
+                    for j in range(n_out):
+                        if probs[i, j] == 0.0:
+                            continue
+                        key = pattern[:j] + (pattern[j] + 1,) + pattern[j + 1:]
+                        grown[key] = grown.get(key, 0.0) + w * probs[i, j]
+                partial = grown
+        for pattern, w in partial.items():
+            out[pattern] = out.get(pattern, 0.0) + w
+    return out
+
+
+def classical_herald_probability(amplitudes: dict, matrix: np.ndarray, etas, resolving: str) -> float:
+    """Herald probability of distinguishable photons over their full occupation distribution.
+
+    The first ``len(etas)`` output modes are the herald detectors.  A
+    threshold detector with n photons clicks with probability
+    1 - (1 - eta)^n; a number-resolving one sees exactly one photon with
+    probability n eta (1 - eta)^(n - 1).
+    """
+    total = 0.0
+    for occ, p in classical_occupation_distribution(amplitudes, matrix).items():
+        click = 1.0
+        for n, eta in zip(occ, etas):
+            if n == 0:
+                click = 0.0
+                break
+            if resolving == "number":
+                click *= n * eta * (1.0 - eta) ** (n - 1)
+            else:
+                click *= 1.0 - (1.0 - eta) ** n
+        total += p * click
+    return total
 
 
 def arm_click_probability(ensemble, etas) -> float:

@@ -13,7 +13,6 @@ import pytest
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
-    classical_occupation_distribution,
     herald,
     herald_classical,
     number_table,
@@ -69,8 +68,7 @@ def herald_components(components, layout, detectors):
         if comp.coherent:
             ens = herald(layout.run(state), detectors)
         else:
-            dist = classical_occupation_distribution(state, layout.total_matrix())
-            ens = herald_classical(dist, detectors)
+            ens = herald_classical(state, layout.total_matrix(), detectors)
         total += comp.weight * ens.probability
     return total
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -92,6 +93,22 @@ class TestCommands:
             assert key in metrics
         assert (out / "number_table.csv").exists()
         assert (out / "rho_post.json").exists()
+
+    def test_csv_cells_are_plain_floats(self, tmp_path):
+        # every data cell reads back with float(); numpy scalars must not leak their repr
+        config = write_config(tmp_path / "config.json", visibility=0.862)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        code = main(["sweep", "--t", "0.3,0.5", "--pairs", "3", "--out", str(tmp_path / "sweep")])
+        assert code == 0
+        paths = [tmp_path / "sim" / "number_table.csv", tmp_path / "sweep" / "sweep.csv",
+                 tmp_path / "sweep" / "fig2_series.csv"]
+        for path in paths:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path
+            for row in rows:
+                for cell in row:
+                    float(cell)
 
     def test_sweep_emits_plot_series(self, tmp_path):
         out = tmp_path / "sweep"

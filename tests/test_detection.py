@@ -6,7 +6,6 @@ import pytest
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
-    classical_occupation_distribution,
     herald,
     herald_classical,
     number_table,
@@ -22,6 +21,8 @@ from heraldsim.metrics import (
     photons_in_both_arms_probability,
 )
 from heraldsim.source import SpdcParams, pair_term
+
+from oracles import classical_herald_probability, classical_occupation_distribution
 
 IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
@@ -127,7 +128,7 @@ class TestClickDistribution:
         assert [(w, k.modes, k.amplitudes) for w, k in ens.components] == [
             (ens.probability, 0, {(): 1.0})
         ]
-        classical = herald_classical({(1, 1, 1, 1): 1.0}, det)
+        classical = herald_classical(basis_ket(4, (1, 1, 1, 1)), np.eye(4), det)
         assert classical.probability == pytest.approx(0.4, abs=1e-15)
         assert [k.modes for _, k in classical.components] == [0]
 
@@ -216,9 +217,14 @@ class TestHerald:
 
 class TestClassicalChannel:
     def test_distribution_is_normalized(self):
+        # the enumeration behind the oracle sums to 1; the ensemble's one
+        # component is a unit ket carrying the whole herald probability
         layout = build_paper_circuit(0.4, 0.6)
-        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
+        dist = classical_occupation_distribution(pair_term(2).amplitudes, layout.total_matrix())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+        ens = herald_classical(pair_term(2), layout.total_matrix(), DetectorModel(efficiency=0.3))
+        assert sum(w for w, _ in ens.components) == pytest.approx(ens.probability, abs=1e-10)
+        assert [k.norm_sq() for _, k in ens.components] == pytest.approx([1.0], abs=1e-10)
 
     def test_two_pair_leakage_closed_form(self):
         # only the |1,1;1,1> component can satisfy the four-fold condition:
@@ -227,19 +233,51 @@ class TestClassicalChannel:
         t1, t2, eta = 0.3, 0.6, 0.25
         layout = build_paper_circuit(t1, t2)
         det = DetectorModel(efficiency=eta)
-        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
-        ens = herald_classical(dist, det)
+        ens = herald_classical(pair_term(2), layout.total_matrix(), det)
         expected = (1 / 3) * (1 - t1) ** 2 * (1 - t2) ** 2 * 0.5 * eta**4
         assert ens.probability == pytest.approx(expected, rel=1e-10)
 
     def test_leaked_output_is_vacuum(self):
         layout = build_paper_circuit(0.5, 0.5)
         det = DetectorModel(efficiency=0.3)
-        dist = classical_occupation_distribution(pair_term(2), layout.total_matrix())
-        ens = herald_classical(dist, det)
+        ens = herald_classical(pair_term(2), layout.total_matrix(), det)
         assert len(ens.components) == 1
         _, ket = ens.components[0]
         assert set(ket.amplitudes) == {(0, 0, 0, 0)}
+
+    def test_matches_enumeration_oracle(self):
+        # the permanent over the herald columns against routing every photon
+        # through all eight detectors, on random splitters (edges included),
+        # every setting, both detector kinds and per-detector herald efficiencies
+        rng = np.random.default_rng(20100607)
+        settings = [(a, b) for a in "xyz" for b in "xyz"]
+        for trial in range(216):
+            t1, t2 = (float(rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.uniform())
+                      for _ in range(2))
+            per_mode = {name: float(rng.uniform(0.05, 1.0)) for name in HERALD_NAMES}
+            det = DetectorModel(
+                efficiency=float(rng.uniform(0.05, 1.0)),
+                resolving=("threshold", "number")[trial % 2],
+                per_mode=per_mode,
+            )
+            matrix = build_paper_circuit(t1, t2, settings[trial % 9]).total_matrix()
+            ens = herald_classical(pair_term(2), matrix, det)
+            expected = classical_herald_probability(
+                pair_term(2).amplitudes, matrix, det.etas(HERALD_NAMES), det.resolving
+            )
+            assert ens.probability == pytest.approx(expected, rel=1e-12, abs=0.0)
+            if expected == 0.0:
+                assert ens.components == ()
+            else:
+                assert [(type(w), w, k.amplitudes) for w, k in ens.components] == [
+                    (float, ens.probability, {(0, 0, 0, 0): 1.0})
+                ]
+
+    @pytest.mark.parametrize("pairs", [0, 1, 3])
+    def test_ket_without_four_photons_rejected(self, pairs):
+        matrix = build_paper_circuit(0.5, 0.5).total_matrix()
+        with pytest.raises(ValueError, match="4 photons"):
+            herald_classical(pair_term(pairs), matrix, DetectorModel())
 
 
 class TestNumberTable:

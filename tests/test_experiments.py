@@ -7,7 +7,6 @@ import pytest
 import heraldsim.experiments
 from heraldsim.detection import (
     DetectorModel,
-    classical_occupation_distribution,
     herald,
     herald_classical,
     number_table,
@@ -122,8 +121,7 @@ class TestSharedBlocks:
                     if comp.coherent:
                         ens = herald(layout.run(state), det)
                     else:
-                        dist = classical_occupation_distribution(state, layout.total_matrix())
-                        ens = herald_classical(dist, det)
+                        ens = herald_classical(state, layout.total_matrix(), det)
                     expected.append(ens.scaled(comp.weight))
                 got = heralded_ensemble(0.3, 0.7, spdc, det, settings)
                 assert got.probability == sum(e.probability for e in expected)
@@ -295,7 +293,7 @@ class TestSimulateExperiment:
     def test_estimator_is_not_clamped(self):
         # at high tau and transmission the estimator exceeds 1; it is reported as is
         det = DetectorModel(efficiency=0.0966)
-        spdc = SpdcParams(tau=0.35, max_pairs=5, visibility=0.862, photon_cap=12)
+        spdc = SpdcParams(tau=0.35, max_pairs=5, visibility=0.862)
         config = ExperimentConfig(t1=0.7, t2=0.7, spdc=spdc, detectors=det)
         ens = heralded_ensemble(0.7, 0.7, spdc, det)
         expected = arm_click_probability(ens, [det.efficiency] * 4) / det.efficiency**2
@@ -303,6 +301,29 @@ class TestSimulateExperiment:
         reported = simulate_experiment(config).metrics["P_estimator"]
         assert reported == pytest.approx(expected, rel=1e-12)
         assert run_sweep([config])[0]["P_estimator"] == pytest.approx(expected, rel=1e-12)
+
+    def test_estimator_divides_by_output_arm_efficiencies(self):
+        # per-detector output efficiencies set the eta_1 eta_2 of C6/(C4 eta_1 eta_2),
+        # not the model's default efficiency
+        outputs = {"t1H": 0.5, "t1V": 0.5, "t2H": 0.4, "t2V": 0.4}
+        det = DetectorModel(efficiency=0.1, per_mode=outputs)
+        spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)
+        config = ExperimentConfig(t1=0.5, t2=0.5, spdc=spdc, detectors=det)
+        ens = heralded_ensemble(0.5, 0.5, spdc, det)
+        expected = arm_click_probability(ens, list(outputs.values())) / (0.5 * 0.4)
+        assert simulate_experiment(config).metrics["P_estimator"] == pytest.approx(
+            expected, rel=1e-12
+        )
+        assert run_sweep([config])[0]["P_estimator"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("outputs", [{"t1H": 0.5}, {"t2V": 0.0}, {"t1H": 0.0, "t1V": 0.0}])
+    def test_estimator_needs_one_nonzero_efficiency_per_arm(self, outputs):
+        det = DetectorModel(efficiency=0.1, per_mode=outputs)
+        config = ExperimentConfig(t1=0.5, t2=0.5, spdc=SpdcParams(tau=0.3), detectors=det)
+        with pytest.raises(ValueError, match="efficiency per output arm"):
+            simulate_experiment(config)
+        with pytest.raises(ValueError, match="efficiency per output arm"):
+            run_sweep([config])
 
     def test_direct_preparation_counts_photons_before_loss(self):
         det = DetectorModel(efficiency=0.0966)

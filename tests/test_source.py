@@ -116,6 +116,8 @@ class TestSpdcState:
             SpdcParams(tau=1.0)
         with pytest.raises(ValueError, match="photon cap"):
             SpdcParams(tau=0.3, max_pairs=5, photon_cap=8)
+        with pytest.raises(ValueError, match="photon cap"):
+            SpdcParams(tau=0.3, max_pairs=4, photon_cap=20)
         with pytest.raises(ValueError):
             SpdcParams(tau=0.3, visibility=1.2)
 
