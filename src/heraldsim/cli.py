@@ -232,6 +232,7 @@ def _reconstruction_payload(args, with_mc: bool) -> dict:
         "rho": _rho_to_json(result.rho),
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
+        "certificate": result.certificate,
         "fidelity_phi_plus": fidelity_to_phi_plus(result.rho),
         "tangle": tangle(result.rho),
         "chsh": chsh_max(result.rho),
@@ -253,6 +254,7 @@ def _reconstruction_payload(args, with_mc: bool) -> dict:
                 "std": res.std,
                 "n_samples": res.n_samples,
                 "n_failures": res.n_failures,
+                "certificate": res.certificate,
             }
             for name, res in report.items()
         }

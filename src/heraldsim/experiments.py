@@ -284,7 +284,11 @@ def calibrate_tau(
 
 
 def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
-    """Heralded-preparation probability across beam-splitter transmissions."""
+    """Heralded-preparation probability across beam-splitter transmissions.
+
+    Where nothing heralds, P_direct and P_estimator are 0/0 and read NaN,
+    as does every relative herald rate when nothing heralds at any point.
+    """
     if not configs:
         raise ValueError("sweep needs at least one configuration")
     rows = []
@@ -295,9 +299,8 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         if ensemble.probability > 0.0:
             table = number_table(ensemble, config.detectors)
             p_direct, p_estimator = _preparation_probabilities(ensemble, table, config.detectors)
-        else:
-            p_direct = 0.0
-            p_estimator = 0.0
+        else:  # nothing heralded: both are 0/0
+            p_direct = p_estimator = math.nan
         rows.append(
             {
                 "t1": config.t1,
@@ -310,7 +313,7 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
     max_prob = max(r["herald_probability"] for r in rows)
     for r in rows:
         r["herald_rate_relative"] = (
-            r["herald_probability"] / max_prob if max_prob > 0 else 0.0
+            r["herald_probability"] / max_prob if max_prob > 0 else math.nan
         )
     return rows
 

@@ -4,7 +4,8 @@ Nine Pauli settings (sigma_i on arm 1, sigma_j on arm 2) are measured in
 the coincidence basis.  Reconstruction maximizes the Poissonian likelihood
 of the observed coincidence counts over the Cholesky-style parameterization
 rho = T†T / tr(T†T), with the per-setting intensity profiled out (the
-likelihood reduces to the multinomial form).  Uncertainties come from a
+likelihood reduces to the multinomial form), by damped Newton steps, and
+certifies the maximum it reaches.  Uncertainties come from a
 Monte Carlo over Poisson-resampled count tables.
 """
 
@@ -18,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .detection import COINCIDENCE_PATTERNS
-from .metrics import check_density_matrix
+from .metrics import PSD_TOL, check_density_matrix
 
 AXES = ("x", "y", "z")
 SETTINGS: tuple[tuple[str, str], ...] = tuple((a, b) for a in AXES for b in AXES)
@@ -39,12 +40,22 @@ _BASIS_VECTORS = {
 
 CSV_HEADER = ("ratio", "setting_1", "setting_2", "n1H", "n1V", "n2H", "n2V", "count")
 
-LOG_LIKELIHOOD_TOL = 1e-10
-MAX_ITERATIONS = 100_000
+# A reconstruction stops once its certificate, an upper bound on how far its
+# log-likelihood is below the maximum, is at most CERTIFICATE_TOL times its
+# number of counts N.  The certificate is an eigenvalue of a matrix of scale
+# N, so its rounding grows with N, and a fixed bound would not be reachable
+# on large tables.
+CERTIFICATE_TOL = 1e-10
+MAX_ITERATIONS = 1_000
+_DAMPING_START = 1e-2
+# A Newton step promising less than this times certificate^2 / N marks a
+# saddle; near the maximum the promise is of order certificate^2 / N.
+_STALL = 1e-6
+_ESCAPE_MIN_STEP = 1e-12
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the likelihood ascent fails to converge."""
+    """Raised when the likelihood maximization ends without a certificate."""
 
 
 def setting_projectors(setting: tuple[str, str]) -> list[np.ndarray]:
@@ -63,12 +74,19 @@ def setting_projectors(setting: tuple[str, str]) -> list[np.ndarray]:
 
 
 def expected_coincidences(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarray:
-    """Probabilities of the four coincidence outcomes for one setting."""
+    """Probabilities of the four coincidence outcomes for one setting.
+
+    Rounding can leave a probability that is zero for the state slightly
+    negative; one within ``PSD_TOL`` of zero reads 0, one further below
+    raises ``ValueError``.
+    """
     rho = check_density_matrix(rho)
     probs = np.array(
         [float(np.real(np.trace(p @ rho))) for p in setting_projectors(setting)]
     )
-    return np.clip(probs, 0.0, None)
+    if probs.min() < -PSD_TOL:
+        raise ValueError(f"negative coincidence probability {probs.min()} in setting {setting}")
+    return np.maximum(probs, 0.0)
 
 
 @dataclass
@@ -240,38 +258,96 @@ def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
     return (rows @ _INVERSION_T).reshape(freqs.shape[:-2] + (4, 4))
 
 
-def _log_likelihood_and_grad(params: np.ndarray, counts: np.ndarray):
-    """Poisson log-likelihood (intensity profiled out) and its gradient.
+# Each q_k = tr(Pi_k T†T) is a quadratic form p^T H_k p in the 16 parameters:
+# with T = sum_i p_i B_i, H_k[i, j] = Re tr(Pi_k B_i† B_j).  Rows of H_k p are
+# taken per sample as one (1, 16) x (16, 36*16) product (see above).
+_BASIS = _params_to_t(np.eye(16))
+_BASIS_PRODUCTS = _dagger(_BASIS)[:, None] @ _BASIS[None, :]  # B_i† B_j, (16, 16, 4, 4)
+_FORMS = (_PROJECTORS.conj() @ _BASIS_PRODUCTS.reshape(256, 16).T).real.reshape(36, 16, 16)
+_FORM_ROWS = _FORMS.transpose(1, 0, 2).reshape(16, 36 * 16)
+_FORMS_FLAT = _FORMS.reshape(36, 256)
 
-    ``params`` is (..., 16) and ``counts`` (..., 36); every leading index is
-    an independent sample.
+
+def _quadratic_forms(params: np.ndarray):
+    """H_k p (..., 36, 16) and q_k = p^T H_k p (..., 36) for (..., 16) parameters."""
+    hp = (params[..., None, :] @ _FORM_ROWS).reshape(params.shape[:-1] + (36, 16))
+    return hp, (hp @ params[..., None])[..., 0]
+
+
+def _log_likelihood(counts: np.ndarray, q: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """sum_k c_k log q_k - N log p^T p: each sample's multinomial log-likelihood over the settings.
+
+    Outcomes without counts add nothing, whatever their q_k.
     """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log(q), 0.0)
+    return terms.sum(axis=-1) - counts.sum(axis=-1) * np.log(norm)
+
+
+def _derivatives(params: np.ndarray, counts: np.ndarray, hp: np.ndarray, q: np.ndarray):
+    """Gradient (..., 16) and Hessian (..., 16, 16) of the log-likelihood in p."""
+    norm = np.square(params).sum(axis=-1)[..., None]
+    n_total = counts.sum(axis=-1)[..., None]
+    positive = counts > 0
+    weights = np.divide(counts, q, out=np.zeros_like(q), where=positive)
+    curvature = np.divide(weights, q, out=np.zeros_like(q), where=positive)
+    grad = 2.0 * (weights[..., None, :] @ hp)[..., 0, :] - (2.0 * n_total / norm) * params
+    hess = (
+        2.0 * (weights[..., None, :] @ _FORMS_FLAT).reshape(params.shape[:-1] + (16, 16))
+        - 4.0 * np.swapaxes(hp * curvature[..., None], -1, -2) @ hp
+        - (2.0 * n_total / norm)[..., None] * np.eye(16)
+        + (4.0 * n_total / norm**2)[..., None] * (params[..., :, None] * params[..., None, :])
+    )
+    return grad, hess
+
+
+def _state(params: np.ndarray) -> np.ndarray:
+    """rho = T†T / tr(T†T), Hermitian to rounding."""
     t = _params_to_t(params)
-    a = _dagger(t) @ t
-    trace = np.square(params).sum(axis=-1)  # tr(T†T) = sum of |T_ij|^2
-    q = (a.reshape(a.shape[:-2] + (1, 16)) @ _PROJECTORS_CONJ_T)[..., 0, :].real
-    q = np.clip(q, 1e-300, None)
-    n_total = counts.sum(axis=-1)
-    logl = (counts * np.log(q)).sum(axis=-1) - n_total * np.log(trace)
-    # d q_k / dT = 2 T Pi_k (real part for Re-params, imag part for Im-params)
-    weighted_pi = ((counts / q)[..., None, :] @ _PROJECTORS).reshape(t.shape)
-    grad_matrix = 2.0 * t @ weighted_pi - (2.0 * n_total / trace)[..., None, None] * t
-    return logl, _t_to_params(grad_matrix)
+    rho = _dagger(t) @ t
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return (rho + _dagger(rho)) / 2.0
+
+
+def _start(rho: np.ndarray) -> np.ndarray:
+    """Unit-norm parameters of the eigenvalue-floored rho."""
+    params = _t_to_params(_lower_triangular_factor(_psd_floor(rho)))
+    return params / np.linalg.norm(params, axis=-1, keepdims=True)
+
+
+def _certificate(counts: np.ndarray, rho: np.ndarray):
+    """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k, and R's top eigenvector.
+
+    rho maximizes the likelihood exactly when R <= N, and as the
+    log-likelihood is concave in rho, no state beats rho's log-likelihood
+    by more than this value.
+    """
+    probs = (rho.reshape(rho.shape[:-2] + (1, 16)) @ _PROJECTORS_CONJ_T)[..., 0, :].real
+    weights = np.divide(counts, probs, out=np.zeros_like(probs), where=counts > 0)
+    r = (weights[..., None, :] @ _PROJECTORS).reshape(rho.shape)
+    eigs, vecs = np.linalg.eigh(r)
+    return eigs[..., -1] - counts.sum(axis=-1), vecs[..., :, -1]
 
 
 @dataclass(frozen=True)
 class MleResult:
-    """Reconstruction output: state, likelihood and iteration diagnostics."""
+    """Reconstruction output: state, likelihood and iteration diagnostics.
+
+    ``certificate`` bounds how far ``log_likelihood`` can be below the
+    maximum; it is at most ``CERTIFICATE_TOL`` times the number of counts.
+    """
 
     rho: np.ndarray
     log_likelihood: float
     iterations: int
+    certificate: float
     history: tuple[float, ...] | None = None
 
 
 def _coincidence_matrix(table: CountTable) -> np.ndarray:
     """(9, 4) counts of a table that has every setting and some counts."""
-    missing = [s for s in SETTINGS if s not in set(table.settings_present())]
+    present = set(table.settings_present())
+    missing = [s for s in SETTINGS if s not in present]
     if missing:
         raise ValueError(f"count table is missing settings: {missing}")
     coincidences = table.coincidence_matrix()
@@ -280,76 +356,137 @@ def _coincidence_matrix(table: CountTable) -> np.ndarray:
     return coincidences
 
 
-def _ascend(coincidences: np.ndarray, keep_history: bool = False):
-    """Likelihood ascent for each of S count tables, all in one loop.
+def _escape(counts: np.ndarray, rho: np.ndarray, top: np.ndarray, logl: float):
+    """Move one sample off a saddle of the parameterization towards R's top eigenvector.
 
-    ``coincidences`` is (S, 9, 4).  Each sample starts from its PSD-projected
-    linear inversion and runs its own gradient ascent on the 16 real
-    parameters of the lower-triangular factor: a step that raises the
-    log-likelihood is taken and the step grows by 1.6, otherwise the step
-    halves.  A sample stops when an accepted step improves the
-    log-likelihood by less than 1e-10 relative, or when no step above
-    1e-300 improves it, and then leaves the active set.  A sample still
-    running after ``MAX_ITERATIONS`` accepted steps has not converged.
+    Tries (1 - eps) rho + eps v v†, eigenvalue-floored, for eps = 1/2, 1/4,
+    ... and returns the parameters, their quadratic forms and
+    log-likelihood at the first eps that raises the log-likelihood, or None.
+    """
+    target = np.outer(top, top.conj())
+    eps = 0.5
+    while eps >= _ESCAPE_MIN_STEP:
+        params = _start((1.0 - eps) * rho + eps * target)
+        hp, q = _quadratic_forms(params)
+        trial = _log_likelihood(counts, q, np.square(params).sum())
+        if trial > logl:
+            return params, hp, q, trial
+        eps /= 2.0
+    return None
+
+
+def _ascend(coincidences: np.ndarray, keep_history: bool = False):
+    """Likelihood maximization for each of S (9, 4) count tables, all in one loop.
+
+    Each sample starts from its PSD-projected linear inversion; see
+    ``_maximize``.
+    """
+    counts = coincidences.reshape(coincidences.shape[0], 36)
+    return _maximize(counts, _start(_linear_inversion(coincidences)), keep_history)
+
+
+def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False):
+    """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 16) params.
+
+    Each sample takes its own Newton steps on the 16 parameters of the
+    lower-triangular factor, renormalized to unit length (the
+    log-likelihood does not depend on their scale).  The step divides the
+    gradient by |eigenvalue| + lambda N of the negated Hessian, so it always
+    climbs; it is taken when the log-likelihood, compared through exact
+    differences of the quadratic forms, does not fall.  lambda shrinks by 3
+    on a taken step and grows by 4 on a refused one.  Where the Newton
+    model promises nothing while the certificate is large, the sample sits
+    on a saddle of the parameterization, and ``_escape`` moves it.
+
+    A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
+    its number of counts.  One still uncertified after ``MAX_ITERATIONS``
+    iterations, or whose escape finds no better state, has not converged.
 
     Returns rho (S, 4, 4), log-likelihood (S,), iterations (S,), a converged
     flag (S,) and, if asked, each sample's log-likelihood at the start and
-    after every accepted step.
+    after every iteration.
     """
-    n_samples = coincidences.shape[0]
-    counts = coincidences.reshape(n_samples, 36)
-    params = _t_to_params(_lower_triangular_factor(_psd_floor(_linear_inversion(coincidences))))
-    logl, grad = _log_likelihood_and_grad(params, counts)
-    step = 1.0 / np.maximum(1.0, counts.sum(axis=1))
-    iterations = np.ones(n_samples, dtype=int)
+    n_samples = counts.shape[0]
+    n_total = counts.sum(axis=1)
+    params = params.copy()
+    hp, q = _quadratic_forms(params)
+    logl = _log_likelihood(counts, q, np.square(params).sum(axis=1))
+    grad, hess = _derivatives(params, counts, hp, q)
+    damping = np.full(n_samples, _DAMPING_START)
+    iterations = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
+    stuck = np.zeros(n_samples, dtype=bool)
     history = [[value] for value in logl] if keep_history else None
     active = np.arange(n_samples)
     while active.size:
-        trial = params[active] + step[active, None] * grad[active]
-        trial_logl, trial_grad = _log_likelihood_and_grad(trial, counts[active])
-        last = logl[active]
-        up = np.isfinite(trial_logl) & (trial_logl > last)
-        small = trial_logl - last < LOG_LIKELIHOOD_TOL * np.maximum(1.0, np.abs(trial_logl))
-        accepted = active[up]
-        params[accepted] = trial[up]
-        logl[accepted] = trial_logl[up]
-        grad[accepted] = trial_grad[up]
-        if history is not None:
-            for s in accepted:
-                history[s].append(logl[s])
-        step[active] *= np.where(up, 1.6, 0.5)
-        done = np.where(up, small, ~(step[active] > 1e-300))
+        rho = _state(params[active])
+        certificate, top = _certificate(counts[active], rho)
+        done = certificate <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
-        stay = ~done & (~up | (iterations[active] < MAX_ITERATIONS))
-        iterations[active[stay & up]] += 1
-        active = active[stay]
-    t = _params_to_t(params)
-    rho = _dagger(t) @ t
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
-    rho = (rho + _dagger(rho)) / 2.0
-    return rho, logl, iterations, converged, history
+        stay = ~done & ~stuck[active] & (iterations[active] < MAX_ITERATIONS)
+        active, rho, certificate, top = active[stay], rho[stay], certificate[stay], top[stay]
+        if not active.size:
+            break
+        eigs, vecs = np.linalg.eigh(-hess[active])
+        along = (grad[active, None, :] @ vecs)[:, 0, :]
+        coef = along / (np.abs(eigs) + (damping[active] * n_total[active])[:, None])
+        gain = (along * coef).sum(axis=1)
+        stalled = gain < _STALL * certificate**2 / n_total[active]
+        for i in np.flatnonzero(stalled):
+            s = active[i]
+            moved = _escape(counts[s], rho[i], top[i], logl[s])
+            if moved is None:
+                stuck[s] = True
+                continue
+            params[s], hp[s], q[s], logl[s] = moved
+            grad[s], hess[s] = _derivatives(params[s], counts[s], hp[s], q[s])
+            damping[s] = _DAMPING_START
+        newton = active[~stalled]
+        trial = params[newton] + (vecs[~stalled] @ coef[~stalled, :, None])[..., 0]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial_hp, trial_q = _quadratic_forms(trial)
+        # q' - q = (p' - p)^T H (p' + p) keeps the digits a difference of logs loses
+        step = trial - params[newton]
+        dq = ((trial_hp + hp[newton]) @ step[..., None])[..., 0]
+        dnorm = (step * (trial + params[newton])).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(counts[newton] > 0, counts[newton] * np.log1p(dq / q[newton]), 0.0)
+            norm_ratio = np.log1p(dnorm / np.square(params[newton]).sum(axis=1))
+        rise = terms.sum(axis=1) - n_total[newton] * norm_ratio
+        up = np.isfinite(rise) & (rise >= 0.0)
+        taken = newton[up]
+        params[taken], hp[taken], q[taken] = trial[up], trial_hp[up], trial_q[up]
+        logl[taken] += rise[up]
+        grad[taken], hess[taken] = _derivatives(params[taken], counts[taken], hp[taken], q[taken])
+        damping[newton] *= np.where(up, 1.0 / 3.0, 4.0)
+        if history is not None:
+            for s in active:
+                history[s].append(logl[s])
+        iterations[active] += 1
+    return _state(params), logl, iterations, converged, history
 
 
 def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
     """Maximum-likelihood density matrix from coincidence counts.
 
-    Deterministic gradient ascent with step halving on the 16 real
-    parameters of the lower-triangular factor, started from the
-    PSD-projected linear inversion, until the relative log-likelihood
-    improvement drops below 1e-10.
+    Damped Newton iteration on the 16 parameters of the lower-triangular
+    factor, started from the PSD-projected linear inversion, until the
+    certificate shows the log-likelihood within ``CERTIFICATE_TOL`` times
+    the number of counts of its maximum.
     """
     coincidences = _coincidence_matrix(table)
     rho, logl, iterations, converged, history = _ascend(coincidences[None], keep_history)
+    certificate = float(_certificate(coincidences.reshape(1, 36), rho)[0][0])
     if not converged[0]:
         raise ConvergenceError(
-            f"likelihood ascent did not converge within {MAX_ITERATIONS} iterations "
-            f"(last log-likelihood {logl[0]:.6f})"
+            f"likelihood maximization not certified after {iterations[0]} iterations "
+            f"(certificate {certificate:.3e}, last log-likelihood {logl[0]:.6f})"
         )
     return MleResult(
         rho=rho[0],
         log_likelihood=float(logl[0]),
         iterations=int(iterations[0]),
+        certificate=certificate,
         history=tuple(float(v) for v in history[0]) if history is not None else None,
     )
 
@@ -381,10 +518,13 @@ def optimize_local_fidelity(rho: np.ndarray) -> tuple[float, tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class MonteCarloResult:
+    """Spread of one functional; ``certificate`` is the largest over the kept samples."""
+
     mean: float
     std: float
     n_samples: int
     n_failures: int
+    certificate: float
 
 
 def _poisson_resample(table: CountTable, rng: np.random.Generator) -> CountTable:
@@ -406,8 +546,8 @@ def monte_carlo_report(
     Each sample resamples every count; all resampled tables are
     reconstructed together, each exactly as ``mle_reconstruct`` would, and
     every functional is evaluated on each state.  Tables that cannot be
-    reconstructed (missing settings, no counts, no convergence) are counted
-    as failures and skipped.
+    reconstructed (missing settings, no counts, no certified maximum) are
+    counted as failures and skipped.
     """
     if n_samples < 2:
         raise ValueError("need at least two Monte Carlo samples")
@@ -420,10 +560,13 @@ def monte_carlo_report(
             coincidences.append(_coincidence_matrix(resampled))
         except ValueError:
             pass  # counted as a failure below
-    rhos = []
+    rhos, certificate = [], float("nan")
     if coincidences:
-        rho, _, _, converged, _ = _ascend(np.stack(coincidences))
+        stack = np.stack(coincidences)
+        rho, _, _, converged, _ = _ascend(stack)
         rhos = rho[converged]
+        if converged.any():
+            certificate = float(_certificate(stack.reshape(-1, 36)[converged], rhos)[0].max())
     failures = n_samples - len(rhos)
     values = {name: [float(fn(r)) for r in rhos] for name, fn in functionals.items()}
     report = {}
@@ -438,5 +581,6 @@ def monte_carlo_report(
             std=float(arr.std(ddof=1)),
             n_samples=len(vals),
             n_failures=failures,
+            certificate=certificate,
         )
     return report

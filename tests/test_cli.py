@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import heraldsim
 from heraldsim.cli import main
-from heraldsim.tomography import ingest_counts
+from heraldsim.tomography import CERTIFICATE_TOL, ingest_counts
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -153,6 +154,10 @@ class TestCommands:
         assert set(report["monte_carlo"]) == {
             "tangle", "chsh", "fidelity_phi_plus", "fidelity_optimized"
         }
+        # the certificate bounds the distance to the likelihood maximum (585 counts)
+        assert abs(report["certificate"]) <= CERTIFICATE_TOL * 585
+        for mc in report["monte_carlo"].values():
+            assert mc["n_failures"] == 0 and math.isfinite(mc["certificate"])
 
     def test_metrics_command(self, tmp_path, fixtures_dir):
         out = tmp_path / "metrics"

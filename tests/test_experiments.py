@@ -209,6 +209,15 @@ class TestSweep:
         assert rows[0]["P_direct"] == 0.0
         assert rows[0]["P_estimator"] == 0.0
 
+    def test_zero_herald_probability_reads_nan(self):
+        # at T = 1 every photon transmits and nothing heralds: the probabilities are 0/0
+        rows = run_sweep(sweep_configs([0.5, 1.0], tau=0.25, max_pairs=3))
+        assert rows[1]["herald_probability"] == 0.0
+        assert math.isnan(rows[1]["P_direct"]) and math.isnan(rows[1]["P_estimator"])
+        assert rows[0]["P_direct"] > 0.0 and rows[1]["herald_rate_relative"] == 0.0
+        (row,) = run_sweep(sweep_configs([1.0], tau=0.25, max_pairs=3))
+        assert math.isnan(row["herald_rate_relative"]) and math.isnan(row["P_estimator"])
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([])

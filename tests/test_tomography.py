@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.metrics import PHI_PLUS, PSI_MINUS, fidelity_to_phi_plus, tangle
+from heraldsim.metrics import PHI_PLUS, PSD_TOL, PSI_MINUS, fidelity_to_phi_plus, tangle
+import heraldsim.tomography as tomo
 from heraldsim.tomography import (
+    CERTIFICATE_TOL,
     SETTINGS,
     CountTable,
     _ascend,
+    _derivatives,
     _linear_inversion,
-    _log_likelihood_and_grad,
+    _lower_triangular_factor,
+    _log_likelihood,
+    _maximize,
     _poisson_resample,
+    _quadratic_forms,
+    _state,
+    _t_to_params,
     expected_coincidences,
     ingest_counts,
     mle_reconstruct,
@@ -24,7 +32,9 @@ from oracles import (
     exact_coincidences,
     fully_entangled_fraction,
     linear_inversion,
+    multinomial_log_likelihood,
     program_free_estimate,
+    rrr_maximum,
 )
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -59,6 +69,19 @@ class TestExpectedCoincidences:
         for setting in SETTINGS:
             probs = expected_coincidences(MIXED_RHO, setting)
             assert probs == pytest.approx([0.25] * 4, abs=1e-12)
+
+    def test_negative_probability_reads_zero_only_within_tolerance(self):
+        # an eigenvalue of -d * PSD_TOL on |HV>: rounding-sized for d < 1, unphysical beyond
+        hv = np.zeros((4, 4), dtype=complex)
+        hv[1, 1] = 1.0
+        for depth in (0.5, 2.0):
+            rho = (1.0 + depth * PSD_TOL) * PHI_PLUS_RHO - depth * PSD_TOL * hv
+            if depth < 1.0:
+                probs = expected_coincidences(rho, ("z", "z"))
+                assert probs[1] == 0.0 and probs.min() == 0.0
+            else:
+                with pytest.raises(ValueError, match="negative"):
+                    expected_coincidences(rho, ("z", "z"))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(21)
@@ -157,20 +180,40 @@ class TestCountTableIO:
 
 class TestMle:
     def test_gradient_matches_finite_differences(self):
-        # three independent samples in one batch
+        # three independent samples in one batch; the Hessian is checked against
+        # differences of the gradient, the gradient against differences of log L
         rng = np.random.default_rng(31)
         counts = rng.integers(1, 50, size=(3, 36)).astype(float)
+        counts[0, :5] = 0.0
         params = rng.normal(size=(3, 16))
-        _, grad = _log_likelihood_and_grad(params, counts)
+
+        def evaluate(p):
+            hp, q = _quadratic_forms(p)
+            return (_log_likelihood(counts, q, np.square(p).sum(axis=1)),
+                    *_derivatives(p, counts, hp, q))
+
+        _, grad, hess = evaluate(params)
         eps = 1e-6
         for k in range(16):
             up = params.copy()
             up[:, k] += eps
             down = params.copy()
             down[:, k] -= eps
-            lu, _ = _log_likelihood_and_grad(up, counts)
-            ld, _ = _log_likelihood_and_grad(down, counts)
+            lu, gu, _ = evaluate(up)
+            ld, gd, _ = evaluate(down)
             assert grad[:, k] == pytest.approx((lu - ld) / (2 * eps), rel=1e-4, abs=1e-6)
+            assert hess[:, k] == pytest.approx((gu - gd) / (2 * eps), rel=1e-4, abs=1e-6)
+        assert np.abs(hess - np.swapaxes(hess, 1, 2)).max() <= 1e-9 * np.abs(hess).max()
+
+    def test_quadratic_forms_match_the_state(self):
+        # q_k = p^T H_k p is tr(Pi_k T†T), and p^T p is tr(T†T)
+        rng = np.random.default_rng(32)
+        params = rng.normal(size=(4, 16))
+        _, q = _quadratic_forms(params)
+        for p, row in zip(params, q, strict=True):
+            rho = _state(p[None])[0]
+            want = np.concatenate([expected_coincidences(rho, s) for s in SETTINGS])
+            assert row / np.square(p).sum() == pytest.approx(want, abs=1e-12)
 
     def test_linear_inversion_recovers_exact_states(self):
         # a batch of exact frequency tables, scaled to counts, inverts row by row
@@ -405,6 +448,79 @@ class TestLikelihoodPath:
         path = result.history
         assert len(path) == result.iterations or len(path) == result.iterations + 1
         assert all(b >= a for a, b in zip(path, path[1:]))
+
+
+def rrr_shortfall(coincidences, rhos):
+    """How far below the diluted-RrhoR oracle each state's log-likelihood is, per count."""
+    oracle = rrr_maximum(coincidences, steps=3000)
+    gap = multinomial_log_likelihood(coincidences, oracle) - multinomial_log_likelihood(
+        coincidences, np.asarray(rhos))
+    return gap / coincidences.reshape(len(coincidences), 36).sum(axis=1)
+
+
+class TestCertifiedMaximum:
+    FIXTURES = ("counts_17_83", "counts_30_70", "counts_50_50", "counts_70_30")
+
+    def test_fixture_resamples_reach_the_oracle(self, fixtures_dir):
+        for seed, name in enumerate(self.FIXTURES):
+            tables, rhos = draws(ingest_counts(fixtures_dir / f"{name}.csv"), 20, seed=seed)
+            coincidences = np.stack([t.coincidence_matrix() for t in tables])
+            assert rrr_shortfall(coincidences, rhos).max() <= CERTIFICATE_TOL
+
+    def test_self_consistency_states_reach_the_oracle(self):
+        # criterion 5's states at 10^5 events per setting, N = 9e5
+        phi = PHI_PLUS_RHO
+        psi = np.outer(PSI_MINUS, PSI_MINUS.conj())
+        states = (phi, psi, MIXED_RHO, 0.8 * phi + 0.2 * MIXED_RHO)
+        tables = [simulate_counts(rho, SETTINGS, 10**5, seed=seed)
+                  for seed, rho in enumerate(states, start=100)]
+        results = [mle_reconstruct(t) for t in tables]
+        coincidences = np.stack([t.coincidence_matrix() for t in tables])
+        for result in results:
+            assert abs(result.certificate) <= CERTIFICATE_TOL * 9e5
+        assert rrr_shortfall(coincidences, [r.rho for r in results]).max() <= CERTIFICATE_TOL
+
+    def test_30_70_reaches_the_maximum(self, fixtures_dir):
+        # an ascent stopped on a small relative improvement halts 0.005 below this maximum
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        result = mle_reconstruct(table)
+        assert result.log_likelihood == pytest.approx(-403.69391, abs=1e-5)
+        assert result.certificate <= CERTIFICATE_TOL * 310
+        oracle = rrr_maximum(table.coincidence_matrix()[None])
+        assert multinomial_log_likelihood(table.coincidence_matrix()[None], oracle)[0] == (
+            pytest.approx(-403.69391, abs=1e-5))
+
+    def test_monte_carlo_reports_the_largest_certificate(self, fixtures_dir):
+        table = ingest_counts(fixtures_dir / "counts_70_30.csv")
+        tables, rhos = draws(table, 12, seed=4)
+        result = monte_carlo_report(table, 12, seed=4, functionals={"value": tangle})["value"]
+        coincidences = np.stack([t.coincidence_matrix() for t in tables]).reshape(12, 36)
+        certificates = [tomo._certificate(c, r)[0] for c, r in zip(coincidences, rhos)]
+        assert result.certificate == max(certificates)
+        assert result.certificate <= CERTIFICATE_TOL * coincidences.sum(axis=1).min()
+
+    def test_saddle_start_escapes_to_the_maximum(self, monkeypatch):
+        # zeroing a row of the factor leaves a rank-3 state whose gradient vanishes
+        # in that row: Newton steps alone stay on the rank-3 face
+        table = simulate_counts(0.8 * PHI_PLUS_RHO + 0.2 * MIXED_RHO, SETTINGS, 200, seed=3)
+        reference = mle_reconstruct(table)
+        escapes = []
+        escape = tomo._escape
+
+        def counting(*args):
+            escapes.append(None)
+            return escape(*args)
+
+        monkeypatch.setattr(tomo, "_escape", counting)
+        t = _lower_triangular_factor(random_density_matrix(np.random.default_rng(1)))
+        t[1, :] = 0.0
+        start = _t_to_params(t) / np.linalg.norm(_t_to_params(t))
+        counts = table.coincidence_matrix().reshape(1, 36)
+        rho, logl, _, converged, history = _maximize(counts, start[None], keep_history=True)
+        assert escapes and converged[0]
+        assert all(b >= a for a, b in zip(history[0], history[0][1:]))
+        assert logl[0] == pytest.approx(reference.log_likelihood, abs=CERTIFICATE_TOL * 200)
+        assert np.abs(rho[0] - reference.rho).max() <= 1e-6
 
 
 class TestReferenceCrossValidation:
