@@ -144,6 +144,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
     p.add_argument("--visibility", type=float, default=0.862)
+    p.add_argument("--pairs", type=int, default=4)
     p.add_argument("--out")
 
     p = sub.add_parser("power-compare", help="post-selected fidelity at two pump powers")
@@ -151,6 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau-low", type=float)
     p.add_argument("--t", type=float, default=0.3)
     p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
+    p.add_argument("--pairs", type=int, default=4)
     p.add_argument("--out")
     return parser
 
@@ -307,6 +309,7 @@ def _cmd_calibrate(args) -> int:
         t2=args.t,
         detectors=DetectorModel(efficiency=args.eta),
         visibility=args.visibility,
+        max_pairs=args.pairs,
     )
     _write_json(out / "calibration.json", report)
     print(f"tau = {report['tau']:.5f}; report in {out / 'calibration.json'}")
@@ -317,7 +320,7 @@ def _cmd_power_compare(args) -> int:
     out = _out_dir(args.out)
     tau_low = args.tau_low if args.tau_low is not None else power_scaled_tau(args.tau_high)
     result = run_power_comparison(
-        args.tau_high, tau_low, args.t, DetectorModel(efficiency=args.eta)
+        args.tau_high, tau_low, args.t, DetectorModel(efficiency=args.eta), max_pairs=args.pairs
     )
     _write_json(out / "power_comparison.json", result)
     emit_fig3_series(result, out / "fig3_series.csv")

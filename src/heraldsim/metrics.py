@@ -1,4 +1,9 @@
-"""Scalar figures of merit for the heralded two-qubit state."""
+"""Figures of merit for the heralded two-qubit state.
+
+Each state functional takes one 4x4 density matrix and returns a float,
+or takes a (..., 4, 4) stack of them and returns the array of per-state
+values.
+"""
 
 from __future__ import annotations
 
@@ -26,18 +31,38 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
+# sigma_y x sigma_y, Wootters' spin flip.
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+# (3, 3, 4, 4): sigma_i x sigma_j for i, j in x, y, z.
+_PAULI_PRODUCTS = np.array([[np.kron(PAULIS[a], PAULIS[b]) for b in "xyz"] for a in "xyz"])
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _per_state(values: np.ndarray) -> float | np.ndarray:
+    """A Python float for one state, the array of values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
 def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a 4x4 state."""
+    """Validate Hermiticity, unit trace and positivity of a 4x4 state or a (..., 4, 4) stack.
+
+    A stack fails when any one of its states does.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, atol=HERMITICITY_TOL):
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    if not np.allclose(rho, _dagger(rho), atol=HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace is {np.trace(rho).real}, expected 1")
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if eigs.min() < -PSD_TOL:
-        raise ValueError(f"negative eigenvalue {eigs.min()}")
+    traces = np.trace(rho, axis1=-2, axis2=-1).real
+    off = np.abs(traces - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValueError(f"trace is {traces[off].flat[0]}, expected 1")
+    least = np.linalg.eigvalsh((rho + _dagger(rho)) / 2.0)[..., 0].min()
+    if least < -PSD_TOL:
+        raise ValueError(f"negative eigenvalue {least}")
     return rho
 
 
@@ -56,14 +81,15 @@ class RateEstimate:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
 
 
-def fidelity_to_phi_plus(rho: np.ndarray) -> float:
-    """Overlap with (|HH>+|VV>)/sqrt(2)."""
+def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
+    """Overlap with (|HH>+|VV>)/sqrt(2): a float, or an array for a (..., 4, 4) stack."""
     rho = check_density_matrix(rho)
-    return float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))
+    # a (1, 4) bra and a (4, 1) ket round each state of a stack as they round one state
+    return _per_state(np.real(PHI_PLUS.conj()[None] @ rho @ PHI_PLUS[:, None])[..., 0, 0])
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit state or of each state of a stack.
 
     Wootters' lambdas are the singular values of sqrt(rho) (y x y)
     sqrt(rho)*, the square roots of the eigenvalues of rho (y x y) rho*
@@ -72,37 +98,33 @@ def concurrence(rho: np.ndarray) -> float:
     """
     rho = check_density_matrix(rho)
     w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+    return _per_state(
+        np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    )
 
 
-def tangle(rho: np.ndarray) -> float:
+def tangle(rho: np.ndarray) -> float | np.ndarray:
     """Squared concurrence."""
     return concurrence(rho) ** 2
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 matrix of Pauli correlations M[i, j] = tr(rho sigma_i x sigma_j)."""
-    rho = np.asarray(rho, dtype=complex)
-    axes = ("x", "y", "z")
-    m = np.zeros((3, 3))
-    for i, a in enumerate(axes):
-        for j, b in enumerate(axes):
-            m[i, j] = float(np.real(np.trace(rho @ np.kron(PAULIS[a], PAULIS[b]))))
-    return m
+    """(..., 3, 3) Pauli correlations M[i, j] = tr(rho sigma_i x sigma_j)."""
+    rho = np.asarray(rho, dtype=complex)[..., None, None, :, :]
+    return np.trace(rho @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
 
 
-def chsh_max(rho: np.ndarray) -> float:
+def chsh_max(rho: np.ndarray) -> float | np.ndarray:
     """Largest CHSH value over measurement settings (Horodecki criterion).
 
     S = 2 sqrt(m1 + m2) with m1 >= m2 the two largest eigenvalues of M^T M.
     """
     rho = check_density_matrix(rho)
     m = correlation_matrix(rho)
-    eigs = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
-    return float(2.0 * math.sqrt(max(0.0, eigs[0] + eigs[1])))
+    eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
+    return _per_state(2.0 * np.sqrt(np.maximum(0.0, eigs[..., -1] + eigs[..., -2])))
 
 
 def preparation_efficiency(rates: RateEstimate) -> float:

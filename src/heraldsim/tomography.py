@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .detection import COINCIDENCE_PATTERNS
-from .metrics import PSD_TOL, check_density_matrix
+from .metrics import PSD_TOL, _dagger, _per_state, check_density_matrix
 
 AXES = ("x", "y", "z")
 SETTINGS: tuple[tuple[str, str], ...] = tuple((a, b) for a in AXES for b in AXES)
@@ -191,10 +191,6 @@ def write_counts(table: CountTable, path) -> None:
         writer.writerow(CSV_HEADER)
         for (setting, pattern), count in sorted(table.counts.items()):
             writer.writerow([table.ratio or "", *setting, *pattern, count])
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m.conj(), -1, -2)
 
 
 def _psd_floor(rho: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -498,7 +494,9 @@ _MAGIC_BASIS = np.array(
 ).T / math.sqrt(2.0)
 
 
-def optimize_local_fidelity(rho: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+def optimize_local_fidelity(
+    rho: np.ndarray,
+) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Maximize <phi+|(U1 x U2) rho (U1 x U2)†|phi+> over local unitaries.
 
     The maximum is the fully entangled fraction: the largest eigenvalue of
@@ -506,14 +504,17 @@ def optimize_local_fidelity(rho: np.ndarray) -> tuple[float, tuple[np.ndarray, n
     maximally entangled state psi = M v that rho overlaps most.  With
     C = psi.reshape(2, 2), psi = (1 x sqrt(2) C^T) phi+, so U1 = 1 and
     U2 = (sqrt(2) C^T)† = sqrt(2) conj(C) map psi onto phi+.  Returns the
-    fidelity and the per-arm unitaries.
+    fidelity and the per-arm unitaries: for a 4x4 state a float and two 2x2
+    matrices, for a (..., 4, 4) stack an array of fidelities and two
+    (..., 2, 2) stacks.
     """
     rho = check_density_matrix(rho)
     m = _MAGIC_BASIS.conj().T @ rho @ _MAGIC_BASIS
-    eigs, vecs = np.linalg.eigh((m + m.conj().T).real / 2.0)
-    psi = _MAGIC_BASIS @ vecs[:, -1]
-    u2 = math.sqrt(2.0) * psi.reshape(2, 2).conj()
-    return float(eigs[-1]), (np.eye(2, dtype=complex), u2)
+    eigs, vecs = np.linalg.eigh((m + _dagger(m)).real / 2.0)
+    psi = (_MAGIC_BASIS @ vecs[..., -1:])[..., 0]
+    u2 = math.sqrt(2.0) * psi.reshape(psi.shape[:-1] + (2, 2)).conj()
+    u1 = np.broadcast_to(np.eye(2, dtype=complex), u2.shape).copy()
+    return _per_state(eigs[..., -1]), (u1, u2)
 
 
 @dataclass(frozen=True)
@@ -538,16 +539,17 @@ def monte_carlo_report(
     table: CountTable,
     n_samples: int,
     seed: int,
-    functionals: Mapping[str, Callable[[np.ndarray], float]],
+    functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]],
     resampler: Callable[[CountTable, np.random.Generator], CountTable] = _poisson_resample,
 ) -> dict[str, MonteCarloResult]:
     """Propagate Poissonian count errors through reconstruction.
 
     Each sample resamples every count; all resampled tables are
     reconstructed together, each exactly as ``mle_reconstruct`` would, and
-    every functional is evaluated on each state.  Tables that cannot be
-    reconstructed (missing settings, no counts, no certified maximum) are
-    counted as failures and skipped.
+    every functional is called once, on the (K, 4, 4) stack of the K
+    reconstructed states, and returns their K values.  Tables that cannot
+    be reconstructed (missing settings, no counts, no certified maximum)
+    are counted as failures and skipped.
     """
     if n_samples < 2:
         raise ValueError("need at least two Monte Carlo samples")
@@ -567,20 +569,21 @@ def monte_carlo_report(
         rhos = rho[converged]
         if converged.any():
             certificate = float(_certificate(stack.reshape(-1, 36)[converged], rhos)[0].max())
-    failures = n_samples - len(rhos)
-    values = {name: [float(fn(r)) for r in rhos] for name, fn in functionals.items()}
+    kept = len(rhos)
+    if kept < 2:
+        raise ConvergenceError(f"only {kept} of {n_samples} Monte Carlo samples reconstructed")
     report = {}
-    for name, vals in values.items():
-        if len(vals) < 2:
-            raise ConvergenceError(
-                f"only {len(vals)} of {n_samples} Monte Carlo samples reconstructed"
+    for name, fn in functionals.items():
+        values = np.asarray(fn(rhos), dtype=float)
+        if values.shape != (kept,):
+            raise ValueError(
+                f"functional {name!r} returned shape {values.shape} for {kept} states"
             )
-        arr = np.array(vals)
         report[name] = MonteCarloResult(
-            mean=float(arr.mean()),
-            std=float(arr.std(ddof=1)),
-            n_samples=len(vals),
-            n_failures=failures,
+            mean=float(values.mean()),
+            std=float(values.std(ddof=1)),
+            n_samples=kept,
+            n_failures=n_samples - kept,
             certificate=certificate,
         )
     return report

@@ -296,14 +296,28 @@ def wootters_tangle(rho: np.ndarray) -> float:
     return max(0.0, lams[0] - lams[1] - lams[2] - lams[3]) ** 2
 
 
-def horodecki_chsh(rho: np.ndarray) -> float:
-    """Largest CHSH value: 2 sqrt(u1 + u2), u the top eigenvalues of T^T T."""
-    t = np.array(
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of one state: singular values of sqrt(rho) (y x y) sqrt(rho)*."""
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    yy = np.kron(PAULI["y"], PAULI["y"])
+    lams = np.linalg.svd(sqrt_rho @ yy @ sqrt_rho.conj(), compute_uv=False)
+    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+
+
+def correlation_matrix(rho: np.ndarray) -> np.ndarray:
+    """3x3 Pauli correlations tr(rho sigma_i x sigma_j) of one state, one Kronecker product each."""
+    return np.array(
         [
             [np.real(np.trace(rho @ np.kron(PAULI[a], PAULI[b]))) for b in PAULI_AXES]
             for a in PAULI_AXES
         ]
     )
+
+
+def horodecki_chsh(rho: np.ndarray) -> float:
+    """Largest CHSH value: 2 sqrt(u1 + u2), u the top eigenvalues of T^T T."""
+    t = correlation_matrix(rho)
     u = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
     return 2.0 * math.sqrt(u[0] + u[1])
 

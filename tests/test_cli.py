@@ -10,6 +10,7 @@ import pytest
 
 import heraldsim
 from heraldsim.cli import main
+from heraldsim.experiments import calibrate_tau, power_scaled_tau, run_power_comparison
 from heraldsim.tomography import CERTIFICATE_TOL, ingest_counts
 
 
@@ -189,6 +190,28 @@ class TestCommands:
         series = (out / "fig3_series.csv").read_text().strip().split("\n")
         assert series[0] == "power_w,F_post"
         assert len(series) == 3
+
+    def test_calibrate_pairs_reach_the_api(self, tmp_path):
+        out = tmp_path / "cal"
+        code = main([
+            "calibrate", "--t", "0.5", "--target-p11", "3.06e-3", "--pairs", "5",
+            "--out", str(out),
+        ])
+        assert code == 0
+        cal = json.loads((out / "calibration.json").read_text())
+        assert cal["max_pairs"] == 5
+        assert cal["tau"] == calibrate_tau(target_p11=3.06e-3, t1=0.5, t2=0.5, max_pairs=5)["tau"]
+
+    def test_power_compare_pairs_reach_the_api(self, tmp_path):
+        out = tmp_path / "power"
+        code = main([
+            "power-compare", "--tau-high", "0.25", "--t", "0.3", "--pairs", "5",
+            "--out", str(out),
+        ])
+        assert code == 0
+        want = run_power_comparison(0.25, power_scaled_tau(0.25), 0.3, max_pairs=5)
+        assert json.loads((out / "power_comparison.json").read_text()) == json.loads(
+            json.dumps(want))
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERALDSIM_OUT", str(tmp_path / "envout"))

@@ -14,6 +14,7 @@ from heraldsim.metrics import (
     check_density_matrix,
     chsh_max,
     concurrence,
+    correlation_matrix,
     fidelity_to_phi_plus,
     preparation_efficiency,
     one_photon_per_arm_probability,
@@ -23,6 +24,7 @@ from heraldsim.metrics import (
 from heraldsim.source import pair_term
 from heraldsim.tomography import optimize_local_fidelity
 
+import oracles
 from oracles import wootters_tangle
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
@@ -41,6 +43,104 @@ def random_local_unitary(rng):
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     return np.kron(u2(), u2())
+
+
+def random_state(rng, rank=4):
+    z = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+def state_stack(seed):
+    """97 states: 22 random ones of each rank 1 to 4, the Bell states, 4 Werner states, I/4."""
+    rng = np.random.default_rng(seed)
+    states = [random_state(rng, rank) for rank in (1, 2, 3, 4) for _ in range(22)]
+    states += [np.outer(vec, vec.conj()) for vec in BELL_STATES.values()]
+    states += [werner(p) for p in (0.2, 1.0 / 3.0, 0.5, 0.9)]
+    return np.array(states + [MIXED_RHO])
+
+
+class TestCheckDensityMatrix:
+    @staticmethod
+    def with_fault(fault):
+        rng = np.random.default_rng(61)
+        stack = np.array([random_state(rng) for _ in range(50)])
+        bad = stack[17].copy()
+        if fault == "non-hermitian":
+            bad[0, 1] += 1e-3
+        elif fault == "trace":
+            bad *= 1.0 + 1e-8
+        else:
+            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            bad = (u * np.array([-1e-8, 0.2, 0.3, 0.5 + 1e-8])) @ u.conj().T
+            bad = (bad + bad.conj().T) / 2.0
+        stack[17] = bad
+        return stack
+
+    def test_valid_stack_passes(self):
+        stack = state_stack(60)
+        assert np.array_equal(check_density_matrix(stack), stack)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("non-hermitian", "not Hermitian"),
+        ("trace", "trace is"),
+        ("negative-eigenvalue", "negative eigenvalue"),
+    ])
+    def test_one_bad_state_fails_the_stack(self, fault, message):
+        with pytest.raises(ValueError, match=message):
+            check_density_matrix(self.with_fault(fault))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (50, 4, 3), (50, 16), (50, 3, 4)])
+    def test_trailing_shape_must_be_4x4(self, shape):
+        with pytest.raises(ValueError, match="expected a 4x4"):
+            check_density_matrix(np.zeros(shape))
+
+
+class TestStackedFunctionals:
+    """Each functional on a stack equals its per-state oracle state by state."""
+
+    ORACLES = {
+        "fidelity_to_phi_plus": (
+            fidelity_to_phi_plus, lambda r: float(np.real(PHI_PLUS @ r @ PHI_PLUS))),
+        "concurrence": (concurrence, oracles.concurrence),
+        "tangle": (tangle, lambda r: oracles.concurrence(r) ** 2),
+        "chsh_max": (chsh_max, oracles.horodecki_chsh),
+        "correlation_matrix": (correlation_matrix, oracles.correlation_matrix),
+        "optimize_local_fidelity": (
+            lambda r: optimize_local_fidelity(r)[0], oracles.fully_entangled_fraction),
+    }
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_matches_per_state_oracle(self, name):
+        stacked, oracle = self.ORACLES[name]
+        stack = state_stack(62)
+        want = np.array([oracle(rho) for rho in stack])
+        got = stacked(stack)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+        nested = stacked(stack.reshape(97, 1, 4, 4))  # any leading shape
+        assert np.abs(nested.reshape(got.shape) - got).max() <= 1e-15
+
+    @pytest.mark.parametrize("functional", [fidelity_to_phi_plus, concurrence, tangle, chsh_max])
+    def test_one_state_gives_a_float(self, functional):
+        assert type(functional(werner(0.7))) is float
+
+    def test_local_fidelity_of_one_state_gives_a_float_and_two_unitaries(self):
+        value, (u1, u2) = optimize_local_fidelity(werner(0.7))
+        assert type(value) is float
+        assert u1.shape == u2.shape == (2, 2)
+
+    def test_stacked_unitaries_map_each_best_state_onto_phi_plus(self):
+        stack = state_stack(63)
+        values, (u1, u2) = optimize_local_fidelity(stack)
+        assert u1.shape == u2.shape == (97, 2, 2)
+        for rho, value, a, b in zip(stack, values, u1, u2, strict=True):
+            for u in (a, b):
+                assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
+            # (U1 x U2)† phi+ is a maximally entangled state that rho overlaps most
+            best = np.kron(a, b).conj().T @ PHI_PLUS
+            assert float(np.real(best.conj() @ rho @ best)) == pytest.approx(value, abs=1e-12)
+            assert value == pytest.approx(oracles.fully_entangled_fraction(rho), abs=1e-12)
 
 
 class TestFidelity:

@@ -348,7 +348,8 @@ def draws(table, n_samples, seed):
         return tables[-1]
 
     result = monte_carlo_report(table, n_samples, seed,
-                                {"value": lambda r: rhos.append(r) or 0.0}, recording)["value"]
+                                {"value": lambda r: rhos.extend(r) or np.zeros(len(r))},
+                                recording)["value"]
     assert result.n_failures == 0
     return tables, rhos
 
@@ -376,7 +377,8 @@ class TestMonteCarlo:
     def test_trace_functional_trivial(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         result = monte_carlo_report(
-            table, 6, seed=2, functionals={"value": lambda rho: float(np.trace(rho).real)}
+            table, 6, seed=2,
+            functionals={"value": lambda rho: np.trace(rho, axis1=-2, axis2=-1).real},
         )["value"]
         assert result.mean == pytest.approx(1.0, abs=1e-10)
         assert result.std <= 1e-10
@@ -396,7 +398,8 @@ class TestMonteCarlo:
     def test_report_shares_reconstructions(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_50_50.csv")
         report = monte_carlo_report(
-            table, 10, seed=9, functionals={"tangle": tangle, "trace": lambda r: float(np.trace(r).real)}
+            table, 10, seed=9,
+            functionals={"tangle": tangle, "trace": lambda r: np.trace(r, axis1=-2, axis2=-1).real},
         )
         single = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
         assert report["tangle"] == single["value"]
@@ -421,13 +424,18 @@ class TestMonteCarlo:
 
         _, rhos = draws(table, 8, seed=6)
         result = monte_carlo_report(
-            table, 8, seed=6, functionals={"value": lambda r: kept.append(r) or 0.0},
+            table, 8, seed=6, functionals={"value": lambda r: kept.extend(r) or np.zeros(len(r))},
             resampler=zero_third,
         )["value"]
         assert result.n_failures == 1 and result.n_samples == 7
         del rhos[2]
         for a, b in zip(rhos, kept, strict=True):
             assert np.abs(a - b).max() <= 1e-10
+
+    def test_functional_returns_one_value_per_state(self, fixtures_dir):
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        with pytest.raises(ValueError, match="returned shape"):
+            monte_carlo_report(table, 6, seed=2, functionals={"value": lambda r: 0.0})
 
     def test_unconverged_samples_are_failures(self, fixtures_dir, monkeypatch):
         import heraldsim.tomography as tomo
