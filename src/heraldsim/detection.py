@@ -13,6 +13,7 @@ heralds the output vacuum, with a probability in closed form.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -64,48 +65,87 @@ class DetectorModel:
         return [per_mode.get(name, self.efficiency) for name in names]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalEnsemble:
     """Heralded output: weighted pure components over the output detectors.
 
-    Component weights are absolute probabilities; they sum to the herald
-    probability.  Each component ket is normalized.
+    Component c has weight ``weights[c]``, an absolute probability; the
+    weights sum to the herald probability.  Its normalized ket is made of
+    the rows r with ``index[r] == c``: occupations ``occupations[r]`` over
+    the output detectors and amplitudes ``values[r]``.  Rows are grouped by
+    component, in lexicographic order within one.
     """
 
-    components: tuple[tuple[float, SparseKet], ...]
+    weights: np.ndarray
     probability: float
+    occupations: np.ndarray
+    values: np.ndarray
+    index: np.ndarray
 
-    def merged_with(self, other: "ConditionalEnsemble") -> "ConditionalEnsemble":
-        return ConditionalEnsemble(
-            self.components + other.components, self.probability + other.probability
+    @classmethod
+    def from_components(
+        cls, components: Sequence[tuple[float, SparseKet]], probability: float, modes: int = 0
+    ) -> "ConditionalEnsemble":
+        """Gather (weight, ket) components; ``modes`` is the mode count when there are none."""
+        kets = [ket for _, ket in components]
+        return cls(
+            weights=np.array([w for w, _ in components], dtype=float),
+            probability=probability,
+            occupations=np.concatenate([k.occupations for k in kets])
+            if kets else np.zeros((0, modes), dtype=np.int64),
+            values=np.concatenate([k.values for k in kets] + [np.zeros(0, dtype=complex)]),
+            index=np.repeat(np.arange(len(kets)), [len(k.values) for k in kets]),
+        )
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[float, SparseKet], ...]:
+        """The (weight, normalized ket) pairs in component order."""
+        modes = self.occupations.shape[1]
+        bounds = np.searchsorted(self.index, np.arange(len(self.weights) + 1)).tolist()
+        return tuple(
+            (w, SparseKet(modes, self.occupations[a:b], self.values[a:b]))
+            for w, a, b in zip(self.weights.tolist(), bounds, bounds[1:])
+        )
+
+    @classmethod
+    def merge(cls, parts: Sequence["ConditionalEnsemble"]) -> "ConditionalEnsemble":
+        """One ensemble holding the components of every part, in order."""
+        offsets = np.cumsum([0] + [len(p.weights) for p in parts[:-1]])
+        return cls(
+            weights=np.concatenate([p.weights for p in parts]),
+            probability=sum(p.probability for p in parts),
+            occupations=np.concatenate([p.occupations for p in parts]),
+            values=np.concatenate([p.values for p in parts]),
+            index=np.concatenate([p.index + offset for p, offset in zip(parts, offsets)]),
         )
 
     def scaled(self, factor: float) -> "ConditionalEnsemble":
-        comps = tuple((w * factor, ket) for w, ket in self.components)
-        return ConditionalEnsemble(comps, self.probability * factor)
+        return dataclasses.replace(
+            self, weights=self.weights * factor, probability=self.probability * factor
+        )
 
 
-@functools.lru_cache(maxsize=4096)
-def _thinning(n: int, eta: float) -> tuple[float, ...]:
-    """Binomial thinning: probability that k of n photons are detected, k = 0..n."""
-    return tuple(math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1))
+def _thinning(n_max: int, eta: float) -> np.ndarray:
+    """Binomial thinning table: entry [n, k] is the probability that k of n photons are detected."""
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            table[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+    return table
 
 
-def _herald_factor(pattern: Occupation, etas: Sequence[float], resolving: str) -> float:
-    """Probability that every herald detector fires on its photon number.
+def _herald_factors(patterns: np.ndarray, etas: Sequence[float], resolving: str) -> np.ndarray:
+    """Probability that every herald detector fires, per row of herald photon numbers.
 
-    A threshold detector fires unless all its photons are lost; a
-    number-resolving one must see exactly one.
+    A threshold detector with n photons fires unless all are lost,
+    1 - (1-eta)^n; a number-resolving one must see exactly one,
+    n eta (1-eta)^(n-1).
     """
-    factor = 1.0
-    for n, eta in zip(pattern, etas):
-        detected = _thinning(n, eta)
-        if resolving == "number":
-            factor *= detected[1] if n >= 1 else 0.0
-        else:
-            factor *= 1.0 - detected[0]
-        if factor == 0.0:
-            break
+    n_max = max(int(patterns.max(initial=0)), 1)
+    factor = np.ones(len(patterns))
+    for photons, eta in zip(patterns.T, etas):
+        detected = _thinning(n_max, eta)
+        factor *= detected[photons, 1] if resolving == "number" else 1.0 - detected[photons, 0]
     return factor
 
 
@@ -116,34 +156,36 @@ def herald(state: SparseKet, detectors: DetectorModel) -> ConditionalEnsemble:
     components live on the modes after them.  Threshold detectors require
     at least one surviving photon per herald mode, number-resolving
     detectors exactly one detected photon.  Extra clicks in the output
-    modes are never vetoed.
+    modes are never vetoed.  Components come heaviest first, and equal
+    weights in lexicographic order of their herald patterns.
     """
     n_herald = len(HERALD_NAMES)
     if state.modes < n_herald:
         raise ValueError(f"a heralded ket needs the {n_herald} herald modes, got {state.modes}")
-    # Per herald pattern, the unnormalized amplitudes over the remaining
-    # modes; their norm-squared is the joint probability of the pattern.
-    groups: dict[Occupation, dict[Occupation, complex]] = defaultdict(dict)
-    for occ, amp in state.amplitudes.items():
-        groups[occ[:n_herald]][occ[n_herald:]] = amp
-    etas = detectors.etas(HERALD_NAMES)
-    components: list[tuple[float, SparseKet]] = []
-    prob = 0.0
-    for pattern, rest_amps in groups.items():
-        factor = _herald_factor(pattern, etas, detectors.resolving)
-        if factor == 0.0:
-            continue
-        joint = sum(abs(a) ** 2 for a in rest_amps.values())
-        weight = joint * factor
-        if weight <= 0.0:
-            continue
-        scale = 1.0 / math.sqrt(joint)
-        scaled = ((o, a * scale) for o, a in rest_amps.items())
-        ket = SparseKet(state.modes - n_herald, {o: a for o, a in scaled if abs(a) >= PRUNE_TOL})
-        components.append((weight, ket))
-        prob += weight
-    components.sort(key=lambda c: -c[0])
-    return ConditionalEnsemble(tuple(components), prob)
+    # The rows are in lexicographic order, so each herald pattern is one run
+    # of rows; the norm-squared of its amplitudes is the joint probability.
+    patterns = state.occupations[:, :n_herald]
+    first = np.ones(len(patterns), dtype=bool)
+    first[1:] = (patterns[1:] != patterns[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    joint = np.add.reduceat(np.abs(state.values) ** 2, starts) if len(starts) else np.zeros(0)
+    weight = joint * _herald_factors(patterns[starts], detectors.etas(HERALD_NAMES),
+                                     detectors.resolving)
+    fired = np.flatnonzero(weight > 0.0)
+    order = fired[np.argsort(-weight[fired], kind="stable")]
+    rank = np.full(len(starts), -1)
+    rank[order] = np.arange(len(order))
+    values = state.values * (1.0 / np.sqrt(joint))[group]
+    rows = np.flatnonzero((rank[group] >= 0) & (np.abs(values) >= PRUNE_TOL))
+    rows = rows[np.argsort(rank[group[rows]], kind="stable")]
+    return ConditionalEnsemble(
+        weights=weight[order],
+        probability=float(weight[order].sum()),
+        occupations=state.occupations[rows, n_herald:],
+        values=values[rows],
+        index=rank[group[rows]],
+    )
 
 
 def herald_classical(
@@ -162,7 +204,7 @@ def herald_classical(
     n_herald = len(HERALD_NAMES)
     probs = (np.abs(matrix[:, :n_herald]) ** 2).tolist()
     routed = 0.0
-    for occ, amp in state.amplitudes.items():
+    for occ, amp in zip(state.occupations.tolist(), state.values.tolist()):
         if sum(occ) != n_herald:
             raise ValueError(f"a distinguishable block needs {n_herald} photons, got {sum(occ)}")
         rows = [i for i, n in enumerate(occ) for _ in range(n)]
@@ -170,11 +212,12 @@ def herald_classical(
             math.prod(probs[i][j] for i, j in zip(rows, cols))
             for cols in itertools.permutations(range(n_herald))
         )
-    etas = detectors.etas(HERALD_NAMES)
-    prob = routed * _herald_factor((1,) * n_herald, etas, detectors.resolving)
-    if prob == 0.0:
-        return ConditionalEnsemble((), 0.0)
-    return ConditionalEnsemble(((prob, vacuum(matrix.shape[1] - n_herald)),), prob)
+    one_each = np.ones((1, n_herald), dtype=np.int64)
+    prob = routed * float(_herald_factors(one_each, detectors.etas(HERALD_NAMES),
+                                          detectors.resolving)[0])
+    n_out = matrix.shape[1] - n_herald
+    components = ((prob, vacuum(n_out)),) if prob != 0.0 else ()
+    return ConditionalEnsemble.from_components(components, prob, n_out)
 
 
 def number_table(
@@ -183,27 +226,36 @@ def number_table(
     """Detected photon-number distribution over the output modes.
 
     Conditioned on the herald (probabilities sum to 1); includes the
-    output-mode binomial loss.
+    output-mode binomial loss.  Every detected pattern that can occur is a
+    key, however small its probability.
     """
     if ensemble.probability <= 0.0:
         raise ValueError("ensemble has zero herald probability")
     etas = output_detectors.etas(OUTPUT_NAMES)
-    table: dict[Occupation, float] = defaultdict(float)
-    for weight, ket in ensemble.components:
-        for occ, amp in ket.amplitudes.items():
-            p = weight * abs(amp) ** 2
-            outcomes: list[tuple[tuple[int, ...], float]] = [((), p)]
-            for n, eta in zip(occ, etas):
-                dist = _thinning(n, eta)
-                outcomes = [
-                    (pattern + (k,), w * pk)
-                    for pattern, w in outcomes
-                    for k, pk in enumerate(dist)
-                    if pk > 0.0
-                ]
-            for pattern, w in outcomes:
-                table[pattern] += w
-    return {k: v / ensemble.probability for k, v in sorted(table.items())}
+    # Loss acts on each occupation alone, so equal occupations are summed first.
+    radix = int(ensemble.occupations.max(initial=0)) + 1
+    place = radix ** np.arange(len(etas) - 1, -1, -1)
+    occupied, inverse = np.unique(ensemble.occupations @ place, return_inverse=True)
+    prob = np.bincount(
+        inverse,
+        weights=ensemble.weights[ensemble.index] * np.abs(ensemble.values) ** 2,
+        minlength=len(occupied),
+    )
+    # Each detector in turn splits every row into its detected counts k = 0..n.
+    photons = occupied[:, None] // place % radix
+    detected = np.zeros(len(occupied), dtype=np.int64)
+    for col, eta in enumerate(etas):
+        n = photons[:, col]
+        row = np.repeat(np.arange(len(n)), n + 1)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+        pk = _thinning(radix - 1, eta)[n[row], k]
+        possible = pk > 0.0
+        row, k, pk = row[possible], k[possible], pk[possible]
+        photons, prob, detected = photons[row], prob[row] * pk, detected[row] * radix + k
+    patterns, inverse = np.unique(detected, return_inverse=True)
+    table = np.bincount(inverse, weights=prob, minlength=len(patterns))
+    rows = (patterns[:, None] // place % radix).tolist()
+    return {tuple(p): v / ensemble.probability for p, v in zip(rows, table.tolist())}
 
 
 def spatial_reduction(table: Mapping[Occupation, float]) -> dict[tuple[int, int], float]:
@@ -221,29 +273,39 @@ def postselect_two_qubit(
 
     Restricts to exactly one detected photon per output spatial arm.  Loss
     on the undetected photons is traced out exactly: amplitudes are grouped
-    by the lost-photon environment configuration, so multi-photon
-    components contribute the correct mixed background.
+    by component and lost-photon environment configuration, so multi-photon
+    components contribute the correct mixed background.  With V the
+    (groups, 4) amplitudes over the coincidence basis and w each group's
+    component weight, rho is V^T diag(w) V*, normalized.
     """
     etas = output_detectors.etas(OUTPUT_NAMES)
-    rho = np.zeros((4, 4), dtype=complex)
-    for weight, ket in ensemble.components:
-        vectors: dict[Occupation, list[complex]] = defaultdict(lambda: [0j] * 4)
-        for occ, amp in ket.amplitudes.items():
-            detected = [_thinning(n, eta) for n, eta in zip(occ, etas)]
-            for k_idx, pattern in enumerate(COINCIDENCE_PATTERNS):
-                env = tuple(n - d for n, d in zip(occ, pattern))
-                if min(env) < 0:
-                    continue
-                a = amp
-                for row, d in zip(detected, pattern):
-                    a *= math.sqrt(row[d])
-                if a != 0.0:
-                    vectors[env][k_idx] += a
-        for amps in vectors.values():
-            vec = np.array(amps)
-            rho += weight * np.outer(vec, vec.conj())
+    occ = ensemble.occupations
+    n_max = max(int(occ.max(initial=0)), 1)
+    roots = [np.sqrt(_thinning(n_max, eta)) for eta in etas]
+    # A group key is the component index above the environment's base-radix digits.
+    radix = n_max + 1
+    place = radix ** np.arange(len(etas) - 1, -1, -1)
+    span = radix ** len(etas)
+    keys, cells, amps = [], [], []
+    for k_idx, pattern in enumerate(COINCIDENCE_PATTERNS):
+        env = occ - np.array(pattern)
+        rows = np.flatnonzero((env >= 0).all(axis=1))
+        a = ensemble.values[rows]
+        for col, d in enumerate(pattern):
+            a = a * roots[col][occ[rows, col], d]
+        keys.append(ensemble.index[rows] * span + env[rows] @ place)
+        cells.append(np.full(len(rows), k_idx))
+        amps.append(a)
+    groups, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    flat = inverse * 4 + np.concatenate(cells)
+    amps = np.concatenate(amps)
+    vectors = np.empty(4 * len(groups), dtype=complex)
+    vectors.real = np.bincount(flat, weights=amps.real, minlength=len(vectors))
+    vectors.imag = np.bincount(flat, weights=amps.imag, minlength=len(vectors))
+    vectors = vectors.reshape(-1, 4)
+    weights = ensemble.weights[groups // span]
+    rho = (vectors.T * weights) @ vectors.conj()
     trace = float(np.real(np.trace(rho)))
     if trace <= 0.0:
         raise ValueError("zero coincidence probability; nothing to post-select")
     return rho / trace
-

@@ -139,11 +139,9 @@ def heralded_blocks(
 
 def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> ConditionalEnsemble:
     """Scale the heralded blocks by the emission weights and merge them."""
-    merged: ConditionalEnsemble | None = None
-    for comp in emission_components(spdc):
-        ens = blocks[comp.pairs, comp.coherent].scaled(comp.weight)
-        merged = ens if merged is None else merged.merged_with(ens)
-    return merged
+    return ConditionalEnsemble.merge([
+        blocks[comp.pairs, comp.coherent].scaled(comp.weight) for comp in emission_components(spdc)
+    ])
 
 
 def heralded_ensemble(
@@ -333,14 +331,24 @@ def run_power_comparison(
     visibility: float = 0.862,
     max_pairs: int = 4,
 ) -> dict:
-    """Post-selected fidelities at two pump powers (same splitters)."""
+    """Post-selected fidelities at two pump powers (same splitters).
+
+    The report records the visibility, efficiency and truncation it ran at.
+    """
     if not 0.0 <= tau_low < 1.0 or not 0.0 <= tau_high < 1.0:
         raise ValueError("emission amplitudes must be in [0, 1)")
     if tau_low > tau_high:
         raise ValueError("tau_low must not exceed tau_high")
     detectors = detectors or DetectorModel()
     blocks = heralded_blocks(t, t, detectors, max_pairs)
-    out: dict = {"t": t, "tau_high": tau_high, "tau_low": tau_low}
+    out: dict = {
+        "t": t,
+        "tau_high": tau_high,
+        "tau_low": tau_low,
+        "visibility": visibility,
+        "efficiency": detectors.efficiency,
+        "max_pairs": max_pairs,
+    }
     for tag, tau in (("high", tau_high), ("low", tau_low)):
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
         ensemble = reweight_blocks(blocks, spdc)

@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elements import SOURCE_NAMES
-from .fock import SparseKet, vacuum
+from .fock import SparseKet
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,13 @@ def pair_term(n: int) -> SparseKet:
     """Normalized n-pair emission term on the source modes a1H a1V a2H a2V."""
     if n < 0:
         raise ValueError("pair number must be non-negative")
-    if n == 0:
-        return vacuum(len(SOURCE_NAMES))
     norm = 1.0 / math.sqrt(n + 1)
-    amps = {(n - k, k, k, n - k): complex(norm * (-1) ** k) for k in range(n + 1)}
-    return SparseKet(len(SOURCE_NAMES), amps)
+    ks = range(n, -1, -1)  # descending k puts the rows in lexicographic order
+    return SparseKet(
+        len(SOURCE_NAMES),
+        np.array([(n - k, k, k, n - k) for k in ks], dtype=np.int64),
+        np.array([norm * (-1) ** k for k in ks], dtype=complex),
+    )
 
 
 def emission_coefficients(max_pairs: int, visibility: float) -> dict[tuple[int, bool], float]:

@@ -5,7 +5,10 @@ evolution goes through the permanent formula for second-quantized linear
 optics, and the emission terms come from explicit creation-operator
 algebra.  Distinguishable photons are routed one at a time through every
 detector, not only the herald detectors.  Click probabilities are products
-of per-detector miss probabilities rather than sums over a number table.
+of per-detector miss probabilities rather than sums over a number table,
+detection counts are built photon by photon rather than from binomial
+coefficients, and loss before the output detectors is an explicit beam
+splitter onto unobserved modes.
 The tomography estimate reads count tables and estimates the state with
 its own Pauli matrices, linear inversion and positivity projection, sharing
 no code with the package's reconstruction.
@@ -14,48 +17,28 @@ no code with the package's reconstruction.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 
 import numpy as np
 
 
-def permanent(m: np.ndarray) -> complex:
-    """Permanent as the sum over permutations (tiny matrices only).
+def permanent(m: np.ndarray) -> np.ndarray:
+    """Permanent of an n x n matrix, or of each matrix of a (..., n, n) stack, by Ryser's formula.
 
-    Permutations are grown row by row and a partial product stops at the
-    first exactly-zero entry, so block-sparse circuit matrices skip the
-    permutations that contribute nothing.
+    per(M) = sum over column subsets S of (-1)^(n - |S|) prod_i sum_{j in S} M[i, j].
     """
-    n = m.shape[0]
-    entries = [[(j, m[i, j]) for j in range(n) if m[i, j] != 0.0] for i in range(n)]
-
-    def expand(row: int, used: frozenset, prefix: complex) -> complex:
-        if row == n:
-            return prefix
-        return sum(
-            (expand(row + 1, used | {j}, prefix * x) for j, x in entries[row] if j not in used),
-            0.0 + 0.0j,
-        )
-
-    return expand(0, frozenset(), 1.0 + 0.0j)
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[-1]
+    if n == 0:
+        return np.ones(m.shape[:-2], dtype=complex)
+    subsets = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1
+    signs = (-1.0) ** (n - subsets.sum(axis=1))
+    return (m @ subsets.T).prod(axis=-2) @ signs
 
 
-def _repeat_matrix(matrix: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> np.ndarray:
-    row_idx = [i for i, n in enumerate(rows) for _ in range(n)]
-    col_idx = [j for j, n in enumerate(cols) for _ in range(n)]
-    return matrix[np.ix_(row_idx, col_idx)]
-
-
-def transition_amplitude(matrix: np.ndarray, occ_in: tuple[int, ...], occ_out: tuple[int, ...]) -> complex:
-    """<out|U|in> = per(U_repeated) / sqrt(prod(in!) prod(out!))."""
-    if sum(occ_in) != sum(occ_out):
-        return 0.0
-    sub = _repeat_matrix(matrix, occ_in, occ_out)
-    norm = math.sqrt(
-        math.prod(math.factorial(n) for n in occ_in)
-        * math.prod(math.factorial(n) for n in occ_out)
-    )
-    return permanent(sub) / norm
+def _repeated(occ: tuple[int, ...]) -> list[int]:
+    return [i for i, n in enumerate(occ) for _ in range(n)]
 
 
 def occupations(n_modes: int, total: int):
@@ -69,13 +52,25 @@ def occupations(n_modes: int, total: int):
 
 
 def dense_evolve(amplitudes: dict, matrix: np.ndarray) -> dict:
-    """Evolve a sparse state through a unitary via the permanent formula."""
+    """Evolve a sparse state through a unitary via the permanent formula.
+
+    <out|U|in> = per(U restricted to rows repeated by in, columns repeated
+    by out) / sqrt(prod(in!) prod(out!)), for every output occupation of
+    the same photon number.
+    """
     n_out = matrix.shape[1]
     out: dict[tuple[int, ...], complex] = {}
     for occ_in, amp in amplitudes.items():
-        total = sum(occ_in)
-        for occ_out in occupations(n_out, total):
-            a = transition_amplitude(matrix, occ_in, occ_out)
+        rows = np.array(_repeated(occ_in), dtype=int)
+        targets = list(occupations(n_out, len(rows)))
+        cols = np.array([_repeated(occ_out) for occ_out in targets], dtype=int).reshape(
+            len(targets), len(rows))
+        subs = np.asarray(matrix)[rows[None, :, None], cols[:, None, :]]
+        norms = np.sqrt([
+            math.prod(map(math.factorial, occ_in)) * math.prod(map(math.factorial, occ_out))
+            for occ_out in targets
+        ])
+        for occ_out, a in zip(targets, (permanent(subs) / norms).tolist()):
             if a != 0.0:
                 out[occ_out] = out.get(occ_out, 0.0) + amp * a
     return {k: v for k, v in out.items() if abs(v) > 1e-15}
@@ -159,6 +154,85 @@ def classical_herald_probability(amplitudes: dict, matrix: np.ndarray, etas, res
                 click *= 1.0 - (1.0 - eta) ** n
         total += p * click
     return total
+
+
+def detected_distribution(n: int, eta: float) -> list[float]:
+    """P(k of n photons detected), k = 0..n, built up one photon at a time.
+
+    Each photon is detected with probability eta, independently; no
+    binomial coefficient is used.
+    """
+    dist = [1.0]
+    for _ in range(n):
+        dist = [a * (1.0 - eta) + b * eta for a, b in zip(dist + [0.0], [0.0] + dist)]
+    return dist
+
+
+def herald_by_pattern(amplitudes: dict, etas, resolving: str) -> list[tuple[float, dict]]:
+    """Heralded components (weight, normalized amplitudes on the remaining modes), one per firing pattern.
+
+    The first ``len(etas)`` modes are the herald detectors.  A threshold
+    detector clicks when at least one photon is detected, a
+    number-resolving one when exactly one is.
+    """
+    n_herald = len(etas)
+    groups: dict = {}
+    for occ, amp in amplitudes.items():
+        groups.setdefault(occ[:n_herald], {})[occ[n_herald:]] = amp
+    out = []
+    for pattern, rest in groups.items():
+        fire = 1.0
+        for n, eta in zip(pattern, etas):
+            seen = detected_distribution(n, eta)
+            fire *= (seen[1] if n else 0.0) if resolving == "number" else sum(seen[1:])
+        joint = sum(abs(a) ** 2 for a in rest.values())
+        if fire * joint > 0.0:
+            out.append((fire * joint, {o: a / math.sqrt(joint) for o, a in rest.items()}))
+    return out
+
+
+def detected_number_table(components, etas) -> dict:
+    """Detected-count distribution of (weight, amplitudes) components, normalized by their total weight.
+
+    Every combination of detected counts of every ket is enumerated; it is
+    a key when each of its counts can occur.
+    """
+    table: dict[tuple[int, ...], float] = {}
+    for weight, amps in components:
+        for occ, amp in amps.items():
+            seen = [detected_distribution(n, eta) for n, eta in zip(occ, etas)]
+            for counts in itertools.product(*(range(n + 1) for n in occ)):
+                probs = [s[k] for s, k in zip(seen, counts)]
+                if min(probs) > 0.0:
+                    table[counts] = table.get(counts, 0.0) + weight * abs(amp) ** 2 * math.prod(probs)
+    total = sum(w for w, _ in components)
+    return {k: v / total for k, v in table.items()}
+
+
+def postselected_state_through_loss_modes(components, etas) -> np.ndarray:
+    """Two-qubit state of one detected photon per output arm, with loss as explicit optics.
+
+    Each output detector j sits behind a beam splitter of transmission
+    eta_j whose other port is an extra, unobserved loss mode; every ket is
+    evolved through it with ``dense_evolve``.  The detected modes are
+    projected on the coincidence patterns HH, HV, VH, VV and the loss modes
+    are traced out, per component.
+    """
+    n = len(etas)
+    split = np.zeros((n, 2 * n), dtype=complex)
+    for j, eta in enumerate(etas):
+        split[j, j] = math.sqrt(eta)
+        split[j, n + j] = math.sqrt(1.0 - eta)
+    patterns = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    rho = np.zeros((4, 4), dtype=complex)
+    for weight, amps in components:
+        lost: dict = {}
+        for occ, a in dense_evolve(amps, split).items():
+            if occ[:n] in patterns:
+                lost.setdefault(occ[n:], np.zeros(4, dtype=complex))[patterns.index(occ[:n])] += a
+        for vec in lost.values():
+            rho += weight * np.outer(vec, vec.conj())
+    return rho / np.trace(rho).real
 
 
 def arm_click_probability(ensemble, etas) -> float:

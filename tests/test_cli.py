@@ -213,6 +213,23 @@ class TestCommands:
         assert json.loads((out / "power_comparison.json").read_text()) == json.loads(
             json.dumps(want))
 
+    def test_power_compare_records_its_settings(self, tmp_path):
+        # a --pairs 7 report must be told apart from a default 4-pair one
+        reports = {}
+        for pairs in ("4", "7"):
+            out = tmp_path / pairs
+            code = main([
+                "power-compare", "--tau-high", "0.2237", "--t", "0.3", "--eta", "0.2",
+                "--pairs", pairs, "--out", str(out),
+            ])
+            assert code == 0
+            reports[pairs] = json.loads((out / "power_comparison.json").read_text())
+        for pairs, report in reports.items():
+            assert report["max_pairs"] == int(pairs)
+            assert report["visibility"] == 0.862
+            assert report["efficiency"] == 0.2
+        assert reports["4"]["F_post_high"] != reports["7"]["F_post_high"]
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERALDSIM_OUT", str(tmp_path / "envout"))
         config = write_config(tmp_path / "config.json")

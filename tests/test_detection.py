@@ -12,7 +12,8 @@ from heraldsim.detection import (
     postselect_two_qubit,
     spatial_reduction,
 )
-from heraldsim.elements import HERALD_NAMES, build_paper_circuit
+from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
+from heraldsim.experiments import heralded_ensemble
 from heraldsim.fock import SparseKet, vacuum
 from heraldsim.metrics import (
     PHI_PLUS,
@@ -22,7 +23,13 @@ from heraldsim.metrics import (
 )
 from heraldsim.source import SpdcParams, pair_term
 
-from oracles import classical_herald_probability, classical_occupation_distribution
+from oracles import (
+    classical_herald_probability,
+    classical_occupation_distribution,
+    detected_number_table,
+    herald_by_pattern,
+    postselected_state_through_loss_modes,
+)
 
 IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
@@ -313,14 +320,14 @@ class TestPostselect:
         from heraldsim.detection import ConditionalEnsemble
 
         ket = basis_ket(4, (1, 0, 1, 0))
-        ens = ConditionalEnsemble(((1.0, ket),), 1.0)
+        ens = ConditionalEnsemble.from_components(((1.0, ket),), 1.0)
         rho = postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coincidence_rejected(self):
         from heraldsim.detection import ConditionalEnsemble
 
-        ens = ConditionalEnsemble(((1.0, vacuum(4)),), 1.0)
+        ens = ConditionalEnsemble.from_components(((1.0, vacuum(4)),), 1.0)
         with pytest.raises(ValueError, match="coincidence"):
             postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
 
@@ -363,7 +370,7 @@ class TestArmClicks:
         from heraldsim.detection import ConditionalEnsemble
 
         ket = basis_ket(4, (2, 0, 1, 0))
-        ens = ConditionalEnsemble(((1.0, ket),), 1.0)
+        ens = ConditionalEnsemble.from_components(((1.0, ket),), 1.0)
         eta = 0.3
         expected = (1 - 0.7**2) * 0.3
         table = number_table(ens, DetectorModel(efficiency=eta))
@@ -391,7 +398,7 @@ class TestPerModeEfficiency:
     def test_override_applies_to_output_detector(self):
         from heraldsim.detection import ConditionalEnsemble
 
-        ens = ConditionalEnsemble(((1.0, basis_ket(4, (1, 0, 1, 0))),), 1.0)
+        ens = ConditionalEnsemble.from_components(((1.0, basis_ket(4, (1, 0, 1, 0))),), 1.0)
         det = DetectorModel(efficiency=0.3, per_mode={"t1H": 1.0})
         table = number_table(ens, det)
         assert photons_in_both_arms_probability(table) == pytest.approx(0.3, abs=1e-12)
@@ -401,3 +408,67 @@ class TestPerModeEfficiency:
         # a key that names no detector would otherwise be ignored without a word
         with pytest.raises(ValueError, match="unknown detector"):
             DetectorModel(per_mode={name: 0.9})
+
+
+# A perfect and a partial herald detector, and a dead, a perfect and a
+# partial output detector; the rest keep the model's efficiency.
+EDGE_EFFICIENCIES = {"r1V": 1.0, "r2+": 0.7, "t1H": 0.0, "t1V": 0.35, "t2V": 1.0}
+
+
+def _by_weight(components):
+    return sorted(components, key=lambda c: (float(f"{c[0]:.9e}"), sorted(c[1])))
+
+
+class TestAgainstOracles:
+    """herald, number_table and postselect_two_qubit against the brute-force oracles."""
+
+    @pytest.mark.parametrize("resolving", ["threshold", "number"])
+    @pytest.mark.parametrize("settings", [("z", "z"), ("x", "y")])
+    def test_herald(self, resolving, settings):
+        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
+        layout = build_paper_circuit(0.35, 0.55, settings)
+        for n in range(2, 6):
+            state = layout.run(pair_term(n))
+            ens = herald(state, det)
+            want = herald_by_pattern(dict(state.amplitudes), det.etas(HERALD_NAMES), resolving)
+            assert ens.probability == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
+            got = [(w, dict(k.amplitudes)) for w, k in ens.components]
+            assert [w for w, _ in got] == sorted((w for w, _ in got), reverse=True)
+            assert len(got) == len(want)
+            for (w_got, a_got), (w_want, a_want) in zip(_by_weight(got), _by_weight(want)):
+                assert w_got == pytest.approx(w_want, rel=1e-12, abs=0.0)
+                assert set(a_got) == set(a_want)
+                for occ, amp in a_want.items():
+                    assert a_got[occ] == pytest.approx(amp, abs=1e-12)
+
+    @pytest.mark.parametrize("resolving", ["threshold", "number"])
+    def test_dead_herald_detector_heralds_nothing(self, resolving):
+        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode={"r2-": 0.0})
+        state = build_paper_circuit(0.35, 0.55).run(pair_term(4))
+        assert herald_by_pattern(dict(state.amplitudes), det.etas(HERALD_NAMES), resolving) == []
+        ens = herald(state, det)
+        assert ens.probability == 0.0 and ens.components == ()
+
+    @pytest.mark.parametrize("resolving", ["threshold", "number"])
+    def test_number_table(self, resolving):
+        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
+        spdc = SpdcParams(tau=0.3, max_pairs=5, visibility=0.9)
+        ens = heralded_ensemble(0.35, 0.55, spdc, det, ("x", "y"))
+        components = [(w, dict(k.amplitudes)) for w, k in ens.components]
+        want = detected_number_table(components, det.etas(OUTPUT_NAMES))
+        table = number_table(ens, det)
+        assert list(table) == sorted(want)
+        for pattern, p in want.items():
+            assert table[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("resolving", ["threshold", "number"])
+    def test_postselected_state(self, resolving):
+        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
+        spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.9)
+        ens = heralded_ensemble(0.35, 0.55, spdc, det, ("y", "x"))
+        components = [(w, dict(k.amplitudes)) for w, k in ens.components]
+        for output in (det, DetectorModel(efficiency=0.4, per_mode={"t1H": 1.0, "t2H": 0.0})):
+            want = postselected_state_through_loss_modes(components, output.etas(OUTPUT_NAMES))
+            rho = postselect_two_qubit(ens, output)
+            check_density_matrix(rho)
+            assert np.abs(rho - want).max() <= 1e-12

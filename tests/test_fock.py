@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from heraldsim.detection import DetectorModel, herald
+from heraldsim.elements import build_paper_circuit
 from heraldsim.fock import SparseKet, apply_mode_map, vacuum
+from heraldsim.source import pair_term
 
 from oracles import dense_evolve
 
@@ -105,6 +107,30 @@ class TestApplyModeMap:
             keys = set(mine.amplitudes) | set(ref)
             for occ in keys:
                 assert mine.amplitude(occ) == pytest.approx(ref.get(occ, 0.0), abs=1e-9)
+
+    def test_six_photon_kets_on_random_isometries(self):
+        # complex 4 -> 8 isometries with no zero entry, so every output
+        # occupation of the photon number is reached
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            iso = random_unitary(rng, 8)[:4]
+            amps = {}
+            while len(amps) < 3:
+                occ = tuple(int(n) for n in rng.multinomial(6, [0.25] * 4))
+                amps[occ] = complex(rng.normal(), rng.normal())
+            st = SparseKet.from_amplitudes(4, amps).normalized()
+            mine = apply_mode_map(st, iso)
+            ref = dense_evolve(dict(st.amplitudes), iso)
+            assert len(mine.amplitudes) == len(ref)
+            for occ in set(mine.amplitudes) | set(ref):
+                assert mine.amplitude(occ) == pytest.approx(ref.get(occ, 0.0), abs=1e-12)
+
+    def test_rows_in_lexicographic_order(self):
+        rng = np.random.default_rng(14)
+        st = random_ket(rng, 3, 4)
+        out = apply_mode_map(st, random_unitary(rng, 5)[:3])
+        assert list(out.amplitudes) == sorted(out.amplitudes)
+        assert out.occupations.shape == (len(out.values), 5)
 
     def test_dimension_mismatch_rejected(self):
         st = basis_ket(2, (1, 0))
@@ -205,7 +231,7 @@ class TestHousekeeping:
 
     def test_normalize_zero_ket_rejected(self):
         with pytest.raises(ValueError):
-            SparseKet(1, {}).normalized()
+            SparseKet.from_amplitudes(1, {}).normalized()
 
     def test_occupations_validated(self):
         with pytest.raises(ValueError, match="2 modes"):
@@ -232,3 +258,14 @@ class TestHeraldProjection:
         assert rest.amplitude((0, 1, 0, 1)) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
         assert abs(rest.amplitude((1, 0, 0, 1))) <= 1e-12
         assert abs(rest.amplitude((0, 1, 1, 0))) <= 1e-12
+
+
+class TestPruningPin:
+    def test_block_sizes_at_one_splitter_pair(self):
+        # the kets left after pruning at PRUNE_TOL, input mode by input mode,
+        # and the heralded components of the six-pair block; without pruning,
+        # amplitudes that cancel exactly stay (68 kets in the two-pair block)
+        layout = build_paper_circuit(0.3, 0.6, ("z", "z"))
+        blocks = [layout.run(pair_term(n)) for n in range(1, 7)]
+        assert [len(b.amplitudes) for b in blocks] == [12, 64, 248, 718, 1824, 4048]
+        assert len(herald(blocks[-1], DetectorModel()).components) == 220

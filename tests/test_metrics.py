@@ -274,7 +274,7 @@ class TestDirectPreparation:
             assert abs(p - t * t) / (t * t) <= 0.25
 
     def test_zero_probability_rejected(self):
-        ens = ConditionalEnsemble((), 0.0)
+        ens = ConditionalEnsemble.from_components((), 0.0)
         with pytest.raises(ValueError):
             direct_preparation(ens)
 
