@@ -7,7 +7,7 @@ from .detection import (
     number_table,
     postselect_two_qubit,
 )
-from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp_map, qwp_map
+from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp_map
 from .experiments import (
     ExperimentConfig,
     calibrate_tau,
@@ -17,13 +17,7 @@ from .experiments import (
     simulate_experiment,
 )
 from .fock import SparseKet, apply_mode_map, vacuum
-from .metrics import (
-    RateEstimate,
-    chsh_max,
-    fidelity_to_phi_plus,
-    preparation_efficiency,
-    tangle,
-)
+from .metrics import chsh_max, fidelity_to_phi_plus, tangle
 from .source import SpdcParams, emission_coefficients, pair_term
 from .tomography import (
     CountTable,

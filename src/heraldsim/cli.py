@@ -7,12 +7,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .detection import DetectorModel
 from .experiments import (
+    REFERENCE_NUMBER_PROBS,
     ExperimentConfig,
     calibrate_tau,
     power_scaled_tau,
@@ -140,7 +142,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("calibrate", help="fit the emission amplitude to reference data")
-    p.add_argument("--target-p11", type=float, default=3.06e-3)
+    p.add_argument("--target-p11", type=float, default=REFERENCE_NUMBER_PROBS["50/50"]["p11"])
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
     p.add_argument("--visibility", type=float, default=0.862)
@@ -225,9 +227,12 @@ def _cmd_tomo_sim(args) -> int:
     return EXIT_OK
 
 
-def _reconstruction_payload(args, with_mc: bool) -> dict:
+def _reconstruction_payload(args) -> dict:
     table = ingest_counts(args.counts)
     result = mle_reconstruct(table)
+    functionals = {"fidelity_phi_plus": fidelity_to_phi_plus, "tangle": tangle, "chsh": chsh_max}
+    if args.optimize_local:
+        functionals["fidelity_optimized"] = lambda r: optimize_local_fidelity(r)[0]
     payload = {
         "counts_file": str(args.counts),
         "ratio": table.ratio,
@@ -235,39 +240,21 @@ def _reconstruction_payload(args, with_mc: bool) -> dict:
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
         "certificate": result.certificate,
-        "fidelity_phi_plus": fidelity_to_phi_plus(result.rho),
-        "tangle": tangle(result.rho),
-        "chsh": chsh_max(result.rho),
+        **{name: fn(result.rho) for name, fn in functionals.items()},
     }
-    if args.optimize_local:
-        payload["fidelity_optimized"] = optimize_local_fidelity(result.rho)[0]
-    if with_mc and args.mc_samples > 0:
-        functionals = {
-            "tangle": tangle,
-            "chsh": chsh_max,
-            "fidelity_phi_plus": fidelity_to_phi_plus,
-        }
-        if args.optimize_local:
-            functionals["fidelity_optimized"] = lambda r: optimize_local_fidelity(r)[0]
+    if args.mc_samples > 0:
         report = monte_carlo_report(table, args.mc_samples, args.seed, functionals)
-        payload["monte_carlo"] = {
-            name: {
-                "mean": res.mean,
-                "std": res.std,
-                "n_samples": res.n_samples,
-                "n_failures": res.n_failures,
-                "certificate": res.certificate,
-            }
-            for name, res in report.items()
-        }
+        payload["monte_carlo"] = {name: asdict(res) for name, res in report.items()}
     return payload
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.mc_samples < 0:
+        raise UsageError(f"--mc-samples must be non-negative, got {args.mc_samples}")
     if args.mc_samples > 0 and args.seed is None:
         raise UsageError("Monte Carlo resampling is stochastic: --seed is required")
     out = _out_dir(args.out)
-    payload = _reconstruction_payload(args, with_mc=True)
+    payload = _reconstruction_payload(args)
     _write_json(out / "reconstruction.json", payload)
     line = f"fidelity {payload['fidelity_phi_plus']:.4f}"
     if "fidelity_optimized" in payload:
@@ -280,7 +267,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_metrics(args) -> int:
     out = _out_dir(args.out)
     args.mc_samples = 0
-    payload = _reconstruction_payload(args, with_mc=False)
+    payload = _reconstruction_payload(args)
     _write_json(out / "metrics.json", payload)
     print(f"metrics in {out / 'metrics.json'}")
     return EXIT_OK

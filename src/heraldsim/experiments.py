@@ -85,6 +85,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ExperimentConfig":
+        """The config a JSON object describes; a bad or missing field raises ValueError naming it."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         if data.get("schema") != CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema {data.get('schema')!r}")
         known = {
@@ -95,20 +98,35 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         spdc = SpdcParams(
-            tau=float(data.get("tau", 0.3)),
-            max_pairs=int(data.get("max_pairs", 4)),
-            visibility=float(data.get("visibility", 1.0)),
+            tau=_field(data, "tau", float, 0.3),
+            max_pairs=_field(data, "max_pairs", _whole_number, 4),
+            visibility=_field(data, "visibility", float, 1.0),
         )
         detectors = DetectorModel(
-            efficiency=float(data.get("efficiency", DetectorModel().efficiency)),
-            resolving=str(data.get("resolving", "threshold")),
+            efficiency=_field(data, "efficiency", float, DetectorModel().efficiency),
+            resolving=_field(data, "resolving", str, "threshold"),
         )
-        return cls(
-            t1=float(data["t1"]),
-            t2=float(data["t2"]),
-            spdc=spdc,
-            detectors=detectors,
-        )
+        t1, t2 = (_field(data, name, float) for name in ("t1", "t2"))
+        return cls(t1=t1, t2=t2, spdc=spdc, detectors=detectors)
+
+
+def _field(data: Mapping, name: str, convert, default=None):
+    """convert(data[name]), or convert(default) where the field is absent; ValueError if bad."""
+    if name not in data and default is None:
+        raise ValueError(f"config field {name!r} is missing")
+    value = data.get(name, default)
+    try:
+        if value is None or isinstance(value, bool):
+            raise TypeError
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config field {name!r} has invalid value {value!r}") from None
+
+
+def _whole_number(value) -> int:
+    if int(value) != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 # Heralded pair blocks at unit weight, keyed by (pair number, coherent).
@@ -140,7 +158,7 @@ def heralded_blocks(
 def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> ConditionalEnsemble:
     """Scale the heralded blocks by the emission weights and merge them."""
     return ConditionalEnsemble.merge([
-        blocks[comp.pairs, comp.coherent].scaled(comp.weight) for comp in emission_components(spdc)
+        blocks[key].scaled(weight) for key, weight in emission_components(spdc).items()
     ])
 
 
@@ -243,6 +261,8 @@ def calibrate_tau(
     tau is the square root of the single real root of N - target D with
     tau in CALIBRATION_TAU_BRACKET.
     """
+    if max_pairs < 0:
+        raise ValueError("max_pairs must be non-negative")
     detectors = detectors or DetectorModel()
     blocks = heralded_blocks(t1, t2, detectors, max_pairs)
     herald_poly = np.zeros(max_pairs + 1)

@@ -8,8 +8,6 @@ values.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -66,21 +64,6 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    """Measured coincidence rates feeding the preparation-efficiency estimator."""
-
-    c4: float
-    c6: float
-    eta: float
-
-    def __post_init__(self):
-        if self.c4 < 0.0 or self.c6 < 0.0:
-            raise ValueError("rates must be non-negative")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must be in (0, 1], got {self.eta}")
-
-
 def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
     """Overlap with (|HH>+|VV>)/sqrt(2): a float, or an array for a (..., 4, 4) stack."""
     rho = check_density_matrix(rho)
@@ -125,20 +108,6 @@ def chsh_max(rho: np.ndarray) -> float | np.ndarray:
     m = correlation_matrix(rho)
     eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
     return _per_state(2.0 * np.sqrt(np.maximum(0.0, eigs[..., -1] + eigs[..., -2])))
-
-
-def preparation_efficiency(rates: RateEstimate) -> float:
-    """Heralded-pair preparation probability estimator C6 / (C4 eta^2)."""
-    if rates.c4 == 0.0:
-        raise ValueError("four-fold rate is zero; estimator undefined")
-    value = rates.c6 / (rates.c4 * rates.eta**2)
-    if value > 1.0:
-        warnings.warn(
-            f"preparation-efficiency estimator {value:.4f} exceeds 1; clamping",
-            stacklevel=2,
-        )
-        return 1.0
-    return value
 
 
 def one_photon_per_arm_probability(table: Mapping[tuple[int, ...], float]) -> float:

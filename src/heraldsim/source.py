@@ -51,18 +51,6 @@ class SpdcParams:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
 
 
-@dataclass(frozen=True)
-class SourceComponent:
-    """One incoherent piece of the emission: weight, pair number and coherence flag.
-
-    Its state is the normalized ``pair_term(pairs)``.
-    """
-
-    weight: float
-    pairs: int
-    coherent: bool = True
-
-
 def pair_term(n: int) -> SparseKet:
     """Normalized n-pair emission term on the source modes a1H a1V a2H a2V."""
     if n < 0:
@@ -96,20 +84,18 @@ def emission_coefficients(max_pairs: int, visibility: float) -> dict[tuple[int, 
     return coefficients
 
 
-def emission_components(params: SpdcParams) -> list[SourceComponent]:
-    """Per-pair-number emission pieces feeding the heralding pipeline.
+def emission_components(params: SpdcParams) -> dict[tuple[int, bool], float]:
+    """Per-pair-number emission weights feeding the heralding pipeline.
 
     Blocks of different total photon number never interfere in photon
-    counting, so the emission is handled block by block; only the two-pair
-    block carries the visibility split.  Weights are renormalized over the
-    truncated emission, and zero weights (every block but the vacuum at
-    tau = 0) are left out.
+    counting, so the emission is handled block by block, each keyed by
+    (pairs, coherent) as in ``emission_coefficients``; its state is the
+    normalized ``pair_term(pairs)``.  Only the two-pair block carries the
+    visibility split.  Weights are renormalized over the truncated
+    emission, and zero weights (every block but the vacuum at tau = 0) are
+    left out.
     """
     coefficients = emission_coefficients(params.max_pairs, params.visibility)
     raw = {key: c * params.tau ** (2 * key[0]) for key, c in coefficients.items()}
     total = sum(raw.values())
-    return [
-        SourceComponent(w / total, n, coherent)
-        for (n, coherent), w in raw.items()
-        if w != 0.0
-    ]
+    return {key: w / total for key, w in raw.items() if w != 0.0}

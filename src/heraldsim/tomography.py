@@ -19,24 +19,12 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .detection import COINCIDENCE_PATTERNS
+from .elements import ANALYSIS_BASES, ANALYSIS_SETTINGS
 from .metrics import PSD_TOL, _dagger, _per_state, check_density_matrix
 
-AXES = ("x", "y", "z")
-SETTINGS: tuple[tuple[str, str], ...] = tuple((a, b) for a in AXES for b in AXES)
-
-# Per axis: the eigenvector detected at the H-side and the V-side port of
-# the analysis PBS (matching the circuit's analysis wave plates).
-_BASIS_VECTORS = {
-    "z": (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)),
-    "x": (
-        np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-        np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0),
-    ),
-    "y": (
-        np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-        np.array([1.0, -1.0j], dtype=complex) / math.sqrt(2.0),
-    ),
-}
+SETTINGS: tuple[tuple[str, str], ...] = tuple(
+    (a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS
+)
 
 CSV_HEADER = ("ratio", "setting_1", "setting_2", "n1H", "n1V", "n2H", "n2V", "count")
 
@@ -61,14 +49,12 @@ class ConvergenceError(RuntimeError):
 def setting_projectors(setting: tuple[str, str]) -> list[np.ndarray]:
     """Four coincidence projectors of a setting, ordered as HH, HV, VH, VV ports."""
     a, b = setting
-    if a not in AXES or b not in AXES:
+    if a not in ANALYSIS_BASES or b not in ANALYSIS_BASES:
         raise ValueError(f"unknown setting {setting}")
-    vecs1 = _BASIS_VECTORS[a]
-    vecs2 = _BASIS_VECTORS[b]
     projs = []
     for i in range(2):
         for j in range(2):
-            v = np.kron(vecs1[i], vecs2[j])
+            v = np.kron(ANALYSIS_BASES[a][i], ANALYSIS_BASES[b][j])
             projs.append(np.outer(v, v.conj()))
     return projs
 
@@ -398,9 +384,9 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     its number of counts.  One still uncertified after ``MAX_ITERATIONS``
     iterations, or whose escape finds no better state, has not converged.
 
-    Returns rho (S, 4, 4), log-likelihood (S,), iterations (S,), a converged
-    flag (S,) and, if asked, each sample's log-likelihood at the start and
-    after every iteration.
+    Returns rho (S, 4, 4), log-likelihood (S,), the certificate (S,) at those
+    states, iterations (S,), a converged flag (S,) and, if asked, each
+    sample's log-likelihood at the start and after every iteration.
     """
     n_samples = counts.shape[0]
     n_total = counts.sum(axis=1)
@@ -412,11 +398,13 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     iterations = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
     stuck = np.zeros(n_samples, dtype=bool)
+    certificates = np.empty(n_samples)
     history = [[value] for value in logl] if keep_history else None
     active = np.arange(n_samples)
     while active.size:
         rho = _state(params[active])
         certificate, top = _certificate(counts[active], rho)
+        certificates[active] = certificate  # a sample's last value is at its final parameters
         done = certificate <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
         stay = ~done & ~stuck[active] & (iterations[active] < MAX_ITERATIONS)
@@ -459,7 +447,7 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
             for s in active:
                 history[s].append(logl[s])
         iterations[active] += 1
-    return _state(params), logl, iterations, converged, history
+    return _state(params), logl, certificates, iterations, converged, history
 
 
 def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
@@ -471,18 +459,19 @@ def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
     the number of counts of its maximum.
     """
     coincidences = _coincidence_matrix(table)
-    rho, logl, iterations, converged, history = _ascend(coincidences[None], keep_history)
-    certificate = float(_certificate(coincidences.reshape(1, 36), rho)[0][0])
+    rho, logl, certificate, iterations, converged, history = _ascend(
+        coincidences[None], keep_history
+    )
     if not converged[0]:
         raise ConvergenceError(
             f"likelihood maximization not certified after {iterations[0]} iterations "
-            f"(certificate {certificate:.3e}, last log-likelihood {logl[0]:.6f})"
+            f"(certificate {certificate[0]:.3e}, last log-likelihood {logl[0]:.6f})"
         )
     return MleResult(
         rho=rho[0],
         log_likelihood=float(logl[0]),
         iterations=int(iterations[0]),
-        certificate=certificate,
+        certificate=float(certificate[0]),
         history=tuple(float(v) for v in history[0]) if history is not None else None,
     )
 
@@ -565,10 +554,10 @@ def monte_carlo_report(
     rhos, certificate = [], float("nan")
     if coincidences:
         stack = np.stack(coincidences)
-        rho, _, _, converged, _ = _ascend(stack)
+        rho, _, certificates, _, converged, _ = _ascend(stack)
         rhos = rho[converged]
         if converged.any():
-            certificate = float(_certificate(stack.reshape(-1, 36)[converged], rhos)[0].max())
+            certificate = float(certificates[converged].max())
     kept = len(rhos)
     if kept < 2:
         raise ConvergenceError(f"only {kept} of {n_samples} Monte Carlo samples reconstructed")

@@ -30,7 +30,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import SourceComponent, SpdcParams, emission_coefficients, pair_term
+from heraldsim.source import SpdcParams, emission_coefficients, pair_term
 from heraldsim.tomography import (
     SETTINGS,
     ingest_counts,
@@ -60,26 +60,26 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def herald_components(components, layout, detectors):
-    """Total herald probability of a list of source components."""
+def herald_components(weights, layout, detectors):
+    """Total herald probability of source components keyed by (pairs, coherent)."""
     total = 0.0
-    for comp in components:
-        state = pair_term(comp.pairs)
-        if comp.coherent:
+    for (pairs, coherent), weight in weights.items():
+        state = pair_term(pairs)
+        if coherent:
             ens = herald(layout.run(state), detectors)
         else:
             ens = herald_classical(state, layout.total_matrix(), detectors)
-        total += comp.weight * ens.probability
+        total += weight * ens.probability
     return total
 
 
 def two_pair_pieces(visibility):
     """The two-pair block split by the visibility, at unit total weight."""
-    return [
-        SourceComponent(c / 3.0, n, coherent)
+    return {
+        (n, coherent): c / 3.0
         for (n, coherent), c in emission_coefficients(2, visibility).items()
         if n == 2
-    ]
+    }
 
 
 def test_criterion_1_ideal_heralding_exactness():

@@ -14,12 +14,14 @@ from heraldsim.experiments import calibrate_tau, power_scaled_tau, run_power_com
 from heraldsim.tomography import CERTIFICATE_TOL, ingest_counts
 
 
+CONFIG = {
+    "schema": "heraldsim-config/1", "t1": 0.5, "t2": 0.5, "tau": 0.2, "max_pairs": 4,
+    "visibility": 0.862,
+}
+
+
 def write_config(path: Path, **overrides) -> Path:
-    config = {
-        "schema": "heraldsim-config/1", "t1": 0.5, "t2": 0.5, "tau": 0.2, "max_pairs": 4,
-        "visibility": 0.862, **overrides,
-    }
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({**CONFIG, **overrides}))
     return path
 
 
@@ -82,6 +84,36 @@ class TestExitCodes:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document,message", [
+        ({k: v for k, v in CONFIG.items() if k != "t1"}, "field 't1' is missing"),
+        ({**CONFIG, "tau": None}, "field 'tau' has invalid value None"),
+        ([1, 2], "must be a JSON object"),
+        ({**CONFIG, "max_pairs": 3.7}, "field 'max_pairs' has invalid value 3.7"),
+        ({**CONFIG, "max_pairs": True}, "field 'max_pairs' has invalid value True"),
+    ], ids=["missing-t1", "null-tau", "not-an-object", "fractional-max-pairs", "boolean-max-pairs"])
+    def test_bad_config_value_is_data_error(self, tmp_path, capsys, document, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(document))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_mc_samples_is_usage_error(self, tmp_path, fixtures_dir):
+        code = main([
+            "reconstruct", "--counts", str(fixtures_dir / "counts_50_50.csv"),
+            "--mc-samples", "-3", "--seed", "1", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert not (tmp_path / "reconstruction.json").exists()
+
+    def test_negative_pairs_is_data_error(self, tmp_path, capsys):
+        code = main(["calibrate", "--pairs", "-1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "max_pairs must be non-negative" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="max_pairs must be non-negative"):
+            calibrate_tau(max_pairs=-1)
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heraldsim.elements import (
+    ANALYSIS_BASES,
     ANALYSIS_SETTINGS,
     HERALD_NAMES,
     OUTPUT_NAMES,
@@ -11,11 +12,9 @@ from heraldsim.elements import (
     beam_splitter_map,
     build_paper_circuit,
     hwp_map,
-    qwp_map,
 )
 from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.source import pair_term
-from heraldsim.tomography import _BASIS_VECTORS
 
 from oracles import dense_evolve
 
@@ -83,38 +82,10 @@ class TestWavePlates:
         assert np.allclose(m @ plus, [1.0, 0.0], atol=1e-12)
         assert np.allclose(m @ minus, [0.0, 1.0], atol=1e-12)
 
-    def test_qwp_at_zero_fixes_h(self):
-        m = qwp_map(0.0)
-        assert m[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert m[1, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_qwp_at_pi_over_4_makes_circular(self):
-        m = qwp_map(math.pi / 4)
-        out = m @ np.array([1.0, 0.0])
-        # (|H> + i|V>)/sqrt(2) up to the fixed global phase
-        assert abs(out[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert out[1] / out[0] == pytest.approx(1.0j, abs=1e-12)
-
-    def test_qwp_squared_is_hwp_up_to_phase(self):
-        for theta in (0.0, 0.3, math.pi / 4, 1.1):
-            q = qwp_map(theta)
-            h = hwp_map(theta)
-            prod = q @ q
-            phase = None
-            for i in range(2):
-                for j in range(2):
-                    if abs(h[i, j]) > 1e-9:
-                        phase = prod[i, j] / h[i, j]
-                        break
-                if phase is not None:
-                    break
-            assert abs(abs(phase) - 1.0) < 1e-12
-            assert np.allclose(prod, phase * h, atol=1e-12)
-
     def test_waveplates_unitary(self):
         for theta in np.linspace(0, math.pi, 7):
-            for m in (hwp_map(theta), qwp_map(theta)):
-                assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
+            m = hwp_map(theta)
+            assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
 
 
 class TestPbs:
@@ -243,8 +214,23 @@ class TestAnalysisBases:
     def test_analysis_rotates_claimed_eigenvectors_to_ports(self, setting):
         # the output blocks are sqrt(T) times the analysis map; a photon in
         # polarization v leaves with amplitudes block.T @ v on (tH, tV)
-        v0, v1 = _BASIS_VECTORS[setting]
         m = build_paper_circuit(0.37, 0.61, (setting, setting)).total_matrix()
         for block in (m[A1, T1] / math.sqrt(0.37), m[A2, T2] / math.sqrt(0.61)):
-            assert abs(block.T @ v0)[0] == pytest.approx(1.0, abs=1e-12)
-            assert abs(block.T @ v1)[1] == pytest.approx(1.0, abs=1e-12)
+            for port, polarization in enumerate(ANALYSIS_BASES[setting]):
+                out = np.abs(block.T @ polarization)
+                assert abs(out[port] - 1.0) <= 1e-15
+                assert out[1 - port] <= 1e-15
+
+    def test_table_is_orthonormal_bases_of_the_pauli_eigenstates(self):
+        paulis = {
+            "x": np.array([[0, 1], [1, 0]]),
+            "y": np.array([[0, -1j], [1j, 0]]),
+            "z": np.diag([1, -1]),
+        }
+        assert ANALYSIS_SETTINGS == tuple(ANALYSIS_BASES) == ("x", "y", "z")
+        for setting, basis in ANALYSIS_BASES.items():
+            assert np.abs(basis @ basis.conj().T - np.eye(2)).max() <= 1e-15
+            for port, polarization in enumerate(basis):
+                # the H-side port sees the +1 eigenstate, the V-side port the -1 one
+                eigenvalue = polarization.conj() @ paulis[setting] @ polarization
+                assert abs(eigenvalue - (1 - 2 * port)) <= 1e-15

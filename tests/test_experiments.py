@@ -116,13 +116,13 @@ class TestSharedBlocks:
                 spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
                 layout = build_paper_circuit(0.3, 0.7, settings)
                 expected = []
-                for comp in emission_components(spdc):
-                    state = pair_term(comp.pairs)
-                    if comp.coherent:
+                for (pairs, coherent), weight in emission_components(spdc).items():
+                    state = pair_term(pairs)
+                    if coherent:
                         ens = herald(layout.run(state), det)
                     else:
                         ens = herald_classical(state, layout.total_matrix(), det)
-                    expected.append(ens.scaled(comp.weight))
+                    expected.append(ens.scaled(weight))
                 got = heralded_ensemble(0.3, 0.7, spdc, det, settings)
                 assert got.probability == sum(e.probability for e in expected)
                 assert [(w, k.amplitudes) for w, k in got.components] == [

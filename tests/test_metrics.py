@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,13 +9,11 @@ from heraldsim.metrics import (
     BELL_STATES,
     PHI_PLUS,
     PSI_MINUS,
-    RateEstimate,
     check_density_matrix,
     chsh_max,
     concurrence,
     correlation_matrix,
     fidelity_to_phi_plus,
-    preparation_efficiency,
     one_photon_per_arm_probability,
     tangle,
     total_state_fidelity_from_values,
@@ -228,29 +225,6 @@ class TestChsh:
             rotated = u @ rho @ u.conj().T
             assert chsh_max(rotated) == pytest.approx(chsh_max(rho), abs=1e-8)
             assert tangle(rotated) == pytest.approx(tangle(rho), abs=1e-8)
-
-
-class TestPreparationEfficiency:
-    def test_unit_when_rates_match(self):
-        assert preparation_efficiency(RateEstimate(c4=10.0, c6=10.0 * 0.25, eta=0.5)) == 1.0
-
-    def test_reference_values(self):
-        # quoted estimator value for the balanced splitters
-        assert preparation_efficiency(
-            RateEstimate(c4=1.0, c6=0.294 * 0.0966**2, eta=0.0966)
-        ) == pytest.approx(0.294, rel=1e-12)
-
-    def test_zero_six_fold(self):
-        assert preparation_efficiency(RateEstimate(c4=5.0, c6=0.0, eta=0.3)) == 0.0
-
-    def test_zero_four_fold_rejected(self):
-        with pytest.raises(ValueError):
-            preparation_efficiency(RateEstimate(c4=0.0, c6=0.0, eta=0.3))
-
-    def test_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamp"):
-            value = preparation_efficiency(RateEstimate(c4=1.0, c6=1.0, eta=0.1))
-        assert value == 1.0
 
 
 def direct_preparation(ens):

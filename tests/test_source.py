@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,24 +57,23 @@ class TestPairTerm:
             assert swapped == pytest.approx((-1) ** n * amp, abs=1e-12)
 
 
-def block_amplitude(components, occ):
+def block_amplitude(weights, occ):
     """Emission amplitude of one source occupation: sqrt(block weight) times its term."""
     n = occ[0] + occ[1]
-    (comp,) = [c for c in components if c.pairs == n]
-    return math.sqrt(comp.weight) * pair_term(comp.pairs).amplitude(occ)
+    ((pairs, _), weight), = [(key, w) for key, w in weights.items() if key[0] == n]
+    return math.sqrt(weight) * pair_term(pairs).amplitude(occ)
 
 
 class TestSpdcState:
     def test_tau_zero_is_vacuum(self):
         comps = emission_components(SpdcParams(tau=0.0))
-        assert len(comps) == 1
-        assert comps[0].weight == 1.0
-        assert pair_term(comps[0].pairs).amplitudes == vacuum(4).amplitudes
+        assert comps == {(0, True): 1.0}
+        assert pair_term(0).amplitudes == vacuum(4).amplitudes
 
     def test_one_pair_to_vacuum_ratio(self):
         # P(1)/P(0) = 2 tau^2, unaffected by the common renormalization
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4))
-        weights = {c.pairs: c.weight for c in comps}
+        weights = {n: w for (n, _), w in comps.items()}
         assert weights[1] / weights[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
         p0 = abs(block_amplitude(comps, (0, 0, 0, 0))) ** 2
         p1 = sum(
@@ -91,9 +91,9 @@ class TestSpdcState:
         for tau in (0.1, 0.3, 0.6):
             params = SpdcParams(tau=tau, max_pairs=4)
             comps = emission_components(params)
-            assert sum(c.weight for c in comps) == pytest.approx(1.0, abs=1e-12)
-            for c in comps:
-                assert pair_term(c.pairs).norm_sq() == pytest.approx(1.0, abs=1e-12)
+            assert sum(comps.values()) == pytest.approx(1.0, abs=1e-12)
+            for n, _ in comps:
+                assert pair_term(n).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_tail_bound(self):
         # weight beyond 4 pairs stays under 10 tau^10 for tau <= 0.5
@@ -106,7 +106,7 @@ class TestSpdcState:
     def test_weights_match_distribution(self):
         params = SpdcParams(tau=0.35, max_pairs=4)
         # at full visibility there is one component per pair number, in order
-        weights = [c.weight for c in emission_components(params)]
+        weights = list(emission_components(params).values())
         raw = [(n + 1) * 0.35 ** (2 * n) for n in range(5)]
         total = sum(raw)
         assert weights == pytest.approx([w / total for w in raw], abs=1e-14)
@@ -146,8 +146,18 @@ class TestVisibility:
 
     def test_emission_components_split_only_two_pair_block(self):
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4, visibility=0.9))
-        incoherent = [c for c in comps if not c.coherent]
-        assert len(incoherent) == 1
-        assert incoherent[0].pairs == 2
-        total = sum(c.weight for c in comps)
+        assert [key for key in comps if not key[1]] == [(2, False)]
+        total = sum(comps.values())
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_components_are_the_nonzero_coefficients_renormalized(self):
+        for tau, max_pairs, visibility in itertools.product(
+            (0.0, 0.05, 0.3, 0.6), (0, 1, 2, 5), (0.0, 0.862, 1.0)
+        ):
+            comps = emission_components(SpdcParams(tau, max_pairs, visibility))
+            coefficients = emission_coefficients(max_pairs, visibility)
+            assert list(comps) == [
+                (n, coherent) for (n, coherent), c in coefficients.items()
+                if c * tau ** (2 * n) != 0.0
+            ]
+            assert sum(comps.values()) == pytest.approx(1.0, rel=0.0, abs=1e-15)

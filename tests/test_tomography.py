@@ -409,7 +409,9 @@ class TestMonteCarlo:
         singles = [mle_reconstruct(t) for t in tables]
         for rho, single in zip(rhos, singles, strict=True):
             assert np.abs(rho - single.rho).max() <= 1e-10
-        _, _, iterations, converged, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
+        _, _, _, iterations, converged, _ = _ascend(
+            np.stack([t.coincidence_matrix() for t in tables])
+        )
         assert converged.all()
         assert list(iterations) == [s.iterations for s in singles]
 
@@ -442,7 +444,7 @@ class TestMonteCarlo:
 
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         tables, _ = draws(table, 8, seed=7)
-        _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
+        _, _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
         cap = int(np.sort(iterations)[4])
         monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
         result = monte_carlo_report(table, 8, seed=7, functionals={"value": tangle})["value"]
@@ -507,6 +509,18 @@ class TestCertifiedMaximum:
         assert result.certificate == max(certificates)
         assert result.certificate <= CERTIFICATE_TOL * coincidences.sum(axis=1).min()
 
+    def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
+        # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
+        stacks = [ingest_counts(fixtures_dir / f"{name}.csv").coincidence_matrix()[None]
+                  for name in self.FIXTURES]
+        tables, _ = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 50, seed=8)
+        stacks.append(np.stack([t.coincidence_matrix() for t in tables]))
+        for coincidences in stacks:
+            rho, _, certificate, _, converged, _ = _ascend(coincidences)
+            assert converged.all()
+            recomputed = tomo._certificate(coincidences.reshape(-1, 36), rho)[0]
+            assert np.array_equal(certificate, recomputed)
+
     def test_saddle_start_escapes_to_the_maximum(self, monkeypatch):
         # zeroing a row of the factor leaves a rank-3 state whose gradient vanishes
         # in that row: Newton steps alone stay on the rank-3 face
@@ -524,8 +538,11 @@ class TestCertifiedMaximum:
         t[1, :] = 0.0
         start = _t_to_params(t) / np.linalg.norm(_t_to_params(t))
         counts = table.coincidence_matrix().reshape(1, 36)
-        rho, logl, _, converged, history = _maximize(counts, start[None], keep_history=True)
+        rho, logl, certificate, _, converged, history = _maximize(
+            counts, start[None], keep_history=True
+        )
         assert escapes and converged[0]
+        assert certificate[0] == tomo._certificate(counts, rho)[0][0]
         assert all(b >= a for a, b in zip(history[0], history[0][1:]))
         assert logl[0] == pytest.approx(reference.log_likelihood, abs=CERTIFICATE_TOL * 200)
         assert np.abs(rho[0] - reference.rho).max() <= 1e-6
