@@ -28,6 +28,7 @@ from .source import SpdcParams
 from .tomography import (
     SETTINGS,
     ConvergenceError,
+    check_monte_carlo,
     ingest_counts,
     mle_reconstruct,
     monte_carlo_report,
@@ -229,7 +230,7 @@ def _cmd_tomo_sim(args) -> int:
 
 def _reconstruction_payload(args) -> dict:
     table = ingest_counts(args.counts)
-    result = mle_reconstruct(table)
+    result = mle_reconstruct(table, args.mc_samples, args.seed)
     functionals = {"fidelity_phi_plus": fidelity_to_phi_plus, "tangle": tangle, "chsh": chsh_max}
     if args.optimize_local:
         functionals["fidelity_optimized"] = lambda r: optimize_local_fidelity(r)[0]
@@ -243,16 +244,16 @@ def _reconstruction_payload(args) -> dict:
         **{name: fn(result.rho) for name, fn in functionals.items()},
     }
     if args.mc_samples > 0:
-        report = monte_carlo_report(table, args.mc_samples, args.seed, functionals)
+        report = monte_carlo_report(result, functionals)
         payload["monte_carlo"] = {name: asdict(res) for name, res in report.items()}
     return payload
 
 
 def _cmd_reconstruct(args) -> int:
-    if args.mc_samples < 0:
-        raise UsageError(f"--mc-samples must be non-negative, got {args.mc_samples}")
-    if args.mc_samples > 0 and args.seed is None:
-        raise UsageError("Monte Carlo resampling is stochastic: --seed is required")
+    try:
+        check_monte_carlo(args.mc_samples, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = _out_dir(args.out)
     payload = _reconstruction_payload(args)
     _write_json(out / "reconstruction.json", payload)
@@ -266,7 +267,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_metrics(args) -> int:
     out = _out_dir(args.out)
-    args.mc_samples = 0
+    args.mc_samples, args.seed = 0, None
     payload = _reconstruction_payload(args)
     _write_json(out / "metrics.json", payload)
     print(f"metrics in {out / 'metrics.json'}")

@@ -6,7 +6,9 @@ of the observed coincidence counts over the Cholesky-style parameterization
 rho = T†T / tr(T†T), with the per-setting intensity profiled out (the
 likelihood reduces to the multinomial form), by damped Newton steps, and
 certifies the maximum it reaches.  Uncertainties come from a
-Monte Carlo over Poisson-resampled count tables.
+Monte Carlo over Poisson-resampled count tables: the observed table and
+its resamples are maximized together, as one batch whose row 0 is the
+point estimate.
 """
 
 from __future__ import annotations
@@ -317,12 +319,18 @@ class MleResult:
 
     ``certificate`` bounds how far ``log_likelihood`` can be below the
     maximum; it is at most ``CERTIFICATE_TOL`` times the number of counts.
+    ``samples`` (K, 4, 4) and ``sample_certificates`` (K,) are the
+    certified reconstructions of the Poisson resamples, and ``n_failures``
+    counts the resamples that gave none.
     """
 
     rho: np.ndarray
     log_likelihood: float
     iterations: int
     certificate: float
+    samples: np.ndarray
+    sample_certificates: np.ndarray
+    n_failures: int
     history: tuple[float, ...] | None = None
 
 
@@ -380,6 +388,12 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     model promises nothing while the certificate is large, the sample sits
     on a saddle of the parameterization, and ``_escape`` moves it.
 
+    A sample's state, certificate and Hessian eigendecomposition are
+    computed only after its parameters move (at the start, after a taken
+    step or an escape), the eigendecomposition only once the certificate
+    shows the sample still needs a step; a refused step reuses them with
+    the new damping.
+
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
     its number of counts.  One still uncertified after ``MAX_ITERATIONS``
     iterations, or whose escape finds no better state, has not converged.
@@ -393,40 +407,52 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     params = params.copy()
     hp, q = _quadratic_forms(params)
     logl = _log_likelihood(counts, q, np.square(params).sum(axis=1))
-    grad, hess = _derivatives(params, counts, hp, q)
     damping = np.full(n_samples, _DAMPING_START)
     iterations = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
     stuck = np.zeros(n_samples, dtype=bool)
+    # At each sample's current parameters: its state, certificate and R's top
+    # eigenvector, and the eigendecomposition of its negated Hessian with the
+    # gradient in that eigenbasis; `moved` marks the samples whose parameters
+    # changed since these were last computed.
+    rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
+    top = np.empty((n_samples, 4), dtype=complex)
+    eigs = np.empty((n_samples, 16))
+    vecs = np.empty((n_samples, 16, 16))
+    along = np.empty((n_samples, 16))
+    moved = np.ones(n_samples, dtype=bool)
     history = [[value] for value in logl] if keep_history else None
     active = np.arange(n_samples)
     while active.size:
-        rho = _state(params[active])
-        certificate, top = _certificate(counts[active], rho)
-        certificates[active] = certificate  # a sample's last value is at its final parameters
-        done = certificate <= CERTIFICATE_TOL * n_total[active]
+        fresh = active[moved[active]]
+        if fresh.size:
+            rho[fresh] = _state(params[fresh])
+            certificates[fresh], top[fresh] = _certificate(counts[fresh], rho[fresh])
+        done = certificates[active] <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
-        stay = ~done & ~stuck[active] & (iterations[active] < MAX_ITERATIONS)
-        active, rho, certificate, top = active[stay], rho[stay], certificate[stay], top[stay]
+        active = active[~done & ~stuck[active] & (iterations[active] < MAX_ITERATIONS)]
         if not active.size:
             break
-        eigs, vecs = np.linalg.eigh(-hess[active])
-        along = (grad[active, None, :] @ vecs)[:, 0, :]
-        coef = along / (np.abs(eigs) + (damping[active] * n_total[active])[:, None])
-        gain = (along * coef).sum(axis=1)
-        stalled = gain < _STALL * certificate**2 / n_total[active]
-        for i in np.flatnonzero(stalled):
-            s = active[i]
-            moved = _escape(counts[s], rho[i], top[i], logl[s])
-            if moved is None:
+        fresh = active[moved[active]]
+        if fresh.size:
+            grad, hess = _derivatives(params[fresh], counts[fresh], hp[fresh], q[fresh])
+            eigs[fresh], vecs[fresh] = np.linalg.eigh(-hess)
+            along[fresh] = (grad[:, None, :] @ vecs[fresh])[:, 0, :]
+            moved[fresh] = False
+        coef = along[active] / (np.abs(eigs[active]) + (damping[active] * n_total[active])[:, None])
+        gain = (along[active] * coef).sum(axis=1)
+        stalled = gain < _STALL * certificates[active] ** 2 / n_total[active]
+        for s in active[stalled]:
+            escaped = _escape(counts[s], rho[s], top[s], logl[s])
+            if escaped is None:
                 stuck[s] = True
                 continue
-            params[s], hp[s], q[s], logl[s] = moved
-            grad[s], hess[s] = _derivatives(params[s], counts[s], hp[s], q[s])
+            params[s], hp[s], q[s], logl[s] = escaped
+            moved[s] = True
             damping[s] = _DAMPING_START
         newton = active[~stalled]
-        trial = params[newton] + (vecs[~stalled] @ coef[~stalled, :, None])[..., 0]
+        trial = params[newton] + (vecs[newton] @ coef[~stalled, :, None])[..., 0]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_hp, trial_q = _quadratic_forms(trial)
         # q' - q = (p' - p)^T H (p' + p) keeps the digits a difference of logs loses
@@ -441,37 +467,89 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
         taken = newton[up]
         params[taken], hp[taken], q[taken] = trial[up], trial_hp[up], trial_q[up]
         logl[taken] += rise[up]
-        grad[taken], hess[taken] = _derivatives(params[taken], counts[taken], hp[taken], q[taken])
+        moved[taken] = True
         damping[newton] *= np.where(up, 1.0 / 3.0, 4.0)
         if history is not None:
             for s in active:
                 history[s].append(logl[s])
         iterations[active] += 1
-    return _state(params), logl, certificates, iterations, converged, history
+    return rho, logl, certificates, iterations, converged, history
 
 
-def mle_reconstruct(table: CountTable, keep_history: bool = False) -> MleResult:
-    """Maximum-likelihood density matrix from coincidence counts.
+def _poisson_draws(means: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, len(means)) Poisson draws around ``means``.
+
+    Sample k draws from its own Philox stream, the k-th child of
+    ``SeedSequence(seed)``, in one call over all the means.
+    """
+    streams = np.random.SeedSequence(seed).spawn(n_samples)
+    return np.stack(
+        [np.random.Generator(np.random.Philox(stream)).poisson(means) for stream in streams]
+    )
+
+
+def _resampled_coincidences(table: CountTable, n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, 9, 4) coincidences of Poisson resamples of every entry of the table.
+
+    Entries are drawn in sorted key order; a coincidence cell the table
+    lacks reads 0.
+    """
+    keys = sorted(table.counts)
+    position = {key: i for i, key in enumerate(keys)}
+    cells = [position.get((s, p), len(keys)) for s in SETTINGS for p in COINCIDENCE_PATTERNS]
+    draws = _poisson_draws(np.array([table.counts[k] for k in keys]), n_samples, seed)
+    padded = np.concatenate([draws, np.zeros((n_samples, 1), dtype=draws.dtype)], axis=1)
+    return padded[:, cells].reshape(n_samples, 9, 4).astype(float)
+
+
+def check_monte_carlo(n_samples: int, seed: int | None) -> None:
+    """Raise ``ValueError`` unless ``n_samples`` is 0, or at least 2 with a ``seed``.
+
+    A spread needs two samples, and resampling is reproducible only when seeded.
+    """
+    if n_samples < 0 or n_samples == 1:
+        raise ValueError(f"need 0 or at least two Monte Carlo samples, got {n_samples}")
+    if n_samples and seed is None:
+        raise ValueError("Monte Carlo resampling is stochastic: a seed is required")
+
+
+def mle_reconstruct(
+    table: CountTable, n_samples: int = 0, seed: int | None = None, keep_history: bool = False
+) -> MleResult:
+    """Maximum-likelihood density matrix from coincidence counts, and of its resamples.
 
     Damped Newton iteration on the 16 parameters of the lower-triangular
     factor, started from the PSD-projected linear inversion, until the
     certificate shows the log-likelihood within ``CERTIFICATE_TOL`` times
-    the number of counts of its maximum.
+    the number of counts of its maximum.  With ``n_samples`` (0, or at
+    least 2) and a ``seed``, every count is also Poisson-resampled that
+    many times, and the resampled tables are reconstructed in the same
+    batch as the observed one, which is its row 0; a resample without
+    counts or without a certified maximum is a Monte Carlo failure.
     """
+    check_monte_carlo(n_samples, seed)
     coincidences = _coincidence_matrix(table)
+    resampled = (
+        _resampled_coincidences(table, n_samples, seed) if n_samples else np.empty((0, 9, 4))
+    )
+    resampled = resampled[resampled.sum(axis=(1, 2)) > 0]
     rho, logl, certificate, iterations, converged, history = _ascend(
-        coincidences[None], keep_history
+        np.concatenate([coincidences[None], resampled]), keep_history
     )
     if not converged[0]:
         raise ConvergenceError(
             f"likelihood maximization not certified after {iterations[0]} iterations "
             f"(certificate {certificate[0]:.3e}, last log-likelihood {logl[0]:.6f})"
         )
+    kept = converged[1:]
     return MleResult(
         rho=rho[0],
         log_likelihood=float(logl[0]),
         iterations=int(iterations[0]),
         certificate=float(certificate[0]),
+        samples=rho[1:][kept],
+        sample_certificates=certificate[1:][kept],
+        n_failures=n_samples - int(kept.sum()),
         history=tuple(float(v) for v in history[0]) if history is not None else None,
     )
 
@@ -517,53 +595,26 @@ class MonteCarloResult:
     certificate: float
 
 
-def _poisson_resample(table: CountTable, rng: np.random.Generator) -> CountTable:
-    # One draw per entry in sorted key order, as rng.poisson fills an array in order.
-    keys = sorted(table.counts)
-    draws = rng.poisson([table.counts[k] for k in keys])
-    return CountTable(dict(zip(keys, draws.tolist())), ratio=table.ratio)
-
-
 def monte_carlo_report(
-    table: CountTable,
-    n_samples: int,
-    seed: int,
+    result: MleResult,
     functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]],
-    resampler: Callable[[CountTable, np.random.Generator], CountTable] = _poisson_resample,
 ) -> dict[str, MonteCarloResult]:
     """Propagate Poissonian count errors through reconstruction.
 
-    Each sample resamples every count; all resampled tables are
-    reconstructed together, each exactly as ``mle_reconstruct`` would, and
-    every functional is called once, on the (K, 4, 4) stack of the K
-    reconstructed states, and returns their K values.  Tables that cannot
-    be reconstructed (missing settings, no counts, no certified maximum)
-    are counted as failures and skipped.
+    Reduces the resampled reconstructions of ``mle_reconstruct``: every
+    functional is called once, on the (K, 4, 4) stack of the K certified
+    states, and returns their K values.  Fewer than two certified states
+    raise ``ConvergenceError``.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two Monte Carlo samples")
-    streams = np.random.SeedSequence(seed).spawn(n_samples)
-    coincidences = []
-    for stream in streams:
-        rng = np.random.Generator(np.random.Philox(stream))
-        resampled = resampler(table, rng)
-        try:
-            coincidences.append(_coincidence_matrix(resampled))
-        except ValueError:
-            pass  # counted as a failure below
-    rhos, certificate = [], float("nan")
-    if coincidences:
-        stack = np.stack(coincidences)
-        rho, _, certificates, _, converged, _ = _ascend(stack)
-        rhos = rho[converged]
-        if converged.any():
-            certificate = float(certificates[converged].max())
-    kept = len(rhos)
+    kept = len(result.samples)
     if kept < 2:
-        raise ConvergenceError(f"only {kept} of {n_samples} Monte Carlo samples reconstructed")
+        raise ConvergenceError(
+            f"only {kept} of {kept + result.n_failures} Monte Carlo samples reconstructed"
+        )
+    certificate = float(result.sample_certificates.max())
     report = {}
     for name, fn in functionals.items():
-        values = np.asarray(fn(rhos), dtype=float)
+        values = np.asarray(fn(result.samples), dtype=float)
         if values.shape != (kept,):
             raise ValueError(
                 f"functional {name!r} returned shape {values.shape} for {kept} states"
@@ -572,7 +623,7 @@ def monte_carlo_report(
             mean=float(values.mean()),
             std=float(values.std(ddof=1)),
             n_samples=kept,
-            n_failures=n_samples - kept,
+            n_failures=result.n_failures,
             certificate=certificate,
         )
     return report

@@ -464,3 +464,17 @@ def rrr_maximum(coincidences: np.ndarray, steps: int = 1000) -> np.ndarray:
         rho[up], logl[up] = trial[up], trial_logl[up]
         eps = np.where(up, np.minimum(eps * 2.0, 1e4), eps / 2.0)
     return rho
+
+
+def poisson_resampled_counts(counts: dict, n_samples: int, seed: int) -> list[dict]:
+    """Monte Carlo resamples of a count table, built one dict at a time.
+
+    Sample k draws from a Philox generator on the k-th child of
+    SeedSequence(seed), one scalar Poisson draw per entry in sorted key
+    order; the resample has the same keys as ``counts``.
+    """
+    tables = []
+    for stream in np.random.SeedSequence(seed).spawn(n_samples):
+        rng = np.random.Generator(np.random.Philox(stream))
+        tables.append({key: int(rng.poisson(counts[key])) for key in sorted(counts)})
+    return tables

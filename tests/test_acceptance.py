@@ -135,12 +135,12 @@ def test_criterion_3_total_fidelity_identity():
 @pytest.fixture(scope="module")
 def paper_tomography(fixtures_dir):
     start = time.perf_counter()
-    rec_30 = mle_reconstruct(ingest_counts(fixtures_dir / "counts_30_70.csv"))
+    rec_30 = mle_reconstruct(
+        ingest_counts(fixtures_dir / "counts_30_70.csv"), n_samples=200, seed=20100607
+    )
     f_opt_30, _ = optimize_local_fidelity(rec_30.rho)
     mc = monte_carlo_report(
-        ingest_counts(fixtures_dir / "counts_30_70.csv"),
-        n_samples=200,
-        seed=20100607,
+        rec_30,
         functionals={
             "fidelity_optimized": lambda r: optimize_local_fidelity(r)[0],
             "tangle": tangle,

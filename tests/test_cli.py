@@ -108,6 +108,17 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "reconstruction.json").exists()
 
+    def test_one_mc_sample_is_usage_error(self, tmp_path, capsys, fixtures_dir):
+        # a spread needs two samples; the flag is refused before the counts are read
+        for counts in (fixtures_dir / "counts_50_50.csv", tmp_path / "absent.csv"):
+            code = main([
+                "reconstruct", "--counts", str(counts),
+                "--mc-samples", "1", "--seed", "1", "--out", str(tmp_path),
+            ])
+            assert code == 1
+            assert "need 0 or at least two Monte Carlo samples" in capsys.readouterr().err
+        assert not (tmp_path / "reconstruction.json").exists()
+
     def test_negative_pairs_is_data_error(self, tmp_path, capsys):
         code = main(["calibrate", "--pairs", "-1", "--out", str(tmp_path)])
         assert code == 2

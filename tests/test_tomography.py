@@ -8,6 +8,7 @@ import heraldsim.tomography as tomo
 from heraldsim.tomography import (
     CERTIFICATE_TOL,
     SETTINGS,
+    ConvergenceError,
     CountTable,
     _ascend,
     _derivatives,
@@ -15,8 +16,8 @@ from heraldsim.tomography import (
     _lower_triangular_factor,
     _log_likelihood,
     _maximize,
-    _poisson_resample,
     _quadratic_forms,
+    _resampled_coincidences,
     _state,
     _t_to_params,
     expected_coincidences,
@@ -33,6 +34,7 @@ from oracles import (
     fully_entangled_fraction,
     linear_inversion,
     multinomial_log_likelihood,
+    poisson_resampled_counts,
     program_free_estimate,
     rrr_maximum,
 )
@@ -340,43 +342,73 @@ class TestLocalUnitaryOptimization:
 
 
 def draws(table, n_samples, seed):
-    """The resampled tables a Monte Carlo run draws and the states it reconstructs."""
-    tables, rhos = [], []
-
-    def recording(t, rng):
-        tables.append(_poisson_resample(t, rng))
-        return tables[-1]
-
-    result = monte_carlo_report(table, n_samples, seed,
-                                {"value": lambda r: rhos.extend(r) or np.zeros(len(r))},
-                                recording)["value"]
+    """The resampled tables a Monte Carlo run draws, and the states it reconstructs."""
+    result = mle_reconstruct(table, n_samples, seed)
     assert result.n_failures == 0
-    return tables, rhos
+    resampled = poisson_resampled_counts(table.counts, n_samples, seed)
+    return [CountTable(counts) for counts in resampled], list(result.samples)
+
+
+def report(table, n_samples, seed, functionals):
+    return monte_carlo_report(mle_reconstruct(table, n_samples, seed), functionals)
+
+
+def sparse_table():
+    """A table that lacks some coincidence patterns of some settings, and has extra patterns."""
+    table = CountTable(ratio="sparse")
+    rng = np.random.default_rng(53)
+    for setting in SETTINGS:
+        for pattern in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)):
+            if rng.random() < 0.7:
+                table.add(setting, pattern, int(rng.integers(0, 12)))
+        table.add(setting, (1, 1, 1, 0), int(rng.integers(0, 5)))
+    return table
+
+
+FIXTURES = ("counts_17_83", "counts_30_70", "counts_50_50", "counts_70_30")
 
 
 class TestMonteCarlo:
     def test_resample_draws_entry_by_entry(self, fixtures_dir):
-        # one Poisson draw per entry in sorted key order, as a loop over the entries draws them
-        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        for seed in range(3):
-            loop = np.random.default_rng(seed)
-            want = {key: int(loop.poisson(table.counts[key])) for key in sorted(table.counts)}
-            got = _poisson_resample(table, np.random.default_rng(seed))
-            assert got.counts == want
-            assert list(got.counts) == list(want)
-            assert got.ratio == table.ratio
-            assert all(type(n) is int for n in got.counts.values())
+        # the array draw equals scalar draws entry by entry in sorted key order,
+        # read back through CountTable, on every fixture and on a sparse table
+        tables = [ingest_counts(fixtures_dir / f"{name}.csv") for name in FIXTURES]
+        for table in tables + [sparse_table()]:
+            for seed in range(3):
+                want = [CountTable(counts).coincidence_matrix()
+                        for counts in poisson_resampled_counts(table.counts, 6, seed)]
+                got = _resampled_coincidences(table, 6, seed)
+                assert got.dtype == float
+                assert np.array_equal(got, np.stack(want))
 
-    def test_identity_resampler_gives_zero_std(self, fixtures_dir):
+    def test_point_estimate_is_row_zero_of_the_batch(self, fixtures_dir):
+        # the observed table reconstructs bit for bit as it does alone
+        tables = [ingest_counts(fixtures_dir / f"{name}.csv") for name in FIXTURES]
+        for seed, table in enumerate(tables + [sparse_table()]):
+            alone = mle_reconstruct(table)
+            batched = mle_reconstruct(table, 50, seed)
+            assert np.array_equal(batched.rho, alone.rho)
+            assert batched.log_likelihood == alone.log_likelihood
+            assert batched.iterations == alone.iterations
+            assert batched.certificate == alone.certificate
+            assert len(alone.samples) == alone.n_failures == 0
+            assert len(batched.samples) + batched.n_failures == 50
+
+    def test_sample_counts_are_checked_before_the_table(self):
+        with pytest.raises(ValueError, match="at least two"):
+            mle_reconstruct(CountTable(), 1, seed=1)
+        with pytest.raises(ValueError, match="seed"):
+            mle_reconstruct(CountTable(), 4)
+
+    def test_identity_resampler_gives_zero_std(self, fixtures_dir, monkeypatch):
+        monkeypatch.setattr(tomo, "_poisson_draws", lambda means, n, seed: np.tile(means, (n, 1)))
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_report(
-            table, 4, seed=1, functionals={"value": tangle}, resampler=lambda t, rng: t
-        )["value"]
+        result = report(table, 4, seed=1, functionals={"value": tangle})["value"]
         assert result.std == 0.0
 
     def test_trace_functional_trivial(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_report(
+        result = report(
             table, 6, seed=2,
             functionals={"value": lambda rho: np.trace(rho, axis1=-2, axis2=-1).real},
         )["value"]
@@ -386,23 +418,23 @@ class TestMonteCarlo:
     def test_tangle_spread_comparable_to_reference(self, fixtures_dir):
         # reference analysis quotes an uncertainty of 0.19 for this data
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = monte_carlo_report(table, 80, seed=3, functionals={"value": tangle})["value"]
+        result = report(table, 80, seed=3, functionals={"value": tangle})["value"]
         assert 0.19 / 4 <= result.std <= 0.19 * 4
 
     def test_deterministic_under_seed(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_50_50.csv")
-        a = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
-        b = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
+        a = report(table, 10, seed=9, functionals={"value": tangle})
+        b = report(table, 10, seed=9, functionals={"value": tangle})
         assert a == b
 
     def test_report_shares_reconstructions(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_50_50.csv")
-        report = monte_carlo_report(
+        shared = report(
             table, 10, seed=9,
             functionals={"tangle": tangle, "trace": lambda r: np.trace(r, axis1=-2, axis2=-1).real},
         )
-        single = monte_carlo_report(table, 10, seed=9, functionals={"value": tangle})
-        assert report["tangle"] == single["value"]
+        single = report(table, 10, seed=9, functionals={"value": tangle})
+        assert shared["tangle"] == single["value"]
 
     def test_batch_matches_one_table_at_a_time(self, fixtures_dir):
         tables, rhos = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 12, seed=5)
@@ -415,19 +447,20 @@ class TestMonteCarlo:
         assert converged.all()
         assert list(iterations) == [s.iterations for s in singles]
 
-    def test_zero_table_is_one_failure(self, fixtures_dir):
+    def test_zero_table_is_one_failure(self, fixtures_dir, monkeypatch):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        zero = CountTable(counts={key: 0 for key in table.counts})
-        calls, kept = [], []
-
-        def zero_third(t, rng):
-            calls.append(None)
-            return zero if len(calls) == 3 else _poisson_resample(t, rng)
-
         _, rhos = draws(table, 8, seed=6)
-        result = monte_carlo_report(
+        draw = tomo._poisson_draws
+
+        def zero_third(means, n, seed):
+            drawn = draw(means, n, seed)
+            drawn[2] = 0
+            return drawn
+
+        monkeypatch.setattr(tomo, "_poisson_draws", zero_third)
+        kept = []
+        result = report(
             table, 8, seed=6, functionals={"value": lambda r: kept.extend(r) or np.zeros(len(r))},
-            resampler=zero_third,
         )["value"]
         assert result.n_failures == 1 and result.n_samples == 7
         del rhos[2]
@@ -437,18 +470,83 @@ class TestMonteCarlo:
     def test_functional_returns_one_value_per_state(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         with pytest.raises(ValueError, match="returned shape"):
-            monte_carlo_report(table, 6, seed=2, functionals={"value": lambda r: 0.0})
+            report(table, 6, seed=2, functionals={"value": lambda r: 0.0})
 
     def test_unconverged_samples_are_failures(self, fixtures_dir, monkeypatch):
-        import heraldsim.tomography as tomo
-
-        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        # the cap applies to the point estimate too, in the same batch: this
+        # table's point estimate (6 iterations) converges under it
+        table = ingest_counts(fixtures_dir / "counts_70_30.csv")
         tables, _ = draws(table, 8, seed=7)
         _, _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
         cap = int(np.sort(iterations)[4])
+        assert mle_reconstruct(table).iterations <= cap
         monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
-        result = monte_carlo_report(table, 8, seed=7, functionals={"value": tangle})["value"]
+        result = report(table, 8, seed=7, functionals={"value": tangle})["value"]
         assert result.n_failures == int((iterations > cap).sum()) > 0
+
+    def test_uncertified_point_estimate_raises_before_the_samples_count(
+        self, fixtures_dir, monkeypatch
+    ):
+        table = ingest_counts(fixtures_dir / "counts_30_70.csv")
+        monkeypatch.setattr(tomo, "MAX_ITERATIONS", mle_reconstruct(table).iterations - 1)
+        with pytest.raises(ConvergenceError, match="not certified"):
+            mle_reconstruct(table, 8, seed=7)
+
+    def test_fewer_than_two_kept_samples_raise(self, fixtures_dir, monkeypatch):
+        def one_nonzero(means, n, seed):
+            drawn = np.zeros((n, len(means)), dtype=int)
+            drawn[0] = means
+            return drawn
+
+        monkeypatch.setattr(tomo, "_poisson_draws", one_nonzero)
+        result = mle_reconstruct(ingest_counts(fixtures_dir / "counts_30_70.csv"), 5, seed=1)
+        assert len(result.samples) == 1 and result.n_failures == 4
+        with pytest.raises(ConvergenceError, match="only 1 of 5"):
+            monte_carlo_report(result, {"value": tangle})
+
+
+class TestLazyFactorization:
+    def test_derivatives_follow_only_moves(self, fixtures_dir, monkeypatch):
+        # row 0 has exact frequencies of the mixed state and is certified at its
+        # start; the other rows are resamples of each fixture, all distinct
+        uniform = np.full((1, 9, 4), 25.0)
+        batch = np.concatenate([uniform] + [
+            _resampled_coincidences(ingest_counts(fixtures_dir / f"{name}.csv"), 12, seed)
+            for seed, name in enumerate(FIXTURES)
+        ])
+        rows = {row.tobytes(): i for i, row in enumerate(batch.reshape(len(batch), 36))}
+        assert len(rows) == len(batch)
+        evaluations = np.zeros(len(batch), dtype=int)
+        escapes = np.zeros(len(batch), dtype=int)
+        factorized = []
+        derivatives, escape, eigh = tomo._derivatives, tomo._escape, np.linalg.eigh
+
+        def counting_derivatives(params, counts, hp, q):
+            for row in counts:
+                evaluations[rows[row.tobytes()]] += 1
+            return derivatives(params, counts, hp, q)
+
+        def counting_escape(counts, *args):
+            moved = escape(counts, *args)
+            escapes[rows[counts.tobytes()]] += moved is not None
+            return moved
+
+        def counting_eigh(a, *args, **kwargs):
+            if a.shape[-1] == 16:
+                factorized.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(tomo, "_derivatives", counting_derivatives)
+        monkeypatch.setattr(tomo, "_escape", counting_escape)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        _, _, _, iterations, converged, history = _ascend(batch, keep_history=True)
+        assert converged.all()
+        assert iterations[0] == 0 and evaluations[0] == 0
+        taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in history])
+        assert (evaluations <= taken + escapes + 1).all()
+        assert (evaluations[iterations > 0] >= 1).all()
+        # one Hessian eigendecomposition per derivative evaluation, none per refused step
+        assert sum(factorized) == evaluations.sum()
 
 
 class TestLikelihoodPath:
@@ -469,10 +567,8 @@ def rrr_shortfall(coincidences, rhos):
 
 
 class TestCertifiedMaximum:
-    FIXTURES = ("counts_17_83", "counts_30_70", "counts_50_50", "counts_70_30")
-
     def test_fixture_resamples_reach_the_oracle(self, fixtures_dir):
-        for seed, name in enumerate(self.FIXTURES):
+        for seed, name in enumerate(FIXTURES):
             tables, rhos = draws(ingest_counts(fixtures_dir / f"{name}.csv"), 20, seed=seed)
             coincidences = np.stack([t.coincidence_matrix() for t in tables])
             assert rrr_shortfall(coincidences, rhos).max() <= CERTIFICATE_TOL
@@ -503,7 +599,7 @@ class TestCertifiedMaximum:
     def test_monte_carlo_reports_the_largest_certificate(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_70_30.csv")
         tables, rhos = draws(table, 12, seed=4)
-        result = monte_carlo_report(table, 12, seed=4, functionals={"value": tangle})["value"]
+        result = report(table, 12, seed=4, functionals={"value": tangle})["value"]
         coincidences = np.stack([t.coincidence_matrix() for t in tables]).reshape(12, 36)
         certificates = [tomo._certificate(c, r)[0] for c, r in zip(coincidences, rhos)]
         assert result.certificate == max(certificates)
@@ -512,7 +608,7 @@ class TestCertifiedMaximum:
     def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
         # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
         stacks = [ingest_counts(fixtures_dir / f"{name}.csv").coincidence_matrix()[None]
-                  for name in self.FIXTURES]
+                  for name in FIXTURES]
         tables, _ = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 50, seed=8)
         stacks.append(np.stack([t.coincidence_matrix() for t in tables]))
         for coincidences in stacks:
