@@ -1,9 +1,9 @@
 """Heralded entangled-photon-pair simulator and analysis toolkit."""
 
 from .detection import (
-    ConditionalEnsemble,
     DetectorModel,
-    herald,
+    HeraldedBlock,
+    herald_pair_terms,
     number_table,
     postselect_two_qubit,
 )
@@ -11,7 +11,7 @@ from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp
 from .experiments import (
     ExperimentConfig,
     calibrate_tau,
-    heralded_ensemble,
+    heralded_blocks,
     run_power_comparison,
     run_sweep,
     simulate_experiment,

@@ -1,20 +1,21 @@
 """Detector models, heralding, click statistics and post-selected states.
 
-Loss is applied as per-mode binomial thinning at detection; because every
-element after the source is passive linear optics this is exact and avoids
-explicit loss modes.  All detection POVMs are diagonal in photon number, so
-conditioning on herald clicks yields an ensemble with one pure component
-per herald-mode occupation.  Kets after the circuit hold the detectors in
-the order HERALD_NAMES then OUTPUT_NAMES; heralded components hold the
-output detectors alone.  The two-pair block's distinguishable photons
-herald only when all four land one in each herald detector, so that block
-heralds the output vacuum, with a probability in closed form.
+The circuit never mixes the two arms and every detector counts photons in
+one mode, so a pair block sum_k c_k |arm 1 input k>|arm 2 input k> is
+heralded arm by arm.  Each arm's input k evolves in closed form
+(``_arm_kets``) into a ket over its two herald and two output detectors.
+Every heralded statistic is then sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'],
+with G_a arm a's Gram tensor: its kets' overlaps, weighted by the
+probability that its herald detectors fire and, for counts, by the binomial
+thinning of its output photons.  Loss is per-mode binomial thinning at
+detection, exact because every element after the source is passive linear
+optics.  The two-pair block's distinguishable photons herald only when all
+four land one in each herald detector, so that block heralds the output
+vacuum, with a probability in closed form.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 import math
 from collections import defaultdict
@@ -24,10 +25,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .elements import HERALD_NAMES, OUTPUT_NAMES
-from .fock import PRUNE_TOL, Occupation, SparseKet, vacuum
+from .fock import PRUNE_TOL, Occupation, SparseKet
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
+
+# A contracted probability at most this fraction of the sum of its terms'
+# magnitudes is the rounding residue of an exact zero, and is set to zero.
+RESIDUE_TOL = 1e-12
 
 # Coincidence patterns (one detected photon per output arm) in the order of
 # the two-qubit basis HH, HV, VH, VV.
@@ -66,63 +71,21 @@ class DetectorModel:
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionalEnsemble:
-    """Heralded output: weighted pure components over the output detectors.
+class HeraldedBlock:
+    """What a pair block, or a weighted sum of blocks, gives every heralded statistic.
 
-    Component c has weight ``weights[c]``, an absolute probability; the
-    weights sum to the herald probability.  Its normalized ket is made of
-    the rows r with ``index[r] == c``: occupations ``occupations[r]`` over
-    the output detectors and amplitudes ``values[r]``.  Rows are grouped by
-    component, in lexicographic order within one.
+    Each figure is a joint probability with the herald, not yet conditioned
+    on it: ``herald`` that every herald detector fires; ``table[d]`` that
+    the output detectors t1H, t1V, t2H, t2V also count d; ``direct`` that
+    the outputs hold one photon per arm before output loss; and
+    ``coincidences`` the (4, 4) density matrix of one detected photon per
+    output arm over HH, HV, VH, VV, with the lost photons traced out.
     """
 
-    weights: np.ndarray
-    probability: float
-    occupations: np.ndarray
-    values: np.ndarray
-    index: np.ndarray
-
-    @classmethod
-    def from_components(
-        cls, components: Sequence[tuple[float, SparseKet]], probability: float, modes: int = 0
-    ) -> "ConditionalEnsemble":
-        """Gather (weight, ket) components; ``modes`` is the mode count when there are none."""
-        kets = [ket for _, ket in components]
-        return cls(
-            weights=np.array([w for w, _ in components], dtype=float),
-            probability=probability,
-            occupations=np.concatenate([k.occupations for k in kets])
-            if kets else np.zeros((0, modes), dtype=np.int64),
-            values=np.concatenate([k.values for k in kets] + [np.zeros(0, dtype=complex)]),
-            index=np.repeat(np.arange(len(kets)), [len(k.values) for k in kets]),
-        )
-
-    @functools.cached_property
-    def components(self) -> tuple[tuple[float, SparseKet], ...]:
-        """The (weight, normalized ket) pairs in component order."""
-        modes = self.occupations.shape[1]
-        bounds = np.searchsorted(self.index, np.arange(len(self.weights) + 1)).tolist()
-        return tuple(
-            (w, SparseKet(modes, self.occupations[a:b], self.values[a:b]))
-            for w, a, b in zip(self.weights.tolist(), bounds, bounds[1:])
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["ConditionalEnsemble"]) -> "ConditionalEnsemble":
-        """One ensemble holding the components of every part, in order."""
-        offsets = np.cumsum([0] + [len(p.weights) for p in parts[:-1]])
-        return cls(
-            weights=np.concatenate([p.weights for p in parts]),
-            probability=sum(p.probability for p in parts),
-            occupations=np.concatenate([p.occupations for p in parts]),
-            values=np.concatenate([p.values for p in parts]),
-            index=np.concatenate([p.index + offset for p, offset in zip(parts, offsets)]),
-        )
-
-    def scaled(self, factor: float) -> "ConditionalEnsemble":
-        return dataclasses.replace(
-            self, weights=self.weights * factor, probability=self.probability * factor
-        )
+    herald: float
+    table: np.ndarray
+    direct: float
+    coincidences: np.ndarray
 
 
 def _thinning(n_max: int, eta: float) -> np.ndarray:
@@ -134,72 +97,212 @@ def _thinning(n_max: int, eta: float) -> np.ndarray:
     return table
 
 
-def _herald_factors(patterns: np.ndarray, etas: Sequence[float], resolving: str) -> np.ndarray:
-    """Probability that every herald detector fires, per row of herald photon numbers.
+def _fires(n_max: int, eta: float, resolving: str) -> np.ndarray:
+    """Probability that a herald detector fires, per photon number 0..n_max.
 
     A threshold detector with n photons fires unless all are lost,
     1 - (1-eta)^n; a number-resolving one must see exactly one,
     n eta (1-eta)^(n-1).
     """
-    n_max = max(int(patterns.max(initial=0)), 1)
-    factor = np.ones(len(patterns))
-    for photons, eta in zip(patterns.T, etas):
-        detected = _thinning(n_max, eta)
-        factor *= detected[photons, 1] if resolving == "number" else 1.0 - detected[photons, 0]
-    return factor
+    detected = _thinning(max(n_max, 1), eta)[: n_max + 1]
+    return detected[:, 1] if resolving == "number" else 1.0 - detected[:, 0]
 
 
-def herald(state: SparseKet, detectors: DetectorModel) -> ConditionalEnsemble:
-    """Condition on a detection event in each herald detector.
+def _comb(n: int) -> np.ndarray:
+    """Binomial coefficients: entry [a, b] is C(a, b), zero for b > a."""
+    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
 
-    The herald detectors are the first four modes (HERALD_NAMES); the
-    components live on the modes after them.  Threshold detectors require
-    at least one surviving photon per herald mode, number-resolving
-    detectors exactly one detected photon.  Extra clicks in the output
-    modes are never vetoed.  Components come heaviest first, and equal
-    weights in lexicographic order of their herald patterns.
+
+def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
+    """2x2 mode maps acting on N photons, N = 0..n, for a (..., 2, 2) stack of maps.
+
+    Entry [..., N, p, j] is the amplitude of |j, N-j> out of |p, N-p>, with
+    p photons in the map's first input mode and j in its first output mode.
+    Expanding (m00 b0† + m01 b1†)^p (m10 b0† + m11 b1†)^(N-p) gives
+    sqrt(j! (N-j)! / (p! (N-p)!)) sum_i C(p, i) C(N-p, j-i)
+    m00^i m01^(p-i) m10^(j-i) m11^(N-p-j+i); entries with p or j above N
+    are zero.
+    """
+    size = n + 1
+    N, p, j, i = np.ix_(*[np.arange(size)] * 4)
+    comb = _comb(n)
+    fact = np.array([math.factorial(a) for a in range(size)], dtype=float)
+    exponents = [e.clip(0, n) for e in (i, p - i, j - i, N - p - j + i)]
+    valid = (p <= N) & (j <= N) & (i <= p) & (i <= j) & (N - p - j + i >= 0)
+    terms = np.where(valid, comb[p, i] * comb[(N - p).clip(0), exponents[2]], 0.0)
+    entries = np.asarray(matrices, dtype=complex).reshape(*np.shape(matrices)[:-2], 4, 1)
+    powers = np.cumprod(np.concatenate([np.ones_like(entries), np.repeat(entries, n, -1)], -1), -1)
+    for c, e in enumerate(exponents):
+        terms = terms * powers[..., c, :][..., e]
+    norm = np.sqrt(fact[j] * fact[(N - j).clip(0)] / (fact[p] * fact[(N - p).clip(0)]))
+    return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
+
+
+def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
+    """Kets of each arm in closed form, one per input occupation.
+
+    ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
+    its herald side [0] and output side [1], for N at least n; ``photons``
+    (arms, K, 2) the (H, V) photon numbers of each arm's inputs, all with
+    one total n per arm.  Of a H and b V photons, p and q go to the herald
+    side with amplitude sqrt(C(a, p) C(b, q)), after which each side is a
+    2-mode map on its own photons:
+
+        <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
+                                  herald[p+q][p, h0] output[n-p-q][a-p, o0].
+
+    Returns an (arms, s, s, K, s) array over (arm, o0, o1, k, h0), with s
+    one more than the largest arm's n, h1 = n - o0 - o1 - h0 and zeros
+    where that is negative.  Amplitudes below PRUNE_TOL are set to zero,
+    as ``apply_mode_map`` drops them: an amplitude that cancels within an
+    arm, such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer (a
+    Hong-Ou-Mandel splitter), is then exactly zero and leaves no rounding
+    residue in a statistic.
+    """
+    photons = np.asarray(photons, dtype=np.int64)
+    totals = photons.sum(axis=-1)
+    if totals.size == 0 or (totals != totals[:, :1]).any():
+        raise ValueError("every input of an arm needs the same photon number")
+    n = totals[:, 0, None, None]
+    size = int(n.max()) + 1
+    maps = maps[:, :, :size, :size, :size]
+    arm = np.arange(len(maps))[:, None, None]
+    a, b = (photons[..., s, None, None] for s in (0, 1))
+    m, p = np.ix_(np.arange(size), np.arange(size))
+    q = m - p
+    comb = _comb(size - 1)
+    # x[arm, k, m, p, o0]: p of the m herald photons were H, a - p H photons went to the output side
+    split = np.sqrt(comb[a, p] * comb[b, q.clip(0)]) * ((q >= 0) & (p <= a) & (q <= b))
+    x = split[..., None] * maps[:, 1][arm[..., None], (n[..., None] - m).clip(0), (a - p).clip(0)]
+    by_herald = (maps[:, 0].swapaxes(-1, -2)[:, None] @ x).transpose(0, 2, 4, 1, 3)
+    o0, o1 = np.ix_(np.arange(size), np.arange(size))
+    kets = by_herald[arm, (n - o0 - o1).clip(0), o0]  # (arm, o0, o1, k, h0)
+    return np.where((o0 + o1 <= n)[..., None, None] & (np.abs(kets) >= PRUNE_TOL), kets, 0.0)
+
+
+def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
+    """Each arm's Gram tensors over its inputs (k, k'): herald, direct, table and coincidences.
+
+    ``kets`` come from ``_arm_kets``, with ``photons`` in each arm;
+    ``fires`` (arms, 2, s) holds each herald detector's firing probability
+    per photon number and ``thinning`` (arms, 2, s, s) each output
+    detector's binomial thinning table.  A herald occupation weighs its
+    detectors' firing probabilities; an output occupation the probability
+    of its detected counts.  The coincidences keep coherence between the
+    two detected polarizations for each herald occupation and each set of
+    lost photons: a photon detected out of n is the Kraus factor
+    sqrt(thinning[n, 1]).
+    """
+    arms, size, _, n_inputs, _ = kets.shape
+    n = size - 1
+    o0, o1, h0 = np.ix_(*[np.arange(size)] * 3)
+    h1 = np.asarray(photons)[:, None, None, None] - o0 - o1 - h0
+    arm = np.arange(arms)[:, None, None, None]
+    herald_weight = np.where(
+        h1 >= 0, fires[:, 0, None, None, :] * fires[:, 1][arm, h1.clip(0)], 0.0
+    )
+    # gram[arm, o0, o1, k, k']: an arm's kets overlapped over its herald occupations
+    gram = (kets * herald_weight[..., None, :]) @ kets.conj().swapaxes(-1, -2)
+    direct = gram[:, 1, 0] + gram[:, 0, 1] if n else np.zeros_like(gram[:, 0, 0])
+    by_d0 = thinning[:, 0].swapaxes(-1, -2) @ gram.reshape(arms, size, -1)
+    table = (thinning[:, 1, None].swapaxes(-1, -2) @ by_d0.reshape(arms, size, size, -1)).reshape(
+        arms, size, size, n_inputs, n_inputs
+    )
+    coincidences = np.zeros((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
+    if n:
+        e0, e1 = np.ix_(np.arange(n), np.arange(n))
+        kraus_h = np.sqrt(thinning[:, 0][:, e0 + 1, 1] * thinning[:, 1][:, e1, 0])
+        kraus_v = np.sqrt(thinning[:, 0][:, e0, 0] * thinning[:, 1][:, e1 + 1, 1])
+        detected = np.stack([
+            kets[:, 1:, :n] * kraus_h[..., None, None], kets[:, :n, 1:] * kraus_v[..., None, None]
+        ], axis=1).transpose(0, 1, 4, 2, 3, 5).reshape(arms, 2 * n_inputs, -1)
+        # the herald weight depends on o0 + o1 alone, the same for either detected polarization
+        weighted = detected * herald_weight[:, 1:, :n].reshape(arms, 1, -1)
+        coincidences = (weighted @ detected.conj().swapaxes(-1, -2)).reshape(coincidences.shape)
+    return gram.sum(axis=(1, 2)), direct, table, coincidences
+
+
+def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Re sum_{k,k'} w[k,k'] first[..., k, k'] second[..., k, k'], outer in the leading indices.
+
+    An entry within RESIDUE_TOL of the sum of its terms' magnitudes is set
+    to zero.  The inputs k can cancel exactly across the two arms, as in
+    the HV and VH coincidences of the three-pair block (its heralded state
+    is Phi+), and the contraction then leaves rounding residue: at most
+    2e-16 of that sum in the blocks of up to 9 pairs checked against the
+    8-mode pipeline, where no real probability fell below 3e-4 of it.
+    """
+    pairs = weights.size
+    a, b = first.reshape(-1, pairs) * weights.ravel(), second.reshape(-1, pairs)
+    # real products only: a complex product this size would start BLAS threads
+    value = a.real @ b.real.T - a.imag @ b.imag.T
+    bound = np.abs(a) @ np.abs(b).T
+    value[np.abs(value) <= RESIDUE_TOL * bound] = 0.0
+    return value.reshape(first.shape[:-2] + second.shape[:-2])
+
+
+def herald_pair_terms(
+    terms: Sequence[SparseKet], matrix: np.ndarray, detectors: DetectorModel
+) -> list[HeraldedBlock]:
+    """Herald blocks of photons on the source modes, one arm at a time.
+
+    Each term is a sum of products sum_k c_k |a1 input k>|a2 input k> (the
+    rows of ``pair_term``), each arm with one photon number, and ``matrix``
+    is the (4, 8) circuit, which must not mix the arms.  Arm a's inputs
+    evolve by ``_arm_kets`` through its rows' blocks on its own herald and
+    output detectors, and every statistic of a term is
+    Re sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'] over the arms' Gram tensors
+    (``_arm_grams``).  Threshold detectors herald when each herald detector
+    detects at least one photon, number-resolving ones when each detects
+    exactly one; output clicks are never vetoed.  A count pattern a term
+    cannot give has a table entry of exactly zero.
     """
     n_herald = len(HERALD_NAMES)
-    if state.modes < n_herald:
-        raise ValueError(f"a heralded ket needs the {n_herald} herald modes, got {state.modes}")
-    # The rows are in lexicographic order, so each herald pattern is one run
-    # of rows; the norm-squared of its amplitudes is the joint probability.
-    patterns = state.occupations[:, :n_herald]
-    first = np.ones(len(patterns), dtype=bool)
-    first[1:] = (patterns[1:] != patterns[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    group = np.cumsum(first) - 1
-    joint = np.add.reduceat(np.abs(state.values) ** 2, starts) if len(starts) else np.zeros(0)
-    weight = joint * _herald_factors(patterns[starts], detectors.etas(HERALD_NAMES),
-                                     detectors.resolving)
-    fired = np.flatnonzero(weight > 0.0)
-    order = fired[np.argsort(-weight[fired], kind="stable")]
-    rank = np.full(len(starts), -1)
-    rank[order] = np.arange(len(order))
-    values = state.values * (1.0 / np.sqrt(joint))[group]
-    rows = np.flatnonzero((rank[group] >= 0) & (np.abs(values) >= PRUNE_TOL))
-    rows = rows[np.argsort(rank[group[rows]], kind="stable")]
-    return ConditionalEnsemble(
-        weights=weight[order],
-        probability=float(weight[order].sum()),
-        occupations=state.occupations[rows, n_herald:],
-        values=values[rows],
-        index=rank[group[rows]],
+    columns = [[2 * a, 2 * a + 1, n_herald + 2 * a, n_herald + 2 * a + 1] for a in (0, 1)]
+    arm_matrices = []
+    for arm, cols in enumerate(columns):
+        rows = matrix[2 * arm:2 * arm + 2]
+        if np.delete(rows, cols, axis=1).any():
+            raise ValueError("the circuit mixes the two arms")
+        arm_matrices.append([rows[:, cols[:2]], rows[:, cols[2:]]])
+    # the most photons any arm of any term holds
+    n_max = max((int(t.occupations.reshape(-1, 2, 2).sum(axis=2).max(initial=0)) for t in terms),
+                default=0)
+    maps = _photon_maps(np.array(arm_matrices), n_max)
+    fires = np.array(
+        [_fires(n_max, eta, detectors.resolving) for eta in detectors.etas(HERALD_NAMES)]
     )
+    thinning = np.array([_thinning(n_max, eta) for eta in detectors.etas(OUTPUT_NAMES)])
+    blocks = []
+    for term in terms:
+        photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
+        kets = _arm_kets(maps, photons)
+        size = kets.shape[1]
+        herald, direct, table, coincidences = _arm_grams(
+            kets, photons[:, 0].sum(axis=-1), fires[:, :size].reshape(2, 2, size),
+            thinning[:, :size, :size].reshape(2, 2, size, size),
+        )
+        weights = np.outer(term.values, term.values.conj())
+        blocks.append(HeraldedBlock(
+            herald=float(_contract(weights, herald[0], herald[1])),
+            table=_contract(weights, table[0], table[1]),
+            direct=float(_contract(weights, direct[0], direct[1])),
+            coincidences=np.einsum(
+                "kl,akbl,ckdl->acbd", weights, coincidences[0], coincidences[1]
+            ).reshape(4, 4),
+        ))
+    return blocks
 
 
-def herald_classical(
-    state: SparseKet, matrix: np.ndarray, detectors: DetectorModel
-) -> ConditionalEnsemble:
-    """Herald a four-photon block whose photons pass the circuit as distinguishable particles.
+def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorModel) -> float:
+    """Herald probability of four photons that pass the circuit as distinguishable particles.
 
     Each photon of source mode i lands in detector j with probability
     |matrix[i, j]|^2, independently; all interference is discarded.  The
     four photons herald only by landing one in each herald detector (the
     matrix's first columns), which leaves the outputs empty: per ket, the
     chance is the permanent of |matrix|^2 on its photons' rows and the
-    herald columns.  The ensemble is the output vacuum, or empty when
-    nothing heralds.
+    herald columns.  What heralds is the output vacuum.
     """
     n_herald = len(HERALD_NAMES)
     probs = (np.abs(matrix[:, :n_herald]) ** 2).tolist()
@@ -212,50 +315,23 @@ def herald_classical(
             math.prod(probs[i][j] for i, j in zip(rows, cols))
             for cols in itertools.permutations(range(n_herald))
         )
-    one_each = np.ones((1, n_herald), dtype=np.int64)
-    prob = routed * float(_herald_factors(one_each, detectors.etas(HERALD_NAMES),
-                                          detectors.resolving)[0])
-    n_out = matrix.shape[1] - n_herald
-    components = ((prob, vacuum(n_out)),) if prob != 0.0 else ()
-    return ConditionalEnsemble.from_components(components, prob, n_out)
-
-
-def number_table(
-    ensemble: ConditionalEnsemble, output_detectors: DetectorModel
-) -> dict[Occupation, float]:
-    """Detected photon-number distribution over the output modes.
-
-    Conditioned on the herald (probabilities sum to 1); includes the
-    output-mode binomial loss.  Every detected pattern that can occur is a
-    key, however small its probability.
-    """
-    if ensemble.probability <= 0.0:
-        raise ValueError("ensemble has zero herald probability")
-    etas = output_detectors.etas(OUTPUT_NAMES)
-    # Loss acts on each occupation alone, so equal occupations are summed first.
-    radix = int(ensemble.occupations.max(initial=0)) + 1
-    place = radix ** np.arange(len(etas) - 1, -1, -1)
-    occupied, inverse = np.unique(ensemble.occupations @ place, return_inverse=True)
-    prob = np.bincount(
-        inverse,
-        weights=ensemble.weights[ensemble.index] * np.abs(ensemble.values) ** 2,
-        minlength=len(occupied),
+    return routed * math.prod(
+        float(_fires(1, eta, detectors.resolving)[1]) for eta in detectors.etas(HERALD_NAMES)
     )
-    # Each detector in turn splits every row into its detected counts k = 0..n.
-    photons = occupied[:, None] // place % radix
-    detected = np.zeros(len(occupied), dtype=np.int64)
-    for col, eta in enumerate(etas):
-        n = photons[:, col]
-        row = np.repeat(np.arange(len(n)), n + 1)
-        k = np.arange(len(row)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
-        pk = _thinning(radix - 1, eta)[n[row], k]
-        possible = pk > 0.0
-        row, k, pk = row[possible], k[possible], pk[possible]
-        photons, prob, detected = photons[row], prob[row] * pk, detected[row] * radix + k
-    patterns, inverse = np.unique(detected, return_inverse=True)
-    table = np.bincount(inverse, weights=prob, minlength=len(patterns))
-    rows = (patterns[:, None] // place % radix).tolist()
-    return {tuple(p): v / ensemble.probability for p, v in zip(rows, table.tolist())}
+
+
+def number_table(block: HeraldedBlock) -> dict[Occupation, float]:
+    """Detected photon-number distribution over the output detectors, conditioned on the herald.
+
+    Includes the output detectors' binomial loss; the probabilities sum to
+    1.  Every count pattern with a positive probability is a key, however
+    small, in lexicographic order.
+    """
+    if block.herald <= 0.0:
+        raise ValueError("zero herald probability; nothing heralds to condition on")
+    patterns = np.argwhere(block.table > 0.0)
+    values = block.table[tuple(patterns.T)] / block.herald
+    return dict(zip(map(tuple, patterns.tolist()), values.tolist()))
 
 
 def spatial_reduction(table: Mapping[Occupation, float]) -> dict[tuple[int, int], float]:
@@ -266,46 +342,14 @@ def spatial_reduction(table: Mapping[Occupation, float]) -> dict[tuple[int, int]
     return dict(sorted(out.items()))
 
 
-def postselect_two_qubit(
-    ensemble: ConditionalEnsemble, output_detectors: DetectorModel
-) -> np.ndarray:
+def postselect_two_qubit(block: HeraldedBlock) -> np.ndarray:
     """Two-qubit density matrix of the detected coincidences.
 
-    Restricts to exactly one detected photon per output spatial arm.  Loss
-    on the undetected photons is traced out exactly: amplitudes are grouped
-    by component and lost-photon environment configuration, so multi-photon
-    components contribute the correct mixed background.  With V the
-    (groups, 4) amplitudes over the coincidence basis and w each group's
-    component weight, rho is V^T diag(w) V*, normalized.
+    Restricts to exactly one detected photon per output arm, with the loss
+    of every other photon traced out, so multi-photon blocks contribute
+    their mixed background; normalized by the coincidence probability.
     """
-    etas = output_detectors.etas(OUTPUT_NAMES)
-    occ = ensemble.occupations
-    n_max = max(int(occ.max(initial=0)), 1)
-    roots = [np.sqrt(_thinning(n_max, eta)) for eta in etas]
-    # A group key is the component index above the environment's base-radix digits.
-    radix = n_max + 1
-    place = radix ** np.arange(len(etas) - 1, -1, -1)
-    span = radix ** len(etas)
-    keys, cells, amps = [], [], []
-    for k_idx, pattern in enumerate(COINCIDENCE_PATTERNS):
-        env = occ - np.array(pattern)
-        rows = np.flatnonzero((env >= 0).all(axis=1))
-        a = ensemble.values[rows]
-        for col, d in enumerate(pattern):
-            a = a * roots[col][occ[rows, col], d]
-        keys.append(ensemble.index[rows] * span + env[rows] @ place)
-        cells.append(np.full(len(rows), k_idx))
-        amps.append(a)
-    groups, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    flat = inverse * 4 + np.concatenate(cells)
-    amps = np.concatenate(amps)
-    vectors = np.empty(4 * len(groups), dtype=complex)
-    vectors.real = np.bincount(flat, weights=amps.real, minlength=len(vectors))
-    vectors.imag = np.bincount(flat, weights=amps.imag, minlength=len(vectors))
-    vectors = vectors.reshape(-1, 4)
-    weights = ensemble.weights[groups // span]
-    rho = (vectors.T * weights) @ vectors.conj()
-    trace = float(np.real(np.trace(rho)))
+    trace = float(np.real(np.trace(block.coincidences)))
     if trace <= 0.0:
         raise ValueError("zero coincidence probability; nothing to post-select")
-    return rho / trace
+    return block.coincidences / trace

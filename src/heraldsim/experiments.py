@@ -1,14 +1,16 @@
 """End-to-end experiment reproductions: sweeps, power dependence, tables.
 
-The heralding pipeline runs in two stages.  ``heralded_blocks`` evolves
-each pair-number block through the circuit and heralds it at unit weight,
-plus a distinguishable-photon copy of the two-pair block, which heralds the
-output vacuum in closed form; blocks of different photon number never
-interfere in photon counting, so none of this depends on tau or the
-visibility.  ``reweight_blocks`` then scales the blocks by the emission
-weights (the visibility splitting the two-pair weight) and merges them.
-power-compare builds the blocks once for both values of tau, and calibrate
-reduces them to two polynomials in tau^2.
+The heralding pipeline runs in two stages.  ``heralded_blocks`` heralds
+each pair-number block arm by arm (``herald_pair_terms``) into its joint
+probabilities with the herald: herald probability, detected number table,
+direct one-pair-per-arm probability and coincidence matrix.  A
+distinguishable-photon copy of the two-pair block heralds the output vacuum
+in closed form.  Blocks of different photon number never interfere in
+photon counting, so none of this depends on tau or the visibility.
+``reweight_blocks`` then sums the blocks with the emission weights (the
+visibility splitting the two-pair weight).  power-compare builds the blocks
+once for both values of tau, and calibrate reduces them to two polynomials
+in tau^2.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detection import (
-    ConditionalEnsemble,
     DetectorModel,
-    herald,
+    HeraldedBlock,
     herald_classical,
+    herald_pair_terms,
     number_table,
     postselect_two_qubit,
     spatial_reduction,
@@ -61,10 +63,6 @@ REFERENCE_TRANSMISSIONS = {"17/83": 0.17, "30/70": 0.30, "50/50": 0.50, "70/30":
 
 # Emission amplitudes within which calibrate_tau looks for the target P(1;1).
 CALIBRATION_TAU_BRACKET = (0.02, 0.7)
-
-# Output detectors that miss nothing: their number table counts the photons
-# before any output loss, the P(1;1) that the C6/(C4 eta_1 eta_2) estimator targets.
-LOSSLESS_OUTPUT = DetectorModel(efficiency=1.0)
 
 HIGH_POWER_W = 1.2
 LOW_POWER_W = 0.62
@@ -130,7 +128,7 @@ def _whole_number(value) -> int:
 
 
 # Heralded pair blocks at unit weight, keyed by (pair number, coherent).
-PairBlocks = dict[tuple[int, bool], ConditionalEnsemble]
+PairBlocks = dict[tuple[int, bool], HeraldedBlock]
 
 
 def heralded_blocks(
@@ -140,38 +138,38 @@ def heralded_blocks(
     max_pairs: int,
     settings: tuple[str, str] = ("z", "z"),
 ) -> PairBlocks:
-    """Evolve and herald each pair block 0..max_pairs once, free of tau and V.
+    """Herald each pair block 0..max_pairs once, free of tau and V.
 
     The two-pair block also appears with its photons distinguishable, the
-    piece that the visibility mixes in.
+    piece that the visibility mixes in; it heralds the output vacuum.
     """
-    layout = build_paper_circuit(t1, t2, settings)
-    blocks: PairBlocks = {}
-    for n in range(max_pairs + 1):
-        state = pair_term(n)
-        blocks[n, True] = herald(layout.run(state), detectors)
-        if n == 2:
-            blocks[n, False] = herald_classical(state, layout.total_matrix(), detectors)
+    matrix = build_paper_circuit(t1, t2, settings).matrix
+    terms = [pair_term(n) for n in range(max_pairs + 1)]
+    blocks: PairBlocks = {
+        (n, True): block for n, block in enumerate(herald_pair_terms(terms, matrix, detectors))
+    }
+    if max_pairs >= 2:
+        p = herald_classical(terms[2], matrix, detectors)
+        blocks[2, False] = HeraldedBlock(
+            p, np.full((1, 1, 1, 1), p), 0.0, np.zeros((4, 4), dtype=complex)
+        )
     return blocks
 
 
-def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> ConditionalEnsemble:
-    """Scale the heralded blocks by the emission weights and merge them."""
-    return ConditionalEnsemble.merge([
-        blocks[key].scaled(weight) for key, weight in emission_components(spdc).items()
-    ])
-
-
-def heralded_ensemble(
-    t1: float,
-    t2: float,
-    spdc: SpdcParams,
-    detectors: DetectorModel,
-    settings: tuple[str, str] = ("z", "z"),
-) -> ConditionalEnsemble:
-    """Herald the full emission through the circuit: its blocks, reweighted at spdc."""
-    blocks = heralded_blocks(t1, t2, detectors, spdc.max_pairs, settings)
-    return reweight_blocks(blocks, spdc)
+def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> HeraldedBlock:
+    """Sum the heralded blocks with the emission weights of spdc."""
+    weights = emission_components(spdc)
+    size = max(blocks[key].table.shape[0] for key in weights)
+    table = np.zeros((size,) * 4)
+    for key, weight in weights.items():
+        part = blocks[key].table
+        table[tuple(slice(0, s) for s in part.shape)] += weight * part
+    return HeraldedBlock(
+        herald=sum(weight * blocks[key].herald for key, weight in weights.items()),
+        table=table,
+        direct=sum(weight * blocks[key].direct for key, weight in weights.items()),
+        coincidences=sum(weight * blocks[key].coincidences for key, weight in weights.items()),
+    )
 
 
 @dataclass(frozen=True)
@@ -187,9 +185,9 @@ class ExperimentResult:
 
 
 def _preparation_probabilities(
-    ensemble: ConditionalEnsemble, table: Mapping[Occupation, float], detectors: DetectorModel
+    block: HeraldedBlock, table: Mapping[Occupation, float], detectors: DetectorModel
 ) -> tuple[float, float]:
-    """P_direct and P_estimator of a heralded ensemble and its detected number table.
+    """P_direct and P_estimator of heralded blocks and their detected number table.
 
     P_direct counts one photon per output arm before output loss.
     P_estimator is C6/(C4 eta_1 eta_2): the probability of a click in each
@@ -202,21 +200,21 @@ def _preparation_probabilities(
             "P_estimator needs one nonzero efficiency per output arm, got "
             f"{eta_1h}, {eta_1v} (arm 1) and {eta_2h}, {eta_2v} (arm 2)"
         )
-    p_direct = one_photon_per_arm_probability(number_table(ensemble, LOSSLESS_OUTPUT))
-    return p_direct, photons_in_both_arms_probability(table) / (eta_1h * eta_2h)
+    return block.direct / block.herald, photons_in_both_arms_probability(table) / (eta_1h * eta_2h)
 
 
 def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline and collect every scalar figure of merit."""
-    ensemble = heralded_ensemble(config.t1, config.t2, config.spdc, config.detectors)
-    table = number_table(ensemble, config.detectors)
-    p_direct, p_estimator = _preparation_probabilities(ensemble, table, config.detectors)
+    blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+    heralded = reweight_blocks(blocks, config.spdc)
+    table = number_table(heralded)
+    p_direct, p_estimator = _preparation_probabilities(heralded, table, config.detectors)
     reduction = spatial_reduction(table)
-    rho_post = postselect_two_qubit(ensemble, config.detectors)
+    rho_post = postselect_two_qubit(heralded)
     p11 = one_photon_per_arm_probability(table)
     f_post = fidelity_to_phi_plus(rho_post)
     metrics = {
-        "herald_probability": ensemble.probability,
+        "herald_probability": heralded.herald,
         "fidelity_post": f_post,
         "fidelity_meas": total_state_fidelity_from_values(p11, f_post),
         "tangle": tangle(rho_post),
@@ -228,7 +226,7 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     return ExperimentResult(
         config=config,
-        herald_probability=ensemble.probability,
+        herald_probability=heralded.herald,
         table=table,
         reduction=reduction,
         rho_post=rho_post,
@@ -269,10 +267,9 @@ def calibrate_tau(
     joint_poly = np.zeros(max_pairs + 1)
     for (n, coherent), c in emission_coefficients(max_pairs, visibility).items():
         block = blocks[n, coherent]
-        if block.probability > 0.0:
-            table = number_table(block, detectors)
-            herald_poly[n] += c * block.probability
-            joint_poly[n] += c * block.probability * one_photon_per_arm_probability(table)
+        if block.herald > 0.0:
+            herald_poly[n] += c * block.herald
+            joint_poly[n] += c * block.herald * one_photon_per_arm_probability(number_table(block))
     if not herald_poly.any():
         raise ValueError(f"zero herald probability for t1={t1}, t2={t2}")
 
@@ -311,19 +308,18 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         raise ValueError("sweep needs at least one configuration")
     rows = []
     for config in configs:
-        ensemble = heralded_ensemble(
-            config.t1, config.t2, config.spdc, config.detectors
-        )
-        if ensemble.probability > 0.0:
-            table = number_table(ensemble, config.detectors)
-            p_direct, p_estimator = _preparation_probabilities(ensemble, table, config.detectors)
+        blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+        heralded = reweight_blocks(blocks, config.spdc)
+        if heralded.herald > 0.0:
+            table = number_table(heralded)
+            p_direct, p_estimator = _preparation_probabilities(heralded, table, config.detectors)
         else:  # nothing heralded: both are 0/0
             p_direct = p_estimator = math.nan
         rows.append(
             {
                 "t1": config.t1,
                 "t2": config.t2,
-                "herald_probability": ensemble.probability,
+                "herald_probability": heralded.herald,
                 "P_direct": p_direct,
                 "P_estimator": p_estimator,
             }
@@ -371,8 +367,7 @@ def run_power_comparison(
     }
     for tag, tau in (("high", tau_high), ("low", tau_low)):
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
-        ensemble = reweight_blocks(blocks, spdc)
-        rho = postselect_two_qubit(ensemble, detectors)
+        rho = postselect_two_qubit(reweight_blocks(blocks, spdc))
         out[f"F_post_{tag}"] = fidelity_to_phi_plus(rho)
         out[f"bell_diagonal_{tag}"] = bell_diagonal(rho)
     return out

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the package's mode-substitution code path: state
+These deliberately avoid the package's closed-form arm kets: state
 evolution goes through the permanent formula for second-quantized linear
 optics, and the emission terms come from explicit creation-operator
 algebra.  Distinguishable photons are routed one at a time through every
@@ -9,6 +9,11 @@ of per-detector miss probabilities rather than sums over a number table,
 detection counts are built photon by photon rather than from binomial
 coefficients, and loss before the output detectors is an explicit beam
 splitter onto unobserved modes.
+The Fock oracle is the 8-mode pipeline that the package ran before it
+heralded arm by arm: each pair block evolved through the whole circuit by
+``apply_mode_map`` (itself checked against the permanent formula), then
+heralded pattern by pattern into an ensemble of pure output components,
+whose number table and post-selected state are sums over those components.
 The tomography estimate reads count tables and estimates the state with
 its own Pauli matrices, linear inversion and positivity projection, sharing
 no code with the package's reconstruction.
@@ -17,10 +22,19 @@ no code with the package's reconstruction.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+
+from heraldsim.detection import COINCIDENCE_PATTERNS, herald_classical
+from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
+from heraldsim.fock import PRUNE_TOL, SparseKet, vacuum
+from heraldsim.source import emission_components, pair_term
 
 
 def permanent(m: np.ndarray) -> np.ndarray:
@@ -257,6 +271,256 @@ def one_photon_per_arm_before_loss(ensemble) -> float:
             if n1h + n1v == 1 and n2h + n2v == 1:
                 good += weight * abs(amp) ** 2
     return good / ensemble.probability
+
+
+def dense_evolve_by_arm(amplitudes: dict, matrix: np.ndarray) -> dict:
+    """``dense_evolve`` through the (4, 8) circuit, one arm at a time.
+
+    The circuit maps source modes a1H a1V only onto detectors r1H r1V t1H
+    t1V, and a2H a2V only onto r2+ r2- t2H t2V, so the permanent of any of
+    its submatrices is the product of the two arms' permanents.  Each
+    source ket is evolved arm by arm with the permanent formula, and the
+    8-mode ket is assembled as the explicit sum of the products.
+    """
+    matrix = np.asarray(matrix)
+    arms = [([0, 1], [0, 1, 4, 5]), ([2, 3], [2, 3, 6, 7])]
+    for rows, cols in arms:
+        others = [c for c in range(8) if c not in cols]
+        assert not matrix[np.ix_(rows, others)].any(), "the circuit mixes the arms"
+    out: dict[tuple[int, ...], complex] = {}
+    for occ, amp in amplitudes.items():
+        parts = [
+            dense_evolve({tuple(occ[r] for r in rows): 1.0}, matrix[np.ix_(rows, cols)])
+            for rows, cols in arms
+        ]
+        for (r1h, r1v, t1h, t1v), a1 in parts[0].items():
+            for (r2p, r2m, t2h, t2v), a2 in parts[1].items():
+                key = (r1h, r1v, r2p, r2m, t1h, t1v, t2h, t2v)
+                out[key] = out.get(key, 0.0) + amp * a1 * a2
+    return {k: v for k, v in out.items() if abs(v) > 1e-15}
+
+
+# --- Fock oracle ------------------------------------------------------------
+#
+# The 8-mode pipeline: each pair block evolved through the whole circuit,
+# heralded into weighted pure output components, and every statistic summed
+# over the components.
+
+
+def _thinning(n_max: int, eta: float) -> np.ndarray:
+    """Binomial thinning table: entry [n, k] is the probability that k of n photons are detected."""
+    table = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            table[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
+    return table
+
+
+def _herald_factors(patterns: np.ndarray, etas: Sequence[float], resolving: str) -> np.ndarray:
+    """Probability that every herald detector fires, per row of herald photon numbers."""
+    n_max = max(int(patterns.max(initial=0)), 1)
+    factor = np.ones(len(patterns))
+    for photons, eta in zip(patterns.T, etas):
+        detected = _thinning(n_max, eta)
+        factor *= detected[photons, 1] if resolving == "number" else 1.0 - detected[photons, 0]
+    return factor
+
+
+@dataclass(frozen=True, eq=False)
+class ConditionalEnsemble:
+    """Heralded output: weighted pure components over the output detectors.
+
+    Component c has weight ``weights[c]``, an absolute probability; the
+    weights sum to the herald probability.  Its normalized ket is made of
+    the rows r with ``index[r] == c``: occupations ``occupations[r]`` over
+    the output detectors and amplitudes ``values[r]``.  Rows are grouped by
+    component, in lexicographic order within one.
+    """
+
+    weights: np.ndarray
+    probability: float
+    occupations: np.ndarray
+    values: np.ndarray
+    index: np.ndarray
+
+    @classmethod
+    def from_components(
+        cls, components: Sequence[tuple[float, SparseKet]], probability: float, modes: int = 0
+    ) -> "ConditionalEnsemble":
+        """Gather (weight, ket) components; ``modes`` is the mode count when there are none."""
+        kets = [ket for _, ket in components]
+        return cls(
+            weights=np.array([w for w, _ in components], dtype=float),
+            probability=probability,
+            occupations=np.concatenate([k.occupations for k in kets])
+            if kets else np.zeros((0, modes), dtype=np.int64),
+            values=np.concatenate([k.values for k in kets] + [np.zeros(0, dtype=complex)]),
+            index=np.repeat(np.arange(len(kets)), [len(k.values) for k in kets]),
+        )
+
+    @functools.cached_property
+    def components(self) -> tuple[tuple[float, SparseKet], ...]:
+        """The (weight, normalized ket) pairs in component order."""
+        modes = self.occupations.shape[1]
+        bounds = np.searchsorted(self.index, np.arange(len(self.weights) + 1)).tolist()
+        return tuple(
+            (w, SparseKet(modes, self.occupations[a:b], self.values[a:b]))
+            for w, a, b in zip(self.weights.tolist(), bounds, bounds[1:])
+        )
+
+    @classmethod
+    def merge(cls, parts: Sequence["ConditionalEnsemble"]) -> "ConditionalEnsemble":
+        """One ensemble holding the components of every part, in order."""
+        offsets = np.cumsum([0] + [len(p.weights) for p in parts[:-1]])
+        return cls(
+            weights=np.concatenate([p.weights for p in parts]),
+            probability=sum(p.probability for p in parts),
+            occupations=np.concatenate([p.occupations for p in parts]),
+            values=np.concatenate([p.values for p in parts]),
+            index=np.concatenate([p.index + offset for p, offset in zip(parts, offsets)]),
+        )
+
+    def scaled(self, factor: float) -> "ConditionalEnsemble":
+        return dataclasses.replace(
+            self, weights=self.weights * factor, probability=self.probability * factor
+        )
+
+
+def herald(state: SparseKet, detectors) -> ConditionalEnsemble:
+    """Condition on a detection event in each herald detector.
+
+    The herald detectors are the first four modes (HERALD_NAMES); the
+    components live on the modes after them.  Threshold detectors require
+    at least one surviving photon per herald mode, number-resolving
+    detectors exactly one detected photon.  Extra clicks in the output
+    modes are never vetoed.  Components come heaviest first, and equal
+    weights in lexicographic order of their herald patterns.
+    """
+    n_herald = len(HERALD_NAMES)
+    if state.modes < n_herald:
+        raise ValueError(f"a heralded ket needs the {n_herald} herald modes, got {state.modes}")
+    # The rows are in lexicographic order, so each herald pattern is one run
+    # of rows; the norm-squared of its amplitudes is the joint probability.
+    patterns = state.occupations[:, :n_herald]
+    first = np.ones(len(patterns), dtype=bool)
+    first[1:] = (patterns[1:] != patterns[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    joint = np.add.reduceat(np.abs(state.values) ** 2, starts) if len(starts) else np.zeros(0)
+    weight = joint * _herald_factors(patterns[starts], detectors.etas(HERALD_NAMES),
+                                     detectors.resolving)
+    fired = np.flatnonzero(weight > 0.0)
+    order = fired[np.argsort(-weight[fired], kind="stable")]
+    rank = np.full(len(starts), -1)
+    rank[order] = np.arange(len(order))
+    values = state.values * (1.0 / np.sqrt(joint))[group]
+    rows = np.flatnonzero((rank[group] >= 0) & (np.abs(values) >= PRUNE_TOL))
+    rows = rows[np.argsort(rank[group[rows]], kind="stable")]
+    return ConditionalEnsemble(
+        weights=weight[order],
+        probability=float(weight[order].sum()),
+        occupations=state.occupations[rows, n_herald:],
+        values=values[rows],
+        index=rank[group[rows]],
+    )
+
+
+def number_table(ensemble: ConditionalEnsemble, output_detectors) -> dict:
+    """Detected photon-number distribution over the output modes, conditioned on the herald.
+
+    Includes the output-mode binomial loss.  Every detected pattern that can
+    occur is a key, however small its probability.
+    """
+    if ensemble.probability <= 0.0:
+        raise ValueError("ensemble has zero herald probability")
+    etas = output_detectors.etas(OUTPUT_NAMES)
+    # Loss acts on each occupation alone, so equal occupations are summed first.
+    radix = int(ensemble.occupations.max(initial=0)) + 1
+    place = radix ** np.arange(len(etas) - 1, -1, -1)
+    occupied, inverse = np.unique(ensemble.occupations @ place, return_inverse=True)
+    prob = np.bincount(
+        inverse,
+        weights=ensemble.weights[ensemble.index] * np.abs(ensemble.values) ** 2,
+        minlength=len(occupied),
+    )
+    # Each detector in turn splits every row into its detected counts k = 0..n.
+    photons = occupied[:, None] // place % radix
+    detected = np.zeros(len(occupied), dtype=np.int64)
+    for col, eta in enumerate(etas):
+        n = photons[:, col]
+        row = np.repeat(np.arange(len(n)), n + 1)
+        k = np.arange(len(row)) - np.repeat(np.cumsum(n + 1) - (n + 1), n + 1)
+        pk = _thinning(radix - 1, eta)[n[row], k]
+        possible = pk > 0.0
+        row, k, pk = row[possible], k[possible], pk[possible]
+        photons, prob, detected = photons[row], prob[row] * pk, detected[row] * radix + k
+    patterns, inverse = np.unique(detected, return_inverse=True)
+    table = np.bincount(inverse, weights=prob, minlength=len(patterns))
+    rows = (patterns[:, None] // place % radix).tolist()
+    return {tuple(p): v / ensemble.probability for p, v in zip(rows, table.tolist())}
+
+
+def postselect_two_qubit(ensemble: ConditionalEnsemble, output_detectors) -> np.ndarray:
+    """Two-qubit density matrix of the detected coincidences.
+
+    Restricts to exactly one detected photon per output spatial arm.  Loss
+    on the undetected photons is traced out exactly: amplitudes are grouped
+    by component and lost-photon environment configuration.  With V the
+    (groups, 4) amplitudes over the coincidence basis and w each group's
+    component weight, rho is V^T diag(w) V*, normalized.
+    """
+    etas = output_detectors.etas(OUTPUT_NAMES)
+    occ = ensemble.occupations
+    n_max = max(int(occ.max(initial=0)), 1)
+    roots = [np.sqrt(_thinning(n_max, eta)) for eta in etas]
+    # A group key is the component index above the environment's base-radix digits.
+    radix = n_max + 1
+    place = radix ** np.arange(len(etas) - 1, -1, -1)
+    span = radix ** len(etas)
+    keys, cells, amps = [], [], []
+    for k_idx, pattern in enumerate(COINCIDENCE_PATTERNS):
+        env = occ - np.array(pattern)
+        rows = np.flatnonzero((env >= 0).all(axis=1))
+        a = ensemble.values[rows]
+        for col, d in enumerate(pattern):
+            a = a * roots[col][occ[rows, col], d]
+        keys.append(ensemble.index[rows] * span + env[rows] @ place)
+        cells.append(np.full(len(rows), k_idx))
+        amps.append(a)
+    groups, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    flat = inverse * 4 + np.concatenate(cells)
+    amps = np.concatenate(amps)
+    vectors = np.empty(4 * len(groups), dtype=complex)
+    vectors.real = np.bincount(flat, weights=amps.real, minlength=len(vectors))
+    vectors.imag = np.bincount(flat, weights=amps.imag, minlength=len(vectors))
+    vectors = vectors.reshape(-1, 4)
+    weights = ensemble.weights[groups // span]
+    rho = (vectors.T * weights) @ vectors.conj()
+    trace = float(np.real(np.trace(rho)))
+    if trace <= 0.0:
+        raise ValueError("zero coincidence probability; nothing to post-select")
+    return rho / trace
+
+
+def classical_ensemble(state: SparseKet, matrix: np.ndarray, detectors) -> ConditionalEnsemble:
+    """The distinguishable two-pair block as an ensemble: the output vacuum at its herald probability."""
+    prob = herald_classical(state, matrix, detectors)
+    components = ((prob, vacuum(len(OUTPUT_NAMES))),) if prob != 0.0 else ()
+    return ConditionalEnsemble.from_components(components, prob, len(OUTPUT_NAMES))
+
+
+def heralded_ensemble(t1, t2, spdc, detectors, settings=("z", "z")) -> ConditionalEnsemble:
+    """Every emission component evolved through the whole circuit, heralded and merged at its weight."""
+    layout = build_paper_circuit(t1, t2, settings)
+    parts = []
+    for (n, coherent), weight in emission_components(spdc).items():
+        state = pair_term(n)
+        if coherent:
+            part = herald(layout.run(state), detectors)
+        else:
+            part = classical_ensemble(state, layout.total_matrix(), detectors)
+        parts.append(part.scaled(weight))
+    return ConditionalEnsemble.merge(parts)
 
 
 MAGIC_BASIS = np.array(

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 from heraldsim.detection import (
-    COINCIDENCE_PATTERNS,
     DetectorModel,
-    herald,
     herald_classical,
-    number_table,
+    herald_pair_terms,
     postselect_two_qubit,
 )
 from heraldsim.elements import build_paper_circuit
@@ -26,7 +24,6 @@ from heraldsim.metrics import (
     PSI_MINUS,
     chsh_max,
     fidelity_to_phi_plus,
-    one_photon_per_arm_probability,
     tangle,
     total_state_fidelity_from_values,
 )
@@ -66,11 +63,18 @@ def herald_components(weights, layout, detectors):
     for (pairs, coherent), weight in weights.items():
         state = pair_term(pairs)
         if coherent:
-            ens = herald(layout.run(state), detectors)
+            (block,) = herald_pair_terms([state], layout.total_matrix(), detectors)
+            prob = block.herald
         else:
-            ens = herald_classical(state, layout.total_matrix(), detectors)
-        total += weight * ens.probability
+            prob = herald_classical(state, layout.total_matrix(), detectors)
+        total += weight * prob
     return total
+
+
+def three_pair_block(t1, t2, detectors):
+    """The three-pair block heralded through the z-z circuit."""
+    (block,) = herald_pair_terms([pair_term(3)], build_paper_circuit(t1, t2).matrix, detectors)
+    return block
 
 
 def two_pair_pieces(visibility):
@@ -87,9 +91,7 @@ def test_criterion_1_ideal_heralding_exactness():
     worst = 1.0
     for t1 in TRANSMISSIONS:
         for t2 in TRANSMISSIONS:
-            layout = build_paper_circuit(t1, t2, ("z", "z"))
-            ensemble = herald(layout.run(pair_term(3)), LOSSLESS)
-            rho = postselect_two_qubit(ensemble, LOSSLESS)
+            rho = postselect_two_qubit(three_pair_block(t1, t2, LOSSLESS))
             worst = min(worst, fidelity_to_phi_plus(rho))
     elapsed = time.perf_counter() - start
     ok = worst >= 1.0 - 1e-9 and elapsed < 1.0
@@ -240,9 +242,8 @@ def test_criterion_6_sweep_shape(calibrated_tau):
     detectors = DetectorModel()
     worst_dev = 0.0
     for t in (0.17, 0.5, 0.7):
-        layout = build_paper_circuit(t, t, ("z", "z"))
-        ens = herald(layout.run(pair_term(3)), detectors)
-        p = one_photon_per_arm_probability(number_table(ens, DetectorModel(efficiency=1.0)))
+        block = three_pair_block(t, t, detectors)
+        p = block.direct / block.herald
         worst_dev = max(worst_dev, abs(p - t * t) / (t * t))
     shape_ok = worst_dev <= 0.25
 

@@ -72,14 +72,18 @@ class TestExitCodes:
         ])
         assert code == 2
 
-    @pytest.mark.parametrize("argv,message", [
-        (["simulate", "--config", "{config}"], "zero coincidence probability"),
-        (["power-compare", "--tau-high", "0.25", "--t", "0"], "zero coincidence probability"),
-        (["power-compare", "--tau-high", "0.25", "--t", "1"], "zero coincidence probability"),
-        (["calibrate", "--t", "1"], "zero herald probability"),
-    ], ids=["simulate-t1-0", "power-compare-t-0", "power-compare-t-1", "calibrate-t-1"])
-    def test_edge_transmission_is_data_error(self, tmp_path, capsys, argv, message):
-        config = write_config(tmp_path / "config.json", t1=0.0)
+    @pytest.mark.parametrize("argv,config,message", [
+        (["simulate", "--config", "{config}"], {"t1": 0.0}, "zero coincidence probability"),
+        # nothing heralds: no pair is emitted, or every photon of arm 1 transmits
+        (["simulate", "--config", "{config}"], {"tau": 0.0}, "zero herald probability"),
+        (["simulate", "--config", "{config}"], {"t1": 1.0}, "zero herald probability"),
+        (["power-compare", "--tau-high", "0.25", "--t", "0"], {}, "zero coincidence probability"),
+        (["power-compare", "--tau-high", "0.25", "--t", "1"], {}, "zero coincidence probability"),
+        (["calibrate", "--t", "1"], {}, "zero herald probability"),
+    ], ids=["simulate-t1-0", "simulate-tau-0", "simulate-t1-1", "power-compare-t-0",
+            "power-compare-t-1", "calibrate-t-1"])
+    def test_edge_transmission_is_data_error(self, tmp_path, capsys, argv, config, message):
+        config = write_config(tmp_path / "config.json", **config)
         argv = [arg.format(config=config) for arg in argv]
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2

@@ -6,15 +6,18 @@ import pytest
 from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
-    herald,
+    HeraldedBlock,
+    _arm_kets,
+    _photon_maps,
     herald_classical,
+    herald_pair_terms,
     number_table,
     postselect_two_qubit,
     spatial_reduction,
 )
-from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
-from heraldsim.experiments import heralded_ensemble
-from heraldsim.fock import SparseKet, vacuum
+from heraldsim.elements import ANALYSIS_SETTINGS, HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
+from heraldsim.experiments import heralded_blocks, reweight_blocks
+from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import (
     PHI_PLUS,
     check_density_matrix,
@@ -23,9 +26,12 @@ from heraldsim.metrics import (
 )
 from heraldsim.source import SpdcParams, pair_term
 
+import oracles
 from oracles import (
     classical_herald_probability,
     classical_occupation_distribution,
+    dense_evolve,
+    dense_evolve_by_arm,
     detected_number_table,
     herald_by_pattern,
     postselected_state_through_loss_modes,
@@ -33,205 +39,234 @@ from oracles import (
 
 IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
+PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 
-def evolved(n_pairs, t1, t2, settings=("z", "z")):
-    layout = build_paper_circuit(t1, t2, settings)
-    return layout, layout.run(pair_term(n_pairs))
-
-
-# Perfect detectors on r1V, r2+ and r2-, each holding one photon in herald_on_r1h.
-OTHER_HERALDS_PERFECT = {"r1V": 1.0, "r2+": 1.0, "r2-": 1.0}
+def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
+    """The n-pair block heralded arm by arm through the paper's circuit."""
+    (heralded,) = herald_pair_terms(
+        [pair_term(n_pairs)], build_paper_circuit(t1, t2, settings).matrix, detectors
+    )
+    return heralded
 
 
 def basis_ket(modes, occ):
     return SparseKet.from_amplitudes(modes, {tuple(occ): 1.0})
 
 
-def herald_on_r1h(amplitudes, efficiency, resolving="threshold"):
-    """Herald a ket given as {(photons in r1H, photons in t1H): amplitude}.
+def routed(rows, occupation, detectors):
+    """Herald one source occupation through a circuit given as each source mode's row.
 
-    The other three herald detectors are perfect and see one photon each, so
-    the herald probability is the r1H detector's click probability; t1H is
-    an undetected spectator.
+    A row holds the mode's amplitudes on r1H, r1V, r2+, r2-, t1H, t1V, t2H, t2V.
     """
-    state = SparseKet.from_amplitudes(
-        8, {(a, 1, 1, 1, b, 0, 0, 0): amp for (a, b), amp in amplitudes.items()}
+    (heralded,) = herald_pair_terms(
+        [basis_ket(4, occupation)], np.array(rows, dtype=complex), detectors
     )
+    return heralded
+
+
+# Each source mode straight onto one herald detector: a1H -> r1H, a1V -> r1V, a2H -> r2+, a2V -> r2-.
+ROUTE_TO_HERALDS = np.eye(4, 8)
+
+# Perfect detectors on r1V, r2+ and r2-, each holding one photon in herald_on_r1h.
+OTHER_HERALDS_PERFECT = {"r1V": 1.0, "r2+": 1.0, "r2-": 1.0}
+HERALDS_PERFECT = {name: 1.0 for name in HERALD_NAMES}
+
+
+def herald_on_r1h(split, photons, efficiency, resolving="threshold"):
+    """Herald a1H photons sent to r1H and t1H with amplitudes ``split``, plus one photon each in r1V, r2+, r2-.
+
+    The other three herald detectors are perfect, so the herald probability
+    is the r1H detector's click probability; t1H is an undetected spectator.
+    """
+    rows = np.array(ROUTE_TO_HERALDS)
+    rows[0] = 0.0
+    rows[0, 0], rows[0, 4] = split
     det = DetectorModel(efficiency=efficiency, resolving=resolving, per_mode=OTHER_HERALDS_PERFECT)
-    return herald(state, det)
+    return routed(rows, (photons, 1, 1, 1), det)
+
+
+def heralded_outputs(n1h, n2h, detectors):
+    """n1h photons in t1H and n2h in t2H, heralded by two V photons per arm on a 50:50 herald split.
+
+    Rows: a1H -> t1H, a1V -> (r1H + r1V)/sqrt(2), a2H -> t2H, a2V -> (r2+ + r2-)/sqrt(2).
+    """
+    half = 1.0 / math.sqrt(2.0)
+    rows = np.zeros((4, 8))
+    rows[0, 4] = rows[2, 6] = 1.0
+    rows[1, 0:2] = rows[3, 2:4] = half
+    return routed(rows, (n1h, 2, n2h, 2), detectors)
 
 
 class TestClickDistribution:
-    # herald() thins each herald mode binomially: a threshold detector fires
-    # with 1-(1-eta)^n, a number-resolving one reports one photon with
-    # n eta (1-eta)^(n-1).
+    # a threshold herald detector fires with 1-(1-eta)^n, a number-resolving
+    # one reports one photon with n eta (1-eta)^(n-1).
     def test_vacuum_never_clicks(self):
-        ens = herald(vacuum(8), DetectorModel(efficiency=0.42))
-        assert ens.probability == 0.0
-        assert ens.components == ()
+        heralded = block(0, 0.5, 0.5, DetectorModel(efficiency=0.42))
+        assert heralded.herald == 0.0
+        assert not heralded.table.any() and not heralded.coincidences.any()
+        with pytest.raises(ValueError, match="zero herald probability"):
+            number_table(heralded)
 
     def test_single_photon_clicks_with_eta(self):
-        ens = herald_on_r1h({(1, 0): 1.0}, 0.42)
-        assert ens.probability == pytest.approx(0.42, abs=1e-12)
+        assert herald_on_r1h((1.0, 0.0), 1, 0.42).herald == pytest.approx(0.42, abs=1e-12)
 
     def test_two_photons_threshold(self):
-        ens = herald_on_r1h({(2, 0): 1.0}, 0.5)
+        heralded = herald_on_r1h((1.0, 0.0), 2, 0.5)
         # 1 - (1-eta)^2, cross-checked by explicit two-photon loss enumeration
         explicit = 0.5 * 0.5 + 2 * 0.5 * 0.5
-        assert ens.probability == pytest.approx(0.75, abs=1e-12)
-        assert ens.probability == pytest.approx(explicit, abs=1e-12)
+        assert heralded.herald == pytest.approx(0.75, abs=1e-12)
+        assert heralded.herald == pytest.approx(explicit, abs=1e-12)
 
     def test_number_resolving_counts(self):
-        ens = herald_on_r1h({(2, 0): 1.0}, 0.5, "number")
         # exactly one of two photons detected: 2 eta (1 - eta)
-        assert ens.probability == pytest.approx(0.5, abs=1e-12)
-        ens = herald_on_r1h({(2, 0): 1.0}, 0.3, "number")
-        assert ens.probability == pytest.approx(2 * 0.3 * 0.7, abs=1e-12)
+        assert herald_on_r1h((1.0, 0.0), 2, 0.5, "number").herald == pytest.approx(0.5, abs=1e-12)
+        assert herald_on_r1h((1.0, 0.0), 2, 0.3, "number").herald == pytest.approx(
+            2 * 0.3 * 0.7, abs=1e-12
+        )
 
     def test_threshold_equals_number_on_single_photon_states(self):
-        amps = {(1, 0): 0.6, (0, 1): 0.8}
         eta = 0.37
-        th = herald_on_r1h(amps, eta)
-        nr = herald_on_r1h(amps, eta, "number")
-        assert th.probability == pytest.approx(0.36 * eta, abs=1e-12)
-        assert nr.probability == pytest.approx(th.probability, abs=1e-12)
-        assert [(w, k.amplitudes) for w, k in th.components] == [
-            (w, k.amplitudes) for w, k in nr.components
-        ]
+        th = herald_on_r1h((0.6, 0.8), 1, eta)
+        nr = herald_on_r1h((0.6, 0.8), 1, eta, "number")
+        assert th.herald == pytest.approx(0.36 * eta, abs=1e-12)
+        assert nr.herald == pytest.approx(th.herald, abs=1e-12)
+        want = number_table(th)
+        assert list(number_table(nr)) == list(want)
+        assert number_table(nr) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_distribution_sums_to_one(self):
-        # herald probability against the thinning formulas summed by hand
-        # r1H and r1V hold 0-2 photons each, r2+ and r2- one photon on a perfect detector
+        # herald probability against the thinning formulas summed by hand over
+        # the permanent oracle's arm ket: arm 1 on a random isometry, arm 2
+        # one photon each into perfect r2+ and r2- detectors
         rng = np.random.default_rng(11)
-        amps = {}
-        for _ in range(5):
-            na, nb, nc = (int(x) for x in rng.integers(0, 3, 3))
-            amps[na, nb, 1, 1, nc, 0, 0, 0] = complex(rng.normal(), rng.normal())
-        st = SparseKet.from_amplitudes(8, amps).normalized()
         perfect = {"r2+": 1.0, "r2-": 1.0}
         eta = 0.3
-        threshold = herald(st, DetectorModel(efficiency=eta, per_mode=perfect))
-        number = herald(st, DetectorModel(efficiency=eta, resolving="number", per_mode=perfect))
-        miss = sum(
-            abs(amp) ** 2 * (1 - (1 - (1 - eta) ** na) * (1 - (1 - eta) ** nb))
-            for (na, nb, *_), amp in st.amplitudes.items()
-        )
-        one_each = sum(
-            abs(amp) ** 2 * na * eta * (1 - eta) ** (na - 1) * nb * eta * (1 - eta) ** (nb - 1)
-            for (na, nb, *_), amp in st.amplitudes.items()
-            if na and nb
-        )
-        assert threshold.probability + miss == pytest.approx(1.0, abs=1e-12)
-        assert number.probability == pytest.approx(one_each, abs=1e-12)
+        for _ in range(5):
+            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            iso = np.linalg.qr(z)[0][:2]
+            rows = np.array(ROUTE_TO_HERALDS, dtype=complex)
+            rows[:2] = 0.0
+            rows[:2, [0, 1, 4, 5]] = iso
+            na, nb = (int(x) for x in rng.integers(0, 3, 2))
+            arm = dense_evolve({(na, nb): 1.0}, iso)
+            threshold = routed(rows, (na, nb, 1, 1), DetectorModel(efficiency=eta, per_mode=perfect))
+            number = routed(
+                rows, (na, nb, 1, 1), DetectorModel(efficiency=eta, resolving="number", per_mode=perfect)
+            )
+            miss = sum(
+                abs(amp) ** 2 * (1 - (1 - (1 - eta) ** r1h) * (1 - (1 - eta) ** r1v))
+                for (r1h, r1v, _, _), amp in arm.items()
+            )
+            one_each = sum(
+                abs(amp) ** 2 * r1h * eta * (1 - eta) ** (r1h - 1) * r1v * eta * (1 - eta) ** (r1v - 1)
+                for (r1h, r1v, _, _), amp in arm.items()
+                if r1h and r1v
+            )
+            assert threshold.herald + miss == pytest.approx(1.0, abs=1e-12)
+            assert number.herald == pytest.approx(one_each, abs=1e-12)
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_herald_on_every_mode(self, resolving):
-        # a ket on the four herald modes alone: nothing is left over, and the
-        # ensemble is r1H's click probability
+        # all four photons on the herald detectors: the outputs stay empty, and
+        # the herald probability is r1H's click probability
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=OTHER_HERALDS_PERFECT)
-        ens = herald(basis_ket(4, (1, 1, 1, 1)), det)
-        assert ens.probability == pytest.approx(0.4, abs=1e-15)
-        assert [(w, k.modes, k.amplitudes) for w, k in ens.components] == [
-            (ens.probability, 0, {(): 1.0})
-        ]
-        classical = herald_classical(basis_ket(4, (1, 1, 1, 1)), np.eye(4), det)
-        assert classical.probability == pytest.approx(0.4, abs=1e-15)
-        assert [k.modes for _, k in classical.components] == [0]
+        heralded = routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), det)
+        assert heralded.herald == pytest.approx(0.4, abs=1e-15)
+        assert number_table(heralded) == {(0, 0, 0, 0): pytest.approx(1.0, abs=1e-15)}
+        classical = herald_classical(basis_ket(4, (1, 1, 1, 1)), ROUTE_TO_HERALDS, det)
+        assert classical == pytest.approx(0.4, abs=1e-15)
 
 
 class TestHerald:
     def test_three_pair_ideal_gives_bell_state(self):
-        layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, IDEAL_NUMBER_DETECTORS)
-        assert len(ens.components) == 1
+        heralded = block(3, 0.5, 0.5, IDEAL_NUMBER_DETECTORS)
         # closed form: herald probability T1 T2 R1^2 R2^2 / 2
-        assert ens.probability == pytest.approx(0.5 * 0.5 * 0.25**2 / 2, abs=1e-12)
-        _, ket = ens.components[0]
-        vec = np.array([ket.amplitude(p) for p in COINCIDENCE_PATTERNS])
-        assert abs(vec @ PHI_PLUS.conj()) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert heralded.herald == pytest.approx(0.5 * 0.5 * 0.25**2 / 2, abs=1e-12)
+        # every heralded event is a coincidence, and the coincidences are Phi+
+        assert np.trace(heralded.coincidences).real == pytest.approx(heralded.herald, rel=1e-12)
+        rho = postselect_two_qubit(heralded)
+        assert fidelity_to_phi_plus(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_ideal_herald_is_phi_plus_at_random_splitters(self):
         # the heralded three-pair ket is (|HH>+|VV>)/sqrt(2) itself, with no local correction
         rng = np.random.default_rng(20100607)
         for t1, t2 in rng.uniform(0.0, 1.0, size=(40, 2)):
-            layout, state = evolved(3, t1, t2)
-            ens = herald(state, IDEAL_NUMBER_DETECTORS)
-            ((_, ket),) = ens.components
-            assert set(ket.amplitudes) <= set(COINCIDENCE_PATTERNS)
-            for pattern, want in zip(COINCIDENCE_PATTERNS, PHI_PLUS):
-                assert abs(ket.amplitude(pattern) - want) <= 1e-12
+            heralded = block(3, t1, t2, IDEAL_NUMBER_DETECTORS)
+            assert set(number_table(heralded)) <= set(COINCIDENCE_PATTERNS)
+            assert np.abs(postselect_two_qubit(heralded) - PHI_PLUS_RHO).max() <= 1e-12
 
     @pytest.mark.parametrize("t1,t2", [(0.17, 0.17), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3)])
     def test_herald_probability_closed_form(self, t1, t2):
-        layout, state = evolved(3, t1, t2)
-        ens = herald(state, IDEAL_NUMBER_DETECTORS)
         expected = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
-        assert ens.probability == pytest.approx(expected, abs=1e-12)
+        assert block(3, t1, t2, IDEAL_NUMBER_DETECTORS).herald == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("t1,t2", [(0.17, 0.5), (0.5, 0.5), (0.7, 0.3), (0.9, 0.1)])
     @pytest.mark.parametrize("detectors", [IDEAL_NUMBER_DETECTORS, LOSSLESS_THRESHOLD,
                                            DetectorModel(efficiency=0.0966)])
     def test_two_pair_fully_suppressed(self, t1, t2, detectors):
-        layout, state = evolved(2, t1, t2)
-        ens = herald(state, detectors)
-        assert ens.probability <= 1e-12
+        assert block(2, t1, t2, detectors).herald <= 1e-12
 
     def test_single_pair_cannot_herald(self):
-        layout, state = evolved(1, 0.5, 0.5)
-        ens = herald(state, LOSSLESS_THRESHOLD)
-        assert ens.probability == 0.0
+        assert block(1, 0.5, 0.5, LOSSLESS_THRESHOLD).herald == 0.0
 
     def test_herald_probability_monotone_in_efficiency(self):
-        layout, state = evolved(3, 0.4, 0.6)
-        probs = []
-        for eta in (0.05, 0.1, 0.3, 0.6, 1.0):
-            ens = herald(state, DetectorModel(efficiency=eta))
-            probs.append(ens.probability)
+        probs = [block(3, 0.4, 0.6, DetectorModel(efficiency=eta)).herald
+                 for eta in (0.05, 0.1, 0.3, 0.6, 1.0)]
         assert all(b >= a - 1e-15 for a, b in zip(probs, probs[1:]))
 
     def test_monotone_per_mode_on_random_states(self):
         # bumping any single herald detector's efficiency never lowers the
-        # herald probability
+        # herald probability, on random splitters, settings and blocks
         rng = np.random.default_rng(12)
         for _ in range(10):
-            amps = {}
-            for _ in range(6):
-                occ = tuple(int(x) for x in rng.integers(0, 3, 8))
-                amps[occ] = complex(rng.normal(), rng.normal())
-            state = SparseKet.from_amplitudes(8, amps).normalized()
+            t1, t2 = rng.uniform(0.05, 0.95, 2)
+            settings = tuple(rng.choice(list(ANALYSIS_SETTINGS), 2))
+            n_pairs = int(rng.integers(2, 6))
             base_eta = {name: float(rng.uniform(0.05, 0.9)) for name in HERALD_NAMES}
-            base = herald(state, DetectorModel(efficiency=0.5, per_mode=base_eta)).probability
+            base = block(n_pairs, t1, t2, DetectorModel(efficiency=0.5, per_mode=base_eta),
+                         settings).herald
             for bumped in HERALD_NAMES:
                 per_mode = dict(base_eta)
                 per_mode[bumped] = min(1.0, per_mode[bumped] + 0.1)
-                boosted = herald(
-                    state, DetectorModel(efficiency=0.5, per_mode=per_mode)
-                ).probability
-                assert boosted >= base - 1e-15
+                det = DetectorModel(efficiency=0.5, per_mode=per_mode)
+                assert block(n_pairs, t1, t2, det, settings).herald >= base - 1e-15
 
     def test_ket_without_herald_modes_rejected(self):
         with pytest.raises(ValueError, match="herald modes"):
-            herald(basis_ket(3, (1, 1, 1)), LOSSLESS_THRESHOLD)
+            oracles.herald(basis_ket(3, (1, 1, 1)), LOSSLESS_THRESHOLD)
+
+    def test_circuit_mixing_the_arms_rejected(self):
+        matrix = np.array(ROUTE_TO_HERALDS)
+        matrix[0] = 0.0
+        matrix[0, 0] = matrix[0, 6] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and t2H
+        with pytest.raises(ValueError, match="mixes the two arms"):
+            herald_pair_terms([pair_term(2)], matrix, LOSSLESS_THRESHOLD)
+
+    def test_arm_with_two_photon_numbers_rejected(self):
+        term = SparseKet.from_amplitudes(4, {(1, 0, 1, 1): 0.6, (1, 1, 1, 1): 0.8})
+        with pytest.raises(ValueError, match="same photon number"):
+            herald_pair_terms([term], ROUTE_TO_HERALDS, LOSSLESS_THRESHOLD)
 
     def test_component_weights_sum_to_probability(self):
-        layout, state = evolved(3, 0.3, 0.6)
-        ens = herald(state, DetectorModel(efficiency=0.4))
-        assert sum(w for w, _ in ens.components) == pytest.approx(ens.probability, abs=1e-14)
-        for _, ket in ens.components:
-            assert ket.norm_sq() == pytest.approx(1.0, abs=1e-10)
+        # the joint probabilities of the herald and each count pattern add up to the herald's
+        heralded = block(3, 0.3, 0.6, DetectorModel(efficiency=0.4))
+        assert heralded.table.sum() == pytest.approx(heralded.herald, rel=1e-14)
+        assert sum(number_table(heralded).values()) == pytest.approx(1.0, abs=1e-14)
+        assert 0.0 < np.trace(heralded.coincidences).real <= heralded.herald
 
 
 class TestClassicalChannel:
     def test_distribution_is_normalized(self):
-        # the enumeration behind the oracle sums to 1; the ensemble's one
-        # component is a unit ket carrying the whole herald probability
+        # the enumeration behind the oracle sums to 1; the block heralds its
+        # whole probability into the output vacuum
         layout = build_paper_circuit(0.4, 0.6)
         dist = classical_occupation_distribution(pair_term(2).amplitudes, layout.total_matrix())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-        ens = herald_classical(pair_term(2), layout.total_matrix(), DetectorModel(efficiency=0.3))
-        assert sum(w for w, _ in ens.components) == pytest.approx(ens.probability, abs=1e-10)
-        assert [k.norm_sq() for _, k in ens.components] == pytest.approx([1.0], abs=1e-10)
+        det = DetectorModel(efficiency=0.3)
+        classical = heralded_blocks(0.4, 0.6, det, 2)[2, False]
+        assert classical.herald == herald_classical(pair_term(2), layout.total_matrix(), det)
+        assert classical.table.sum() == classical.herald
 
     def test_two_pair_leakage_closed_form(self):
         # only the |1,1;1,1> component can satisfy the four-fold condition:
@@ -239,18 +274,14 @@ class TestClassicalChannel:
         # probability 1/2, times eta^4
         t1, t2, eta = 0.3, 0.6, 0.25
         layout = build_paper_circuit(t1, t2)
-        det = DetectorModel(efficiency=eta)
-        ens = herald_classical(pair_term(2), layout.total_matrix(), det)
+        prob = herald_classical(pair_term(2), layout.total_matrix(), DetectorModel(efficiency=eta))
         expected = (1 / 3) * (1 - t1) ** 2 * (1 - t2) ** 2 * 0.5 * eta**4
-        assert ens.probability == pytest.approx(expected, rel=1e-10)
+        assert prob == pytest.approx(expected, rel=1e-10)
 
     def test_leaked_output_is_vacuum(self):
-        layout = build_paper_circuit(0.5, 0.5)
-        det = DetectorModel(efficiency=0.3)
-        ens = herald_classical(pair_term(2), layout.total_matrix(), det)
-        assert len(ens.components) == 1
-        _, ket = ens.components[0]
-        assert set(ket.amplitudes) == {(0, 0, 0, 0)}
+        classical = heralded_blocks(0.5, 0.5, DetectorModel(efficiency=0.3), 2)[2, False]
+        assert number_table(classical) == {(0, 0, 0, 0): 1.0}
+        assert classical.direct == 0.0 and not classical.coincidences.any()
 
     def test_matches_enumeration_oracle(self):
         # the permanent over the herald columns against routing every photon
@@ -268,17 +299,12 @@ class TestClassicalChannel:
                 per_mode=per_mode,
             )
             matrix = build_paper_circuit(t1, t2, settings[trial % 9]).total_matrix()
-            ens = herald_classical(pair_term(2), matrix, det)
+            prob = herald_classical(pair_term(2), matrix, det)
             expected = classical_herald_probability(
                 pair_term(2).amplitudes, matrix, det.etas(HERALD_NAMES), det.resolving
             )
-            assert ens.probability == pytest.approx(expected, rel=1e-12, abs=0.0)
-            if expected == 0.0:
-                assert ens.components == ()
-            else:
-                assert [(type(w), w, k.amplitudes) for w, k in ens.components] == [
-                    (float, ens.probability, {(0, 0, 0, 0): 1.0})
-                ]
+            assert type(prob) is float
+            assert prob == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("pairs", [0, 1, 3])
     def test_ket_without_four_photons_rejected(self, pairs):
@@ -289,118 +315,93 @@ class TestClassicalChannel:
 
 class TestNumberTable:
     def test_ideal_three_pair_concentrates_at_one_per_arm(self):
-        layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, IDEAL_NUMBER_DETECTORS)
-        table = number_table(ens, DetectorModel(efficiency=1.0, resolving="number"))
-        reduction = spatial_reduction(table)
-        assert reduction[(1, 1)] == pytest.approx(1.0, abs=1e-10)
+        table = number_table(block(3, 0.5, 0.5, IDEAL_NUMBER_DETECTORS))
+        assert spatial_reduction(table)[(1, 1)] == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_output_efficiency_gives_vacuum(self):
-        layout, state = evolved(3, 0.5, 0.5)
-        ens = herald(state, LOSSLESS_THRESHOLD)
-        table = number_table(ens, DetectorModel(efficiency=0.0))
-        assert table[(0, 0, 0, 0)] == pytest.approx(1.0, abs=1e-12)
+        det = DetectorModel(efficiency=1.0, per_mode={name: 0.0 for name in OUTPUT_NAMES})
+        table = number_table(block(3, 0.5, 0.5, det))
+        assert table == {(0, 0, 0, 0): pytest.approx(1.0, abs=1e-12)}
 
     def test_probabilities_sum_to_one(self):
-        layout, state = evolved(3, 0.3, 0.7)
-        ens = herald(state, DetectorModel(efficiency=0.2))
-        table = number_table(ens, DetectorModel(efficiency=0.2))
+        table = number_table(block(3, 0.3, 0.7, DetectorModel(efficiency=0.2)))
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPostselect:
     def test_ideal_three_pair_is_phi_plus(self):
-        layout, state = evolved(3, 0.3, 0.7)
-        ens = herald(state, IDEAL_NUMBER_DETECTORS)
-        rho = postselect_two_qubit(ens, DetectorModel(efficiency=1.0))
+        rho = postselect_two_qubit(block(3, 0.3, 0.7, IDEAL_NUMBER_DETECTORS))
         check_density_matrix(rho)
         assert fidelity_to_phi_plus(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_basis_component(self):
-        from heraldsim.detection import ConditionalEnsemble
-
-        ket = basis_ket(4, (1, 0, 1, 0))
-        ens = ConditionalEnsemble.from_components(((1.0, ket),), 1.0)
-        rho = postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
+        rho = postselect_two_qubit(heralded_outputs(1, 1, DetectorModel(efficiency=0.5)))
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coincidence_rejected(self):
-        from heraldsim.detection import ConditionalEnsemble
-
-        ens = ConditionalEnsemble.from_components(((1.0, vacuum(4)),), 1.0)
+        heralded = routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), DetectorModel(efficiency=0.5))
+        assert heralded.herald > 0.0
         with pytest.raises(ValueError, match="coincidence"):
-            postselect_two_qubit(ens, DetectorModel(efficiency=0.5))
+            postselect_two_qubit(heralded)
 
     def test_valid_density_matrix_with_loss_and_higher_orders(self):
         det = DetectorModel(efficiency=0.0966)
-        layout = build_paper_circuit(0.7, 0.7)
-        merged = None
-        from heraldsim.experiments import heralded_ensemble
-
-        ens = heralded_ensemble(0.7, 0.7, SpdcParams(tau=0.4, max_pairs=4, visibility=0.8), det)
-        rho = postselect_two_qubit(ens, det)
-        check_density_matrix(rho)
+        spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.8)
+        check_density_matrix(postselect_two_qubit(reweight_blocks(heralded_blocks(0.7, 0.7, det, 4), spdc)))
 
     def test_four_pair_background_is_psi_minus_type(self):
-        from heraldsim.experiments import bell_diagonal, heralded_ensemble
+        from heraldsim.experiments import bell_diagonal
 
-        det = DetectorModel()
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.862)
-        ens = heralded_ensemble(0.3, 0.3, spdc, det)
-        rho = postselect_two_qubit(ens, det)
+        rho = postselect_two_qubit(reweight_blocks(heralded_blocks(0.3, 0.3, DetectorModel(), 4), spdc))
         diag = bell_diagonal(rho)
         background = {k: v for k, v in diag.items() if k != "phi+"}
         assert max(background, key=background.get) == "psi-"
 
     def test_fidelity_drops_when_four_pair_included(self):
-        from heraldsim.experiments import heralded_ensemble
-
-        det = DetectorModel()
+        blocks = heralded_blocks(0.5, 0.5, DetectorModel(), 4)
         fids = {}
         for mp in (3, 4):
             spdc = SpdcParams(tau=0.35, max_pairs=mp, visibility=0.862)
-            ens = heralded_ensemble(0.5, 0.5, spdc, det)
-            rho = postselect_two_qubit(ens, det)
-            fids[mp] = fidelity_to_phi_plus(rho)
+            fids[mp] = fidelity_to_phi_plus(postselect_two_qubit(reweight_blocks(blocks, spdc)))
         assert fids[4] < fids[3]
 
 
 class TestArmClicks:
     def test_matches_hand_computation_on_basis_state(self):
-        from heraldsim.detection import ConditionalEnsemble
-
-        ket = basis_ket(4, (2, 0, 1, 0))
-        ens = ConditionalEnsemble.from_components(((1.0, ket),), 1.0)
+        # two photons in t1H and one in t2H behind perfect heralds
         eta = 0.3
+        heralded = heralded_outputs(2, 1, DetectorModel(efficiency=eta, per_mode=HERALDS_PERFECT))
         expected = (1 - 0.7**2) * 0.3
-        table = number_table(ens, DetectorModel(efficiency=eta))
-        assert photons_in_both_arms_probability(table) == pytest.approx(expected, abs=1e-12)
+        assert photons_in_both_arms_probability(number_table(heralded)) == pytest.approx(
+            expected, abs=1e-12
+        )
 
 
 class TestPerModeEfficiency:
     def test_override_applies_to_named_mode(self):
-        st = basis_ket(8, (1, 1, 1, 1, 1, 0, 0, 0))
         perfect = {"r2+": 1.0, "r2-": 1.0}
         for resolving in ("threshold", "number"):
             det = DetectorModel(
                 efficiency=0.5, resolving=resolving, per_mode={**perfect, "r1V": 1.0}
             )
             # r1V always fires, r1H with the default 0.5
-            assert herald(st, det).probability == pytest.approx(0.5, abs=1e-12)
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), det).herald == pytest.approx(0.5, abs=1e-12)
             plain = DetectorModel(efficiency=0.5, resolving=resolving, per_mode=perfect)
-            assert herald(st, plain).probability == pytest.approx(0.25, abs=1e-12)
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), plain).herald == pytest.approx(
+                0.25, abs=1e-12
+            )
             # an override on an output detector changes nothing
             output = DetectorModel(
                 efficiency=0.5, resolving=resolving, per_mode={**perfect, "t1H": 1.0}
             )
-            assert herald(st, output).probability == pytest.approx(0.25, abs=1e-12)
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), output).herald == pytest.approx(
+                0.25, abs=1e-12
+            )
 
     def test_override_applies_to_output_detector(self):
-        from heraldsim.detection import ConditionalEnsemble
-
-        ens = ConditionalEnsemble.from_components(((1.0, basis_ket(4, (1, 0, 1, 0))),), 1.0)
-        det = DetectorModel(efficiency=0.3, per_mode={"t1H": 1.0})
-        table = number_table(ens, det)
+        det = DetectorModel(efficiency=0.3, per_mode={**HERALDS_PERFECT, "t1H": 1.0})
+        table = number_table(heralded_outputs(1, 1, det))
         assert photons_in_both_arms_probability(table) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["t1", "r2+H", "T1H"])
@@ -410,65 +411,148 @@ class TestPerModeEfficiency:
             DetectorModel(per_mode={name: 0.9})
 
 
+class TestArmKets:
+    @pytest.mark.parametrize("setting", ANALYSIS_SETTINGS)
+    def test_closed_form_matches_apply_mode_map(self, setting):
+        # each arm's 2 -> 4 isometry on every input of up to 8 photons,
+        # amplitude by amplitude, with the same amplitudes pruned
+        for t1, t2 in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.15)):
+            matrix = build_paper_circuit(t1, t2, (setting, setting)).matrix
+            arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
+            maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
+            for n in range(9):
+                inputs = np.array([[a, n - a] for a in range(n + 1)])
+                kets = _arm_kets(maps, np.stack([inputs, inputs]))
+                for arm, iso in enumerate(arms):
+                    for k, occ in enumerate(inputs.tolist()):
+                        want = apply_mode_map(basis_ket(2, occ), iso).amplitudes
+                        got = {
+                            (h0, n - o0 - o1 - h0, o0, o1): kets[arm, o0, o1, k, h0]
+                            for o0 in range(n + 1) for o1 in range(n + 1 - o0)
+                            for h0 in range(n + 1 - o0 - o1)
+                            if kets[arm, o0, o1, k, h0] != 0.0
+                        }
+                        assert set(got) == set(want)
+                        for key, amp in want.items():
+                            assert abs(got[key] - amp) <= 1e-12
+
+    def test_hong_ou_mandel_zero_is_exact(self):
+        # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never
+        # gives an r2+ r2- coincidence, an exact zero rather than rounding residue
+        matrix = build_paper_circuit(0.0, 0.0).matrix
+        arm2 = matrix[2:4][:, [2, 3, 6, 7]]
+        maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
+        kets = _arm_kets(maps, np.array([[[1, 1]]]))
+        assert kets[0, 0, 0, 0, 1] == 0.0
+        assert abs(kets[0, 0, 0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
 # A perfect and a partial herald detector, and a dead, a perfect and a
 # partial output detector; the rest keep the model's efficiency.
 EDGE_EFFICIENCIES = {"r1V": 1.0, "r2+": 0.7, "t1H": 0.0, "t1V": 0.35, "t2V": 1.0}
+# z-z and x-y first, the two settings this test ran on before it took all nine.
+ALL_SETTINGS = [("z", "z"), ("x", "y")] + [
+    (a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS if (a, b) not in (("z", "z"), ("x", "y"))
+]
 
 
-def _by_weight(components):
-    return sorted(components, key=lambda c: (float(f"{c[0]:.9e}"), sorted(c[1])))
+def assert_tables_match(got, want):
+    assert list(got) == sorted(want)
+    for pattern, p in want.items():
+        assert got[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
 
 
 class TestAgainstOracles:
-    """herald, number_table and postselect_two_qubit against the brute-force oracles."""
+    """The arm path against the dense permanent oracle and the 8-mode Fock oracle."""
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
-    @pytest.mark.parametrize("settings", [("z", "z"), ("x", "y")])
+    @pytest.mark.parametrize("settings", ALL_SETTINGS)
     def test_herald(self, resolving, settings):
+        # every block 0..5 against its permanent-formula ket, heralded pattern by pattern
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
-        layout = build_paper_circuit(0.35, 0.55, settings)
-        for n in range(2, 6):
-            state = layout.run(pair_term(n))
-            ens = herald(state, det)
-            want = herald_by_pattern(dict(state.amplitudes), det.etas(HERALD_NAMES), resolving)
-            assert ens.probability == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
-            got = [(w, dict(k.amplitudes)) for w, k in ens.components]
-            assert [w for w, _ in got] == sorted((w for w, _ in got), reverse=True)
-            assert len(got) == len(want)
-            for (w_got, a_got), (w_want, a_want) in zip(_by_weight(got), _by_weight(want)):
-                assert w_got == pytest.approx(w_want, rel=1e-12, abs=0.0)
-                assert set(a_got) == set(a_want)
-                for occ, amp in a_want.items():
-                    assert a_got[occ] == pytest.approx(amp, abs=1e-12)
+        matrix = build_paper_circuit(0.35, 0.55, settings).matrix
+        terms = [pair_term(n) for n in range(6)]
+        for n, heralded in enumerate(herald_pair_terms(terms, matrix, det)):
+            state = dense_evolve_by_arm(dict(terms[n].amplitudes), matrix)
+            want = herald_by_pattern(state, det.etas(HERALD_NAMES), resolving)
+            assert heralded.herald == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
+            if not want:
+                assert heralded.herald == 0.0 and not heralded.table.any()
+                continue
+            assert_tables_match(number_table(heralded),
+                                detected_number_table(want, det.etas(OUTPUT_NAMES)))
+            if n <= 4 and np.trace(heralded.coincidences).real > 0.0:
+                rho = postselected_state_through_loss_modes(want, det.etas(OUTPUT_NAMES))
+                assert np.abs(postselect_two_qubit(heralded) - rho).max() <= 1e-12
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode={"r2-": 0.0})
-        state = build_paper_circuit(0.35, 0.55).run(pair_term(4))
-        assert herald_by_pattern(dict(state.amplitudes), det.etas(HERALD_NAMES), resolving) == []
-        ens = herald(state, det)
-        assert ens.probability == 0.0 and ens.components == ()
+        matrix = build_paper_circuit(0.35, 0.55).matrix
+        state = dense_evolve_by_arm(dict(pair_term(4).amplitudes), matrix)
+        assert herald_by_pattern(state, det.etas(HERALD_NAMES), resolving) == []
+        heralded = block(4, 0.35, 0.55, det)
+        assert heralded.herald == 0.0 and not heralded.table.any()
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_number_table(self, resolving):
+        # the reweighted blocks against the Fock oracle at 6 pairs, and against
+        # the brute-force count enumeration of the Fock oracle's components at 5
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
-        spdc = SpdcParams(tau=0.3, max_pairs=5, visibility=0.9)
-        ens = heralded_ensemble(0.35, 0.55, spdc, det, ("x", "y"))
-        components = [(w, dict(k.amplitudes)) for w, k in ens.components]
-        want = detected_number_table(components, det.etas(OUTPUT_NAMES))
-        table = number_table(ens, det)
-        assert list(table) == sorted(want)
-        for pattern, p in want.items():
-            assert table[pattern] == pytest.approx(p, rel=1e-12, abs=0.0)
+        for max_pairs in (5, 6):
+            spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
+            blocks = heralded_blocks(0.35, 0.55, det, max_pairs, ("x", "y"))
+            table = number_table(reweight_blocks(blocks, spdc))
+            ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det, ("x", "y"))
+            if max_pairs == 6:
+                assert_tables_match(table, oracles.number_table(ens, det))
+            else:
+                components = [(w, dict(k.amplitudes)) for w, k in ens.components]
+                assert_tables_match(table, detected_number_table(components, det.etas(OUTPUT_NAMES)))
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_postselected_state(self, resolving):
-        det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
-        spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.9)
-        ens = heralded_ensemble(0.35, 0.55, spdc, det, ("y", "x"))
-        components = [(w, dict(k.amplitudes)) for w, k in ens.components]
-        for output in (det, DetectorModel(efficiency=0.4, per_mode={"t1H": 1.0, "t2H": 0.0})):
-            want = postselected_state_through_loss_modes(components, output.etas(OUTPUT_NAMES))
-            rho = postselect_two_qubit(ens, output)
-            check_density_matrix(rho)
-            assert np.abs(rho - want).max() <= 1e-12
+        # against the Fock oracle at 6 pairs, and against loss as explicit optics
+        # on the Fock oracle's components at 4
+        herald_etas = dict(zip(HERALD_NAMES, DetectorModel(per_mode=EDGE_EFFICIENCIES).etas(HERALD_NAMES)))
+        for outputs in (EDGE_EFFICIENCIES, {"t1H": 1.0, "t2H": 0.0}):
+            det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode={**herald_etas, **outputs})
+            for max_pairs in (4, 6):
+                spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
+                rho = postselect_two_qubit(
+                    reweight_blocks(heralded_blocks(0.35, 0.55, det, max_pairs, ("y", "x")), spdc)
+                )
+                check_density_matrix(rho)
+                ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det, ("y", "x"))
+                if max_pairs == 6:
+                    want = oracles.postselect_two_qubit(ens, det)
+                else:
+                    components = [(w, dict(k.amplitudes)) for w, k in ens.components]
+                    want = postselected_state_through_loss_modes(components, det.etas(OUTPUT_NAMES))
+                assert np.abs(rho - want).max() <= 1e-12
+
+    def test_blocks_match_the_fock_oracle_block_by_block(self):
+        # each unit-weight block's herald probability, table and coincidences
+        # against the 8-mode pipeline's, at 6 pairs on two settings
+        det = DetectorModel(efficiency=0.2, per_mode=EDGE_EFFICIENCIES)
+        for settings in (("z", "z"), ("y", "x")):
+            layout = build_paper_circuit(0.3, 0.7, settings)
+            blocks = heralded_blocks(0.3, 0.7, det, 6, settings)
+            for n in range(7):
+                ens = oracles.herald(layout.run(pair_term(n)), det)
+                heralded = blocks[n, True]
+                assert heralded.herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
+                if ens.probability > 0.0:
+                    assert_tables_match(number_table(heralded), oracles.number_table(ens, det))
+                    assert np.abs(
+                        postselect_two_qubit(heralded) - oracles.postselect_two_qubit(ens, det)
+                    ).max() <= 1e-12
+
+
+def test_heralded_block_is_plain_data():
+    # the joint probabilities of a block, nothing computed on access
+    zero = HeraldedBlock(0.0, np.zeros((1, 1, 1, 1)), 0.0, np.zeros((4, 4), dtype=complex))
+    with pytest.raises(ValueError, match="zero herald probability"):
+        number_table(zero)
+    with pytest.raises(ValueError, match="zero coincidence probability"):
+        postselect_two_qubit(zero)

@@ -1,27 +1,30 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heraldsim.detection
 import heraldsim.experiments
 from heraldsim.detection import (
     DetectorModel,
-    herald,
     herald_classical,
+    herald_pair_terms,
     number_table,
     postselect_two_qubit,
 )
-from heraldsim.elements import CircuitLayout, build_paper_circuit
+from heraldsim.elements import build_paper_circuit
 from heraldsim.experiments import (
     REFERENCE_NUMBER_PROBS,
     REFERENCE_TRANSMISSIONS,
     ExperimentConfig,
     bell_diagonal,
     calibrate_tau,
-    heralded_ensemble,
+    heralded_blocks,
     power_scaled_tau,
     reproduce_number_tables,
+    reweight_blocks,
     run_power_comparison,
     run_sweep,
     simulate_experiment,
@@ -29,7 +32,10 @@ from heraldsim.experiments import (
 from heraldsim.metrics import fidelity_to_phi_plus, one_photon_per_arm_probability
 from heraldsim.source import SpdcParams, emission_components, pair_term
 
-from oracles import arm_click_probability, one_photon_per_arm_before_loss
+import oracles
+from oracles import arm_click_probability, heralded_ensemble, one_photon_per_arm_before_loss
+
+PINNED = Path(__file__).parent / "fock_pipeline_outputs.json"
 
 
 def sweep_configs(ts, tau, max_pairs, visibility=0.862):
@@ -94,40 +100,44 @@ class TestCalibration:
         assert calibrate_tau(max_pairs=7)["tau"] == pytest.approx(0.2237, abs=1e-4)
 
 
+# One run of the Fock oracle per tau: every block evolved again for each tau.
 def per_tau_p11(t, tau, visibility, det):
     spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
-    return one_photon_per_arm_probability(number_table(heralded_ensemble(t, t, spdc, det), det))
+    return one_photon_per_arm_probability(oracles.number_table(heralded_ensemble(t, t, spdc, det), det))
 
 
 def per_tau_rho(t, tau, visibility, det):
     spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
-    ensemble = heralded_ensemble(t, t, spdc, det)
-    return postselect_two_qubit(ensemble, det)
+    return oracles.postselect_two_qubit(heralded_ensemble(t, t, spdc, det), det)
 
 
 class TestSharedBlocks:
-    """calibrate and power-compare evolve each pair block once and reweight it per tau."""
+    """calibrate and power-compare herald each pair block once and reweight it per tau."""
 
     def test_ensemble_matches_component_by_component_evolution(self):
-        # each emission component evolved and heralded on its own, as a one-tau pipeline does
+        # each emission component heralded on its own and weighted, as a one-tau pipeline does
         det = DetectorModel(efficiency=0.2)
         for settings in (("z", "z"), ("x", "y")):
             for visibility in (0.0, 0.862, 1.0):
                 spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
-                layout = build_paper_circuit(0.3, 0.7, settings)
-                expected = []
+                matrix = build_paper_circuit(0.3, 0.7, settings).matrix
+                herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
                 for (pairs, coherent), weight in emission_components(spdc).items():
                     state = pair_term(pairs)
                     if coherent:
-                        ens = herald(layout.run(state), det)
+                        (block,) = herald_pair_terms([state], matrix, det)
+                        herald_p += weight * block.herald
+                        direct += weight * block.direct
+                        table[tuple(slice(0, s) for s in block.table.shape)] += weight * block.table
+                        coincidences = coincidences + weight * block.coincidences
                     else:
-                        ens = herald_classical(state, layout.total_matrix(), det)
-                    expected.append(ens.scaled(weight))
-                got = heralded_ensemble(0.3, 0.7, spdc, det, settings)
-                assert got.probability == sum(e.probability for e in expected)
-                assert [(w, k.amplitudes) for w, k in got.components] == [
-                    (w, k.amplitudes) for e in expected for w, k in e.components
-                ]
+                        p = herald_classical(state, matrix, det)
+                        herald_p += weight * p
+                        table[0, 0, 0, 0] += weight * p
+                got = reweight_blocks(heralded_blocks(0.3, 0.7, det, 4, settings), spdc)
+                assert got.herald == herald_p and got.direct == direct
+                assert np.array_equal(got.table, table)
+                assert np.array_equal(got.coincidences, coincidences)
 
     @pytest.mark.parametrize("ratio", sorted(REFERENCE_TRANSMISSIONS))
     @pytest.mark.parametrize("visibility", [0.0, 0.862, 1.0])
@@ -158,18 +168,19 @@ class TestSharedBlocks:
                     assert value == pytest.approx(want[name], rel=0.0, abs=1e-12)
 
     def test_each_block_evolves_once(self, monkeypatch):
+        # one set of arm kets per pair block and command, whatever the number of taus
         evolved, visited = [], []
-        run = CircuitLayout.run
+        arm_kets = heraldsim.detection._arm_kets
 
-        def counting_run(self, state):
-            evolved.append(max(map(sum, state.amplitudes)) // 2)
-            return run(self, state)
+        def counting_arm_kets(maps, photons):
+            evolved.append(int(photons[0, 0].sum()))
+            return arm_kets(maps, photons)
 
         def counting_components(spdc):
             visited.append(spdc.tau)
             return emission_components(spdc)
 
-        monkeypatch.setattr(CircuitLayout, "run", counting_run)
+        monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
         monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
         calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
         assert sorted(evolved) == [0, 1, 2, 3, 4]
@@ -359,19 +370,14 @@ class TestSimulateExperiment:
     def test_circuit_statistics_match_reconstruction_inputs(self):
         # per-setting coincidence statistics from the full circuit equal the
         # Born probabilities of the post-selected two-qubit state
-        from heraldsim.detection import (
-            COINCIDENCE_PATTERNS,
-            number_table,
-            postselect_two_qubit,
-        )
+        from heraldsim.detection import COINCIDENCE_PATTERNS
         from heraldsim.tomography import expected_coincidences
 
         det = DetectorModel(efficiency=0.3)
         spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)
-        rho = postselect_two_qubit(heralded_ensemble(0.5, 0.5, spdc, det), det)
+        rho = postselect_two_qubit(reweight_blocks(heralded_blocks(0.5, 0.5, det, 4), spdc))
         for setting in (("z", "z"), ("x", "x"), ("y", "y"), ("x", "y")):
-            ens = heralded_ensemble(0.5, 0.5, spdc, det, settings=setting)
-            table = number_table(ens, det)
+            table = number_table(reweight_blocks(heralded_blocks(0.5, 0.5, det, 4, setting), spdc))
             coinc = np.array([table.get(p, 0.0) for p in COINCIDENCE_PATTERNS])
             coinc /= coinc.sum()
             expected = expected_coincidences(rho, setting)
@@ -388,3 +394,27 @@ class TestSeventeenEightyThree:
         row = report["comparison"]["p00"]
         assert row["simulated"] == pytest.approx(0.974, rel=0.02)
         assert not row["flagged"]
+
+
+class TestPinnedFockOutputs:
+    """simulate_experiment against the 8-mode Fock pipeline's recorded outputs."""
+
+    @pytest.mark.parametrize("name", sorted(json.loads(PINNED.read_text())["configs"]))
+    def test_outputs_match_the_fock_pipeline(self, name):
+        pinned = json.loads(PINNED.read_text())["configs"][name]
+        c = pinned["config"]
+        config = ExperimentConfig(
+            t1=c["t1"], t2=c["t2"],
+            spdc=SpdcParams(tau=c["tau"], max_pairs=c["max_pairs"], visibility=c["visibility"]),
+            detectors=DetectorModel(**c["detectors"]),
+        )
+        result = simulate_experiment(config)
+        assert result.herald_probability == pytest.approx(
+            pinned["herald_probability"], rel=1e-12, abs=0.0
+        )
+        assert result.metrics == pytest.approx(pinned["metrics"], rel=1e-12, abs=0.0)
+        want = {tuple(map(int, k.split())): p for k, p in pinned["number_table"].items()}
+        assert list(result.table) == list(want)
+        assert result.table == pytest.approx(want, rel=1e-12, abs=0.0)
+        rho = np.array([[complex(re, im) for re, im in row] for row in pinned["rho_post"]])
+        assert np.abs(result.rho_post - rho).max() <= 1e-12 * np.abs(rho).max()

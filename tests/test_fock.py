@@ -5,12 +5,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from heraldsim.detection import DetectorModel, herald
+from heraldsim.detection import DetectorModel, herald_pair_terms, postselect_two_qubit
 from heraldsim.elements import build_paper_circuit
 from heraldsim.fock import SparseKet, apply_mode_map, vacuum
+from heraldsim.metrics import PHI_PLUS
 from heraldsim.source import pair_term
 
-from oracles import dense_evolve
+from oracles import dense_evolve, herald
 
 BS_50 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 # Lossless threshold detectors: a herald pattern fires when every herald mode is occupied.
@@ -178,8 +179,8 @@ def pattern_probability(amps):
 
 
 class TestProjection:
-    # herald() groups a ket by the occupation of the four herald modes; what
-    # remains of each firing pattern is one normalized component.
+    # the Fock oracle's herald() groups a ket by the occupation of the four
+    # herald modes; what remains of each firing pattern is one normalized component.
     def test_vacuum_all_zero_pattern(self):
         ens = herald(vacuum(8), IDEAL_THRESHOLD)
         assert ens.probability == 0.0
@@ -245,19 +246,17 @@ class TestHeraldProjection:
         # projecting the evolved triple-pair state on one photon per herald
         # mode leaves the maximally entangled pair on the outputs, with the
         # squared constant T1 T2 R1^2 R2^2 / 2
-        from heraldsim.elements import build_paper_circuit
-        from heraldsim.source import pair_term
-
         t1, t2 = 0.3, 0.6
-        layout = build_paper_circuit(t1, t2, ("z", "z"))
-        ens = herald(layout.run(pair_term(3)), DetectorModel(efficiency=1.0, resolving="number"))
-        ((prob, rest),) = ens.components
-        assert rest.modes == 4
-        assert prob == pytest.approx(t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2, abs=1e-12)
-        assert rest.amplitude((1, 0, 1, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-        assert rest.amplitude((0, 1, 0, 1)) == pytest.approx(1 / math.sqrt(2), abs=1e-10)
-        assert abs(rest.amplitude((1, 0, 0, 1))) <= 1e-12
-        assert abs(rest.amplitude((0, 1, 1, 0))) <= 1e-12
+        matrix = build_paper_circuit(t1, t2, ("z", "z")).matrix
+        ideal = DetectorModel(efficiency=1.0, resolving="number")
+        (block,) = herald_pair_terms([pair_term(3)], matrix, ideal)
+        prob = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
+        assert block.herald == pytest.approx(prob, abs=1e-12)
+        assert block.table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)
+        assert block.table[0, 1, 0, 1] == pytest.approx(prob / 2, abs=1e-12)
+        assert block.table[1, 0, 0, 1] == 0.0 and block.table[0, 1, 1, 0] == 0.0
+        rho = postselect_two_qubit(block)
+        assert np.abs(rho - np.outer(PHI_PLUS, PHI_PLUS.conj())).max() <= 1e-10
 
 
 class TestPruningPin:

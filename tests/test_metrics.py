@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.detection import ConditionalEnsemble, DetectorModel, herald, number_table
+from heraldsim.detection import DetectorModel, herald_pair_terms
+from heraldsim.experiments import ExperimentConfig, simulate_experiment
 from heraldsim.elements import build_paper_circuit
 from heraldsim.metrics import (
     BELL_STATES,
@@ -18,7 +19,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import pair_term
+from heraldsim.source import SpdcParams, pair_term
 from heraldsim.tomography import optimize_local_fidelity
 
 import oracles
@@ -227,30 +228,27 @@ class TestChsh:
             assert tangle(rotated) == pytest.approx(tangle(rho), abs=1e-8)
 
 
-def direct_preparation(ens):
-    # P(1;1) before any output loss: the number table at unit output efficiency
-    return one_photon_per_arm_probability(number_table(ens, DetectorModel(efficiency=1.0)))
+def direct_preparation(t1, t2, detectors):
+    # P(1;1) of the heralded three-pair block before any output loss
+    (block,) = herald_pair_terms([pair_term(3)], build_paper_circuit(t1, t2).matrix, detectors)
+    return block.direct / block.herald
 
 
 class TestDirectPreparation:
     def test_ideal_three_pair_unity(self):
         ideal = DetectorModel(efficiency=1.0, resolving="number")
-        layout = build_paper_circuit(0.5, 0.5)
-        ens = herald(layout.run(pair_term(3)), ideal)
-        assert direct_preparation(ens) == pytest.approx(1.0, abs=1e-12)
+        assert direct_preparation(0.5, 0.5, ideal) == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_heralds_near_quadratic_line(self):
-        det = DetectorModel()
         for t in (0.17, 0.5, 0.7):
-            layout = build_paper_circuit(t, t)
-            ens = herald(layout.run(pair_term(3)), det)
-            p = direct_preparation(ens)
+            p = direct_preparation(t, t, DetectorModel())
             assert abs(p - t * t) / (t * t) <= 0.25
 
     def test_zero_probability_rejected(self):
-        ens = ConditionalEnsemble.from_components((), 0.0)
-        with pytest.raises(ValueError):
-            direct_preparation(ens)
+        # full transmission leaves the herald detectors dark: P(1;1) would be 0/0
+        config = ExperimentConfig(t1=1.0, t2=1.0, spdc=SpdcParams(tau=0.3))
+        with pytest.raises(ValueError, match="zero herald probability"):
+            simulate_experiment(config)
 
 
 class TestTotalStateFidelity:
