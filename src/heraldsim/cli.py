@@ -24,7 +24,7 @@ from .experiments import (
     simulate_experiment,
 )
 from .metrics import PHI_PLUS, PSI_MINUS, chsh_max, fidelity_to_phi_plus, tangle
-from .source import SpdcParams
+from .source import PAPER_VISIBILITY, SpdcParams
 from .tomography import (
     SETTINGS,
     ConvergenceError,
@@ -113,10 +113,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="preparation probability vs transmission")
     p.add_argument("--t", required=True, help="comma-separated transmissions")
-    p.add_argument("--tau", type=float, default=0.3)
-    p.add_argument("--pairs", type=int, default=4)
-    p.add_argument("--visibility", type=float, default=0.862)
-    p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
+    p.add_argument("--tau", type=float, default=SpdcParams.tau)
+    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
+    p.add_argument("--visibility", type=float, default=PAPER_VISIBILITY)
+    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
     p.add_argument("--out")
 
     p = sub.add_parser("tomo-sim", help="simulate tomography counts from a known state")
@@ -145,17 +145,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit the emission amplitude to reference data")
     p.add_argument("--target-p11", type=float, default=REFERENCE_NUMBER_PROBS["50/50"]["p11"])
     p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
-    p.add_argument("--visibility", type=float, default=0.862)
-    p.add_argument("--pairs", type=int, default=4)
+    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
+    p.add_argument("--visibility", type=float, default=PAPER_VISIBILITY)
+    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
     p.add_argument("--out")
 
     p = sub.add_parser("power-compare", help="post-selected fidelity at two pump powers")
     p.add_argument("--tau-high", type=float, required=True)
     p.add_argument("--tau-low", type=float)
     p.add_argument("--t", type=float, default=0.3)
-    p.add_argument("--eta", type=float, default=DetectorModel().efficiency)
-    p.add_argument("--pairs", type=int, default=4)
+    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
+    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
     p.add_argument("--out")
     return parser
 

@@ -4,10 +4,14 @@ The circuit never mixes the two arms and every detector counts photons in
 one mode, so a pair block sum_k c_k |arm 1 input k>|arm 2 input k> is
 heralded arm by arm.  Each arm's input k evolves in closed form
 (``_arm_kets``) into a ket over its two herald and two output detectors.
-Every heralded statistic is then sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'],
-with G_a arm a's Gram tensor: its kets' overlaps, weighted by the
-probability that its herald detectors fire and, for counts, by the binomial
-thinning of its output photons.  Loss is per-mode binomial thinning at
+One contraction, sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's
+kets overlapped per output occupation and weighted by the probability that
+its herald detectors fire, gives the block's lossless table: the joint
+probability of the herald and each output occupation.  Its sum is the
+herald probability and its one-photon-per-arm entries P_direct.  Output
+loss never changes whether the herald fires, so it thins that table after
+the contraction; only the coincidence matrix, which keeps coherence, takes
+its loss inside the arms.  Loss is per-mode binomial thinning at
 detection, exact because every element after the source is passive linear
 optics.  The two-pair block's distinguishable photons herald only when all
 four land one in each herald detector, so that block heralds the output
@@ -181,17 +185,17 @@ def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
 
 
 def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
-    """Each arm's Gram tensors over its inputs (k, k'): herald, direct, table and coincidences.
+    """Each arm's Gram tensors over its inputs (k, k'): lossless output counts and coincidences.
 
     ``kets`` come from ``_arm_kets``, with ``photons`` in each arm;
     ``fires`` (arms, 2, s) holds each herald detector's firing probability
     per photon number and ``thinning`` (arms, 2, s, s) each output
     detector's binomial thinning table.  A herald occupation weighs its
-    detectors' firing probabilities; an output occupation the probability
-    of its detected counts.  The coincidences keep coherence between the
-    two detected polarizations for each herald occupation and each set of
-    lost photons: a photon detected out of n is the Kraus factor
-    sqrt(thinning[n, 1]).
+    detectors' firing probabilities.  The Gram tensor is indexed by the
+    arm's output occupation (o0, o1) before loss.  The coincidences keep
+    coherence between the two detected polarizations for each herald
+    occupation and each set of lost photons: a photon detected out of n is
+    the Kraus factor sqrt(thinning[n, 1]).
     """
     arms, size, _, n_inputs, _ = kets.shape
     n = size - 1
@@ -203,11 +207,6 @@ def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinnin
     )
     # gram[arm, o0, o1, k, k']: an arm's kets overlapped over its herald occupations
     gram = (kets * herald_weight[..., None, :]) @ kets.conj().swapaxes(-1, -2)
-    direct = gram[:, 1, 0] + gram[:, 0, 1] if n else np.zeros_like(gram[:, 0, 0])
-    by_d0 = thinning[:, 0].swapaxes(-1, -2) @ gram.reshape(arms, size, -1)
-    table = (thinning[:, 1, None].swapaxes(-1, -2) @ by_d0.reshape(arms, size, size, -1)).reshape(
-        arms, size, size, n_inputs, n_inputs
-    )
     coincidences = np.zeros((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
     if n:
         e0, e1 = np.ix_(np.arange(n), np.arange(n))
@@ -219,7 +218,7 @@ def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinnin
         # the herald weight depends on o0 + o1 alone, the same for either detected polarization
         weighted = detected * herald_weight[:, 1:, :n].reshape(arms, 1, -1)
         coincidences = (weighted @ detected.conj().swapaxes(-1, -2)).reshape(coincidences.shape)
-    return gram.sum(axis=(1, 2)), direct, table, coincidences
+    return gram, coincidences
 
 
 def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -241,6 +240,11 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     return value.reshape(first.shape[:-2] + second.shape[:-2])
 
 
+def one_count_per_arm(table: np.ndarray) -> float:
+    """A (t1H, t1V, t2H, t2V) count table summed over COINCIDENCE_PATTERNS."""
+    return float(sum(table[p] for p in COINCIDENCE_PATTERNS)) if len(table) > 1 else 0.0
+
+
 def herald_pair_terms(
     terms: Sequence[SparseKet], matrix: np.ndarray, detectors: DetectorModel
 ) -> list[HeraldedBlock]:
@@ -250,12 +254,14 @@ def herald_pair_terms(
     rows of ``pair_term``), each arm with one photon number, and ``matrix``
     is the (4, 8) circuit, which must not mix the arms.  Arm a's inputs
     evolve by ``_arm_kets`` through its rows' blocks on its own herald and
-    output detectors, and every statistic of a term is
-    Re sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'] over the arms' Gram tensors
-    (``_arm_grams``).  Threshold detectors herald when each herald detector
-    detects at least one photon, number-resolving ones when each detects
-    exactly one; output clicks are never vetoed.  A count pattern a term
-    cannot give has a table entry of exactly zero.
+    output detectors.  One contraction per term over the arms' Gram
+    tensors (``_arm_grams``) gives its lossless table, whose sum is the
+    herald probability and whose COINCIDENCE_PATTERNS entries are P_direct;
+    binomial output loss, a positive linear map, then thins the stack of
+    all terms' tables at once.  Threshold detectors herald when each
+    herald detector detects at least one photon, number-resolving ones
+    when each detects exactly one; output clicks are never vetoed.  A count
+    pattern a term cannot give has a table entry of exactly zero.
     """
     n_herald = len(HERALD_NAMES)
     columns = [[2 * a, 2 * a + 1, n_herald + 2 * a, n_herald + 2 * a + 1] for a in (0, 1)]
@@ -273,25 +279,30 @@ def herald_pair_terms(
         [_fires(n_max, eta, detectors.resolving) for eta in detectors.etas(HERALD_NAMES)]
     )
     thinning = np.array([_thinning(n_max, eta) for eta in detectors.etas(OUTPUT_NAMES)])
-    blocks = []
-    for term in terms:
+    lossless = np.zeros((len(terms),) + (n_max + 1,) * 4)
+    parts = []
+    for term, padded in zip(terms, lossless):
         photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
         kets = _arm_kets(maps, photons)
         size = kets.shape[1]
-        herald, direct, table, coincidences = _arm_grams(
+        gram, coincidences = _arm_grams(
             kets, photons[:, 0].sum(axis=-1), fires[:, :size].reshape(2, 2, size),
             thinning[:, :size, :size].reshape(2, 2, size, size),
         )
         weights = np.outer(term.values, term.values.conj())
-        blocks.append(HeraldedBlock(
-            herald=float(_contract(weights, herald[0], herald[1])),
-            table=_contract(weights, table[0], table[1]),
-            direct=float(_contract(weights, direct[0], direct[1])),
-            coincidences=np.einsum(
-                "kl,akbl,ckdl->acbd", weights, coincidences[0], coincidences[1]
-            ).reshape(4, 4),
-        ))
-    return blocks
+        table = _contract(weights, gram[0], gram[1])
+        padded[:size, :size, :size, :size] = table
+        parts.append((size, table.sum(), one_count_per_arm(table), np.einsum(
+            "kl,akbl,ckdl->acbd", weights, coincidences[0], coincidences[1]
+        ).reshape(4, 4)))
+    # each arm's two output detectors thin its counts as one Kronecker matrix
+    side = (n_max + 1) ** 2
+    first, second = (np.kron(thinning[2 * a], thinning[2 * a + 1]) for a in (0, 1))
+    detected = (first.T @ lossless.reshape(-1, side, side) @ second).reshape(lossless.shape)
+    return [
+        HeraldedBlock(float(herald), table[:size, :size, :size, :size], direct, coincidences)
+        for table, (size, herald, direct, coincidences) in zip(detected, parts)
+    ]
 
 
 def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorModel) -> float:
@@ -315,9 +326,7 @@ def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorMo
             math.prod(probs[i][j] for i, j in zip(rows, cols))
             for cols in itertools.permutations(range(n_herald))
         )
-    return routed * math.prod(
-        float(_fires(1, eta, detectors.resolving)[1]) for eta in detectors.etas(HERALD_NAMES)
-    )
+    return routed * math.prod(detectors.etas(HERALD_NAMES))
 
 
 def number_table(block: HeraldedBlock) -> dict[Occupation, float]:

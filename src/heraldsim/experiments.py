@@ -27,6 +27,7 @@ from .detection import (
     herald_classical,
     herald_pair_terms,
     number_table,
+    one_count_per_arm,
     postselect_two_qubit,
     spatial_reduction,
 )
@@ -41,7 +42,9 @@ from .metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from .source import SpdcParams, emission_coefficients, emission_components, pair_term
+from .source import (
+    PAPER_VISIBILITY, SpdcParams, emission_coefficients, emission_components, pair_term,
+)
 
 CONFIG_SCHEMA = "heraldsim-config/1"
 
@@ -96,13 +99,13 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         spdc = SpdcParams(
-            tau=_field(data, "tau", float, 0.3),
-            max_pairs=_field(data, "max_pairs", _whole_number, 4),
-            visibility=_field(data, "visibility", float, 1.0),
+            tau=_field(data, "tau", float, SpdcParams.tau),
+            max_pairs=_field(data, "max_pairs", _whole_number, SpdcParams.max_pairs),
+            visibility=_field(data, "visibility", float, SpdcParams.visibility),
         )
         detectors = DetectorModel(
-            efficiency=_field(data, "efficiency", float, DetectorModel().efficiency),
-            resolving=_field(data, "resolving", str, "threshold"),
+            efficiency=_field(data, "efficiency", float, DetectorModel.efficiency),
+            resolving=_field(data, "resolving", str, DetectorModel.resolving),
         )
         t1, t2 = (_field(data, name, float) for name in ("t1", "t2"))
         return cls(t1=t1, t2=t2, spdc=spdc, detectors=detectors)
@@ -247,17 +250,17 @@ def calibrate_tau(
     t1: float = 0.5,
     t2: float = 0.5,
     detectors: DetectorModel | None = None,
-    visibility: float = 0.862,
-    max_pairs: int = 4,
+    visibility: float = PAPER_VISIBILITY,
+    max_pairs: int = SpdcParams.max_pairs,
 ) -> dict:
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
     Each heralded block c of n pairs reduces once to its herald probability
-    H_c and its joint P(1;1) J_c.  With the emission coefficients v_c, the
-    conditional P(1;1) at x = tau^2 is N(x)/D(x), with N = sum v_c J_c x^n
-    and D = sum v_c H_c x^n (the truncation renormalization cancels), so
-    tau is the square root of the single real root of N - target D with
-    tau in CALIBRATION_TAU_BRACKET.
+    H_c and its joint P(1;1) J_c, read off its table.  With the emission
+    coefficients v_c, the conditional P(1;1) at x = tau^2 is N(x)/D(x),
+    with N = sum v_c J_c x^n and D = sum v_c H_c x^n (the truncation
+    renormalization cancels), so tau is the square root of the single real
+    root of N - target D with tau in CALIBRATION_TAU_BRACKET.
     """
     if max_pairs < 0:
         raise ValueError("max_pairs must be non-negative")
@@ -266,10 +269,8 @@ def calibrate_tau(
     herald_poly = np.zeros(max_pairs + 1)
     joint_poly = np.zeros(max_pairs + 1)
     for (n, coherent), c in emission_coefficients(max_pairs, visibility).items():
-        block = blocks[n, coherent]
-        if block.herald > 0.0:
-            herald_poly[n] += c * block.herald
-            joint_poly[n] += c * block.herald * one_photon_per_arm_probability(number_table(block))
+        herald_poly[n] += c * blocks[n, coherent].herald
+        joint_poly[n] += c * one_count_per_arm(blocks[n, coherent].table)
     if not herald_poly.any():
         raise ValueError(f"zero herald probability for t1={t1}, t2={t2}")
 
@@ -344,8 +345,8 @@ def run_power_comparison(
     tau_low: float,
     t: float = 0.3,
     detectors: DetectorModel | None = None,
-    visibility: float = 0.862,
-    max_pairs: int = 4,
+    visibility: float = PAPER_VISIBILITY,
+    max_pairs: int = SpdcParams.max_pairs,
 ) -> dict:
     """Post-selected fidelities at two pump powers (same splitters).
 

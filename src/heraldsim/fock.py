@@ -12,7 +12,8 @@ the most significant digit, so integer order is lexicographic order.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator, Mapping
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,32 +25,6 @@ PRUNE_TOL = 1e-14
 ISOMETRY_TOL = 1e-12
 
 Occupation = tuple[int, ...]
-
-
-class _AmplitudeMap(Mapping):
-    """Read-only map occupation tuple -> amplitude over a ket's arrays, built on first lookup."""
-
-    def __init__(self, occupations: np.ndarray, values: np.ndarray):
-        self._occupations = occupations
-        self._values = values
-        self._dict: dict[Occupation, complex] | None = None
-
-    def _lookup(self) -> dict[Occupation, complex]:
-        if self._dict is None:
-            self._dict = dict(zip(map(tuple, self._occupations.tolist()), self._values.tolist()))
-        return self._dict
-
-    def __getitem__(self, occ: Occupation) -> complex:
-        return self._lookup()[occ]
-
-    def __iter__(self) -> Iterator[Occupation]:
-        return iter(self._lookup())
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __repr__(self) -> str:
-        return repr(self._lookup())
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +61,9 @@ class SparseKet:
     @functools.cached_property
     def amplitudes(self) -> Mapping[Occupation, complex]:
         """The ket as a read-only map occupation tuple -> amplitude."""
-        return _AmplitudeMap(self.occupations, self.values)
+        return types.MappingProxyType(
+            dict(zip(map(tuple, self.occupations.tolist()), self.values.tolist()))
+        )
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))

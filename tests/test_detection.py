@@ -378,6 +378,39 @@ class TestArmClicks:
         )
 
 
+def binomial_thinning(n_max, eta):
+    """Entry [n, k]: the chance that k of n photons are detected at efficiency eta."""
+    return np.array([[math.comb(n, k) * eta**k * (1 - eta) ** (n - k) if k <= n else 0.0
+                      for k in range(n_max + 1)] for n in range(n_max + 1)])
+
+
+class TestOutputLoss:
+    def test_commutes_with_the_herald(self):
+        # output loss only thins the photons that reach t1/t2: the herald and
+        # P_direct are those of perfect output detectors, bit for bit, and the
+        # table is the perfect-output table thinned detector by detector
+        rng = np.random.default_rng(1995)
+        settings = [(a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS]
+        for trial in range(18):
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            heralds = {name: float(rng.uniform(0.05, 1.0)) for name in HERALD_NAMES}
+            etas = rng.permutation([0.0, 1.0, *rng.uniform(0.05, 0.95, 2)]).tolist()
+            resolving = ("threshold", "number")[trial // 9]
+            lossy, perfect = (
+                DetectorModel(efficiency=0.4, resolving=resolving,
+                              per_mode={**heralds, **dict(zip(OUTPUT_NAMES, outputs))})
+                for outputs in (etas, [1.0] * 4)
+            )
+            matrix = build_paper_circuit(t1, t2, settings[trial % 9]).matrix
+            terms = [pair_term(n) for n in range(int(rng.integers(2, 7)) + 1)]
+            for got, ref in zip(herald_pair_terms(terms, matrix, lossy),
+                                herald_pair_terms(terms, matrix, perfect)):
+                assert got.herald == ref.herald and got.direct == ref.direct
+                thin = [binomial_thinning(len(ref.table) - 1, eta) for eta in etas]
+                want = np.einsum("abcd,aA,bB,cC,dD->ABCD", ref.table, *thin, optimize=True)
+                assert np.abs(got.table - want).max() <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
 class TestPerModeEfficiency:
     def test_override_applies_to_named_mode(self):
         perfect = {"r2+": 1.0, "r2-": 1.0}
