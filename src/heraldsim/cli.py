@@ -69,12 +69,16 @@ def _rho_to_json(rho: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(rho)]
 
 
-def _write_number_table(path: Path, table) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n1H", "n1V", "n2H", "n2V", "probability"])
-        for occ, prob in sorted(table.items()):
-            writer.writerow([*occ, repr(float(prob))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_number_table(path: Path, table) -> None:
+    rows = ([*occ, repr(float(prob))] for occ, prob in sorted(table.items()))
+    _write_csv(path, ["n1H", "n1V", "n2H", "n2V", "probability"], rows)
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -183,15 +187,8 @@ def _cmd_sweep(args) -> int:
     detectors = DetectorModel(efficiency=args.eta)
     configs = [ExperimentConfig(t1=t, t2=t, spdc=spdc, detectors=detectors) for t in ts]
     rows = run_sweep(configs)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t1", "t2", "herald_probability", "P_direct", "P_estimator", "herald_rate_relative"]
-        )
-        for r in rows:
-            writer.writerow([repr(float(r[k])) for k in (
-                "t1", "t2", "herald_probability", "P_direct", "P_estimator",
-                "herald_rate_relative")])
+    header = ["t1", "t2", "herald_probability", "P_direct", "P_estimator", "herald_rate_relative"]
+    _write_csv(out / "sweep.csv", header, ([repr(float(r[k])) for k in header] for r in rows))
     emit_fig2_series(rows, out / "fig2_series.csv")
     print(f"swept {len(rows)} transmissions; results in {out}")
     return EXIT_OK
@@ -199,22 +196,18 @@ def _cmd_sweep(args) -> int:
 
 def emit_fig2_series(rows, path: Path) -> None:
     """Transmission vs heralded-preparation probability series."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["transmission", "P_estimator"])
-        for r in rows:
-            writer.writerow([repr(float(r["t1"])), repr(float(r["P_estimator"]))])
+    series = ([repr(float(r["t1"])), repr(float(r["P_estimator"]))] for r in rows)
+    _write_csv(path, ["transmission", "P_estimator"], series)
 
 
 def emit_fig3_series(result: dict, path: Path) -> None:
     """Pump power vs post-selected fidelity series."""
     from .experiments import HIGH_POWER_W, LOW_POWER_W
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["power_w", "F_post"])
-        writer.writerow([repr(LOW_POWER_W), repr(float(result["F_post_low"]))])
-        writer.writerow([repr(HIGH_POWER_W), repr(float(result["F_post_high"]))])
+    _write_csv(path, ["power_w", "F_post"], [
+        [repr(LOW_POWER_W), repr(float(result["F_post_low"]))],
+        [repr(HIGH_POWER_W), repr(float(result["F_post_high"]))],
+    ])
 
 
 def _cmd_tomo_sim(args) -> int:
@@ -278,9 +271,10 @@ def _cmd_reproduce_tables(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(args.out)
     report = reproduce_number_tables(config, ratio=args.ratio)
-    table = {tuple(int(c) for c in key): v for key, v in report["table"].items()}
-    _write_number_table(out / "number_table.csv", table)
-    _write_json(out / "table_report.json", report)
+    _write_number_table(out / "number_table.csv", report["table"])
+    # a detector can count 10 photons or more, so the counts of a JSON key are comma-separated
+    table = {",".join(map(str, occ)): prob for occ, prob in report["table"].items()}
+    _write_json(out / "table_report.json", {**report, "table": table})
     flagged = [
         k for k, row in report.get("comparison", {}).items() if row.get("flagged")
     ]

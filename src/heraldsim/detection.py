@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -240,9 +239,18 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     return value.reshape(first.shape[:-2] + second.shape[:-2])
 
 
-def one_count_per_arm(table: np.ndarray) -> float:
-    """A (t1H, t1V, t2H, t2V) count table summed over COINCIDENCE_PATTERNS."""
-    return float(sum(table[p] for p in COINCIDENCE_PATTERNS)) if len(table) > 1 else 0.0
+def arm_totals(table: np.ndarray) -> np.ndarray:
+    """Sum a (..., t1H, t1V, t2H, t2V) count table over the polarizations of each arm.
+
+    Entry [..., n1, n2] is the probability of n1 photons in arm 1 and n2 in
+    arm 2: P(1;1) is entry [1, 1] and a click in each arm, P(>=1;>=1), the
+    sum of [1:, 1:].  The result is at least 3x3, so those entries and the
+    Table-1 aggregates up to p22 exist for a table of the vacuum alone.
+    """
+    n = np.arange(table.shape[-1])
+    photons = (n[:, None] + n).ravel()  # an arm's photons, per (H, V) count pair
+    fold = (photons[:, None] == np.arange(max(2 * len(n) - 1, 3))).astype(float)
+    return fold.T @ table.reshape(*table.shape[:-4], len(photons), len(photons)) @ fold
 
 
 def herald_pair_terms(
@@ -256,12 +264,13 @@ def herald_pair_terms(
     evolve by ``_arm_kets`` through its rows' blocks on its own herald and
     output detectors.  One contraction per term over the arms' Gram
     tensors (``_arm_grams``) gives its lossless table, whose sum is the
-    herald probability and whose COINCIDENCE_PATTERNS entries are P_direct;
+    herald probability and whose ``arm_totals`` entry [1, 1] is P_direct;
     binomial output loss, a positive linear map, then thins the stack of
-    all terms' tables at once.  Threshold detectors herald when each
-    herald detector detects at least one photon, number-resolving ones
-    when each detects exactly one; output clicks are never vetoed.  A count
-    pattern a term cannot give has a table entry of exactly zero.
+    all terms' tables at once, so every table has the shape of the largest
+    term's.  Threshold detectors herald when each herald detector detects
+    at least one photon, number-resolving ones when each detects exactly
+    one; output clicks are never vetoed.  A count pattern a term cannot
+    give has a table entry of exactly zero.
     """
     n_herald = len(HERALD_NAMES)
     columns = [[2 * a, 2 * a + 1, n_herald + 2 * a, n_herald + 2 * a + 1] for a in (0, 1)]
@@ -292,17 +301,16 @@ def herald_pair_terms(
         weights = np.outer(term.values, term.values.conj())
         table = _contract(weights, gram[0], gram[1])
         padded[:size, :size, :size, :size] = table
-        parts.append((size, table.sum(), one_count_per_arm(table), np.einsum(
+        parts.append((float(table.sum()), np.einsum(
             "kl,akbl,ckdl->acbd", weights, coincidences[0], coincidences[1]
         ).reshape(4, 4)))
     # each arm's two output detectors thin its counts as one Kronecker matrix
     side = (n_max + 1) ** 2
     first, second = (np.kron(thinning[2 * a], thinning[2 * a + 1]) for a in (0, 1))
     detected = (first.T @ lossless.reshape(-1, side, side) @ second).reshape(lossless.shape)
-    return [
-        HeraldedBlock(float(herald), table[:size, :size, :size, :size], direct, coincidences)
-        for table, (size, herald, direct, coincidences) in zip(detected, parts)
-    ]
+    direct = arm_totals(lossless)[:, 1, 1].tolist()
+    return [HeraldedBlock(herald, table, p, coincidences)
+            for table, p, (herald, coincidences) in zip(detected, direct, parts)]
 
 
 def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorModel) -> float:
@@ -341,14 +349,6 @@ def number_table(block: HeraldedBlock) -> dict[Occupation, float]:
     patterns = np.argwhere(block.table > 0.0)
     values = block.table[tuple(patterns.T)] / block.herald
     return dict(zip(map(tuple, patterns.tolist()), values.tolist()))
-
-
-def spatial_reduction(table: Mapping[Occupation, float]) -> dict[tuple[int, int], float]:
-    """Sum a per-polarization number table over polarizations per arm."""
-    out: dict[tuple[int, int], float] = defaultdict(float)
-    for (n1h, n1v, n2h, n2v), p in table.items():
-        out[(n1h + n1v, n2h + n2v)] += p
-    return dict(sorted(out.items()))
 
 
 def postselect_two_qubit(block: HeraldedBlock) -> np.ndarray:

@@ -16,7 +16,7 @@ in tau^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,12 +24,11 @@ import numpy as np
 from .detection import (
     DetectorModel,
     HeraldedBlock,
+    arm_totals,
     herald_classical,
     herald_pair_terms,
     number_table,
-    one_count_per_arm,
     postselect_two_qubit,
-    spatial_reduction,
 )
 from .elements import OUTPUT_NAMES, build_paper_circuit
 from .fock import Occupation
@@ -37,8 +36,6 @@ from .metrics import (
     BELL_STATES,
     chsh_max,
     fidelity_to_phi_plus,
-    one_photon_per_arm_probability,
-    photons_in_both_arms_probability,
     tangle,
     total_state_fidelity_from_values,
 )
@@ -145,6 +142,7 @@ def heralded_blocks(
 
     The two-pair block also appears with its photons distinguishable, the
     piece that the visibility mixes in; it heralds the output vacuum.
+    Every block's table has one shape.
     """
     matrix = build_paper_circuit(t1, t2, settings).matrix
     terms = [pair_term(n) for n in range(max_pairs + 1)]
@@ -153,26 +151,19 @@ def heralded_blocks(
     }
     if max_pairs >= 2:
         p = herald_classical(terms[2], matrix, detectors)
-        blocks[2, False] = HeraldedBlock(
-            p, np.full((1, 1, 1, 1), p), 0.0, np.zeros((4, 4), dtype=complex)
-        )
+        table = np.zeros_like(blocks[0, True].table)
+        table[0, 0, 0, 0] = p
+        blocks[2, False] = HeraldedBlock(p, table, 0.0, np.zeros((4, 4), dtype=complex))
     return blocks
 
 
 def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> HeraldedBlock:
-    """Sum the heralded blocks with the emission weights of spdc."""
+    """Sum the heralded blocks with the emission weights of spdc, field by field."""
     weights = emission_components(spdc)
-    size = max(blocks[key].table.shape[0] for key in weights)
-    table = np.zeros((size,) * 4)
-    for key, weight in weights.items():
-        part = blocks[key].table
-        table[tuple(slice(0, s) for s in part.shape)] += weight * part
-    return HeraldedBlock(
-        herald=sum(weight * blocks[key].herald for key, weight in weights.items()),
-        table=table,
-        direct=sum(weight * blocks[key].direct for key, weight in weights.items()),
-        coincidences=sum(weight * blocks[key].coincidences for key, weight in weights.items()),
-    )
+    return HeraldedBlock(*(
+        sum(weight * getattr(blocks[key], f.name) for key, weight in weights.items())
+        for f in fields(HeraldedBlock)
+    ))
 
 
 @dataclass(frozen=True)
@@ -182,15 +173,15 @@ class ExperimentResult:
     config: ExperimentConfig
     herald_probability: float
     table: dict[Occupation, float]
-    reduction: dict[tuple[int, int], float]
+    reduction: np.ndarray  # arm_totals of the table: [n1, n2] photons in arm 1 and arm 2
     rho_post: np.ndarray
     metrics: dict[str, float]
 
 
 def _preparation_probabilities(
-    block: HeraldedBlock, table: Mapping[Occupation, float], detectors: DetectorModel
+    block: HeraldedBlock, reduction: np.ndarray, detectors: DetectorModel
 ) -> tuple[float, float]:
-    """P_direct and P_estimator of heralded blocks and their detected number table.
+    """P_direct and P_estimator of heralded blocks and their arm totals given the herald.
 
     P_direct counts one photon per output arm before output loss.
     P_estimator is C6/(C4 eta_1 eta_2): the probability of a click in each
@@ -203,7 +194,7 @@ def _preparation_probabilities(
             "P_estimator needs one nonzero efficiency per output arm, got "
             f"{eta_1h}, {eta_1v} (arm 1) and {eta_2h}, {eta_2v} (arm 2)"
         )
-    return block.direct / block.herald, photons_in_both_arms_probability(table) / (eta_1h * eta_2h)
+    return block.direct / block.herald, float(reduction[1:, 1:].sum()) / (eta_1h * eta_2h)
 
 
 def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -211,10 +202,10 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
     heralded = reweight_blocks(blocks, config.spdc)
     table = number_table(heralded)
-    p_direct, p_estimator = _preparation_probabilities(heralded, table, config.detectors)
-    reduction = spatial_reduction(table)
+    reduction = arm_totals(heralded.table) / heralded.herald
+    p_direct, p_estimator = _preparation_probabilities(heralded, reduction, config.detectors)
     rho_post = postselect_two_qubit(heralded)
-    p11 = one_photon_per_arm_probability(table)
+    p11 = float(reduction[1, 1])
     f_post = fidelity_to_phi_plus(rho_post)
     metrics = {
         "herald_probability": heralded.herald,
@@ -256,11 +247,11 @@ def calibrate_tau(
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
     Each heralded block c of n pairs reduces once to its herald probability
-    H_c and its joint P(1;1) J_c, read off its table.  With the emission
-    coefficients v_c, the conditional P(1;1) at x = tau^2 is N(x)/D(x),
-    with N = sum v_c J_c x^n and D = sum v_c H_c x^n (the truncation
-    renormalization cancels), so tau is the square root of the single real
-    root of N - target D with tau in CALIBRATION_TAU_BRACKET.
+    H_c and its joint P(1;1) J_c, entry [1, 1] of its ``arm_totals``.  With
+    the emission coefficients v_c, the conditional P(1;1) at x = tau^2 is
+    N(x)/D(x), with N = sum v_c J_c x^n and D = sum v_c H_c x^n (the
+    truncation renormalization cancels), so tau is the square root of the
+    single real root of N - target D with tau in CALIBRATION_TAU_BRACKET.
     """
     if max_pairs < 0:
         raise ValueError("max_pairs must be non-negative")
@@ -270,7 +261,7 @@ def calibrate_tau(
     joint_poly = np.zeros(max_pairs + 1)
     for (n, coherent), c in emission_coefficients(max_pairs, visibility).items():
         herald_poly[n] += c * blocks[n, coherent].herald
-        joint_poly[n] += c * one_count_per_arm(blocks[n, coherent].table)
+        joint_poly[n] += c * arm_totals(blocks[n, coherent].table)[1, 1]
     if not herald_poly.any():
         raise ValueError(f"zero herald probability for t1={t1}, t2={t2}")
 
@@ -312,8 +303,10 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
         heralded = reweight_blocks(blocks, config.spdc)
         if heralded.herald > 0.0:
-            table = number_table(heralded)
-            p_direct, p_estimator = _preparation_probabilities(heralded, table, config.detectors)
+            reduction = arm_totals(heralded.table) / heralded.herald
+            p_direct, p_estimator = _preparation_probabilities(
+                heralded, reduction, config.detectors
+            )
         else:  # nothing heralded: both are 0/0
             p_direct = p_estimator = math.nan
         rows.append(
@@ -377,18 +370,28 @@ def run_power_comparison(
 def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) -> dict:
     """Simulate the detected photon-number table and compare to reference data.
 
-    Comparison rows report the simulated and reference aggregate
-    probabilities with their ratio; mismatches beyond 3x are flagged rather
-    than asserted away, since the source amplitude and per-arm efficiencies
-    of the reference data are not published.
+    ``table`` is the simulated table keyed by (t1H, t1V, t2H, t2V) counts,
+    and ``aggregates`` are cells of its arm totals.  Comparison rows report
+    the simulated and reference aggregate probabilities with their ratio;
+    mismatches beyond 3x are flagged rather than asserted away, since the
+    source amplitude and per-arm efficiencies of the reference data are not
+    published.
     """
     result = simulate_experiment(config)
-    aggregates = _aggregate_rows(result.reduction)
+    n = result.reduction.tolist()
+    aggregates = {
+        "p00": n[0][0],
+        "p10_plus_p01": n[1][0] + n[0][1],
+        "p11": n[1][1],
+        "p20_plus_p02": n[2][0] + n[0][2],
+        "p21_plus_p12": n[2][1] + n[1][2],
+        "p22": n[2][2],
+    }
     out = {
         "t1": config.t1,
         "t2": config.t2,
         "tau": config.spdc.tau,
-        "table": {"".join(map(str, k)): v for k, v in result.table.items()},
+        "table": result.table,
         "aggregates": aggregates,
     }
     if ratio is not None:
@@ -397,7 +400,7 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
         reference = REFERENCE_NUMBER_PROBS[ratio]
         comparison = {}
         for key, ref in reference.items():
-            sim = aggregates.get(key, 0.0)
+            sim = aggregates[key]
             row = {"simulated": sim, "reference": ref}
             if ref > 0.0 and sim > 0.0:
                 r = sim / ref
@@ -410,17 +413,3 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
         out["ratio"] = ratio
         out["comparison"] = comparison
     return out
-
-
-def _aggregate_rows(reduction: Mapping[tuple[int, int], float]) -> dict[str, float]:
-    def get(n1: int, n2: int) -> float:
-        return reduction.get((n1, n2), 0.0)
-
-    return {
-        "p00": get(0, 0),
-        "p10_plus_p01": get(1, 0) + get(0, 1),
-        "p11": get(1, 1),
-        "p20_plus_p02": get(2, 0) + get(0, 2),
-        "p21_plus_p12": get(2, 1) + get(1, 2),
-        "p22": get(2, 2),
-    }

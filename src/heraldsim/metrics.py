@@ -8,7 +8,6 @@ values.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -108,20 +107,6 @@ def chsh_max(rho: np.ndarray) -> float | np.ndarray:
     m = correlation_matrix(rho)
     eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
     return _per_state(2.0 * np.sqrt(np.maximum(0.0, eigs[..., -1] + eigs[..., -2])))
-
-
-def one_photon_per_arm_probability(table: Mapping[tuple[int, ...], float]) -> float:
-    """P(1;1) of a detected number table: one photon per arm, any polarization."""
-    return sum(
-        p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v == 1 and n2h + n2v == 1
-    )
-
-
-def photons_in_both_arms_probability(table: Mapping[tuple[int, ...], float]) -> float:
-    """P(>=1;>=1) of a detected number table: a threshold click in each arm."""
-    return sum(
-        p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v >= 1 and n2h + n2v >= 1
-    )
 
 
 def total_state_fidelity_from_values(p11: float, f_post: float) -> float:

@@ -263,6 +263,13 @@ def arm_click_probability(ensemble, etas) -> float:
     return total / ensemble.probability
 
 
+def one_photon_per_arm(table: dict) -> float:
+    """P(1;1) of a number table: its keys with one photon per arm, any polarization, summed."""
+    return sum(
+        p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v == 1 and n2h + n2v == 1
+    )
+
+
 def one_photon_per_arm_before_loss(ensemble) -> float:
     """P(exactly one photon in each output arm | herald), counted on the kets themselves."""
     good = 0.0

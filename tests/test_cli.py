@@ -80,8 +80,11 @@ class TestExitCodes:
         (["power-compare", "--tau-high", "0.25", "--t", "0"], {}, "zero coincidence probability"),
         (["power-compare", "--tau-high", "0.25", "--t", "1"], {}, "zero coincidence probability"),
         (["calibrate", "--t", "1"], {}, "zero herald probability"),
+        # no block of fewer than two pairs holds the four photons a herald needs
+        (["calibrate", "--pairs", "0"], {}, "zero herald probability"),
+        (["calibrate", "--pairs", "1"], {}, "zero herald probability"),
     ], ids=["simulate-t1-0", "simulate-tau-0", "simulate-t1-1", "power-compare-t-0",
-            "power-compare-t-1", "calibrate-t-1"])
+            "power-compare-t-1", "calibrate-t-1", "calibrate-pairs-0", "calibrate-pairs-1"])
     def test_edge_transmission_is_data_error(self, tmp_path, capsys, argv, config, message):
         config = write_config(tmp_path / "config.json", **config)
         argv = [arg.format(config=config) for arg in argv]
@@ -229,6 +232,20 @@ class TestCommands:
         assert code == 0
         report = json.loads((out2 / "table_report.json").read_text())
         assert report["comparison"]["p11"]["ratio"] == pytest.approx(1.0, abs=0.02)
+
+    def test_tables_with_ten_photons_in_a_detector(self, tmp_path):
+        # from 12 pairs a detector can count 10 photons; no two table entries may share a key
+        config = write_config(tmp_path / "config.json", t1=0.3, t2=0.7, tau=0.2237, max_pairs=12)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        argv = ["reproduce-tables", "--config", str(config), "--out", str(tmp_path / "tables")]
+        assert main(argv) == 0
+        table_csv = (tmp_path / "tables" / "number_table.csv").read_bytes()
+        assert table_csv == (tmp_path / "sim" / "number_table.csv").read_bytes()
+        keys = json.loads((tmp_path / "tables" / "table_report.json").read_text())["table"]
+        occupations = {tuple(int(n) for n in key.split(",")) for key in keys}
+        assert all(len(occ) == 4 and ",".join(map(str, occ)) in keys for occ in occupations)
+        assert len(occupations) == len(keys) == table_csv.count(b"\n") - 1
+        assert max(max(occ) for occ in occupations) >= 10
 
     def test_power_compare(self, tmp_path):
         out = tmp_path / "power"

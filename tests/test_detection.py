@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,21 +10,16 @@ from heraldsim.detection import (
     HeraldedBlock,
     _arm_kets,
     _photon_maps,
+    arm_totals,
     herald_classical,
     herald_pair_terms,
     number_table,
     postselect_two_qubit,
-    spatial_reduction,
 )
 from heraldsim.elements import ANALYSIS_SETTINGS, HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
 from heraldsim.experiments import heralded_blocks, reweight_blocks
 from heraldsim.fock import SparseKet, apply_mode_map
-from heraldsim.metrics import (
-    PHI_PLUS,
-    check_density_matrix,
-    fidelity_to_phi_plus,
-    photons_in_both_arms_probability,
-)
+from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, pair_term
 
 import oracles
@@ -315,8 +311,8 @@ class TestClassicalChannel:
 
 class TestNumberTable:
     def test_ideal_three_pair_concentrates_at_one_per_arm(self):
-        table = number_table(block(3, 0.5, 0.5, IDEAL_NUMBER_DETECTORS))
-        assert spatial_reduction(table)[(1, 1)] == pytest.approx(1.0, abs=1e-10)
+        heralded = block(3, 0.5, 0.5, IDEAL_NUMBER_DETECTORS)
+        assert arm_totals(heralded.table)[1, 1] / heralded.herald == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_output_efficiency_gives_vacuum(self):
         det = DetectorModel(efficiency=1.0, per_mode={name: 0.0 for name in OUTPUT_NAMES})
@@ -367,15 +363,18 @@ class TestPostselect:
         assert fids[4] < fids[3]
 
 
+def click_in_each_arm(heralded):
+    """P(>=1;>=1) given the herald, read off the block's arm totals."""
+    return arm_totals(heralded.table)[1:, 1:].sum() / heralded.herald
+
+
 class TestArmClicks:
     def test_matches_hand_computation_on_basis_state(self):
         # two photons in t1H and one in t2H behind perfect heralds
         eta = 0.3
         heralded = heralded_outputs(2, 1, DetectorModel(efficiency=eta, per_mode=HERALDS_PERFECT))
         expected = (1 - 0.7**2) * 0.3
-        assert photons_in_both_arms_probability(number_table(heralded)) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert click_in_each_arm(heralded) == pytest.approx(expected, abs=1e-12)
 
 
 def binomial_thinning(n_max, eta):
@@ -434,8 +433,7 @@ class TestPerModeEfficiency:
 
     def test_override_applies_to_output_detector(self):
         det = DetectorModel(efficiency=0.3, per_mode={**HERALDS_PERFECT, "t1H": 1.0})
-        table = number_table(heralded_outputs(1, 1, det))
-        assert photons_in_both_arms_probability(table) == pytest.approx(0.3, abs=1e-12)
+        assert click_in_each_arm(heralded_outputs(1, 1, det)) == pytest.approx(0.3, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["t1", "r2+H", "T1H"])
     def test_unknown_name_rejected(self, name):
@@ -580,6 +578,54 @@ class TestAgainstOracles:
                     assert np.abs(
                         postselect_two_qubit(heralded) - oracles.postselect_two_qubit(ens, det)
                     ).max() <= 1e-12
+
+
+class TestArmTotals:
+    """arm_totals against plain sums over the occupation dict and over the Fock oracle's kets."""
+
+    def test_matches_dict_sums(self):
+        # all nine settings, both herald kinds, 2-8 pairs, a dead and a perfect output detector
+        rng = np.random.default_rng(2003)
+        for trial in range(18):
+            settings, max_pairs = ALL_SETTINGS[trial % 9], 2 + trial % 7
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            heralds = rng.permutation([1.0, *rng.uniform(0.05, 1.0, 3)]).tolist()
+            outputs = rng.permutation([0.0, 1.0, *rng.uniform(0.05, 0.95, 2)]).tolist()
+            spdc = SpdcParams(tau=float(rng.uniform(0.15, 0.35)), max_pairs=max_pairs,
+                              visibility=float(rng.uniform(0.8, 1.0)))
+            lossy, perfect = (
+                DetectorModel(efficiency=0.4, resolving=("threshold", "number")[trial // 9],
+                              per_mode={**dict(zip(HERALD_NAMES, heralds)),
+                                        **dict(zip(OUTPUT_NAMES, etas))})
+                for etas in (outputs, [1.0] * 4)
+            )
+            blocks = heralded_blocks(t1, t2, lossy, max_pairs, settings)
+            # one table shape for every block, the distinguishable one included
+            assert {b.table.shape for b in blocks.values()} == {(max_pairs + 1,) * 4}
+            heralded = reweight_blocks(blocks, spdc)
+            totals = arm_totals(heralded.table) / heralded.herald
+            table = number_table(heralded)
+            by_arm = defaultdict(list)
+            for (n1h, n1v, n2h, n2v), p in table.items():
+                by_arm[n1h + n1v, n2h + n2v].append(p)
+            want = np.zeros_like(totals)
+            for cell, ps in by_arm.items():
+                want[cell] = math.fsum(ps)
+            assert (np.abs(totals - want) <= 1e-14 * want).all()
+            p11 = oracles.one_photon_per_arm(table)
+            assert totals[1, 1] == pytest.approx(p11, rel=1e-14, abs=0.0)
+            clicks = math.fsum(p for (a, b, c, d), p in table.items() if a + b and c + d)
+            assert totals[1:, 1:].sum() == pytest.approx(clicks, rel=1e-14, abs=0.0)
+            # P_direct is P(1;1) before output loss: that of perfect output detectors
+            p_direct = heralded.direct / heralded.herald
+            before_loss = number_table(reweight_blocks(
+                heralded_blocks(t1, t2, perfect, max_pairs, settings), spdc))
+            p11_before_loss = oracles.one_photon_per_arm(before_loss)
+            assert p_direct == pytest.approx(p11_before_loss, rel=1e-14, abs=0.0)
+            ensemble = oracles.heralded_ensemble(t1, t2, spdc, lossy, settings)
+            assert p_direct == pytest.approx(
+                oracles.one_photon_per_arm_before_loss(ensemble), rel=1e-14, abs=0.0
+            )
 
 
 def test_heralded_block_is_plain_data():

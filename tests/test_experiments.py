@@ -29,7 +29,7 @@ from heraldsim.experiments import (
     run_sweep,
     simulate_experiment,
 )
-from heraldsim.metrics import fidelity_to_phi_plus, one_photon_per_arm_probability
+from heraldsim.metrics import fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, emission_components, pair_term
 
 import oracles
@@ -103,7 +103,7 @@ class TestCalibration:
 # One run of the Fock oracle per tau: every block evolved again for each tau.
 def per_tau_p11(t, tau, visibility, det):
     spdc = SpdcParams(tau=tau, max_pairs=4, visibility=visibility)
-    return one_photon_per_arm_probability(oracles.number_table(heralded_ensemble(t, t, spdc, det), det))
+    return oracles.one_photon_per_arm(oracles.number_table(heralded_ensemble(t, t, spdc, det), det))
 
 
 def per_tau_rho(t, tau, visibility, det):
