@@ -263,7 +263,9 @@ def calibrate_tau(
         herald_poly[n] += c * blocks[n, coherent].herald
         joint_poly[n] += c * arm_totals(blocks[n, coherent].table)[1, 1]
     if not herald_poly.any():
-        raise ValueError(f"zero herald probability for t1={t1}, t2={t2}")
+        cause = (f"max_pairs={max_pairs}: no block of fewer than two pairs can herald"
+                 if max_pairs < 2 else f"t1={t1}, t2={t2}")
+        raise ValueError(f"zero herald probability for {cause}")
 
     def p11_at(x: float) -> float:
         powers = x ** np.arange(max_pairs + 1)
@@ -371,14 +373,18 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
     """Simulate the detected photon-number table and compare to reference data.
 
     ``table`` is the simulated table keyed by (t1H, t1V, t2H, t2V) counts,
-    and ``aggregates`` are cells of its arm totals.  Comparison rows report
-    the simulated and reference aggregate probabilities with their ratio;
-    mismatches beyond 3x are flagged rather than asserted away, since the
-    source amplitude and per-arm efficiencies of the reference data are not
-    published.
+    and ``aggregates`` are cells of its arm totals.  Both come from the
+    reweighted heralded blocks alone: a configuration that heralds has a
+    table even without a coincidence to post-select.  Comparison rows
+    report the simulated and reference aggregate probabilities with their
+    ratio; mismatches beyond 3x are flagged rather than asserted away, since
+    the source amplitude and per-arm efficiencies of the reference data are
+    not published.
     """
-    result = simulate_experiment(config)
-    n = result.reduction.tolist()
+    blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+    heralded = reweight_blocks(blocks, config.spdc)
+    table = number_table(heralded)
+    n = (arm_totals(heralded.table) / heralded.herald).tolist()
     aggregates = {
         "p00": n[0][0],
         "p10_plus_p01": n[1][0] + n[0][1],
@@ -391,7 +397,7 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
         "t1": config.t1,
         "t2": config.t2,
         "tau": config.spdc.tau,
-        "table": result.table,
+        "table": table,
         "aggregates": aggregates,
     }
     if ratio is not None:

@@ -48,17 +48,13 @@ class ConvergenceError(RuntimeError):
     """Raised when the likelihood maximization ends without a certificate."""
 
 
-def setting_projectors(setting: tuple[str, str]) -> list[np.ndarray]:
-    """Four coincidence projectors of a setting, ordered as HH, HV, VH, VV ports."""
-    a, b = setting
-    if a not in ANALYSIS_BASES or b not in ANALYSIS_BASES:
-        raise ValueError(f"unknown setting {setting}")
-    projs = []
-    for i in range(2):
-        for j in range(2):
-            v = np.kron(ANALYSIS_BASES[a][i], ANALYSIS_BASES[b][j])
-            projs.append(np.outer(v, v.conj()))
-    return projs
+# The 36 coincidence projectors flattened to rows: the settings in SETTINGS
+# order, each as its HH, HV, VH, VV ports.
+_PROJECTORS = np.stack([
+    np.outer(v, v.conj())
+    for a, b in SETTINGS
+    for v in (np.kron(va, vb) for va in ANALYSIS_BASES[a] for vb in ANALYSIS_BASES[b])
+]).reshape(36, 16)
 
 
 def expected_coincidences(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarray:
@@ -69,9 +65,10 @@ def expected_coincidences(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarr
     raises ``ValueError``.
     """
     rho = check_density_matrix(rho)
-    probs = np.array(
-        [float(np.real(np.trace(p @ rho))) for p in setting_projectors(setting)]
-    )
+    if tuple(setting) not in SETTINGS:
+        raise ValueError(f"unknown setting {setting}")
+    projectors = _PROJECTORS.reshape(9, 4, 4, 4)[SETTINGS.index(tuple(setting))]
+    probs = np.array([float(np.real(np.trace(p @ rho))) for p in projectors])
     if probs.min() < -PSD_TOL:
         raise ValueError(f"negative coincidence probability {probs.min()} in setting {setting}")
     return np.maximum(probs, 0.0)
@@ -103,18 +100,16 @@ class CountTable:
             raise ValueError(f"duplicate entry for {key}")
         self.counts[key] = int(count)
 
-    def settings_present(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted({s for s, _ in self.counts}))
-
-    def coincidences(self, setting: tuple[str, str]) -> np.ndarray:
-        """Counts of the four single-coincidence patterns for one setting."""
-        return np.array(
-            [self.counts.get((setting, p), 0) for p in COINCIDENCE_PATTERNS], dtype=float
-        )
-
     def coincidence_matrix(self) -> np.ndarray:
-        """(n_settings, 4) coincidence counts in canonical setting order."""
-        return np.array([self.coincidences(s) for s in SETTINGS])
+        """(9, 4) coincidences in SETTINGS and port order; a missing setting raises ValueError."""
+        present = {s for s, _ in self.counts}
+        missing = [s for s in SETTINGS if s not in present]
+        if missing:
+            raise ValueError(f"count table is missing settings: {missing}")
+        return np.array(
+            [[self.counts.get((s, p), 0) for p in COINCIDENCE_PATTERNS] for s in SETTINGS],
+            dtype=float,
+        )
 
 
 def simulate_counts(
@@ -217,12 +212,11 @@ def _t_to_params(t: np.ndarray) -> np.ndarray:
     return params
 
 
-# The 36 projectors flattened to rows; as Pi_k is Hermitian,
-# q_k = tr(Pi_k A) = sum_ij conj(Pi_k)_ij A_ij.  Products with them keep a
-# row axis of length one per sample: a stack of small BLAS calls, where one
-# (S, 16) x (16, 36) product lets OpenBLAS start threads from S ~ 100 on,
-# which on a 2-core host with the other core busy took 8 ms, not 0.05 ms.
-_PROJECTORS = np.stack([p for s in SETTINGS for p in setting_projectors(s)]).reshape(36, 16)
+# As Pi_k is Hermitian, q_k = tr(Pi_k A) = sum_ij conj(Pi_k)_ij A_ij.
+# Products with the projector rows keep a row axis of length one per sample:
+# a stack of small BLAS calls, where one (S, 16) x (16, 36) product lets
+# OpenBLAS start threads from S ~ 100 on, which on a 2-core host with the
+# other core busy took 8 ms, not 0.05 ms.
 _PROJECTORS_CONJ_T = _PROJECTORS.conj().T
 # Least-squares inverse of rho -> (q_k): (36, 16) -> (16, 36), stored transposed.
 _INVERSION_T = np.linalg.pinv(_PROJECTORS.conj()).T
@@ -331,19 +325,6 @@ class MleResult:
     samples: np.ndarray
     sample_certificates: np.ndarray
     n_failures: int
-    history: tuple[float, ...] | None = None
-
-
-def _coincidence_matrix(table: CountTable) -> np.ndarray:
-    """(9, 4) counts of a table that has every setting and some counts."""
-    present = set(table.settings_present())
-    missing = [s for s in SETTINGS if s not in present]
-    if missing:
-        raise ValueError(f"count table is missing settings: {missing}")
-    coincidences = table.coincidence_matrix()
-    if coincidences.sum() == 0:
-        raise ValueError("all coincidence counts are zero; cannot reconstruct")
-    return coincidences
 
 
 def _escape(counts: np.ndarray, rho: np.ndarray, top: np.ndarray, logl: float):
@@ -365,17 +346,17 @@ def _escape(counts: np.ndarray, rho: np.ndarray, top: np.ndarray, logl: float):
     return None
 
 
-def _ascend(coincidences: np.ndarray, keep_history: bool = False):
+def _ascend(coincidences: np.ndarray):
     """Likelihood maximization for each of S (9, 4) count tables, all in one loop.
 
     Each sample starts from its PSD-projected linear inversion; see
     ``_maximize``.
     """
     counts = coincidences.reshape(coincidences.shape[0], 36)
-    return _maximize(counts, _start(_linear_inversion(coincidences)), keep_history)
+    return _maximize(counts, _start(_linear_inversion(coincidences)))
 
 
-def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False):
+def _maximize(counts: np.ndarray, params: np.ndarray):
     """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 16) params.
 
     Each sample takes its own Newton steps on the 16 parameters of the
@@ -399,8 +380,7 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     iterations, or whose escape finds no better state, has not converged.
 
     Returns rho (S, 4, 4), log-likelihood (S,), the certificate (S,) at those
-    states, iterations (S,), a converged flag (S,) and, if asked, each
-    sample's log-likelihood at the start and after every iteration.
+    states, iterations (S,) and a converged flag (S,).
     """
     n_samples = counts.shape[0]
     n_total = counts.sum(axis=1)
@@ -422,7 +402,6 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
     vecs = np.empty((n_samples, 16, 16))
     along = np.empty((n_samples, 16))
     moved = np.ones(n_samples, dtype=bool)
-    history = [[value] for value in logl] if keep_history else None
     active = np.arange(n_samples)
     while active.size:
         fresh = active[moved[active]]
@@ -469,11 +448,8 @@ def _maximize(counts: np.ndarray, params: np.ndarray, keep_history: bool = False
         logl[taken] += rise[up]
         moved[taken] = True
         damping[newton] *= np.where(up, 1.0 / 3.0, 4.0)
-        if history is not None:
-            for s in active:
-                history[s].append(logl[s])
         iterations[active] += 1
-    return rho, logl, certificates, iterations, converged, history
+    return rho, logl, certificates, iterations, converged
 
 
 def _poisson_draws(means: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
@@ -513,9 +489,7 @@ def check_monte_carlo(n_samples: int, seed: int | None) -> None:
         raise ValueError("Monte Carlo resampling is stochastic: a seed is required")
 
 
-def mle_reconstruct(
-    table: CountTable, n_samples: int = 0, seed: int | None = None, keep_history: bool = False
-) -> MleResult:
+def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = None) -> MleResult:
     """Maximum-likelihood density matrix from coincidence counts, and of its resamples.
 
     Damped Newton iteration on the 16 parameters of the lower-triangular
@@ -528,14 +502,15 @@ def mle_reconstruct(
     counts or without a certified maximum is a Monte Carlo failure.
     """
     check_monte_carlo(n_samples, seed)
-    coincidences = _coincidence_matrix(table)
+    coincidences = table.coincidence_matrix()
+    if coincidences.sum() == 0:
+        raise ValueError("all coincidence counts are zero; cannot reconstruct")
     resampled = (
         _resampled_coincidences(table, n_samples, seed) if n_samples else np.empty((0, 9, 4))
     )
     resampled = resampled[resampled.sum(axis=(1, 2)) > 0]
-    rho, logl, certificate, iterations, converged, history = _ascend(
-        np.concatenate([coincidences[None], resampled]), keep_history
-    )
+    batch = np.concatenate([coincidences[None], resampled])
+    rho, logl, certificate, iterations, converged = _ascend(batch)
     if not converged[0]:
         raise ConvergenceError(
             f"likelihood maximization not certified after {iterations[0]} iterations "
@@ -550,7 +525,6 @@ def mle_reconstruct(
         samples=rho[1:][kept],
         sample_certificates=certificate[1:][kept],
         n_failures=n_samples - int(kept.sum()),
-        history=tuple(float(v) for v in history[0]) if history is not None else None,
     )
 
 

@@ -79,10 +79,12 @@ class TestExitCodes:
         (["simulate", "--config", "{config}"], {"t1": 1.0}, "zero herald probability"),
         (["power-compare", "--tau-high", "0.25", "--t", "0"], {}, "zero coincidence probability"),
         (["power-compare", "--tau-high", "0.25", "--t", "1"], {}, "zero coincidence probability"),
-        (["calibrate", "--t", "1"], {}, "zero herald probability"),
+        (["calibrate", "--t", "1"], {}, "zero herald probability for t1=1.0, t2=1.0"),
         # no block of fewer than two pairs holds the four photons a herald needs
-        (["calibrate", "--pairs", "0"], {}, "zero herald probability"),
-        (["calibrate", "--pairs", "1"], {}, "zero herald probability"),
+        (["calibrate", "--pairs", "0"], {},
+         "zero herald probability for max_pairs=0: no block of fewer than two pairs can herald"),
+        (["calibrate", "--pairs", "1"], {},
+         "zero herald probability for max_pairs=1: no block of fewer than two pairs can herald"),
     ], ids=["simulate-t1-0", "simulate-tau-0", "simulate-t1-1", "power-compare-t-0",
             "power-compare-t-1", "calibrate-t-1", "calibrate-pairs-0", "calibrate-pairs-1"])
     def test_edge_transmission_is_data_error(self, tmp_path, capsys, argv, config, message):
@@ -246,6 +248,19 @@ class TestCommands:
         assert all(len(occ) == 4 and ",".join(map(str, occ)) in keys for occ in occupations)
         assert len(occupations) == len(keys) == table_csv.count(b"\n") - 1
         assert max(max(occ) for occ in occupations) >= 10
+
+    def test_tables_need_no_coincidence(self, tmp_path, capsys):
+        # with t1 = 0 the herald fires but no photon reaches output arm 1, so
+        # simulate has nothing to post-select while the number table is defined
+        config = write_config(tmp_path / "config.json", t1=0.0, t2=0.5, tau=0.3, max_pairs=4)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+        assert "zero coincidence probability" in capsys.readouterr().err
+        argv = ["reproduce-tables", "--config", str(config), "--out", str(tmp_path / "tables")]
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "tables" / "table_report.json").read_text())
+        assert report["aggregates"]["p11"] == 0.0
+        assert all(key.split(",")[:2] == ["0", "0"] for key in report["table"])
+        assert sum(report["table"].values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_power_compare(self, tmp_path):
         out = tmp_path / "power"

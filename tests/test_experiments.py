@@ -344,6 +344,8 @@ class TestSimulateExperiment:
             simulate_experiment(config)
         with pytest.raises(ValueError, match="efficiency per output arm"):
             run_sweep([config])
+        # the number table needs no estimator
+        assert sum(reproduce_number_tables(config)["table"].values()) == pytest.approx(1.0)
 
     def test_direct_preparation_counts_photons_before_loss(self):
         det = DetectorModel(efficiency=0.0966)

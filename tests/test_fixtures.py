@@ -22,7 +22,7 @@ class TestCountFixtures:
     @pytest.mark.parametrize("name", ["17_83", "30_70", "50_50", "70_30"])
     def test_complete_and_ingestible(self, fixtures_dir, name):
         table = ingest_counts(fixtures_dir / f"counts_{name}.csv")
-        assert set(table.settings_present()) == set(SETTINGS)
+        assert {setting for setting, _ in table.counts} == set(SETTINGS)
         assert len(table.counts) == 9 * 16
         assert table.ratio == name.replace("_", "/")
 

@@ -98,7 +98,7 @@ class TestExpectedCoincidences:
 class TestSimulateCounts:
     def test_phi_plus_zz_statistics(self):
         table = simulate_counts(PHI_PLUS_RHO, SETTINGS, 10**6, seed=3)
-        zz = table.coincidences(("z", "z"))
+        zz = table.coincidence_matrix()[SETTINGS.index(("z", "z"))]
         sigma = math.sqrt(10**6 * 0.25)
         assert abs(zz[0] - 5e5) < 3 * sigma
         assert abs(zz[3] - 5e5) < 3 * sigma
@@ -111,8 +111,7 @@ class TestSimulateCounts:
 
     def test_mixed_state_quarters(self):
         table = simulate_counts(MIXED_RHO, SETTINGS, 10**5, seed=5)
-        for setting in SETTINGS:
-            counts = table.coincidences(setting)
+        for counts in table.coincidence_matrix():
             assert counts.sum() == 10**5
             assert np.all(np.abs(counts - 2.5e4) < 5 * math.sqrt(2.5e4))
 
@@ -273,6 +272,14 @@ class TestMle:
         table.add(("z", "z"), (1, 0, 1, 0), 10)
         with pytest.raises(ValueError, match="missing settings"):
             mle_reconstruct(table)
+
+    def test_coincidence_matrix_names_the_missing_settings(self):
+        # a setting with any entry is present, even one without coincidence patterns
+        table = sparse_table()
+        assert table.coincidence_matrix().shape == (9, 4)
+        table.counts = {key: n for key, n in table.counts.items() if key[0] != ("y", "x")}
+        with pytest.raises(ValueError, match=r"missing settings: \[\('y', 'x'\)\]"):
+            table.coincidence_matrix()
 
     def test_all_zero_rejected(self):
         table = CountTable()
@@ -441,9 +448,7 @@ class TestMonteCarlo:
         singles = [mle_reconstruct(t) for t in tables]
         for rho, single in zip(rhos, singles, strict=True):
             assert np.abs(rho - single.rho).max() <= 1e-10
-        _, _, _, iterations, converged, _ = _ascend(
-            np.stack([t.coincidence_matrix() for t in tables])
-        )
+        _, _, _, iterations, converged = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
         assert converged.all()
         assert list(iterations) == [s.iterations for s in singles]
 
@@ -477,7 +482,7 @@ class TestMonteCarlo:
         # table's point estimate (6 iterations) converges under it
         table = ingest_counts(fixtures_dir / "counts_70_30.csv")
         tables, _ = draws(table, 8, seed=7)
-        _, _, _, iterations, _, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
+        _, _, _, iterations, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
         cap = int(np.sort(iterations)[4])
         assert mle_reconstruct(table).iterations <= cap
         monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
@@ -505,6 +510,22 @@ class TestMonteCarlo:
             monte_carlo_report(result, {"value": tangle})
 
 
+def likelihood_paths(monkeypatch, maximize):
+    """Each sample's log-likelihood at the start and after every iteration of ``maximize()``.
+
+    ``maximize`` runs ``_ascend`` or ``_maximize``.  A run capped at k
+    iterations stops every sample where the uncapped run is after k, so
+    reruns under the caps 0, 1, ... trace the path.
+    """
+    iterations = maximize()[3]
+    steps = []
+    with monkeypatch.context() as capped:
+        for cap in range(iterations.max() + 1):
+            capped.setattr(tomo, "MAX_ITERATIONS", cap)
+            steps.append(maximize()[1])
+    return [[float(step[s]) for step in steps[:n + 1]] for s, n in enumerate(iterations)]
+
+
 class TestLazyFactorization:
     def test_derivatives_follow_only_moves(self, fixtures_dir, monkeypatch):
         # row 0 has exact frequencies of the mixed state and is certified at its
@@ -516,6 +537,7 @@ class TestLazyFactorization:
         ])
         rows = {row.tobytes(): i for i, row in enumerate(batch.reshape(len(batch), 36))}
         assert len(rows) == len(batch)
+        paths = likelihood_paths(monkeypatch, lambda: _ascend(batch))
         evaluations = np.zeros(len(batch), dtype=int)
         escapes = np.zeros(len(batch), dtype=int)
         factorized = []
@@ -539,10 +561,10 @@ class TestLazyFactorization:
         monkeypatch.setattr(tomo, "_derivatives", counting_derivatives)
         monkeypatch.setattr(tomo, "_escape", counting_escape)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        _, _, _, iterations, converged, history = _ascend(batch, keep_history=True)
+        _, _, _, iterations, converged = _ascend(batch)
         assert converged.all()
         assert iterations[0] == 0 and evaluations[0] == 0
-        taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in history])
+        taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in paths])
         assert (evaluations <= taken + escapes + 1).all()
         assert (evaluations[iterations > 0] >= 1).all()
         # one Hessian eigendecomposition per derivative evaluation, none per refused step
@@ -550,10 +572,11 @@ class TestLazyFactorization:
 
 
 class TestLikelihoodPath:
-    def test_monotone_non_decreasing(self, fixtures_dir):
+    def test_monotone_non_decreasing(self, fixtures_dir, monkeypatch):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        result = mle_reconstruct(table, keep_history=True)
-        path = result.history
+        result = mle_reconstruct(table)
+        (path,) = likelihood_paths(monkeypatch, lambda: _ascend(table.coincidence_matrix()[None]))
+        assert path[-1] == result.log_likelihood
         assert len(path) == result.iterations or len(path) == result.iterations + 1
         assert all(b >= a for a, b in zip(path, path[1:]))
 
@@ -612,7 +635,7 @@ class TestCertifiedMaximum:
         tables, _ = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 50, seed=8)
         stacks.append(np.stack([t.coincidence_matrix() for t in tables]))
         for coincidences in stacks:
-            rho, _, certificate, _, converged, _ = _ascend(coincidences)
+            rho, _, certificate, _, converged = _ascend(coincidences)
             assert converged.all()
             recomputed = tomo._certificate(coincidences.reshape(-1, 36), rho)[0]
             assert np.array_equal(certificate, recomputed)
@@ -634,12 +657,11 @@ class TestCertifiedMaximum:
         t[1, :] = 0.0
         start = _t_to_params(t) / np.linalg.norm(_t_to_params(t))
         counts = table.coincidence_matrix().reshape(1, 36)
-        rho, logl, certificate, _, converged, history = _maximize(
-            counts, start[None], keep_history=True
-        )
+        rho, logl, certificate, _, converged = _maximize(counts, start[None])
         assert escapes and converged[0]
+        (path,) = likelihood_paths(monkeypatch, lambda: _maximize(counts, start[None]))
         assert certificate[0] == tomo._certificate(counts, rho)[0][0]
-        assert all(b >= a for a, b in zip(history[0], history[0][1:]))
+        assert all(b >= a for a, b in zip(path, path[1:]))
         assert logl[0] == pytest.approx(reference.log_likelihood, abs=CERTIFICATE_TOL * 200)
         assert np.abs(rho[0] - reference.rho).max() <= 1e-6
 
