@@ -4,8 +4,9 @@ Nine Pauli settings (sigma_i on arm 1, sigma_j on arm 2) are measured in
 the coincidence basis.  Reconstruction maximizes the Poissonian likelihood
 of the observed coincidence counts over the Cholesky-style parameterization
 rho = T†T / tr(T†T), with the per-setting intensity profiled out (the
-likelihood reduces to the multinomial form), by damped Newton steps, and
-certifies the maximum it reaches.  Uncertainties come from a
+likelihood reduces to the multinomial form), by a few diluted RrhoR steps
+on rho and then damped Newton steps on T, and certifies the maximum it
+reaches.  Uncertainties come from a
 Monte Carlo over Poisson-resampled count tables: the observed table and
 its resamples are maximized together, as one batch whose row 0 is the
 point estimate.
@@ -42,6 +43,13 @@ _DAMPING_START = 1e-2
 # saddle; near the maximum the promise is of order certificate^2 / N.
 _STALL = 1e-6
 _ESCAPE_MIN_STEP = 1e-12
+# Diluted RrhoR steps, and their dilution e, before the Newton iteration.  They
+# start from the linear inversion floored at _WARM_UP_FLOOR: an RrhoR step
+# grows an eigenvalue by a bounded factor, so one floored lower takes more
+# steps to reach a maximum inside the state space.
+_WARM_UP_STEPS = 15
+_WARM_UP_DILUTION = 10.0
+_WARM_UP_FLOOR = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -89,13 +97,14 @@ class CountTable:
     ratio: str | None = None
 
     def add(self, setting: tuple[str, str], pattern: tuple[int, int, int, int], count: int):
+        setting = tuple(setting)
         if setting not in SETTINGS:
             raise ValueError(f"unknown setting {setting}")
         if len(pattern) != 4 or any(n < 0 for n in pattern):
             raise ValueError(f"bad pattern {pattern}")
         if count < 0:
             raise ValueError(f"negative count {count}")
-        key = (tuple(setting), tuple(int(n) for n in pattern))
+        key = (setting, tuple(int(n) for n in pattern))
         if key in self.counts:
             raise ValueError(f"duplicate entry for {key}")
         self.counts[key] = int(count)
@@ -212,12 +221,15 @@ def _t_to_params(t: np.ndarray) -> np.ndarray:
     return params
 
 
-# As Pi_k is Hermitian, q_k = tr(Pi_k A) = sum_ij conj(Pi_k)_ij A_ij.
-# Products with the projector rows keep a row axis of length one per sample:
-# a stack of small BLAS calls, where one (S, 16) x (16, 36) product lets
-# OpenBLAS start threads from S ~ 100 on, which on a 2-core host with the
-# other core busy took 8 ms, not 0.05 ms.
-_PROJECTORS_CONJ_T = _PROJECTORS.conj().T
+# Each projector row as 16 (real, imaginary) pairs, (36, 32).  A real-weighted
+# sum of these rows, viewed as complex, is sum_k w_k Pi_k; and as Pi_k is
+# Hermitian, tr(Pi_k rho) = sum_ij Re(conj(Pi_k)_ij rho_ij) is the dot product
+# of its row with rho's 16 pairs.  Products with the projector rows keep a row
+# axis of length one per sample: a stack of small BLAS calls, where one
+# (S, 32) x (32, 36) product lets OpenBLAS start threads from S ~ 100 on,
+# which on a 2-core host with the other core busy took 8 ms, not 0.05 ms.
+_PROJECTORS_REAL = _PROJECTORS.view(float)
+_PROJECTORS_REAL_T = _PROJECTORS_REAL.T.copy()
 # Least-squares inverse of rho -> (q_k): (36, 16) -> (16, 36), stored transposed.
 _INVERSION_T = np.linalg.pinv(_PROJECTORS.conj()).T
 
@@ -293,6 +305,18 @@ def _start(rho: np.ndarray) -> np.ndarray:
     return params / np.linalg.norm(params, axis=-1, keepdims=True)
 
 
+def _probabilities(rho: np.ndarray) -> np.ndarray:
+    """tr(Pi_k rho) for the 36 projectors, (..., 36), from (..., 4, 4) states."""
+    return (rho.reshape(rho.shape[:-2] + (1, 16)).view(float) @ _PROJECTORS_REAL_T)[..., 0, :]
+
+
+def _ratio_operator(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """R = sum_k (c_k / p_k) Pi_k (..., 4, 4), outcomes without counts left out."""
+    weights = np.divide(counts, probs, out=np.zeros_like(probs), where=counts > 0)
+    r = (weights[..., None, :] @ _PROJECTORS_REAL).view(complex)
+    return r.reshape(probs.shape[:-1] + (4, 4))
+
+
 def _certificate(counts: np.ndarray, rho: np.ndarray):
     """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k, and R's top eigenvector.
 
@@ -300,9 +324,7 @@ def _certificate(counts: np.ndarray, rho: np.ndarray):
     log-likelihood is concave in rho, no state beats rho's log-likelihood
     by more than this value.
     """
-    probs = (rho.reshape(rho.shape[:-2] + (1, 16)) @ _PROJECTORS_CONJ_T)[..., 0, :].real
-    weights = np.divide(counts, probs, out=np.zeros_like(probs), where=counts > 0)
-    r = (weights[..., None, :] @ _PROJECTORS).reshape(rho.shape)
+    r = _ratio_operator(counts, _probabilities(rho))
     eigs, vecs = np.linalg.eigh(r)
     return eigs[..., -1] - counts.sum(axis=-1), vecs[..., :, -1]
 
@@ -346,18 +368,39 @@ def _escape(counts: np.ndarray, rho: np.ndarray, top: np.ndarray, logl: float):
     return None
 
 
+def _warm_up(counts: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(S, 4, 4) states after ``_WARM_UP_STEPS`` diluted RrhoR steps from rho, floored.
+
+    rho -> A rho A / tr(A rho A) with A = 1 + e R / N (Rehacek, Hradil, Knill
+    & Lvovsky, PRA 75, 042108, 2007).  R = sum_k (c_k / P_k) Pi_k is positive
+    semidefinite, so A >= 1 and the floored rho stays positive definite: no
+    outcome with counts reaches probability zero.
+    """
+    rho = _psd_floor(rho, _WARM_UP_FLOOR)
+    dilution = _WARM_UP_DILUTION / counts.sum(axis=-1)[:, None, None]
+    for _ in range(_WARM_UP_STEPS):
+        r = _ratio_operator(counts, _probabilities(rho))
+        a = np.eye(4) + dilution * r
+        rho = a @ rho @ a
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return rho
+
+
 def _ascend(coincidences: np.ndarray):
     """Likelihood maximization for each of S (9, 4) count tables, all in one loop.
 
-    Each sample starts from its PSD-projected linear inversion; see
-    ``_maximize``.
+    Each sample starts from its linear inversion, moved towards the maximum
+    by ``_warm_up``; see ``_maximize``.
     """
     counts = coincidences.reshape(coincidences.shape[0], 36)
-    return _maximize(counts, _start(_linear_inversion(coincidences)))
+    return _maximize(counts, _start(_warm_up(counts, _linear_inversion(coincidences))))
 
 
 def _maximize(counts: np.ndarray, params: np.ndarray):
     """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 16) params.
+
+    ``_ascend`` starts it from the warm-up's states, where most samples
+    need a few Newton iterations; it works from any start.
 
     Each sample takes its own Newton steps on the 16 parameters of the
     lower-triangular factor, renormalized to unit length (the
@@ -380,7 +423,7 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
     iterations, or whose escape finds no better state, has not converged.
 
     Returns rho (S, 4, 4), log-likelihood (S,), the certificate (S,) at those
-    states, iterations (S,) and a converged flag (S,).
+    states, Newton iterations (S,) and a converged flag (S,).
     """
     n_samples = counts.shape[0]
     n_total = counts.sum(axis=1)
@@ -492,14 +535,16 @@ def check_monte_carlo(n_samples: int, seed: int | None) -> None:
 def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = None) -> MleResult:
     """Maximum-likelihood density matrix from coincidence counts, and of its resamples.
 
-    Damped Newton iteration on the 16 parameters of the lower-triangular
-    factor, started from the PSD-projected linear inversion, until the
-    certificate shows the log-likelihood within ``CERTIFICATE_TOL`` times
-    the number of counts of its maximum.  With ``n_samples`` (0, or at
-    least 2) and a ``seed``, every count is also Poisson-resampled that
-    many times, and the resampled tables are reconstructed in the same
-    batch as the observed one, which is its row 0; a resample without
-    counts or without a certified maximum is a Monte Carlo failure.
+    ``_WARM_UP_STEPS`` diluted RrhoR steps from the eigenvalue-floored
+    linear inversion, then damped Newton iteration on the 16 parameters of
+    the lower-triangular factor until the certificate shows the
+    log-likelihood within ``CERTIFICATE_TOL`` times the number of counts of
+    its maximum; ``iterations`` counts the Newton iterations only.  With
+    ``n_samples`` (0, or at least 2) and a ``seed``, every count is also
+    Poisson-resampled that many times, and the resampled tables are
+    reconstructed in the same batch as the observed one, which is its row
+    0; a resample without counts or without a certified maximum is a Monte
+    Carlo failure.
     """
     check_monte_carlo(n_samples, seed)
     coincidences = table.coincidence_matrix()

@@ -737,6 +737,64 @@ def rrr_maximum(coincidences: np.ndarray, steps: int = 1000) -> np.ndarray:
     return rho
 
 
+# --- Likelihood quadratic forms ----------------------------------------------
+#
+# The package's maximizer writes rho = T†T / tr(T†T) with T lower triangular,
+# and T = sum_i p_i B_i over 16 real parameters: the four real diagonal
+# entries, then the real and imaginary parts of each strictly-lower entry,
+# row by row.  Each q_k = tr(Pi_k T†T) is then a quadratic form p^T H_k p.
+# Here every H_k[i, j] = Re tr(Pi_k B_i† B_j) is one trace of 4x4 matrices,
+# with no use of the projectors being rank one.
+
+
+def cholesky_basis() -> np.ndarray:
+    """(16, 4, 4) basis matrices B_i of the lower-triangular factor, in parameter order."""
+    basis = []
+    for r in range(4):
+        b = np.zeros((4, 4), dtype=complex)
+        b[r, r] = 1.0
+        basis.append(b)
+    for r in range(4):
+        for c in range(r):
+            for phase in (1.0, 1.0j):
+                b = np.zeros((4, 4), dtype=complex)
+                b[r, c] = phase
+                basis.append(b)
+    return np.array(basis)
+
+
+@functools.cache
+def likelihood_forms() -> np.ndarray:
+    """(36, 16, 16) tables H_k[i, j] = Re tr(Pi_k B_i† B_j), Pi_k in PORT_PROJECTORS order."""
+    basis = cholesky_basis()
+    return np.array([
+        [[np.trace(pi @ bi.conj().T @ bj).real for bj in basis] for bi in basis]
+        for pi in PORT_PROJECTORS.reshape(36, 4, 4)
+    ])
+
+
+def likelihood_derivatives(params: np.ndarray, counts: np.ndarray):
+    """H_k p, q_k, and the gradient and Hessian of sum_k c_k log q_k - N log p^T p.
+
+    One sample: (16,) parameters and (36,) counts; an outcome without counts
+    adds nothing.  Sums over the tables of ``likelihood_forms``.
+    """
+    forms = likelihood_forms()
+    hp = forms @ params
+    q = hp @ params
+    n_total, norm = counts.sum(), params @ params
+    weights = np.divide(counts, q, out=np.zeros(36), where=counts > 0)
+    curvature = np.divide(weights, q, out=np.zeros(36), where=counts > 0)
+    grad = 2.0 * weights @ hp - 2.0 * n_total / norm * params
+    hess = (
+        2.0 * np.tensordot(weights, forms, axes=1)
+        - 4.0 * (hp.T * curvature) @ hp
+        - 2.0 * n_total / norm * np.eye(16)
+        + 4.0 * n_total / norm**2 * np.outer(params, params)
+    )
+    return hp, q, grad, hess
+
+
 def poisson_resampled_counts(counts: dict, n_samples: int, seed: int) -> list[dict]:
     """Monte Carlo resamples of a count table, built one dict at a time.
 

@@ -32,6 +32,7 @@ from heraldsim.tomography import (
 from oracles import (
     exact_coincidences,
     fully_entangled_fraction,
+    likelihood_derivatives,
     linear_inversion,
     multinomial_log_likelihood,
     poisson_resampled_counts,
@@ -108,6 +109,14 @@ class TestSimulateCounts:
         a = simulate_counts(PHI_PLUS_RHO, SETTINGS, 1000, seed=7)
         b = simulate_counts(PHI_PLUS_RHO, SETTINGS, 1000, seed=7)
         assert a.counts == b.counts
+
+    def test_list_and_tuple_settings_give_the_same_table(self):
+        settings = [("z", "z"), ("x", "y")]
+        as_tuples = simulate_counts(PHI_PLUS_RHO, settings, 10, seed=1)
+        as_lists = simulate_counts(PHI_PLUS_RHO, [list(s) for s in settings], 10, seed=1)
+        assert as_lists.counts == as_tuples.counts
+        assert simulate_counts(PHI_PLUS_RHO, [["z", "z"]], 10, 1).counts == (
+            simulate_counts(PHI_PLUS_RHO, [("z", "z")], 10, 1).counts)
 
     def test_mixed_state_quarters(self):
         table = simulate_counts(MIXED_RHO, SETTINGS, 10**5, seed=5)
@@ -205,6 +214,23 @@ class TestMle:
             assert grad[:, k] == pytest.approx((lu - ld) / (2 * eps), rel=1e-4, abs=1e-6)
             assert hess[:, k] == pytest.approx((gu - gd) / (2 * eps), rel=1e-4, abs=1e-6)
         assert np.abs(hess - np.swapaxes(hess, 1, 2)).max() <= 1e-9 * np.abs(hess).max()
+
+    def test_forms_match_the_brute_force_tables(self):
+        # H_k p, q_k, gradient and Hessian against sums over the tables
+        # H_k[i, j] = Re tr(Pi_k B_i† B_j), on random parameters and counts
+        # with empty cells, to 1e-13 of each quantity's largest entry
+        rng = np.random.default_rng(43)
+        params = rng.normal(size=(6, 16))
+        counts = rng.integers(0, 40, size=(6, 36)).astype(float)
+        counts[0, :9] = 0.0
+        counts[1, ::3] = 0.0
+        counts[2, rng.random(36) < 0.5] = 0.0
+        hp, q = _quadratic_forms(params)
+        grad, hess = _derivatives(params, counts, hp, q)
+        for s in range(len(params)):
+            for got, want in zip((hp[s], q[s], grad[s], hess[s]),
+                                 likelihood_derivatives(params[s], counts[s]), strict=True):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_quadratic_forms_match_the_state(self):
         # q_k = p^T H_k p is tr(Pi_k T†T), and p^T p is tr(T†T)
@@ -479,7 +505,7 @@ class TestMonteCarlo:
 
     def test_unconverged_samples_are_failures(self, fixtures_dir, monkeypatch):
         # the cap applies to the point estimate too, in the same batch: this
-        # table's point estimate (6 iterations) converges under it
+        # table's point estimate (5 iterations) converges under it
         table = ingest_counts(fixtures_dir / "counts_70_30.csv")
         tables, _ = draws(table, 8, seed=7)
         _, _, _, iterations, _ = _ascend(np.stack([t.coincidence_matrix() for t in tables]))
@@ -579,6 +605,43 @@ class TestLikelihoodPath:
         assert path[-1] == result.log_likelihood
         assert len(path) == result.iterations or len(path) == result.iterations + 1
         assert all(b >= a for a, b in zip(path, path[1:]))
+
+
+class TestWarmUp:
+    def test_warm_start_saves_newton_iterations(self, fixtures_dir):
+        # each fixture with 50 resamples: from the warm-up, at least a quarter
+        # fewer Newton iterations than from the floored linear inversion itself
+        warm = cold = 0
+        for seed, name in enumerate(FIXTURES):
+            table = ingest_counts(fixtures_dir / f"{name}.csv")
+            batch = np.concatenate(
+                [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, seed)])
+            _, _, _, iterations, converged = _ascend(batch)
+            assert converged.all()
+            warm += iterations.sum()
+            start = tomo._start(_linear_inversion(batch))
+            _, _, _, iterations, converged = _maximize(batch.reshape(len(batch), 36), start)
+            assert converged.all()
+            cold += iterations.sum()
+        assert warm <= 0.75 * cold
+
+    def test_warm_up_states_stay_positive_definite(self, monkeypatch):
+        # every state the warm-up passes through, on a table with empty cells
+        table = sparse_table()
+        batch = np.concatenate(
+            [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, 3)])
+        batch = batch[batch.sum(axis=(1, 2)) > 0]
+        counts = batch.reshape(len(batch), 36)
+        assert (counts == 0).any(axis=1).all()
+        states = []
+        for steps in range(tomo._WARM_UP_STEPS + 1):
+            monkeypatch.setattr(tomo, "_WARM_UP_STEPS", steps)
+            states.append(tomo._warm_up(counts, _linear_inversion(batch)))
+        states = np.stack(states)
+        assert np.isfinite(states).all()
+        assert np.abs(states - np.swapaxes(states, -1, -2).conj()).max() <= 1e-12
+        assert (np.linalg.eigvalsh(states) > 0).all()
+        assert (tomo._probabilities(states)[:, counts > 0] > 0).all()
 
 
 def rrr_shortfall(coincidences, rhos):
