@@ -250,12 +250,24 @@ def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
 
 # Each q_k = tr(Pi_k T†T) is a quadratic form p^T H_k p in the 16 parameters:
 # with T = sum_i p_i B_i, H_k[i, j] = Re tr(Pi_k B_i† B_j).  Rows of H_k p are
-# taken per sample as one (1, 16) x (16, 36*16) product (see above).
+# taken per sample as one (1, 16) x (16, 36*16) product (see above); the
+# Hessian's weighted sum of the H_k is not taken from these tables but read
+# off R (below).
 _BASIS = _params_to_t(np.eye(16))
 _BASIS_PRODUCTS = _dagger(_BASIS)[:, None] @ _BASIS[None, :]  # B_i† B_j, (16, 16, 4, 4)
 _FORMS = (_PROJECTORS.conj() @ _BASIS_PRODUCTS.reshape(256, 16).T).real.reshape(36, 16, 16)
 _FORM_ROWS = _FORMS.transpose(1, 0, 2).reshape(16, 36 * 16)
-_FORMS_FLAT = _FORMS.reshape(36, 256)
+# The weighted form sum sum_k w_k H_k[i, j] = Re tr(R B_i† B_j), R = sum_k w_k Pi_k,
+# is read off R's 16 (real, imaginary) pairs.  B_i = a_i E[r_i, c_i] with a_i
+# 1 or 1j, so B_i† B_j is conj(a_i) a_j E[c_i, c_j] where r_i = r_j, else 0,
+# and the entry is Re(conj(a_i) a_j R[c_j, c_i]): one part of R[c_j, c_i]
+# times a sign, or 0.
+_ENTRY = np.abs(_BASIS.reshape(16, 16)).argmax(axis=1)  # 4 r_i + c_i
+_PHASE = _BASIS.reshape(16, 16)[np.arange(16), _ENTRY]
+_COEFFICIENT = (_ENTRY[:, None] // 4 == _ENTRY // 4) * np.outer(_PHASE.conj(), _PHASE)
+_IMAGINARY = _COEFFICIENT.real == 0.0
+_FORM_GATHER = 2 * (4 * (_ENTRY % 4) + (_ENTRY % 4)[:, None]) + _IMAGINARY
+_FORM_SIGNS = np.where(_IMAGINARY, -_COEFFICIENT.imag, _COEFFICIENT.real)
 
 
 def _quadratic_forms(params: np.ndarray):
@@ -282,13 +294,33 @@ def _derivatives(params: np.ndarray, counts: np.ndarray, hp: np.ndarray, q: np.n
     weights = np.divide(counts, q, out=np.zeros_like(q), where=positive)
     curvature = np.divide(weights, q, out=np.zeros_like(q), where=positive)
     grad = 2.0 * (weights[..., None, :] @ hp)[..., 0, :] - (2.0 * n_total / norm) * params
+    r = (weights[..., None, :] @ _PROJECTORS_REAL)[..., 0, :]
     hess = (
-        2.0 * (weights[..., None, :] @ _FORMS_FLAT).reshape(params.shape[:-1] + (16, 16))
+        2.0 * r[..., _FORM_GATHER] * _FORM_SIGNS
         - 4.0 * np.swapaxes(hp * curvature[..., None], -1, -2) @ hp
         - (2.0 * n_total / norm)[..., None] * np.eye(16)
         + (4.0 * n_total / norm**2)[..., None] * (params[..., :, None] * params[..., None, :])
     )
     return grad, hess
+
+
+def _lift(neg_hess: np.ndarray) -> np.ndarray:
+    """2 max(0, -lambda_min) of each (..., 16, 16) negated Hessian.
+
+    Shifted by it, every eigenvalue is at least |lambda_min|; it is 0 where
+    the negated Hessian is positive semidefinite.
+    """
+    return 2.0 * np.maximum(0.0, -np.linalg.eigvalsh(neg_hess)[..., 0])
+
+
+def _newton_step(grad: np.ndarray, neg_hess: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """s with (-H + shift 1) s = g for (S, 16) gradients, (S, 16, 16) -H and (S,) shifts.
+
+    The right-hand side goes in as (S, 16, 1): numpy 1 reads an (S, 16) one
+    as a stack of vectors, numpy 2 as one (S, 16) matrix.
+    """
+    shifted = neg_hess + shift[:, None, None] * np.eye(16)
+    return np.linalg.solve(shifted, grad[..., None])[..., 0]
 
 
 def _state(params: np.ndarray) -> np.ndarray:
@@ -404,18 +436,21 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
 
     Each sample takes its own Newton steps on the 16 parameters of the
     lower-triangular factor, renormalized to unit length (the
-    log-likelihood does not depend on their scale).  The step divides the
-    gradient by |eigenvalue| + lambda N of the negated Hessian, so it always
-    climbs; it is taken when the log-likelihood, compared through exact
+    log-likelihood does not depend on their scale).  The step s solves
+    (-H + (lift + lambda N) 1) s = g, where the lift, twice the size of
+    -H's most negative eigenvalue or 0 (``_lift``), leaves every eigenvalue of
+    the shifted matrix at least |lambda_min| + lambda N, so the step always
+    climbs; where -H is positive semidefinite it is the plain damped Newton
+    step.  It is taken when the log-likelihood, compared through exact
     differences of the quadratic forms, does not fall.  lambda shrinks by 3
     on a taken step and grows by 4 on a refused one.  Where the Newton
     model promises nothing while the certificate is large, the sample sits
     on a saddle of the parameterization, and ``_escape`` moves it.
 
-    A sample's state, certificate and Hessian eigendecomposition are
-    computed only after its parameters move (at the start, after a taken
-    step or an escape), the eigendecomposition only once the certificate
-    shows the sample still needs a step; a refused step reuses them with
+    A sample's state, certificate, derivatives and lift are computed only
+    after its parameters move (at the start, after a taken step or an
+    escape), the derivatives and lift only once the certificate shows the
+    sample still needs a step; a refused step solves again with them and
     the new damping.
 
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
@@ -435,15 +470,15 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
     converged = np.zeros(n_samples, dtype=bool)
     stuck = np.zeros(n_samples, dtype=bool)
     # At each sample's current parameters: its state, certificate and R's top
-    # eigenvector, and the eigendecomposition of its negated Hessian with the
-    # gradient in that eigenbasis; `moved` marks the samples whose parameters
-    # changed since these were last computed.
+    # eigenvector, and its gradient, negated Hessian and that Hessian's lift;
+    # `moved` marks the samples whose parameters changed since these were
+    # last computed.
     rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
     top = np.empty((n_samples, 4), dtype=complex)
-    eigs = np.empty((n_samples, 16))
-    vecs = np.empty((n_samples, 16, 16))
-    along = np.empty((n_samples, 16))
+    grad = np.empty((n_samples, 16))
+    neg_hess = np.empty((n_samples, 16, 16))
+    lift = np.empty(n_samples)
     moved = np.ones(n_samples, dtype=bool)
     active = np.arange(n_samples)
     while active.size:
@@ -458,12 +493,13 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
             break
         fresh = active[moved[active]]
         if fresh.size:
-            grad, hess = _derivatives(params[fresh], counts[fresh], hp[fresh], q[fresh])
-            eigs[fresh], vecs[fresh] = np.linalg.eigh(-hess)
-            along[fresh] = (grad[:, None, :] @ vecs[fresh])[:, 0, :]
+            grad[fresh], hess = _derivatives(params[fresh], counts[fresh], hp[fresh], q[fresh])
+            neg_hess[fresh] = -hess
+            lift[fresh] = _lift(neg_hess[fresh])
             moved[fresh] = False
-        coef = along[active] / (np.abs(eigs[active]) + (damping[active] * n_total[active])[:, None])
-        gain = (along[active] * coef).sum(axis=1)
+        shift = lift[active] + damping[active] * n_total[active]
+        steps = _newton_step(grad[active], neg_hess[active], shift)
+        gain = (grad[active] * steps).sum(axis=1)
         stalled = gain < _STALL * certificates[active] ** 2 / n_total[active]
         for s in active[stalled]:
             escaped = _escape(counts[s], rho[s], top[s], logl[s])
@@ -474,7 +510,7 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
             moved[s] = True
             damping[s] = _DAMPING_START
         newton = active[~stalled]
-        trial = params[newton] + (vecs[newton] @ coef[~stalled, :, None])[..., 0]
+        trial = params[newton] + steps[~stalled]
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_hp, trial_q = _quadratic_forms(trial)
         # q' - q = (p' - p)^T H (p' + p) keeps the digits a difference of logs loses

@@ -795,6 +795,19 @@ def likelihood_derivatives(params: np.ndarray, counts: np.ndarray):
     return hp, q, grad, hess
 
 
+def eigenbasis_newton_step(grad: np.ndarray, neg_hess: np.ndarray, damping, n_total) -> np.ndarray:
+    """Damped Newton steps taken in the eigenbasis of the negated Hessian.
+
+    (S, 16) gradients, (S, 16, 16) negated Hessians, (S,) dampings lambda
+    and counts N: with -H = V diag(e) V^T, the step is
+    V (V^T g / (|e| + lambda N)), which climbs whatever the signs of e.
+    """
+    eigs, vecs = np.linalg.eigh(neg_hess)
+    along = np.einsum("si,sij->sj", grad, vecs)
+    coef = along / (np.abs(eigs) + (np.asarray(damping) * np.asarray(n_total))[:, None])
+    return np.einsum("sij,sj->si", vecs, coef)
+
+
 def poisson_resampled_counts(counts: dict, n_samples: int, seed: int) -> list[dict]:
     """Monte Carlo resamples of a count table, built one dict at a time.
 

@@ -30,6 +30,7 @@ from heraldsim.tomography import (
 )
 
 from oracles import (
+    eigenbasis_newton_step,
     exact_coincidences,
     fully_entangled_fraction,
     likelihood_derivatives,
@@ -566,8 +567,9 @@ class TestLazyFactorization:
         paths = likelihood_paths(monkeypatch, lambda: _ascend(batch))
         evaluations = np.zeros(len(batch), dtype=int)
         escapes = np.zeros(len(batch), dtype=int)
-        factorized = []
-        derivatives, escape, eigh = tomo._derivatives, tomo._escape, np.linalg.eigh
+        lifted, factorized = [], []
+        derivatives, escape = tomo._derivatives, tomo._escape
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def counting_derivatives(params, counts, hp, q):
             for row in counts:
@@ -584,17 +586,65 @@ class TestLazyFactorization:
                 factorized.append(len(a))
             return eigh(a, *args, **kwargs)
 
+        def counting_eigvalsh(a, *args, **kwargs):
+            if a.shape[-1] == 16:
+                lifted.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
         monkeypatch.setattr(tomo, "_derivatives", counting_derivatives)
         monkeypatch.setattr(tomo, "_escape", counting_escape)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         _, _, _, iterations, converged = _ascend(batch)
         assert converged.all()
         assert iterations[0] == 0 and evaluations[0] == 0
         taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in paths])
         assert (evaluations <= taken + escapes + 1).all()
         assert (evaluations[iterations > 0] >= 1).all()
-        # one Hessian eigendecomposition per derivative evaluation, none per refused step
-        assert sum(factorized) == evaluations.sum()
+        # one eigenvalue solve of the negated Hessian (for its lift) per derivative
+        # evaluation, none per refused step, and no 16x16 eigendecomposition
+        assert sum(lifted) == evaluations.sum()
+        assert not factorized
+
+
+class TestNewtonStep:
+    def test_lifted_solve_is_the_eigenbasis_step_where_it_can_be(self, fixtures_dir, monkeypatch):
+        # the gradient and negated Hessian at every row the maximizer moves to,
+        # on each fixture's 50-resample batch
+        moved = []
+        derivatives = tomo._derivatives
+
+        def recording(params, counts, hp, q):
+            grad, hess = derivatives(params, counts, hp, q)
+            moved.append((grad, -hess, counts.sum(axis=1)))
+            return grad, hess
+
+        monkeypatch.setattr(tomo, "_derivatives", recording)
+        for seed, name in enumerate(FIXTURES):
+            table = ingest_counts(fixtures_dir / f"{name}.csv")
+            _ascend(np.concatenate(
+                [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, seed)]))
+        grad, neg_hess, n_total = (np.concatenate(parts) for parts in zip(*moved))
+        lift = tomo._lift(neg_hess)
+        psd = lift == 0.0
+        assert psd.any() and (~psd).any()
+        # where -H is positive semidefinite, the lifted solve is today's damped step
+        for damping in (1e-2, 1e-4):
+            got = tomo._newton_step(grad[psd], neg_hess[psd], damping * n_total[psd])
+            want = eigenbasis_newton_step(grad[psd], neg_hess[psd], damping, n_total[psd])
+            error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+            assert error.max() <= 1e-10
+        # where it is not, the lifted matrix has every eigenvalue at least
+        # |lambda_min| + lambda N, so the step climbs once that exceeds the
+        # solve's rounding, here taken as 1e-12 of -H's largest eigenvalue
+        largest = np.linalg.eigvalsh(neg_hess)[:, -1]
+        for damping in 10.0 ** -np.arange(2, 17, 2):
+            shift = lift + damping * n_total
+            steps = tomo._newton_step(grad, neg_hess, shift)
+            assert np.isfinite(steps).all()
+            resolved = ~psd & (shift - lift / 2.0 >= 1e-12 * largest)
+            assert 2 * resolved.sum() >= (~psd).sum()
+            assert ((grad * steps).sum(axis=1)[resolved] > 0.0).all()
 
 
 class TestLikelihoodPath:
@@ -689,7 +739,23 @@ class TestCertifiedMaximum:
         coincidences = np.stack([t.coincidence_matrix() for t in tables]).reshape(12, 36)
         certificates = [tomo._certificate(c, r)[0] for c, r in zip(coincidences, rhos)]
         assert result.certificate == max(certificates)
-        assert result.certificate <= CERTIFICATE_TOL * coincidences.sum(axis=1).min()
+        # each resample is certified against its own number of counts
+        assert (np.array(certificates) <= CERTIFICATE_TOL * coincidences.sum(axis=1)).all()
+
+    def test_newton_row_iterations_at_200_samples_stay_bounded(self, fixtures_dir):
+        # the four fixtures as `reconstruct --mc-samples 200 --seed 20100607` batches them:
+        # 4858 row-iterations with the eigenbasis step, 4833 with the lifted solve
+        total = 0
+        for name in FIXTURES:
+            table = ingest_counts(fixtures_dir / f"{name}.csv")
+            batch = np.concatenate(
+                [table.coincidence_matrix()[None], _resampled_coincidences(table, 200, 20100607)])
+            _, logl, _, iterations, converged = _ascend(batch[batch.sum(axis=(1, 2)) > 0])
+            assert converged.all()
+            total += iterations.sum()
+            if name == "counts_30_70":
+                assert logl[0] == pytest.approx(-403.69391, abs=1e-5)
+        assert total <= 5000
 
     def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
         # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
