@@ -2,13 +2,13 @@
 
 Nine Pauli settings (sigma_i on arm 1, sigma_j on arm 2) are measured in
 the coincidence basis.  Reconstruction maximizes the Poissonian likelihood
-of the observed coincidence counts over the Cholesky-style parameterization
-rho = T†T / tr(T†T), with the per-setting intensity profiled out (the
-likelihood reduces to the multinomial form), by a few diluted RrhoR steps
-on rho and then damped Newton steps on T, and certifies the maximum it
-reaches.  Uncertainties come from a
-Monte Carlo over Poisson-resampled count tables: the observed table and
-its resamples are maximized together, as one batch whose row 0 is the
+of the observed coincidence counts, with the per-setting intensity profiled
+out (the likelihood reduces to the multinomial form), by a few diluted
+RrhoR steps on rho, then damped Newton steps on the Cholesky-style factor
+of rho = T†T / tr(T†T), and then in a chart of the states of the
+maximum's rank, and certifies the maximum it reaches.  Uncertainties come
+from a Monte Carlo over Poisson-resampled count tables: the observed table
+and its resamples are maximized together, as one batch whose row 0 is the
 point estimate.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,10 +39,13 @@ CSV_HEADER = ("ratio", "setting_1", "setting_2", "n1H", "n1V", "n2H", "n2V", "co
 CERTIFICATE_TOL = 1e-10
 MAX_ITERATIONS = 1_000
 _DAMPING_START = 1e-2
-# A Newton step promising less than this times certificate^2 / N marks a
-# saddle; near the maximum the promise is of order certificate^2 / N.
-_STALL = 1e-6
-_ESCAPE_MIN_STEP = 1e-12
+# A sample leaves the factor T for the chart of its face once its eigenvalues
+# below _FACE_THRESHOLD are all ones the likelihood pulls to zero, or once it
+# has taken _FACTOR_STEPS steps in T; in the chart, a step that leaves an
+# eigenvalue at most _DROP (the state's trace being 1) drops it from the face.
+_FACE_THRESHOLD = 1e-3
+_FACTOR_STEPS = 3
+_DROP = 1e-12
 # Diluted RrhoR steps, and their dilution e, before the Newton iteration.  They
 # start from the linear inversion floored at _WARM_UP_FLOOR: an RrhoR step
 # grows an eigenvalue by a bounded factor, so one floored lower takes more
@@ -56,13 +59,13 @@ class ConvergenceError(RuntimeError):
     """Raised when the likelihood maximization ends without a certificate."""
 
 
-# The 36 coincidence projectors flattened to rows: the settings in SETTINGS
+# The 36 coincidence projectors are rank one, Pi_k = v_k v_k†: their vectors
+# (36, 4) and the projectors flattened to rows, the settings in SETTINGS
 # order, each as its HH, HV, VH, VV ports.
-_PROJECTORS = np.stack([
-    np.outer(v, v.conj())
-    for a, b in SETTINGS
-    for v in (np.kron(va, vb) for va in ANALYSIS_BASES[a] for vb in ANALYSIS_BASES[b])
-]).reshape(36, 16)
+_VECTORS = np.array([
+    np.kron(va, vb) for a, b in SETTINGS for va in ANALYSIS_BASES[a] for vb in ANALYSIS_BASES[b]
+])
+_PROJECTORS = np.stack([np.outer(v, v.conj()) for v in _VECTORS]).reshape(36, 16)
 
 
 def expected_coincidences(rho: np.ndarray, setting: tuple[str, str]) -> np.ndarray:
@@ -350,15 +353,251 @@ def _ratio_operator(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _certificate(counts: np.ndarray, rho: np.ndarray):
-    """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k, and R's top eigenvector.
+    """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k; R and the P_k too.
 
     rho maximizes the likelihood exactly when R <= N, and as the
     log-likelihood is concave in rho, no state beats rho's log-likelihood
     by more than this value.
     """
-    r = _ratio_operator(counts, _probabilities(rho))
-    eigs, vecs = np.linalg.eigh(r)
-    return eigs[..., -1] - counts.sum(axis=-1), vecs[..., :, -1]
+    probs = _probabilities(rho)
+    r = _ratio_operator(counts, probs)
+    return np.linalg.eigvalsh(r)[..., -1] - counts.sum(axis=-1), r, probs
+
+
+# The chart of the rank-r states around rho = U diag(lam) U†, whose face is
+# spanned by the last r columns of U (lam is 0 on the others and sums to 1):
+# in the basis U, rho(X, Z) = M X M† / tr(M X M†), M = (Z; 1), where X =
+# diag(lam) + D is Hermitian on the face and Z maps the face out of it
+# (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+# 2008).  Writing K for Z in place, (4, 4), the state moves by
+# Delta = D + K X + X K† + K X K† and its trace by tr(K X K†).
+#
+# 16 parameter slots: the real parts of the 6 entries (p, q) above the
+# diagonal, their imaginary parts, then the diagonal entries 0, 1, 2, each
+# less entry 3 (D stays traceless), then one idle slot.  At rank r an entry
+# belongs to K when p < 4 - r <= q, to D (with its mirror entry) when
+# p >= 4 - r, and is idle otherwise; a diagonal slot belongs to D when
+# p >= 4 - r.  That gives the chart its r^2 - 1 + 2 r (4 - r) parameters.
+_PAIR_P, _PAIR_Q = np.triu_indices(4, 1)
+_SLOT_P = np.concatenate([_PAIR_P, _PAIR_P, [0, 1, 2, 3]])
+_SLOT_Q = np.concatenate([_PAIR_Q, _PAIR_Q, [3, 3, 3, 3]])
+# B_i: slot i's Hermitian generator, f e_pq + conj(f) e_qp for an entry (p, q)
+# of phase f and e_pp - e_33 for a diagonal slot; D_i = B_i, and K_i is its
+# entry (p, q) alone.
+_SLOT_B = np.zeros((16, 4, 4), dtype=complex)
+for _i, (_p, _q) in enumerate(zip(_SLOT_P[:12], _SLOT_Q[:12])):
+    _SLOT_B[_i, _p, _q] = (1.0, 1.0j)[_i // 6]
+    _SLOT_B[_i, _q, _p] = (1.0, -1.0j)[_i // 6]
+_SLOT_B[np.arange(12, 15), np.arange(3), np.arange(3)] = 1.0
+_SLOT_B[12:15, 3, 3] = -1.0
+_SLOT_K = np.triu(_SLOT_B, 1)
+# Which slots belong to K and to D, indexed by rank (rank 0 is the factor T).
+_OUTSIDE = 4 - np.arange(5)[:, None]
+_IN_K = ((np.arange(16) < 12) & (_SLOT_P < _OUTSIDE) & (_SLOT_Q >= _OUTSIDE)).astype(float)
+_IN_D = ((np.arange(16) < 15) & (_SLOT_P >= _OUTSIDE) & (_OUTSIDE < 4)).astype(float)
+# Idle slots carry a unit diagonal in the negated Hessian, so that one (16, 16)
+# solve serves every rank and leaves them at 0.
+_IDLE = (1.0 - _IN_K - _IN_D)[:, :, None] * np.eye(16)
+# Each rank's face and the block off the face on its left (rows off, columns on).
+_FACE = (np.arange(4) >= _OUTSIDE)[:, :, None] & (np.arange(4) >= _OUTSIDE)[:, None, :]
+_BESIDE = (np.arange(4) < _OUTSIDE)[:, :, None] & (np.arange(4) >= _OUTSIDE)[:, None, :]
+
+
+def _chart_forms():
+    """Gather indices and signs (5, 256), and marks (5, 16, 16), of the weighted second derivatives.
+
+    The log-likelihood's second derivatives at the chart's origin, summed
+    with the weights w_k, are 2 Re[tr(R K_i D_j) + tr(R K_j D_i) + tr((R - N)
+    K_i diag(lam) K_j†)] with R in the basis U.  Re tr(R K_i B_j), and
+    Re tr(R K_i e_q e_q† K_j†) where slots i and j share their column q, are
+    each one part of one entry of R times a sign, or 0.  At each rank, entry
+    (i, j) of the R part of the sum is one of them: the first for i in K and
+    j in D, its mirror for i in D and j in K, and the second, times lam_q, for
+    both in K (marked).  So each rank's table is gathered from R's 16 (real,
+    imaginary) pairs.
+    """
+    def gathered(m):  # the one part of one entry of R, and its sign, that Re tr(R m) reads
+        flat = np.swapaxes(m, -1, -2).reshape(256, 16)
+        parts = np.stack([flat.real, -flat.imag], axis=-1).reshape(256, 32)
+        index = np.abs(parts).argmax(axis=1)
+        return index, parts[np.arange(256), index]
+
+    cross = gathered(_SLOT_K[:, None] @ _SLOT_B[None])
+    second = gathered(_SLOT_K[:, None] @ _dagger(_SLOT_K)[None])
+    same_column = (_SLOT_Q[:, None] == _SLOT_Q).ravel()
+    in_kd = (_IN_K[:, :, None] * _IN_D[:, None, :]).reshape(5, 256) > 0
+    in_dk = np.swapaxes(in_kd.reshape(5, 16, 16), 1, 2).reshape(5, 256)
+    in_kk = (_IN_K[:, :, None] * _IN_K[:, None, :]).reshape(5, 256) > 0
+    mirror = np.arange(256).reshape(16, 16).T.ravel()
+    gather = np.where(in_kd, cross[0], np.where(in_dk, cross[0][mirror], second[0]))
+    signs = np.where(in_kd, cross[1], np.where(in_dk, cross[1][mirror], second[1] * same_column))
+    return gather, signs * (in_kd | in_dk | in_kk), in_kk.reshape(5, 16, 16)
+
+
+_CHART_GATHER, _CHART_SIGNS, _CHART_KK = _chart_forms()
+
+
+def _chart_state(basis: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """rho = U diag(lam) U† / tr, Hermitian to rounding, from (S, 4, 4) bases and (S, 4) lam."""
+    rho = (basis * lam[:, None, :]) @ _dagger(basis)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return (rho + _dagger(rho)) / 2.0
+
+
+# Re and Im of a 4x4 matrix's 6 entries above the diagonal, then its first
+# three diagonal entries, among its 16 (real, imaginary) pairs.
+_HERMITIAN_PARTS = np.concatenate([
+    2 * (4 * _PAIR_P + _PAIR_Q), 2 * (4 * _PAIR_P + _PAIR_Q) + 1, 10 * np.arange(3)])
+
+
+def _chart_products(basis: np.ndarray) -> np.ndarray:
+    """(S, 16, 36) products of u_k = U† v_k: u_k† B_i u_k for the 15 slots, then |u_3|^2.
+
+    2 Re and -2 Im of conj(u_p) u_q for the entries above the diagonal, then
+    |u_p|^2 - |u_3|^2 for p = 0, 1, 2, and |u_3|^2: for Hermitian A, u_k† A u_k
+    is the dot product of A's ``_HERMITIAN_PARTS`` and trace with them.
+    """
+    u = _dagger(basis) @ _VECTORS.T
+    pairs = u[:, _PAIR_P].conj() * u[:, _PAIR_Q]
+    square = np.square(u.real) + np.square(u.imag)
+    products = np.empty((len(basis), 16, 36))
+    np.multiply(pairs.real, 2.0, out=products[:, :6])
+    np.multiply(pairs.imag, -2.0, out=products[:, 6:12])
+    np.subtract(square[:, :3], square[:, 3:], out=products[:, 12:15])
+    products[:, 15] = square[:, 3]
+    return products
+
+
+def _chart_derivatives(counts, probs, products, lam, rank, ratio):
+    """Gradient (S, 16) and Hessian (S, 16, 16) of the log-likelihood at the chart's origin.
+
+    (S, 36) counts and probabilities, the products of ``_chart_products``,
+    the face's eigenvalues (S, 4), ranks (S,) and R in the basis U,
+    (S, 4, 4).  Along slot i, q_k first changes by u_k† B_i u_k, times lam_q
+    for a slot of K (u_k† (K_i diag(lam) + diag(lam) K_i†) u_k), and the
+    trace by nothing; with w_k = c_k / q_k the gradient is sum_k w_k dq_k,
+    and the Hessian adds to the weighted second derivatives
+    (``_chart_forms``) - sum_k (c_k / q_k^2) dq_k dq_k^T.  Idle slots have
+    zero rows.
+    """
+    n_samples = len(counts)
+    lam_q = lam[:, _SLOT_Q]
+    jac = products * (_IN_D[rank] + lam_q * _IN_K[rank])[:, :, None]
+    positive = counts > 0
+    weights = np.divide(counts, probs, out=np.zeros_like(probs), where=positive)
+    curvature = np.divide(weights, probs, out=np.zeros_like(probs), where=positive)
+    grad = (jac @ weights[:, :, None])[..., 0]
+    # the cross terms read only entries of R off its diagonal, so one gather from
+    # R - N, which the terms of two slots of K need, serves all
+    shifted = ratio - counts.sum(axis=1)[:, None, None] * np.eye(4)
+    forms = np.take_along_axis(shifted.reshape(n_samples, 16).view(float), _CHART_GATHER[rank], 1)
+    forms *= _CHART_SIGNS[rank]
+    forms = forms.reshape(n_samples, 16, 16) * np.where(_CHART_KK[rank], lam_q[:, :, None], 1.0)
+    return grad, 2.0 * forms - (jac * curvature[:, None, :]) @ np.swapaxes(jac, 1, 2)
+
+
+def _chart_step(steps, lam, rank, products):
+    """The chart's move by (S, 16) steps: dq (S, 36), the trace's change (S,) and the moved states.
+
+    A step that would take a positive diagonal entry of X below zero is
+    shortened to end where the first of them reaches zero.  One that leaves
+    X with an eigenvalue at most ``_DROP`` (one it took to zero, or to
+    rounding) drops it: the moved state is the step's with those
+    eigenvalues zeroed, and its face is spanned by the others.  The moved
+    states come as their eigenvectors in the basis U and eigenvalues, those
+    off the face zeroed.
+    """
+    growth = np.concatenate([steps[:, 12:15], -steps[:, 12:15].sum(axis=1, keepdims=True)], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.where((lam > 0.0) & (growth < -lam), lam / -growth, 1.0).min(axis=1)
+    b = ((steps * reach[:, None])[:, None, :] @ _SLOT_B.reshape(16, 16))[:, 0].reshape(-1, 4, 4)
+    d, k = b * _FACE[rank], b * _BESIDE[rank]
+    diagonal = lam[:, None, :] * np.eye(4)
+    kx = k @ (d + diagonal)
+    delta = d + kx + _dagger(kx) + kx @ _dagger(k)
+    vals, vecs = np.linalg.eigh(delta + diagonal)
+    dropped = vals <= _DROP
+    delta -= (vecs * np.where(dropped, vals, 0.0)[:, None, :]) @ _dagger(vecs)
+    trace = np.trace(delta, axis1=1, axis2=2).real
+    parts = np.concatenate(
+        [delta.reshape(-1, 16).view(float)[:, _HERMITIAN_PARTS], trace[:, None]], axis=1)
+    return (parts[:, None, :] @ products)[:, 0], trace, vecs, np.where(dropped, 0.0, vals)
+
+
+def _enter_face(counts, vals, vecs, off, probs):
+    """Each sample's chart, and the rise in log-likelihood of moving onto its face.
+
+    (S, 36) counts, the state's eigenvalues (S, 4) and eigenvectors (S, 4,
+    4), which of them lie off the face (their eigenvalues are zeroed), and
+    the state's probabilities.  Returns the basis, its columns off the face
+    first, the eigenvalues in that order (zero off the face, summing to 1),
+    the rank and the rise.
+    """
+    kept = np.where(off, 0.0, np.maximum(vals, 0.0))
+    dq = (np.square(np.abs(_VECTORS @ vecs.conj())) * (kept - vals)[:, None, :]).sum(axis=-1)
+    rise = _rise(counts, probs, dq, (kept - vals).sum(axis=1), vals.sum(axis=1))
+    order = np.argsort(~off, axis=1, kind="stable")
+    basis = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    kept = np.take_along_axis(kept, order, axis=1)
+    return basis, kept / kept.sum(axis=1, keepdims=True), 4 - off.sum(axis=1), rise
+
+
+def _reopen(basis, rank, ratio, n_total):
+    """Reopen each face that is too small in the direction where it is.
+
+    (S, 4, 4) bases, ranks and R in the bases.  Where R's top direction off
+    the face has <v|R|v> > N, the columns off the face are rotated so that
+    the last of them is that direction, and it joins the face with
+    eigenvalue 0.
+    Returns the bases, ranks and R in the new bases.
+    """
+    outside = np.arange(4) < (4 - rank)[:, None]
+    # no eigenvalue of R off the face exceeds its largest absolute row sum there
+    sums = (np.abs(ratio) * outside[:, None, :]).sum(axis=2)
+    rows = np.flatnonzero(sums.max(axis=1, initial=0.0, where=outside) > n_total)
+    if not rows.size:
+        return basis, rank, ratio
+    outside = outside[rows]
+    pad = np.trace(ratio[rows], axis1=1, axis2=2).real + 1.0  # above every eigenvalue off the face
+    vals, vecs = np.linalg.eigh(
+        np.where(outside[:, :, None] & outside[:, None, :], ratio[rows], 0.0)
+        + np.where(outside, 0.0, pad[:, None])[:, None, :] * np.eye(4))
+    grow = vals[np.arange(rows.size), 3 - rank[rows]] > n_total[rows]
+    rows, outside, vecs = rows[grow], outside[grow], vecs[grow]
+    rotation = np.where(outside[:, None, :], vecs * outside[:, :, None], np.eye(4))
+    basis, rank, ratio = basis.copy(), rank.copy(), ratio.copy()
+    basis[rows] = basis[rows] @ rotation
+    ratio[rows] = _dagger(rotation) @ ratio[rows] @ rotation
+    rank[rows] += 1
+    return basis, rank, ratio
+
+
+def _rise(counts, q, dq, dnorm, norm):
+    """sum_k c_k log(1 + dq_k / q_k) - N log(1 + dnorm / norm): a move's rise in log-likelihood.
+
+    From the exact differences dq and dnorm, it keeps the digits a
+    difference of logs loses; outcomes without counts add nothing.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(counts > 0, counts * np.log1p(dq / q), 0.0)
+        return terms.sum(axis=1) - counts.sum(axis=1) * np.log1p(dnorm / norm)
+
+
+class _Ascent(NamedTuple):
+    """What ``_maximize`` returns for each sample.
+
+    The state, log-likelihood and certificate, the Newton iterations, in T
+    and in the chart together, whether it converged, the rank of the chart
+    it ended in (4 for a sample that ended in T) and its steps in a chart.
+    """
+
+    rho: np.ndarray
+    log_likelihood: np.ndarray
+    certificate: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    rank: np.ndarray
+    chart_steps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -381,25 +620,6 @@ class MleResult:
     n_failures: int
 
 
-def _escape(counts: np.ndarray, rho: np.ndarray, top: np.ndarray, logl: float):
-    """Move one sample off a saddle of the parameterization towards R's top eigenvector.
-
-    Tries (1 - eps) rho + eps v v†, eigenvalue-floored, for eps = 1/2, 1/4,
-    ... and returns the parameters, their quadratic forms and
-    log-likelihood at the first eps that raises the log-likelihood, or None.
-    """
-    target = np.outer(top, top.conj())
-    eps = 0.5
-    while eps >= _ESCAPE_MIN_STEP:
-        params = _start((1.0 - eps) * rho + eps * target)
-        hp, q = _quadratic_forms(params)
-        trial = _log_likelihood(counts, q, np.square(params).sum())
-        if trial > logl:
-            return params, hp, q, trial
-        eps /= 2.0
-    return None
-
-
 def _warm_up(counts: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """(S, 4, 4) states after ``_WARM_UP_STEPS`` diluted RrhoR steps from rho, floored.
 
@@ -418,7 +638,7 @@ def _warm_up(counts: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _ascend(coincidences: np.ndarray):
+def _ascend(coincidences: np.ndarray) -> _Ascent:
     """Likelihood maximization for each of S (9, 4) count tables, all in one loop.
 
     Each sample starts from its linear inversion, moved towards the maximum
@@ -428,37 +648,49 @@ def _ascend(coincidences: np.ndarray):
     return _maximize(counts, _start(_warm_up(counts, _linear_inversion(coincidences))))
 
 
-def _maximize(counts: np.ndarray, params: np.ndarray):
+def _maximize(counts: np.ndarray, params: np.ndarray) -> _Ascent:
     """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 16) params.
 
     ``_ascend`` starts it from the warm-up's states, where most samples
     need a few Newton iterations; it works from any start.
 
-    Each sample takes its own Newton steps on the 16 parameters of the
-    lower-triangular factor, renormalized to unit length (the
-    log-likelihood does not depend on their scale).  The step s solves
-    (-H + (lift + lambda N) 1) s = g, where the lift, twice the size of
-    -H's most negative eigenvalue or 0 (``_lift``), leaves every eigenvalue of
-    the shifted matrix at least |lambda_min| + lambda N, so the step always
-    climbs; where -H is positive semidefinite it is the plain damped Newton
-    step.  It is taken when the log-likelihood, compared through exact
-    differences of the quadratic forms, does not fall.  lambda shrinks by 3
-    on a taken step and grows by 4 on a refused one.  Where the Newton
-    model promises nothing while the certificate is large, the sample sits
-    on a saddle of the parameterization, and ``_escape`` moves it.
+    Each sample starts with Newton steps on the 16 parameters of the
+    lower-triangular factor T, renormalized to unit length (the
+    log-likelihood does not depend on their scale).  Most maxima lie on a
+    face of the state space, and T moves an eigenvalue near zero, and the
+    support around it, only through near-singular directions.  So once the
+    state's eigenvalues below ``_FACE_THRESHOLD`` all have eigenvectors v
+    with <v|R|v> < N (the log-likelihood falls as weight moves onto v), or
+    after ``_FACTOR_STEPS`` steps in T, the sample moves to the chart of the
+    states of its face's rank, those eigenvalues zeroed (``_enter_face``; a
+    move taken only if it does not lower the log-likelihood).  There it takes
+    Newton steps in the chart's parameters, and the chart is rebuilt around
+    the state's eigenvectors after every taken step.  A step that takes an
+    eigenvalue to zero drops it from the face (``_chart_step``); a face
+    whose R exceeds N in a direction off it is reopened there
+    (``_reopen``).  At rank 4 the chart is linear and the log-likelihood
+    concave.  The certificate is over the whole state space, so a wrong
+    face only delays it.
 
-    A sample's state, certificate, derivatives and lift are computed only
-    after its parameters move (at the start, after a taken step or an
-    escape), the derivatives and lift only once the certificate shows the
-    sample still needs a step; a refused step solves again with them and
-    the new damping.
+    In either parameterization the step s solves (-H + (lift + lambda N) 1)
+    s = g, where the lift, twice the size of -H's most negative eigenvalue
+    or 0 (``_lift``), leaves every eigenvalue of the shifted matrix at least
+    |lambda_min| + lambda N, so the step climbs; where -H is positive
+    semidefinite it is the plain damped Newton step.  In T, -H is almost
+    never positive semidefinite and the lift is computed with the
+    derivatives; in the chart it almost always is, and the lift is computed
+    only once a step with lift 0 is refused.  A step is taken when the
+    log-likelihood, compared through exact differences, does not fall.
+    lambda shrinks by 3 on a taken step and grows by 4 on a refused one.
+
+    A sample's state, certificate and derivatives are computed only after
+    it moves (at the start or after a taken step), the derivatives only
+    once the certificate shows the sample still needs a step; a refused
+    step solves again with them and the new damping.
 
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
     its number of counts.  One still uncertified after ``MAX_ITERATIONS``
-    iterations, or whose escape finds no better state, has not converged.
-
-    Returns rho (S, 4, 4), log-likelihood (S,), the certificate (S,) at those
-    states, Newton iterations (S,) and a converged flag (S,).
+    iterations, in T and in the chart together, has not converged.
     """
     n_samples = counts.shape[0]
     n_total = counts.sum(axis=1)
@@ -467,68 +699,134 @@ def _maximize(counts: np.ndarray, params: np.ndarray):
     logl = _log_likelihood(counts, q, np.square(params).sum(axis=1))
     damping = np.full(n_samples, _DAMPING_START)
     iterations = np.zeros(n_samples, dtype=int)
+    chart_steps = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
-    stuck = np.zeros(n_samples, dtype=bool)
-    # At each sample's current parameters: its state, certificate and R's top
-    # eigenvector, and its gradient, negated Hessian and that Hessian's lift;
-    # `moved` marks the samples whose parameters changed since these were
-    # last computed.
+    # rank 0 while a sample is parameterized by T, r once it is in the chart of
+    # the rank-r states around basis diag(lam) basis†; there q holds its
+    # probabilities and products those of ``_chart_products``.
+    rank = np.zeros(n_samples, dtype=int)
+    basis = np.empty((n_samples, 4, 4), dtype=complex)
+    lam = np.empty((n_samples, 4))
+    products = np.empty((n_samples, 16, 36))
+    # At each sample's current state: the state, certificate and R, and its
+    # gradient, negated Hessian and that Hessian's lift; `moved` marks the
+    # samples whose state changed since these were last computed.
     rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
-    top = np.empty((n_samples, 4), dtype=complex)
+    ratio = np.empty((n_samples, 4, 4), dtype=complex)
     grad = np.empty((n_samples, 16))
     neg_hess = np.empty((n_samples, 16, 16))
     lift = np.empty(n_samples)
+    lifted = np.zeros(n_samples, dtype=bool)
     moved = np.ones(n_samples, dtype=bool)
+
+    def evaluate(rows):
+        in_chart = rank[rows] > 0
+        factor, chart = rows[~in_chart], rows[in_chart]
+        if factor.size:
+            rho[factor] = _state(params[factor])
+        if chart.size:
+            rho[chart] = _chart_state(basis[chart], lam[chart])
+        certificates[rows], ratio[rows], probs = _certificate(counts[rows], rho[rows])
+        q[chart] = probs[in_chart]
+        return probs
+
     active = np.arange(n_samples)
     while active.size:
         fresh = active[moved[active]]
         if fresh.size:
-            rho[fresh] = _state(params[fresh])
-            certificates[fresh], top[fresh] = _certificate(counts[fresh], rho[fresh])
+            probs = evaluate(fresh)
+            waiting = (rank[fresh] == 0) & (certificates[fresh] > CERTIFICATE_TOL * n_total[fresh])
+            rows = fresh[waiting]
+            if rows.size:
+                vals, vecs = np.linalg.eigh(rho[rows])
+                # off the face: a small eigenvalue whose v has <v|R|v> < N, so that
+                # the log-likelihood falls as weight moves onto v; the face is
+                # settled once every small eigenvalue is off it
+                small = vals < _FACE_THRESHOLD
+                along = (vecs.conj() * (ratio[rows] @ vecs)).sum(axis=1).real
+                off = small & (along < n_total[rows, None])
+                near = small.any(axis=1) & (off == small).all(axis=1)
+                near |= iterations[rows] >= _FACTOR_STEPS
+                rows = rows[near]
+            if rows.size:
+                *face, rise = _enter_face(
+                    counts[rows], vals[near], vecs[near], off[near], probs[waiting][near])
+                up = np.isfinite(rise) & (rise >= 0.0)
+                rows = rows[up]
+                basis[rows], lam[rows], rank[rows] = (part[up] for part in face)
+                logl[rows] += rise[up]
+                evaluate(rows)
         done = certificates[active] <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
-        active = active[~done & ~stuck[active] & (iterations[active] < MAX_ITERATIONS)]
+        active = active[~done & (iterations[active] < MAX_ITERATIONS)]
         if not active.size:
             break
         fresh = active[moved[active]]
         if fresh.size:
-            grad[fresh], hess = _derivatives(params[fresh], counts[fresh], hp[fresh], q[fresh])
-            neg_hess[fresh] = -hess
-            lift[fresh] = _lift(neg_hess[fresh])
+            factor, chart = fresh[rank[fresh] == 0], fresh[rank[fresh] > 0]
+            if factor.size:
+                grad[factor], hess = _derivatives(
+                    params[factor], counts[factor], hp[factor], q[factor])
+                neg_hess[factor] = -hess
+            if chart.size:
+                basis[chart], rank[chart], r_face = _reopen(
+                    basis[chart], rank[chart], _dagger(basis[chart]) @ ratio[chart] @ basis[chart],
+                    n_total[chart])
+                products[chart] = _chart_products(basis[chart])
+                grad[chart], hess = _chart_derivatives(
+                    counts[chart], q[chart], products[chart], lam[chart], rank[chart], r_face)
+                neg_hess[chart] = _IDLE[rank[chart]] - hess
+            # the chart's -H is positive semidefinite at almost every evaluation:
+            # its lift waits for a refused step
+            if factor.size:
+                lift[factor] = _lift(neg_hess[factor])
+            lift[chart] = 0.0
+            lifted[fresh] = rank[fresh] == 0
             moved[fresh] = False
         shift = lift[active] + damping[active] * n_total[active]
         steps = _newton_step(grad[active], neg_hess[active], shift)
-        gain = (grad[active] * steps).sum(axis=1)
-        stalled = gain < _STALL * certificates[active] ** 2 / n_total[active]
-        for s in active[stalled]:
-            escaped = _escape(counts[s], rho[s], top[s], logl[s])
-            if escaped is None:
-                stuck[s] = True
-                continue
-            params[s], hp[s], q[s], logl[s] = escaped
-            moved[s] = True
-            damping[s] = _DAMPING_START
-        newton = active[~stalled]
-        trial = params[newton] + steps[~stalled]
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_hp, trial_q = _quadratic_forms(trial)
-        # q' - q = (p' - p)^T H (p' + p) keeps the digits a difference of logs loses
-        step = trial - params[newton]
-        dq = ((trial_hp + hp[newton]) @ step[..., None])[..., 0]
-        dnorm = (step * (trial + params[newton])).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(counts[newton] > 0, counts[newton] * np.log1p(dq / q[newton]), 0.0)
-            norm_ratio = np.log1p(dnorm / np.square(params[newton]).sum(axis=1))
-        rise = terms.sum(axis=1) - n_total[newton] * norm_ratio
+        in_chart = rank[active] > 0
+        factor, chart = active[~in_chart], active[in_chart]
+        dq = np.empty((active.size, 36))
+        dnorm = np.empty(active.size)
+        norm = np.empty(active.size)
+        if factor.size:
+            trial = params[factor] + steps[~in_chart]
+            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+            trial_hp, trial_q = _quadratic_forms(trial)
+            # q' - q = (p' - p)^T H (p' + p), exact where a difference of q's is not
+            step = trial - params[factor]
+            dq[~in_chart] = ((trial_hp + hp[factor]) @ step[..., None])[..., 0]
+            dnorm[~in_chart] = (step * (trial + params[factor])).sum(axis=1)
+            norm[~in_chart] = np.square(params[factor]).sum(axis=1)
+        if chart.size:
+            dq[in_chart], dnorm[in_chart], moved_vecs, moved_vals = _chart_step(
+                steps[in_chart], lam[chart], rank[chart], products[chart])
+            norm[in_chart] = lam[chart].sum(axis=1)
+        rise = _rise(counts[active], q[active], dq, dnorm, norm)
         up = np.isfinite(rise) & (rise >= 0.0)
-        taken = newton[up]
-        params[taken], hp[taken], q[taken] = trial[up], trial_hp[up], trial_q[up]
-        logl[taken] += rise[up]
-        moved[taken] = True
-        damping[newton] *= np.where(up, 1.0 / 3.0, 4.0)
+        if factor.size:
+            kept = up[~in_chart]
+            taken = factor[kept]
+            params[taken], hp[taken], q[taken] = trial[kept], trial_hp[kept], trial_q[kept]
+        if chart.size:
+            kept = up[in_chart]
+            taken = chart[kept]
+            basis[taken] = basis[taken] @ moved_vecs[kept]
+            lam[taken] = moved_vals[kept] / moved_vals[kept].sum(axis=1, keepdims=True)
+            rank[taken] = (moved_vals[kept] > 0.0).sum(axis=1)
+            chart_steps[chart] += 1
+        logl[active[up]] += rise[up]
+        moved[active[up]] = True
+        damping[active] *= np.where(up, 1.0 / 3.0, 4.0)
         iterations[active] += 1
-    return rho, logl, certificates, iterations, converged
+        unlifted = active[~up & ~lifted[active]]
+        if unlifted.size:
+            lift[unlifted] = _lift(neg_hess[unlifted])
+            lifted[unlifted] = True
+    return _Ascent(rho, logl, certificates, iterations, converged,
+                   np.where(rank > 0, rank, 4), chart_steps)
 
 
 def _poisson_draws(means: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
@@ -572,15 +870,15 @@ def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = No
     """Maximum-likelihood density matrix from coincidence counts, and of its resamples.
 
     ``_WARM_UP_STEPS`` diluted RrhoR steps from the eigenvalue-floored
-    linear inversion, then damped Newton iteration on the 16 parameters of
-    the lower-triangular factor until the certificate shows the
-    log-likelihood within ``CERTIFICATE_TOL`` times the number of counts of
-    its maximum; ``iterations`` counts the Newton iterations only.  With
-    ``n_samples`` (0, or at least 2) and a ``seed``, every count is also
-    Poisson-resampled that many times, and the resampled tables are
-    reconstructed in the same batch as the observed one, which is its row
-    0; a resample without counts or without a certified maximum is a Monte
-    Carlo failure.
+    linear inversion, then damped Newton iteration (``_maximize``), on the
+    lower-triangular factor and then in the chart of the maximum's face,
+    until the certificate shows the log-likelihood within
+    ``CERTIFICATE_TOL`` times the number of counts of its maximum;
+    ``iterations`` counts the Newton iterations only.  With ``n_samples``
+    (0, or at least 2) and a ``seed``, every count is also Poisson-resampled
+    that many times, and the resampled tables are reconstructed in the same
+    batch as the observed one, which is its row 0; a resample without counts
+    or without a certified maximum is a Monte Carlo failure.
     """
     check_monte_carlo(n_samples, seed)
     coincidences = table.coincidence_matrix()
@@ -591,7 +889,7 @@ def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = No
     )
     resampled = resampled[resampled.sum(axis=(1, 2)) > 0]
     batch = np.concatenate([coincidences[None], resampled])
-    rho, logl, certificate, iterations, converged = _ascend(batch)
+    rho, logl, certificate, iterations, converged, _, _ = _ascend(batch)
     if not converged[0]:
         raise ConvergenceError(
             f"likelihood maximization not certified after {iterations[0]} iterations "

@@ -808,6 +808,71 @@ def eigenbasis_newton_step(grad: np.ndarray, neg_hess: np.ndarray, damping, n_to
     return np.einsum("sij,sj->si", vecs, coef)
 
 
+# --- The chart of the rank-r states -----------------------------------------
+#
+# Around rho = U diag(lam) U† with lam zero on the first 4 - r columns of U,
+# the package's chart is rho(theta) = U M X M† U† / tr with X = diag(lam) + D
+# on the last r rows and columns and M = 1 + K, K nonzero only in the rows
+# off the face and the columns on it.  Slot i < 6 is the real part of the
+# i-th entry (p, q) above the diagonal (row-major), slot 6 + i its imaginary
+# part, slot 12 + p the diagonal entry p less entry 3, and slot 15 is idle.
+# An entry belongs to K when p < 4 - r <= q and to D (with its mirror) when
+# p >= 4 - r.  Here q_k and tr rho are evaluated as polynomials in theta and
+# differenced; they are cubic, so the stencils below are exact to rounding.
+
+
+def chart_state(basis: np.ndarray, lam: np.ndarray, rank: int, theta: np.ndarray) -> np.ndarray:
+    """U M X M† U†, not normalized, at chart parameters theta (16,)."""
+    outside = 4 - rank
+    k = np.zeros((4, 4), dtype=complex)
+    x = np.diag(lam).astype(complex)
+    for i, (p, q) in enumerate(zip(*np.triu_indices(4, 1))):
+        for value in (theta[i], 1j * theta[6 + i]):
+            if p < outside <= q:
+                k[p, q] += value
+            elif p >= outside:
+                x[p, q] += value
+                x[q, p] += np.conj(value)
+    for p in range(max(outside, 0), 3):
+        x[p, p] += theta[12 + p]
+        x[3, 3] -= theta[12 + p]
+    m = np.eye(4) + k
+    return basis @ m @ x @ m.conj().T @ basis.conj().T
+
+
+def chart_derivatives(basis: np.ndarray, lam: np.ndarray, rank: int, counts: np.ndarray):
+    """Gradient (16,) and Hessian (16, 16) of sum_k c_k log q_k - N log tr rho at theta = 0.
+
+    q_k = tr(Pi_k rho(theta)) over PORT_PROJECTORS; first derivatives of
+    q_k and tr rho by the five-point stencil with step 1, second
+    derivatives by the three- and four-point ones, all exact for cubics.
+    """
+    def values(theta):
+        rho = chart_state(basis, lam, rank, theta)
+        return np.append((PORT_PROJECTORS.conj() @ rho.ravel()).real, np.trace(rho).real)
+
+    unit = np.eye(16)
+    first = np.stack([
+        (8.0 * (values(e) - values(-e)) - (values(2 * e) - values(-2 * e))) / 12.0 for e in unit
+    ], axis=1)
+    second = np.empty((37, 16, 16))
+    for i, j in itertools.product(range(16), repeat=2):
+        a, b = unit[i], unit[j]
+        second[:, i, j] = (values(a + b) - values(a - b) - values(b - a) + values(-a - b)) / 4.0
+    q, trace = values(np.zeros(16))[:36], values(np.zeros(16))[36]
+    n_total = counts.sum()
+    weights = np.divide(counts, q, out=np.zeros(36), where=counts > 0)
+    curvature = np.divide(weights, q, out=np.zeros(36), where=counts > 0)
+    grad = weights @ first[:36] - n_total / trace * first[36]
+    hess = (
+        np.tensordot(weights, second[:36], axes=1)
+        - (first[:36].T * curvature) @ first[:36]
+        - n_total / trace * second[36]
+        + n_total / trace**2 * np.outer(first[36], first[36])
+    )
+    return grad, hess
+
+
 def poisson_resampled_counts(counts: dict, n_samples: int, seed: int) -> list[dict]:
     """Monte Carlo resamples of a count table, built one dict at a time.
 
