@@ -38,7 +38,10 @@ CSV_HEADER = ("ratio", "setting_1", "setting_2", "n1H", "n1V", "n2H", "n2V", "co
 # on large tables.
 CERTIFICATE_TOL = 1e-10
 MAX_ITERATIONS = 1_000
-_DAMPING_START = 1e-2
+# The warm-up starts the Newton iteration close to its maximum, where a small
+# damping lets the first steps go most of the way (from a cold start, 1e-2
+# takes fewer iterations).
+_DAMPING_START = 1e-3
 # A sample leaves the factor T for the chart of its face once its eigenvalues
 # below _FACE_THRESHOLD are all ones the likelihood pulls to zero, or once it
 # has taken _FACTOR_STEPS steps in T; in the chart, a step that leaves an

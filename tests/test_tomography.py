@@ -567,14 +567,19 @@ class TestLazyFactorization:
         paths = likelihood_paths(monkeypatch, lambda: _ascend(batch))
         evaluations = np.zeros(len(batch), dtype=int)
         in_factor = np.zeros(len(batch), dtype=int)
+        # chart rows evaluated since their last step, and the chart evaluations
+        # whose first step (with lift 0) was refused
+        unstepped = np.zeros(len(batch), dtype=bool)
+        refused_unlifted = np.zeros(len(batch), dtype=int)
         lifted, factorized = [], []
-        derivatives, chart_derivatives = tomo._derivatives, tomo._chart_derivatives
+        derivatives, chart_derivatives, rise = tomo._derivatives, tomo._chart_derivatives, tomo._rise
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def count(counts, factor):
             for row in counts:
                 evaluations[rows[row.tobytes()]] += 1
                 in_factor[rows[row.tobytes()]] += factor
+                unstepped[rows[row.tobytes()]] = not factor
 
         def counting_derivatives(params, counts, hp, q):
             count(counts, 1)
@@ -583,6 +588,16 @@ class TestLazyFactorization:
         def counting_chart_derivatives(counts, *args):
             count(counts, 0)
             return chart_derivatives(counts, *args)
+
+        # a step's rise (entering a face also calls it, but never between a
+        # chart evaluation and the step that follows it)
+        def counting_rise(counts, *args):
+            rises = rise(counts, *args)
+            for row, up in zip(counts, np.isfinite(rises) & (rises >= 0.0)):
+                index = rows[row.tobytes()]
+                refused_unlifted[index] += unstepped[index] and not up
+                unstepped[index] = False
+            return rises
 
         def counting_eigh(a, *args, **kwargs):
             if a.shape[-1] == 16:
@@ -596,6 +611,7 @@ class TestLazyFactorization:
 
         monkeypatch.setattr(tomo, "_derivatives", counting_derivatives)
         monkeypatch.setattr(tomo, "_chart_derivatives", counting_chart_derivatives)
+        monkeypatch.setattr(tomo, "_rise", counting_rise)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         ascent = _ascend(batch)
@@ -606,9 +622,10 @@ class TestLazyFactorization:
         assert (evaluations[ascent.iterations > 0] >= 1).all()
         assert in_factor.sum() and (evaluations - in_factor).sum()
         # one eigenvalue solve of the negated Hessian (for its lift) per derivative
-        # evaluation in T, at most one per evaluation in the chart (after a refused
-        # step), and no 16x16 eigendecomposition
-        assert in_factor.sum() <= sum(lifted) <= evaluations.sum()
+        # evaluation in T, and in the chart one only where the first step after an
+        # evaluation, taken with lift 0, was refused; none per later refused step,
+        # and no 16x16 eigendecomposition
+        assert sum(lifted) == in_factor.sum() + refused_unlifted.sum() < evaluations.sum()
         assert not factorized
 
 
@@ -671,9 +688,8 @@ class TestLikelihoodPath:
 
 class TestWarmUp:
     def test_warm_start_saves_newton_iterations(self, fixtures_dir):
-        # each fixture with 50 resamples: from the warm-up, fewer Newton iterations
-        # than from the floored linear inversion itself (995 against 1250; with
-        # Newton steps in T alone the warm-up saved more than a quarter)
+        # each fixture with 50 resamples: from the warm-up, at least a quarter
+        # fewer Newton iterations than from the floored linear inversion itself
         warm = cold = 0
         for seed, name in enumerate(FIXTURES):
             table = ingest_counts(fixtures_dir / f"{name}.csv")
@@ -685,7 +701,7 @@ class TestWarmUp:
             ascent = _maximize(batch.reshape(len(batch), 36), tomo._start(_linear_inversion(batch)))
             assert ascent.converged.all()
             cold += ascent.iterations.sum()
-        assert warm <= 0.85 * cold
+        assert warm <= 0.75 * cold
 
     def test_warm_up_states_stay_positive_definite(self, monkeypatch):
         # every state the warm-up passes through, on a table with empty cells
@@ -757,7 +773,8 @@ class TestCertifiedMaximum:
     def test_newton_row_iterations_at_200_samples_stay_bounded(self, fixtures_dir):
         # the four fixtures as `reconstruct --mc-samples 200 --seed 20100607` batches them:
         # 4858 row-iterations with the eigenbasis step, 4833 with the lifted solve, 3835
-        # (largest per row 7, 8, 8 and 8) with the chart of each face; T had rows of 159
+        # (largest per row 7, 8, 8 and 8) with the chart of each face, 2915 (largest
+        # 6, 8, 6 and 11) with the damping starting at 1e-3; T had rows of 159
         total = 0
         for name in FIXTURES:
             table = ingest_counts(fixtures_dir / f"{name}.csv")
@@ -769,7 +786,7 @@ class TestCertifiedMaximum:
             total += ascent.iterations.sum()
             if name == "counts_30_70":
                 assert ascent.log_likelihood[0] == pytest.approx(-403.69391, abs=1e-5)
-        assert total <= 4027
+        assert total <= 3060
 
     def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
         # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
