@@ -4,12 +4,11 @@ Nine Pauli settings (sigma_i on arm 1, sigma_j on arm 2) are measured in
 the coincidence basis.  Reconstruction maximizes the Poissonian likelihood
 of the observed coincidence counts, with the per-setting intensity profiled
 out (the likelihood reduces to the multinomial form), by a few diluted
-RrhoR steps on rho, then damped Newton steps on the Cholesky-style factor
-of rho = T†T / tr(T†T), and then in a chart of the states of the
-maximum's rank, and certifies the maximum it reaches.  Uncertainties come
-from a Monte Carlo over Poisson-resampled count tables: the observed table
-and its resamples are maximized together, as one batch whose row 0 is the
-point estimate.
+RrhoR steps on rho, then damped Newton steps in a chart of the states of
+the maximum's rank, and certifies the maximum it reaches.  Uncertainties
+come from a Monte Carlo over Poisson-resampled count tables: the observed
+table and its resamples are maximized together, as one batch whose row 0
+is the point estimate.
 """
 
 from __future__ import annotations
@@ -42,12 +41,10 @@ MAX_ITERATIONS = 1_000
 # damping lets the first steps go most of the way (from a cold start, 1e-2
 # takes fewer iterations).
 _DAMPING_START = 1e-3
-# A sample leaves the factor T for the chart of its face once its eigenvalues
-# below _FACE_THRESHOLD are all ones the likelihood pulls to zero, or once it
-# has taken _FACTOR_STEPS steps in T; in the chart, a step that leaves an
-# eigenvalue at most _DROP (the state's trace being 1) drops it from the face.
+# A sample's first chart leaves out its eigenvalues below _FACE_THRESHOLD that
+# the likelihood pulls to zero; a step that leaves an eigenvalue at most _DROP
+# (the state's trace being 1) drops it from the face.
 _FACE_THRESHOLD = 1e-3
-_FACTOR_STEPS = 3
 _DROP = 1e-12
 # Diluted RrhoR steps, and their dilution e, before the Newton iteration.  They
 # start from the linear inversion floored at _WARM_UP_FLOOR: an RrhoR step
@@ -191,40 +188,11 @@ def write_counts(table: CountTable, path) -> None:
             writer.writerow([table.ratio or "", *setting, *pattern, count])
 
 
-def _psd_floor(rho: np.ndarray, floor: float = 1e-6) -> np.ndarray:
+def _psd_floor(rho: np.ndarray, floor: float) -> np.ndarray:
     """Project onto strictly positive states (eigenvalue floor, retrace)."""
     eigs, vecs = np.linalg.eigh((rho + _dagger(rho)) / 2.0)
     rho = (vecs * np.clip(eigs, floor, None)[..., None, :]) @ _dagger(vecs)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def _lower_triangular_factor(rho: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T†T = rho (Cholesky with reversed ordering)."""
-    flip = np.eye(4)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    return _dagger(flip @ chol @ flip)
-
-
-# Parameter layout: the four real diagonal entries of T, then the real and
-# imaginary parts of each strictly-lower entry, row by row.
-_DIAG = np.arange(4)
-_ROWS, _COLS = np.tril_indices(4, -1)
-
-
-def _params_to_t(params: np.ndarray) -> np.ndarray:
-    t = np.zeros(params.shape[:-1] + (4, 4), dtype=complex)
-    t[..., _DIAG, _DIAG] = params[..., :4]
-    t[..., _ROWS, _COLS] = params[..., 4::2] + 1.0j * params[..., 5::2]
-    return t
-
-
-def _t_to_params(t: np.ndarray) -> np.ndarray:
-    params = np.empty(t.shape[:-2] + (16,))
-    params[..., :4] = t[..., _DIAG, _DIAG].real
-    lower = t[..., _ROWS, _COLS]
-    params[..., 4::2] = lower.real
-    params[..., 5::2] = lower.imag
-    return params
 
 
 # Each projector row as 16 (real, imaginary) pairs, (36, 32).  A real-weighted
@@ -254,60 +222,14 @@ def _linear_inversion(coincidences: np.ndarray) -> np.ndarray:
     return (rows @ _INVERSION_T).reshape(freqs.shape[:-2] + (4, 4))
 
 
-# Each q_k = tr(Pi_k T†T) is a quadratic form p^T H_k p in the 16 parameters:
-# with T = sum_i p_i B_i, H_k[i, j] = Re tr(Pi_k B_i† B_j).  Rows of H_k p are
-# taken per sample as one (1, 16) x (16, 36*16) product (see above); the
-# Hessian's weighted sum of the H_k is not taken from these tables but read
-# off R (below).
-_BASIS = _params_to_t(np.eye(16))
-_BASIS_PRODUCTS = _dagger(_BASIS)[:, None] @ _BASIS[None, :]  # B_i† B_j, (16, 16, 4, 4)
-_FORMS = (_PROJECTORS.conj() @ _BASIS_PRODUCTS.reshape(256, 16).T).real.reshape(36, 16, 16)
-_FORM_ROWS = _FORMS.transpose(1, 0, 2).reshape(16, 36 * 16)
-# The weighted form sum sum_k w_k H_k[i, j] = Re tr(R B_i† B_j), R = sum_k w_k Pi_k,
-# is read off R's 16 (real, imaginary) pairs.  B_i = a_i E[r_i, c_i] with a_i
-# 1 or 1j, so B_i† B_j is conj(a_i) a_j E[c_i, c_j] where r_i = r_j, else 0,
-# and the entry is Re(conj(a_i) a_j R[c_j, c_i]): one part of R[c_j, c_i]
-# times a sign, or 0.
-_ENTRY = np.abs(_BASIS.reshape(16, 16)).argmax(axis=1)  # 4 r_i + c_i
-_PHASE = _BASIS.reshape(16, 16)[np.arange(16), _ENTRY]
-_COEFFICIENT = (_ENTRY[:, None] // 4 == _ENTRY // 4) * np.outer(_PHASE.conj(), _PHASE)
-_IMAGINARY = _COEFFICIENT.real == 0.0
-_FORM_GATHER = 2 * (4 * (_ENTRY % 4) + (_ENTRY % 4)[:, None]) + _IMAGINARY
-_FORM_SIGNS = np.where(_IMAGINARY, -_COEFFICIENT.imag, _COEFFICIENT.real)
-
-
-def _quadratic_forms(params: np.ndarray):
-    """H_k p (..., 36, 16) and q_k = p^T H_k p (..., 36) for (..., 16) parameters."""
-    hp = (params[..., None, :] @ _FORM_ROWS).reshape(params.shape[:-1] + (36, 16))
-    return hp, (hp @ params[..., None])[..., 0]
-
-
-def _log_likelihood(counts: np.ndarray, q: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """sum_k c_k log q_k - N log p^T p: each sample's multinomial log-likelihood over the settings.
+def _log_likelihood(counts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_k c_k log q_k: each sample's multinomial log-likelihood over the settings.
 
     Outcomes without counts add nothing, whatever their q_k.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(q), 0.0)
-    return terms.sum(axis=-1) - counts.sum(axis=-1) * np.log(norm)
-
-
-def _derivatives(params: np.ndarray, counts: np.ndarray, hp: np.ndarray, q: np.ndarray):
-    """Gradient (..., 16) and Hessian (..., 16, 16) of the log-likelihood in p."""
-    norm = np.square(params).sum(axis=-1)[..., None]
-    n_total = counts.sum(axis=-1)[..., None]
-    positive = counts > 0
-    weights = np.divide(counts, q, out=np.zeros_like(q), where=positive)
-    curvature = np.divide(weights, q, out=np.zeros_like(q), where=positive)
-    grad = 2.0 * (weights[..., None, :] @ hp)[..., 0, :] - (2.0 * n_total / norm) * params
-    r = (weights[..., None, :] @ _PROJECTORS_REAL)[..., 0, :]
-    hess = (
-        2.0 * r[..., _FORM_GATHER] * _FORM_SIGNS
-        - 4.0 * np.swapaxes(hp * curvature[..., None], -1, -2) @ hp
-        - (2.0 * n_total / norm)[..., None] * np.eye(16)
-        + (4.0 * n_total / norm**2)[..., None] * (params[..., :, None] * params[..., None, :])
-    )
-    return grad, hess
+    return terms.sum(axis=-1)
 
 
 def _lift(neg_hess: np.ndarray) -> np.ndarray:
@@ -327,20 +249,6 @@ def _newton_step(grad: np.ndarray, neg_hess: np.ndarray, shift: np.ndarray) -> n
     """
     shifted = neg_hess + shift[:, None, None] * np.eye(16)
     return np.linalg.solve(shifted, grad[..., None])[..., 0]
-
-
-def _state(params: np.ndarray) -> np.ndarray:
-    """rho = T†T / tr(T†T), Hermitian to rounding."""
-    t = _params_to_t(params)
-    rho = _dagger(t) @ t
-    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-    return (rho + _dagger(rho)) / 2.0
-
-
-def _start(rho: np.ndarray) -> np.ndarray:
-    """Unit-norm parameters of the eigenvalue-floored rho."""
-    params = _t_to_params(_lower_triangular_factor(_psd_floor(rho)))
-    return params / np.linalg.norm(params, axis=-1, keepdims=True)
 
 
 def _probabilities(rho: np.ndarray) -> np.ndarray:
@@ -394,10 +302,10 @@ for _i, (_p, _q) in enumerate(zip(_SLOT_P[:12], _SLOT_Q[:12])):
 _SLOT_B[np.arange(12, 15), np.arange(3), np.arange(3)] = 1.0
 _SLOT_B[12:15, 3, 3] = -1.0
 _SLOT_K = np.triu(_SLOT_B, 1)
-# Which slots belong to K and to D, indexed by rank (rank 0 is the factor T).
+# Which slots belong to K and to D, indexed by rank (row 0 is never read).
 _OUTSIDE = 4 - np.arange(5)[:, None]
 _IN_K = ((np.arange(16) < 12) & (_SLOT_P < _OUTSIDE) & (_SLOT_Q >= _OUTSIDE)).astype(float)
-_IN_D = ((np.arange(16) < 15) & (_SLOT_P >= _OUTSIDE) & (_OUTSIDE < 4)).astype(float)
+_IN_D = ((np.arange(16) < 15) & (_SLOT_P >= _OUTSIDE)).astype(float)
 # Idle slots carry a unit diagonal in the negated Hessian, so that one (16, 16)
 # solve serves every rank and leaves them at 0.
 _IDLE = (1.0 - _IN_K - _IN_D)[:, :, None] * np.eye(16)
@@ -527,22 +435,37 @@ def _chart_step(steps, lam, rank, products):
     return (parts[:, None, :] @ products)[:, 0], trace, vecs, np.where(dropped, 0.0, vals)
 
 
-def _enter_face(counts, vals, vecs, off, probs):
-    """Each sample's chart, and the rise in log-likelihood of moving onto its face.
+def _enter_face(counts, rho):
+    """Each state's first chart, and the log-likelihood of the state in it.
 
-    (S, 36) counts, the state's eigenvalues (S, 4) and eigenvectors (S, 4,
-    4), which of them lie off the face (their eigenvalues are zeroed), and
-    the state's probabilities.  Returns the basis, its columns off the face
-    first, the eigenvalues in that order (zero off the face, summing to 1),
-    the rank and the rise.
+    (S, 36) counts and (S, 4, 4) states of trace 1.  An eigenvalue below
+    ``_FACE_THRESHOLD`` whose eigenvector v has <v|R|v> < N, so that the
+    log-likelihood falls as weight moves onto v, lies off the face and is
+    zeroed, where zeroing them does not lower the log-likelihood; elsewhere
+    the state enters its rank-4 chart.  Negative eigenvalues read 0.
+    Returns the basis, its columns off the face first, the eigenvalues in
+    that order (zero off the face, summing to 1), the rank and the
+    log-likelihood.
     """
-    kept = np.where(off, 0.0, np.maximum(vals, 0.0))
-    dq = (np.square(np.abs(_VECTORS @ vecs.conj())) * (kept - vals)[:, None, :]).sum(axis=-1)
-    rise = _rise(counts, probs, dq, (kept - vals).sum(axis=1), vals.sum(axis=1))
+    vals, vecs = np.linalg.eigh(rho)
+    probs = _probabilities(rho)
+    along = (vecs.conj() * (_ratio_operator(counts, probs) @ vecs)).sum(axis=1).real  # <v|R|v>
+    off = (vals < _FACE_THRESHOLD) & (along < counts.sum(axis=1)[:, None])
+    overlaps = np.square(np.abs(_VECTORS @ vecs.conj()))  # <v|Pi_k|v>, (S, 36, 4)
+
+    def rise(kept):
+        dq = (overlaps @ (kept - vals)[:, :, None])[..., 0]
+        return _rise(counts, probs, dq, (kept - vals).sum(axis=1), vals.sum(axis=1))
+
+    kept = np.maximum(vals, 0.0)
+    onto_face = rise(np.where(off, 0.0, kept))
+    up = np.isfinite(onto_face) & (onto_face >= 0.0)
+    off &= up[:, None]
+    logl = _log_likelihood(counts, probs) + np.where(up, onto_face, rise(kept))
     order = np.argsort(~off, axis=1, kind="stable")
     basis = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    kept = np.take_along_axis(kept, order, axis=1)
-    return basis, kept / kept.sum(axis=1, keepdims=True), 4 - off.sum(axis=1), rise
+    kept = np.take_along_axis(np.where(off, 0.0, kept), order, axis=1)
+    return basis, kept / kept.sum(axis=1, keepdims=True), 4 - off.sum(axis=1), logl
 
 
 def _reopen(basis, rank, ratio, n_total):
@@ -589,9 +512,8 @@ def _rise(counts, q, dq, dnorm, norm):
 class _Ascent(NamedTuple):
     """What ``_maximize`` returns for each sample.
 
-    The state, log-likelihood and certificate, the Newton iterations, in T
-    and in the chart together, whether it converged, the rank of the chart
-    it ended in (4 for a sample that ended in T) and its steps in a chart.
+    The state, log-likelihood and certificate, the Newton iterations,
+    whether it converged and the rank of the chart it ended in.
     """
 
     rho: np.ndarray
@@ -600,7 +522,6 @@ class _Ascent(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     rank: np.ndarray
-    chart_steps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -648,118 +569,68 @@ def _ascend(coincidences: np.ndarray) -> _Ascent:
     by ``_warm_up``; see ``_maximize``.
     """
     counts = coincidences.reshape(coincidences.shape[0], 36)
-    return _maximize(counts, _start(_warm_up(counts, _linear_inversion(coincidences))))
+    return _maximize(counts, _warm_up(counts, _linear_inversion(coincidences)))
 
 
-def _maximize(counts: np.ndarray, params: np.ndarray) -> _Ascent:
-    """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 16) params.
+def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
+    """Damped Newton maximization of the log-likelihood of (S, 36) counts from (S, 4, 4) states.
 
     ``_ascend`` starts it from the warm-up's states, where most samples
-    need a few Newton iterations; it works from any start.
+    need a few Newton iterations; it works from any states of finite
+    log-likelihood.
 
-    Each sample starts with Newton steps on the 16 parameters of the
-    lower-triangular factor T, renormalized to unit length (the
-    log-likelihood does not depend on their scale).  Most maxima lie on a
-    face of the state space, and T moves an eigenvalue near zero, and the
-    support around it, only through near-singular directions.  So once the
-    state's eigenvalues below ``_FACE_THRESHOLD`` all have eigenvectors v
-    with <v|R|v> < N (the log-likelihood falls as weight moves onto v), or
-    after ``_FACTOR_STEPS`` steps in T, the sample moves to the chart of the
-    states of its face's rank, those eigenvalues zeroed (``_enter_face``; a
-    move taken only if it does not lower the log-likelihood).  There it takes
-    Newton steps in the chart's parameters, and the chart is rebuilt around
-    the state's eigenvectors after every taken step.  A step that takes an
+    Each sample takes Newton steps in a chart of the states of its face's
+    rank: first around its start (``_enter_face``), then rebuilt around the
+    state's eigenvectors after every taken step.  A step that takes an
     eigenvalue to zero drops it from the face (``_chart_step``); a face
     whose R exceeds N in a direction off it is reopened there
     (``_reopen``).  At rank 4 the chart is linear and the log-likelihood
     concave.  The certificate is over the whole state space, so a wrong
     face only delays it.
 
-    In either parameterization the step s solves (-H + (lift + lambda N) 1)
-    s = g, where the lift, twice the size of -H's most negative eigenvalue
-    or 0 (``_lift``), leaves every eigenvalue of the shifted matrix at least
-    |lambda_min| + lambda N, so the step climbs; where -H is positive
-    semidefinite it is the plain damped Newton step.  In T, -H is almost
-    never positive semidefinite and the lift is computed with the
-    derivatives; in the chart it almost always is, and the lift is computed
-    only once a step with lift 0 is refused.  A step is taken when the
-    log-likelihood, compared through exact differences, does not fall.
-    lambda shrinks by 3 on a taken step and grows by 4 on a refused one.
-
-    A sample's state, certificate and derivatives are computed only after
-    it moves (at the start or after a taken step), the derivatives only
-    once the certificate shows the sample still needs a step; a refused
-    step solves again with them and the new damping.
+    The step s solves (-H + (lift + lambda N) 1) s = g.  -H is almost
+    always positive semidefinite, so the lift is 0 until a step with it is
+    refused; then it is twice the size of -H's most negative eigenvalue, or
+    0 (``_lift``), which leaves every eigenvalue of the shifted matrix at
+    least |lambda_min| + lambda N, so the step climbs.  A step is taken when
+    the log-likelihood, compared through exact differences, does not fall;
+    lambda shrinks by 3 on a taken step and grows by 4 on a refused one.  A
+    sample's state and certificate are computed only after it moves, its
+    derivatives only once the certificate shows it still needs a step.
 
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
-    its number of counts.  One still uncertified after ``MAX_ITERATIONS``
-    iterations, in T and in the chart together, has not converged.
+    its number of counts; one still uncertified after ``MAX_ITERATIONS``
+    iterations has not converged.
     """
     n_samples = counts.shape[0]
     n_total = counts.sum(axis=1)
-    params = params.copy()
-    hp, q = _quadratic_forms(params)
-    logl = _log_likelihood(counts, q, np.square(params).sum(axis=1))
+    # each sample is in the chart of the rank-r states around basis diag(lam) basis†
+    basis, lam, rank, logl = _enter_face(counts, rho)
     damping = np.full(n_samples, _DAMPING_START)
     iterations = np.zeros(n_samples, dtype=int)
-    chart_steps = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
-    # rank 0 while a sample is parameterized by T, r once it is in the chart of
-    # the rank-r states around basis diag(lam) basis†; there q holds its
-    # probabilities and products those of ``_chart_products``.
-    rank = np.zeros(n_samples, dtype=int)
-    basis = np.empty((n_samples, 4, 4), dtype=complex)
-    lam = np.empty((n_samples, 4))
-    products = np.empty((n_samples, 16, 36))
-    # At each sample's current state: the state, certificate and R, and its
-    # gradient, negated Hessian and that Hessian's lift; `moved` marks the
-    # samples whose state changed since these were last computed.
+    # At each sample's current state: the state, certificate, R and
+    # probabilities, the products of ``_chart_products``, and its gradient,
+    # negated Hessian and that Hessian's lift; `moved` marks the samples whose
+    # state changed since these were last computed.
     rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
     ratio = np.empty((n_samples, 4, 4), dtype=complex)
+    probs = np.empty((n_samples, 36))
+    products = np.empty((n_samples, 16, 36))
     grad = np.empty((n_samples, 16))
     neg_hess = np.empty((n_samples, 16, 16))
     lift = np.empty(n_samples)
-    lifted = np.zeros(n_samples, dtype=bool)
+    lifted = np.empty(n_samples, dtype=bool)
     moved = np.ones(n_samples, dtype=bool)
-
-    def evaluate(rows):
-        in_chart = rank[rows] > 0
-        factor, chart = rows[~in_chart], rows[in_chart]
-        if factor.size:
-            rho[factor] = _state(params[factor])
-        if chart.size:
-            rho[chart] = _chart_state(basis[chart], lam[chart])
-        certificates[rows], ratio[rows], probs = _certificate(counts[rows], rho[rows])
-        q[chart] = probs[in_chart]
-        return probs
 
     active = np.arange(n_samples)
     while active.size:
         fresh = active[moved[active]]
         if fresh.size:
-            probs = evaluate(fresh)
-            waiting = (rank[fresh] == 0) & (certificates[fresh] > CERTIFICATE_TOL * n_total[fresh])
-            rows = fresh[waiting]
-            if rows.size:
-                vals, vecs = np.linalg.eigh(rho[rows])
-                # off the face: a small eigenvalue whose v has <v|R|v> < N, so that
-                # the log-likelihood falls as weight moves onto v; the face is
-                # settled once every small eigenvalue is off it
-                small = vals < _FACE_THRESHOLD
-                along = (vecs.conj() * (ratio[rows] @ vecs)).sum(axis=1).real
-                off = small & (along < n_total[rows, None])
-                near = small.any(axis=1) & (off == small).all(axis=1)
-                near |= iterations[rows] >= _FACTOR_STEPS
-                rows = rows[near]
-            if rows.size:
-                *face, rise = _enter_face(
-                    counts[rows], vals[near], vecs[near], off[near], probs[waiting][near])
-                up = np.isfinite(rise) & (rise >= 0.0)
-                rows = rows[up]
-                basis[rows], lam[rows], rank[rows] = (part[up] for part in face)
-                logl[rows] += rise[up]
-                evaluate(rows)
+            rho[fresh] = _chart_state(basis[fresh], lam[fresh])
+            certificates[fresh], ratio[fresh], probs[fresh] = _certificate(
+                counts[fresh], rho[fresh])
         done = certificates[active] <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
         active = active[~done & (iterations[active] < MAX_ITERATIONS)]
@@ -767,69 +638,34 @@ def _maximize(counts: np.ndarray, params: np.ndarray) -> _Ascent:
             break
         fresh = active[moved[active]]
         if fresh.size:
-            factor, chart = fresh[rank[fresh] == 0], fresh[rank[fresh] > 0]
-            if factor.size:
-                grad[factor], hess = _derivatives(
-                    params[factor], counts[factor], hp[factor], q[factor])
-                neg_hess[factor] = -hess
-            if chart.size:
-                basis[chart], rank[chart], r_face = _reopen(
-                    basis[chart], rank[chart], _dagger(basis[chart]) @ ratio[chart] @ basis[chart],
-                    n_total[chart])
-                products[chart] = _chart_products(basis[chart])
-                grad[chart], hess = _chart_derivatives(
-                    counts[chart], q[chart], products[chart], lam[chart], rank[chart], r_face)
-                neg_hess[chart] = _IDLE[rank[chart]] - hess
-            # the chart's -H is positive semidefinite at almost every evaluation:
-            # its lift waits for a refused step
-            if factor.size:
-                lift[factor] = _lift(neg_hess[factor])
-            lift[chart] = 0.0
-            lifted[fresh] = rank[fresh] == 0
-            moved[fresh] = False
+            basis[fresh], rank[fresh], r_face = _reopen(
+                basis[fresh], rank[fresh], _dagger(basis[fresh]) @ ratio[fresh] @ basis[fresh],
+                n_total[fresh])
+            products[fresh] = _chart_products(basis[fresh])
+            grad[fresh], hess = _chart_derivatives(
+                counts[fresh], probs[fresh], products[fresh], lam[fresh], rank[fresh], r_face)
+            neg_hess[fresh] = _IDLE[rank[fresh]] - hess
+            lift[fresh] = 0.0
+            lifted[fresh] = moved[fresh] = False
         shift = lift[active] + damping[active] * n_total[active]
         steps = _newton_step(grad[active], neg_hess[active], shift)
-        in_chart = rank[active] > 0
-        factor, chart = active[~in_chart], active[in_chart]
-        dq = np.empty((active.size, 36))
-        dnorm = np.empty(active.size)
-        norm = np.empty(active.size)
-        if factor.size:
-            trial = params[factor] + steps[~in_chart]
-            trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-            trial_hp, trial_q = _quadratic_forms(trial)
-            # q' - q = (p' - p)^T H (p' + p), exact where a difference of q's is not
-            step = trial - params[factor]
-            dq[~in_chart] = ((trial_hp + hp[factor]) @ step[..., None])[..., 0]
-            dnorm[~in_chart] = (step * (trial + params[factor])).sum(axis=1)
-            norm[~in_chart] = np.square(params[factor]).sum(axis=1)
-        if chart.size:
-            dq[in_chart], dnorm[in_chart], moved_vecs, moved_vals = _chart_step(
-                steps[in_chart], lam[chart], rank[chart], products[chart])
-            norm[in_chart] = lam[chart].sum(axis=1)
-        rise = _rise(counts[active], q[active], dq, dnorm, norm)
+        dq, dnorm, moved_vecs, moved_vals = _chart_step(
+            steps, lam[active], rank[active], products[active])
+        rise = _rise(counts[active], probs[active], dq, dnorm, lam[active].sum(axis=1))
         up = np.isfinite(rise) & (rise >= 0.0)
-        if factor.size:
-            kept = up[~in_chart]
-            taken = factor[kept]
-            params[taken], hp[taken], q[taken] = trial[kept], trial_hp[kept], trial_q[kept]
-        if chart.size:
-            kept = up[in_chart]
-            taken = chart[kept]
-            basis[taken] = basis[taken] @ moved_vecs[kept]
-            lam[taken] = moved_vals[kept] / moved_vals[kept].sum(axis=1, keepdims=True)
-            rank[taken] = (moved_vals[kept] > 0.0).sum(axis=1)
-            chart_steps[chart] += 1
-        logl[active[up]] += rise[up]
-        moved[active[up]] = True
+        taken = active[up]
+        basis[taken] = basis[taken] @ moved_vecs[up]
+        lam[taken] = moved_vals[up] / moved_vals[up].sum(axis=1, keepdims=True)
+        rank[taken] = (moved_vals[up] > 0.0).sum(axis=1)
+        logl[taken] += rise[up]
+        moved[taken] = True
         damping[active] *= np.where(up, 1.0 / 3.0, 4.0)
         iterations[active] += 1
         unlifted = active[~up & ~lifted[active]]
         if unlifted.size:
             lift[unlifted] = _lift(neg_hess[unlifted])
             lifted[unlifted] = True
-    return _Ascent(rho, logl, certificates, iterations, converged,
-                   np.where(rank > 0, rank, 4), chart_steps)
+    return _Ascent(rho, logl, certificates, iterations, converged, rank)
 
 
 def _poisson_draws(means: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
@@ -873,15 +709,15 @@ def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = No
     """Maximum-likelihood density matrix from coincidence counts, and of its resamples.
 
     ``_WARM_UP_STEPS`` diluted RrhoR steps from the eigenvalue-floored
-    linear inversion, then damped Newton iteration (``_maximize``), on the
-    lower-triangular factor and then in the chart of the maximum's face,
-    until the certificate shows the log-likelihood within
-    ``CERTIFICATE_TOL`` times the number of counts of its maximum;
-    ``iterations`` counts the Newton iterations only.  With ``n_samples``
-    (0, or at least 2) and a ``seed``, every count is also Poisson-resampled
-    that many times, and the resampled tables are reconstructed in the same
-    batch as the observed one, which is its row 0; a resample without counts
-    or without a certified maximum is a Monte Carlo failure.
+    linear inversion, then damped Newton iteration (``_maximize``) in the
+    chart of the maximum's face, until the certificate shows the
+    log-likelihood within ``CERTIFICATE_TOL`` times the number of counts of
+    its maximum; ``iterations`` counts the Newton iterations only.  With
+    ``n_samples`` (0, or at least 2) and a ``seed``, every count is also
+    Poisson-resampled that many times, and the resampled tables are
+    reconstructed in the same batch as the observed one, which is its row 0;
+    a resample without counts or without a certified maximum is a Monte
+    Carlo failure.
     """
     check_monte_carlo(n_samples, seed)
     coincidences = table.coincidence_matrix()
@@ -892,7 +728,7 @@ def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = No
     )
     resampled = resampled[resampled.sum(axis=(1, 2)) > 0]
     batch = np.concatenate([coincidences[None], resampled])
-    rho, logl, certificate, iterations, converged, _, _ = _ascend(batch)
+    rho, logl, certificate, iterations, converged, _ = _ascend(batch)
     if not converged[0]:
         raise ConvergenceError(
             f"likelihood maximization not certified after {iterations[0]} iterations "

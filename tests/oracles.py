@@ -681,8 +681,8 @@ def program_free_estimate(coincidences: dict) -> dict:
 # --- Diluted RrhoR likelihood maximum --------------------------------------
 #
 # An independent maximum-likelihood reconstruction for checking the
-# package's Newton maximizer: it iterates on rho itself, never on a
-# Cholesky factor, and builds its own port projectors from the Pauli
+# package's Newton maximizer: it iterates on rho itself, never in a chart
+# of its face, and builds its own port projectors from the Pauli
 # eigenvectors.
 
 
@@ -737,64 +737,6 @@ def rrr_maximum(coincidences: np.ndarray, steps: int = 1000) -> np.ndarray:
     return rho
 
 
-# --- Likelihood quadratic forms ----------------------------------------------
-#
-# The package's maximizer writes rho = T†T / tr(T†T) with T lower triangular,
-# and T = sum_i p_i B_i over 16 real parameters: the four real diagonal
-# entries, then the real and imaginary parts of each strictly-lower entry,
-# row by row.  Each q_k = tr(Pi_k T†T) is then a quadratic form p^T H_k p.
-# Here every H_k[i, j] = Re tr(Pi_k B_i† B_j) is one trace of 4x4 matrices,
-# with no use of the projectors being rank one.
-
-
-def cholesky_basis() -> np.ndarray:
-    """(16, 4, 4) basis matrices B_i of the lower-triangular factor, in parameter order."""
-    basis = []
-    for r in range(4):
-        b = np.zeros((4, 4), dtype=complex)
-        b[r, r] = 1.0
-        basis.append(b)
-    for r in range(4):
-        for c in range(r):
-            for phase in (1.0, 1.0j):
-                b = np.zeros((4, 4), dtype=complex)
-                b[r, c] = phase
-                basis.append(b)
-    return np.array(basis)
-
-
-@functools.cache
-def likelihood_forms() -> np.ndarray:
-    """(36, 16, 16) tables H_k[i, j] = Re tr(Pi_k B_i† B_j), Pi_k in PORT_PROJECTORS order."""
-    basis = cholesky_basis()
-    return np.array([
-        [[np.trace(pi @ bi.conj().T @ bj).real for bj in basis] for bi in basis]
-        for pi in PORT_PROJECTORS.reshape(36, 4, 4)
-    ])
-
-
-def likelihood_derivatives(params: np.ndarray, counts: np.ndarray):
-    """H_k p, q_k, and the gradient and Hessian of sum_k c_k log q_k - N log p^T p.
-
-    One sample: (16,) parameters and (36,) counts; an outcome without counts
-    adds nothing.  Sums over the tables of ``likelihood_forms``.
-    """
-    forms = likelihood_forms()
-    hp = forms @ params
-    q = hp @ params
-    n_total, norm = counts.sum(), params @ params
-    weights = np.divide(counts, q, out=np.zeros(36), where=counts > 0)
-    curvature = np.divide(weights, q, out=np.zeros(36), where=counts > 0)
-    grad = 2.0 * weights @ hp - 2.0 * n_total / norm * params
-    hess = (
-        2.0 * np.tensordot(weights, forms, axes=1)
-        - 4.0 * (hp.T * curvature) @ hp
-        - 2.0 * n_total / norm * np.eye(16)
-        + 4.0 * n_total / norm**2 * np.outer(params, params)
-    )
-    return hp, q, grad, hess
-
-
 def eigenbasis_newton_step(grad: np.ndarray, neg_hess: np.ndarray, damping, n_total) -> np.ndarray:
     """Damped Newton steps taken in the eigenbasis of the negated Hessian.
 
@@ -821,22 +763,29 @@ def eigenbasis_newton_step(grad: np.ndarray, neg_hess: np.ndarray, damping, n_to
 # differenced; they are cubic, so the stencils below are exact to rounding.
 
 
+def chart_slots(rank: int):
+    """(16, 4, 4) K_i and D_i: how K and X - diag(lam) move along each slot, at rank r."""
+    outside = 4 - rank
+    k = np.zeros((16, 4, 4), dtype=complex)
+    d = np.zeros((16, 4, 4), dtype=complex)
+    for i, (p, q) in enumerate(zip(*np.triu_indices(4, 1))):
+        for slot, value in ((i, 1.0), (6 + i, 1j)):
+            if p < outside <= q:
+                k[slot, p, q] = value
+            elif p >= outside:
+                d[slot, p, q] = value
+                d[slot, q, p] = np.conj(value)
+    for p in range(outside, 3):
+        d[12 + p, p, p] = 1.0
+        d[12 + p, 3, 3] = -1.0
+    return k, d
+
+
 def chart_state(basis: np.ndarray, lam: np.ndarray, rank: int, theta: np.ndarray) -> np.ndarray:
     """U M X M† U†, not normalized, at chart parameters theta (16,)."""
-    outside = 4 - rank
-    k = np.zeros((4, 4), dtype=complex)
-    x = np.diag(lam).astype(complex)
-    for i, (p, q) in enumerate(zip(*np.triu_indices(4, 1))):
-        for value in (theta[i], 1j * theta[6 + i]):
-            if p < outside <= q:
-                k[p, q] += value
-            elif p >= outside:
-                x[p, q] += value
-                x[q, p] += np.conj(value)
-    for p in range(max(outside, 0), 3):
-        x[p, p] += theta[12 + p]
-        x[3, 3] -= theta[12 + p]
-    m = np.eye(4) + k
+    k, d = chart_slots(rank)
+    m = np.eye(4) + np.tensordot(theta, k, axes=1)
+    x = np.diag(lam) + np.tensordot(theta, d, axes=1)
     return basis @ m @ x @ m.conj().T @ basis.conj().T
 
 

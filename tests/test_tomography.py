@@ -11,15 +11,9 @@ from heraldsim.tomography import (
     ConvergenceError,
     CountTable,
     _ascend,
-    _derivatives,
     _linear_inversion,
-    _lower_triangular_factor,
-    _log_likelihood,
     _maximize,
-    _quadratic_forms,
     _resampled_coincidences,
-    _state,
-    _t_to_params,
     expected_coincidences,
     ingest_counts,
     mle_reconstruct,
@@ -31,10 +25,10 @@ from heraldsim.tomography import (
 
 from oracles import (
     chart_derivatives,
+    chart_slots,
     eigenbasis_newton_step,
     exact_coincidences,
     fully_entangled_fraction,
-    likelihood_derivatives,
     linear_inversion,
     multinomial_log_likelihood,
     poisson_resampled_counts,
@@ -46,10 +40,18 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 MIXED_RHO = np.eye(4, dtype=complex) / 4.0
 
 
-def random_density_matrix(rng):
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def random_density_matrix(rng, rank=4):
+    z = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
+
+
+def random_chart(rng, rank):
+    """A random basis, and eigenvalues lam that are 0 on its first 4 - rank columns and sum to 1."""
+    basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    lam = np.zeros(4)
+    lam[4 - rank:] = rng.random(rank) + 0.05
+    return basis, lam / lam.sum()
 
 
 def trace_distance(a, b):
@@ -192,57 +194,83 @@ class TestCountTableIO:
 
 class TestMle:
     def test_gradient_matches_finite_differences(self):
-        # three independent samples in one batch; the Hessian is checked against
-        # differences of the gradient, the gradient against differences of log L
+        # the chart's gradient and Hessian at its origin against central
+        # differences of the log-likelihood along the chart's own moves
+        # (``_chart_step``, its rise from ``_rise``), at every rank, on random
+        # states and counts with empty cells; idle slots are not moves
         rng = np.random.default_rng(31)
-        counts = rng.integers(1, 50, size=(3, 36)).astype(float)
-        counts[0, :5] = 0.0
-        params = rng.normal(size=(3, 16))
+        for rank in (1, 2, 3, 4):
+            basis, lam = random_chart(rng, rank)
+            counts = rng.integers(1, 50, size=(1, 36)).astype(float)
+            counts[0, :5] = 0.0
+            _, ratio, probs = tomo._certificate(counts, tomo._chart_state(basis[None], lam[None]))
+            products = tomo._chart_products(basis[None])
+            grad, hess = tomo._chart_derivatives(counts, probs, products, lam[None],
+                                                 np.array([rank]), basis.conj().T @ ratio[0] @ basis)
 
-        def evaluate(p):
-            hp, q = _quadratic_forms(p)
-            return (_log_likelihood(counts, q, np.square(p).sum(axis=1)),
-                    *_derivatives(p, counts, hp, q))
+            def rise(steps):
+                n = len(steps)
+                dq, dnorm, _, _ = tomo._chart_step(
+                    steps, np.tile(lam, (n, 1)), np.full(n, rank), np.repeat(products, n, axis=0))
+                return tomo._rise(np.repeat(counts, n, axis=0), np.repeat(probs, n, axis=0),
+                                  dq, dnorm, np.ones(n))
 
-        _, grad, hess = evaluate(params)
-        eps = 1e-6
-        for k in range(16):
-            up = params.copy()
-            up[:, k] += eps
-            down = params.copy()
-            down[:, k] -= eps
-            lu, gu, _ = evaluate(up)
-            ld, gd, _ = evaluate(down)
-            assert grad[:, k] == pytest.approx((lu - ld) / (2 * eps), rel=1e-4, abs=1e-6)
-            assert hess[:, k] == pytest.approx((gu - gd) / (2 * eps), rel=1e-4, abs=1e-6)
-        assert np.abs(hess - np.swapaxes(hess, 1, 2)).max() <= 1e-9 * np.abs(hess).max()
+            slots = np.flatnonzero(tomo._IN_K[rank] + tomo._IN_D[rank])
+            unit = np.eye(16)[slots]
+            eps = 1e-5
+            assert grad[0, slots] == pytest.approx(
+                (rise(eps * unit) - rise(-eps * unit)) / (2 * eps), rel=1e-6)
+            eps = 1e-4
+            a, b = (np.broadcast_to(u, (len(slots),) * 2 + (16,)).reshape(-1, 16)
+                    for u in (unit[:, None], unit[None, :]))
+            second = (rise(eps * (a + b)) - rise(eps * (a - b)) - rise(eps * (b - a))
+                      + rise(-eps * (a + b))) / (4 * eps**2)
+            want = hess[0][np.ix_(slots, slots)]
+            assert np.abs(second.reshape(want.shape) - want).max() <= 1e-5 * np.abs(want).max()
+            assert np.abs(hess - np.swapaxes(hess, 1, 2)).max() <= 1e-9 * np.abs(hess).max()
 
     def test_forms_match_the_brute_force_tables(self):
-        # H_k p, q_k, gradient and Hessian against sums over the tables
-        # H_k[i, j] = Re tr(Pi_k B_i† B_j), on random parameters and counts
-        # with empty cells, to 1e-13 of each quantity's largest entry
+        # the tables that ``_chart_forms`` gathers from R against brute-force
+        # traces Re tr(R K_i D_j) + Re tr(R K_j D_i) + Re tr(R K_i diag(lam) K_j†),
+        # K_i and D_i the parts of K and X that slot i moves (oracles.chart_slots),
+        # on random Hermitian R at every rank, to 1e-13 of the largest entry
         rng = np.random.default_rng(43)
-        params = rng.normal(size=(6, 16))
-        counts = rng.integers(0, 40, size=(6, 36)).astype(float)
-        counts[0, :9] = 0.0
-        counts[1, ::3] = 0.0
-        counts[2, rng.random(36) < 0.5] = 0.0
-        hp, q = _quadratic_forms(params)
-        grad, hess = _derivatives(params, counts, hp, q)
-        for s in range(len(params)):
-            for got, want in zip((hp[s], q[s], grad[s], hess[s]),
-                                 likelihood_derivatives(params[s], counts[s]), strict=True):
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for rank in (1, 2, 3, 4) * 2:
+            z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            r = z + z.conj().T
+            _, lam = random_chart(rng, rank)
+            k, d = chart_slots(rank)
+            want = (np.einsum("ab,ibc,jca->ij", r, k, d) + np.einsum("ab,jbc,ica->ij", r, k, d)
+                    + np.einsum("ab,ibc,c,jac->ij", r, k, lam, k.conj())).real
+            got = r.reshape(16).view(float)[tomo._CHART_GATHER[rank]] * tomo._CHART_SIGNS[rank]
+            got = got.reshape(16, 16) * np.where(
+                tomo._CHART_KK[rank], lam[tomo._SLOT_Q][:, None], 1.0)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_quadratic_forms_match_the_state(self):
-        # q_k = p^T H_k p is tr(Pi_k T†T), and p^T p is tr(T†T)
+        # a chart move's dq and trace change (``_chart_step``) are the differences
+        # of ``_probabilities`` and of the trace between the moved state and the
+        # start, at every rank, for steps from small to large enough to be
+        # shortened at an eigenvalue's zero and to drop eigenvalues
         rng = np.random.default_rng(32)
-        params = rng.normal(size=(4, 16))
-        _, q = _quadratic_forms(params)
-        for p, row in zip(params, q, strict=True):
-            rho = _state(p[None])[0]
-            want = np.concatenate([expected_coincidences(rho, s) for s in SETTINGS])
-            assert row / np.square(p).sum() == pytest.approx(want, abs=1e-12)
+        scales = np.logspace(-3, 1, 12)
+        for rank in (1, 2, 3, 4):
+            basis, lam = random_chart(rng, rank)
+            n = len(scales)
+            slots = tomo._IN_K[rank] + tomo._IN_D[rank]
+            steps = rng.normal(size=(n, 16)) * scales[:, None] * slots
+            dq, dtrace, vecs, vals = tomo._chart_step(
+                steps, np.tile(lam, (n, 1)), np.full(n, rank),
+                np.repeat(tomo._chart_products(basis[None]), n, axis=0))
+            vecs = basis @ vecs
+            moved = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+            start = (basis * lam) @ basis.conj().T
+            assert np.abs(dq - (tomo._probabilities(moved) - tomo._probabilities(start))).max() <= (
+                1e-12 * (1.0 + np.abs(dq).max()))
+            assert dtrace == pytest.approx(
+                np.trace(moved, axis1=1, axis2=2).real - 1.0, rel=1e-12, abs=1e-12)
+            dropped = (vals == 0.0).sum(axis=1) > 4 - rank
+            assert dropped.any() == (rank > 1) and not dropped.all()
 
     def test_linear_inversion_recovers_exact_states(self):
         # a batch of exact frequency tables, scaled to counts, inverts row by row
@@ -566,31 +594,22 @@ class TestLazyFactorization:
         assert len(rows) == len(batch)
         paths = likelihood_paths(monkeypatch, lambda: _ascend(batch))
         evaluations = np.zeros(len(batch), dtype=int)
-        in_factor = np.zeros(len(batch), dtype=int)
-        # chart rows evaluated since their last step, and the chart evaluations
-        # whose first step (with lift 0) was refused
+        # rows evaluated since their last step, and the evaluations whose first
+        # step (with lift 0) was refused
         unstepped = np.zeros(len(batch), dtype=bool)
         refused_unlifted = np.zeros(len(batch), dtype=int)
         lifted, factorized = [], []
-        derivatives, chart_derivatives, rise = tomo._derivatives, tomo._chart_derivatives, tomo._rise
+        derivatives, rise = tomo._chart_derivatives, tomo._rise
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-        def count(counts, factor):
+        def counting_derivatives(counts, *args):
             for row in counts:
                 evaluations[rows[row.tobytes()]] += 1
-                in_factor[rows[row.tobytes()]] += factor
-                unstepped[rows[row.tobytes()]] = not factor
+                unstepped[rows[row.tobytes()]] = True
+            return derivatives(counts, *args)
 
-        def counting_derivatives(params, counts, hp, q):
-            count(counts, 1)
-            return derivatives(params, counts, hp, q)
-
-        def counting_chart_derivatives(counts, *args):
-            count(counts, 0)
-            return chart_derivatives(counts, *args)
-
-        # a step's rise (entering a face also calls it, but never between a
-        # chart evaluation and the step that follows it)
+        # a step's rise (entering the first face also calls it, before any
+        # evaluation)
         def counting_rise(counts, *args):
             rises = rise(counts, *args)
             for row, up in zip(counts, np.isfinite(rises) & (rises >= 0.0)):
@@ -609,8 +628,7 @@ class TestLazyFactorization:
                 lifted.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(tomo, "_derivatives", counting_derivatives)
-        monkeypatch.setattr(tomo, "_chart_derivatives", counting_chart_derivatives)
+        monkeypatch.setattr(tomo, "_chart_derivatives", counting_derivatives)
         monkeypatch.setattr(tomo, "_rise", counting_rise)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
@@ -620,35 +638,26 @@ class TestLazyFactorization:
         taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in paths])
         assert (evaluations <= taken + 1).all()
         assert (evaluations[ascent.iterations > 0] >= 1).all()
-        assert in_factor.sum() and (evaluations - in_factor).sum()
-        # one eigenvalue solve of the negated Hessian (for its lift) per derivative
-        # evaluation in T, and in the chart one only where the first step after an
-        # evaluation, taken with lift 0, was refused; none per later refused step,
-        # and no 16x16 eigendecomposition
-        assert sum(lifted) == in_factor.sum() + refused_unlifted.sum() < evaluations.sum()
+        # one eigenvalue solve of the negated Hessian (for its lift) only where the
+        # first step after an evaluation, taken with lift 0, was refused; none per
+        # later refused step, and no 16x16 eigendecomposition
+        assert 0 < sum(lifted) == refused_unlifted.sum() < evaluations.sum()
         assert not factorized
 
 
 class TestNewtonStep:
     def test_lifted_solve_is_the_eigenbasis_step_where_it_can_be(self, fixtures_dir, monkeypatch):
-        # the gradient and negated Hessian at every row the maximizer moves to, in
-        # T and in the chart (idle slots on a unit diagonal), on each fixture's
-        # 50-resample batch
+        # the gradient and negated Hessian (idle slots on a unit diagonal) at every
+        # row the maximizer moves to, on each fixture's 50-resample batch
         moved = []
-        derivatives, chart_derivatives = tomo._derivatives, tomo._chart_derivatives
+        derivatives = tomo._chart_derivatives
 
-        def recording(params, counts, hp, q):
-            grad, hess = derivatives(params, counts, hp, q)
-            moved.append((grad, -hess, counts.sum(axis=1)))
-            return grad, hess
-
-        def chart_recording(counts, probs, products, lam, rank, ratio):
-            grad, hess = chart_derivatives(counts, probs, products, lam, rank, ratio)
+        def recording(counts, probs, products, lam, rank, ratio):
+            grad, hess = derivatives(counts, probs, products, lam, rank, ratio)
             moved.append((grad, tomo._IDLE[rank] - hess, counts.sum(axis=1)))
             return grad, hess
 
-        monkeypatch.setattr(tomo, "_derivatives", recording)
-        monkeypatch.setattr(tomo, "_chart_derivatives", chart_recording)
+        monkeypatch.setattr(tomo, "_chart_derivatives", recording)
         for seed, name in enumerate(FIXTURES):
             table = ingest_counts(fixtures_dir / f"{name}.csv")
             _ascend(np.concatenate(
@@ -690,6 +699,7 @@ class TestWarmUp:
     def test_warm_start_saves_newton_iterations(self, fixtures_dir):
         # each fixture with 50 resamples: from the warm-up, at least a quarter
         # fewer Newton iterations than from the floored linear inversion itself
+        # (759 against 1341)
         warm = cold = 0
         for seed, name in enumerate(FIXTURES):
             table = ingest_counts(fixtures_dir / f"{name}.csv")
@@ -698,7 +708,8 @@ class TestWarmUp:
             ascent = _ascend(batch)
             assert ascent.converged.all()
             warm += ascent.iterations.sum()
-            ascent = _maximize(batch.reshape(len(batch), 36), tomo._start(_linear_inversion(batch)))
+            ascent = _maximize(batch.reshape(len(batch), 36),
+                               tomo._psd_floor(_linear_inversion(batch), tomo._WARM_UP_FLOOR))
             assert ascent.converged.all()
             cold += ascent.iterations.sum()
         assert warm <= 0.75 * cold
@@ -774,7 +785,9 @@ class TestCertifiedMaximum:
         # the four fixtures as `reconstruct --mc-samples 200 --seed 20100607` batches them:
         # 4858 row-iterations with the eigenbasis step, 4833 with the lifted solve, 3835
         # (largest per row 7, 8, 8 and 8) with the chart of each face, 2915 (largest
-        # 6, 8, 6 and 11) with the damping starting at 1e-3; T had rows of 159
+        # 6, 8, 6 and 11) with the damping starting at 1e-3, 2865 (largest 5, 6, 6
+        # and 7) with every row starting in the chart; the factor T alone had rows
+        # of 159
         total = 0
         for name in FIXTURES:
             table = ingest_counts(fixtures_dir / f"{name}.csv")
@@ -786,7 +799,7 @@ class TestCertifiedMaximum:
             total += ascent.iterations.sum()
             if name == "counts_30_70":
                 assert ascent.log_likelihood[0] == pytest.approx(-403.69391, abs=1e-5)
-        assert total <= 3060
+        assert total <= 3010
 
     def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
         # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
@@ -801,17 +814,27 @@ class TestCertifiedMaximum:
             assert np.array_equal(ascent.certificate, recomputed)
 
     def test_saddle_start_reopens_to_the_maximum(self, monkeypatch):
-        # zeroing a row of the factor leaves a rank-3 state whose gradient in T
-        # vanishes in that row: Newton steps in T alone stay on the rank-3 face,
-        # and the chart takes the row off it
+        # a rank-3 start (a saddle of the likelihood in a factor T of rho = T†T,
+        # whose gradient vanishes along the missing direction): R exceeds N there,
+        # so the row enters its rank-4 chart with that eigenvalue 0, and the faces
+        # its steps drop to are reopened on the way to the maximum
         table = simulate_counts(0.8 * PHI_PLUS_RHO + 0.2 * MIXED_RHO, SETTINGS, 200, seed=3)
         reference = mle_reconstruct(table)
-        t = _lower_triangular_factor(random_density_matrix(np.random.default_rng(1)))
-        t[1, :] = 0.0
-        start = _t_to_params(t) / np.linalg.norm(_t_to_params(t))
+        start = random_density_matrix(np.random.default_rng(1), rank=3)
         counts = table.coincidence_matrix().reshape(1, 36)
-        ascent = _maximize(counts, start[None])
-        assert ascent.converged[0] and ascent.chart_steps[0] > 0
+        _, lam, rank, _ = tomo._enter_face(counts, start[None])
+        assert rank[0] == 4 and lam[0, 0] <= 1e-15
+        reopen, reopened = tomo._reopen, []
+
+        def recording(basis, rank, ratio, n_total):
+            moved = reopen(basis, rank, ratio, n_total)
+            reopened.append(int((moved[1] > rank).sum()))
+            return moved
+
+        with monkeypatch.context() as patched:
+            patched.setattr(tomo, "_reopen", recording)
+            ascent = _maximize(counts, start[None])
+        assert ascent.converged[0] and sum(reopened) > 0
         (path,) = likelihood_paths(monkeypatch, lambda: _maximize(counts, start[None]))
         assert ascent.certificate[0] == tomo._certificate(counts, ascent.rho)[0][0]
         assert all(b >= a for a, b in zip(path, path[1:]))
@@ -827,10 +850,7 @@ class TestChart:
         # with empty cells
         rng = np.random.default_rng(59)
         for rank in (1, 2, 3, 4) * 3:
-            basis = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-            lam = np.zeros(4)
-            lam[4 - rank:] = rng.random(rank) + 0.05
-            lam /= lam.sum()
+            basis, lam = random_chart(rng, rank)
             counts = rng.integers(0, 40, size=36).astype(float)
             counts[rng.random(36) < 0.3] = 0.0
             rho = tomo._chart_state(basis[None], lam[None])
@@ -843,7 +863,7 @@ class TestChart:
             assert np.abs(hess[0] - want_hess).max() <= 1e-10 * np.abs(want_hess).max()
 
     def finish(self, monkeypatch, table, start):
-        """The maximizer from T parameters ``start``, its likelihood path and its shortfall."""
+        """The maximizer from the state ``start``, its likelihood path and its shortfall."""
         counts = table.coincidence_matrix().reshape(1, 36)
         ascent = _maximize(counts, start[None])
         (path,) = likelihood_paths(monkeypatch, lambda: _maximize(counts, start[None]))
@@ -857,26 +877,24 @@ class TestChart:
         # enters the chart of its rank-3 face with the fourth direction left out
         table = simulate_counts(0.5 * PHI_PLUS_RHO + 0.5 * MIXED_RHO, SETTINGS, 200, seed=3)
         assert np.linalg.eigvalsh(mle_reconstruct(table).rho)[0] > 0.01
-        t = _lower_triangular_factor(random_density_matrix(np.random.default_rng(2)))
-        t[1, :] = 0.0
         enter, ranks = tomo._enter_face, []
 
-        def too_small(*args):
-            basis, lam, _, rise = enter(*args)
+        def too_small(counts, rho):
+            basis, lam, _, logl = enter(counts, rho)
             lam = np.where(lam > 1e-12, lam, 0.0)
             ranks.append(int((lam > 0.0).sum()))
-            return basis, lam / lam.sum(axis=1, keepdims=True), (lam > 0.0).sum(axis=1), rise
+            return basis, lam / lam.sum(axis=1, keepdims=True), (lam > 0.0).sum(axis=1), logl
 
         monkeypatch.setattr(tomo, "_enter_face", too_small)
-        ascent, shortfall = self.finish(monkeypatch, table, _t_to_params(t) / np.linalg.norm(t))
+        start = random_density_matrix(np.random.default_rng(2), rank=3)
+        ascent, shortfall = self.finish(monkeypatch, table, start)
         assert ranks[0] == 3 and ascent.rank[0] == 4
         assert shortfall <= CERTIFICATE_TOL
 
     def test_too_large_face_drops_to_the_maximum(self, monkeypatch):
         # the maximum of counts from a pure state has rank 1; the row enters the
-        # chart at once from a rank-4 start and keeps every eigenvalue
+        # chart from a rank-4 start and keeps every eigenvalue
         table = simulate_counts(PHI_PLUS_RHO, SETTINGS, 200, seed=1)
-        start = _t_to_params(_lower_triangular_factor(0.5 * PHI_PLUS_RHO + 0.5 * MIXED_RHO))
         enter, ranks = tomo._enter_face, []
 
         def recording(*args):
@@ -885,10 +903,27 @@ class TestChart:
             return face
 
         monkeypatch.setattr(tomo, "_enter_face", recording)
-        monkeypatch.setattr(tomo, "_FACTOR_STEPS", 0)
-        ascent, shortfall = self.finish(monkeypatch, table, start / np.linalg.norm(start))
+        ascent, shortfall = self.finish(monkeypatch, table, 0.5 * PHI_PLUS_RHO + 0.5 * MIXED_RHO)
         assert ranks[0] == 4 and ascent.rank[0] == 1
         assert shortfall <= CERTIFICATE_TOL
+
+
+    def test_face_that_loses_a_count_is_not_entered(self):
+        # Phi+ with 1e-4 of |HV>, and 10^5 events per setting at Phi+'s exact
+        # frequencies plus one HV count in zz, which only |HV> explains: <HV|R|HV>
+        # is below N, but zeroing |HV> would leave that count at probability 0,
+        # so the row starts in its rank-4 chart and still reaches a maximum
+        table = np.array([exact_coincidences(PHI_PLUS_RHO)[s] for s in SETTINGS]) * 1e5
+        table[SETTINGS.index(("z", "z")), 1] += 1.0
+        counts = table.reshape(1, 36)
+        hv = np.zeros((4, 4), dtype=complex)
+        hv[1, 1] = 1.0
+        start = (1.0 - 1e-4) * PHI_PLUS_RHO + 1e-4 * hv
+        _, lam, rank, logl = tomo._enter_face(counts, start[None])
+        assert rank[0] == 4 and lam[0] == pytest.approx([0.0, 0.0, 1e-4, 1.0 - 1e-4], abs=1e-15)
+        assert np.isfinite(logl[0])
+        ascent = _maximize(counts, start[None])
+        assert ascent.converged[0] and ascent.log_likelihood[0] > logl[0]
 
 
 class TestReferenceCrossValidation:
