@@ -9,6 +9,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -107,60 +108,15 @@ def _named_state(name: str) -> np.ndarray:
     raise ValueError(f"unknown state {name!r} (use phi+, psi-, mixed or werner:p)")
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names) -> _Parser:
+    """The heraldsim parser with the subcommands ``names`` of ``_COMMANDS``, in table order."""
     parser = _Parser(prog="heraldsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run one heralding experiment end to end")
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out")
-
-    p = sub.add_parser("sweep", help="preparation probability vs transmission")
-    p.add_argument("--t", required=True, help="comma-separated transmissions")
-    p.add_argument("--tau", type=float, default=SpdcParams.tau)
-    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
-    p.add_argument("--visibility", type=float, default=PAPER_VISIBILITY)
-    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
-    p.add_argument("--out")
-
-    p = sub.add_parser("tomo-sim", help="simulate tomography counts from a known state")
-    p.add_argument("--state", default="phi+")
-    p.add_argument("--events", type=int, required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("reconstruct", help="MLE reconstruction from a counts CSV")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--optimize-local", action="store_true")
-    p.add_argument("--mc-samples", type=int, default=0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("metrics", help="scalar metrics of a reconstructed state")
-    p.add_argument("--counts", required=True)
-    p.add_argument("--optimize-local", action="store_true")
-    p.add_argument("--out")
-
-    p = sub.add_parser("reproduce-tables", help="photon-number tables vs reference data")
-    p.add_argument("--config", required=True)
-    p.add_argument("--ratio", help="reference column to compare against, e.g. 50/50")
-    p.add_argument("--out")
-
-    p = sub.add_parser("calibrate", help="fit the emission amplitude to reference data")
-    p.add_argument("--target-p11", type=float, default=REFERENCE_NUMBER_PROBS["50/50"]["p11"])
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
-    p.add_argument("--visibility", type=float, default=PAPER_VISIBILITY)
-    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
-    p.add_argument("--out")
-
-    p = sub.add_parser("power-compare", help="post-selected fidelity at two pump powers")
-    p.add_argument("--tau-high", type=float, required=True)
-    p.add_argument("--tau-low", type=float)
-    p.add_argument("--t", type=float, default=0.3)
-    p.add_argument("--eta", type=float, default=DetectorModel.efficiency)
-    p.add_argument("--pairs", type=int, default=SpdcParams.max_pairs)
-    p.add_argument("--out")
+    for name, command in _COMMANDS.items():
+        if name in names:
+            p = sub.add_parser(name, help=command.help)
+            for flag, kwargs in command.arguments:
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -313,23 +269,78 @@ def _cmd_power_compare(args) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    arguments: tuple[tuple[str, dict], ...]  # (flag, add_argument keywords), in help order
+
+
+_OUT = ("--out", {})
+
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "tomo-sim": _cmd_tomo_sim,
-    "reconstruct": _cmd_reconstruct,
-    "metrics": _cmd_metrics,
-    "reproduce-tables": _cmd_reproduce_tables,
-    "calibrate": _cmd_calibrate,
-    "power-compare": _cmd_power_compare,
+    "simulate": _Command(_cmd_simulate, "run one heralding experiment end to end", (
+        ("--config", {"required": True, "help": "experiment config JSON"}),
+        _OUT,
+    )),
+    "sweep": _Command(_cmd_sweep, "preparation probability vs transmission", (
+        ("--t", {"required": True, "help": "comma-separated transmissions"}),
+        ("--tau", {"type": float, "default": SpdcParams.tau}),
+        ("--pairs", {"type": int, "default": SpdcParams.max_pairs}),
+        ("--visibility", {"type": float, "default": PAPER_VISIBILITY}),
+        ("--eta", {"type": float, "default": DetectorModel.efficiency}),
+        _OUT,
+    )),
+    "tomo-sim": _Command(_cmd_tomo_sim, "simulate tomography counts from a known state", (
+        ("--state", {"default": "phi+"}),
+        ("--events", {"type": int, "required": True}),
+        ("--seed", {"type": int}),
+        _OUT,
+    )),
+    "reconstruct": _Command(_cmd_reconstruct, "MLE reconstruction from a counts CSV", (
+        ("--counts", {"required": True}),
+        ("--optimize-local", {"action": "store_true"}),
+        ("--mc-samples", {"type": int, "default": 0}),
+        ("--seed", {"type": int}),
+        _OUT,
+    )),
+    "metrics": _Command(_cmd_metrics, "scalar metrics of a reconstructed state", (
+        ("--counts", {"required": True}),
+        ("--optimize-local", {"action": "store_true"}),
+        _OUT,
+    )),
+    "reproduce-tables": _Command(
+        _cmd_reproduce_tables, "photon-number tables vs reference data", (
+            ("--config", {"required": True}),
+            ("--ratio", {"help": "reference column to compare against, e.g. 50/50"}),
+            _OUT,
+        )),
+    "calibrate": _Command(_cmd_calibrate, "fit the emission amplitude to reference data", (
+        ("--target-p11", {"type": float, "default": REFERENCE_NUMBER_PROBS["50/50"]["p11"]}),
+        ("--t", {"type": float, "default": 0.5}),
+        ("--eta", {"type": float, "default": DetectorModel.efficiency}),
+        ("--visibility", {"type": float, "default": PAPER_VISIBILITY}),
+        ("--pairs", {"type": int, "default": SpdcParams.max_pairs}),
+        _OUT,
+    )),
+    "power-compare": _Command(_cmd_power_compare, "post-selected fidelity at two pump powers", (
+        ("--tau-high", {"type": float, "required": True}),
+        ("--tau-low", {"type": float}),
+        ("--t", {"type": float, "default": 0.3}),
+        ("--eta", {"type": float, "default": DetectorModel.efficiency}),
+        ("--pairs", {"type": int, "default": SpdcParams.max_pairs}),
+        _OUT,
+    )),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command builds its own parser alone; anything else, help included, sees every command
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    parser = _build_parser(names)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

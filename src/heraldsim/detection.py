@@ -163,10 +163,7 @@ def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
     residue in a statistic.
     """
     photons = np.asarray(photons, dtype=np.int64)
-    totals = photons.sum(axis=-1)
-    if totals.size == 0 or (totals != totals[:, :1]).any():
-        raise ValueError("every input of an arm needs the same photon number")
-    n = totals[:, 0, None, None]
+    n = photons[:, 0].sum(axis=-1)[:, None, None]
     size = int(n.max()) + 1
     maps = maps[:, :, :size, :size, :size]
     arm = np.arange(len(maps))[:, None, None]
@@ -270,7 +267,10 @@ def herald_pair_terms(
     term's.  Threshold detectors herald when each herald detector detects
     at least one photon, number-resolving ones when each detects exactly
     one; output clicks are never vetoed.  A count pattern a term cannot
-    give has a table entry of exactly zero.
+    give has a table entry of exactly zero.  A term with fewer than two
+    photons in an arm (the zero- and one-pair blocks) cannot herald, as
+    each of the arm's two herald detectors needs one, so it is not evolved:
+    its block is exactly zero.
     """
     n_herald = len(HERALD_NAMES)
     columns = [[2 * a, 2 * a + 1, n_herald + 2 * a, n_herald + 2 * a + 1] for a in (0, 1)]
@@ -292,6 +292,13 @@ def herald_pair_terms(
     parts = []
     for term, padded in zip(terms, lossless):
         photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
+        totals = photons.sum(axis=-1)
+        if totals.size == 0 or (totals != totals[:, :1]).any():
+            raise ValueError("every input of an arm needs the same photon number")
+        if totals.min() < 2:
+            # neither herald detector of an arm fires on no photons: the block never heralds
+            parts.append((0.0, np.zeros((4, 4), dtype=complex)))
+            continue
         kets = _arm_kets(maps, photons)
         size = kets.shape[1]
         gram, coincidences = _arm_grams(

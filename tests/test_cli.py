@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import heraldsim
-from heraldsim.cli import main
+from heraldsim.cli import _COMMANDS, _build_parser, main
 from heraldsim.experiments import calibrate_tau, power_scaled_tau, run_power_comparison
 from heraldsim.tomography import CERTIFICATE_TOL, ingest_counts
 
@@ -356,6 +356,71 @@ class TestNonConvergence:
             "--out", str(tmp_path),
         ])
         assert code == 3
+
+
+# one command line per command, setting every flag it has but --out
+REPRESENTATIVE_ARGV = {
+    "simulate": ["simulate", "--config", "config.json"],
+    "sweep": ["sweep", "--t", "0.3,0.5", "--tau", "0.25", "--pairs", "5", "--visibility", "0.9",
+              "--eta", "0.1"],
+    "tomo-sim": ["tomo-sim", "--state", "werner:0.8", "--events", "500", "--seed", "1"],
+    "reconstruct": ["reconstruct", "--counts", "counts.csv", "--optimize-local",
+                    "--mc-samples", "20", "--seed", "3"],
+    "metrics": ["metrics", "--counts", "counts.csv", "--optimize-local"],
+    "reproduce-tables": ["reproduce-tables", "--config", "config.json", "--ratio", "30/70"],
+    "calibrate": ["calibrate", "--target-p11", "6e-4", "--t", "0.3", "--eta", "0.1",
+                  "--visibility", "0.9", "--pairs", "6"],
+    "power-compare": ["power-compare", "--tau-high", "0.2545", "--tau-low", "0.2", "--t", "0.3",
+                      "--eta", "0.1", "--pairs", "5"],
+}
+
+
+def printed_help(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    """A command builds only its own subcommand's parser, which reads it as the full parser does."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        build = _build_parser
+
+        def recording(chosen):
+            names.append(list(chosen))
+            return build(chosen)
+
+        monkeypatch.setattr("heraldsim.cli._build_parser", recording)
+        return names
+
+    def test_help_lists_every_command(self, capsys, built):
+        out = printed_help(main, ["--help"], capsys)
+        assert built == [list(_COMMANDS)]
+        lines = [line.split() for line in out.splitlines()]
+        for name, command in _COMMANDS.items():
+            assert [name, *command.help.split()] in lines
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_command_parser_matches_the_full_parser(self, name, capsys, built):
+        full = _build_parser(list(_COMMANDS))
+        own_help = printed_help(main, [name, "-h"], capsys)
+        assert built == [[name]]
+        assert own_help == printed_help(full.parse_args, [name, "-h"], capsys)
+        assert own_help.startswith(f"usage: heraldsim {name} [-h]")
+        argv = REPRESENTATIVE_ARGV[name]
+        assert _build_parser([name]).parse_args(argv) == full.parse_args(argv)
+
+    def test_unknown_command_names_every_command(self, capsys, built):
+        assert main(["frobnicate"]) == 1
+        err = capsys.readouterr().err
+        assert built == [list(_COMMANDS)]
+        assert "invalid choice: 'frobnicate'" in err
+        choices = err.split("choose from", 1)[1]
+        assert all(name in choices for name in _COMMANDS)
 
 
 class TestPlotSeries:

@@ -206,6 +206,27 @@ class TestHerald:
     def test_single_pair_cannot_herald(self):
         assert block(1, 0.5, 0.5, LOSSLESS_THRESHOLD).herald == 0.0
 
+    @pytest.mark.parametrize("detectors", [IDEAL_NUMBER_DETECTORS, DetectorModel(efficiency=0.3)])
+    def test_blocks_below_two_photons_per_arm_are_not_evolved(self, detectors, monkeypatch):
+        # each arm's two herald detectors need a photon each: blocks 0 and 1, and a
+        # term with one photon in arm 2, are exact zeros of the common table shape
+        evolved = []
+
+        def counting_arm_kets(maps, photons):
+            evolved.append(int(photons[0, 0].sum()))
+            return _arm_kets(maps, photons)
+
+        monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
+        terms = [pair_term(n) for n in range(4)] + [basis_ket(4, (1, 1, 1, 0))]
+        blocks = herald_pair_terms(terms, build_paper_circuit(0.3, 0.7, ("x", "y")).matrix,
+                                   detectors)
+        assert evolved == [2, 3]
+        assert blocks[3].herald > 0.0
+        for zero in blocks[:2] + blocks[4:]:
+            assert zero.herald == 0.0 and zero.direct == 0.0
+            assert zero.table.shape == blocks[3].table.shape and not zero.table.any()
+            assert zero.coincidences.shape == (4, 4) and not zero.coincidences.any()
+
     def test_herald_probability_monotone_in_efficiency(self):
         probs = [block(3, 0.4, 0.6, DetectorModel(efficiency=eta)).herald
                  for eta in (0.05, 0.1, 0.3, 0.6, 1.0)]

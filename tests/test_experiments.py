@@ -168,7 +168,8 @@ class TestSharedBlocks:
                     assert value == pytest.approx(want[name], rel=0.0, abs=1e-12)
 
     def test_each_block_evolves_once(self, monkeypatch):
-        # one set of arm kets per pair block and command, whatever the number of taus
+        # one set of arm kets per pair block that can herald (two photons or more
+        # per arm) and command, whatever the number of taus
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
@@ -183,10 +184,10 @@ class TestSharedBlocks:
         monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
         monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
         calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
-        assert sorted(evolved) == [0, 1, 2, 3, 4]
+        assert sorted(evolved) == [2, 3, 4]
         evolved.clear()
         run_power_comparison(0.25, power_scaled_tau(0.25), t=0.3, max_pairs=4)
-        assert sorted(evolved) == [0, 1, 2, 3, 4]
+        assert sorted(evolved) == [2, 3, 4]
         assert len(set(visited)) == 2
 
 

@@ -584,7 +584,9 @@ def likelihood_paths(monkeypatch, maximize):
 class TestLazyFactorization:
     def test_derivatives_follow_only_moves(self, fixtures_dir, monkeypatch):
         # row 0 has exact frequencies of the mixed state and is certified at its
-        # start; the other rows are resamples of each fixture, all distinct
+        # start; the other rows are resamples of each fixture, all distinct.  They
+        # start cold, from the floored linear inversion, where refused steps
+        # follow refused steps
         uniform = np.full((1, 9, 4), 25.0)
         batch = np.concatenate([uniform] + [
             _resampled_coincidences(ingest_counts(fixtures_dir / f"{name}.csv"), 12, seed)
@@ -592,12 +594,17 @@ class TestLazyFactorization:
         ])
         rows = {row.tobytes(): i for i, row in enumerate(batch.reshape(len(batch), 36))}
         assert len(rows) == len(batch)
-        paths = likelihood_paths(monkeypatch, lambda: _ascend(batch))
+        counts = batch.reshape(len(batch), 36)
+        start = tomo._psd_floor(_linear_inversion(batch), tomo._WARM_UP_FLOOR)
+        paths = likelihood_paths(monkeypatch, lambda: tomo._maximize(counts, start))
         evaluations = np.zeros(len(batch), dtype=int)
-        # rows evaluated since their last step, and the evaluations whose first
-        # step (with lift 0) was refused
+        # rows evaluated since their last step, rows whose last step was refused,
+        # the evaluations whose first step (with lift 0) was refused, and the
+        # refused steps that followed a refused step
         unstepped = np.zeros(len(batch), dtype=bool)
+        refused = np.zeros(len(batch), dtype=bool)
         refused_unlifted = np.zeros(len(batch), dtype=int)
+        refused_again = np.zeros(len(batch), dtype=int)
         lifted, factorized = [], []
         derivatives, rise = tomo._chart_derivatives, tomo._rise
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
@@ -606,6 +613,7 @@ class TestLazyFactorization:
             for row in counts:
                 evaluations[rows[row.tobytes()]] += 1
                 unstepped[rows[row.tobytes()]] = True
+                refused[rows[row.tobytes()]] = False
             return derivatives(counts, *args)
 
         # a step's rise (entering the first face also calls it, before any
@@ -615,7 +623,8 @@ class TestLazyFactorization:
             for row, up in zip(counts, np.isfinite(rises) & (rises >= 0.0)):
                 index = rows[row.tobytes()]
                 refused_unlifted[index] += unstepped[index] and not up
-                unstepped[index] = False
+                refused_again[index] += refused[index] and not up
+                unstepped[index], refused[index] = False, not up
             return rises
 
         def counting_eigh(a, *args, **kwargs):
@@ -632,7 +641,7 @@ class TestLazyFactorization:
         monkeypatch.setattr(tomo, "_rise", counting_rise)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        ascent = _ascend(batch)
+        ascent = tomo._maximize(counts, start)
         assert ascent.converged.all()
         assert ascent.iterations[0] == 0 and evaluations[0] == 0
         taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in paths])
@@ -641,6 +650,7 @@ class TestLazyFactorization:
         # one eigenvalue solve of the negated Hessian (for its lift) only where the
         # first step after an evaluation, taken with lift 0, was refused; none per
         # later refused step, and no 16x16 eigendecomposition
+        assert refused_again.sum() > 0
         assert 0 < sum(lifted) == refused_unlifted.sum() < evaluations.sum()
         assert not factorized
 
