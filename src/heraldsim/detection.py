@@ -3,24 +3,29 @@
 The circuit never mixes the two arms and every detector counts photons in
 one mode, so a pair block sum_k c_k |arm 1 input k>|arm 2 input k> is
 heralded arm by arm.  Each arm's input k evolves in closed form
-(``_arm_kets``) into a ket over its two herald and two output detectors.
-One contraction, sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's
-kets overlapped per output occupation and weighted by the probability that
-its herald detectors fire, gives the block's lossless table: the joint
-probability of the herald and each output occupation.  Its sum is the
-herald probability and its one-photon-per-arm entries P_direct.  Output
-loss never changes whether the herald fires, so it thins that table after
-the contraction; only the coincidence matrix, which keeps coherence, takes
-its loss inside the arms.  Loss is per-mode binomial thinning at
+(``_arm_kets``) into a ket over its two herald and two output detectors,
+from 2-mode maps built photon by photon by the creation-operator
+recurrence (``_photon_maps``).  One contraction,
+sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
+per output occupation and weighted by the probability that its herald
+detectors fire, gives the block's lossless table: the joint probability of
+the herald and each output occupation.  Its sum is the herald probability
+and its one-photon-per-arm entries P_direct.  Output loss never changes
+whether the herald fires, so it thins that table after the contraction.
+The coincidence matrix, one detected photon per output arm, keeps the
+coherence between the detected polarizations; each arm's part of it is
+read off the same Gram tensors, every output occupation weighted by its
+chance of giving one count, plus one Gram of kets a photon apart for the
+HV coherence (``_arm_grams``).  Loss is per-mode binomial thinning at
 detection, exact because every element after the source is passive linear
 optics.  The two-pair block's distinguishable photons herald only when all
 four land one in each herald detector, so that block heralds the output
-vacuum, with a probability in closed form.
+vacuum, with a probability in closed form: each arm's two photons on its
+two herald detectors.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -100,52 +105,64 @@ def _thinning(n_max: int, eta: float) -> np.ndarray:
     return table
 
 
-def _fires(n_max: int, eta: float, resolving: str) -> np.ndarray:
-    """Probability that a herald detector fires, per photon number 0..n_max.
+def _fires(thinning: np.ndarray, resolving: str) -> np.ndarray:
+    """Probability that a herald detector fires, per photon number, from its ``_thinning`` table.
 
     A threshold detector with n photons fires unless all are lost,
     1 - (1-eta)^n; a number-resolving one must see exactly one,
     n eta (1-eta)^(n-1).
     """
-    detected = _thinning(max(n_max, 1), eta)[: n_max + 1]
-    return detected[:, 1] if resolving == "number" else 1.0 - detected[:, 0]
+    return thinning[:, 1] if resolving == "number" else 1.0 - thinning[:, 0]
 
 
-def _comb(n: int) -> np.ndarray:
-    """Binomial coefficients: entry [a, b] is C(a, b), zero for b > a."""
-    return np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+def _binomial_roots(n: int) -> np.ndarray:
+    """Square roots of the binomial coefficients: entry [a, b] is sqrt(C(a, b)), zero for b > a."""
+    return np.sqrt([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)])
 
 
 def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     """2x2 mode maps acting on N photons, N = 0..n, for a (..., 2, 2) stack of maps.
 
     Entry [..., N, p, j] is the amplitude of |j, N-j> out of |p, N-p>, with
-    p photons in the map's first input mode and j in its first output mode.
-    Expanding (m00 b0† + m01 b1†)^p (m10 b0† + m11 b1†)^(N-p) gives
-    sqrt(j! (N-j)! / (p! (N-p)!)) sum_i C(p, i) C(N-p, j-i)
-    m00^i m01^(p-i) m10^(j-i) m11^(N-p-j+i); entries with p or j above N
-    are zero.
+    p photons in the map's first input mode and j in its first output mode;
+    entries with p or j above N are zero.  The maps are built photon by
+    photon: the map sends the input creation operators to m00 b0† + m01 b1†
+    and m10 b0† + m11 b1†, so one more photon in the first input mode gives,
+    for p >= 1,
+
+        map[N, p, j] = (m00 sqrt(j) map[N-1, p-1, j-1]
+                        + m01 sqrt(N-j) map[N-1, p-1, j]) / sqrt(p),
+
+    and one more in the second gives the row p = 0 the same way from
+    map[N-1, 0], with (m10, m11) and sqrt(N) in place of (m00, m01) and
+    sqrt(p).
     """
-    size = n + 1
-    N, p, j, i = np.ix_(*[np.arange(size)] * 4)
-    comb = _comb(n)
-    fact = np.array([math.factorial(a) for a in range(size)], dtype=float)
-    exponents = [e.clip(0, n) for e in (i, p - i, j - i, N - p - j + i)]
-    valid = (p <= N) & (j <= N) & (i <= p) & (i <= j) & (N - p - j + i >= 0)
-    terms = np.where(valid, comb[p, i] * comb[(N - p).clip(0), exponents[2]], 0.0)
-    entries = np.asarray(matrices, dtype=complex).reshape(*np.shape(matrices)[:-2], 4, 1)
-    powers = np.cumprod(np.concatenate([np.ones_like(entries), np.repeat(entries, n, -1)], -1), -1)
-    for c, e in enumerate(exponents):
-        terms = terms * powers[..., c, :][..., e]
-    norm = np.sqrt(fact[j] * fact[(N - j).clip(0)] / (fact[p] * fact[(N - p).clip(0)]))
-    return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
+    matrices = np.asarray(matrices, dtype=complex)
+    lead = matrices.shape[:-2]
+    # the entries as (..., 1, 1) arrays, to broadcast over the (p, j) of one photon number
+    (m00, m01), (m10, m11) = np.moveaxis(matrices[..., None, None], (-4, -3), (0, 1))
+    maps = np.zeros(lead + (n + 1,) * 3, dtype=complex)
+    maps[..., 0, 0, 0] = 1.0
+    sqrt = np.sqrt(np.arange(n + 1))
+    for N in range(1, n + 1):
+        prev, new = maps[..., N - 1, :N, :N], maps[..., N, :N + 1, :N + 1]
+        # b0† takes |j-1, N-j> to sqrt(j) |j, N-j>; b1† takes |j, N-1-j> to sqrt(N-j) |j, N-j>
+        up, across = prev * sqrt[1:N + 1], prev * sqrt[N:0:-1]
+        new[..., 1:, 1:] = m00 * up
+        new[..., 1:, :N] += m01 * across
+        new[..., 1:, :] /= sqrt[1:N + 1, None]
+        new[..., :1, 1:] = m10 * up[..., :1, :]
+        new[..., :1, :N] += m11 * across[..., :1, :]
+        new[..., :1, :] /= sqrt[N]
+    return maps
 
 
-def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
+def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Kets of each arm in closed form, one per input occupation.
 
     ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
-    its herald side [0] and output side [1], for N at least n; ``photons``
+    its herald side [0] and output side [1], and ``roots`` the
+    ``_binomial_roots`` up to the same N, for N at least n; ``photons``
     (arms, K, 2) the (H, V) photon numbers of each arm's inputs, all with
     one total n per arm.  Of a H and b V photons, p and q go to the herald
     side with amplitude sqrt(C(a, p) C(b, q)), after which each side is a
@@ -170,9 +187,8 @@ def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
     a, b = (photons[..., s, None, None] for s in (0, 1))
     m, p = np.ix_(np.arange(size), np.arange(size))
     q = m - p
-    comb = _comb(size - 1)
     # x[arm, k, m, p, o0]: p of the m herald photons were H, a - p H photons went to the output side
-    split = np.sqrt(comb[a, p] * comb[b, q.clip(0)]) * ((q >= 0) & (p <= a) & (q <= b))
+    split = roots[a, p] * np.where(q >= 0, roots[b, q.clip(0)], 0.0)
     x = split[..., None] * maps[:, 1][arm[..., None], (n[..., None] - m).clip(0), (a - p).clip(0)]
     by_herald = (maps[:, 0].swapaxes(-1, -2)[:, None] @ x).transpose(0, 2, 4, 1, 3)
     o0, o1 = np.ix_(np.arange(size), np.arange(size))
@@ -183,37 +199,52 @@ def _arm_kets(maps: np.ndarray, photons: np.ndarray) -> np.ndarray:
 def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
     """Each arm's Gram tensors over its inputs (k, k'): lossless output counts and coincidences.
 
-    ``kets`` come from ``_arm_kets``, with ``photons`` in each arm;
-    ``fires`` (arms, 2, s) holds each herald detector's firing probability
-    per photon number and ``thinning`` (arms, 2, s, s) each output
-    detector's binomial thinning table.  A herald occupation weighs its
-    detectors' firing probabilities.  The Gram tensor is indexed by the
-    arm's output occupation (o0, o1) before loss.  The coincidences keep
-    coherence between the two detected polarizations for each herald
-    occupation and each set of lost photons: a photon detected out of n is
-    the Kraus factor sqrt(thinning[n, 1]).
+    ``kets`` come from ``_arm_kets``, with ``photons`` (at least one) in
+    each arm; ``fires`` (arms, 2, s) holds each herald detector's firing
+    probability per photon number and ``thinning`` (arms, 2, s, s) each
+    output detector's binomial thinning table.  A herald occupation weighs
+    its detectors' firing probabilities.  The Gram tensor
+
+        gram[arm, o0, o1, k, k'] = sum_h0 w(o0 + o1, h0) ket[o0, o1, k, h0] ket*[o0, o1, k', h0]
+
+    is indexed by the arm's output occupation (o0, o1) before loss; its
+    herald weight w depends on o0 + o1 and h0 alone, since h1 makes up the
+    arm's photon number.  The coincidences, one photon detected in the
+    arm, are read off it.  The H block weighs each occupation by the
+    chance seen_H(o0, o1) = thinning_H[o0, 1] thinning_V[o1, 0] that o0
+    gives one count and o1 none, and the V block by seen_V, the same with
+    the detectors' roles swapped.  The HV block keeps the coherence between
+    kets one photon apart, (o0+1, o1) against (o0, o1+1): they hold as many
+    herald photons, so share their herald weight, and overlap in one
+    shifted Gram weighted by the Kraus factors sqrt(seen_H seen_V).  VH is
+    its conjugate transpose.  Returns the Gram tensor and the (arms, 2, K,
+    2, K) coincidences over (arm, polarization, k, polarization', k').
     """
     arms, size, _, n_inputs, _ = kets.shape
-    n = size - 1
     o0, o1, h0 = np.ix_(*[np.arange(size)] * 3)
     h1 = np.asarray(photons)[:, None, None, None] - o0 - o1 - h0
     arm = np.arange(arms)[:, None, None, None]
     herald_weight = np.where(
         h1 >= 0, fires[:, 0, None, None, :] * fires[:, 1][arm, h1.clip(0)], 0.0
     )
-    # gram[arm, o0, o1, k, k']: an arm's kets overlapped over its herald occupations
-    gram = (kets * herald_weight[..., None, :]) @ kets.conj().swapaxes(-1, -2)
-    coincidences = np.zeros((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
-    if n:
-        e0, e1 = np.ix_(np.arange(n), np.arange(n))
-        kraus_h = np.sqrt(thinning[:, 0][:, e0 + 1, 1] * thinning[:, 1][:, e1, 0])
-        kraus_v = np.sqrt(thinning[:, 0][:, e0, 0] * thinning[:, 1][:, e1 + 1, 1])
-        detected = np.stack([
-            kets[:, 1:, :n] * kraus_h[..., None, None], kets[:, :n, 1:] * kraus_v[..., None, None]
-        ], axis=1).transpose(0, 1, 4, 2, 3, 5).reshape(arms, 2 * n_inputs, -1)
-        # the herald weight depends on o0 + o1 alone, the same for either detected polarization
-        weighted = detected * herald_weight[:, 1:, :n].reshape(arms, 1, -1)
-        coincidences = (weighted @ detected.conj().swapaxes(-1, -2)).reshape(coincidences.shape)
+    weighted = kets * herald_weight[..., None, :]
+    gram = weighted @ kets.conj().swapaxes(-1, -2)
+    shifted = weighted[:, 1:, :-1] @ kets[:, :-1, 1:].conj().swapaxes(-1, -2)
+    seen_h = thinning[:, 0, :, 1, None] * thinning[:, 1, None, :, 0]  # (arm, o0, o1)
+    seen_v = thinning[:, 0, :, 0, None] * thinning[:, 1, None, :, 1]
+    kraus = np.sqrt(seen_h[:, 1:, :-1] * seen_v[:, :-1, 1:])
+
+    def read(weights, tensor):
+        # sum_o weights[arm, i, o] tensor[arm, o, k, k'], one real product on the complex parts
+        parts = tensor.reshape(arms, -1, n_inputs * n_inputs).view(np.float64)
+        blocks = weights.reshape(arms, -1, parts.shape[1]) @ parts
+        return blocks.view(complex).reshape(arms, -1, n_inputs, n_inputs)
+
+    same = read(np.stack([seen_h, seen_v], axis=1), gram)
+    cross = read(kraus, shifted)[:, 0]
+    coincidences = np.empty((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
+    coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = same[:, 0], same[:, 1]
+    coincidences[:, 0, :, 1], coincidences[:, 1, :, 0] = cross, cross.conj().swapaxes(-1, -2)
     return gram, coincidences
 
 
@@ -250,6 +281,23 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
     return fold.T @ table.reshape(*table.shape[:-4], len(photons), len(photons)) @ fold
 
 
+def _arm_blocks(matrix: np.ndarray) -> np.ndarray:
+    """Each arm's rows of the (4, 8) circuit on its own detectors, checking that the arms never mix.
+
+    Returns an (arms, 2, 4) array: arm a's source modes (H, V) onto its two
+    herald detectors, then onto its two output detectors.
+    """
+    n_herald = len(HERALD_NAMES)
+    blocks = []
+    for arm in (0, 1):
+        cols = [2 * arm, 2 * arm + 1, n_herald + 2 * arm, n_herald + 2 * arm + 1]
+        rows = matrix[2 * arm:2 * arm + 2]
+        if np.delete(rows, cols, axis=1).any():
+            raise ValueError("the circuit mixes the two arms")
+        blocks.append(rows[:, cols])
+    return np.array(blocks)
+
+
 def herald_pair_terms(
     terms: Sequence[SparseKet], matrix: np.ndarray, detectors: DetectorModel
 ) -> list[HeraldedBlock]:
@@ -272,22 +320,19 @@ def herald_pair_terms(
     each of the arm's two herald detectors needs one, so it is not evolved:
     its block is exactly zero.
     """
-    n_herald = len(HERALD_NAMES)
-    columns = [[2 * a, 2 * a + 1, n_herald + 2 * a, n_herald + 2 * a + 1] for a in (0, 1)]
-    arm_matrices = []
-    for arm, cols in enumerate(columns):
-        rows = matrix[2 * arm:2 * arm + 2]
-        if np.delete(rows, cols, axis=1).any():
-            raise ValueError("the circuit mixes the two arms")
-        arm_matrices.append([rows[:, cols[:2]], rows[:, cols[2:]]])
+    arms = _arm_blocks(matrix)
     # the most photons any arm of any term holds
     n_max = max((int(t.occupations.reshape(-1, 2, 2).sum(axis=2).max(initial=0)) for t in terms),
                 default=0)
-    maps = _photon_maps(np.array(arm_matrices), n_max)
-    fires = np.array(
-        [_fires(n_max, eta, detectors.resolving) for eta in detectors.etas(HERALD_NAMES)]
-    )
-    thinning = np.array([_thinning(n_max, eta) for eta in detectors.etas(OUTPUT_NAMES)])
+    # each arm's herald side and output side as a (2, 2) map
+    maps = _photon_maps(np.stack([arms[..., :2], arms[..., 2:]], axis=1), n_max)
+    roots = _binomial_roots(n_max)
+    # one thinning table per distinct efficiency: with one efficiency, all eight detectors share it
+    herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
+    tables = {eta: _thinning(max(n_max, 1), eta) for eta in {*herald_etas, *output_etas}}
+    firing = {eta: _fires(tables[eta], detectors.resolving) for eta in set(herald_etas)}
+    fires = np.array([firing[eta][:n_max + 1] for eta in herald_etas])
+    thinning = np.array([tables[eta][:n_max + 1, :n_max + 1] for eta in output_etas])
     lossless = np.zeros((len(terms),) + (n_max + 1,) * 4)
     parts = []
     for term, padded in zip(terms, lossless):
@@ -299,7 +344,7 @@ def herald_pair_terms(
             # neither herald detector of an arm fires on no photons: the block never heralds
             parts.append((0.0, np.zeros((4, 4), dtype=complex)))
             continue
-        kets = _arm_kets(maps, photons)
+        kets = _arm_kets(maps, photons, roots)
         size = kets.shape[1]
         gram, coincidences = _arm_grams(
             kets, photons[:, 0].sum(axis=-1), fires[:, :size].reshape(2, 2, size),
@@ -328,19 +373,25 @@ def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorMo
     four photons herald only by landing one in each herald detector (the
     matrix's first columns), which leaves the outputs empty: per ket, the
     chance is the permanent of |matrix|^2 on its photons' rows and the
-    herald columns.  What heralds is the output vacuum.
+    herald columns.  The circuit must not mix the arms, so that permanent
+    is the product of each arm's: zero unless each arm holds two photons,
+    and then the 2x2 permanent p00 p11 + p01 p10 of its two photons on its
+    two herald detectors.  What heralds is the output vacuum.
     """
     n_herald = len(HERALD_NAMES)
-    probs = (np.abs(matrix[:, :n_herald]) ** 2).tolist()
+    # probs[arm][source mode][herald detector]
+    probs = (np.abs(_arm_blocks(matrix)[..., :2]) ** 2).tolist()
     routed = 0.0
     for occ, amp in zip(state.occupations.tolist(), state.values.tolist()):
         if sum(occ) != n_herald:
             raise ValueError(f"a distinguishable block needs {n_herald} photons, got {sum(occ)}")
-        rows = [i for i, n in enumerate(occ) for _ in range(n)]
-        routed += abs(amp) ** 2 * sum(
-            math.prod(probs[i][j] for i, j in zip(rows, cols))
-            for cols in itertools.permutations(range(n_herald))
-        )
+        if occ[0] + occ[1] != 2:
+            continue
+        permanent = 1.0
+        for p, (h, v) in zip(probs, (occ[:2], occ[2:])):
+            first, second = (p[mode] for mode in [0] * h + [1] * v)  # the arm's two photons
+            permanent *= first[0] * second[1] + first[1] * second[0]
+        routed += abs(amp) ** 2 * permanent
     return routed * math.prod(detectors.etas(HERALD_NAMES))
 
 

@@ -17,6 +17,9 @@ whose number table and post-selected state are sums over those components.
 The tomography estimate reads count tables and estimates the state with
 its own Pauli matrices, linear inversion and positivity projection, sharing
 no code with the package's reconstruction.
+The arm-kernel oracles are the exception: they keep the package's arm kets
+and replace only its photon maps and its coincidence kernel, to check
+those two kernels one at a time.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 
-from heraldsim.detection import COINCIDENCE_PATTERNS, herald_classical
+from heraldsim import detection
+from heraldsim.detection import COINCIDENCE_PATTERNS
 from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
 from heraldsim.fock import PRUNE_TOL, SparseKet, vacuum
 from heraldsim.source import emission_components, pair_term
@@ -307,6 +312,98 @@ def dense_evolve_by_arm(amplitudes: dict, matrix: np.ndarray) -> dict:
     return {k: v for k, v in out.items() if abs(v) > 1e-15}
 
 
+# --- Arm-kernel oracles -----------------------------------------------------
+#
+# Second routes to what ``herald_pair_terms``'s kernels compute: each
+# photon map as an explicit binomial sum, the coincidences from kets times
+# their Kraus factors, and the distinguishable herald as a sum over all 24
+# assignments of the four photons to the four herald detectors.
+
+
+def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
+    """``detection._photon_maps`` as a binomial sum over a (..., 2, 2) stack of maps.
+
+    Entry [..., N, p, j] is the amplitude of |j, N-j> out of |p, N-p>.
+    Expanding (m00 b0† + m01 b1†)^p (m10 b0† + m11 b1†)^(N-p) gives
+    sqrt(j! (N-j)! / (p! (N-p)!)) sum_i C(p, i) C(N-p, j-i)
+    m00^i m01^(p-i) m10^(j-i) m11^(N-p-j+i); entries with p or j above N
+    are zero.
+    """
+    size = n + 1
+    N, p, j, i = np.ix_(*[np.arange(size)] * 4)
+    comb = np.array([[math.comb(a, b) for b in range(size)] for a in range(size)], dtype=float)
+    fact = np.array([math.factorial(a) for a in range(size)], dtype=float)
+    exponents = [e.clip(0, n) for e in (i, p - i, j - i, N - p - j + i)]
+    valid = (p <= N) & (j <= N) & (i <= p) & (i <= j) & (N - p - j + i >= 0)
+    terms = np.where(valid, comb[p, i] * comb[(N - p).clip(0), exponents[2]], 0.0)
+    entries = np.asarray(matrices, dtype=complex).reshape(*np.shape(matrices)[:-2], 4, 1)
+    powers = np.cumprod(np.concatenate([np.ones_like(entries), np.repeat(entries, n, -1)], -1), -1)
+    for c, e in enumerate(exponents):
+        terms = terms * powers[..., c, :][..., e]
+    norm = np.sqrt(fact[j] * fact[(N - j).clip(0)] / (fact[p] * fact[(N - p).clip(0)]))
+    return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
+
+
+def kraus_arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
+    """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
+
+    Each ket with one photon detected in the arm is kept, times its Kraus
+    factor sqrt(thinning[n, 1]) for the detected photon of n and
+    sqrt(thinning[n, 0]) for the detector that sees none; the H and V
+    kets of every input are stacked, weighted by the herald, and overlapped
+    in one product.
+    """
+    arms, size, _, n_inputs, _ = kets.shape
+    n = size - 1
+    o0, o1, h0 = np.ix_(*[np.arange(size)] * 3)
+    h1 = np.asarray(photons)[:, None, None, None] - o0 - o1 - h0
+    arm = np.arange(arms)[:, None, None, None]
+    herald_weight = np.where(
+        h1 >= 0, fires[:, 0, None, None, :] * fires[:, 1][arm, h1.clip(0)], 0.0
+    )
+    gram = (kets * herald_weight[..., None, :]) @ kets.conj().swapaxes(-1, -2)
+    coincidences = np.zeros((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
+    if n:
+        e0, e1 = np.ix_(np.arange(n), np.arange(n))
+        kraus_h = np.sqrt(thinning[:, 0][:, e0 + 1, 1] * thinning[:, 1][:, e1, 0])
+        kraus_v = np.sqrt(thinning[:, 0][:, e0, 0] * thinning[:, 1][:, e1 + 1, 1])
+        detected = np.stack([
+            kets[:, 1:, :n] * kraus_h[..., None, None], kets[:, :n, 1:] * kraus_v[..., None, None]
+        ], axis=1).transpose(0, 1, 4, 2, 3, 5).reshape(arms, 2 * n_inputs, -1)
+        # the herald weight depends on o0 + o1 alone, the same for either detected polarization
+        weighted = detected * herald_weight[:, 1:, :n].reshape(arms, 1, -1)
+        coincidences = (weighted @ detected.conj().swapaxes(-1, -2)).reshape(coincidences.shape)
+    return gram, coincidences
+
+
+def kraus_route_blocks(terms, matrix: np.ndarray, detectors) -> list:
+    """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences."""
+    with mock.patch.multiple(
+        detection, _photon_maps=binomial_photon_maps, _arm_grams=kraus_arm_grams
+    ):
+        return detection.herald_pair_terms(terms, matrix, detectors)
+
+
+def permutation_herald_classical(state: SparseKet, matrix: np.ndarray, detectors) -> float:
+    """``detection.herald_classical`` as the permanent of |matrix|^2 over all 24 assignments.
+
+    Per ket, the four photons' rows against the four herald columns, summed
+    over every permutation; the circuit's arm structure is not used.
+    """
+    n_herald = len(HERALD_NAMES)
+    probs = (np.abs(matrix[:, :n_herald]) ** 2).tolist()
+    routed = 0.0
+    for occ, amp in zip(state.occupations.tolist(), state.values.tolist()):
+        if sum(occ) != n_herald:
+            raise ValueError(f"a distinguishable block needs {n_herald} photons, got {sum(occ)}")
+        rows = [i for i, n in enumerate(occ) for _ in range(n)]
+        routed += abs(amp) ** 2 * sum(
+            math.prod(probs[i][j] for i, j in zip(rows, cols))
+            for cols in itertools.permutations(range(n_herald))
+        )
+    return routed * math.prod(detectors.etas(HERALD_NAMES))
+
+
 # --- Fock oracle ------------------------------------------------------------
 #
 # The 8-mode pipeline: each pair block evolved through the whole circuit,
@@ -511,7 +608,7 @@ def postselect_two_qubit(ensemble: ConditionalEnsemble, output_detectors) -> np.
 
 def classical_ensemble(state: SparseKet, matrix: np.ndarray, detectors) -> ConditionalEnsemble:
     """The distinguishable two-pair block as an ensemble: the output vacuum at its herald probability."""
-    prob = herald_classical(state, matrix, detectors)
+    prob = permutation_herald_classical(state, matrix, detectors)
     components = ((prob, vacuum(len(OUTPUT_NAMES))),) if prob != 0.0 else ()
     return ConditionalEnsemble.from_components(components, prob, len(OUTPUT_NAMES))
 

@@ -9,7 +9,9 @@ from heraldsim.detection import (
     DetectorModel,
     HeraldedBlock,
     _arm_kets,
+    _binomial_roots,
     _photon_maps,
+    _thinning,
     arm_totals,
     herald_classical,
     herald_pair_terms,
@@ -212,9 +214,9 @@ class TestHerald:
         # term with one photon in arm 2, are exact zeros of the common table shape
         evolved = []
 
-        def counting_arm_kets(maps, photons):
+        def counting_arm_kets(maps, photons, roots):
             evolved.append(int(photons[0, 0].sum()))
-            return _arm_kets(maps, photons)
+            return _arm_kets(maps, photons, roots)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
         terms = [pair_term(n) for n in range(4)] + [basis_ket(4, (1, 1, 1, 0))]
@@ -226,6 +228,25 @@ class TestHerald:
             assert zero.herald == 0.0 and zero.direct == 0.0
             assert zero.table.shape == blocks[3].table.shape and not zero.table.any()
             assert zero.coincidences.shape == (4, 4) and not zero.coincidences.any()
+
+    @pytest.mark.parametrize("per_mode,tables", [
+        (None, 1), ({"r1H": 0.5, "t2V": 0.5}, 2), ({"r1H": 0.5, "t2V": 0.7, "r2-": 0.2}, 4),
+    ])
+    def test_one_thinning_table_per_distinct_efficiency(self, per_mode, tables, monkeypatch):
+        # the eight detectors share the thinning and firing tables of their efficiency
+        built = []
+
+        def counting_thinning(n_max, eta):
+            built.append(eta)
+            return _thinning(n_max, eta)
+
+        monkeypatch.setattr("heraldsim.detection._thinning", counting_thinning)
+        det = DetectorModel(efficiency=0.3, per_mode=per_mode)
+        blocks = herald_pair_terms([pair_term(n) for n in range(5)],
+                                   build_paper_circuit(0.3, 0.7).matrix, det)
+        assert len(built) == len(set(built)) == tables
+        monkeypatch.undo()
+        assert blocks[4].herald == block(4, 0.3, 0.7, det).herald > 0.0
 
     def test_herald_probability_monotone_in_efficiency(self):
         probs = [block(3, 0.4, 0.6, DetectorModel(efficiency=eta)).herald
@@ -322,6 +343,34 @@ class TestClassicalChannel:
             )
             assert type(prob) is float
             assert prob == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_closed_form_matches_permutation_sum(self):
+        # the product of the arms' 2x2 permanents against the permanent over all 24
+        # assignments, on random splitters, settings and herald efficiencies
+        rng = np.random.default_rng(1403)
+        for trial in range(45):
+            t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
+            det = DetectorModel(efficiency=float(rng.uniform(0.05, 1.0)),
+                                per_mode={name: float(rng.uniform()) for name in HERALD_NAMES})
+            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).total_matrix()
+            want = oracles.permutation_herald_classical(pair_term(2), matrix, det)
+            assert herald_classical(pair_term(2), matrix, det) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_three_photons_in_one_arm_never_herald(self):
+        # three photons on an arm's two herald detectors leave one of them a second photon
+        # and the other arm's detectors one photon for two: the permanent is zero
+        matrix = build_paper_circuit(0.3, 0.7, ("x", "y")).total_matrix()
+        for occ in ((2, 1, 1, 0), (0, 1, 3, 0)):
+            ket = basis_ket(4, occ)
+            assert herald_classical(ket, matrix, LOSSLESS_THRESHOLD) == 0.0
+            assert oracles.permutation_herald_classical(ket, matrix, LOSSLESS_THRESHOLD) == 0.0
+
+    def test_circuit_mixing_the_arms_rejected(self):
+        matrix = np.array(ROUTE_TO_HERALDS)
+        matrix[0] = 0.0
+        matrix[0, 0] = matrix[0, 2] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and r2+
+        with pytest.raises(ValueError, match="mixes the two arms"):
+            herald_classical(pair_term(2), matrix, LOSSLESS_THRESHOLD)
 
     @pytest.mark.parametrize("pairs", [0, 1, 3])
     def test_ket_without_four_photons_rejected(self, pairs):
@@ -463,6 +512,28 @@ class TestPerModeEfficiency:
             DetectorModel(per_mode={name: 0.9})
 
 
+class TestPhotonMaps:
+    def test_recurrence_matches_binomial_sum(self):
+        # photon by photon against the explicit binomial sum, on random complex maps
+        # that are not unitary, up to 10 photons; each photon number on its own scale
+        rng = np.random.default_rng(2510)
+        for _ in range(10):
+            matrices = rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+            got, want = _photon_maps(matrices, 10), oracles.binomial_photon_maps(matrices, 10)
+            assert got.shape == want.shape == (2, 2, 11, 11, 11)
+            assert ((got == 0.0) == (want == 0.0)).all()
+            scale = np.abs(want).max(axis=(-1, -2), keepdims=True)
+            assert (np.abs(got - want) <= 1e-14 * scale).all()
+
+    def test_no_photons_and_one_photon(self):
+        matrices = np.array([[1.0, 2.0j], [3.0, -4.0]])
+        maps = _photon_maps(matrices, 1)
+        assert maps[0, 0, 0] == 1.0
+        # |1, 0> goes to m00 |1, 0> + m01 |0, 1>, and |0, 1> to m10 |1, 0> + m11 |0, 1>
+        assert maps[1, 1, 1] == 1.0 and maps[1, 1, 0] == 2.0j
+        assert maps[1, 0, 1] == 3.0 and maps[1, 0, 0] == -4.0
+
+
 class TestArmKets:
     @pytest.mark.parametrize("setting", ANALYSIS_SETTINGS)
     def test_closed_form_matches_apply_mode_map(self, setting):
@@ -474,7 +545,7 @@ class TestArmKets:
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(9):
                 inputs = np.array([[a, n - a] for a in range(n + 1)])
-                kets = _arm_kets(maps, np.stack([inputs, inputs]))
+                kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8))
                 for arm, iso in enumerate(arms):
                     for k, occ in enumerate(inputs.tolist()):
                         want = apply_mode_map(basis_ket(2, occ), iso).amplitudes
@@ -494,7 +565,7 @@ class TestArmKets:
         matrix = build_paper_circuit(0.0, 0.0).matrix
         arm2 = matrix[2:4][:, [2, 3, 6, 7]]
         maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
-        kets = _arm_kets(maps, np.array([[[1, 1]]]))
+        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2))
         assert kets[0, 0, 0, 0, 1] == 0.0
         assert abs(kets[0, 0, 0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
@@ -536,6 +607,30 @@ class TestAgainstOracles:
             if n <= 4 and np.trace(heralded.coincidences).real > 0.0:
                 rho = postselected_state_through_loss_modes(want, det.etas(OUTPUT_NAMES))
                 assert np.abs(postselect_two_qubit(heralded) - rho).max() <= 1e-12
+
+    def test_kernels_match_the_kraus_route(self):
+        # the photon-by-photon maps and the coincidences read off the Gram tensors against
+        # the binomial-sum maps and the coincidences of the detected kets, on random
+        # splitters, every setting, both detector kinds, 0-9 pairs and per-detector
+        # efficiencies with dead and perfect detectors among them
+        rng = np.random.default_rng(2511)
+        for trial in range(36):
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), resolving=("threshold", "number")[trial % 2],
+                                per_mode=per_mode)
+            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).matrix
+            terms = [pair_term(n) for n in range(int(rng.integers(0, 10)) + 1)]
+            for got, want in zip(herald_pair_terms(terms, matrix, det),
+                                 oracles.kraus_route_blocks(terms, matrix, det)):
+                assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
+                assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
+                assert ((got.table == 0.0) == (want.table == 0.0)).all()
+                assert (np.abs(got.table - want.table) <= 1e-13 * want.table).all()
+                # an exact zero may read as rounding residue here, or the other way round
+                largest = np.abs(want.coincidences).max()
+                assert np.abs(got.coincidences - want.coincidences).max() <= 1e-14 * largest
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):

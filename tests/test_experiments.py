@@ -173,9 +173,9 @@ class TestSharedBlocks:
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
-        def counting_arm_kets(maps, photons):
+        def counting_arm_kets(maps, photons, roots):
             evolved.append(int(photons[0, 0].sum()))
-            return arm_kets(maps, photons)
+            return arm_kets(maps, photons, roots)
 
         def counting_components(spdc):
             visited.append(spdc.tau)
