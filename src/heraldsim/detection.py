@@ -2,26 +2,30 @@
 
 The circuit never mixes the two arms and every detector counts photons in
 one mode, so a pair block sum_k c_k |arm 1 input k>|arm 2 input k> is
-heralded arm by arm.  Each arm's input k evolves in closed form
-(``_arm_kets``) into a ket over its two herald and two output detectors,
-from 2-mode maps built photon by photon by the creation-operator
-recurrence (``_photon_maps``).  One contraction,
+heralded arm by arm.  The herald needs a photon in each of an arm's two
+herald detectors, so of the output occupations (o0, o1) of an arm of n
+photons only the n(n-1)/2 with o0 + o1 <= n - 2 can herald, and every
+kernel runs over those alone (``_heralding_rows``).  Each arm's input k
+evolves in closed form (``_arm_kets``) into a ket over its two herald
+detectors at each of them, from 2-mode maps built photon by photon by the
+creation-operator recurrence (``_photon_maps``).  One contraction,
 sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
 per output occupation and weighted by the probability that its herald
 detectors fire, gives the block's lossless table: the joint probability of
 the herald and each output occupation.  Its sum is the herald probability
 and its one-photon-per-arm entries P_direct.  Output loss never changes
-whether the herald fires, so it thins that table after the contraction.
-The coincidence matrix, one detected photon per output arm, keeps the
-coherence between the detected polarizations; each arm's part of it is
-read off the same Gram tensors, every output occupation weighted by its
-chance of giving one count, plus one Gram of kets a photon apart for the
-HV coherence (``_arm_grams``).  Loss is per-mode binomial thinning at
-detection, exact because every element after the source is passive linear
-optics.  The two-pair block's distinguishable photons herald only when all
-four land one in each herald detector, so that block heralds the output
-vacuum, with a probability in closed form: each arm's two photons on its
-two herald detectors.
+whether the herald fires and never adds a photon, so it thins that table
+after the contraction, within the same occupations.  The coincidence
+matrix, one detected photon per output arm, keeps the coherence between the
+detected polarizations; each arm's part of it is read off the same Gram
+tensors, every output occupation weighted by its chance of giving one
+count, plus one Gram of kets a photon apart for the HV coherence
+(``_arm_grams``).  Loss is per-mode binomial thinning at detection, exact
+because every element after the source is passive linear optics.  The
+two-pair block's distinguishable photons herald only when all four land one
+in each herald detector, so that block heralds the output vacuum, with a
+probability in closed form: each arm's two photons on its two herald
+detectors.
 """
 
 from __future__ import annotations
@@ -157,92 +161,97 @@ def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return maps
 
 
-def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Kets of each arm in closed form, one per input occupation.
+def _heralding_rows(photons: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output occupations (o0, o1) of each arm that can herald, as rows (arm, o0, o1).
+
+    ``photons`` holds each arm's photon number n; a herald needs a photon
+    in each of the arm's two herald detectors, so o0 + o1 <= n - 2.  Rows
+    run arm by arm, by o0 + o1 and then by o0, so (o0, o1 + 1) and
+    (o0 + 1, o1) are neighbours and rows 1 and 2 of an arm hold one photon.
+    """
+    # the nonzero entries of a lower triangle are the (o0 + o1, o0) in that order
+    triangles = (np.arange(n - 1)[:, None] >= np.arange(n - 1) for n in photons)
+    total, o0 = (np.concatenate(x) for x in zip(*map(np.nonzero, triangles)))
+    arm = np.repeat(np.arange(len(photons)), [n * (n - 1) // 2 for n in photons])
+    return arm, o0, total - o0
+
+
+def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray, rows) -> np.ndarray:
+    """Kets of each arm in closed form, one per input occupation, at the occupations that can herald.
 
     ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
     its herald side [0] and output side [1], and ``roots`` the
     ``_binomial_roots`` up to the same N, for N at least n; ``photons``
     (arms, K, 2) the (H, V) photon numbers of each arm's inputs, all with
-    one total n per arm.  Of a H and b V photons, p and q go to the herald
-    side with amplitude sqrt(C(a, p) C(b, q)), after which each side is a
-    2-mode map on its own photons:
+    one total n per arm, and ``rows`` the arms' output occupations that
+    can herald (``_heralding_rows``).  Of a H and b V photons, p and q go
+    to the herald side with amplitude sqrt(C(a, p) C(b, q)), after which
+    each side is a 2-mode map on its own photons:
 
         <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
-                                  herald[p+q][p, h0] output[n-p-q][a-p, o0].
+                                  herald[m][p, h0] output[n-m][a-p, o0],
 
-    Returns an (arms, s, s, K, s) array over (arm, o0, o1, k, h0), with s
-    one more than the largest arm's n, h1 = n - o0 - o1 - h0 and zeros
-    where that is negative.  Amplitudes below PRUNE_TOL are set to zero,
-    as ``apply_mode_map`` drops them: an amplitude that cancels within an
-    arm, such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer (a
-    Hong-Ou-Mandel splitter), is then exactly zero and leaves no rounding
-    residue in a statistic.
+    with m = p + q = n - o0 - o1 herald photons.  Returns an (R, K, s)
+    array over (row, k, h0), with s one more than the largest arm's n,
+    h1 = m - h0 and zeros where that is negative.  Amplitudes below
+    PRUNE_TOL are set to zero, as ``apply_mode_map`` drops them: an
+    amplitude that cancels within an arm, such as the |1, 1> of arm 2's
+    HWP(pi/8) herald analyzer (a Hong-Ou-Mandel splitter), is then exactly
+    zero and leaves no rounding residue in a statistic.
     """
-    photons = np.asarray(photons, dtype=np.int64)
-    n = photons[:, 0].sum(axis=-1)[:, None, None]
-    size = int(n.max()) + 1
-    maps = maps[:, :, :size, :size, :size]
-    arm = np.arange(len(maps))[:, None, None]
-    a, b = (photons[..., s, None, None] for s in (0, 1))
-    m, p = np.ix_(np.arange(size), np.arange(size))
-    q = m - p
-    # x[arm, k, m, p, o0]: p of the m herald photons were H, a - p H photons went to the output side
-    split = roots[a, p] * np.where(q >= 0, roots[b, q.clip(0)], 0.0)
-    x = split[..., None] * maps[:, 1][arm[..., None], (n[..., None] - m).clip(0), (a - p).clip(0)]
-    by_herald = (maps[:, 0].swapaxes(-1, -2)[:, None] @ x).transpose(0, 2, 4, 1, 3)
-    o0, o1 = np.ix_(np.arange(size), np.arange(size))
-    kets = by_herald[arm, (n - o0 - o1).clip(0), o0]  # (arm, o0, o1, k, h0)
-    return np.where((o0 + o1 <= n)[..., None, None] & (np.abs(kets) >= PRUNE_TOL), kets, 0.0)
+    arm, o0, o1 = rows
+    photons = photons[arm]  # (row, k, polarization)
+    a, b = photons[..., :1], photons[..., 1:]
+    out = (o0 + o1)[:, None, None]
+    m = a[:, :1] + b[:, :1] - out
+    p = np.arange(int(m.max()) + 1)
+    # x[row, k, p]: p of the m herald photons were H, a - p went to the output side; an index
+    # below zero (p > a or p > m) wraps round to an entry that meets a zero of roots or herald map
+    x = roots[a, p] * roots[b, m - p] * maps[arm[:, None, None], 1, out, a - p, o0[:, None, None]]
+    kets = x @ maps[arm, 0, m[:, 0, 0], :len(p), :len(p)]
+    return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
 
 
-def _arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
+def _arm_grams(kets: np.ndarray, rows, photons: np.ndarray, herald_weight: np.ndarray,
+               thinning: np.ndarray):
     """Each arm's Gram tensors over its inputs (k, k'): lossless output counts and coincidences.
 
-    ``kets`` come from ``_arm_kets``, with ``photons`` (at least one) in
-    each arm; ``fires`` (arms, 2, s) holds each herald detector's firing
-    probability per photon number and ``thinning`` (arms, 2, s, s) each
-    output detector's binomial thinning table.  A herald occupation weighs
-    its detectors' firing probabilities.  The Gram tensor
+    ``kets`` come from ``_arm_kets`` at ``rows``, with ``photons`` (at
+    least two) in each arm; ``herald_weight`` (arms, s, s) holds the
+    probability [arm, m, h0] that both herald detectors of the arm fire on
+    h0 and m - h0 photons, and ``thinning`` (arms, 2, s, s) each output
+    detector's binomial thinning table.  The Gram tensor
 
-        gram[arm, o0, o1, k, k'] = sum_h0 w(o0 + o1, h0) ket[o0, o1, k, h0] ket*[o0, o1, k', h0]
+        gram[row, k, k'] = sum_h0 w(m, h0) ket[row, k, h0] ket*[row, k', h0]
 
-    is indexed by the arm's output occupation (o0, o1) before loss; its
-    herald weight w depends on o0 + o1 and h0 alone, since h1 makes up the
-    arm's photon number.  The coincidences, one photon detected in the
-    arm, are read off it.  The H block weighs each occupation by the
-    chance seen_H(o0, o1) = thinning_H[o0, 1] thinning_V[o1, 0] that o0
-    gives one count and o1 none, and the V block by seen_V, the same with
-    the detectors' roles swapped.  The HV block keeps the coherence between
-    kets one photon apart, (o0+1, o1) against (o0, o1+1): they hold as many
-    herald photons, so share their herald weight, and overlap in one
+    is indexed by the rows, each an arm's output occupation (o0, o1) before
+    loss that can herald, with m = n - o0 - o1 herald photons.  The
+    coincidences, one photon detected in the arm, are read off it.  The H
+    block weighs each occupation by the chance seen_H(o0, o1) =
+    thinning_H[o0, 1] thinning_V[o1, 0] that o0 gives one count and o1
+    none, and the V block by seen_V, the same with the detectors' roles
+    swapped.  The HV block keeps the coherence between kets one photon
+    apart, (o0+1, o1) against (o0, o1+1), neighbouring rows: they hold as
+    many herald photons, so share their herald weight, and overlap in one
     shifted Gram weighted by the Kraus factors sqrt(seen_H seen_V).  VH is
-    its conjugate transpose.  Returns the Gram tensor and the (arms, 2, K,
-    2, K) coincidences over (arm, polarization, k, polarization', k').
+    its conjugate transpose.  Returns the (R, K, K) Gram tensor and the
+    (arms, 2, K, 2, K) coincidences over (arm, polarization, k,
+    polarization', k').
     """
-    arms, size, _, n_inputs, _ = kets.shape
-    o0, o1, h0 = np.ix_(*[np.arange(size)] * 3)
-    h1 = np.asarray(photons)[:, None, None, None] - o0 - o1 - h0
-    arm = np.arange(arms)[:, None, None, None]
-    herald_weight = np.where(
-        h1 >= 0, fires[:, 0, None, None, :] * fires[:, 1][arm, h1.clip(0)], 0.0
-    )
-    weighted = kets * herald_weight[..., None, :]
-    gram = weighted @ kets.conj().swapaxes(-1, -2)
-    shifted = weighted[:, 1:, :-1] @ kets[:, :-1, 1:].conj().swapaxes(-1, -2)
-    seen_h = thinning[:, 0, :, 1, None] * thinning[:, 1, None, :, 0]  # (arm, o0, o1)
-    seen_v = thinning[:, 0, :, 0, None] * thinning[:, 1, None, :, 1]
-    kraus = np.sqrt(seen_h[:, 1:, :-1] * seen_v[:, :-1, 1:])
-
-    def read(weights, tensor):
-        # sum_o weights[arm, i, o] tensor[arm, o, k, k'], one real product on the complex parts
-        parts = tensor.reshape(arms, -1, n_inputs * n_inputs).view(np.float64)
-        blocks = weights.reshape(arms, -1, parts.shape[1]) @ parts
-        return blocks.view(complex).reshape(arms, -1, n_inputs, n_inputs)
-
-    same = read(np.stack([seen_h, seen_v], axis=1), gram)
-    cross = read(kraus, shifted)[:, 0]
-    coincidences = np.empty((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
+    arm, o0, o1 = rows
+    n_inputs, size = kets.shape[1:]
+    weighted = kets * herald_weight[arm, photons[arm] - o0 - o1, None, :size]
+    bras = kets.conj().swapaxes(-1, -2)
+    gram = weighted @ bras
+    # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbours of one arm and o0 + o1
+    shifted = weighted[1:] @ bras[:-1]
+    apart = (arm[1:] == arm[:-1]) & (o0[1:] + o1[1:] == o0[:-1] + o1[:-1])
+    seen = thinning[arm, 0, o0, 1::-1] * thinning[arm, 1, o1, :2]  # (row, (seen_H, seen_V))
+    mine = arm == np.arange(len(thinning))[:, None]  # (arm, row)
+    same = np.einsum("apr,rkl->apkl", np.where(mine[:, None], seen.T, 0.0), gram)
+    kraus = np.where(mine[:, 1:] & apart, np.sqrt(seen[1:, 0] * seen[:-1, 1]), 0.0)
+    cross = np.einsum("ar,rkl->akl", kraus, shifted)
+    coincidences = np.empty((len(thinning), 2, n_inputs, 2, n_inputs), dtype=complex)
     coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = same[:, 0], same[:, 1]
     coincidences[:, 0, :, 1], coincidences[:, 1, :, 0] = cross, cross.conj().swapaxes(-1, -2)
     return gram, coincidences
@@ -256,13 +265,15 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     the HV and VH coincidences of the three-pair block (its heralded state
     is Phi+), and the contraction then leaves rounding residue: at most
     2e-16 of that sum in the blocks of up to 9 pairs checked against the
-    8-mode pipeline, where no real probability fell below 3e-4 of it.
+    8-mode pipeline, where no real probability fell below 3e-4 of it.  The
+    products run in numpy's own loops, not in BLAS, which splits a large
+    product over its threads in a way that changes the rounding: the
+    tables do not depend on the thread count.
     """
     pairs = weights.size
     a, b = first.reshape(-1, pairs) * weights.ravel(), second.reshape(-1, pairs)
-    # real products only: a complex product this size would start BLAS threads
-    value = a.real @ b.real.T - a.imag @ b.imag.T
-    bound = np.abs(a) @ np.abs(b).T
+    value = np.einsum("ik,jk->ij", a.real, b.real) - np.einsum("ik,jk->ij", a.imag, b.imag)
+    bound = np.einsum("ik,jk->ij", np.abs(a), np.abs(b))
     value[np.abs(value) <= RESIDUE_TOL * bound] = 0.0
     return value.reshape(first.shape[:-2] + second.shape[:-2])
 
@@ -307,18 +318,22 @@ def herald_pair_terms(
     rows of ``pair_term``), each arm with one photon number, and ``matrix``
     is the (4, 8) circuit, which must not mix the arms.  Arm a's inputs
     evolve by ``_arm_kets`` through its rows' blocks on its own herald and
-    output detectors.  One contraction per term over the arms' Gram
-    tensors (``_arm_grams``) gives its lossless table, whose sum is the
-    herald probability and whose ``arm_totals`` entry [1, 1] is P_direct;
-    binomial output loss, a positive linear map, then thins the stack of
-    all terms' tables at once, so every table has the shape of the largest
-    term's.  Threshold detectors herald when each herald detector detects
-    at least one photon, number-resolving ones when each detects exactly
-    one; output clicks are never vetoed.  A count pattern a term cannot
-    give has a table entry of exactly zero.  A term with fewer than two
-    photons in an arm (the zero- and one-pair blocks) cannot herald, as
-    each of the arm's two herald detectors needs one, so it is not evolved:
-    its block is exactly zero.
+    output detectors, at the output occupations of its n_a photons that
+    leave one for each herald detector, o0 + o1 <= n_a - 2
+    (``_heralding_rows``); the two arms of a term may hold different
+    numbers.  One contraction per term over the arms' Gram tensors
+    (``_arm_grams``) gives its lossless table on those occupations, whose
+    sum is the herald probability and whose one-photon-per-arm entries are
+    P_direct.  Binomial output loss, a positive linear map that never adds a
+    photon, thins it within the same occupations, one matrix per arm, before
+    it is laid into a (t1H, t1V, t2H, t2V) table of one shape for every
+    term, up to the most photons any arm holds.  Threshold detectors herald
+    when each herald detector detects at least one photon, number-resolving
+    ones when each detects exactly one; output clicks are never vetoed.  A
+    count pattern a term cannot give has a table entry of exactly zero.  A
+    term with fewer than two photons in an arm (the zero- and one-pair
+    blocks) cannot herald, as each of the arm's two herald detectors needs
+    one, so it is not evolved: its block is exactly zero.
     """
     arms = _arm_blocks(matrix)
     # the most photons any arm of any term holds
@@ -331,38 +346,40 @@ def herald_pair_terms(
     herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
     tables = {eta: _thinning(max(n_max, 1), eta) for eta in {*herald_etas, *output_etas}}
     firing = {eta: _fires(tables[eta], detectors.resolving) for eta in set(herald_etas)}
-    fires = np.array([firing[eta][:n_max + 1] for eta in herald_etas])
-    thinning = np.array([tables[eta][:n_max + 1, :n_max + 1] for eta in output_etas])
-    lossless = np.zeros((len(terms),) + (n_max + 1,) * 4)
-    parts = []
-    for term, padded in zip(terms, lossless):
+    side = n_max + 1
+    fires = np.array([firing[eta][:side] for eta in herald_etas]).reshape(2, 2, side)
+    # herald_weight[arm, m, h0]: the arm's herald detectors fire on h0 and m - h0 photons
+    h1 = np.arange(side)[:, None] - np.arange(side)
+    herald_weight = np.where(h1 >= 0, fires[:, 0, None] * fires[:, 1][:, h1.clip(0)], 0.0)
+    thinning = np.array([tables[eta][:side, :side] for eta in output_etas]).reshape(2, 2, side, side)
+    blocks = []
+    for term in terms:
         photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
         totals = photons.sum(axis=-1)
         if totals.size == 0 or (totals != totals[:, :1]).any():
             raise ValueError("every input of an arm needs the same photon number")
+        table = np.zeros((side,) * 4)
         if totals.min() < 2:
             # neither herald detector of an arm fires on no photons: the block never heralds
-            parts.append((0.0, np.zeros((4, 4), dtype=complex)))
+            blocks.append(HeraldedBlock(0.0, table, 0.0, np.zeros((4, 4), dtype=complex)))
             continue
-        kets = _arm_kets(maps, photons, roots)
-        size = kets.shape[1]
-        gram, coincidences = _arm_grams(
-            kets, photons[:, 0].sum(axis=-1), fires[:, :size].reshape(2, 2, size),
-            thinning[:, :size, :size].reshape(2, 2, size, size),
-        )
+        arm, o0, o1 = rows = _heralding_rows(totals[:, 0])
+        kets = _arm_kets(maps, photons, roots, rows)
+        gram, coincidences = _arm_grams(kets, rows, totals[:, 0], herald_weight, thinning)
         weights = np.outer(term.values, term.values.conj())
-        table = _contract(weights, gram[0], gram[1])
-        padded[:size, :size, :size, :size] = table
-        parts.append((float(table.sum()), np.einsum(
-            "kl,akbl,ckdl->acbd", weights, coincidences[0], coincidences[1]
-        ).reshape(4, 4)))
-    # each arm's two output detectors thin its counts as one Kronecker matrix
-    side = (n_max + 1) ** 2
-    first, second = (np.kron(thinning[2 * a], thinning[2 * a + 1]) for a in (0, 1))
-    detected = (first.T @ lossless.reshape(-1, side, side) @ second).reshape(lossless.shape)
-    direct = arm_totals(lossless)[:, 1, 1].tolist()
-    return [HeraldedBlock(herald, table, p, coincidences)
-            for table, p, (herald, coincidences) in zip(detected, direct, parts)]
+        split = np.count_nonzero(arm == 0)
+        by_arm = slice(split), slice(split, None)
+        lossless = _contract(weights, *(gram[a] for a in by_arm))
+        # counts left after loss can herald too: one thinning matrix per arm, in numpy's loops
+        first, second = (thinning[i, 0][o0[a, None], o0[a]] * thinning[i, 1][o1[a, None], o1[a]]
+                         for i, a in enumerate(by_arm))
+        detected = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
+        table.reshape(side * side, -1)[np.ix_(*(o0[a] * side + o1[a] for a in by_arm))] = detected
+        blocks.append(HeraldedBlock(
+            float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),  # rows 1-2: one photon
+            np.einsum("kl,akbl,ckdl->acbd", weights, *coincidences).reshape(4, 4),
+        ))
+    return blocks
 
 
 def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorModel) -> float:

@@ -344,35 +344,40 @@ def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
 
 
-def kraus_arm_grams(kets: np.ndarray, photons: np.ndarray, fires: np.ndarray, thinning: np.ndarray):
+def kraus_arm_grams(kets: np.ndarray, rows, photons: np.ndarray, herald_weight: np.ndarray,
+                    thinning: np.ndarray):
     """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
 
-    Each ket with one photon detected in the arm is kept, times its Kraus
-    factor sqrt(thinning[n, 1]) for the detected photon of n and
-    sqrt(thinning[n, 0]) for the detector that sees none; the H and V
-    kets of every input are stacked, weighted by the herald, and overlapped
-    in one product.
+    Each row is an arm's output occupation (o0, o1), looked up by value.
+    An occupation (e0, e1) left after one photon of the arm is detected
+    comes from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such
+    ket is kept, times its Kraus factor sqrt(thinning[n, 1]) for the
+    detected photon of n and sqrt(thinning[n, 0]) for the detector that
+    sees none.  The H and V kets of every input are stacked, weighted by
+    the herald, and overlapped in one product per arm.
     """
-    arms, size, _, n_inputs, _ = kets.shape
-    n = size - 1
-    o0, o1, h0 = np.ix_(*[np.arange(size)] * 3)
-    h1 = np.asarray(photons)[:, None, None, None] - o0 - o1 - h0
-    arm = np.arange(arms)[:, None, None, None]
-    herald_weight = np.where(
-        h1 >= 0, fires[:, 0, None, None, :] * fires[:, 1][arm, h1.clip(0)], 0.0
-    )
-    gram = (kets * herald_weight[..., None, :]) @ kets.conj().swapaxes(-1, -2)
-    coincidences = np.zeros((arms, 2, n_inputs, 2, n_inputs), dtype=complex)
-    if n:
-        e0, e1 = np.ix_(np.arange(n), np.arange(n))
-        kraus_h = np.sqrt(thinning[:, 0][:, e0 + 1, 1] * thinning[:, 1][:, e1, 0])
-        kraus_v = np.sqrt(thinning[:, 0][:, e0, 0] * thinning[:, 1][:, e1 + 1, 1])
-        detected = np.stack([
-            kets[:, 1:, :n] * kraus_h[..., None, None], kets[:, :n, 1:] * kraus_v[..., None, None]
-        ], axis=1).transpose(0, 1, 4, 2, 3, 5).reshape(arms, 2 * n_inputs, -1)
-        # the herald weight depends on o0 + o1 alone, the same for either detected polarization
-        weighted = detected * herald_weight[:, 1:, :n].reshape(arms, 1, -1)
-        coincidences = (weighted @ detected.conj().swapaxes(-1, -2)).reshape(coincidences.shape)
+    n_inputs, size = kets.shape[1:]
+    keys = list(zip(*(np.asarray(r).tolist() for r in rows)))
+    row = {key: r for r, key in enumerate(keys)}
+    weights = np.array([herald_weight[a, photons[a] - o0 - o1, :size] for a, o0, o1 in keys])
+    gram = (kets * weights[:, None]) @ kets.conj().swapaxes(-1, -2)
+    coincidences = np.zeros((len(thinning), 2, n_inputs, 2, n_inputs), dtype=complex)
+    for arm, (thin_h, thin_v) in enumerate(thinning):
+        left = [(e0, e1) for a, e0, e1 in keys if a == arm and (arm, e0 + 1, e1) in row]
+        if not left:
+            continue
+        rows_h = [row[arm, e0 + 1, e1] for e0, e1 in left]
+        rows_v = [row[arm, e0, e1 + 1] for e0, e1 in left]
+        kraus_h = np.sqrt([thin_h[e0 + 1, 1] * thin_v[e1, 0] for e0, e1 in left])
+        kraus_v = np.sqrt([thin_h[e0, 0] * thin_v[e1 + 1, 1] for e0, e1 in left])
+        # (polarization, k) by (left occupation, h0); the two kets of a left occupation hold as
+        # many herald photons, so share its herald weight
+        detected = np.stack([kets[rows_h] * kraus_h[:, None, None],
+                             kets[rows_v] * kraus_v[:, None, None]]).transpose(0, 2, 1, 3)
+        weighted = detected * weights[rows_h][None, None]
+        coincidences[arm] = (
+            weighted.reshape(2 * n_inputs, -1) @ detected.reshape(2 * n_inputs, -1).conj().T
+        ).reshape(2, n_inputs, 2, n_inputs)
     return gram, coincidences
 
 

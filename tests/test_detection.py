@@ -10,6 +10,7 @@ from heraldsim.detection import (
     HeraldedBlock,
     _arm_kets,
     _binomial_roots,
+    _heralding_rows,
     _photon_maps,
     _thinning,
     arm_totals,
@@ -214,9 +215,9 @@ class TestHerald:
         # term with one photon in arm 2, are exact zeros of the common table shape
         evolved = []
 
-        def counting_arm_kets(maps, photons, roots):
+        def counting_arm_kets(maps, photons, roots, rows):
             evolved.append(int(photons[0, 0].sum()))
-            return _arm_kets(maps, photons, roots)
+            return _arm_kets(maps, photons, roots, rows)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
         terms = [pair_term(n) for n in range(4)] + [basis_ket(4, (1, 1, 1, 0))]
@@ -537,23 +538,27 @@ class TestPhotonMaps:
 class TestArmKets:
     @pytest.mark.parametrize("setting", ANALYSIS_SETTINGS)
     def test_closed_form_matches_apply_mode_map(self, setting):
-        # each arm's 2 -> 4 isometry on every input of up to 8 photons,
-        # amplitude by amplitude, with the same amplitudes pruned
+        # each arm's 2 -> 4 isometry on every input of up to 8 photons, amplitude by
+        # amplitude at the output occupations that can herald, with the same amplitudes pruned
         for t1, t2 in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.15)):
             matrix = build_paper_circuit(t1, t2, (setting, setting)).matrix
             arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
-            for n in range(9):
+            for n in range(2, 9):
                 inputs = np.array([[a, n - a] for a in range(n + 1)])
-                kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8))
+                rows = _heralding_rows([n, n])
+                kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8), rows)
+                assert {(o0, o1) for o0, o1 in zip(*rows[1:])} == {
+                    (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
+                }
                 for arm, iso in enumerate(arms):
                     for k, occ in enumerate(inputs.tolist()):
-                        want = apply_mode_map(basis_ket(2, occ), iso).amplitudes
+                        evolved = apply_mode_map(basis_ket(2, occ), iso).amplitudes
+                        want = {key: amp for key, amp in evolved.items() if key[2] + key[3] <= n - 2}
                         got = {
-                            (h0, n - o0 - o1 - h0, o0, o1): kets[arm, o0, o1, k, h0]
-                            for o0 in range(n + 1) for o1 in range(n + 1 - o0)
-                            for h0 in range(n + 1 - o0 - o1)
-                            if kets[arm, o0, o1, k, h0] != 0.0
+                            (h0, n - o0 - o1 - h0, o0, o1): kets[r, k, h0]
+                            for r, (a, o0, o1) in enumerate(zip(*rows)) if a == arm
+                            for h0 in range(n + 1 - o0 - o1) if kets[r, k, h0] != 0.0
                         }
                         assert set(got) == set(want)
                         for key, amp in want.items():
@@ -565,9 +570,12 @@ class TestArmKets:
         matrix = build_paper_circuit(0.0, 0.0).matrix
         arm2 = matrix[2:4][:, [2, 3, 6, 7]]
         maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
-        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2))
-        assert kets[0, 0, 0, 0, 1] == 0.0
-        assert abs(kets[0, 0, 0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        # the one output occupation of two photons that can herald: the outputs empty
+        rows = _heralding_rows([2])
+        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2), rows)
+        assert kets.shape == (1, 1, 3)
+        assert kets[0, 0, 1] == 0.0
+        assert abs(kets[0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a
@@ -631,6 +639,51 @@ class TestAgainstOracles:
                 # an exact zero may read as rounding residue here, or the other way round
                 largest = np.abs(want.coincidences).max()
                 assert np.abs(got.coincidences - want.coincidences).max() <= 1e-14 * largest
+
+    def test_packed_kernels_match_both_oracles(self):
+        # random splitters, settings, per-detector efficiencies and both detector kinds; pair
+        # blocks up to 10 pairs against the Kraus route, and against the 8-mode pipeline one
+        # pair block per trial plus terms whose arms hold different photon numbers, both two or
+        # more.  Tables are compared on the scale of their largest entry: an entry far below
+        # it is a difference of much larger terms, and carries their rounding
+        rng = np.random.default_rng(2601)
+        for trial in range(10):
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            # live herald detectors, so that every block heralds; dead and perfect outputs
+            per_mode = {name: float(rng.uniform(0.05, 1.0)) for name in HERALD_NAMES}
+            per_mode.update(
+                {name: float(rng.choice([0.0, 1.0, rng.uniform()])) for name in OUTPUT_NAMES})
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            layout = build_paper_circuit(t1, t2, ALL_SETTINGS[int(rng.integers(9))])
+            unequal = []
+            for _ in range(2):
+                n1, n2 = (int(n) for n in rng.choice(np.arange(2, 7), 2, replace=False))
+                unequal.append(SparseKet.from_amplitudes(4, {
+                    (a1, n1 - a1, a2, n2 - a2): complex(*rng.normal(size=2))
+                    for a1, a2 in zip(rng.integers(0, n1 + 1, 4), rng.integers(0, n2 + 1, 4))
+                }))
+            terms = [pair_term(n) for n in range(11)] + unequal
+            blocks = herald_pair_terms(terms, layout.matrix, det)
+            for got, want in zip(blocks, oracles.kraus_route_blocks(terms, layout.matrix, det)):
+                assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
+                assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
+                assert ((got.table == 0.0) == (want.table == 0.0)).all()
+                largest = want.table.max(initial=0.0)
+                assert np.abs(got.table - want.table).max() <= 1e-13 * largest
+                largest = np.abs(want.coincidences).max()
+                assert np.abs(got.coincidences - want.coincidences).max() <= 1e-13 * largest
+            for n in (3 + trial % 8, 11, 12):
+                ens = oracles.herald(layout.run(terms[n]), det)
+                assert ens.probability > 0.0
+                assert blocks[n].herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
+                got, want = number_table(blocks[n]), oracles.number_table(ens, det)
+                assert list(got) == sorted(want)
+                largest = max(want.values())
+                assert max(abs(got[key] - p) for key, p in want.items()) <= 1e-13 * largest
+                if np.trace(blocks[n].coincidences).real > 0.0:
+                    rho = oracles.postselect_two_qubit(ens, det)
+                    assert np.abs(postselect_two_qubit(blocks[n]) - rho).max() <= 1e-12
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):

@@ -14,7 +14,7 @@ from heraldsim.detection import (
     number_table,
     postselect_two_qubit,
 )
-from heraldsim.elements import build_paper_circuit
+from heraldsim.elements import OUTPUT_NAMES, build_paper_circuit
 from heraldsim.experiments import (
     REFERENCE_NUMBER_PROBS,
     REFERENCE_TRANSMISSIONS,
@@ -173,9 +173,9 @@ class TestSharedBlocks:
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
-        def counting_arm_kets(maps, photons, roots):
+        def counting_arm_kets(maps, photons, roots, rows):
             evolved.append(int(photons[0, 0].sum()))
-            return arm_kets(maps, photons, roots)
+            return arm_kets(maps, photons, roots, rows)
 
         def counting_components(spdc):
             visited.append(spdc.tau)
@@ -421,3 +421,24 @@ class TestPinnedFockOutputs:
         assert result.table == pytest.approx(want, rel=1e-12, abs=0.0)
         rho = np.array([[complex(re, im) for re, im in row] for row in pinned["rho_post"]])
         assert np.abs(result.rho_post - rho).max() <= 1e-12 * np.abs(rho).max()
+
+    @pytest.mark.parametrize("name", sorted(json.loads(PINNED.read_text())["configs"]))
+    def test_blocks_hold_only_counts_that_can_herald(self, name):
+        # block n gives no count with more than n - 2 photons in an arm, before output loss or
+        # after it, and the reweighted blocks give the pinned number table's keys
+        pinned = json.loads(PINNED.read_text())["configs"][name]
+        c = pinned["config"]
+        detectors = DetectorModel(**c["detectors"])
+        per_mode = {**(detectors.per_mode or {}), **dict.fromkeys(OUTPUT_NAMES, 1.0)}
+        # perfect output detectors first, so that the pinned detectors' blocks are reweighted below
+        for model in (DetectorModel(**{**c["detectors"], "per_mode": per_mode}), detectors):
+            blocks = heralded_blocks(c["t1"], c["t2"], model, c["max_pairs"])
+            for (n, coherent), block in blocks.items():
+                # the distinguishable two-pair block heralds the output vacuum alone
+                most = n - 2 if coherent else 0
+                t1h, t1v, t2h, t2v = np.indices(block.table.shape)
+                beyond = (t1h + t1v > most) | (t2h + t2v > most)
+                assert (block.table[beyond] == 0.0).all()
+        spdc = SpdcParams(tau=c["tau"], max_pairs=c["max_pairs"], visibility=c["visibility"])
+        table = number_table(reweight_blocks(blocks, spdc))
+        assert list(table) == [tuple(map(int, k.split())) for k in pinned["number_table"]]
