@@ -258,8 +258,7 @@ def _cmd_power_compare(args) -> int:
     out = _out_dir(args.out)
     tau_low = args.tau_low if args.tau_low is not None else power_scaled_tau(args.tau_high)
     result = run_power_comparison(
-        args.tau_high, tau_low, args.t, DetectorModel(efficiency=args.eta), args.visibility,
-        args.pairs,
+        args.tau_high, tau_low, args.t, DetectorModel(efficiency=args.eta), max_pairs=args.pairs
     )
     _write_json(out / "power_comparison.json", result)
     emit_fig3_series(result, out / "fig3_series.csv")
@@ -328,7 +327,6 @@ _COMMANDS = {
         ("--tau-low", {"type": float}),
         ("--t", {"type": float, "default": 0.3}),
         ("--eta", {"type": float, "default": DetectorModel.efficiency}),
-        ("--visibility", {"type": float, "default": PAPER_VISIBILITY}),
         ("--pairs", {"type": int, "default": SpdcParams.max_pairs}),
         _OUT,
     )),

@@ -161,19 +161,21 @@ def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return maps
 
 
-def _heralding_rows(photons: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _heralding_rows(photons: np.ndarray):
     """The output occupations (o0, o1) of each arm that can herald, as rows (arm, o0, o1).
 
     ``photons`` holds each arm's photon number n; a herald needs a photon
     in each of the arm's two herald detectors, so o0 + o1 <= n - 2.  Rows
     run arm by arm, by o0 + o1 and then by o0, so (o0, o1 + 1) and
     (o0 + 1, o1) are neighbours and rows 1 and 2 of an arm hold one photon.
+    Returns the rows and each arm's slice of them.
     """
     # the nonzero entries of a lower triangle are the (o0 + o1, o0) in that order
     triangles = (np.arange(n - 1)[:, None] >= np.arange(n - 1) for n in photons)
     total, o0 = (np.concatenate(x) for x in zip(*map(np.nonzero, triangles)))
-    arm = np.repeat(np.arange(len(photons)), [n * (n - 1) // 2 for n in photons])
-    return arm, o0, total - o0
+    counts = [n * (n - 1) // 2 for n in photons]
+    by_arm = tuple(slice(e - c, e) for c, e in zip(counts, np.cumsum(counts).tolist()))
+    return (np.repeat(np.arange(len(photons)), counts), o0, total - o0), by_arm
 
 
 def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray, rows) -> np.ndarray:
@@ -212,12 +214,13 @@ def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray, rows) ->
     return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
 
 
-def _arm_grams(kets: np.ndarray, rows, photons: np.ndarray, herald_weight: np.ndarray,
+def _arm_grams(kets: np.ndarray, rows, by_arm, photons: np.ndarray, herald_weight: np.ndarray,
                thinning: np.ndarray):
     """Each arm's Gram tensors over its inputs (k, k'): lossless output counts and coincidences.
 
-    ``kets`` come from ``_arm_kets`` at ``rows``, with ``photons`` (at
-    least two) in each arm; ``herald_weight`` (arms, s, s) holds the
+    ``kets`` come from ``_arm_kets`` at ``rows``, of which ``by_arm`` is
+    each arm's slice (``_heralding_rows``), with ``photons`` (at least
+    two) in each arm; ``herald_weight`` (arms, s, s) holds the
     probability [arm, m, h0] that both herald detectors of the arm fire on
     h0 and m - h0 photons, and ``thinning`` (arms, 2, s, s) each output
     detector's binomial thinning table.  The Gram tensor
@@ -243,17 +246,17 @@ def _arm_grams(kets: np.ndarray, rows, photons: np.ndarray, herald_weight: np.nd
     weighted = kets * herald_weight[arm, photons[arm] - o0 - o1, None, :size]
     bras = kets.conj().swapaxes(-1, -2)
     gram = weighted @ bras
-    # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbours of one arm and o0 + o1
-    shifted = weighted[1:] @ bras[:-1]
-    apart = (arm[1:] == arm[:-1]) & (o0[1:] + o1[1:] == o0[:-1] + o1[:-1])
     seen = thinning[arm, 0, o0, 1::-1] * thinning[arm, 1, o1, :2]  # (row, (seen_H, seen_V))
-    mine = arm == np.arange(len(thinning))[:, None]  # (arm, row)
-    same = np.einsum("apr,rkl->apkl", np.where(mine[:, None], seen.T, 0.0), gram)
-    kraus = np.where(mine[:, 1:] & apart, np.sqrt(seen[1:, 0] * seen[:-1, 1]), 0.0)
-    cross = np.einsum("ar,rkl->akl", kraus, shifted)
-    coincidences = np.empty((len(thinning), 2, n_inputs, 2, n_inputs), dtype=complex)
-    coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = same[:, 0], same[:, 1]
-    coincidences[:, 0, :, 1], coincidences[:, 1, :, 0] = cross, cross.conj().swapaxes(-1, -2)
+    # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
+    shifted = weighted[1:] @ bras[:-1]
+    total = o0 + o1
+    kraus = np.where(total[1:] == total[:-1], np.sqrt(seen[1:, 0] * seen[:-1, 1]), 0.0)
+    coincidences = np.empty((len(by_arm), 2, n_inputs, 2, n_inputs), dtype=complex)
+    for block, r in zip(coincidences, by_arm):
+        block[0, :, 0], block[1, :, 1] = np.einsum("rp,rkl->pkl", seen[r], gram[r])
+        pairs = slice(r.start, r.stop - 1)  # the neighbours within the arm
+        block[0, :, 1] = np.einsum("r,rkl->kl", kraus[pairs], shifted[pairs])
+    coincidences[:, 1, :, 0] = coincidences[:, 0, :, 1].conj().swapaxes(-1, -2)
     return gram, coincidences
 
 
@@ -266,9 +269,8 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     is Phi+), and the contraction then leaves rounding residue: at most
     2e-16 of that sum in the blocks of up to 9 pairs checked against the
     8-mode pipeline, where no real probability fell below 3e-4 of it.  The
-    products run in numpy's own loops, not in BLAS, which splits a large
-    product over its threads in a way that changes the rounding: the
-    tables do not depend on the thread count.
+    products run in numpy's own loops, not in BLAS, whose threads change
+    the rounding of a large product, so no thread count changes a table.
     """
     pairs = weights.size
     a, b = first.reshape(-1, pairs) * weights.ravel(), second.reshape(-1, pairs)
@@ -279,17 +281,19 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
 
 
 def arm_totals(table: np.ndarray) -> np.ndarray:
-    """Sum a (..., t1H, t1V, t2H, t2V) count table over the polarizations of each arm.
+    """Sum a (t1H, t1V, t2H, t2V) count table over the polarizations of each arm.
 
-    Entry [..., n1, n2] is the probability of n1 photons in arm 1 and n2 in
-    arm 2: P(1;1) is entry [1, 1] and a click in each arm, P(>=1;>=1), the
-    sum of [1:, 1:].  The result is at least 3x3, so those entries and the
+    Entry [n1, n2] is the probability of n1 photons in arm 1 and n2 in arm
+    2: P(1;1) is entry [1, 1] and a click in each arm, P(>=1;>=1), the sum
+    of [1:, 1:].  The result is at least 3x3, so those entries and the
     Table-1 aggregates up to p22 exist for a table of the vacuum alone.
+    It sums in numpy's loops, not BLAS, so no thread count changes it.
     """
-    n = np.arange(table.shape[-1])
-    photons = (n[:, None] + n).ravel()  # an arm's photons, per (H, V) count pair
-    fold = (photons[:, None] == np.arange(max(2 * len(n) - 1, 3))).astype(float)
-    return fold.T @ table.reshape(*table.shape[:-4], len(photons), len(photons)) @ fold
+    s = table.shape[-1]
+    size = max(2 * s - 1, 3)
+    photons = np.add.outer(np.arange(s), np.arange(s)).ravel()  # an arm's, per (H, V) count pair
+    cells = np.add.outer(photons * size, photons).ravel()  # the (n1, n2) of each count pattern
+    return np.bincount(cells, table.ravel(), size * size).reshape(size, size)
 
 
 def _arm_blocks(matrix: np.ndarray) -> np.ndarray:
@@ -363,12 +367,11 @@ def herald_pair_terms(
             # neither herald detector of an arm fires on no photons: the block never heralds
             blocks.append(HeraldedBlock(0.0, table, 0.0, np.zeros((4, 4), dtype=complex)))
             continue
-        arm, o0, o1 = rows = _heralding_rows(totals[:, 0])
+        rows, by_arm = _heralding_rows(totals[:, 0])
+        _, o0, o1 = rows
         kets = _arm_kets(maps, photons, roots, rows)
-        gram, coincidences = _arm_grams(kets, rows, totals[:, 0], herald_weight, thinning)
+        gram, coincidences = _arm_grams(kets, rows, by_arm, totals[:, 0], herald_weight, thinning)
         weights = np.outer(term.values, term.values.conj())
-        split = np.count_nonzero(arm == 0)
-        by_arm = slice(split), slice(split, None)
         lossless = _contract(weights, *(gram[a] for a in by_arm))
         # counts left after loss can herald too: one thinning matrix per arm, in numpy's loops
         first, second = (thinning[i, 0][o0[a, None], o0[a]] * thinning[i, 1][o1[a, None], o1[a]]

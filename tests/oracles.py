@@ -344,11 +344,12 @@ def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
 
 
-def kraus_arm_grams(kets: np.ndarray, rows, photons: np.ndarray, herald_weight: np.ndarray,
-                    thinning: np.ndarray):
+def kraus_arm_grams(kets: np.ndarray, rows, by_arm, photons: np.ndarray,
+                    herald_weight: np.ndarray, thinning: np.ndarray):
     """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
 
-    Each row is an arm's output occupation (o0, o1), looked up by value.
+    Each row is an arm's output occupation (o0, o1), looked up by value,
+    so the arms' slices ``by_arm`` are not used.
     An occupation (e0, e1) left after one photon of the arm is detected
     comes from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such
     ket is kept, times its Kraus factor sqrt(thinning[n, 1]) for the

@@ -309,22 +309,6 @@ class TestCommands:
             assert report["efficiency"] == 0.2
         assert reports["4"]["F_post_high"] != reports["7"]["F_post_high"]
 
-    def test_power_compare_visibility_reaches_the_api(self, tmp_path):
-        # the paper's 0.862 runs without --visibility; --visibility 1 is recorded and reaches the API
-        reports = {}
-        for flags in ((), ("--visibility", "1")):
-            out = tmp_path / f"power{len(flags)}"
-            code = main(["power-compare", "--tau-high", "0.2237", "--t", "0.3", *flags,
-                         "--out", str(out)])
-            assert code == 0
-            reports[flags] = json.loads((out / "power_comparison.json").read_text())
-        default, pure = reports[()], reports["--visibility", "1"]
-        assert default["visibility"] == 0.862 and pure["visibility"] == 1.0
-        # V splits only the two-pair block, which heralds no coincidence either way
-        assert pure["F_post_high"] == pytest.approx(default["F_post_high"], rel=1e-12)
-        want = run_power_comparison(0.2237, power_scaled_tau(0.2237), 0.3, visibility=1.0)
-        assert pure == json.loads(json.dumps(want))
-
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERALDSIM_OUT", str(tmp_path / "envout"))
         config = write_config(tmp_path / "config.json")
@@ -387,7 +371,7 @@ REPRESENTATIVE_ARGV = {
     "calibrate": ["calibrate", "--target-p11", "6e-4", "--t", "0.3", "--eta", "0.1",
                   "--visibility", "0.9", "--pairs", "6"],
     "power-compare": ["power-compare", "--tau-high", "0.2545", "--tau-low", "0.2", "--t", "0.3",
-                      "--eta", "0.1", "--visibility", "0.9", "--pairs", "5"],
+                      "--eta", "0.1", "--pairs", "5"],
 }
 
 

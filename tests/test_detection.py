@@ -546,7 +546,7 @@ class TestArmKets:
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
                 inputs = np.array([[a, n - a] for a in range(n + 1)])
-                rows = _heralding_rows([n, n])
+                rows, _ = _heralding_rows([n, n])
                 kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8), rows)
                 assert {(o0, o1) for o0, o1 in zip(*rows[1:])} == {
                     (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
@@ -571,7 +571,7 @@ class TestArmKets:
         arm2 = matrix[2:4][:, [2, 3, 6, 7]]
         maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
         # the one output occupation of two photons that can herald: the outputs empty
-        rows = _heralding_rows([2])
+        rows, _ = _heralding_rows([2])
         kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2), rows)
         assert kets.shape == (1, 1, 3)
         assert kets[0, 0, 1] == 0.0
