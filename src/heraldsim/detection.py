@@ -1,14 +1,15 @@
 """Detector models, heralding, click statistics and post-selected states.
 
 The circuit never mixes the two arms and every detector counts photons in
-one mode, so a pair block sum_k c_k |arm 1 input k>|arm 2 input k> is
-heralded arm by arm.  The herald needs a photon in each of an arm's two
-herald detectors, so of the output occupations (o0, o1) of an arm of n
-photons only the n(n-1)/2 with o0 + o1 <= n - 2 can herald, and every
-kernel runs over those alone (``_heralding_rows``).  Each arm's input k
-evolves in closed form (``_arm_kets``) into a ket over its two herald
-detectors at each of them, from 2-mode maps built photon by photon by the
-creation-operator recurrence (``_photon_maps``).  One contraction,
+one mode, so the pair block n, sum_k c_k |arm 1 input k>|arm 2 input k>
+with n photons in each arm (``source.pair_term``), is heralded arm by arm,
+both arms on the leading axis of every kernel's arrays.  The herald needs
+a photon in each of an arm's two herald detectors, so of the output
+occupations (o0, o1) of n photons only the n(n-1)/2 with o0 + o1 <= n - 2
+can herald, and every kernel runs over those alone (``_heralding_rows``).
+Each arm's input k evolves in closed form (``_arm_kets``) into a ket over
+its two herald detectors at each of them, from 2-mode maps built photon by
+photon by the creation-operator recurrence (``_photon_maps``).  One contraction,
 sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
 per output occupation and weighted by the probability that its herald
 detectors fire, gives the block's lossless table: the joint probability of
@@ -37,7 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .elements import HERALD_NAMES, OUTPUT_NAMES
-from .fock import PRUNE_TOL, Occupation, SparseKet
+from .fock import PRUNE_TOL, Occupation
+from .source import pair_term
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -161,74 +163,69 @@ def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return maps
 
 
-def _heralding_rows(photons: np.ndarray):
-    """The output occupations (o0, o1) of each arm that can herald, as rows (arm, o0, o1).
+def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The output occupations (o0, o1) of an arm of n photons that can herald.
 
-    ``photons`` holds each arm's photon number n; a herald needs a photon
-    in each of the arm's two herald detectors, so o0 + o1 <= n - 2.  Rows
-    run arm by arm, by o0 + o1 and then by o0, so (o0, o1 + 1) and
-    (o0 + 1, o1) are neighbours and rows 1 and 2 of an arm hold one photon.
-    Returns the rows and each arm's slice of them.
+    A herald needs a photon in each of the arm's two herald detectors, so
+    o0 + o1 <= n - 2.  The occupations run by o0 + o1 and then by o0, so
+    (o0, o1 + 1) and (o0 + 1, o1) are neighbours and rows 1 and 2 hold one
+    photon.
     """
     # the nonzero entries of a lower triangle are the (o0 + o1, o0) in that order
-    triangles = (np.arange(n - 1)[:, None] >= np.arange(n - 1) for n in photons)
-    total, o0 = (np.concatenate(x) for x in zip(*map(np.nonzero, triangles)))
-    counts = [n * (n - 1) // 2 for n in photons]
-    by_arm = tuple(slice(e - c, e) for c, e in zip(counts, np.cumsum(counts).tolist()))
-    return (np.repeat(np.arange(len(photons)), counts), o0, total - o0), by_arm
+    total, o0 = np.nonzero(np.arange(n - 1)[:, None] >= np.arange(n - 1))
+    return o0, total - o0
 
 
 def _arm_kets(maps: np.ndarray, photons: np.ndarray, roots: np.ndarray, rows) -> np.ndarray:
-    """Kets of each arm in closed form, one per input occupation, at the occupations that can herald.
+    """Both arms' kets in closed form, one per input occupation, at the occupations that can herald.
 
     ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
     its herald side [0] and output side [1], and ``roots`` the
     ``_binomial_roots`` up to the same N, for N at least n; ``photons``
-    (arms, K, 2) the (H, V) photon numbers of each arm's inputs, all with
-    one total n per arm, and ``rows`` the arms' output occupations that
-    can herald (``_heralding_rows``).  Of a H and b V photons, p and q go
-    to the herald side with amplitude sqrt(C(a, p) C(b, q)), after which
-    each side is a 2-mode map on its own photons:
+    (arms, K, 2) the (H, V) photon numbers of each arm's inputs, n in
+    every one, and ``rows`` the output occupations that can herald
+    (``_heralding_rows``).  Of a H and b V photons, p and q go to the
+    herald side with amplitude sqrt(C(a, p) C(b, q)), after which each
+    side is a 2-mode map on its own photons:
 
         <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
                                   herald[m][p, h0] output[n-m][a-p, o0],
 
-    with m = p + q = n - o0 - o1 herald photons.  Returns an (R, K, s)
-    array over (row, k, h0), with s one more than the largest arm's n,
-    h1 = m - h0 and zeros where that is negative.  Amplitudes below
-    PRUNE_TOL are set to zero, as ``apply_mode_map`` drops them: an
-    amplitude that cancels within an arm, such as the |1, 1> of arm 2's
-    HWP(pi/8) herald analyzer (a Hong-Ou-Mandel splitter), is then exactly
-    zero and leaves no rounding residue in a statistic.
+    with m = p + q = n - o0 - o1 herald photons.  Returns an
+    (arms, R, K, n + 1) array over (arm, row, k, h0), with h1 = m - h0 and
+    zeros where that is negative.  Amplitudes below PRUNE_TOL are set to
+    zero, as ``apply_mode_map`` drops them: an amplitude that cancels
+    within an arm, such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer
+    (a Hong-Ou-Mandel splitter), is then exactly zero and leaves no
+    rounding residue in a statistic.
     """
-    arm, o0, o1 = rows
-    photons = photons[arm]  # (row, k, polarization)
-    a, b = photons[..., :1], photons[..., 1:]
+    o0, o1 = rows
+    a, b = photons[:, None, :, :1], photons[:, None, :, 1:]  # (arm, row, k, polarization)
     out = (o0 + o1)[:, None, None]
-    m = a[:, :1] + b[:, :1] - out
+    m = int(photons[0, 0].sum()) - out
     p = np.arange(int(m.max()) + 1)
-    # x[row, k, p]: p of the m herald photons were H, a - p went to the output side; an index
+    arm = np.arange(len(photons))[:, None]
+    # x[arm, row, k, p]: p of the m herald photons were H, a - p went to the output side; an index
     # below zero (p > a or p > m) wraps round to an entry that meets a zero of roots or herald map
-    x = roots[a, p] * roots[b, m - p] * maps[arm[:, None, None], 1, out, a - p, o0[:, None, None]]
+    x = roots[a, p] * roots[b, m - p] * maps[arm[..., None, None], 1, out, a - p, o0[:, None, None]]
     kets = x @ maps[arm, 0, m[:, 0, 0], :len(p), :len(p)]
     return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
 
 
-def _arm_grams(kets: np.ndarray, rows, by_arm, photons: np.ndarray, herald_weight: np.ndarray,
-               thinning: np.ndarray):
-    """Each arm's Gram tensors over its inputs (k, k'): lossless output counts and coincidences.
+def _arm_grams(kets: np.ndarray, rows, herald_weight: np.ndarray, thinning: np.ndarray):
+    """Both arms' Gram tensors over their inputs (k, k'): lossless output counts and coincidences.
 
-    ``kets`` come from ``_arm_kets`` at ``rows``, of which ``by_arm`` is
-    each arm's slice (``_heralding_rows``), with ``photons`` (at least
-    two) in each arm; ``herald_weight`` (arms, s, s) holds the
+    ``kets`` (arms, R, K, n + 1) come from ``_arm_kets`` at ``rows``, the
+    output occupations of n photons that can herald
+    (``_heralding_rows``); ``herald_weight`` (arms, s, s) holds the
     probability [arm, m, h0] that both herald detectors of the arm fire on
     h0 and m - h0 photons, and ``thinning`` (arms, 2, s, s) each output
     detector's binomial thinning table.  The Gram tensor
 
-        gram[row, k, k'] = sum_h0 w(m, h0) ket[row, k, h0] ket*[row, k', h0]
+        gram[arm, row, k, k'] = sum_h0 w(m, h0) ket[arm, row, k, h0] ket*[arm, row, k', h0]
 
-    is indexed by the rows, each an arm's output occupation (o0, o1) before
-    loss that can herald, with m = n - o0 - o1 herald photons.  The
+    is indexed by the rows, each an output occupation (o0, o1) before loss
+    that can herald, with m = n - o0 - o1 herald photons.  The
     coincidences, one photon detected in the arm, are read off it.  The H
     block weighs each occupation by the chance seen_H(o0, o1) =
     thinning_H[o0, 1] thinning_V[o1, 0] that o0 gives one count and o1
@@ -237,25 +234,23 @@ def _arm_grams(kets: np.ndarray, rows, by_arm, photons: np.ndarray, herald_weigh
     apart, (o0+1, o1) against (o0, o1+1), neighbouring rows: they hold as
     many herald photons, so share their herald weight, and overlap in one
     shifted Gram weighted by the Kraus factors sqrt(seen_H seen_V).  VH is
-    its conjugate transpose.  Returns the (R, K, K) Gram tensor and the
-    (arms, 2, K, 2, K) coincidences over (arm, polarization, k,
+    its conjugate transpose.  Returns the (arms, R, K, K) Gram tensor and
+    the (arms, 2, K, 2, K) coincidences over (arm, polarization, k,
     polarization', k').
     """
-    arm, o0, o1 = rows
-    n_inputs, size = kets.shape[1:]
-    weighted = kets * herald_weight[arm, photons[arm] - o0 - o1, None, :size]
+    o0, o1 = rows
+    n_inputs, size = kets.shape[2:]  # size is n + 1, over h0 = 0..n
+    weighted = kets * herald_weight[:, size - 1 - o0 - o1, None, :size]
     bras = kets.conj().swapaxes(-1, -2)
     gram = weighted @ bras
-    seen = thinning[arm, 0, o0, 1::-1] * thinning[arm, 1, o1, :2]  # (row, (seen_H, seen_V))
+    seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
     # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
-    shifted = weighted[1:] @ bras[:-1]
+    shifted = weighted[:, 1:] @ bras[:, :-1]
     total = o0 + o1
-    kraus = np.where(total[1:] == total[:-1], np.sqrt(seen[1:, 0] * seen[:-1, 1]), 0.0)
-    coincidences = np.empty((len(by_arm), 2, n_inputs, 2, n_inputs), dtype=complex)
-    for block, r in zip(coincidences, by_arm):
-        block[0, :, 0], block[1, :, 1] = np.einsum("rp,rkl->pkl", seen[r], gram[r])
-        pairs = slice(r.start, r.stop - 1)  # the neighbours within the arm
-        block[0, :, 1] = np.einsum("r,rkl->kl", kraus[pairs], shifted[pairs])
+    kraus = np.where(total[1:] == total[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
+    coincidences = np.empty((len(kets), 2, n_inputs, 2, n_inputs), dtype=complex)
+    coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = np.einsum("arp,arkl->pakl", seen, gram)
+    coincidences[:, 0, :, 1] = np.einsum("ar,arkl->akl", kraus, shifted)
     coincidences[:, 1, :, 0] = coincidences[:, 0, :, 1].conj().swapaxes(-1, -2)
     return gram, coincidences
 
@@ -314,70 +309,64 @@ def _arm_blocks(matrix: np.ndarray) -> np.ndarray:
 
 
 def herald_pair_terms(
-    terms: Sequence[SparseKet], matrix: np.ndarray, detectors: DetectorModel
+    max_pairs: int, matrix: np.ndarray, detectors: DetectorModel
 ) -> list[HeraldedBlock]:
-    """Herald blocks of photons on the source modes, one arm at a time.
+    """Herald the pair blocks 0..max_pairs on the source modes, both arms at once.
 
-    Each term is a sum of products sum_k c_k |a1 input k>|a2 input k> (the
-    rows of ``pair_term``), each arm with one photon number, and ``matrix``
-    is the (4, 8) circuit, which must not mix the arms.  Arm a's inputs
-    evolve by ``_arm_kets`` through its rows' blocks on its own herald and
-    output detectors, at the output occupations of its n_a photons that
-    leave one for each herald detector, o0 + o1 <= n_a - 2
-    (``_heralding_rows``); the two arms of a term may hold different
-    numbers.  One contraction per term over the arms' Gram tensors
-    (``_arm_grams``) gives its lossless table on those occupations, whose
-    sum is the herald probability and whose one-photon-per-arm entries are
-    P_direct.  Binomial output loss, a positive linear map that never adds a
-    photon, thins it within the same occupations, one matrix per arm, before
-    it is laid into a (t1H, t1V, t2H, t2V) table of one shape for every
-    term, up to the most photons any arm holds.  Threshold detectors herald
-    when each herald detector detects at least one photon, number-resolving
-    ones when each detects exactly one; output clicks are never vetoed.  A
-    count pattern a term cannot give has a table entry of exactly zero.  A
-    term with fewer than two photons in an arm (the zero- and one-pair
-    blocks) cannot herald, as each of the arm's two herald detectors needs
-    one, so it is not evolved: its block is exactly zero.
+    Block n is ``pair_term(n)``, a sum of products sum_k c_k |a1 input
+    k>|a2 input k> with n photons in each arm, and ``matrix`` is the (4, 8)
+    circuit, which must not mix the arms.  Each arm's inputs evolve by
+    ``_arm_kets`` through its rows' blocks on its own herald and output
+    detectors, at the output occupations that leave one photon for each
+    herald detector, o0 + o1 <= n - 2 (``_heralding_rows``).  One
+    contraction per block over the arms' Gram tensors (``_arm_grams``)
+    gives its lossless table on those occupations, whose sum is the herald
+    probability and whose one-photon-per-arm entries are P_direct.
+    Binomial output loss, a positive linear map that never adds a photon,
+    thins it within the same occupations, one matrix per arm, before it is
+    laid into a (t1H, t1V, t2H, t2V) table of one (max_pairs + 1)^4 shape
+    for every block.  Threshold detectors herald when each herald detector
+    detects at least one photon, number-resolving ones when each detects
+    exactly one; output clicks are never vetoed.  A count pattern a block
+    cannot give has a table entry of exactly zero.  The zero- and one-pair
+    blocks cannot herald, as each of an arm's two herald detectors needs a
+    photon, so they are not evolved: their blocks are exactly zero.
     """
+    if max_pairs < 0:
+        raise ValueError(f"max_pairs must be non-negative, got {max_pairs}")
     arms = _arm_blocks(matrix)
-    # the most photons any arm of any term holds
-    n_max = max((int(t.occupations.reshape(-1, 2, 2).sum(axis=2).max(initial=0)) for t in terms),
-                default=0)
     # each arm's herald side and output side as a (2, 2) map
-    maps = _photon_maps(np.stack([arms[..., :2], arms[..., 2:]], axis=1), n_max)
-    roots = _binomial_roots(n_max)
+    maps = _photon_maps(np.stack([arms[..., :2], arms[..., 2:]], axis=1), max_pairs)
+    roots = _binomial_roots(max_pairs)
     # one thinning table per distinct efficiency: with one efficiency, all eight detectors share it
     herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
-    tables = {eta: _thinning(max(n_max, 1), eta) for eta in {*herald_etas, *output_etas}}
+    tables = {eta: _thinning(max(max_pairs, 1), eta) for eta in {*herald_etas, *output_etas}}
     firing = {eta: _fires(tables[eta], detectors.resolving) for eta in set(herald_etas)}
-    side = n_max + 1
+    side = max_pairs + 1
     fires = np.array([firing[eta][:side] for eta in herald_etas]).reshape(2, 2, side)
     # herald_weight[arm, m, h0]: the arm's herald detectors fire on h0 and m - h0 photons
     h1 = np.arange(side)[:, None] - np.arange(side)
     herald_weight = np.where(h1 >= 0, fires[:, 0, None] * fires[:, 1][:, h1.clip(0)], 0.0)
     thinning = np.array([tables[eta][:side, :side] for eta in output_etas]).reshape(2, 2, side, side)
     blocks = []
-    for term in terms:
-        photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
-        totals = photons.sum(axis=-1)
-        if totals.size == 0 or (totals != totals[:, :1]).any():
-            raise ValueError("every input of an arm needs the same photon number")
+    for n in range(max_pairs + 1):
         table = np.zeros((side,) * 4)
-        if totals.min() < 2:
+        if n < 2:
             # neither herald detector of an arm fires on no photons: the block never heralds
             blocks.append(HeraldedBlock(0.0, table, 0.0, np.zeros((4, 4), dtype=complex)))
             continue
-        rows, by_arm = _heralding_rows(totals[:, 0])
-        _, o0, o1 = rows
+        term = pair_term(n)
+        photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
+        rows = o0, o1 = _heralding_rows(n)
         kets = _arm_kets(maps, photons, roots, rows)
-        gram, coincidences = _arm_grams(kets, rows, by_arm, totals[:, 0], herald_weight, thinning)
+        gram, coincidences = _arm_grams(kets, rows, herald_weight, thinning)
         weights = np.outer(term.values, term.values.conj())
-        lossless = _contract(weights, *(gram[a] for a in by_arm))
+        lossless = _contract(weights, *gram)
         # counts left after loss can herald too: one thinning matrix per arm, in numpy's loops
-        first, second = (thinning[i, 0][o0[a, None], o0[a]] * thinning[i, 1][o1[a, None], o1[a]]
-                         for i, a in enumerate(by_arm))
+        first, second = thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1]
         detected = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
-        table.reshape(side * side, -1)[np.ix_(*(o0[a] * side + o1[a] for a in by_arm))] = detected
+        cells = o0 * side + o1
+        table.reshape(side * side, -1)[np.ix_(cells, cells)] = detected
         blocks.append(HeraldedBlock(
             float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),  # rows 1-2: one photon
             np.einsum("kl,akbl,ckdl->acbd", weights, *coincidences).reshape(4, 4),
@@ -385,28 +374,24 @@ def herald_pair_terms(
     return blocks
 
 
-def herald_classical(state: SparseKet, matrix: np.ndarray, detectors: DetectorModel) -> float:
-    """Herald probability of four photons that pass the circuit as distinguishable particles.
+def herald_classical(matrix: np.ndarray, detectors: DetectorModel) -> float:
+    """Herald probability of the two-pair block with its four photons distinguishable.
 
     Each photon of source mode i lands in detector j with probability
     |matrix[i, j]|^2, independently; all interference is discarded.  The
     four photons herald only by landing one in each herald detector (the
-    matrix's first columns), which leaves the outputs empty: per ket, the
-    chance is the permanent of |matrix|^2 on its photons' rows and the
-    herald columns.  The circuit must not mix the arms, so that permanent
-    is the product of each arm's: zero unless each arm holds two photons,
-    and then the 2x2 permanent p00 p11 + p01 p10 of its two photons on its
-    two herald detectors.  What heralds is the output vacuum.
+    matrix's first columns), which leaves the outputs empty: per ket of
+    ``pair_term(2)``, the chance is the permanent of |matrix|^2 on its
+    photons' rows and the herald columns.  The circuit must not mix the
+    arms, so that permanent is the product of each arm's: the 2x2
+    permanent p00 p11 + p01 p10 of its two photons on its two herald
+    detectors.  What heralds is the output vacuum.
     """
-    n_herald = len(HERALD_NAMES)
     # probs[arm][source mode][herald detector]
     probs = (np.abs(_arm_blocks(matrix)[..., :2]) ** 2).tolist()
+    term = pair_term(2)
     routed = 0.0
-    for occ, amp in zip(state.occupations.tolist(), state.values.tolist()):
-        if sum(occ) != n_herald:
-            raise ValueError(f"a distinguishable block needs {n_herald} photons, got {sum(occ)}")
-        if occ[0] + occ[1] != 2:
-            continue
+    for occ, amp in zip(term.occupations.tolist(), term.values.tolist()):
         permanent = 1.0
         for p, (h, v) in zip(probs, (occ[:2], occ[2:])):
             first, second = (p[mode] for mode in [0] * h + [1] * v)  # the arm's two photons

@@ -39,9 +39,7 @@ from .metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from .source import (
-    PAPER_VISIBILITY, SpdcParams, emission_coefficients, emission_components, pair_term,
-)
+from .source import PAPER_VISIBILITY, SpdcParams, emission_coefficients, emission_components
 
 CONFIG_SCHEMA = "heraldsim-config/1"
 
@@ -145,12 +143,11 @@ def heralded_blocks(
     Every block's table has one shape.
     """
     matrix = build_paper_circuit(t1, t2, settings).matrix
-    terms = [pair_term(n) for n in range(max_pairs + 1)]
     blocks: PairBlocks = {
-        (n, True): block for n, block in enumerate(herald_pair_terms(terms, matrix, detectors))
+        (n, True): block for n, block in enumerate(herald_pair_terms(max_pairs, matrix, detectors))
     }
     if max_pairs >= 2:
-        p = herald_classical(terms[2], matrix, detectors)
+        p = herald_classical(matrix, detectors)
         table = np.zeros_like(blocks[0, True].table)
         table[0, 0, 0, 0] = p
         blocks[2, False] = HeraldedBlock(p, table, 0.0, np.zeros((4, 4), dtype=complex))

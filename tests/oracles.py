@@ -344,50 +344,49 @@ def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
 
 
-def kraus_arm_grams(kets: np.ndarray, rows, by_arm, photons: np.ndarray,
-                    herald_weight: np.ndarray, thinning: np.ndarray):
+def kraus_arm_grams(kets: np.ndarray, rows, herald_weight: np.ndarray, thinning: np.ndarray):
     """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
 
-    Each row is an arm's output occupation (o0, o1), looked up by value,
-    so the arms' slices ``by_arm`` are not used.
-    An occupation (e0, e1) left after one photon of the arm is detected
-    comes from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such
-    ket is kept, times its Kraus factor sqrt(thinning[n, 1]) for the
-    detected photon of n and sqrt(thinning[n, 0]) for the detector that
-    sees none.  The H and V kets of every input are stacked, weighted by
-    the herald, and overlapped in one product per arm.
+    Each row is an output occupation (o0, o1), looked up by value.  An
+    occupation (e0, e1) left after one photon of an arm is detected comes
+    from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such ket is
+    kept, times its Kraus factor sqrt(thinning[n, 1]) for the detected
+    photon of n and sqrt(thinning[n, 0]) for the detector that sees none.
+    The H and V kets of every input are stacked, weighted by the herald,
+    and overlapped in one product per arm.
     """
-    n_inputs, size = kets.shape[1:]
+    n_inputs, size = kets.shape[2:]
     keys = list(zip(*(np.asarray(r).tolist() for r in rows)))
     row = {key: r for r, key in enumerate(keys)}
-    weights = np.array([herald_weight[a, photons[a] - o0 - o1, :size] for a, o0, o1 in keys])
-    gram = (kets * weights[:, None]) @ kets.conj().swapaxes(-1, -2)
+    weights = np.array([herald_weight[:, size - 1 - o0 - o1, :size] for o0, o1 in keys])
+    weights = weights.swapaxes(0, 1)  # (arm, row, h0)
+    gram = (kets * weights[:, :, None]) @ kets.conj().swapaxes(-1, -2)
     coincidences = np.zeros((len(thinning), 2, n_inputs, 2, n_inputs), dtype=complex)
+    left = [(e0, e1) for e0, e1 in keys if (e0 + 1, e1) in row]
+    if not left:
+        return gram, coincidences
+    rows_h = [row[e0 + 1, e1] for e0, e1 in left]
+    rows_v = [row[e0, e1 + 1] for e0, e1 in left]
     for arm, (thin_h, thin_v) in enumerate(thinning):
-        left = [(e0, e1) for a, e0, e1 in keys if a == arm and (arm, e0 + 1, e1) in row]
-        if not left:
-            continue
-        rows_h = [row[arm, e0 + 1, e1] for e0, e1 in left]
-        rows_v = [row[arm, e0, e1 + 1] for e0, e1 in left]
         kraus_h = np.sqrt([thin_h[e0 + 1, 1] * thin_v[e1, 0] for e0, e1 in left])
         kraus_v = np.sqrt([thin_h[e0, 0] * thin_v[e1 + 1, 1] for e0, e1 in left])
         # (polarization, k) by (left occupation, h0); the two kets of a left occupation hold as
         # many herald photons, so share its herald weight
-        detected = np.stack([kets[rows_h] * kraus_h[:, None, None],
-                             kets[rows_v] * kraus_v[:, None, None]]).transpose(0, 2, 1, 3)
-        weighted = detected * weights[rows_h][None, None]
+        detected = np.stack([kets[arm, rows_h] * kraus_h[:, None, None],
+                             kets[arm, rows_v] * kraus_v[:, None, None]]).transpose(0, 2, 1, 3)
+        weighted = detected * weights[arm, rows_h][None, None]
         coincidences[arm] = (
             weighted.reshape(2 * n_inputs, -1) @ detected.reshape(2 * n_inputs, -1).conj().T
         ).reshape(2, n_inputs, 2, n_inputs)
     return gram, coincidences
 
 
-def kraus_route_blocks(terms, matrix: np.ndarray, detectors) -> list:
+def kraus_route_blocks(max_pairs: int, matrix: np.ndarray, detectors) -> list:
     """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences."""
     with mock.patch.multiple(
         detection, _photon_maps=binomial_photon_maps, _arm_grams=kraus_arm_grams
     ):
-        return detection.herald_pair_terms(terms, matrix, detectors)
+        return detection.herald_pair_terms(max_pairs, matrix, detectors)
 
 
 def permutation_herald_classical(state: SparseKet, matrix: np.ndarray, detectors) -> float:

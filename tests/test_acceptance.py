@@ -27,7 +27,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import SpdcParams, emission_coefficients, pair_term
+from heraldsim.source import SpdcParams, emission_coefficients
 from heraldsim.tomography import (
     SETTINGS,
     ingest_counts,
@@ -61,20 +61,17 @@ def herald_components(weights, layout, detectors):
     """Total herald probability of source components keyed by (pairs, coherent)."""
     total = 0.0
     for (pairs, coherent), weight in weights.items():
-        state = pair_term(pairs)
         if coherent:
-            (block,) = herald_pair_terms([state], layout.total_matrix(), detectors)
-            prob = block.herald
+            prob = herald_pair_terms(pairs, layout.total_matrix(), detectors)[pairs].herald
         else:
-            prob = herald_classical(state, layout.total_matrix(), detectors)
+            prob = herald_classical(layout.total_matrix(), detectors)
         total += weight * prob
     return total
 
 
 def three_pair_block(t1, t2, detectors):
     """The three-pair block heralded through the z-z circuit."""
-    (block,) = herald_pair_terms([pair_term(3)], build_paper_circuit(t1, t2).matrix, detectors)
-    return block
+    return herald_pair_terms(3, build_paper_circuit(t1, t2).matrix, detectors)[3]
 
 
 def two_pair_pieces(visibility):

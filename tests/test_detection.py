@@ -10,6 +10,7 @@ from heraldsim.detection import (
     HeraldedBlock,
     _arm_kets,
     _binomial_roots,
+    _fires,
     _heralding_rows,
     _photon_maps,
     _thinning,
@@ -43,10 +44,7 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
     """The n-pair block heralded arm by arm through the paper's circuit."""
-    (heralded,) = herald_pair_terms(
-        [pair_term(n_pairs)], build_paper_circuit(t1, t2, settings).matrix, detectors
-    )
-    return heralded
+    return herald_pair_terms(n_pairs, build_paper_circuit(t1, t2, settings).matrix, detectors)[-1]
 
 
 def basis_ket(modes, occ):
@@ -54,14 +52,11 @@ def basis_ket(modes, occ):
 
 
 def routed(rows, occupation, detectors):
-    """Herald one source occupation through a circuit given as each source mode's row.
+    """Herald one source occupation by the 8-mode oracle, through a circuit of one row per mode.
 
-    A row holds the mode's amplitudes on r1H, r1V, r2+, r2-, t1H, t1V, t2H, t2V.
+    A row holds the source mode's amplitudes on r1H, r1V, r2+, r2-, t1H, t1V, t2H, t2V.
     """
-    (heralded,) = herald_pair_terms(
-        [basis_ket(4, occupation)], np.array(rows, dtype=complex), detectors
-    )
-    return heralded
+    return oracles.herald(apply_mode_map(basis_ket(4, occupation), np.array(rows)), detectors)
 
 
 # Each source mode straight onto one herald detector: a1H -> r1H, a1V -> r1V, a2H -> r2+, a2V -> r2-.
@@ -99,40 +94,60 @@ def heralded_outputs(n1h, n2h, detectors):
 
 class TestClickDistribution:
     # a threshold herald detector fires with 1-(1-eta)^n, a number-resolving
-    # one reports one photon with n eta (1-eta)^(n-1).
+    # one reports one photon with n eta (1-eta)^(n-1): the laws on the kernels'
+    # firing tables, and through the 8-mode oracle on routed source occupations
     def test_vacuum_never_clicks(self):
         heralded = block(0, 0.5, 0.5, DetectorModel(efficiency=0.42))
         assert heralded.herald == 0.0
         assert not heralded.table.any() and not heralded.coincidences.any()
         with pytest.raises(ValueError, match="zero herald probability"):
             number_table(heralded)
+        for resolving in ("threshold", "number"):
+            assert _fires(_thinning(1, 0.42), resolving)[0] == 0.0
 
     def test_single_photon_clicks_with_eta(self):
-        assert herald_on_r1h((1.0, 0.0), 1, 0.42).herald == pytest.approx(0.42, abs=1e-12)
+        for resolving in ("threshold", "number"):
+            assert _fires(_thinning(1, 0.42), resolving)[1] == pytest.approx(0.42, abs=1e-15)
+        assert herald_on_r1h((1.0, 0.0), 1, 0.42).probability == pytest.approx(0.42, abs=1e-12)
 
     def test_two_photons_threshold(self):
-        heralded = herald_on_r1h((1.0, 0.0), 2, 0.5)
         # 1 - (1-eta)^2, cross-checked by explicit two-photon loss enumeration
         explicit = 0.5 * 0.5 + 2 * 0.5 * 0.5
-        assert heralded.herald == pytest.approx(0.75, abs=1e-12)
-        assert heralded.herald == pytest.approx(explicit, abs=1e-12)
+        fires = _fires(_thinning(2, 0.5), "threshold")
+        assert fires[2] == pytest.approx(0.75, abs=1e-15)
+        assert fires[2] == pytest.approx(explicit, abs=1e-15)
+        assert herald_on_r1h((1.0, 0.0), 2, 0.5).probability == pytest.approx(0.75, abs=1e-12)
 
     def test_number_resolving_counts(self):
         # exactly one of two photons detected: 2 eta (1 - eta)
-        assert herald_on_r1h((1.0, 0.0), 2, 0.5, "number").herald == pytest.approx(0.5, abs=1e-12)
-        assert herald_on_r1h((1.0, 0.0), 2, 0.3, "number").herald == pytest.approx(
-            2 * 0.3 * 0.7, abs=1e-12
-        )
+        for eta in (0.5, 0.3):
+            want = 2 * eta * (1 - eta)
+            assert _fires(_thinning(2, eta), "number")[2] == pytest.approx(want, abs=1e-15)
+            assert herald_on_r1h((1.0, 0.0), 2, eta, "number").probability == pytest.approx(
+                want, abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.0966, 0.42, 1.0])
+    def test_click_laws_at_every_photon_number(self, eta):
+        # the firing tables the kernels weigh herald occupations with, up to 12 photons
+        threshold = [1.0 - (1.0 - eta) ** n for n in range(13)]
+        number = [n * eta * (1.0 - eta) ** (n - 1) if n else 0.0 for n in range(13)]
+        table = _thinning(12, eta)
+        assert _fires(table, "threshold") == pytest.approx(threshold, rel=1e-13, abs=0.0)
+        assert _fires(table, "number") == pytest.approx(number, rel=1e-13, abs=0.0)
 
     def test_threshold_equals_number_on_single_photon_states(self):
         eta = 0.37
+        th_fires, nr_fires = (_fires(_thinning(3, eta), kind) for kind in ("threshold", "number"))
+        assert th_fires[:2] == pytest.approx(nr_fires[:2], abs=1e-15)
+        assert th_fires[2] > nr_fires[2]
         th = herald_on_r1h((0.6, 0.8), 1, eta)
         nr = herald_on_r1h((0.6, 0.8), 1, eta, "number")
-        assert th.herald == pytest.approx(0.36 * eta, abs=1e-12)
-        assert nr.herald == pytest.approx(th.herald, abs=1e-12)
-        want = number_table(th)
-        assert list(number_table(nr)) == list(want)
-        assert number_table(nr) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert th.probability == pytest.approx(0.36 * eta, abs=1e-12)
+        assert nr.probability == pytest.approx(th.probability, abs=1e-12)
+        det = DetectorModel(efficiency=eta)
+        want = oracles.number_table(th, det)
+        assert list(oracles.number_table(nr, det)) == list(want)
+        assert oracles.number_table(nr, det) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_distribution_sums_to_one(self):
         # herald probability against the thinning formulas summed by hand over
@@ -162,19 +177,22 @@ class TestClickDistribution:
                 for (r1h, r1v, _, _), amp in arm.items()
                 if r1h and r1v
             )
-            assert threshold.herald + miss == pytest.approx(1.0, abs=1e-12)
-            assert number.herald == pytest.approx(one_each, abs=1e-12)
+            assert threshold.probability + miss == pytest.approx(1.0, abs=1e-12)
+            assert number.probability == pytest.approx(one_each, abs=1e-12)
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_herald_on_every_mode(self, resolving):
         # all four photons on the herald detectors: the outputs stay empty, and
-        # the herald probability is r1H's click probability
+        # the herald probability is r1H's click probability; distinguishable, the
+        # two-pair block heralds by its |1, 1; 1, 1> third alone
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=OTHER_HERALDS_PERFECT)
         heralded = routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), det)
-        assert heralded.herald == pytest.approx(0.4, abs=1e-15)
-        assert number_table(heralded) == {(0, 0, 0, 0): pytest.approx(1.0, abs=1e-15)}
-        classical = herald_classical(basis_ket(4, (1, 1, 1, 1)), ROUTE_TO_HERALDS, det)
-        assert classical == pytest.approx(0.4, abs=1e-15)
+        assert heralded.probability == pytest.approx(0.4, abs=1e-15)
+        assert oracles.number_table(heralded, det) == {(0, 0, 0, 0): pytest.approx(1.0, abs=1e-15)}
+        ket = basis_ket(4, (1, 1, 1, 1))
+        assert oracles.permutation_herald_classical(ket, ROUTE_TO_HERALDS, det) == pytest.approx(
+            0.4, abs=1e-15)
+        assert herald_classical(ROUTE_TO_HERALDS, det) == pytest.approx(0.4 / 3, rel=1e-15)
 
 
 class TestHerald:
@@ -211,8 +229,8 @@ class TestHerald:
 
     @pytest.mark.parametrize("detectors", [IDEAL_NUMBER_DETECTORS, DetectorModel(efficiency=0.3)])
     def test_blocks_below_two_photons_per_arm_are_not_evolved(self, detectors, monkeypatch):
-        # each arm's two herald detectors need a photon each: blocks 0 and 1, and a
-        # term with one photon in arm 2, are exact zeros of the common table shape
+        # each arm's two herald detectors need a photon each: blocks 0 and 1 are exact
+        # zeros of the common table shape
         evolved = []
 
         def counting_arm_kets(maps, photons, roots, rows):
@@ -220,12 +238,10 @@ class TestHerald:
             return _arm_kets(maps, photons, roots, rows)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
-        terms = [pair_term(n) for n in range(4)] + [basis_ket(4, (1, 1, 1, 0))]
-        blocks = herald_pair_terms(terms, build_paper_circuit(0.3, 0.7, ("x", "y")).matrix,
-                                   detectors)
+        blocks = herald_pair_terms(3, build_paper_circuit(0.3, 0.7, ("x", "y")).matrix, detectors)
         assert evolved == [2, 3]
         assert blocks[3].herald > 0.0
-        for zero in blocks[:2] + blocks[4:]:
+        for zero in blocks[:2]:
             assert zero.herald == 0.0 and zero.direct == 0.0
             assert zero.table.shape == blocks[3].table.shape and not zero.table.any()
             assert zero.coincidences.shape == (4, 4) and not zero.coincidences.any()
@@ -243,8 +259,7 @@ class TestHerald:
 
         monkeypatch.setattr("heraldsim.detection._thinning", counting_thinning)
         det = DetectorModel(efficiency=0.3, per_mode=per_mode)
-        blocks = herald_pair_terms([pair_term(n) for n in range(5)],
-                                   build_paper_circuit(0.3, 0.7).matrix, det)
+        blocks = herald_pair_terms(4, build_paper_circuit(0.3, 0.7).matrix, det)
         assert len(built) == len(set(built)) == tables
         monkeypatch.undo()
         assert blocks[4].herald == block(4, 0.3, 0.7, det).herald > 0.0
@@ -280,12 +295,14 @@ class TestHerald:
         matrix[0] = 0.0
         matrix[0, 0] = matrix[0, 6] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and t2H
         with pytest.raises(ValueError, match="mixes the two arms"):
-            herald_pair_terms([pair_term(2)], matrix, LOSSLESS_THRESHOLD)
+            herald_pair_terms(2, matrix, LOSSLESS_THRESHOLD)
 
-    def test_arm_with_two_photon_numbers_rejected(self):
-        term = SparseKet.from_amplitudes(4, {(1, 0, 1, 1): 0.6, (1, 1, 1, 1): 0.8})
-        with pytest.raises(ValueError, match="same photon number"):
-            herald_pair_terms([term], ROUTE_TO_HERALDS, LOSSLESS_THRESHOLD)
+    def test_negative_max_pairs_rejected(self):
+        matrix = build_paper_circuit(0.5, 0.5).matrix
+        with pytest.raises(ValueError, match="max_pairs must be non-negative"):
+            herald_pair_terms(-1, matrix, LOSSLESS_THRESHOLD)
+        (vacuum,) = herald_pair_terms(0, matrix, LOSSLESS_THRESHOLD)
+        assert vacuum.herald == 0.0 and vacuum.table.shape == (1, 1, 1, 1)
 
     def test_component_weights_sum_to_probability(self):
         # the joint probabilities of the herald and each count pattern add up to the herald's
@@ -304,7 +321,7 @@ class TestClassicalChannel:
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
         det = DetectorModel(efficiency=0.3)
         classical = heralded_blocks(0.4, 0.6, det, 2)[2, False]
-        assert classical.herald == herald_classical(pair_term(2), layout.total_matrix(), det)
+        assert classical.herald == herald_classical(layout.total_matrix(), det)
         assert classical.table.sum() == classical.herald
 
     def test_two_pair_leakage_closed_form(self):
@@ -313,7 +330,7 @@ class TestClassicalChannel:
         # probability 1/2, times eta^4
         t1, t2, eta = 0.3, 0.6, 0.25
         layout = build_paper_circuit(t1, t2)
-        prob = herald_classical(pair_term(2), layout.total_matrix(), DetectorModel(efficiency=eta))
+        prob = herald_classical(layout.total_matrix(), DetectorModel(efficiency=eta))
         expected = (1 / 3) * (1 - t1) ** 2 * (1 - t2) ** 2 * 0.5 * eta**4
         assert prob == pytest.approx(expected, rel=1e-10)
 
@@ -338,7 +355,7 @@ class TestClassicalChannel:
                 per_mode=per_mode,
             )
             matrix = build_paper_circuit(t1, t2, settings[trial % 9]).total_matrix()
-            prob = herald_classical(pair_term(2), matrix, det)
+            prob = herald_classical(matrix, det)
             expected = classical_herald_probability(
                 pair_term(2).amplitudes, matrix, det.etas(HERALD_NAMES), det.resolving
             )
@@ -355,15 +372,15 @@ class TestClassicalChannel:
                                 per_mode={name: float(rng.uniform()) for name in HERALD_NAMES})
             matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).total_matrix()
             want = oracles.permutation_herald_classical(pair_term(2), matrix, det)
-            assert herald_classical(pair_term(2), matrix, det) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert herald_classical(matrix, det) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_three_photons_in_one_arm_never_herald(self):
         # three photons on an arm's two herald detectors leave one of them a second photon
-        # and the other arm's detectors one photon for two: the permanent is zero
+        # and the other arm's detectors one photon for two: the full 24-term permanent is
+        # zero, so a product of the arms' 2x2 permanents, two photons each, misses nothing
         matrix = build_paper_circuit(0.3, 0.7, ("x", "y")).total_matrix()
         for occ in ((2, 1, 1, 0), (0, 1, 3, 0)):
             ket = basis_ket(4, occ)
-            assert herald_classical(ket, matrix, LOSSLESS_THRESHOLD) == 0.0
             assert oracles.permutation_herald_classical(ket, matrix, LOSSLESS_THRESHOLD) == 0.0
 
     def test_circuit_mixing_the_arms_rejected(self):
@@ -371,13 +388,7 @@ class TestClassicalChannel:
         matrix[0] = 0.0
         matrix[0, 0] = matrix[0, 2] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and r2+
         with pytest.raises(ValueError, match="mixes the two arms"):
-            herald_classical(pair_term(2), matrix, LOSSLESS_THRESHOLD)
-
-    @pytest.mark.parametrize("pairs", [0, 1, 3])
-    def test_ket_without_four_photons_rejected(self, pairs):
-        matrix = build_paper_circuit(0.5, 0.5).total_matrix()
-        with pytest.raises(ValueError, match="4 photons"):
-            herald_classical(pair_term(pairs), matrix, DetectorModel())
+            herald_classical(matrix, LOSSLESS_THRESHOLD)
 
 
 class TestNumberTable:
@@ -402,12 +413,15 @@ class TestPostselect:
         assert fidelity_to_phi_plus(rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_single_basis_component(self):
-        rho = postselect_two_qubit(heralded_outputs(1, 1, DetectorModel(efficiency=0.5)))
+        det = DetectorModel(efficiency=0.5)
+        rho = oracles.postselect_two_qubit(heralded_outputs(1, 1, det), det)
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_coincidence_rejected(self):
-        heralded = routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), DetectorModel(efficiency=0.5))
-        assert heralded.herald > 0.0
+        # dead output detectors: the block heralds, but never gives a coincidence
+        det = DetectorModel(efficiency=0.5, per_mode={name: 0.0 for name in OUTPUT_NAMES})
+        heralded = block(3, 0.5, 0.5, det)
+        assert heralded.herald > 0.0 and not heralded.coincidences.any()
         with pytest.raises(ValueError, match="coincidence"):
             postselect_two_qubit(heralded)
 
@@ -439,13 +453,19 @@ def click_in_each_arm(heralded):
     return arm_totals(heralded.table)[1:, 1:].sum() / heralded.herald
 
 
+def oracle_click_in_each_arm(ensemble, detectors):
+    """P(>=1;>=1) given the herald, summed over the 8-mode oracle's number table."""
+    table = oracles.number_table(ensemble, detectors)
+    return math.fsum(p for (n1h, n1v, n2h, n2v), p in table.items() if n1h + n1v and n2h + n2v)
+
+
 class TestArmClicks:
     def test_matches_hand_computation_on_basis_state(self):
         # two photons in t1H and one in t2H behind perfect heralds
-        eta = 0.3
-        heralded = heralded_outputs(2, 1, DetectorModel(efficiency=eta, per_mode=HERALDS_PERFECT))
+        det = DetectorModel(efficiency=0.3, per_mode=HERALDS_PERFECT)
         expected = (1 - 0.7**2) * 0.3
-        assert click_in_each_arm(heralded) == pytest.approx(expected, abs=1e-12)
+        assert oracle_click_in_each_arm(heralded_outputs(2, 1, det), det) == pytest.approx(
+            expected, abs=1e-12)
 
 
 def binomial_thinning(n_max, eta):
@@ -472,9 +492,9 @@ class TestOutputLoss:
                 for outputs in (etas, [1.0] * 4)
             )
             matrix = build_paper_circuit(t1, t2, settings[trial % 9]).matrix
-            terms = [pair_term(n) for n in range(int(rng.integers(2, 7)) + 1)]
-            for got, ref in zip(herald_pair_terms(terms, matrix, lossy),
-                                herald_pair_terms(terms, matrix, perfect)):
+            max_pairs = int(rng.integers(2, 7))
+            for got, ref in zip(herald_pair_terms(max_pairs, matrix, lossy),
+                                herald_pair_terms(max_pairs, matrix, perfect)):
                 assert got.herald == ref.herald and got.direct == ref.direct
                 thin = [binomial_thinning(len(ref.table) - 1, eta) for eta in etas]
                 want = np.einsum("abcd,aA,bB,cC,dD->ABCD", ref.table, *thin, optimize=True)
@@ -489,22 +509,28 @@ class TestPerModeEfficiency:
                 efficiency=0.5, resolving=resolving, per_mode={**perfect, "r1V": 1.0}
             )
             # r1V always fires, r1H with the default 0.5
-            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), det).herald == pytest.approx(0.5, abs=1e-12)
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), det).probability == pytest.approx(
+                0.5, abs=1e-12)
             plain = DetectorModel(efficiency=0.5, resolving=resolving, per_mode=perfect)
-            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), plain).herald == pytest.approx(
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), plain).probability == pytest.approx(
                 0.25, abs=1e-12
             )
             # an override on an output detector changes nothing
             output = DetectorModel(
                 efficiency=0.5, resolving=resolving, per_mode={**perfect, "t1H": 1.0}
             )
-            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), output).herald == pytest.approx(
+            assert routed(ROUTE_TO_HERALDS, (1, 1, 1, 1), output).probability == pytest.approx(
                 0.25, abs=1e-12
             )
 
     def test_override_applies_to_output_detector(self):
         det = DetectorModel(efficiency=0.3, per_mode={**HERALDS_PERFECT, "t1H": 1.0})
-        assert click_in_each_arm(heralded_outputs(1, 1, det)) == pytest.approx(0.3, abs=1e-12)
+        assert oracle_click_in_each_arm(heralded_outputs(1, 1, det), det) == pytest.approx(
+            0.3, abs=1e-12)
+        # the ideal three-pair block leaves one photon per arm in Phi+: HH or VV, half each
+        number = DetectorModel(efficiency=0.3, resolving="number", per_mode=det.per_mode)
+        assert click_in_each_arm(block(3, 0.5, 0.5, number)) == pytest.approx(
+            (1.0 * 0.3 + 0.3 * 0.3) / 2, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["t1", "r2+H", "T1H"])
     def test_unknown_name_rejected(self, name):
@@ -546,9 +572,9 @@ class TestArmKets:
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
                 inputs = np.array([[a, n - a] for a in range(n + 1)])
-                rows, _ = _heralding_rows([n, n])
+                rows = _heralding_rows(n)
                 kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8), rows)
-                assert {(o0, o1) for o0, o1 in zip(*rows[1:])} == {
+                assert {(o0, o1) for o0, o1 in zip(*rows)} == {
                     (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
                 }
                 for arm, iso in enumerate(arms):
@@ -556,9 +582,9 @@ class TestArmKets:
                         evolved = apply_mode_map(basis_ket(2, occ), iso).amplitudes
                         want = {key: amp for key, amp in evolved.items() if key[2] + key[3] <= n - 2}
                         got = {
-                            (h0, n - o0 - o1 - h0, o0, o1): kets[r, k, h0]
-                            for r, (a, o0, o1) in enumerate(zip(*rows)) if a == arm
-                            for h0 in range(n + 1 - o0 - o1) if kets[r, k, h0] != 0.0
+                            (h0, n - o0 - o1 - h0, o0, o1): kets[arm, r, k, h0]
+                            for r, (o0, o1) in enumerate(zip(*rows))
+                            for h0 in range(n + 1 - o0 - o1) if kets[arm, r, k, h0] != 0.0
                         }
                         assert set(got) == set(want)
                         for key, amp in want.items():
@@ -571,11 +597,10 @@ class TestArmKets:
         arm2 = matrix[2:4][:, [2, 3, 6, 7]]
         maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
         # the one output occupation of two photons that can herald: the outputs empty
-        rows, _ = _heralding_rows([2])
-        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2), rows)
-        assert kets.shape == (1, 1, 3)
-        assert kets[0, 0, 1] == 0.0
-        assert abs(kets[0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2), _heralding_rows(2))
+        assert kets.shape == (1, 1, 1, 3)
+        assert kets[0, 0, 0, 1] == 0.0
+        assert abs(kets[0, 0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a
@@ -602,9 +627,8 @@ class TestAgainstOracles:
         # every block 0..5 against its permanent-formula ket, heralded pattern by pattern
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
         matrix = build_paper_circuit(0.35, 0.55, settings).matrix
-        terms = [pair_term(n) for n in range(6)]
-        for n, heralded in enumerate(herald_pair_terms(terms, matrix, det)):
-            state = dense_evolve_by_arm(dict(terms[n].amplitudes), matrix)
+        for n, heralded in enumerate(herald_pair_terms(5, matrix, det)):
+            state = dense_evolve_by_arm(dict(pair_term(n).amplitudes), matrix)
             want = herald_by_pattern(state, det.etas(HERALD_NAMES), resolving)
             assert heralded.herald == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
             if not want:
@@ -620,7 +644,9 @@ class TestAgainstOracles:
         # the photon-by-photon maps and the coincidences read off the Gram tensors against
         # the binomial-sum maps and the coincidences of the detected kets, on random
         # splitters, every setting, both detector kinds, 0-9 pairs and per-detector
-        # efficiencies with dead and perfect detectors among them
+        # efficiencies with dead and perfect detectors among them.  Tables are compared on
+        # the scale of their largest entry: an entry far below it is a difference of much
+        # larger terms, and carries their rounding
         rng = np.random.default_rng(2511)
         for trial in range(36):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -629,23 +655,25 @@ class TestAgainstOracles:
             det = DetectorModel(efficiency=float(rng.uniform()), resolving=("threshold", "number")[trial % 2],
                                 per_mode=per_mode)
             matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).matrix
-            terms = [pair_term(n) for n in range(int(rng.integers(0, 10)) + 1)]
-            for got, want in zip(herald_pair_terms(terms, matrix, det),
-                                 oracles.kraus_route_blocks(terms, matrix, det)):
+            max_pairs = int(rng.integers(0, 10))
+            for got, want in zip(herald_pair_terms(max_pairs, matrix, det),
+                                 oracles.kraus_route_blocks(max_pairs, matrix, det)):
                 assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
-                assert (np.abs(got.table - want.table) <= 1e-13 * want.table).all()
-                # an exact zero may read as rounding residue here, or the other way round
+                largest = want.table.max(initial=0.0)
+                assert np.abs(got.table - want.table).max() <= 1e-13 * largest
+                # an exact zero may read as rounding residue here, or the other way round: on the
+                # scale of the largest entry, plus the rounding of the herald, which bounds them all
                 largest = np.abs(want.coincidences).max()
-                assert np.abs(got.coincidences - want.coincidences).max() <= 1e-14 * largest
+                assert (np.abs(got.coincidences - want.coincidences).max()
+                        <= 1e-14 * largest + 1e-15 * want.herald)
 
     def test_packed_kernels_match_both_oracles(self):
         # random splitters, settings, per-detector efficiencies and both detector kinds; pair
-        # blocks up to 10 pairs against the Kraus route, and against the 8-mode pipeline one
-        # pair block per trial plus terms whose arms hold different photon numbers, both two or
-        # more.  Tables are compared on the scale of their largest entry: an entry far below
-        # it is a difference of much larger terms, and carries their rounding
+        # blocks up to 10 pairs against the Kraus route, and one pair block per trial against
+        # the 8-mode pipeline.  Tables are compared on the scale of their largest entry, as in
+        # test_kernels_match_the_kraus_route
         rng = np.random.default_rng(2601)
         for trial in range(10):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -656,16 +684,8 @@ class TestAgainstOracles:
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
             layout = build_paper_circuit(t1, t2, ALL_SETTINGS[int(rng.integers(9))])
-            unequal = []
-            for _ in range(2):
-                n1, n2 = (int(n) for n in rng.choice(np.arange(2, 7), 2, replace=False))
-                unequal.append(SparseKet.from_amplitudes(4, {
-                    (a1, n1 - a1, a2, n2 - a2): complex(*rng.normal(size=2))
-                    for a1, a2 in zip(rng.integers(0, n1 + 1, 4), rng.integers(0, n2 + 1, 4))
-                }))
-            terms = [pair_term(n) for n in range(11)] + unequal
-            blocks = herald_pair_terms(terms, layout.matrix, det)
-            for got, want in zip(blocks, oracles.kraus_route_blocks(terms, layout.matrix, det)):
+            blocks = herald_pair_terms(10, layout.matrix, det)
+            for got, want in zip(blocks, oracles.kraus_route_blocks(10, layout.matrix, det)):
                 assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
@@ -673,17 +693,17 @@ class TestAgainstOracles:
                 assert np.abs(got.table - want.table).max() <= 1e-13 * largest
                 largest = np.abs(want.coincidences).max()
                 assert np.abs(got.coincidences - want.coincidences).max() <= 1e-13 * largest
-            for n in (3 + trial % 8, 11, 12):
-                ens = oracles.herald(layout.run(terms[n]), det)
-                assert ens.probability > 0.0
-                assert blocks[n].herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
-                got, want = number_table(blocks[n]), oracles.number_table(ens, det)
-                assert list(got) == sorted(want)
-                largest = max(want.values())
-                assert max(abs(got[key] - p) for key, p in want.items()) <= 1e-13 * largest
-                if np.trace(blocks[n].coincidences).real > 0.0:
-                    rho = oracles.postselect_two_qubit(ens, det)
-                    assert np.abs(postselect_two_qubit(blocks[n]) - rho).max() <= 1e-12
+            n = 3 + trial % 8
+            ens = oracles.herald(layout.run(pair_term(n)), det)
+            assert ens.probability > 0.0
+            assert blocks[n].herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
+            got, want = number_table(blocks[n]), oracles.number_table(ens, det)
+            assert list(got) == sorted(want)
+            largest = max(want.values())
+            assert max(abs(got[key] - p) for key, p in want.items()) <= 1e-13 * largest
+            if np.trace(blocks[n].coincidences).real > 0.0:
+                rho = oracles.postselect_two_qubit(ens, det)
+                assert np.abs(postselect_two_qubit(blocks[n]) - rho).max() <= 1e-12
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):

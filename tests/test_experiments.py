@@ -30,7 +30,7 @@ from heraldsim.experiments import (
     simulate_experiment,
 )
 from heraldsim.metrics import fidelity_to_phi_plus
-from heraldsim.source import SpdcParams, emission_components, pair_term
+from heraldsim.source import SpdcParams, emission_components
 
 import oracles
 from oracles import arm_click_probability, heralded_ensemble, one_photon_per_arm_before_loss
@@ -123,15 +123,14 @@ class TestSharedBlocks:
                 matrix = build_paper_circuit(0.3, 0.7, settings).matrix
                 herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
                 for (pairs, coherent), weight in emission_components(spdc).items():
-                    state = pair_term(pairs)
                     if coherent:
-                        (block,) = herald_pair_terms([state], matrix, det)
+                        block = herald_pair_terms(pairs, matrix, det)[pairs]
                         herald_p += weight * block.herald
                         direct += weight * block.direct
                         table[tuple(slice(0, s) for s in block.table.shape)] += weight * block.table
                         coincidences = coincidences + weight * block.coincidences
                     else:
-                        p = herald_classical(state, matrix, det)
+                        p = herald_classical(matrix, det)
                         herald_p += weight * p
                         table[0, 0, 0, 0] += weight * p
                 got = reweight_blocks(heralded_blocks(0.3, 0.7, det, 4, settings), spdc)

@@ -249,7 +249,7 @@ class TestHeraldProjection:
         t1, t2 = 0.3, 0.6
         matrix = build_paper_circuit(t1, t2, ("z", "z")).matrix
         ideal = DetectorModel(efficiency=1.0, resolving="number")
-        (block,) = herald_pair_terms([pair_term(3)], matrix, ideal)
+        block = herald_pair_terms(3, matrix, ideal)[3]
         prob = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
         assert block.herald == pytest.approx(prob, abs=1e-12)
         assert block.table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)

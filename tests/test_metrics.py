@@ -18,7 +18,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import SpdcParams, pair_term
+from heraldsim.source import SpdcParams
 from heraldsim.tomography import optimize_local_fidelity
 
 import oracles
@@ -229,7 +229,7 @@ class TestChsh:
 
 def direct_preparation(t1, t2, detectors):
     # P(1;1) of the heralded three-pair block before any output loss
-    (block,) = herald_pair_terms([pair_term(3)], build_paper_circuit(t1, t2).matrix, detectors)
+    block = herald_pair_terms(3, build_paper_circuit(t1, t2).matrix, detectors)[3]
     return block.direct / block.herald
 
 
