@@ -344,19 +344,20 @@ def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
 
 
-def kraus_arm_grams(kets: np.ndarray, rows, herald_weight: np.ndarray, thinning: np.ndarray):
+def kraus_arm_grams(kets: np.ndarray, plan, herald_weight: np.ndarray, thinning: np.ndarray):
     """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
 
-    Each row is an output occupation (o0, o1), looked up by value.  An
-    occupation (e0, e1) left after one photon of an arm is detected comes
-    from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such ket is
-    kept, times its Kraus factor sqrt(thinning[n, 1]) for the detected
-    photon of n and sqrt(thinning[n, 0]) for the detector that sees none.
+    Of the block's plan it reads the rows alone, each an output occupation
+    (o0, o1), looked up by value.  An occupation (e0, e1) left after one
+    photon of an arm is detected comes from (e0 + 1, e1) seen as H or
+    (e0, e1 + 1) seen as V; each such ket is kept, times its Kraus factor
+    sqrt(thinning[n, 1]) for the detected photon of n and
+    sqrt(thinning[n, 0]) for the detector that sees none.
     The H and V kets of every input are stacked, weighted by the herald,
     and overlapped in one product per arm.
     """
     n_inputs, size = kets.shape[2:]
-    keys = list(zip(*(np.asarray(r).tolist() for r in rows)))
+    keys = list(zip(*(r.tolist() for r in plan.rows)))
     row = {key: r for r, key in enumerate(keys)}
     weights = np.array([herald_weight[:, size - 1 - o0 - o1, :size] for o0, o1 in keys])
     weights = weights.swapaxes(0, 1)  # (arm, row, h0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -9,9 +10,8 @@ from heraldsim.detection import (
     DetectorModel,
     HeraldedBlock,
     _arm_kets,
-    _binomial_roots,
+    _block_plan,
     _fires,
-    _heralding_rows,
     _photon_maps,
     _thinning,
     arm_totals,
@@ -233,9 +233,9 @@ class TestHerald:
         # zeros of the common table shape
         evolved = []
 
-        def counting_arm_kets(maps, photons, roots, rows):
-            evolved.append(int(photons[0, 0].sum()))
-            return _arm_kets(maps, photons, roots, rows)
+        def counting_arm_kets(maps, plan):
+            evolved.append(int(plan.photons[0, 0].sum()))
+            return _arm_kets(maps, plan)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
         blocks = herald_pair_terms(3, build_paper_circuit(0.3, 0.7, ("x", "y")).matrix, detectors)
@@ -571,14 +571,15 @@ class TestArmKets:
             arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
-                inputs = np.array([[a, n - a] for a in range(n + 1)])
-                rows = _heralding_rows(n)
-                kets = _arm_kets(maps, np.stack([inputs, inputs]), _binomial_roots(8), rows)
+                plan = _block_plan(n)
+                rows = plan.rows
+                kets = _arm_kets(maps, plan)
                 assert {(o0, o1) for o0, o1 in zip(*rows)} == {
                     (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
                 }
                 for arm, iso in enumerate(arms):
-                    for k, occ in enumerate(inputs.tolist()):
+                    assert sorted(plan.photons[arm].tolist()) == [[a, n - a] for a in range(n + 1)]
+                    for k, occ in enumerate(plan.photons[arm].tolist()):
                         evolved = apply_mode_map(basis_ket(2, occ), iso).amplitudes
                         want = {key: amp for key, amp in evolved.items() if key[2] + key[3] <= n - 2}
                         got = {
@@ -594,13 +595,79 @@ class TestArmKets:
         # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never
         # gives an r2+ r2- coincidence, an exact zero rather than rounding residue
         matrix = build_paper_circuit(0.0, 0.0).matrix
-        arm2 = matrix[2:4][:, [2, 3, 6, 7]]
-        maps = _photon_maps(np.array([[arm2[:, :2], arm2[:, 2:]]]), 2)
+        arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
+        maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 2)
         # the one output occupation of two photons that can herald: the outputs empty
-        kets = _arm_kets(maps, np.array([[[1, 1]]]), _binomial_roots(2), _heralding_rows(2))
-        assert kets.shape == (1, 1, 1, 3)
-        assert kets[0, 0, 0, 1] == 0.0
-        assert abs(kets[0, 0, 0, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        plan = _block_plan(2)
+        kets = _arm_kets(maps, plan)
+        assert plan.photons[1, 1].tolist() == [1, 1]  # arm 2's input k = 1
+        assert kets.shape == (2, 1, 3, 3)
+        assert kets[1, 0, 1, 1] == 0.0
+        assert abs(kets[1, 0, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+
+def plan_arrays(plan):
+    """Every array of a block plan, including those inside its index tuples."""
+    for field in dataclasses.fields(plan):
+        value = getattr(plan, field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield field.name, item
+
+
+class TestBlockPlan:
+    def test_plan_arrays_are_read_only(self):
+        # every caller in the process shares one plan per pair number
+        for n in range(2, 7):
+            arrays = list(plan_arrays(_block_plan(n)))
+            assert {name for name, _ in arrays} == {
+                f.name for f in dataclasses.fields(_block_plan(n))
+            }
+            for name, array in arrays:
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+
+    def test_cold_and_warm_plans_give_identical_blocks(self):
+        # random splitters, settings, both detector kinds and per-detector efficiencies
+        # with dead and perfect detectors: blocks from plans built for the call and from
+        # plans built by earlier calls agree to the last bit
+        rng = np.random.default_rng(2801)
+        for trial in range(12):
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).matrix
+            max_pairs = int(rng.integers(2, 9))
+            _block_plan.cache_clear()
+            cold = herald_pair_terms(max_pairs, matrix, det)
+            assert _block_plan.cache_info().misses == max_pairs - 1
+            warm = herald_pair_terms(max_pairs, matrix, det)
+            assert _block_plan.cache_info().misses == max_pairs - 1
+            for a, b in zip(cold, warm):
+                assert float(a.herald).hex() == float(b.herald).hex()
+                assert float(a.direct).hex() == float(b.direct).hex()
+                assert a.table.tobytes() == b.table.tobytes()
+                assert a.coincidences.tobytes() == b.coincidences.tobytes()
+
+    def test_plan_does_not_depend_on_max_pairs(self):
+        # the plan of block n is one object for every truncation, and built first for
+        # N = n or for N = n + 4 it holds the same arrays
+        matrix, det = build_paper_circuit(0.3, 0.7, ("x", "y")).matrix, DetectorModel()
+        _block_plan.cache_clear()
+        herald_pair_terms(4, matrix, det)
+        small = {n: _block_plan(n) for n in range(2, 5)}
+        herald_pair_terms(8, matrix, det)
+        assert all(_block_plan(n) is plan for n, plan in small.items())
+        _block_plan.cache_clear()
+        herald_pair_terms(8, matrix, det)
+        for n, plan in small.items():
+            rebuilt = dict(plan_arrays(_block_plan(n)))
+            assert rebuilt.keys() == dict(plan_arrays(plan)).keys()
+            for (name, want), (_, got) in zip(plan_arrays(plan), plan_arrays(_block_plan(n))):
+                assert got.shape == want.shape and np.array_equal(got, want), name
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a

@@ -172,9 +172,9 @@ class TestSharedBlocks:
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
-        def counting_arm_kets(maps, photons, roots, rows):
-            evolved.append(int(photons[0, 0].sum()))
-            return arm_kets(maps, photons, roots, rows)
+        def counting_arm_kets(maps, plan):
+            evolved.append(int(plan.photons[0, 0].sum()))
+            return arm_kets(maps, plan)
 
         def counting_components(spdc):
             visited.append(spdc.tau)
@@ -191,6 +191,12 @@ class TestSharedBlocks:
 
 
 class TestSweep:
+    def test_plans_are_reused_across_points(self):
+        # a 4-point sweep at N pairs builds the plan of each block 2..N once, not once per point
+        heraldsim.detection._block_plan.cache_clear()
+        run_sweep(sweep_configs([0.17, 0.3, 0.5, 0.7], tau=0.25, max_pairs=5))
+        assert heraldsim.detection._block_plan.cache_info().misses == 5 - 1
+
     def test_three_pair_truncation_near_quadratic(self):
         rows = run_sweep(sweep_configs([0.17, 0.5, 0.7], tau=0.25, max_pairs=3, visibility=1.0))
         for row in rows:
