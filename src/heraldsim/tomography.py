@@ -6,9 +6,9 @@ of the observed coincidence counts, with the per-setting intensity profiled
 out (the likelihood reduces to the multinomial form), by a few diluted
 RrhoR steps on rho, then damped Newton steps in a chart of the states of
 the maximum's rank, and certifies the maximum it reaches.  Uncertainties
-come from a Monte Carlo over Poisson-resampled count tables: the observed
-table and its resamples are maximized together, as one batch whose row 0
-is the point estimate.
+come from a Monte Carlo over Poisson resamples of the coincidence matrix:
+the observed matrix and its resamples are maximized together, as one batch
+whose row 0 is the point estimate.
 """
 
 from __future__ import annotations
@@ -230,15 +230,6 @@ def _log_likelihood(counts: np.ndarray, q: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(counts > 0, counts * np.log(q), 0.0)
     return terms.sum(axis=-1)
-
-
-def _lift(neg_hess: np.ndarray) -> np.ndarray:
-    """2 max(0, -lambda_min) of each (..., 16, 16) negated Hessian.
-
-    Shifted by it, every eigenvalue is at least |lambda_min|; it is 0 where
-    the negated Hessian is positive semidefinite.
-    """
-    return 2.0 * np.maximum(0.0, -np.linalg.eigvalsh(neg_hess)[..., 0])
 
 
 def _newton_step(grad: np.ndarray, neg_hess: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -588,13 +579,12 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     concave.  The certificate is over the whole state space, so a wrong
     face only delays it.
 
-    The step s solves (-H + (lift + lambda N) 1) s = g.  -H is almost
-    always positive semidefinite, so the lift is 0 until a step with it is
-    refused; then it is twice the size of -H's most negative eigenvalue, or
-    0 (``_lift``), which leaves every eigenvalue of the shifted matrix at
-    least |lambda_min| + lambda N, so the step climbs.  A step is taken when
-    the log-likelihood, compared through exact differences, does not fall;
-    lambda shrinks by 3 on a taken step and grows by 4 on a refused one.  A
+    The step s solves (-H + lambda N 1) s = g.  A step is taken when the
+    log-likelihood, compared through exact differences, does not fall;
+    lambda shrinks by 3 on a taken step and grows by 4 on a refused one.
+    -H is almost always positive semidefinite; where it is not, refused
+    steps grow lambda N until it exceeds -H's most negative eigenvalue, and
+    the shifted matrix, positive definite, gives a step that climbs.  A
     sample's state and certificate are computed only after it moves, its
     derivatives only once the certificate shows it still needs a step.
 
@@ -610,9 +600,9 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     iterations = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
     # At each sample's current state: the state, certificate, R and
-    # probabilities, the products of ``_chart_products``, and its gradient,
-    # negated Hessian and that Hessian's lift; `moved` marks the samples whose
-    # state changed since these were last computed.
+    # probabilities, the products of ``_chart_products``, and its gradient and
+    # negated Hessian; `moved` marks the samples whose state changed since these
+    # were last computed.
     rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
     ratio = np.empty((n_samples, 4, 4), dtype=complex)
@@ -620,8 +610,6 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     products = np.empty((n_samples, 16, 36))
     grad = np.empty((n_samples, 16))
     neg_hess = np.empty((n_samples, 16, 16))
-    lift = np.empty(n_samples)
-    lifted = np.empty(n_samples, dtype=bool)
     moved = np.ones(n_samples, dtype=bool)
 
     active = np.arange(n_samples)
@@ -645,10 +633,8 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
             grad[fresh], hess = _chart_derivatives(
                 counts[fresh], probs[fresh], products[fresh], lam[fresh], rank[fresh], r_face)
             neg_hess[fresh] = _IDLE[rank[fresh]] - hess
-            lift[fresh] = 0.0
-            lifted[fresh] = moved[fresh] = False
-        shift = lift[active] + damping[active] * n_total[active]
-        steps = _newton_step(grad[active], neg_hess[active], shift)
+            moved[fresh] = False
+        steps = _newton_step(grad[active], neg_hess[active], damping[active] * n_total[active])
         dq, dnorm, moved_vecs, moved_vals = _chart_step(
             steps, lam[active], rank[active], products[active])
         rise = _rise(counts[active], probs[active], dq, dnorm, lam[active].sum(axis=1))
@@ -661,37 +647,17 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
         moved[taken] = True
         damping[active] *= np.where(up, 1.0 / 3.0, 4.0)
         iterations[active] += 1
-        unlifted = active[~up & ~lifted[active]]
-        if unlifted.size:
-            lift[unlifted] = _lift(neg_hess[unlifted])
-            lifted[unlifted] = True
     return _Ascent(rho, logl, certificates, iterations, converged, rank)
 
 
-def _poisson_draws(means: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, len(means)) Poisson draws around ``means``.
+def _resampled_coincidences(coincidences: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
+    """(n_samples, 9, 4) Poisson resamples of a (9, 4) coincidence matrix, as floats.
 
-    Sample k draws from its own Philox stream, the k-th child of
-    ``SeedSequence(seed)``, in one call over all the means.
+    One Philox stream on ``SeedSequence(seed)`` draws them cell by cell,
+    sample after sample, so sample k does not depend on ``n_samples``.
     """
-    streams = np.random.SeedSequence(seed).spawn(n_samples)
-    return np.stack(
-        [np.random.Generator(np.random.Philox(stream)).poisson(means) for stream in streams]
-    )
-
-
-def _resampled_coincidences(table: CountTable, n_samples: int, seed: int) -> np.ndarray:
-    """(n_samples, 9, 4) coincidences of Poisson resamples of every entry of the table.
-
-    Entries are drawn in sorted key order; a coincidence cell the table
-    lacks reads 0.
-    """
-    keys = sorted(table.counts)
-    position = {key: i for i, key in enumerate(keys)}
-    cells = [position.get((s, p), len(keys)) for s in SETTINGS for p in COINCIDENCE_PATTERNS]
-    draws = _poisson_draws(np.array([table.counts[k] for k in keys]), n_samples, seed)
-    padded = np.concatenate([draws, np.zeros((n_samples, 1), dtype=draws.dtype)], axis=1)
-    return padded[:, cells].reshape(n_samples, 9, 4).astype(float)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return rng.poisson(coincidences, size=(n_samples, 9, 4)).astype(float)
 
 
 def check_monte_carlo(n_samples: int, seed: int | None) -> None:
@@ -713,18 +679,19 @@ def mle_reconstruct(table: CountTable, n_samples: int = 0, seed: int | None = No
     chart of the maximum's face, until the certificate shows the
     log-likelihood within ``CERTIFICATE_TOL`` times the number of counts of
     its maximum; ``iterations`` counts the Newton iterations only.  With
-    ``n_samples`` (0, or at least 2) and a ``seed``, every count is also
-    Poisson-resampled that many times, and the resampled tables are
-    reconstructed in the same batch as the observed one, which is its row 0;
-    a resample without counts or without a certified maximum is a Monte
-    Carlo failure.
+    ``n_samples`` (0, or at least 2) and a ``seed``, the (9, 4) coincidence
+    matrix is also Poisson-resampled that many times
+    (``_resampled_coincidences``), and the resamples are reconstructed in the
+    same batch as the observed matrix, which is its row 0; a resample
+    without counts or without a certified maximum is a Monte Carlo failure.
     """
     check_monte_carlo(n_samples, seed)
     coincidences = table.coincidence_matrix()
     if coincidences.sum() == 0:
         raise ValueError("all coincidence counts are zero; cannot reconstruct")
     resampled = (
-        _resampled_coincidences(table, n_samples, seed) if n_samples else np.empty((0, 9, 4))
+        _resampled_coincidences(coincidences, n_samples, seed) if n_samples
+        else np.empty((0, 9, 4))
     )
     resampled = resampled[resampled.sum(axis=(1, 2)) > 0]
     batch = np.concatenate([coincidences[None], resampled])

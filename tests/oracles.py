@@ -840,19 +840,6 @@ def rrr_maximum(coincidences: np.ndarray, steps: int = 1000) -> np.ndarray:
     return rho
 
 
-def eigenbasis_newton_step(grad: np.ndarray, neg_hess: np.ndarray, damping, n_total) -> np.ndarray:
-    """Damped Newton steps taken in the eigenbasis of the negated Hessian.
-
-    (S, 16) gradients, (S, 16, 16) negated Hessians, (S,) dampings lambda
-    and counts N: with -H = V diag(e) V^T, the step is
-    V (V^T g / (|e| + lambda N)), which climbs whatever the signs of e.
-    """
-    eigs, vecs = np.linalg.eigh(neg_hess)
-    along = np.einsum("si,sij->sj", grad, vecs)
-    coef = along / (np.abs(eigs) + (np.asarray(damping) * np.asarray(n_total))[:, None])
-    return np.einsum("sij,sj->si", vecs, coef)
-
-
 # --- The chart of the rank-r states -----------------------------------------
 #
 # Around rho = U diag(lam) U† with lam zero on the first 4 - r columns of U,
@@ -926,14 +913,13 @@ def chart_derivatives(basis: np.ndarray, lam: np.ndarray, rank: int, counts: np.
 
 
 def poisson_resampled_counts(counts: dict, n_samples: int, seed: int) -> list[dict]:
-    """Monte Carlo resamples of a count table, built one dict at a time.
+    """Monte Carlo resamples of a table's 36 coincidence cells, built one dict at a time.
 
-    Sample k draws from a Philox generator on the k-th child of
-    SeedSequence(seed), one scalar Poisson draw per entry in sorted key
-    order; the resample has the same keys as ``counts``.
+    One Philox generator on SeedSequence(seed) draws a scalar Poisson number
+    per cell, settings in (x, y, z)^2 order and each setting's patterns in
+    COINCIDENCE_PATTERNS order, sample after sample; a cell the table lacks
+    has mean 0.  Every resample has the 36 coincidence keys.
     """
-    tables = []
-    for stream in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.Generator(np.random.Philox(stream))
-        tables.append({key: int(rng.poisson(counts[key])) for key in sorted(counts)})
-    return tables
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    keys = [((a, b), p) for a in PAULI_AXES for b in PAULI_AXES for p in COINCIDENCE_PATTERNS]
+    return [{key: int(rng.poisson(counts.get(key, 0))) for key in keys} for _ in range(n_samples)]

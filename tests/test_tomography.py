@@ -26,7 +26,6 @@ from heraldsim.tomography import (
 from oracles import (
     chart_derivatives,
     chart_slots,
-    eigenbasis_newton_step,
     exact_coincidences,
     fully_entangled_fraction,
     linear_inversion,
@@ -433,16 +432,22 @@ FIXTURES = ("counts_17_83", "counts_30_70", "counts_50_50", "counts_70_30")
 
 class TestMonteCarlo:
     def test_resample_draws_entry_by_entry(self, fixtures_dir):
-        # the array draw equals scalar draws entry by entry in sorted key order,
-        # read back through CountTable, on every fixture and on a sparse table
+        # the array draw equals scalar draws cell by cell in SETTINGS and pattern
+        # order, read back through CountTable, on every fixture and on a sparse table
         tables = [ingest_counts(fixtures_dir / f"{name}.csv") for name in FIXTURES]
         for table in tables + [sparse_table()]:
             for seed in range(3):
                 want = [CountTable(counts).coincidence_matrix()
                         for counts in poisson_resampled_counts(table.counts, 6, seed)]
-                got = _resampled_coincidences(table, 6, seed)
+                got = _resampled_coincidences(table.coincidence_matrix(), 6, seed)
                 assert got.dtype == float
                 assert np.array_equal(got, np.stack(want))
+
+    def test_a_sample_does_not_depend_on_the_batch_size(self, fixtures_dir):
+        coincidences = ingest_counts(fixtures_dir / "counts_30_70.csv").coincidence_matrix()
+        for seed in range(3):
+            eight = _resampled_coincidences(coincidences, 8, seed)
+            assert np.array_equal(_resampled_coincidences(coincidences, 5, seed), eight[:5])
 
     def test_point_estimate_is_row_zero_of_the_batch(self, fixtures_dir):
         # the observed table reconstructs bit for bit as it does alone
@@ -464,7 +469,8 @@ class TestMonteCarlo:
             mle_reconstruct(CountTable(), 4)
 
     def test_identity_resampler_gives_zero_std(self, fixtures_dir, monkeypatch):
-        monkeypatch.setattr(tomo, "_poisson_draws", lambda means, n, seed: np.tile(means, (n, 1)))
+        monkeypatch.setattr(
+            tomo, "_resampled_coincidences", lambda counts, n, seed: np.tile(counts, (n, 1, 1)))
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         result = report(table, 4, seed=1, functionals={"value": tangle})["value"]
         assert result.std == 0.0
@@ -511,14 +517,14 @@ class TestMonteCarlo:
     def test_zero_table_is_one_failure(self, fixtures_dir, monkeypatch):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
         _, rhos = draws(table, 8, seed=6)
-        draw = tomo._poisson_draws
+        draw = tomo._resampled_coincidences
 
         def zero_third(means, n, seed):
             drawn = draw(means, n, seed)
             drawn[2] = 0
             return drawn
 
-        monkeypatch.setattr(tomo, "_poisson_draws", zero_third)
+        monkeypatch.setattr(tomo, "_resampled_coincidences", zero_third)
         kept = []
         result = report(
             table, 8, seed=6, functionals={"value": lambda r: kept.extend(r) or np.zeros(len(r))},
@@ -554,11 +560,11 @@ class TestMonteCarlo:
 
     def test_fewer_than_two_kept_samples_raise(self, fixtures_dir, monkeypatch):
         def one_nonzero(means, n, seed):
-            drawn = np.zeros((n, len(means)), dtype=int)
+            drawn = np.zeros((n,) + means.shape)
             drawn[0] = means
             return drawn
 
-        monkeypatch.setattr(tomo, "_poisson_draws", one_nonzero)
+        monkeypatch.setattr(tomo, "_resampled_coincidences", one_nonzero)
         result = mle_reconstruct(ingest_counts(fixtures_dir / "counts_30_70.csv"), 5, seed=1)
         assert len(result.samples) == 1 and result.n_failures == 4
         with pytest.raises(ConvergenceError, match="only 1 of 5"):
@@ -589,7 +595,8 @@ class TestLazyFactorization:
         # follow refused steps
         uniform = np.full((1, 9, 4), 25.0)
         batch = np.concatenate([uniform] + [
-            _resampled_coincidences(ingest_counts(fixtures_dir / f"{name}.csv"), 12, seed)
+            _resampled_coincidences(
+                ingest_counts(fixtures_dir / f"{name}.csv").coincidence_matrix(), 12, seed)
             for seed, name in enumerate(FIXTURES)
         ])
         rows = {row.tobytes(): i for i, row in enumerate(batch.reshape(len(batch), 36))}
@@ -598,21 +605,17 @@ class TestLazyFactorization:
         start = tomo._psd_floor(_linear_inversion(batch), tomo._WARM_UP_FLOOR)
         paths = likelihood_paths(monkeypatch, lambda: tomo._maximize(counts, start))
         evaluations = np.zeros(len(batch), dtype=int)
-        # rows evaluated since their last step, rows whose last step was refused,
-        # the evaluations whose first step (with lift 0) was refused, and the
-        # refused steps that followed a refused step
-        unstepped = np.zeros(len(batch), dtype=bool)
+        # rows whose last step was refused, and the refused steps that followed a
+        # refused step
         refused = np.zeros(len(batch), dtype=bool)
-        refused_unlifted = np.zeros(len(batch), dtype=int)
         refused_again = np.zeros(len(batch), dtype=int)
-        lifted, factorized = [], []
+        factorized = []
         derivatives, rise = tomo._chart_derivatives, tomo._rise
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
         def counting_derivatives(counts, *args):
             for row in counts:
                 evaluations[rows[row.tobytes()]] += 1
-                unstepped[rows[row.tobytes()]] = True
                 refused[rows[row.tobytes()]] = False
             return derivatives(counts, *args)
 
@@ -622,9 +625,8 @@ class TestLazyFactorization:
             rises = rise(counts, *args)
             for row, up in zip(counts, np.isfinite(rises) & (rises >= 0.0)):
                 index = rows[row.tobytes()]
-                refused_unlifted[index] += unstepped[index] and not up
                 refused_again[index] += refused[index] and not up
-                unstepped[index], refused[index] = False, not up
+                refused[index] = not up
             return rises
 
         def counting_eigh(a, *args, **kwargs):
@@ -634,7 +636,7 @@ class TestLazyFactorization:
 
         def counting_eigvalsh(a, *args, **kwargs):
             if a.shape[-1] == 16:
-                lifted.append(len(a))
+                factorized.append(len(a))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(tomo, "_chart_derivatives", counting_derivatives)
@@ -647,52 +649,10 @@ class TestLazyFactorization:
         taken = np.array([sum(b > a for a, b in zip(path, path[1:])) for path in paths])
         assert (evaluations <= taken + 1).all()
         assert (evaluations[ascent.iterations > 0] >= 1).all()
-        # one eigenvalue solve of the negated Hessian (for its lift) only where the
-        # first step after an evaluation, taken with lift 0, was refused; none per
-        # later refused step, and no 16x16 eigendecomposition
+        # refused steps follow refused steps, and none of them, nor any taken
+        # step, needs a 16x16 eigendecomposition or eigenvalue solve
         assert refused_again.sum() > 0
-        assert 0 < sum(lifted) == refused_unlifted.sum() < evaluations.sum()
         assert not factorized
-
-
-class TestNewtonStep:
-    def test_lifted_solve_is_the_eigenbasis_step_where_it_can_be(self, fixtures_dir, monkeypatch):
-        # the gradient and negated Hessian (idle slots on a unit diagonal) at every
-        # row the maximizer moves to, on each fixture's 50-resample batch
-        moved = []
-        derivatives = tomo._chart_derivatives
-
-        def recording(counts, probs, products, lam, rank, ratio):
-            grad, hess = derivatives(counts, probs, products, lam, rank, ratio)
-            moved.append((grad, tomo._IDLE[rank] - hess, counts.sum(axis=1)))
-            return grad, hess
-
-        monkeypatch.setattr(tomo, "_chart_derivatives", recording)
-        for seed, name in enumerate(FIXTURES):
-            table = ingest_counts(fixtures_dir / f"{name}.csv")
-            _ascend(np.concatenate(
-                [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, seed)]))
-        grad, neg_hess, n_total = (np.concatenate(parts) for parts in zip(*moved))
-        lift = tomo._lift(neg_hess)
-        psd = lift == 0.0
-        assert psd.any() and (~psd).any()
-        # where -H is positive semidefinite, the lifted solve is today's damped step
-        for damping in (1e-2, 1e-4):
-            got = tomo._newton_step(grad[psd], neg_hess[psd], damping * n_total[psd])
-            want = eigenbasis_newton_step(grad[psd], neg_hess[psd], damping, n_total[psd])
-            error = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
-            assert error.max() <= 1e-10
-        # where it is not, the lifted matrix has every eigenvalue at least
-        # |lambda_min| + lambda N, so the step climbs once that exceeds the
-        # solve's rounding, here taken as 1e-12 of -H's largest eigenvalue
-        largest = np.linalg.eigvalsh(neg_hess)[:, -1]
-        for damping in 10.0 ** -np.arange(2, 17, 2):
-            shift = lift + damping * n_total
-            steps = tomo._newton_step(grad, neg_hess, shift)
-            assert np.isfinite(steps).all()
-            resolved = ~psd & (shift - lift / 2.0 >= 1e-12 * largest)
-            assert 2 * resolved.sum() >= (~psd).sum()
-            assert ((grad * steps).sum(axis=1)[resolved] > 0.0).all()
 
 
 class TestLikelihoodPath:
@@ -704,6 +664,36 @@ class TestLikelihoodPath:
         assert len(path) == result.iterations or len(path) == result.iterations + 1
         assert all(b >= a for a, b in zip(path, path[1:]))
 
+    def test_indefinite_hessians_still_climb(self, monkeypatch):
+        # tomo-mc-like batches: a Werner table with 15-65 counts per setting and its
+        # 50 resamples.  Where -H has a negative eigenvalue, only the damping keeps
+        # the steps climbing; every row's path still rises and ends certified
+        smallest = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            p = rng.uniform(0.5, 0.95)
+            rho = p * PHI_PLUS_RHO + (1.0 - p) * MIXED_RHO
+            coincidences = np.array([
+                rng.multinomial(int(rng.integers(15, 66)), expected_coincidences(rho, s))
+                for s in SETTINGS], dtype=float)
+            batch = np.concatenate(
+                [coincidences[None], _resampled_coincidences(coincidences, 50, seed)])
+            batch = batch[batch.sum(axis=(1, 2)) > 0]
+            derivatives = tomo._chart_derivatives
+
+            def recording(counts, probs, products, lam, rank, ratio):
+                grad, hess = derivatives(counts, probs, products, lam, rank, ratio)
+                eigs = np.linalg.eigvalsh(tomo._IDLE[rank] - hess)
+                smallest.extend(eigs[:, 0] / eigs[:, -1])
+                return grad, hess
+
+            with monkeypatch.context() as recorded:
+                recorded.setattr(tomo, "_chart_derivatives", recording)
+                assert _ascend(batch).converged.all()
+            for path in likelihood_paths(monkeypatch, lambda: _ascend(batch)):
+                assert all(b >= a for a, b in zip(path, path[1:]))
+        assert min(smallest) < -1e-6
+
 
 class TestWarmUp:
     def test_warm_start_saves_newton_iterations(self, fixtures_dir):
@@ -714,7 +704,8 @@ class TestWarmUp:
         for seed, name in enumerate(FIXTURES):
             table = ingest_counts(fixtures_dir / f"{name}.csv")
             batch = np.concatenate(
-                [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, seed)])
+                [table.coincidence_matrix()[None],
+                 _resampled_coincidences(table.coincidence_matrix(), 50, seed)])
             ascent = _ascend(batch)
             assert ascent.converged.all()
             warm += ascent.iterations.sum()
@@ -728,7 +719,8 @@ class TestWarmUp:
         # every state the warm-up passes through, on a table with empty cells
         table = sparse_table()
         batch = np.concatenate(
-            [table.coincidence_matrix()[None], _resampled_coincidences(table, 50, 3)])
+            [table.coincidence_matrix()[None],
+             _resampled_coincidences(table.coincidence_matrix(), 50, 3)])
         batch = batch[batch.sum(axis=(1, 2)) > 0]
         counts = batch.reshape(len(batch), 36)
         assert (counts == 0).any(axis=1).all()
@@ -796,13 +788,15 @@ class TestCertifiedMaximum:
         # 4858 row-iterations with the eigenbasis step, 4833 with the lifted solve, 3835
         # (largest per row 7, 8, 8 and 8) with the chart of each face, 2915 (largest
         # 6, 8, 6 and 11) with the damping starting at 1e-3, 2865 (largest 5, 6, 6
-        # and 7) with every row starting in the chart; the factor T alone had rows
-        # of 159
+        # and 7) with every row starting in the chart, 2883 (largest 5, 6, 6 and 7)
+        # drawn from one Poisson stream over the coincidence matrix; the factor T
+        # alone had rows of 159
         total = 0
         for name in FIXTURES:
             table = ingest_counts(fixtures_dir / f"{name}.csv")
             batch = np.concatenate(
-                [table.coincidence_matrix()[None], _resampled_coincidences(table, 200, 20100607)])
+                [table.coincidence_matrix()[None],
+                 _resampled_coincidences(table.coincidence_matrix(), 200, 20100607)])
             ascent = _ascend(batch[batch.sum(axis=(1, 2)) > 0])
             assert ascent.converged.all()
             assert ascent.iterations.max() <= 15
