@@ -337,12 +337,12 @@ def run_power_comparison(
     tau_low: float,
     t: float = 0.3,
     detectors: DetectorModel | None = None,
-    visibility: float = PAPER_VISIBILITY,
     max_pairs: int = SpdcParams.max_pairs,
 ) -> dict:
     """Post-selected fidelities at two pump powers (same splitters).
 
-    The report records the visibility, efficiency and truncation it ran at.
+    The report records the efficiency and truncation it ran at.  It takes no
+    visibility: V weighs only the two-pair block, which gives no coincidence.
     """
     if not 0.0 <= tau_low < 1.0 or not 0.0 <= tau_high < 1.0:
         raise ValueError("emission amplitudes must be in [0, 1)")
@@ -354,12 +354,11 @@ def run_power_comparison(
         "t": t,
         "tau_high": tau_high,
         "tau_low": tau_low,
-        "visibility": visibility,
         "efficiency": detectors.efficiency,
         "max_pairs": max_pairs,
     }
     for tag, tau in (("high", tau_high), ("low", tau_low)):
-        spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
+        spdc = SpdcParams(tau=tau, max_pairs=max_pairs)
         rho = postselect_two_qubit(reweight_blocks(blocks, spdc))
         out[f"F_post_{tag}"] = fidelity_to_phi_plus(rho)
         out[f"bell_diagonal_{tag}"] = bell_diagonal(rho)

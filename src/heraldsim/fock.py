@@ -87,7 +87,7 @@ def _check_isometry(matrix: np.ndarray) -> None:
     if matrix.shape[0] > matrix.shape[1]:
         raise ValueError("mode map cannot shrink the mode count")
     gram = matrix @ matrix.conj().T
-    if not np.allclose(gram, np.eye(matrix.shape[0]), atol=ISOMETRY_TOL):
+    if not np.allclose(gram, np.eye(matrix.shape[0]), rtol=0.0, atol=ISOMETRY_TOL):
         raise ValueError("mode map is not unitary/isometric")
 
 

@@ -51,7 +51,7 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
-    if not np.allclose(rho, _dagger(rho), atol=HERMITICITY_TOL):
+    if not np.allclose(rho, _dagger(rho), rtol=0.0, atol=HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(rho, axis1=-2, axis2=-1).real
     off = np.abs(traces - 1.0) > TRACE_TOL

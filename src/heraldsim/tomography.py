@@ -584,9 +584,9 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     lambda shrinks by 3 on a taken step and grows by 4 on a refused one.
     -H is almost always positive semidefinite; where it is not, refused
     steps grow lambda N until it exceeds -H's most negative eigenvalue, and
-    the shifted matrix, positive definite, gives a step that climbs.  A
-    sample's state and certificate are computed only after it moves, its
-    derivatives only once the certificate shows it still needs a step.
+    the shifted matrix, positive definite, gives a step that climbs.  Each
+    pass recomputes every active sample's state, certificate and
+    derivatives, whether its last step was taken or refused.
 
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
     its number of counts; one still uncertified after ``MAX_ITERATIONS``
@@ -599,52 +599,34 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     damping = np.full(n_samples, _DAMPING_START)
     iterations = np.zeros(n_samples, dtype=int)
     converged = np.zeros(n_samples, dtype=bool)
-    # At each sample's current state: the state, certificate, R and
-    # probabilities, the products of ``_chart_products``, and its gradient and
-    # negated Hessian; `moved` marks the samples whose state changed since these
-    # were last computed.
     rho = np.empty((n_samples, 4, 4), dtype=complex)
     certificates = np.empty(n_samples)
-    ratio = np.empty((n_samples, 4, 4), dtype=complex)
-    probs = np.empty((n_samples, 36))
-    products = np.empty((n_samples, 16, 36))
-    grad = np.empty((n_samples, 16))
-    neg_hess = np.empty((n_samples, 16, 16))
-    moved = np.ones(n_samples, dtype=bool)
 
     active = np.arange(n_samples)
     while active.size:
-        fresh = active[moved[active]]
-        if fresh.size:
-            rho[fresh] = _chart_state(basis[fresh], lam[fresh])
-            certificates[fresh], ratio[fresh], probs[fresh] = _certificate(
-                counts[fresh], rho[fresh])
+        rho[active] = _chart_state(basis[active], lam[active])
+        certificates[active], ratio, probs = _certificate(counts[active], rho[active])
         done = certificates[active] <= CERTIFICATE_TOL * n_total[active]
         converged[active[done]] = True
-        active = active[~done & (iterations[active] < MAX_ITERATIONS)]
+        going = ~done & (iterations[active] < MAX_ITERATIONS)
+        active, ratio, probs = active[going], ratio[going], probs[going]
         if not active.size:
             break
-        fresh = active[moved[active]]
-        if fresh.size:
-            basis[fresh], rank[fresh], r_face = _reopen(
-                basis[fresh], rank[fresh], _dagger(basis[fresh]) @ ratio[fresh] @ basis[fresh],
-                n_total[fresh])
-            products[fresh] = _chart_products(basis[fresh])
-            grad[fresh], hess = _chart_derivatives(
-                counts[fresh], probs[fresh], products[fresh], lam[fresh], rank[fresh], r_face)
-            neg_hess[fresh] = _IDLE[rank[fresh]] - hess
-            moved[fresh] = False
-        steps = _newton_step(grad[active], neg_hess[active], damping[active] * n_total[active])
-        dq, dnorm, moved_vecs, moved_vals = _chart_step(
-            steps, lam[active], rank[active], products[active])
-        rise = _rise(counts[active], probs[active], dq, dnorm, lam[active].sum(axis=1))
+        u = basis[active]
+        basis[active], rank[active], ratio = _reopen(
+            u, rank[active], _dagger(u) @ ratio @ u, n_total[active])
+        products = _chart_products(basis[active])
+        grad, hess = _chart_derivatives(
+            counts[active], probs, products, lam[active], rank[active], ratio)
+        steps = _newton_step(grad, _IDLE[rank[active]] - hess, damping[active] * n_total[active])
+        dq, dnorm, vecs, vals = _chart_step(steps, lam[active], rank[active], products)
+        rise = _rise(counts[active], probs, dq, dnorm, lam[active].sum(axis=1))
         up = np.isfinite(rise) & (rise >= 0.0)
         taken = active[up]
-        basis[taken] = basis[taken] @ moved_vecs[up]
-        lam[taken] = moved_vals[up] / moved_vals[up].sum(axis=1, keepdims=True)
-        rank[taken] = (moved_vals[up] > 0.0).sum(axis=1)
+        basis[taken] = basis[taken] @ vecs[up]
+        lam[taken] = vals[up] / vals[up].sum(axis=1, keepdims=True)
+        rank[taken] = (vals[up] > 0.0).sum(axis=1)
         logl[taken] += rise[up]
-        moved[taken] = True
         damping[active] *= np.where(up, 1.0 / 3.0, 4.0)
         iterations[active] += 1
     return _Ascent(rho, logl, certificates, iterations, converged, rank)

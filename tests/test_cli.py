@@ -305,7 +305,6 @@ class TestCommands:
             reports[pairs] = json.loads((out / "power_comparison.json").read_text())
         for pairs, report in reports.items():
             assert report["max_pairs"] == int(pairs)
-            assert report["visibility"] == 0.862
             assert report["efficiency"] == 0.2
         assert reports["4"]["F_post_high"] != reports["7"]["F_post_high"]
 

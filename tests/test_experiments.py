@@ -153,11 +153,12 @@ class TestSharedBlocks:
     @pytest.mark.parametrize("ratio", sorted(REFERENCE_TRANSMISSIONS))
     @pytest.mark.parametrize("visibility", [0.0, 0.862, 1.0])
     def test_power_comparison_matches_per_tau_pipeline(self, ratio, visibility):
+        # the comparison takes no visibility, so it matches the pipeline at every V
         t = REFERENCE_TRANSMISSIONS[ratio]
         det = DetectorModel()
         rho = {tau: per_tau_rho(t, tau, visibility, det) for tau in (0.15, 0.25, 0.35)}
         for high, low in ((0.35, 0.25), (0.25, 0.15)):
-            result = run_power_comparison(high, low, t, det, visibility)
+            result = run_power_comparison(high, low, t, det)
             for tag, tau in (("high", high), ("low", low)):
                 assert result[f"F_post_{tag}"] == pytest.approx(
                     fidelity_to_phi_plus(rho[tau]), rel=0.0, abs=1e-12
@@ -253,7 +254,7 @@ class TestPowerComparison:
         # with only the three-pair herald the post-selected state stays ideal
         result = run_power_comparison(
             1e-3, 1e-3, t=0.3, detectors=DetectorModel(efficiency=1.0, resolving="number"),
-            max_pairs=3, visibility=1.0,
+            max_pairs=3,
         )
         assert result["F_post_low"] == pytest.approx(1.0, abs=1e-6)
 

@@ -143,6 +143,12 @@ class TestApplyModeMap:
         with pytest.raises(ValueError, match="isometric"):
             apply_mode_map(st, np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    def test_isometry_tolerance_is_absolute(self):
+        # M M† - 1 = 8e-6 on the diagonal, which a relative tolerance of 1e-5
+        # would let pass
+        with pytest.raises(ValueError, match="isometric"):
+            apply_mode_map(basis_ket(2, (1, 0)), math.sqrt(1.0 + 8e-6) * np.eye(2))
+
     def test_matrix_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             apply_mode_map(basis_ket(1, (1,)), np.ones(1, dtype=complex))

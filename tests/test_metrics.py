@@ -87,6 +87,16 @@ class TestCheckDensityMatrix:
         with pytest.raises(ValueError, match=message):
             check_density_matrix(self.with_fault(fault))
 
+    def test_hermiticity_tolerance_is_absolute(self):
+        # Hermitian part 0.9 phi+ + 0.1 1/4, so only the Hermiticity check can
+        # fail; rho - rho† is 2e-6 at an entry of 0.45, which a relative
+        # tolerance of 1e-5 would let pass
+        rho = 0.9 * np.outer(PHI_PLUS, PHI_PLUS.conj()) + 0.025 * np.eye(4, dtype=complex)
+        rho[0, 3] += 1e-6j
+        rho[3, 0] += 1e-6j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_density_matrix(rho)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (50, 4, 3), (50, 16), (50, 3, 4)])
     def test_trailing_shape_must_be_4x4(self, shape):
         with pytest.raises(ValueError, match="expected a 4x4"):
