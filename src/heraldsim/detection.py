@@ -31,11 +31,21 @@ detectors.
 What the kernels of block n read that depends on n alone, not on the
 circuit, the detectors or the truncation, is one read-only record,
 ``_block_plan(n)``: the pair-term weights c_k c_k'*, each arm's inputs, the
-rows (o0, o1) with their herald photon numbers m, the binomial factors of
-``_arm_kets`` with its gather indices into the photon maps, and the
-neighbour mask of ``_arm_grams``.  It is built on first use, never at
-import, and kept for the life of the process, so a call pays only for its
-circuit and detectors; the plans of blocks 2 to 20 hold about 6 MB.
+herald photon numbers m of its rows, and the binomial factors of
+``_arm_kets`` with its gather indices into the photon maps.  It is built on
+first use, never at import, and kept for the life of the process; the plans
+of blocks 2 to 20 hold about 6 MB.
+
+The splitters enter the arm kets only as sqrt(R)^m sqrt(T)^(n-m) on a row
+of m herald photons, so the kets are built once at unit splitter amplitude
+for each pair of analyzer settings, up to a truncation
+(``_splitter_free_kets``, an ``lru_cache`` keyed by the settings and
+max_pairs), and each call weighs a row's herald by R^m T^(n-m).  Those kets
+hold about 40 KB through 6 pairs and 12 MB through 20, per key.  A call on
+a warm key pays only for its splitters and detectors: no photon map and no
+ket is built.  The rows of block n are the leading rows of every larger
+block (``_heralding_rows``), so a call builds its per-row detector tables
+once, for its largest block.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .elements import HERALD_NAMES, OUTPUT_NAMES
+from .elements import HERALD_NAMES, OUTPUT_NAMES, arm_jones_maps, beam_splitter_map
 from .fock import PRUNE_TOL, Occupation
 from .source import pair_term
 
@@ -178,8 +188,8 @@ def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A herald needs a photon in each of the arm's two herald detectors, so
     o0 + o1 <= n - 2.  The occupations run by o0 + o1 and then by o0, so
-    (o0, o1 + 1) and (o0 + 1, o1) are neighbours and rows 1 and 2 hold one
-    photon.
+    (o0, o1 + 1) and (o0 + 1, o1) are neighbours, rows 1 and 2 hold one
+    photon, and the rows of n photons are the leading rows of every larger n.
     """
     # the nonzero entries of a lower triangle are the (o0 + o1, o0) in that order
     total, o0 = np.nonzero(np.arange(n - 1)[:, None] >= np.arange(n - 1))
@@ -190,18 +200,17 @@ def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _BlockPlan:
     """The read-only arrays of pair block n's kernels that depend on n alone (``_block_plan``).
 
-    R is the number of output occupations that can herald and K = n + 1
-    the number of each arm's inputs.
+    R is the number of output occupations (o0, o1) that can herald, in the
+    order of ``_heralding_rows(n)``, and K = n + 1 the number of each arm's
+    inputs.
     """
 
     photons: np.ndarray  # (arms, K, 2): the (H, V) photon numbers of each arm's input k
     weights: np.ndarray  # (K, K): the pair-term weights c_k c_k'*
-    rows: tuple[np.ndarray, np.ndarray]  # (o0, o1), each (R,): the occupations that can herald
-    herald_photons: np.ndarray  # (R,): m = n - o0 - o1
+    herald_photons: np.ndarray  # (R,): m = n - o0 - o1 of the occupations that can herald
     binomial: np.ndarray  # (arms, R, K, n + 1) over p: sqrt(C(a, p) C(b, m - p)), zero for p > m
     output_index: tuple  # gathers output[n - m][a - p, o0] from the photon maps
     herald_index: tuple  # gathers herald[m] from the photon maps
-    neighbours: np.ndarray  # (R - 1,): rows r and r + 1 hold as many output photons
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,12 +237,10 @@ def _block_plan(n: int) -> _BlockPlan:
     plan = _BlockPlan(
         photons=photons,
         weights=np.outer(term.values, term.values.conj()),
-        rows=(o0, o1),
         herald_photons=m,
         binomial=binomial,
         output_index=(arm, 1, out[:, None, None], a - p, o0[:, None, None]),
         herald_index=(arm[..., 0, 0], 0, m, slice(n + 1), slice(n + 1)),
-        neighbours=out[1:] == out[:-1],
     )
     for f in fields(plan):
         value = getattr(plan, f.name)
@@ -271,42 +278,59 @@ def _arm_kets(maps: np.ndarray, plan: _BlockPlan) -> np.ndarray:
     return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _splitter_free_kets(settings: tuple[str, str], max_pairs: int) -> tuple[np.ndarray, ...]:
+    """The arm kets of pair blocks 2..max_pairs through the circuit at unit splitter amplitudes.
+
+    ``_arm_kets`` of each block through ``arm_jones_maps(settings)``, each
+    arm's herald and output Jones maps without their sqrt(R) and sqrt(T),
+    from one ``_photon_maps`` build up to the largest block.  The splitters
+    scale a ket of m herald photons by sqrt(R)^m sqrt(T)^(n-m) and nothing
+    else, so these kets serve every (T1, T2) of the settings.  Kept for the
+    life of the process, keyed by the settings and the truncation; every
+    array is read-only, as every caller shares it.
+    """
+    maps = _photon_maps(arm_jones_maps(settings), max_pairs)
+    kets = tuple(_arm_kets(maps, _block_plan(n)) for n in range(2, max_pairs + 1))
+    for ket in kets:
+        ket.setflags(write=False)
+    return kets
+
+
 def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
-               thinning: np.ndarray):
+               seen: np.ndarray, kraus: np.ndarray):
     """Both arms' Gram tensors over their inputs (k, k'): lossless output counts and coincidences.
 
     ``kets`` (arms, R, K, n + 1) come from ``_arm_kets`` at the rows of
     ``plan``, the output occupations of n photons that can herald
-    (``_heralding_rows``); ``herald_weight`` (arms, s, s) holds the
-    probability [arm, m, h0] that both herald detectors of the arm fire on
-    h0 and m - h0 photons, and ``thinning`` (arms, 2, s, s) each output
-    detector's binomial thinning table.  The Gram tensor
+    (``_heralding_rows``); ``herald_weight`` (arms, n + 1, s) holds the
+    weight [arm, m, h0] of the arm's herald firing on h0 and m - h0
+    photons.  The Gram tensor
 
         gram[arm, row, k, k'] = sum_h0 w(m, h0) ket[arm, row, k, h0] ket*[arm, row, k', h0]
 
     is indexed by the rows, each an output occupation (o0, o1) before loss
     that can herald, with m = n - o0 - o1 herald photons.  The
-    coincidences, one photon detected in the arm, are read off it.  The H
-    block weighs each occupation by the chance seen_H(o0, o1) =
-    thinning_H[o0, 1] thinning_V[o1, 0] that o0 gives one count and o1
-    none, and the V block by seen_V, the same with the detectors' roles
-    swapped.  The HV block keeps the coherence between kets one photon
-    apart, (o0+1, o1) against (o0, o1+1), neighbouring rows: they hold as
-    many herald photons, so share their herald weight, and overlap in one
-    shifted Gram weighted by the Kraus factors sqrt(seen_H seen_V).  VH is
-    its conjugate transpose.  Returns the (arms, R, K, K) Gram tensor and
-    the (arms, 2, K, 2, K) coincidences over (arm, polarization, k,
-    polarization', k').
+    coincidences, one photon detected in the arm, are read off it.
+    ``seen`` (arms, R, 2) holds the chance seen_H(o0, o1) =
+    thinning_H[o0, 1] thinning_V[o1, 0] that the row gives one H count and
+    no V count, and seen_V, the same with the detectors' roles swapped:
+    the H block weighs each row by seen_H, the V block by seen_V.  The HV
+    block keeps the coherence between kets one photon apart, (o0+1, o1)
+    against (o0, o1+1), neighbouring rows: they hold as many herald
+    photons, so share their herald weight, and overlap in one shifted Gram
+    weighted by ``kraus`` (arms, R - 1), the Kraus factors
+    sqrt(seen_H seen_V) of rows r + 1 and r, zero where they hold
+    different numbers of output photons.  VH is its conjugate transpose.
+    Returns the (arms, R, K, K) Gram tensor and the (arms, 2, K, 2, K)
+    coincidences over (arm, polarization, k, polarization', k').
     """
-    o0, o1 = plan.rows
     n_inputs, size = kets.shape[2:]  # size is n + 1, over h0 = 0..n
     weighted = kets * herald_weight[:, plan.herald_photons, None, :size]
     bras = kets.conj().swapaxes(-1, -2)
     gram = weighted @ bras
-    seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
     # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
     shifted = weighted[:, 1:] @ bras[:, :-1]
-    kraus = np.where(plan.neighbours, np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
     coincidences = np.empty((len(kets), 2, n_inputs, 2, n_inputs), dtype=complex)
     coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = np.einsum("arp,arkl->pakl", seen, gram)
     coincidences[:, 0, :, 1] = np.einsum("ar,arkl->akl", kraus, shifted)
@@ -368,20 +392,25 @@ def _arm_blocks(matrix: np.ndarray) -> np.ndarray:
 
 
 def herald_pair_terms(
-    max_pairs: int, matrix: np.ndarray, detectors: DetectorModel
+    max_pairs: int, t1: float, t2: float, detectors: DetectorModel,
+    settings: tuple[str, str] = ("z", "z"),
 ) -> list[HeraldedBlock]:
-    """Herald the pair blocks 0..max_pairs on the source modes, both arms at once.
+    """Herald the pair blocks 0..max_pairs through the paper's circuit, both arms at once.
 
     Block n is ``pair_term(n)``, a sum of products sum_k c_k |a1 input
-    k>|a2 input k> with n photons in each arm, and ``matrix`` is the (4, 8)
-    circuit, which must not mix the arms.  Each arm's inputs evolve by
-    ``_arm_kets`` through its rows' blocks on its own herald and output
+    k>|a2 input k> with n photons in each arm, and the circuit that of
+    ``build_paper_circuit(t1, t2, settings)``, whose arms never mix.  Each
+    arm's inputs evolve by ``_arm_kets`` onto its own herald and output
     detectors, at the output occupations that leave one photon for each
-    herald detector, o0 + o1 <= n - 2 (``_heralding_rows``), all read off
-    the block's ``_block_plan``.  One contraction per block over the arms'
-    Gram tensors (``_arm_grams``) gives its lossless table on those
-    occupations, whose sum is the herald probability and whose
-    one-photon-per-arm entries are P_direct.
+    herald detector, o0 + o1 <= n - 2 (``_heralding_rows``), through the
+    circuit at unit splitter amplitudes: those kets depend on the settings
+    alone and are built once per process (``_splitter_free_kets``).  A row
+    of m herald photons of arm a then takes its splitter as the factor
+    R_a^m T_a^(n-m) on its herald weight, the square of its kets' sqrt(R_a)^m
+    sqrt(T_a)^(n-m), since the Gram tensors are quadratic in the kets.  One
+    contraction per block over the arms' Gram tensors (``_arm_grams``)
+    gives its lossless table on those occupations, whose sum is the herald
+    probability and whose one-photon-per-arm entries are P_direct.
     Binomial output loss, a positive linear map that never adds a photon,
     thins it within the same occupations, one matrix per arm, before it is
     laid into a (t1H, t1V, t2H, t2V) table of one (max_pairs + 1)^4 shape
@@ -394,9 +423,9 @@ def herald_pair_terms(
     """
     if max_pairs < 0:
         raise ValueError(f"max_pairs must be non-negative, got {max_pairs}")
-    arms = _arm_blocks(matrix)
-    # each arm's herald side and output side as a (2, 2) map
-    maps = _photon_maps(np.stack([arms[..., :2], arms[..., 2:]], axis=1), max_pairs)
+    # (sqrt(T), sqrt(R)) of each arm's splitter
+    amplitudes = np.array([beam_splitter_map(t)[0].real for t in (t1, t2)])
+    kets = _splitter_free_kets(tuple(settings), max_pairs)
     # one thinning table per distinct efficiency: with one efficiency, all eight detectors share it
     herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
     tables = {eta: _thinning(max(max_pairs, 1), eta) for eta in {*herald_etas, *output_etas}}
@@ -406,7 +435,15 @@ def herald_pair_terms(
     # herald_weight[arm, m, h0]: the arm's herald detectors fire on h0 and m - h0 photons
     h1 = np.arange(side)[:, None] - np.arange(side)
     herald_weight = np.where(h1 >= 0, fires[:, 0, None] * fires[:, 1][:, h1.clip(0)], 0.0)
-    thinning = np.array([tables[eta][:side, :side] for eta in output_etas]).reshape(2, 2, side, side)
+    thinning = np.array([tables[eta] for eta in output_etas])
+    thinning = thinning.reshape(2, 2, *thinning.shape[1:])
+    # the rows of block n are the leading n(n-1)/2 of the largest block's: every per-row table
+    # is built once, for the largest block, and sliced
+    o0, o1 = _heralding_rows(max_pairs)
+    first, second = thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1]
+    seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
+    out = o0 + o1
+    kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
     blocks = []
     for n in range(max_pairs + 1):
         table = np.zeros((side,) * 4)
@@ -415,14 +452,17 @@ def herald_pair_terms(
             blocks.append(HeraldedBlock(0.0, table, 0.0, np.zeros((4, 4), dtype=complex)))
             continue
         plan = _block_plan(n)
-        o0, o1 = plan.rows
-        kets = _arm_kets(maps, plan)
-        gram, coincidences = _arm_grams(kets, plan, herald_weight, thinning)
+        rows = len(plan.herald_photons)
+        # splitters[arm, m] = R^m T^(n-m), the weight of a row of m herald photons
+        m = np.arange(n + 1)
+        splitters = amplitudes[:, 1:] ** (2 * m) * amplitudes[:, :1] ** (2 * (n - m))
+        gram, coincidences = _arm_grams(kets[n - 2], plan, herald_weight[:, :n + 1] * splitters[..., None],
+                                        seen[:, :rows], kraus[:, :rows - 1])
         lossless = _contract(plan.weights, *gram)
         # counts left after loss can herald too: one thinning matrix per arm, in numpy's loops
-        first, second = thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1]
-        detected = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
-        table[o0[:, None], o1[:, None], o0, o1] = detected
+        detected = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first[:rows, :rows], lossless),
+                             second[:rows, :rows])
+        table[o0[:rows, None], o1[:rows, None], o0[:rows], o1[:rows]] = detected
         blocks.append(HeraldedBlock(
             float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),  # rows 1-2: one photon
             np.einsum("kl,akbl,ckdl->acbd", plan.weights, *coincidences).reshape(4, 4),

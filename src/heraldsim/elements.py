@@ -57,6 +57,23 @@ def hwp_map(angle: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
+def arm_jones_maps(settings: tuple[str, str]) -> np.ndarray:
+    """Each arm's Jones maps at unit amplitude: the circuit with its splitters left out.
+
+    Returns an (arms, 2, 2, 2) array over (arm, side, source polarization,
+    detector): side 0 maps the arm's (H, V) onto its two herald detectors,
+    the identity for r1H/r1V and HWP(pi/8) for r2+/r2-; side 1 onto its
+    two output detectors through the analyzer of its Pauli setting, whose
+    column j is the conjugate of the polarization ``ANALYSIS_BASES`` gives
+    for port j.
+    """
+    for s in settings:
+        if s not in ANALYSIS_SETTINGS:
+            raise ValueError(f"unknown analysis setting {s!r} (use x, y or z)")
+    heralds = (np.eye(2, dtype=complex), hwp_map(math.pi / 8.0))
+    return np.array([[herald, ANALYSIS_BASES[s].conj().T] for herald, s in zip(heralds, settings)])
+
+
 @dataclass(frozen=True)
 class CircuitLayout:
     """Assembled circuit as one source-to-detector matrix.
@@ -94,22 +111,17 @@ def build_paper_circuit(
     The two arms never meet, and each PBS only relabels H and V into
     separate detection modes.  So arm a_k's (H, V) rows hold sqrt(R_k)
     times the reflected arm's Jones map on its two herald detectors and
-    sqrt(T_k) times the analyzer's map on its two output detectors, whose
-    column j is the conjugate of the polarization ``ANALYSIS_BASES`` gives
-    for port j; (sqrt(T), sqrt(R)) is the first row of ``beam_splitter_map``.
+    sqrt(T_k) times the analyzer's map on its two output detectors, both
+    from ``arm_jones_maps``; (sqrt(T), sqrt(R)) is the first row of
+    ``beam_splitter_map``.
     """
-    for s in settings:
-        if s not in ANALYSIS_SETTINGS:
-            raise ValueError(f"unknown analysis setting {s!r} (use x, y or z)")
-
-    (sqrt_t1, sqrt_r1), (sqrt_t2, sqrt_r2) = (
-        beam_splitter_map(t)[0].real for t in (t1, t2)
-    )
+    jones = arm_jones_maps(settings)
     # Rows a1H a1V a2H a2V; columns r1H r1V r2+ r2- t1H t1V t2H t2V.
     matrix = np.zeros((4, 8), dtype=complex)
-    matrix[0:2, 0:2] = sqrt_r1 * np.eye(2)
-    matrix[2:4, 2:4] = sqrt_r2 * hwp_map(math.pi / 8.0)
-    matrix[0:2, 4:6] = sqrt_t1 * ANALYSIS_BASES[settings[0]].conj().T
-    matrix[2:4, 6:8] = sqrt_t2 * ANALYSIS_BASES[settings[1]].conj().T
+    for arm, t in enumerate((t1, t2)):
+        sqrt_t, sqrt_r = beam_splitter_map(t)[0].real
+        rows = slice(2 * arm, 2 * arm + 2)
+        matrix[rows, 2 * arm:2 * arm + 2] = sqrt_r * jones[arm, 0]
+        matrix[rows, 4 + 2 * arm:6 + 2 * arm] = sqrt_t * jones[arm, 1]
     matrix.setflags(write=False)
     return CircuitLayout(matrix=matrix, t1=t1, t2=t2, settings=tuple(settings))

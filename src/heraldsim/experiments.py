@@ -142,12 +142,12 @@ def heralded_blocks(
     piece that the visibility mixes in; it heralds the output vacuum.
     Every block's table has one shape.
     """
-    matrix = build_paper_circuit(t1, t2, settings).matrix
     blocks: PairBlocks = {
-        (n, True): block for n, block in enumerate(herald_pair_terms(max_pairs, matrix, detectors))
+        (n, True): block
+        for n, block in enumerate(herald_pair_terms(max_pairs, t1, t2, detectors, settings))
     }
     if max_pairs >= 2:
-        p = herald_classical(matrix, detectors)
+        p = herald_classical(build_paper_circuit(t1, t2, settings).matrix, detectors)
         table = np.zeros_like(blocks[0, True].table)
         table[0, 0, 0, 0] = p
         blocks[2, False] = HeraldedBlock(p, table, 0.0, np.zeros((4, 4), dtype=complex))

@@ -18,7 +18,8 @@ The tomography estimate reads count tables and estimates the state with
 its own Pauli matrices, linear inversion and positivity projection, sharing
 no code with the package's reconstruction.
 The arm-kernel oracles are the exception: they keep the package's arm kets
-and replace only its photon maps and its coincidence kernel, to check
+and splitter factors and replace only its photon maps, built for each call
+outside the package's ket cache, and its coincidence kernel, to check
 those two kernels one at a time.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from heraldsim import detection
 from heraldsim.detection import COINCIDENCE_PATTERNS
-from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
+from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, arm_jones_maps, build_paper_circuit
 from heraldsim.fock import PRUNE_TOL, SparseKet, vacuum
 from heraldsim.source import emission_components, pair_term
 
@@ -344,11 +345,19 @@ def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     return np.where((p <= N) & (j <= N), norm, 0.0)[..., 0] * terms.sum(axis=-1)
 
 
-def kraus_arm_grams(kets: np.ndarray, plan, herald_weight: np.ndarray, thinning: np.ndarray):
+def binomial_thinning(n_max, eta):
+    """Entry [n, k]: the chance that k of n photons are detected at efficiency eta."""
+    return np.array([[math.comb(n, k) * eta**k * (1 - eta) ** (n - k) if k <= n else 0.0
+                      for k in range(n_max + 1)] for n in range(n_max + 1)])
+
+
+def kraus_arm_grams(kets: np.ndarray, herald_weight: np.ndarray, thinning: np.ndarray):
     """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
 
-    Of the block's plan it reads the rows alone, each an output occupation
-    (o0, o1), looked up by value.  An occupation (e0, e1) left after one
+    Each row is an output occupation (o0, o1) of ``_heralding_rows``,
+    looked up by value, and ``thinning`` holds each output detector's
+    ``binomial_thinning`` table over (arm, polarization).  An occupation
+    (e0, e1) left after one
     photon of an arm is detected comes from (e0 + 1, e1) seen as H or
     (e0, e1 + 1) seen as V; each such ket is kept, times its Kraus factor
     sqrt(thinning[n, 1]) for the detected photon of n and
@@ -357,7 +366,7 @@ def kraus_arm_grams(kets: np.ndarray, plan, herald_weight: np.ndarray, thinning:
     and overlapped in one product per arm.
     """
     n_inputs, size = kets.shape[2:]
-    keys = list(zip(*(r.tolist() for r in plan.rows)))
+    keys = list(zip(*(r.tolist() for r in detection._heralding_rows(size - 1))))
     row = {key: r for r, key in enumerate(keys)}
     weights = np.array([herald_weight[:, size - 1 - o0 - o1, :size] for o0, o1 in keys])
     weights = weights.swapaxes(0, 1)  # (arm, row, h0)
@@ -382,12 +391,26 @@ def kraus_arm_grams(kets: np.ndarray, plan, herald_weight: np.ndarray, thinning:
     return gram, coincidences
 
 
-def kraus_route_blocks(max_pairs: int, matrix: np.ndarray, detectors) -> list:
-    """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences."""
-    with mock.patch.multiple(
-        detection, _photon_maps=binomial_photon_maps, _arm_grams=kraus_arm_grams
-    ):
-        return detection.herald_pair_terms(max_pairs, matrix, detectors)
+def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors, settings=("z", "z")) -> list:
+    """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences.
+
+    Its splitter-free kets come from the binomial-sum maps, built for this
+    call alone and never kept, and its coincidences from ``kraus_arm_grams``
+    on thinning tables of its own.
+    """
+    side = max_pairs + 1
+    thinning = np.array([binomial_thinning(max_pairs, eta) for eta in detectors.etas(OUTPUT_NAMES)])
+    thinning = thinning.reshape(2, 2, side, side)
+
+    def kets(settings, max_pairs):
+        maps = binomial_photon_maps(arm_jones_maps(settings), max_pairs)
+        return [detection._arm_kets(maps, detection._block_plan(n)) for n in range(2, max_pairs + 1)]
+
+    def arm_grams(kets, plan, herald_weight, seen, kraus):
+        return kraus_arm_grams(kets, herald_weight, thinning)
+
+    with mock.patch.multiple(detection, _splitter_free_kets=kets, _arm_grams=arm_grams):
+        return detection.herald_pair_terms(max_pairs, t1, t2, detectors, settings)
 
 
 def permutation_herald_classical(state: SparseKet, matrix: np.ndarray, detectors) -> float:

@@ -62,7 +62,7 @@ def herald_components(weights, layout, detectors):
     total = 0.0
     for (pairs, coherent), weight in weights.items():
         if coherent:
-            prob = herald_pair_terms(pairs, layout.total_matrix(), detectors)[pairs].herald
+            prob = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings)[pairs].herald
         else:
             prob = herald_classical(layout.total_matrix(), detectors)
         total += weight * prob
@@ -71,7 +71,7 @@ def herald_components(weights, layout, detectors):
 
 def three_pair_block(t1, t2, detectors):
     """The three-pair block heralded through the z-z circuit."""
-    return herald_pair_terms(3, build_paper_circuit(t1, t2).matrix, detectors)[3]
+    return herald_pair_terms(3, t1, t2, detectors)[3]
 
 
 def two_pair_pieces(visibility):

@@ -12,7 +12,9 @@ from heraldsim.detection import (
     _arm_kets,
     _block_plan,
     _fires,
+    _heralding_rows,
     _photon_maps,
+    _splitter_free_kets,
     _thinning,
     arm_totals,
     herald_classical,
@@ -28,6 +30,7 @@ from heraldsim.source import SpdcParams, pair_term
 
 import oracles
 from oracles import (
+    binomial_thinning,
     classical_herald_probability,
     classical_occupation_distribution,
     dense_evolve,
@@ -44,7 +47,7 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
     """The n-pair block heralded arm by arm through the paper's circuit."""
-    return herald_pair_terms(n_pairs, build_paper_circuit(t1, t2, settings).matrix, detectors)[-1]
+    return herald_pair_terms(n_pairs, t1, t2, detectors, settings)[-1]
 
 
 def basis_ket(modes, occ):
@@ -231,6 +234,7 @@ class TestHerald:
     def test_blocks_below_two_photons_per_arm_are_not_evolved(self, detectors, monkeypatch):
         # each arm's two herald detectors need a photon each: blocks 0 and 1 are exact
         # zeros of the common table shape
+        _splitter_free_kets.cache_clear()
         evolved = []
 
         def counting_arm_kets(maps, plan):
@@ -238,7 +242,7 @@ class TestHerald:
             return _arm_kets(maps, plan)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
-        blocks = herald_pair_terms(3, build_paper_circuit(0.3, 0.7, ("x", "y")).matrix, detectors)
+        blocks = herald_pair_terms(3, 0.3, 0.7, detectors, ("x", "y"))
         assert evolved == [2, 3]
         assert blocks[3].herald > 0.0
         for zero in blocks[:2]:
@@ -259,7 +263,7 @@ class TestHerald:
 
         monkeypatch.setattr("heraldsim.detection._thinning", counting_thinning)
         det = DetectorModel(efficiency=0.3, per_mode=per_mode)
-        blocks = herald_pair_terms(4, build_paper_circuit(0.3, 0.7).matrix, det)
+        blocks = herald_pair_terms(4, 0.3, 0.7, det)
         assert len(built) == len(set(built)) == tables
         monkeypatch.undo()
         assert blocks[4].herald == block(4, 0.3, 0.7, det).herald > 0.0
@@ -290,19 +294,20 @@ class TestHerald:
         with pytest.raises(ValueError, match="herald modes"):
             oracles.herald(basis_ket(3, (1, 1, 1)), LOSSLESS_THRESHOLD)
 
-    def test_circuit_mixing_the_arms_rejected(self):
-        matrix = np.array(ROUTE_TO_HERALDS)
-        matrix[0] = 0.0
-        matrix[0, 0] = matrix[0, 6] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and t2H
-        with pytest.raises(ValueError, match="mixes the two arms"):
-            herald_pair_terms(2, matrix, LOSSLESS_THRESHOLD)
-
     def test_negative_max_pairs_rejected(self):
-        matrix = build_paper_circuit(0.5, 0.5).matrix
         with pytest.raises(ValueError, match="max_pairs must be non-negative"):
-            herald_pair_terms(-1, matrix, LOSSLESS_THRESHOLD)
-        (vacuum,) = herald_pair_terms(0, matrix, LOSSLESS_THRESHOLD)
+            herald_pair_terms(-1, 0.5, 0.5, LOSSLESS_THRESHOLD)
+        (vacuum,) = herald_pair_terms(0, 0.5, 0.5, LOSSLESS_THRESHOLD)
         assert vacuum.herald == 0.0 and vacuum.table.shape == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("t1,t2,settings,match", [
+        (-0.1, 0.5, ("z", "z"), "transmission"), (0.5, 1.5, ("z", "z"), "transmission"),
+        (0.5, 0.5, ("z", "w"), "unknown analysis setting"),
+    ])
+    def test_bad_circuit_rejected(self, t1, t2, settings, match):
+        # the kernel checks the splitters and settings it is given, as build_paper_circuit does
+        with pytest.raises(ValueError, match=match):
+            herald_pair_terms(3, t1, t2, LOSSLESS_THRESHOLD, settings)
 
     def test_component_weights_sum_to_probability(self):
         # the joint probabilities of the herald and each count pattern add up to the herald's
@@ -468,12 +473,6 @@ class TestArmClicks:
             expected, abs=1e-12)
 
 
-def binomial_thinning(n_max, eta):
-    """Entry [n, k]: the chance that k of n photons are detected at efficiency eta."""
-    return np.array([[math.comb(n, k) * eta**k * (1 - eta) ** (n - k) if k <= n else 0.0
-                      for k in range(n_max + 1)] for n in range(n_max + 1)])
-
-
 class TestOutputLoss:
     def test_commutes_with_the_herald(self):
         # output loss only thins the photons that reach t1/t2: the herald and
@@ -491,10 +490,9 @@ class TestOutputLoss:
                               per_mode={**heralds, **dict(zip(OUTPUT_NAMES, outputs))})
                 for outputs in (etas, [1.0] * 4)
             )
-            matrix = build_paper_circuit(t1, t2, settings[trial % 9]).matrix
             max_pairs = int(rng.integers(2, 7))
-            for got, ref in zip(herald_pair_terms(max_pairs, matrix, lossy),
-                                herald_pair_terms(max_pairs, matrix, perfect)):
+            for got, ref in zip(herald_pair_terms(max_pairs, t1, t2, lossy, settings[trial % 9]),
+                                herald_pair_terms(max_pairs, t1, t2, perfect, settings[trial % 9])):
                 assert got.herald == ref.herald and got.direct == ref.direct
                 thin = [binomial_thinning(len(ref.table) - 1, eta) for eta in etas]
                 want = np.einsum("abcd,aA,bB,cC,dD->ABCD", ref.table, *thin, optimize=True)
@@ -572,7 +570,7 @@ class TestArmKets:
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
                 plan = _block_plan(n)
-                rows = plan.rows
+                rows = _heralding_rows(n)
                 kets = _arm_kets(maps, plan)
                 assert {(o0, o1) for o0, o1 in zip(*rows)} == {
                     (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
@@ -604,6 +602,26 @@ class TestArmKets:
         assert kets.shape == (2, 1, 3, 3)
         assert kets[1, 0, 1, 1] == 0.0
         assert abs(kets[1, 0, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        # at T = 0 every photon reaches the herald at unit amplitude: the splitter-free kets
+        assert np.array_equal(_splitter_free_kets(("z", "z"), 2)[0], kets)
+
+    def test_splitters_scale_each_row(self):
+        # the kets through the whole circuit are the splitter-free kets times
+        # sqrt(R)^m sqrt(T)^(n - m) on each row of m herald photons, T = 0 and 1 included
+        rng = np.random.default_rng(3101)
+        for trial in range(12):
+            t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
+            t1, t2 = ((t1, t2), (0.0, t2), (t1, 1.0))[trial % 3]
+            settings = ALL_SETTINGS[trial % 9]
+            matrix = build_paper_circuit(t1, t2, settings).matrix
+            arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
+            maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
+            for n, free in enumerate(_splitter_free_kets(settings, 8), start=2):
+                m = _block_plan(n).herald_photons
+                scale = np.array([(1 - t) ** (m / 2) * t ** ((n - m) / 2) for t in (t1, t2)])
+                want = _arm_kets(maps, _block_plan(n))
+                got = free * scale[:, :, None, None]
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=1.0)
 
 
 def plan_arrays(plan):
@@ -639,35 +657,96 @@ class TestBlockPlan:
                         for name in HERALD_NAMES + OUTPUT_NAMES}
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
-            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).matrix
+            settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(2, 9))
             _block_plan.cache_clear()
-            cold = herald_pair_terms(max_pairs, matrix, det)
+            _splitter_free_kets.cache_clear()
+            cold = herald_pair_terms(max_pairs, t1, t2, det, settings)
             assert _block_plan.cache_info().misses == max_pairs - 1
-            warm = herald_pair_terms(max_pairs, matrix, det)
+            cold_kets = _splitter_free_kets(settings, max_pairs)
+            # the kets again, on warm plans, then a call on warm kets
+            _splitter_free_kets.cache_clear()
+            warm = herald_pair_terms(max_pairs, t1, t2, det, settings)
+            warm_kets = _splitter_free_kets(settings, max_pairs)
+            assert warm_kets is not cold_kets
+            assert [k.tobytes() for k in cold_kets] == [k.tobytes() for k in warm_kets]
+            again = herald_pair_terms(max_pairs, t1, t2, det, settings)
             assert _block_plan.cache_info().misses == max_pairs - 1
-            for a, b in zip(cold, warm):
-                assert float(a.herald).hex() == float(b.herald).hex()
-                assert float(a.direct).hex() == float(b.direct).hex()
-                assert a.table.tobytes() == b.table.tobytes()
-                assert a.coincidences.tobytes() == b.coincidences.tobytes()
+            assert _splitter_free_kets.cache_info().misses == 1
+            for a, b, c in zip(cold, warm, again):
+                for other in (b, c):
+                    assert float(a.herald).hex() == float(other.herald).hex()
+                    assert float(a.direct).hex() == float(other.direct).hex()
+                    assert a.table.tobytes() == other.table.tobytes()
+                    assert a.coincidences.tobytes() == other.coincidences.tobytes()
 
     def test_plan_does_not_depend_on_max_pairs(self):
         # the plan of block n is one object for every truncation, and built first for
         # N = n or for N = n + 4 it holds the same arrays
-        matrix, det = build_paper_circuit(0.3, 0.7, ("x", "y")).matrix, DetectorModel()
+        det = DetectorModel()
         _block_plan.cache_clear()
-        herald_pair_terms(4, matrix, det)
+        herald_pair_terms(4, 0.3, 0.7, det, ("x", "y"))
         small = {n: _block_plan(n) for n in range(2, 5)}
-        herald_pair_terms(8, matrix, det)
+        herald_pair_terms(8, 0.3, 0.7, det, ("x", "y"))
         assert all(_block_plan(n) is plan for n, plan in small.items())
         _block_plan.cache_clear()
-        herald_pair_terms(8, matrix, det)
+        herald_pair_terms(8, 0.3, 0.7, det, ("x", "y"))
         for n, plan in small.items():
             rebuilt = dict(plan_arrays(_block_plan(n)))
             assert rebuilt.keys() == dict(plan_arrays(plan)).keys()
             for (name, want), (_, got) in zip(plan_arrays(plan), plan_arrays(_block_plan(n))):
                 assert got.shape == want.shape and np.array_equal(got, want), name
+
+
+class TestSplitterFreeKets:
+    def test_rows_of_a_block_lead_every_larger_block(self):
+        # a call builds its per-row tables for its largest block and slices them
+        for big in range(2, 13):
+            rows = _heralding_rows(big)
+            for n in range(big + 1):
+                small = _heralding_rows(n)
+                assert len(small[0]) == max(n * (n - 1) // 2, 0)
+                for a, b in zip(small, rows):
+                    assert np.array_equal(a, b[:len(a)])
+
+    def test_kets_are_read_only(self):
+        # every caller in the process shares the kets of one pair of settings
+        for settings in ALL_SETTINGS:
+            kets = _splitter_free_kets(settings, 5)
+            assert [k.shape for k in kets] == [(2, n * (n - 1) // 2, n + 1, n + 1) for n in range(2, 6)]
+            for k in kets:
+                assert not k.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    k[...] = 0
+
+    def test_kets_through_twenty_pairs_fit_in_sixteen_megabytes(self):
+        kets = _splitter_free_kets(("y", "x"), 20)
+        assert sum(k.nbytes for k in kets) < 16e6
+        _splitter_free_kets.cache_clear()
+
+    def test_cold_call_builds_maps_once_and_warm_call_none(self, monkeypatch):
+        # a cold call builds the photon maps once, up to its largest block, and the kets
+        # of each block that can herald; a call on the same settings and truncation at
+        # other splitters and detectors builds neither
+        built, evolved = [], []
+
+        def counting_maps(matrices, n):
+            built.append(n)
+            return _photon_maps(matrices, n)
+
+        def counting_arm_kets(maps, plan):
+            evolved.append(int(plan.photons[0, 0].sum()))
+            return _arm_kets(maps, plan)
+
+        monkeypatch.setattr("heraldsim.detection._photon_maps", counting_maps)
+        monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
+        _splitter_free_kets.cache_clear()
+        herald_pair_terms(6, 0.3, 0.7, DetectorModel(), ("x", "z"))
+        assert built == [6] and evolved == [2, 3, 4, 5, 6]
+        heralded_blocks(0.55, 0.2, DetectorModel(efficiency=0.4, resolving="number"), 6, ("x", "z"))
+        assert built == [6] and evolved == [2, 3, 4, 5, 6]
+        herald_pair_terms(6, 0.3, 0.7, DetectorModel(), ("z", "x"))
+        assert built == [6, 6]
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a
@@ -694,7 +773,7 @@ class TestAgainstOracles:
         # every block 0..5 against its permanent-formula ket, heralded pattern by pattern
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
         matrix = build_paper_circuit(0.35, 0.55, settings).matrix
-        for n, heralded in enumerate(herald_pair_terms(5, matrix, det)):
+        for n, heralded in enumerate(herald_pair_terms(5, 0.35, 0.55, det, settings)):
             state = dense_evolve_by_arm(dict(pair_term(n).amplitudes), matrix)
             want = herald_by_pattern(state, det.etas(HERALD_NAMES), resolving)
             assert heralded.herald == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
@@ -721,10 +800,10 @@ class TestAgainstOracles:
                         for name in HERALD_NAMES + OUTPUT_NAMES}
             det = DetectorModel(efficiency=float(rng.uniform()), resolving=("threshold", "number")[trial % 2],
                                 per_mode=per_mode)
-            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).matrix
+            settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(0, 10))
-            for got, want in zip(herald_pair_terms(max_pairs, matrix, det),
-                                 oracles.kraus_route_blocks(max_pairs, matrix, det)):
+            for got, want in zip(herald_pair_terms(max_pairs, t1, t2, det, settings),
+                                 oracles.kraus_route_blocks(max_pairs, t1, t2, det, settings)):
                 assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
@@ -751,8 +830,8 @@ class TestAgainstOracles:
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
             layout = build_paper_circuit(t1, t2, ALL_SETTINGS[int(rng.integers(9))])
-            blocks = herald_pair_terms(10, layout.matrix, det)
-            for got, want in zip(blocks, oracles.kraus_route_blocks(10, layout.matrix, det)):
+            blocks = herald_pair_terms(10, t1, t2, det, layout.settings)
+            for got, want in zip(blocks, oracles.kraus_route_blocks(10, t1, t2, det, layout.settings)):
                 assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()

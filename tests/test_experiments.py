@@ -124,7 +124,7 @@ class TestSharedBlocks:
                 herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
                 for (pairs, coherent), weight in emission_components(spdc).items():
                     if coherent:
-                        block = herald_pair_terms(pairs, matrix, det)[pairs]
+                        block = herald_pair_terms(pairs, 0.3, 0.7, det, settings)[pairs]
                         herald_p += weight * block.herald
                         direct += weight * block.direct
                         table[tuple(slice(0, s) for s in block.table.shape)] += weight * block.table
@@ -169,7 +169,9 @@ class TestSharedBlocks:
 
     def test_each_block_evolves_once(self, monkeypatch):
         # one set of arm kets per pair block that can herald (two photons or more
-        # per arm) and command, whatever the number of taus
+        # per arm), whatever the number of taus; a second command on the same settings
+        # and truncation evolves none, whatever its splitters
+        heraldsim.detection._splitter_free_kets.cache_clear()
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
@@ -184,19 +186,22 @@ class TestSharedBlocks:
         monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
         monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
         calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
-        assert sorted(evolved) == [2, 3, 4]
+        assert evolved == [2, 3, 4]
         evolved.clear()
-        run_power_comparison(0.25, power_scaled_tau(0.25), t=0.3, max_pairs=4)
-        assert sorted(evolved) == [2, 3, 4]
+        run_power_comparison(0.25, power_scaled_tau(0.25), t=0.5, max_pairs=4)
+        assert evolved == []
         assert len(set(visited)) == 2
 
 
 class TestSweep:
     def test_plans_are_reused_across_points(self):
-        # a 4-point sweep at N pairs builds the plan of each block 2..N once, not once per point
+        # a 4-point sweep at N pairs builds the plan of each block 2..N once, not once per
+        # point, and the splitter-free kets of its settings once
         heraldsim.detection._block_plan.cache_clear()
+        heraldsim.detection._splitter_free_kets.cache_clear()
         run_sweep(sweep_configs([0.17, 0.3, 0.5, 0.7], tau=0.25, max_pairs=5))
         assert heraldsim.detection._block_plan.cache_info().misses == 5 - 1
+        assert heraldsim.detection._splitter_free_kets.cache_info().misses == 1
 
     def test_three_pair_truncation_near_quadratic(self):
         rows = run_sweep(sweep_configs([0.17, 0.5, 0.7], tau=0.25, max_pairs=3, visibility=1.0))

@@ -253,9 +253,8 @@ class TestHeraldProjection:
         # mode leaves the maximally entangled pair on the outputs, with the
         # squared constant T1 T2 R1^2 R2^2 / 2
         t1, t2 = 0.3, 0.6
-        matrix = build_paper_circuit(t1, t2, ("z", "z")).matrix
         ideal = DetectorModel(efficiency=1.0, resolving="number")
-        block = herald_pair_terms(3, matrix, ideal)[3]
+        block = herald_pair_terms(3, t1, t2, ideal)[3]
         prob = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
         assert block.herald == pytest.approx(prob, abs=1e-12)
         assert block.table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from heraldsim.detection import DetectorModel, arm_totals, herald_pair_terms
 from heraldsim.experiments import ExperimentConfig, simulate_experiment
-from heraldsim.elements import build_paper_circuit
 from heraldsim.metrics import (
     BELL_STATES,
     PHI_PLUS,
@@ -96,6 +95,16 @@ class TestCheckDensityMatrix:
         rho[3, 0] += 1e-6j
         with pytest.raises(ValueError, match="not Hermitian"):
             check_density_matrix(rho)
+
+    @pytest.mark.parametrize("entry,value", [
+        ((1, 2), np.nan), ((0, 0), complex(0.25, np.nan)), ((2, 2), np.inf), ((0, 3), np.inf),
+        ((3, 1), complex(0.0, -np.inf)),
+    ])
+    def test_non_finite_entry_fails_the_stack(self, entry, value):
+        stack = state_stack(50)
+        stack[(17, *entry)] = value
+        with pytest.raises(ValueError):
+            check_density_matrix(stack)
 
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (50, 4, 3), (50, 16), (50, 3, 4)])
     def test_trailing_shape_must_be_4x4(self, shape):
@@ -239,7 +248,7 @@ class TestChsh:
 
 def direct_preparation(t1, t2, detectors):
     # P(1;1) of the heralded three-pair block before any output loss
-    block = herald_pair_terms(3, build_paper_circuit(t1, t2).matrix, detectors)[3]
+    block = herald_pair_terms(3, t1, t2, detectors)[3]
     return block.direct / block.herald
 
 
