@@ -3,6 +3,7 @@
 from .detection import (
     DetectorModel,
     HeraldedBlock,
+    PairBlocks,
     herald_pair_terms,
     number_table,
     postselect_two_qubit,

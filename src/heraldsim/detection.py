@@ -14,9 +14,12 @@ sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
 per output occupation and weighted by the probability that its herald
 detectors fire, gives the block's lossless table: the joint probability of
 the herald and each output occupation.  Its sum is the herald probability
-and its one-photon-per-arm entries P_direct.  Output loss never changes
-whether the herald fires and never adds a photon, so it thins that table
-after the contraction, within the same occupations.  The coincidence
+and its one-photon-per-arm entries P_direct.  The blocks come back as one
+stacked record (``PairBlocks``), each block's lossless table a layer over
+the rows of the largest block.  Output loss never changes whether the
+herald fires and never adds a photon, and it is linear, so it thins a
+weighted sum of those layers once, within the same occupations, rather
+than each block on its own (``weigh_blocks``).  The coincidence
 matrix, one detected photon per output arm, keeps the coherence between the
 detected polarizations; each arm's part of it is read off the same Gram
 tensors, every output occupation weighted by its chance of giving one
@@ -25,8 +28,8 @@ count, plus one Gram of kets a photon apart for the HV coherence
 because every element after the source is passive linear optics.  The
 two-pair block's distinguishable photons herald only when all four land one
 in each herald detector, so that block heralds the output vacuum, with a
-probability in closed form: each arm's two photons on its two herald
-detectors.
+probability in closed form that needs no circuit: R1^2 R2^2 / 6 times the
+four herald efficiencies (``herald_classical``).
 
 What the kernels of block n read that depends on n alone, not on the
 circuit, the detectors or the truncation, is one read-only record,
@@ -374,27 +377,61 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
     return np.bincount(cells, table.ravel(), size * size).reshape(size, size)
 
 
-def _arm_blocks(matrix: np.ndarray) -> np.ndarray:
-    """Each arm's rows of the (4, 8) circuit on its own detectors, checking that the arms never mix.
+@dataclass(frozen=True, eq=False)
+class PairBlocks:
+    """Heralded pair blocks at unit weight, stacked on a leading block axis, free of tau and V.
 
-    Returns an (arms, 2, 4) array: arm a's source modes (H, V) onto its two
-    herald detectors, then onto its two output detectors.
+    Layer b is the block ``keys[b]`` = (pairs, coherent), with the joint
+    probabilities of ``HeraldedBlock`` but for its table: ``lossless[b]``
+    is its (R, R) table over both arms' output occupations before output
+    loss, the joint probability of the herald and each (o0, o1) of arm 1
+    and of arm 2, over the R rows of the largest block that can herald
+    (``_heralding_rows(max_pairs)``); block n fills the leading rows.
+    Output loss is linear, so a weighted sum of layers is thinned once
+    (``weigh_blocks``).  ``thinning`` holds each arm's (R, R) output-loss
+    matrix, entry [r, r'] the chance that the output photons of row r
+    leave those of row r' detected, and ``one_count`` each arm's (R,)
+    chance that a row gives exactly one count.
     """
-    n_herald = len(HERALD_NAMES)
-    blocks = []
-    for arm in (0, 1):
-        cols = [2 * arm, 2 * arm + 1, n_herald + 2 * arm, n_herald + 2 * arm + 1]
-        rows = matrix[2 * arm:2 * arm + 2]
-        if np.delete(rows, cols, axis=1).any():
-            raise ValueError("the circuit mixes the two arms")
-        blocks.append(rows[:, cols])
-    return np.array(blocks)
+
+    keys: tuple[tuple[int, bool], ...]
+    herald: np.ndarray  # (B,)
+    direct: np.ndarray  # (B,)
+    coincidences: np.ndarray  # (B, 4, 4)
+    lossless: np.ndarray  # (B, R, R)
+    thinning: np.ndarray  # (arms, R, R)
+    one_count: np.ndarray  # (arms, R)
+    max_pairs: int
+
+
+def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
+    """The layers of ``blocks`` summed with ``weights`` (B,), in one product over the block axis.
+
+    Output loss is linear and never adds a photon, so it thins the summed
+    lossless table once, within the same occupations: one thinning matrix
+    per arm, first^T L second, laid into a (t1H, t1V, t2H, t2V) table of
+    (max_pairs + 1)^4 shape, where a count pattern that no row can give is
+    exactly zero.  Every product runs in numpy's own loops, not in BLAS, so
+    no thread count changes a figure.
+    """
+    first, second = blocks.thinning
+    lossless = np.einsum("b,brs->rs", weights, blocks.lossless)
+    thinned = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
+    o0, o1 = _heralding_rows(blocks.max_pairs)
+    table = np.zeros((blocks.max_pairs + 1,) * 4)
+    table[o0[:, None], o1[:, None], o0, o1] = thinned
+    return HeraldedBlock(
+        float(np.einsum("b,b->", weights, blocks.herald)),
+        table,
+        float(np.einsum("b,b->", weights, blocks.direct)),
+        np.einsum("b,bij->ij", weights, blocks.coincidences),
+    )
 
 
 def herald_pair_terms(
     max_pairs: int, t1: float, t2: float, detectors: DetectorModel,
     settings: tuple[str, str] = ("z", "z"),
-) -> list[HeraldedBlock]:
+) -> PairBlocks:
     """Herald the pair blocks 0..max_pairs through the paper's circuit, both arms at once.
 
     Block n is ``pair_term(n)``, a sum of products sum_k c_k |a1 input
@@ -411,15 +448,12 @@ def herald_pair_terms(
     contraction per block over the arms' Gram tensors (``_arm_grams``)
     gives its lossless table on those occupations, whose sum is the herald
     probability and whose one-photon-per-arm entries are P_direct.
-    Binomial output loss, a positive linear map that never adds a photon,
-    thins it within the same occupations, one matrix per arm, before it is
-    laid into a (t1H, t1V, t2H, t2V) table of one (max_pairs + 1)^4 shape
-    for every block.  Threshold detectors herald when each herald detector
-    detects at least one photon, number-resolving ones when each detects
-    exactly one; output clicks are never vetoed.  A count pattern a block
-    cannot give has a table entry of exactly zero.  The zero- and one-pair
-    blocks cannot herald, as each of an arm's two herald detectors needs a
-    photon, so they are not evolved: their blocks are exactly zero.
+    Threshold detectors herald when each herald detector detects at least
+    one photon, number-resolving ones when each detects exactly one; output
+    clicks are never vetoed.  The zero- and one-pair blocks cannot herald,
+    as each of an arm's two herald detectors needs a photon, so they are
+    not evolved: their layers are exactly zero.  Returns layer n for block
+    n, keyed (n, True).
     """
     if max_pairs < 0:
         raise ValueError(f"max_pairs must be non-negative, got {max_pairs}")
@@ -440,62 +474,52 @@ def herald_pair_terms(
     # the rows of block n are the leading n(n-1)/2 of the largest block's: every per-row table
     # is built once, for the largest block, and sliced
     o0, o1 = _heralding_rows(max_pairs)
-    first, second = thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1]
     seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
     out = o0 + o1
     kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
-    blocks = []
-    for n in range(max_pairs + 1):
-        table = np.zeros((side,) * 4)
-        if n < 2:
-            # neither herald detector of an arm fires on no photons: the block never heralds
-            blocks.append(HeraldedBlock(0.0, table, 0.0, np.zeros((4, 4), dtype=complex)))
-            continue
+    powers = amplitudes[..., None] ** (2 * np.arange(side))  # [arm, (T, R), m]: T^m and R^m
+    herald = np.zeros(side)
+    direct = np.zeros(side)
+    coincidences = np.zeros((side, 4, 4), dtype=complex)
+    lossless = np.zeros((side, len(o0), len(o0)))
+    for n in range(2, side):
         plan = _block_plan(n)
         rows = len(plan.herald_photons)
         # splitters[arm, m] = R^m T^(n-m), the weight of a row of m herald photons
-        m = np.arange(n + 1)
-        splitters = amplitudes[:, 1:] ** (2 * m) * amplitudes[:, :1] ** (2 * (n - m))
-        gram, coincidences = _arm_grams(kets[n - 2], plan, herald_weight[:, :n + 1] * splitters[..., None],
-                                        seen[:, :rows], kraus[:, :rows - 1])
-        lossless = _contract(plan.weights, *gram)
-        # counts left after loss can herald too: one thinning matrix per arm, in numpy's loops
-        detected = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first[:rows, :rows], lossless),
-                             second[:rows, :rows])
-        table[o0[:rows, None], o1[:rows, None], o0[:rows], o1[:rows]] = detected
-        blocks.append(HeraldedBlock(
-            float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),  # rows 1-2: one photon
-            np.einsum("kl,akbl,ckdl->acbd", plan.weights, *coincidences).reshape(4, 4),
-        ))
-    return blocks
+        splitters = powers[:, 1, :n + 1] * powers[:, 0, n::-1]
+        gram, coincident = _arm_grams(kets[n - 2], plan, herald_weight[:, :n + 1] * splitters[..., None],
+                                      seen[:, :rows], kraus[:, :rows - 1])
+        block = lossless[n, :rows, :rows] = _contract(plan.weights, *gram)
+        herald[n] = block.sum()
+        direct[n] = block[1:3, 1:3].sum()  # rows 1-2: one photon
+        coincidences[n] = np.einsum("kl,akbl,ckdl->acbd", plan.weights, *coincident).reshape(4, 4)
+    return PairBlocks(
+        keys=tuple((n, True) for n in range(side)),
+        herald=herald, direct=direct, coincidences=coincidences, lossless=lossless,
+        thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
+        one_count=seen.sum(axis=-1),
+        max_pairs=max_pairs,
+    )
 
 
-def herald_classical(matrix: np.ndarray, detectors: DetectorModel) -> float:
+def herald_classical(t1: float, t2: float, detectors: DetectorModel) -> float:
     """Herald probability of the two-pair block with its four photons distinguishable.
 
-    Each photon of source mode i lands in detector j with probability
-    |matrix[i, j]|^2, independently; all interference is discarded.  The
-    four photons herald only by landing one in each herald detector (the
-    matrix's first columns), which leaves the outputs empty: per ket of
-    ``pair_term(2)``, the chance is the permanent of |matrix|^2 on its
-    photons' rows and the herald columns.  The circuit must not mix the
-    arms, so that permanent is the product of each arm's: the 2x2
-    permanent p00 p11 + p01 p10 of its two photons on its two herald
-    detectors.  What heralds is the output vacuum.
+    Each photon lands in a detector independently, with the squared
+    magnitude of its amplitude there; all interference is discarded.  The
+    four photons herald only by landing one in each herald detector, which
+    leaves the outputs empty, and each does so only if its splitter
+    reflects it, with R = 1 - T.  Of the kets of ``pair_term(2)``,
+    |2,0;0,2>, |1,1;1,1> and |0,2;2,0> at weight 1/3 each, only |1,1;1,1>
+    can: arm 1's herald analyzer sends H to r1H and V to r1V, so its two
+    photons meet both detectors with R1^2 only when they are one H and one
+    V, and arm 2's HWP(pi/8) sends each of its photons to r2+ or r2- with
+    R2/2, so its two land one on each with 2 (R2/2)^2.  The herald
+    probability is R1^2 R2^2 / 6 times the four herald efficiencies.
     """
-    # probs[arm][source mode][herald detector]
-    probs = (np.abs(_arm_blocks(matrix)[..., :2]) ** 2).tolist()
-    plan = _block_plan(2)
-    routed = 0.0
-    # per ket k: both arms' (H, V) photons and |c_k|^2
-    photons, weights = plan.photons.swapaxes(0, 1).tolist(), plan.weights.diagonal().real.tolist()
-    for arms, weight in zip(photons, weights):
-        permanent = 1.0
-        for p, (h, v) in zip(probs, arms):
-            first, second = (p[mode] for mode in [0] * h + [1] * v)  # the arm's two photons
-            permanent *= first[0] * second[1] + first[1] * second[0]
-        routed += weight * permanent
-    return routed * math.prod(detectors.etas(HERALD_NAMES))
+    if not (0.0 <= t1 <= 1.0 and 0.0 <= t2 <= 1.0):
+        raise ValueError(f"transmissions must be in [0, 1], got {t1} and {t2}")
+    return (1.0 - t1) ** 2 * (1.0 - t2) ** 2 / 6.0 * math.prod(detectors.etas(HERALD_NAMES))
 
 
 def number_table(block: HeraldedBlock) -> dict[Occupation, float]:

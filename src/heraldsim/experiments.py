@@ -1,22 +1,24 @@
 """End-to-end experiment reproductions: sweeps, power dependence, tables.
 
 The heralding pipeline runs in two stages.  ``heralded_blocks`` heralds
-each pair-number block arm by arm (``herald_pair_terms``) into its joint
-probabilities with the herald: herald probability, detected number table,
-direct one-pair-per-arm probability and coincidence matrix.  A
-distinguishable-photon copy of the two-pair block heralds the output vacuum
-in closed form.  Blocks of different photon number never interfere in
-photon counting, so none of this depends on tau or the visibility.
-``reweight_blocks`` then sums the blocks with the emission weights (the
-visibility splitting the two-pair weight).  power-compare builds the blocks
-once for both values of tau, and calibrate reduces them to two polynomials
-in tau^2.
+each pair-number block arm by arm (``herald_pair_terms``) into one stacked
+record of joint probabilities with the herald: per block, the herald
+probability, the lossless table over both arms' output occupations, the
+direct one-pair-per-arm probability and the coincidence matrix.  A
+distinguishable-photon copy of the two-pair block, one more layer, heralds
+the output vacuum in closed form.  Blocks of different photon number never
+interfere in photon counting, so none of this depends on tau or the
+visibility.  ``reweight_blocks`` then sums the layers with the emission
+weights (the visibility splitting the two-pair weight) in one product over
+the block axis, and thins the summed lossless table by output loss once.
+power-compare builds the blocks once for both values of tau, and calibrate
+reduces them to two polynomials in tau^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,19 +26,20 @@ import numpy as np
 from .detection import (
     DetectorModel,
     HeraldedBlock,
+    PairBlocks,
     arm_totals,
     herald_classical,
     herald_pair_terms,
     number_table,
     postselect_two_qubit,
+    weigh_blocks,
 )
-from .elements import OUTPUT_NAMES, build_paper_circuit
+from .elements import OUTPUT_NAMES
 from .fock import Occupation
 from .metrics import (
     BELL_STATES,
-    chsh_max,
     fidelity_to_phi_plus,
-    tangle,
+    state_figures,
     total_state_fidelity_from_values,
 )
 from .source import PAPER_VISIBILITY, SpdcParams, emission_coefficients, emission_components
@@ -125,10 +128,6 @@ def _whole_number(value) -> int:
     return int(value)
 
 
-# Heralded pair blocks at unit weight, keyed by (pair number, coherent).
-PairBlocks = dict[tuple[int, bool], HeraldedBlock]
-
-
 def heralded_blocks(
     t1: float,
     t2: float,
@@ -136,31 +135,34 @@ def heralded_blocks(
     max_pairs: int,
     settings: tuple[str, str] = ("z", "z"),
 ) -> PairBlocks:
-    """Herald each pair block 0..max_pairs once, free of tau and V.
+    """Herald each pair block 0..max_pairs once, free of tau and V, as one stacked record.
 
     The two-pair block also appears with its photons distinguishable, the
-    piece that the visibility mixes in; it heralds the output vacuum.
-    Every block's table has one shape.
+    piece that the visibility mixes in, as one more layer keyed (2, False):
+    it heralds the output vacuum alone, in closed form (``herald_classical``),
+    so its lossless table is the herald probability at rows (0, 0).
     """
-    blocks: PairBlocks = {
-        (n, True): block
-        for n, block in enumerate(herald_pair_terms(max_pairs, t1, t2, detectors, settings))
-    }
-    if max_pairs >= 2:
-        p = herald_classical(build_paper_circuit(t1, t2, settings).matrix, detectors)
-        table = np.zeros_like(blocks[0, True].table)
-        table[0, 0, 0, 0] = p
-        blocks[2, False] = HeraldedBlock(p, table, 0.0, np.zeros((4, 4), dtype=complex))
-    return blocks
+    blocks = herald_pair_terms(max_pairs, t1, t2, detectors, settings)
+    if max_pairs < 2:
+        return blocks
+    classical = np.zeros_like(blocks.lossless[:1])
+    classical[0, 0, 0] = p = herald_classical(t1, t2, detectors)
+    return replace(
+        blocks,
+        keys=blocks.keys + ((2, False),),
+        herald=np.append(blocks.herald, p),
+        direct=np.append(blocks.direct, 0.0),
+        coincidences=np.concatenate([blocks.coincidences, np.zeros((1, 4, 4), dtype=complex)]),
+        lossless=np.concatenate([blocks.lossless, classical]),
+    )
 
 
 def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> HeraldedBlock:
-    """Sum the heralded blocks with the emission weights of spdc, field by field."""
-    weights = emission_components(spdc)
-    return HeraldedBlock(*(
-        sum(weight * getattr(blocks[key], f.name) for key, weight in weights.items())
-        for f in fields(HeraldedBlock)
-    ))
+    """Sum the heralded blocks with the emission weights of spdc, thinned by output loss once."""
+    weights = np.zeros(len(blocks.keys))
+    for key, weight in emission_components(spdc).items():
+        weights[blocks.keys.index(key)] = weight
+    return weigh_blocks(blocks, weights)
 
 
 @dataclass(frozen=True)
@@ -203,13 +205,13 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     p_direct, p_estimator = _preparation_probabilities(heralded, reduction, config.detectors)
     rho_post = postselect_two_qubit(heralded)
     p11 = float(reduction[1, 1])
-    f_post = fidelity_to_phi_plus(rho_post)
+    f_post, tangle, chsh = state_figures(rho_post)
     metrics = {
         "herald_probability": heralded.herald,
         "fidelity_post": f_post,
         "fidelity_meas": total_state_fidelity_from_values(p11, f_post),
-        "tangle": tangle(rho_post),
-        "chsh": chsh_max(rho_post),
+        "tangle": tangle,
+        "chsh": chsh,
         "P_direct": p_direct,
         "P_estimator": p_estimator,
         "P11_detected": p11,
@@ -244,7 +246,8 @@ def calibrate_tau(
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
     Each heralded block c of n pairs reduces once to its herald probability
-    H_c and its joint P(1;1) J_c, entry [1, 1] of its ``arm_totals``.  With
+    H_c and its joint P(1;1) J_c, one_1 L_c one_2 with L_c its lossless
+    table and one_a the chance that a row of arm a gives one count.  With
     the emission coefficients v_c, the conditional P(1;1) at x = tau^2 is
     N(x)/D(x), with N = sum v_c J_c x^n and D = sum v_c H_c x^n (the
     truncation renormalization cancels), so tau is the square root of the
@@ -254,11 +257,14 @@ def calibrate_tau(
         raise ValueError("max_pairs must be non-negative")
     detectors = detectors or DetectorModel()
     blocks = heralded_blocks(t1, t2, detectors, max_pairs)
+    # each layer's P(1;1) with the herald: one count in each arm
+    joint = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
     herald_poly = np.zeros(max_pairs + 1)
     joint_poly = np.zeros(max_pairs + 1)
-    for (n, coherent), c in emission_coefficients(max_pairs, visibility).items():
-        herald_poly[n] += c * blocks[n, coherent].herald
-        joint_poly[n] += c * arm_totals(blocks[n, coherent].table)[1, 1]
+    for key, c in emission_coefficients(max_pairs, visibility).items():
+        layer = blocks.keys.index(key)
+        herald_poly[key[0]] += c * blocks.herald[layer]
+        joint_poly[key[0]] += c * joint[layer]
     if not herald_poly.any():
         cause = (f"max_pairs={max_pairs}: no block of fewer than two pairs can herald"
                  if max_pairs < 2 else f"t1={t1}, t2={t2}")

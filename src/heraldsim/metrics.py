@@ -66,11 +66,23 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
-    """Overlap with (|HH>+|VV>)/sqrt(2): a float, or an array for a (..., 4, 4) stack."""
-    rho = check_density_matrix(rho)
+def _fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
     # a (1, 4) bra and a (4, 1) ket round each state of a stack as they round one state
     return _per_state(np.real(PHI_PLUS.conj()[None] @ rho @ PHI_PLUS[:, None])[..., 0, 0])
+
+
+def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
+    """Overlap with (|HH>+|VV>)/sqrt(2): a float, or an array for a (..., 4, 4) stack."""
+    return _fidelity_to_phi_plus(check_density_matrix(rho))
+
+
+def _concurrence(rho: np.ndarray) -> float | np.ndarray:
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
+    return _per_state(
+        np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    )
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -81,13 +93,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     (y x y).  Taking them directly keeps full precision where eigenvalues
     near zero would lose half their digits to the square root.
     """
-    rho = check_density_matrix(rho)
-    w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
-    lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
-    return _per_state(
-        np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
-    )
+    return _concurrence(check_density_matrix(rho))
 
 
 def tangle(rho: np.ndarray) -> float | np.ndarray:
@@ -101,15 +107,24 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     return np.trace(rho @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
 
 
+def _chsh_max(rho: np.ndarray) -> float | np.ndarray:
+    m = correlation_matrix(rho)
+    eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
+    return _per_state(2.0 * np.sqrt(np.maximum(0.0, eigs[..., -1] + eigs[..., -2])))
+
+
 def chsh_max(rho: np.ndarray) -> float | np.ndarray:
     """Largest CHSH value over measurement settings (Horodecki criterion).
 
     S = 2 sqrt(m1 + m2) with m1 >= m2 the two largest eigenvalues of M^T M.
     """
+    return _chsh_max(check_density_matrix(rho))
+
+
+def state_figures(rho: np.ndarray) -> tuple:
+    """``fidelity_to_phi_plus``, ``tangle`` and ``chsh_max`` of a state or a stack, checked once."""
     rho = check_density_matrix(rho)
-    m = correlation_matrix(rho)
-    eigs = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
-    return _per_state(2.0 * np.sqrt(np.maximum(0.0, eigs[..., -1] + eigs[..., -2])))
+    return _fidelity_to_phi_plus(rho), _concurrence(rho) ** 2, _chsh_max(rho)
 
 
 def total_state_fidelity_from_values(p11: float, f_post: float) -> float:

@@ -413,8 +413,41 @@ def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors, settings
         return detection.herald_pair_terms(max_pairs, t1, t2, detectors, settings)
 
 
+def block_layers(blocks: detection.PairBlocks) -> dict:
+    """Each layer of a stacked ``PairBlocks`` record as a ``HeraldedBlock`` of its own, by its key.
+
+    Not an oracle: each layer at unit weight, the others at zero, through
+    ``detection.weigh_blocks``, which the pipeline runs once on the
+    reweighted layers.
+    """
+    layers = np.eye(len(blocks.keys))
+    return {key: detection.weigh_blocks(blocks, layers[b]) for b, key in enumerate(blocks.keys)}
+
+
+def herald_classical(matrix: np.ndarray, detectors) -> float:
+    """``detection.herald_classical`` as the product of each arm's 2x2 permanent, through a circuit.
+
+    Each photon of source mode i lands in detector j with probability
+    |matrix[i, j]|^2, independently.  Per ket of ``pair_term(2)``, the four
+    photons herald by landing one in each herald detector: with arms that
+    never mix, the product over the arms of the 2x2 permanent p00 p11 +
+    p01 p10 of the arm's two photons on its two herald detectors.
+    """
+    term = pair_term(2)
+    # probs[arm][source mode][herald detector]
+    probs = [(np.abs(matrix[2 * arm:2 * arm + 2, 2 * arm:2 * arm + 2]) ** 2).tolist() for arm in (0, 1)]
+    routed = 0.0
+    for occ, amp in zip(term.occupations.tolist(), term.values.tolist()):
+        permanent = 1.0
+        for p, (h, v) in zip(probs, (occ[:2], occ[2:])):
+            first, second = (p[mode] for mode in [0] * h + [1] * v)  # the arm's two photons
+            permanent *= first[0] * second[1] + first[1] * second[0]
+        routed += abs(amp) ** 2 * permanent
+    return routed * math.prod(detectors.etas(HERALD_NAMES))
+
+
 def permutation_herald_classical(state: SparseKet, matrix: np.ndarray, detectors) -> float:
-    """``detection.herald_classical`` as the permanent of |matrix|^2 over all 24 assignments.
+    """``herald_classical`` as the permanent of |matrix|^2 over all 24 assignments.
 
     Per ket, the four photons' rows against the four herald columns, summed
     over every permutation; the circuit's arm structure is not used.

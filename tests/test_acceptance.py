@@ -28,6 +28,8 @@ from heraldsim.metrics import (
     total_state_fidelity_from_values,
 )
 from heraldsim.source import SpdcParams, emission_coefficients
+
+from oracles import block_layers
 from heraldsim.tomography import (
     SETTINGS,
     ingest_counts,
@@ -62,16 +64,16 @@ def herald_components(weights, layout, detectors):
     total = 0.0
     for (pairs, coherent), weight in weights.items():
         if coherent:
-            prob = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings)[pairs].herald
+            prob = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings).herald[pairs]
         else:
-            prob = herald_classical(layout.total_matrix(), detectors)
+            prob = herald_classical(layout.t1, layout.t2, detectors)
         total += weight * prob
     return total
 
 
 def three_pair_block(t1, t2, detectors):
     """The three-pair block heralded through the z-z circuit."""
-    return herald_pair_terms(3, t1, t2, detectors)[3]
+    return block_layers(herald_pair_terms(3, t1, t2, detectors))[3, True]
 
 
 def two_pair_pieces(visibility):

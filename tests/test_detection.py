@@ -31,6 +31,7 @@ from heraldsim.source import SpdcParams, pair_term
 import oracles
 from oracles import (
     binomial_thinning,
+    block_layers,
     classical_herald_probability,
     classical_occupation_distribution,
     dense_evolve,
@@ -47,7 +48,7 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 
 def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
     """The n-pair block heralded arm by arm through the paper's circuit."""
-    return herald_pair_terms(n_pairs, t1, t2, detectors, settings)[-1]
+    return block_layers(herald_pair_terms(n_pairs, t1, t2, detectors, settings))[n_pairs, True]
 
 
 def basis_ket(modes, occ):
@@ -195,7 +196,7 @@ class TestClickDistribution:
         ket = basis_ket(4, (1, 1, 1, 1))
         assert oracles.permutation_herald_classical(ket, ROUTE_TO_HERALDS, det) == pytest.approx(
             0.4, abs=1e-15)
-        assert herald_classical(ROUTE_TO_HERALDS, det) == pytest.approx(0.4 / 3, rel=1e-15)
+        assert oracles.herald_classical(ROUTE_TO_HERALDS, det) == pytest.approx(0.4 / 3, rel=1e-15)
 
 
 class TestHerald:
@@ -242,12 +243,12 @@ class TestHerald:
             return _arm_kets(maps, plan)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
-        blocks = herald_pair_terms(3, 0.3, 0.7, detectors, ("x", "y"))
+        blocks = block_layers(herald_pair_terms(3, 0.3, 0.7, detectors, ("x", "y")))
         assert evolved == [2, 3]
-        assert blocks[3].herald > 0.0
-        for zero in blocks[:2]:
+        assert blocks[3, True].herald > 0.0
+        for zero in (blocks[0, True], blocks[1, True]):
             assert zero.herald == 0.0 and zero.direct == 0.0
-            assert zero.table.shape == blocks[3].table.shape and not zero.table.any()
+            assert zero.table.shape == blocks[3, True].table.shape and not zero.table.any()
             assert zero.coincidences.shape == (4, 4) and not zero.coincidences.any()
 
     @pytest.mark.parametrize("per_mode,tables", [
@@ -266,7 +267,7 @@ class TestHerald:
         blocks = herald_pair_terms(4, 0.3, 0.7, det)
         assert len(built) == len(set(built)) == tables
         monkeypatch.undo()
-        assert blocks[4].herald == block(4, 0.3, 0.7, det).herald > 0.0
+        assert blocks.herald[4] == block(4, 0.3, 0.7, det).herald > 0.0
 
     def test_herald_probability_monotone_in_efficiency(self):
         probs = [block(3, 0.4, 0.6, DetectorModel(efficiency=eta)).herald
@@ -297,7 +298,7 @@ class TestHerald:
     def test_negative_max_pairs_rejected(self):
         with pytest.raises(ValueError, match="max_pairs must be non-negative"):
             herald_pair_terms(-1, 0.5, 0.5, LOSSLESS_THRESHOLD)
-        (vacuum,) = herald_pair_terms(0, 0.5, 0.5, LOSSLESS_THRESHOLD)
+        (vacuum,) = block_layers(herald_pair_terms(0, 0.5, 0.5, LOSSLESS_THRESHOLD)).values()
         assert vacuum.herald == 0.0 and vacuum.table.shape == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("t1,t2,settings,match", [
@@ -325,8 +326,8 @@ class TestClassicalChannel:
         dist = classical_occupation_distribution(pair_term(2).amplitudes, layout.total_matrix())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
         det = DetectorModel(efficiency=0.3)
-        classical = heralded_blocks(0.4, 0.6, det, 2)[2, False]
-        assert classical.herald == herald_classical(layout.total_matrix(), det)
+        classical = block_layers(heralded_blocks(0.4, 0.6, det, 2))[2, False]
+        assert classical.herald == herald_classical(0.4, 0.6, det)
         assert classical.table.sum() == classical.herald
 
     def test_two_pair_leakage_closed_form(self):
@@ -334,20 +335,19 @@ class TestClassicalChannel:
         # both arm photons reflected, (H, V) split at the analyzer with
         # probability 1/2, times eta^4
         t1, t2, eta = 0.3, 0.6, 0.25
-        layout = build_paper_circuit(t1, t2)
-        prob = herald_classical(layout.total_matrix(), DetectorModel(efficiency=eta))
+        prob = herald_classical(t1, t2, DetectorModel(efficiency=eta))
         expected = (1 / 3) * (1 - t1) ** 2 * (1 - t2) ** 2 * 0.5 * eta**4
         assert prob == pytest.approx(expected, rel=1e-10)
 
     def test_leaked_output_is_vacuum(self):
-        classical = heralded_blocks(0.5, 0.5, DetectorModel(efficiency=0.3), 2)[2, False]
+        classical = block_layers(heralded_blocks(0.5, 0.5, DetectorModel(efficiency=0.3), 2))[2, False]
         assert number_table(classical) == {(0, 0, 0, 0): 1.0}
         assert classical.direct == 0.0 and not classical.coincidences.any()
 
     def test_matches_enumeration_oracle(self):
-        # the permanent over the herald columns against routing every photon
-        # through all eight detectors, on random splitters (edges included),
-        # every setting, both detector kinds and per-detector herald efficiencies
+        # the closed form against routing every photon through all eight
+        # detectors, on random splitters (edges included), every setting,
+        # both detector kinds and per-detector herald efficiencies
         rng = np.random.default_rng(20100607)
         settings = [(a, b) for a in "xyz" for b in "xyz"]
         for trial in range(216):
@@ -360,7 +360,7 @@ class TestClassicalChannel:
                 per_mode=per_mode,
             )
             matrix = build_paper_circuit(t1, t2, settings[trial % 9]).total_matrix()
-            prob = herald_classical(matrix, det)
+            prob = herald_classical(t1, t2, det)
             expected = classical_herald_probability(
                 pair_term(2).amplitudes, matrix, det.etas(HERALD_NAMES), det.resolving
             )
@@ -377,7 +377,7 @@ class TestClassicalChannel:
                                 per_mode={name: float(rng.uniform()) for name in HERALD_NAMES})
             matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).total_matrix()
             want = oracles.permutation_herald_classical(pair_term(2), matrix, det)
-            assert herald_classical(matrix, det) == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert oracles.herald_classical(matrix, det) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_three_photons_in_one_arm_never_herald(self):
         # three photons on an arm's two herald detectors leave one of them a second photon
@@ -388,12 +388,25 @@ class TestClassicalChannel:
             ket = basis_ket(4, occ)
             assert oracles.permutation_herald_classical(ket, matrix, LOSSLESS_THRESHOLD) == 0.0
 
-    def test_circuit_mixing_the_arms_rejected(self):
-        matrix = np.array(ROUTE_TO_HERALDS)
-        matrix[0] = 0.0
-        matrix[0, 0] = matrix[0, 2] = 1.0 / math.sqrt(2.0)  # a1H onto r1H and r2+
-        with pytest.raises(ValueError, match="mixes the two arms"):
-            herald_classical(matrix, LOSSLESS_THRESHOLD)
+    def test_closed_form_matches_arm_permanents(self):
+        # R1^2 R2^2 / 6 times the herald efficiencies against the product of each arm's 2x2
+        # permanent through the circuit, on random splitters (0 and 1 among them), every
+        # setting, per-detector herald efficiencies and both detector kinds
+        rng = np.random.default_rng(3201)
+        for trial in range(90):
+            t1, t2 = (float(rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.uniform())
+                      for _ in range(2))
+            det = DetectorModel(efficiency=float(rng.uniform(0.05, 1.0)),
+                                resolving=("threshold", "number")[trial % 2],
+                                per_mode={name: float(rng.uniform()) for name in HERALD_NAMES})
+            matrix = build_paper_circuit(t1, t2, ALL_SETTINGS[trial % 9]).total_matrix()
+            want = oracles.herald_classical(matrix, det)
+            assert herald_classical(t1, t2, det) == pytest.approx(want, rel=2e-15, abs=0.0)
+            assert (want == 0.0) == (t1 == 1.0 or t2 == 1.0)
+
+    def test_bad_transmission_rejected(self):
+        with pytest.raises(ValueError, match="transmissions"):
+            herald_classical(1.5, 0.5, LOSSLESS_THRESHOLD)
 
 
 class TestNumberTable:
@@ -491,8 +504,10 @@ class TestOutputLoss:
                 for outputs in (etas, [1.0] * 4)
             )
             max_pairs = int(rng.integers(2, 7))
-            for got, ref in zip(herald_pair_terms(max_pairs, t1, t2, lossy, settings[trial % 9]),
-                                herald_pair_terms(max_pairs, t1, t2, perfect, settings[trial % 9])):
+            got_blocks, ref_blocks = (herald_pair_terms(max_pairs, t1, t2, det, settings[trial % 9])
+                                      for det in (lossy, perfect))
+            assert got_blocks.lossless.tobytes() == ref_blocks.lossless.tobytes()
+            for got, ref in zip(block_layers(got_blocks).values(), block_layers(ref_blocks).values()):
                 assert got.herald == ref.herald and got.direct == ref.direct
                 thin = [binomial_thinning(len(ref.table) - 1, eta) for eta in etas]
                 want = np.einsum("abcd,aA,bB,cC,dD->ABCD", ref.table, *thin, optimize=True)
@@ -673,12 +688,9 @@ class TestBlockPlan:
             again = herald_pair_terms(max_pairs, t1, t2, det, settings)
             assert _block_plan.cache_info().misses == max_pairs - 1
             assert _splitter_free_kets.cache_info().misses == 1
-            for a, b, c in zip(cold, warm, again):
-                for other in (b, c):
-                    assert float(a.herald).hex() == float(other.herald).hex()
-                    assert float(a.direct).hex() == float(other.direct).hex()
-                    assert a.table.tobytes() == other.table.tobytes()
-                    assert a.coincidences.tobytes() == other.coincidences.tobytes()
+            for other in (warm, again):
+                for name in ("herald", "direct", "coincidences", "lossless", "thinning", "one_count"):
+                    assert getattr(cold, name).tobytes() == getattr(other, name).tobytes(), name
 
     def test_plan_does_not_depend_on_max_pairs(self):
         # the plan of block n is one object for every truncation, and built first for
@@ -773,7 +785,7 @@ class TestAgainstOracles:
         # every block 0..5 against its permanent-formula ket, heralded pattern by pattern
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
         matrix = build_paper_circuit(0.35, 0.55, settings).matrix
-        for n, heralded in enumerate(herald_pair_terms(5, 0.35, 0.55, det, settings)):
+        for n, heralded in enumerate(block_layers(herald_pair_terms(5, 0.35, 0.55, det, settings)).values()):
             state = dense_evolve_by_arm(dict(pair_term(n).amplitudes), matrix)
             want = herald_by_pattern(state, det.etas(HERALD_NAMES), resolving)
             assert heralded.herald == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
@@ -802,8 +814,9 @@ class TestAgainstOracles:
                                 per_mode=per_mode)
             settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(0, 10))
-            for got, want in zip(herald_pair_terms(max_pairs, t1, t2, det, settings),
-                                 oracles.kraus_route_blocks(max_pairs, t1, t2, det, settings)):
+            for got, want in zip(
+                    block_layers(herald_pair_terms(max_pairs, t1, t2, det, settings)).values(),
+                    block_layers(oracles.kraus_route_blocks(max_pairs, t1, t2, det, settings)).values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
@@ -830,8 +843,9 @@ class TestAgainstOracles:
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
             layout = build_paper_circuit(t1, t2, ALL_SETTINGS[int(rng.integers(9))])
-            blocks = herald_pair_terms(10, t1, t2, det, layout.settings)
-            for got, want in zip(blocks, oracles.kraus_route_blocks(10, t1, t2, det, layout.settings)):
+            blocks = block_layers(herald_pair_terms(10, t1, t2, det, layout.settings))
+            kraus = block_layers(oracles.kraus_route_blocks(10, t1, t2, det, layout.settings))
+            for got, want in zip(blocks.values(), kraus.values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
@@ -842,14 +856,14 @@ class TestAgainstOracles:
             n = 3 + trial % 8
             ens = oracles.herald(layout.run(pair_term(n)), det)
             assert ens.probability > 0.0
-            assert blocks[n].herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
-            got, want = number_table(blocks[n]), oracles.number_table(ens, det)
+            assert blocks[n, True].herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
+            got, want = number_table(blocks[n, True]), oracles.number_table(ens, det)
             assert list(got) == sorted(want)
             largest = max(want.values())
             assert max(abs(got[key] - p) for key, p in want.items()) <= 1e-13 * largest
-            if np.trace(blocks[n].coincidences).real > 0.0:
+            if np.trace(blocks[n, True].coincidences).real > 0.0:
                 rho = oracles.postselect_two_qubit(ens, det)
-                assert np.abs(postselect_two_qubit(blocks[n]) - rho).max() <= 1e-12
+                assert np.abs(postselect_two_qubit(blocks[n, True]) - rho).max() <= 1e-12
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):
@@ -903,7 +917,7 @@ class TestAgainstOracles:
         det = DetectorModel(efficiency=0.2, per_mode=EDGE_EFFICIENCIES)
         for settings in (("z", "z"), ("y", "x")):
             layout = build_paper_circuit(0.3, 0.7, settings)
-            blocks = heralded_blocks(0.3, 0.7, det, 6, settings)
+            blocks = block_layers(heralded_blocks(0.3, 0.7, det, 6, settings))
             for n in range(7):
                 ens = oracles.herald(layout.run(pair_term(n)), det)
                 heralded = blocks[n, True]
@@ -936,7 +950,7 @@ class TestArmTotals:
             )
             blocks = heralded_blocks(t1, t2, lossy, max_pairs, settings)
             # one table shape for every block, the distinguishable one included
-            assert {b.table.shape for b in blocks.values()} == {(max_pairs + 1,) * 4}
+            assert {b.table.shape for b in block_layers(blocks).values()} == {(max_pairs + 1,) * 4}
             heralded = reweight_blocks(blocks, spdc)
             totals = arm_totals(heralded.table) / heralded.herald
             table = number_table(heralded)

@@ -11,7 +11,7 @@ from heraldsim.fock import SparseKet, apply_mode_map, vacuum
 from heraldsim.metrics import PHI_PLUS
 from heraldsim.source import pair_term
 
-from oracles import dense_evolve, herald
+from oracles import block_layers, dense_evolve, herald
 
 BS_50 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 # Lossless threshold detectors: a herald pattern fires when every herald mode is occupied.
@@ -254,7 +254,7 @@ class TestHeraldProjection:
         # squared constant T1 T2 R1^2 R2^2 / 2
         t1, t2 = 0.3, 0.6
         ideal = DetectorModel(efficiency=1.0, resolving="number")
-        block = herald_pair_terms(3, t1, t2, ideal)[3]
+        block = block_layers(herald_pair_terms(3, t1, t2, ideal))[3, True]
         prob = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
         assert block.herald == pytest.approx(prob, abs=1e-12)
         assert block.table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)

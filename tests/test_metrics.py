@@ -14,6 +14,7 @@ from heraldsim.metrics import (
     concurrence,
     correlation_matrix,
     fidelity_to_phi_plus,
+    state_figures,
     tangle,
     total_state_fidelity_from_values,
 )
@@ -159,6 +160,36 @@ class TestStackedFunctionals:
             assert value == pytest.approx(oracles.fully_entangled_fraction(rho), abs=1e-12)
 
 
+class TestStateFigures:
+    def test_equals_the_three_checked_functionals(self):
+        # bit for bit, on one state and on a stack
+        for rho in (werner(0.7), state_stack(63)):
+            got = state_figures(rho)
+            want = (fidelity_to_phi_plus(rho), tangle(rho), chsh_max(rho))
+            for a, b in zip(got, want):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert all(type(value) is float for value in state_figures(werner(0.7)))
+
+    @pytest.mark.parametrize("fault,message", [
+        ("non-hermitian", "not Hermitian"), ("trace", "trace"), ("negative", "negative eigenvalue"),
+    ])
+    def test_bad_state_rejected(self, fault, message):
+        with pytest.raises(ValueError, match=message):
+            state_figures(TestCheckDensityMatrix.with_fault(fault))
+
+    def test_simulate_checks_its_state_once(self, monkeypatch):
+        calls = []
+
+        def counting_check(rho):
+            calls.append(rho.shape)
+            return check_density_matrix(rho)
+
+        monkeypatch.setattr("heraldsim.metrics.check_density_matrix", counting_check)
+        config = ExperimentConfig(spdc=SpdcParams(tau=0.3, max_pairs=4, visibility=0.862))
+        simulate_experiment(config)
+        assert calls == [(4, 4)]
+
+
 class TestFidelity:
     def test_phi_plus_itself(self):
         assert fidelity_to_phi_plus(PHI_PLUS_RHO) == pytest.approx(1.0, abs=1e-12)
@@ -248,8 +279,8 @@ class TestChsh:
 
 def direct_preparation(t1, t2, detectors):
     # P(1;1) of the heralded three-pair block before any output loss
-    block = herald_pair_terms(3, t1, t2, detectors)[3]
-    return block.direct / block.herald
+    blocks = herald_pair_terms(3, t1, t2, detectors)
+    return blocks.direct[3] / blocks.herald[3]
 
 
 class TestDirectPreparation:
