@@ -43,12 +43,23 @@ The splitters enter the arm kets only as sqrt(R)^m sqrt(T)^(n-m) on a row
 of m herald photons, so the kets are built once at unit splitter amplitude
 for each pair of analyzer settings, up to a truncation
 (``_splitter_free_kets``, an ``lru_cache`` keyed by the settings and
-max_pairs), and each call weighs a row's herald by R^m T^(n-m).  Those kets
-hold about 40 KB through 6 pairs and 12 MB through 20, per key.  A call on
+max_pairs), and each call weighs a row's herald by R^m T^(n-m).  A call on
 a warm key pays only for its splitters and detectors: no photon map and no
 ket is built.  The rows of block n are the leading rows of every larger
 block (``_heralding_rows``), so a call builds its per-row detector tables
 once, for its largest block.
+
+The kernels take their dtype from the circuit.  The herald maps (the
+identity and HWP(pi/8)) and the x and z analyzers are real, and so are the
+pair-term amplitudes +-1/sqrt(n+1), the splitter factors and every detector
+weight.  So for the four setting pairs in {x, z}^2, every photon map, ket,
+Gram tensor and contraction is real, and complex arithmetic would only add
+products of exact zeros: those settings run in float64, which gives the
+same numbers up to the rounding order of a product, at half the memory and
+a quarter of the multiplications in each product.  A y analyzer has
+imaginary entries, and its settings run in complex128.  The kets hold
+about 20 KB through 6 pairs and 6 MB through 20 per real key, twice that
+per complex one.
 """
 
 from __future__ import annotations
@@ -125,13 +136,31 @@ class HeraldedBlock:
     coincidences: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(a, b) for a, b = 0..n as floats, zero for b > a, and the table of a - b, zero for b > a.
+
+    Kept for the life of the process; both are read-only, as every caller
+    shares them.
+    """
+    binomials = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], dtype=float)
+    lost = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)).clip(0)
+    binomials.setflags(write=False)
+    lost.setflags(write=False)
+    return binomials, lost
+
+
 def _thinning(n_max: int, eta: float) -> np.ndarray:
-    """Binomial thinning table: entry [n, k] is the probability that k of n photons are detected."""
-    table = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            table[n, k] = math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k)
-    return table
+    """Binomial thinning table: entry [n, k] is the probability that k of n photons are detected.
+
+    C(n, k) eta^k (1-eta)^(n-k), multiplied in that order; zero for k > n.
+    The powers are Python's, not numpy's: on hosts with AVX-512 numpy's
+    vector power can round an ulp away from the C library's pow.
+    """
+    binomials, lost = _binomials(n_max)
+    seen = np.array([eta**k for k in range(n_max + 1)])
+    missed = np.array([(1.0 - eta) ** k for k in range(n_max + 1)])
+    return binomials * seen * missed[lost]
 
 
 def _fires(thinning: np.ndarray, resolving: str) -> np.ndarray:
@@ -144,14 +173,13 @@ def _fires(thinning: np.ndarray, resolving: str) -> np.ndarray:
     return thinning[:, 1] if resolving == "number" else 1.0 - thinning[:, 0]
 
 
-def _binomial_roots(n: int) -> np.ndarray:
-    """Square roots of the binomial coefficients: entry [a, b] is sqrt(C(a, b)), zero for b > a."""
-    return np.sqrt([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)])
-
-
 def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     """2x2 mode maps acting on N photons, N = 0..n, for a (..., 2, 2) stack of maps.
 
+    The maps are built in the dtype of ``matrices``, float64 for real
+    matrices and complex128 for complex ones: the recurrence below only
+    multiplies and adds entries and divides by real square roots, so real
+    matrices give real maps exactly.
     Entry [..., N, p, j] is the amplitude of |j, N-j> out of |p, N-p>, with
     p photons in the map's first input mode and j in its first output mode;
     entries with p or j above N are zero.  The maps are built photon by
@@ -166,11 +194,11 @@ def _photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
     map[N-1, 0], with (m10, m11) and sqrt(N) in place of (m00, m01) and
     sqrt(p).
     """
-    matrices = np.asarray(matrices, dtype=complex)
+    matrices = np.asarray(matrices)
     lead = matrices.shape[:-2]
     # the entries as (..., 1, 1) arrays, to broadcast over the (p, j) of one photon number
     (m00, m01), (m10, m11) = np.moveaxis(matrices[..., None, None], (-4, -3), (0, 1))
-    maps = np.zeros(lead + (n + 1,) * 3, dtype=complex)
+    maps = np.zeros(lead + (n + 1,) * 3, dtype=np.result_type(matrices, float))
     maps[..., 0, 0, 0] = 1.0
     sqrt = np.sqrt(np.arange(n + 1))
     for N in range(1, n + 1):
@@ -209,7 +237,7 @@ class _BlockPlan:
     """
 
     photons: np.ndarray  # (arms, K, 2): the (H, V) photon numbers of each arm's input k
-    weights: np.ndarray  # (K, K): the pair-term weights c_k c_k'*
+    weights: np.ndarray  # (K, K): the pair-term weights c_k c_k', real as the c_k are
     herald_photons: np.ndarray  # (R,): m = n - o0 - o1 of the occupations that can herald
     binomial: np.ndarray  # (arms, R, K, n + 1) over p: sqrt(C(a, p) C(b, m - p)), zero for p > m
     output_index: tuple  # gathers output[n - m][a - p, o0] from the photon maps
@@ -221,7 +249,7 @@ def _block_plan(n: int) -> _BlockPlan:
     """What the kernels of pair block n read that depends neither on the circuit nor the detectors.
 
     Built once per n in a process, on first use, from ``pair_term(n)``,
-    ``_heralding_rows(n)`` and ``_binomial_roots(n)``; every array is
+    ``_heralding_rows(n)`` and ``_binomials(n)``; every array is
     read-only, as every caller shares it.
     """
     term = pair_term(n)
@@ -232,14 +260,14 @@ def _block_plan(n: int) -> _BlockPlan:
     a, b = photons[:, None, :, :1], photons[:, None, :, 1:]  # (arm, row, k, polarization)
     p = np.arange(n + 1)
     q = m[:, None, None] - p
-    roots = _binomial_roots(n)
+    roots = np.sqrt(_binomials(n)[0])
     # roots[a, p] is zero for p > a and roots[b, q] for q > b; q < 0 wraps round and is masked
     binomial = np.where(q >= 0, roots[a, p] * roots[b, q], 0.0)
     # an index a - p below zero wraps round to an entry that meets a zero binomial factor
     arm = np.arange(len(photons))[:, None, None, None]
     plan = _BlockPlan(
         photons=photons,
-        weights=np.outer(term.values, term.values.conj()),
+        weights=np.outer(term.values.real, term.values.real),
         herald_photons=m,
         binomial=binomial,
         output_index=(arm, 1, out[:, None, None], a - p, o0[:, None, None]),
@@ -289,11 +317,14 @@ def _splitter_free_kets(settings: tuple[str, str], max_pairs: int) -> tuple[np.n
     arm's herald and output Jones maps without their sqrt(R) and sqrt(T),
     from one ``_photon_maps`` build up to the largest block.  The splitters
     scale a ket of m herald photons by sqrt(R)^m sqrt(T)^(n-m) and nothing
-    else, so these kets serve every (T1, T2) of the settings.  Kept for the
-    life of the process, keyed by the settings and the truncation; every
-    array is read-only, as every caller shares it.
+    else, so these kets serve every (T1, T2) of the settings.  They are
+    float64 when the Jones maps are real, which holds exactly when both
+    analyzers are x or z, and complex128 otherwise.  Kept for the life of
+    the process, keyed by the settings and the truncation; every array is
+    read-only, as every caller shares it.
     """
-    maps = _photon_maps(arm_jones_maps(settings), max_pairs)
+    jones = arm_jones_maps(settings)
+    maps = _photon_maps(jones if jones.imag.any() else jones.real, max_pairs)
     kets = tuple(_arm_kets(maps, _block_plan(n)) for n in range(2, max_pairs + 1))
     for ket in kets:
         ket.setflags(write=False)
@@ -326,7 +357,8 @@ def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
     sqrt(seen_H seen_V) of rows r + 1 and r, zero where they hold
     different numbers of output photons.  VH is its conjugate transpose.
     Returns the (arms, R, K, K) Gram tensor and the (arms, 2, K, 2, K)
-    coincidences over (arm, polarization, k, polarization', k').
+    coincidences over (arm, polarization, k, polarization', k'), both in
+    the kets' dtype.
     """
     n_inputs, size = kets.shape[2:]  # size is n + 1, over h0 = 0..n
     weighted = kets * herald_weight[:, plan.herald_photons, None, :size]
@@ -334,7 +366,7 @@ def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
     gram = weighted @ bras
     # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
     shifted = weighted[:, 1:] @ bras[:, :-1]
-    coincidences = np.empty((len(kets), 2, n_inputs, 2, n_inputs), dtype=complex)
+    coincidences = np.empty((len(kets), 2, n_inputs, 2, n_inputs), dtype=gram.dtype)
     coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = np.einsum("arp,arkl->pakl", seen, gram)
     coincidences[:, 0, :, 1] = np.einsum("ar,arkl->akl", kraus, shifted)
     coincidences[:, 1, :, 0] = coincidences[:, 0, :, 1].conj().swapaxes(-1, -2)
@@ -352,10 +384,15 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     8-mode pipeline, where no real probability fell below 3e-4 of it.  The
     products run in numpy's own loops, not in BLAS, whose threads change
     the rounding of a large product, so no thread count changes a table.
+    The weights are real, and the Gram tensors are real when the kets are
+    (``_splitter_free_kets``): the product of the imaginary parts is then
+    exactly zero and is computed only when both inputs are complex.
     """
     pairs = weights.size
     a, b = first.reshape(-1, pairs) * weights.ravel(), second.reshape(-1, pairs)
-    value = np.einsum("ik,jk->ij", a.real, b.real) - np.einsum("ik,jk->ij", a.imag, b.imag)
+    value = np.einsum("ik,jk->ij", a.real, b.real)
+    if a.dtype.kind == b.dtype.kind == "c":
+        value -= np.einsum("ik,jk->ij", a.imag, b.imag)
     bound = np.einsum("ik,jk->ij", np.abs(a), np.abs(b))
     value[np.abs(value) <= RESIDUE_TOL * bound] = 0.0
     return value.reshape(first.shape[:-2] + second.shape[:-2])

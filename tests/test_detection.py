@@ -139,6 +139,14 @@ class TestClickDistribution:
         assert _fires(table, "threshold") == pytest.approx(threshold, rel=1e-13, abs=0.0)
         assert _fires(table, "number") == pytest.approx(number, rel=1e-13, abs=0.0)
 
+    def test_thinning_table_is_the_loop_bit_for_bit(self):
+        # the table against C(n, k) eta^k (1-eta)^(n-k) entry by entry in Python, up to
+        # 30 photons, on a grid of efficiencies with 0 and 1 and on random ones
+        etas = np.concatenate([np.linspace(0.0, 1.0, 41), np.random.default_rng(3302).uniform(size=20)])
+        for n_max in (0, 1, 5, 30):
+            for eta in etas.tolist():
+                assert _thinning(n_max, eta).tobytes() == binomial_thinning(n_max, eta).tobytes(), eta
+
     def test_threshold_equals_number_on_single_photon_states(self):
         eta = 0.37
         th_fires, nr_fires = (_fires(_thinning(3, eta), kind) for kind in ("threshold", "number"))
@@ -604,10 +612,9 @@ class TestArmKets:
                         for key, amp in want.items():
                             assert abs(got[key] - amp) <= 1e-12
 
-    def test_hong_ou_mandel_zero_is_exact(self):
-        # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never
-        # gives an r2+ r2- coincidence, an exact zero rather than rounding residue
-        matrix = build_paper_circuit(0.0, 0.0).matrix
+    @staticmethod
+    def hong_ou_mandel_kets(matrix):
+        """The two-pair block's kets through a T = 0 circuit matrix, with its HOM zero checked."""
         arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
         maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 2)
         # the one output occupation of two photons that can herald: the outputs empty
@@ -617,8 +624,26 @@ class TestArmKets:
         assert kets.shape == (2, 1, 3, 3)
         assert kets[1, 0, 1, 1] == 0.0
         assert abs(kets[1, 0, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        return kets
+
+    def test_hong_ou_mandel_zero_is_exact(self):
+        # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never
+        # gives an r2+ r2- coincidence, an exact zero rather than rounding residue
+        matrix = build_paper_circuit(0.0, 0.0).matrix
+        # the z, z circuit is real, and its splitter-free kets are built in real arithmetic
+        assert not matrix.imag.any()
+        kets = self.hong_ou_mandel_kets(matrix.real)
         # at T = 0 every photon reaches the herald at unit amplitude: the splitter-free kets
-        assert np.array_equal(_splitter_free_kets(("z", "z"), 2)[0], kets)
+        free = _splitter_free_kets(("z", "z"), 2)[0]
+        assert free.dtype == kets.dtype == np.float64
+        assert np.array_equal(free, kets)
+
+    def test_hong_ou_mandel_zero_is_exact_through_a_y_analyzer(self):
+        # a y analyzer keeps the kets complex, with the same exact zero
+        kets = self.hong_ou_mandel_kets(build_paper_circuit(0.0, 0.0, ("x", "y")).matrix)
+        free = _splitter_free_kets(("x", "y"), 2)[0]
+        assert free.dtype == kets.dtype == np.complex128
+        assert np.array_equal(free, kets)
 
     def test_splitters_scale_each_row(self):
         # the kets through the whole circuit are the splitter-free kets times
@@ -734,7 +759,44 @@ class TestSplitterFreeKets:
     def test_kets_through_twenty_pairs_fit_in_sixteen_megabytes(self):
         kets = _splitter_free_kets(("y", "x"), 20)
         assert sum(k.nbytes for k in kets) < 16e6
+        # the kets of x and z analyzers are real, and take half that
+        assert 2 * sum(k.nbytes for k in _splitter_free_kets(("z", "x"), 20)) == sum(k.nbytes for k in kets)
         _splitter_free_kets.cache_clear()
+
+    def test_kets_are_real_exactly_for_x_and_z_analyzers(self):
+        # x and z analyzers and the herald maps are real, and so are the pair-term weights:
+        # the kets of those settings are float64, and a y analyzer keeps them complex
+        for settings in ALL_SETTINGS:
+            real = set(settings) <= {"x", "z"}
+            for kets in _splitter_free_kets(settings, 5):
+                assert kets.dtype == (np.float64 if real else np.complex128), settings
+        for n in range(2, 9):
+            assert _block_plan(n).weights.dtype == np.float64
+
+    def test_real_kets_match_complex_kets(self, monkeypatch):
+        # every setting, both detector kinds, dead and perfect detectors: the blocks from the
+        # kets as built, real wherever the analyzers are x or z, against the blocks from the
+        # same kets made complex, field by field on the scale of its largest entry
+        rng = np.random.default_rng(3301)
+        free_kets = _splitter_free_kets
+        for trial in range(45):
+            t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
+            t1, t2 = ((t1, t2), (0.0, t2), (t1, 1.0))[trial % 3]
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            settings = ALL_SETTINGS[trial % 9]
+            max_pairs = int(rng.integers(2, 11))
+            got = herald_pair_terms(max_pairs, t1, t2, det, settings)
+            monkeypatch.setattr("heraldsim.detection._splitter_free_kets", lambda settings, max_pairs: tuple(
+                k.astype(complex) for k in free_kets(settings, max_pairs)))
+            want = herald_pair_terms(max_pairs, t1, t2, det, settings)
+            monkeypatch.undo()
+            for name in ("herald", "direct", "coincidences", "lossless", "thinning", "one_count"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert ((a == 0.0) == (b == 0.0)).all(), name
+                assert np.abs(a - b).max() <= 2e-15 * np.abs(b).max(), name
 
     def test_cold_call_builds_maps_once_and_warm_call_none(self, monkeypatch):
         # a cold call builds the photon maps once, up to its largest block, and the kets
