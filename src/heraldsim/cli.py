@@ -214,15 +214,6 @@ def _cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _cmd_metrics(args) -> int:
-    out = _out_dir(args.out)
-    args.mc_samples, args.seed = 0, None
-    payload = _reconstruction_payload(args)
-    _write_json(out / "metrics.json", payload)
-    print(f"metrics in {out / 'metrics.json'}")
-    return EXIT_OK
-
-
 def _cmd_reproduce_tables(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(args.out)
@@ -301,11 +292,6 @@ _COMMANDS = {
         ("--optimize-local", {"action": "store_true"}),
         ("--mc-samples", {"type": int, "default": 0}),
         ("--seed", {"type": int}),
-        _OUT,
-    )),
-    "metrics": _Command(_cmd_metrics, "scalar metrics of a reconstructed state", (
-        ("--counts", {"required": True}),
-        ("--optimize-local", {"action": "store_true"}),
         _OUT,
     )),
     "reproduce-tables": _Command(

@@ -10,7 +10,7 @@ can herald, and every kernel runs over those alone (``_heralding_rows``).
 Each arm's input k evolves in closed form (``_arm_kets``) into a ket over
 its two herald detectors at each of them, from 2-mode maps built photon by
 photon by the creation-operator recurrence (``_photon_maps``).  One contraction,
-sum_{k,k'} c_k c_k'* G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
+sum_{k,k'} c_k c_k' G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
 per output occupation and weighted by the probability that its herald
 detectors fire, gives the block's lossless table: the joint probability of
 the herald and each output occupation.  Its sum is the herald probability
@@ -31,23 +31,19 @@ in each herald detector, so that block heralds the output vacuum, with a
 probability in closed form that needs no circuit: R1^2 R2^2 / 6 times the
 four herald efficiencies (``herald_classical``).
 
-What the kernels of block n read that depends on n alone, not on the
-circuit, the detectors or the truncation, is one read-only record,
-``_block_plan(n)``: the pair-term weights c_k c_k'*, each arm's inputs, the
-herald photon numbers m of its rows, and the binomial factors of
-``_arm_kets`` with its gather indices into the photon maps.  It is built on
-first use, never at import, and kept for the life of the process; the plans
-of blocks 2 to 20 hold about 6 MB.
-
 The splitters enter the arm kets only as sqrt(R)^m sqrt(T)^(n-m) on a row
 of m herald photons, so the kets are built once at unit splitter amplitude
-for each pair of analyzer settings, up to a truncation
+for each pair of analyzer settings, up to a truncation, and each call
+weighs a row's herald by R^m T^(n-m).  Those kets are the kernels' one
+process cache beside the integer binomials of ``_binomials``
 (``_splitter_free_kets``, an ``lru_cache`` keyed by the settings and
-max_pairs), and each call weighs a row's herald by R^m T^(n-m).  A call on
-a warm key pays only for its splitters and detectors: no photon map and no
-ket is built.  The rows of block n are the leading rows of every larger
-block (``_heralding_rows``), so a call builds its per-row detector tables
-once, for its largest block.
+max_pairs, built on first use, never at import): each block's inputs,
+binomial factors and gathers into the photon maps are made once, when its
+kets are built, and arm 1's kets carry the pair-term amplitudes c_k, so
+the contraction needs no weights.  A call on a warm key pays only for its
+splitters and detectors: no photon map and no ket is built.  The rows of
+block n are the leading rows of every larger block (``_heralding_rows``),
+so a call builds its per-row detector tables once, for its largest block.
 
 The kernels take their dtype from the circuit.  The herald maps (the
 identity and HWP(pi/8)) and the x and z analyzers are real, and so are the
@@ -66,7 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -120,7 +116,7 @@ class DetectorModel:
 
 @dataclass(frozen=True, eq=False)
 class HeraldedBlock:
-    """What a pair block, or a weighted sum of blocks, gives every heralded statistic.
+    """What a weighted sum of pair blocks gives every heralded statistic.
 
     Each figure is a joint probability with the herald, not yet conditioned
     on it: ``herald`` that every herald detector fires; ``table[d]`` that
@@ -227,33 +223,33 @@ def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return o0, total - o0
 
 
-@dataclass(frozen=True, eq=False)
-class _BlockPlan:
-    """The read-only arrays of pair block n's kernels that depend on n alone (``_block_plan``).
+def _arm_kets(maps: np.ndarray, n: int) -> np.ndarray:
+    """Both arms' kets of pair block n in closed form, per input, at the occupations that herald.
 
-    R is the number of output occupations (o0, o1) that can herald, in the
-    order of ``_heralding_rows(n)``, and K = n + 1 the number of each arm's
-    inputs.
-    """
+    ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
+    its herald side [0] and output side [1], for N at least n.  Each arm's
+    K = n + 1 inputs are the (H, V) photon numbers of ``pair_term(n)``, n
+    photons each, and its R rows the output occupations (o0, o1) that can
+    herald (``_heralding_rows(n)``).  Of a H and b V photons, p and q go to
+    the herald side with amplitude sqrt(C(a, p) C(b, q)), from
+    ``_binomials(n)``, after which each side is a 2-mode map on its own
+    photons:
 
-    photons: np.ndarray  # (arms, K, 2): the (H, V) photon numbers of each arm's input k
-    weights: np.ndarray  # (K, K): the pair-term weights c_k c_k', real as the c_k are
-    herald_photons: np.ndarray  # (R,): m = n - o0 - o1 of the occupations that can herald
-    binomial: np.ndarray  # (arms, R, K, n + 1) over p: sqrt(C(a, p) C(b, m - p)), zero for p > m
-    output_index: tuple  # gathers output[n - m][a - p, o0] from the photon maps
-    herald_index: tuple  # gathers herald[m] from the photon maps
+        <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
+                                  herald[m][p, h0] output[n-m][a-p, o0],
 
-
-@functools.lru_cache(maxsize=None)
-def _block_plan(n: int) -> _BlockPlan:
-    """What the kernels of pair block n read that depends neither on the circuit nor the detectors.
-
-    Built once per n in a process, on first use, from ``pair_term(n)``,
-    ``_heralding_rows(n)`` and ``_binomials(n)``; every array is
-    read-only, as every caller shares it.
+    with m = p + q = n - o0 - o1 herald photons, both maps gathered out of
+    ``maps`` at once for every (arm, row, k, p).  Returns an
+    (arms, R, K, n + 1) array over (arm, row, k, h0), with h1 = m - h0 and
+    zeros where that is negative; the inputs k are not weighted by the
+    pair term.  Amplitudes below PRUNE_TOL are set to zero, as
+    ``apply_mode_map`` drops them: an amplitude that cancels within an arm,
+    such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer (a
+    Hong-Ou-Mandel splitter), is then exactly zero and leaves no rounding
+    residue in a statistic.
     """
     term = pair_term(n)
-    photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])
+    photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])  # (arms, K, (H, V))
     o0, o1 = _heralding_rows(n)
     out = o0 + o1
     m = n - out
@@ -263,49 +259,11 @@ def _block_plan(n: int) -> _BlockPlan:
     roots = np.sqrt(_binomials(n)[0])
     # roots[a, p] is zero for p > a and roots[b, q] for q > b; q < 0 wraps round and is masked
     binomial = np.where(q >= 0, roots[a, p] * roots[b, q], 0.0)
-    # an index a - p below zero wraps round to an entry that meets a zero binomial factor
+    # x[arm, row, k, p]: p of the m herald photons were H, a - p went to the output side; an
+    # index a - p below zero wraps round to an entry that meets a zero binomial factor
     arm = np.arange(len(photons))[:, None, None, None]
-    plan = _BlockPlan(
-        photons=photons,
-        weights=np.outer(term.values.real, term.values.real),
-        herald_photons=m,
-        binomial=binomial,
-        output_index=(arm, 1, out[:, None, None], a - p, o0[:, None, None]),
-        herald_index=(arm[..., 0, 0], 0, m, slice(n + 1), slice(n + 1)),
-    )
-    for f in fields(plan):
-        value = getattr(plan, f.name)
-        for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
-    return plan
-
-
-def _arm_kets(maps: np.ndarray, plan: _BlockPlan) -> np.ndarray:
-    """Both arms' kets in closed form, one per input occupation, at the occupations that can herald.
-
-    ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
-    its herald side [0] and output side [1], for N at least n, and ``plan``
-    the ``_block_plan`` of pair block n: each arm's inputs, n photons each,
-    and the output occupations (o0, o1) that can herald
-    (``_heralding_rows``).  Of a H and b V photons, p and q go to the
-    herald side with amplitude sqrt(C(a, p) C(b, q)), after which each
-    side is a 2-mode map on its own photons:
-
-        <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
-                                  herald[m][p, h0] output[n-m][a-p, o0],
-
-    with m = p + q = n - o0 - o1 herald photons.  Returns an
-    (arms, R, K, n + 1) array over (arm, row, k, h0), with h1 = m - h0 and
-    zeros where that is negative.  Amplitudes below PRUNE_TOL are set to
-    zero, as ``apply_mode_map`` drops them: an amplitude that cancels
-    within an arm, such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer
-    (a Hong-Ou-Mandel splitter), is then exactly zero and leaves no
-    rounding residue in a statistic.
-    """
-    # x[arm, row, k, p]: p of the m herald photons were H, a - p went to the output side
-    x = plan.binomial * maps[plan.output_index]
-    kets = x @ maps[plan.herald_index]
+    x = binomial * maps[arm, 1, out[:, None, None], a - p, o0[:, None, None]]
+    kets = x @ maps[arm[..., 0, 0], 0, m, :n + 1, :n + 1]
     return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
 
 
@@ -317,29 +275,37 @@ def _splitter_free_kets(settings: tuple[str, str], max_pairs: int) -> tuple[np.n
     arm's herald and output Jones maps without their sqrt(R) and sqrt(T),
     from one ``_photon_maps`` build up to the largest block.  The splitters
     scale a ket of m herald photons by sqrt(R)^m sqrt(T)^(n-m) and nothing
-    else, so these kets serve every (T1, T2) of the settings.  They are
-    float64 when the Jones maps are real, which holds exactly when both
-    analyzers are x or z, and complex128 otherwise.  Kept for the life of
-    the process, keyed by the settings and the truncation; every array is
-    read-only, as every caller shares it.
+    else, so these kets serve every (T1, T2) of the settings.  Arm 1's
+    input k then carries its pair-term amplitude c_k = +-1/sqrt(n+1) of
+    ``pair_term(n)``, multiplied in after pruning: c_k is real, so arm 1's
+    Gram tensor carries c_k c_k' and the contraction of the two arms needs
+    no weights.  The kets are float64 when the Jones maps are real, which
+    holds exactly when both analyzers are x or z, and complex128
+    otherwise.  Kept for the life of the process, keyed by the settings
+    and the truncation; every array is read-only, as every caller shares
+    it.
     """
     jones = arm_jones_maps(settings)
     maps = _photon_maps(jones if jones.imag.any() else jones.real, max_pairs)
-    kets = tuple(_arm_kets(maps, _block_plan(n)) for n in range(2, max_pairs + 1))
-    for ket in kets:
+    kets = []
+    for n in range(2, max_pairs + 1):
+        ket = _arm_kets(maps, n)
+        ket[0] *= pair_term(n).values.real[:, None]
         ket.setflags(write=False)
-    return kets
+        kets.append(ket)
+    return tuple(kets)
 
 
-def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
+def _arm_grams(kets: np.ndarray, herald_photons: np.ndarray, herald_weight: np.ndarray,
                seen: np.ndarray, kraus: np.ndarray):
     """Both arms' Gram tensors over their inputs (k, k'): lossless output counts and coincidences.
 
-    ``kets`` (arms, R, K, n + 1) come from ``_arm_kets`` at the rows of
-    ``plan``, the output occupations of n photons that can herald
-    (``_heralding_rows``); ``herald_weight`` (arms, n + 1, s) holds the
-    weight [arm, m, h0] of the arm's herald firing on h0 and m - h0
-    photons.  The Gram tensor
+    ``kets`` (arms, R, K, n + 1) come from ``_splitter_free_kets`` at the
+    R output occupations of n photons that can herald
+    (``_heralding_rows``), whose herald photon numbers m = n - o0 - o1
+    ``herald_photons`` (R,) holds; ``herald_weight`` (arms, n + 1, s)
+    holds the weight [arm, m, h0] of the arm's herald firing on h0 and
+    m - h0 photons.  The Gram tensor
 
         gram[arm, row, k, k'] = sum_h0 w(m, h0) ket[arm, row, k, h0] ket*[arm, row, k', h0]
 
@@ -361,7 +327,7 @@ def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
     the kets' dtype.
     """
     n_inputs, size = kets.shape[2:]  # size is n + 1, over h0 = 0..n
-    weighted = kets * herald_weight[:, plan.herald_photons, None, :size]
+    weighted = kets * herald_weight[:, herald_photons, None, :size]
     bras = kets.conj().swapaxes(-1, -2)
     gram = weighted @ bras
     # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
@@ -373,8 +339,8 @@ def _arm_grams(kets: np.ndarray, plan: _BlockPlan, herald_weight: np.ndarray,
     return gram, coincidences
 
 
-def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Re sum_{k,k'} w[k,k'] first[..., k, k'] second[..., k, k'], outer in the leading indices.
+def _contract(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Re sum_{k,k'} first[..., k, k'] second[..., k, k'], outer in the leading indices.
 
     An entry within RESIDUE_TOL of the sum of its terms' magnitudes is set
     to zero.  The inputs k can cancel exactly across the two arms, as in
@@ -384,12 +350,13 @@ def _contract(weights: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.
     8-mode pipeline, where no real probability fell below 3e-4 of it.  The
     products run in numpy's own loops, not in BLAS, whose threads change
     the rounding of a large product, so no thread count changes a table.
-    The weights are real, and the Gram tensors are real when the kets are
-    (``_splitter_free_kets``): the product of the imaginary parts is then
-    exactly zero and is computed only when both inputs are complex.
+    The pair-term weights c_k c_k' ride in arm 1's Gram tensor
+    (``_splitter_free_kets``), and the Gram tensors are real when the kets
+    are: the product of the imaginary parts is then exactly zero and is
+    computed only when both inputs are complex.
     """
-    pairs = weights.size
-    a, b = first.reshape(-1, pairs) * weights.ravel(), second.reshape(-1, pairs)
+    pairs = math.prod(first.shape[-2:])
+    a, b = first.reshape(-1, pairs), second.reshape(-1, pairs)
     value = np.einsum("ik,jk->ij", a.real, b.real)
     if a.dtype.kind == b.dtype.kind == "c":
         value -= np.einsum("ik,jk->ij", a.imag, b.imag)
@@ -418,22 +385,22 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
 class PairBlocks:
     """Heralded pair blocks at unit weight, stacked on a leading block axis, free of tau and V.
 
-    Layer b is the block ``keys[b]`` = (pairs, coherent), with the joint
-    probabilities of ``HeraldedBlock`` but for its table: ``lossless[b]``
+    Layer b is the block ``keys[b]`` = (pairs, coherent): ``lossless[b]``
     is its (R, R) table over both arms' output occupations before output
     loss, the joint probability of the herald and each (o0, o1) of arm 1
     and of arm 2, over the R rows of the largest block that can herald
-    (``_heralding_rows(max_pairs)``); block n fills the leading rows.
-    Output loss is linear, so a weighted sum of layers is thinned once
-    (``weigh_blocks``).  ``thinning`` holds each arm's (R, R) output-loss
-    matrix, entry [r, r'] the chance that the output photons of row r
-    leave those of row r' detected, and ``one_count`` each arm's (R,)
-    chance that a row gives exactly one count.
+    (``_heralding_rows(max_pairs)``); block n fills the leading rows.  The
+    layer's herald probability is the sum of its table and P_direct the
+    entries at rows 1-2, those of one photon, so neither is stored, and
+    ``coincidences[b]`` is its (4, 4) coincidence matrix.  Output loss is
+    linear, so a weighted sum of layers is thinned once (``weigh_blocks``).
+    ``thinning`` holds each arm's (R, R) output-loss matrix, entry [r, r']
+    the chance that the output photons of row r leave those of row r'
+    detected, and ``one_count`` each arm's (R,) chance that a row gives
+    exactly one count.
     """
 
     keys: tuple[tuple[int, bool], ...]
-    herald: np.ndarray  # (B,)
-    direct: np.ndarray  # (B,)
     coincidences: np.ndarray  # (B, 4, 4)
     lossless: np.ndarray  # (B, R, R)
     thinning: np.ndarray  # (arms, R, R)
@@ -448,8 +415,10 @@ def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
     lossless table once, within the same occupations: one thinning matrix
     per arm, first^T L second, laid into a (t1H, t1V, t2H, t2V) table of
     (max_pairs + 1)^4 shape, where a count pattern that no row can give is
-    exactly zero.  Every product runs in numpy's own loops, not in BLAS, so
-    no thread count changes a figure.
+    exactly zero.  The herald probability is the sum of the summed lossless
+    table and P_direct its entries at rows 1-2, those of one photon.  Every
+    product runs in numpy's own loops, not in BLAS, so no thread count
+    changes a figure.
     """
     first, second = blocks.thinning
     lossless = np.einsum("b,brs->rs", weights, blocks.lossless)
@@ -458,11 +427,21 @@ def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
     table = np.zeros((blocks.max_pairs + 1,) * 4)
     table[o0[:, None], o1[:, None], o0, o1] = thinned
     return HeraldedBlock(
-        float(np.einsum("b,b->", weights, blocks.herald)),
-        table,
-        float(np.einsum("b,b->", weights, blocks.direct)),
+        float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),
         np.einsum("b,bij->ij", weights, blocks.coincidences),
     )
+
+
+def _splitter_powers(t: float, side: int) -> np.ndarray:
+    """T^m and R^m of a splitter of transmission t, rows (T, R) over m = 0..side-1.
+
+    Each is its ``beam_splitter_map`` amplitude sqrt(T) or sqrt(R) to the
+    power 2m, in Python's ``**``, as in ``_thinning``: on hosts with
+    AVX-512 numpy's vector power can round an ulp away from the C library's
+    pow.
+    """
+    amplitudes = beam_splitter_map(t)[0].real.tolist()
+    return np.array([[x ** (2 * m) for m in range(side)] for x in amplitudes])
 
 
 def herald_pair_terms(
@@ -494,8 +473,6 @@ def herald_pair_terms(
     """
     if max_pairs < 0:
         raise ValueError(f"max_pairs must be non-negative, got {max_pairs}")
-    # (sqrt(T), sqrt(R)) of each arm's splitter
-    amplitudes = np.array([beam_splitter_map(t)[0].real for t in (t1, t2)])
     kets = _splitter_free_kets(tuple(settings), max_pairs)
     # one thinning table per distinct efficiency: with one efficiency, all eight detectors share it
     herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
@@ -514,25 +491,20 @@ def herald_pair_terms(
     seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
     out = o0 + o1
     kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
-    powers = amplitudes[..., None] ** (2 * np.arange(side))  # [arm, (T, R), m]: T^m and R^m
-    herald = np.zeros(side)
-    direct = np.zeros(side)
+    powers = np.array([_splitter_powers(t, side) for t in (t1, t2)])  # [arm, (T, R), m]
     coincidences = np.zeros((side, 4, 4), dtype=complex)
     lossless = np.zeros((side, len(o0), len(o0)))
-    for n in range(2, side):
-        plan = _block_plan(n)
-        rows = len(plan.herald_photons)
-        # splitters[arm, m] = R^m T^(n-m), the weight of a row of m herald photons
-        splitters = powers[:, 1, :n + 1] * powers[:, 0, n::-1]
-        gram, coincident = _arm_grams(kets[n - 2], plan, herald_weight[:, :n + 1] * splitters[..., None],
-                                      seen[:, :rows], kraus[:, :rows - 1])
-        block = lossless[n, :rows, :rows] = _contract(plan.weights, *gram)
-        herald[n] = block.sum()
-        direct[n] = block[1:3, 1:3].sum()  # rows 1-2: one photon
-        coincidences[n] = np.einsum("kl,akbl,ckdl->acbd", plan.weights, *coincident).reshape(4, 4)
+    for n, free in enumerate(kets, start=2):
+        rows = free.shape[1]
+        # a row of m herald photons takes its splitters as R^m T^(n-m) on its herald weight
+        weight = herald_weight[:, :n + 1] * (powers[:, 1, :n + 1] * powers[:, 0, n::-1])[..., None]
+        gram, coincident = _arm_grams(free, n - out[:rows], weight, seen[:, :rows],
+                                      kraus[:, :rows - 1])
+        lossless[n, :rows, :rows] = _contract(*gram)
+        coincidences[n] = np.einsum("akbl,ckdl->acbd", *coincident).reshape(4, 4)
     return PairBlocks(
         keys=tuple((n, True) for n in range(side)),
-        herald=herald, direct=direct, coincidences=coincidences, lossless=lossless,
+        coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
         one_count=seen.sum(axis=-1),
         max_pairs=max_pairs,

@@ -2,13 +2,13 @@
 
 The heralding pipeline runs in two stages.  ``heralded_blocks`` heralds
 each pair-number block arm by arm (``herald_pair_terms``) into one stacked
-record of joint probabilities with the herald: per block, the herald
-probability, the lossless table over both arms' output occupations, the
-direct one-pair-per-arm probability and the coincidence matrix.  A
-distinguishable-photon copy of the two-pair block, one more layer, heralds
-the output vacuum in closed form.  Blocks of different photon number never
-interfere in photon counting, so none of this depends on tau or the
-visibility.  ``reweight_blocks`` then sums the layers with the emission
+record of joint probabilities with the herald: per block, the lossless
+table over both arms' output occupations, whose sum is the herald
+probability and whose one-photon entries the direct one-pair-per-arm
+probability, and the coincidence matrix.  A distinguishable-photon copy of
+the two-pair block, one more layer, heralds the output vacuum in closed
+form.  Blocks of different photon number never interfere in photon
+counting, so none of this depends on tau or the visibility.  ``reweight_blocks`` then sums the layers with the emission
 weights (the visibility splitting the two-pair weight) in one product over
 the block axis, and thins the summed lossless table by output loss once.
 power-compare builds the blocks once for both values of tau, and calibrate
@@ -150,8 +150,6 @@ def heralded_blocks(
     return replace(
         blocks,
         keys=blocks.keys + ((2, False),),
-        herald=np.append(blocks.herald, p),
-        direct=np.append(blocks.direct, 0.0),
         coincidences=np.concatenate([blocks.coincidences, np.zeros((1, 4, 4), dtype=complex)]),
         lossless=np.concatenate([blocks.lossless, classical]),
     )
@@ -246,12 +244,13 @@ def calibrate_tau(
     """Fit the emission amplitude to a detected one-pair-per-arm probability.
 
     Each heralded block c of n pairs reduces once to its herald probability
-    H_c and its joint P(1;1) J_c, one_1 L_c one_2 with L_c its lossless
-    table and one_a the chance that a row of arm a gives one count.  With
-    the emission coefficients v_c, the conditional P(1;1) at x = tau^2 is
-    N(x)/D(x), with N = sum v_c J_c x^n and D = sum v_c H_c x^n (the
-    truncation renormalization cancels), so tau is the square root of the
-    single real root of N - target D with tau in CALIBRATION_TAU_BRACKET.
+    H_c, the sum of its lossless table L_c, and its joint P(1;1) J_c,
+    one_1 L_c one_2 with one_a the chance that a row of arm a gives one
+    count.  With the emission coefficients v_c, the conditional P(1;1) at
+    x = tau^2 is N(x)/D(x), with N = sum v_c J_c x^n and D = sum v_c H_c
+    x^n (the truncation renormalization cancels), so tau is the square
+    root of the single real root of N - target D with tau in
+    CALIBRATION_TAU_BRACKET.
     """
     if max_pairs < 0:
         raise ValueError("max_pairs must be non-negative")
@@ -259,11 +258,12 @@ def calibrate_tau(
     blocks = heralded_blocks(t1, t2, detectors, max_pairs)
     # each layer's P(1;1) with the herald: one count in each arm
     joint = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
+    herald = blocks.lossless.sum(axis=(1, 2))
     herald_poly = np.zeros(max_pairs + 1)
     joint_poly = np.zeros(max_pairs + 1)
     for key, c in emission_coefficients(max_pairs, visibility).items():
         layer = blocks.keys.index(key)
-        herald_poly[key[0]] += c * blocks.herald[layer]
+        herald_poly[key[0]] += c * herald[layer]
         joint_poly[key[0]] += c * joint[layer]
     if not herald_poly.any():
         cause = (f"max_pairs={max_pairs}: no block of fewer than two pairs can herald"

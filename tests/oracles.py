@@ -395,8 +395,9 @@ def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors, settings
     """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences.
 
     Its splitter-free kets come from the binomial-sum maps, built for this
-    call alone and never kept, and its coincidences from ``kraus_arm_grams``
-    on thinning tables of its own.
+    call alone and never kept, with arm 1's inputs weighted by the pair
+    term, and its coincidences from ``kraus_arm_grams`` on thinning tables
+    of its own.
     """
     side = max_pairs + 1
     thinning = np.array([binomial_thinning(max_pairs, eta) for eta in detectors.etas(OUTPUT_NAMES)])
@@ -404,9 +405,13 @@ def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors, settings
 
     def kets(settings, max_pairs):
         maps = binomial_photon_maps(arm_jones_maps(settings), max_pairs)
-        return [detection._arm_kets(maps, detection._block_plan(n)) for n in range(2, max_pairs + 1)]
+        kets = [detection._arm_kets(maps, n) for n in range(2, max_pairs + 1)]
+        # arm 1's input k carries its pair-term amplitude c_k, as in the kets the pipeline caches
+        for n, ket in enumerate(kets, start=2):
+            ket[0] *= pair_term(n).values.real[:, None]
+        return kets
 
-    def arm_grams(kets, plan, herald_weight, seen, kraus):
+    def arm_grams(kets, herald_photons, herald_weight, seen, kraus):
         return kraus_arm_grams(kets, herald_weight, thinning)
 
     with mock.patch.multiple(detection, _splitter_free_kets=kets, _arm_grams=arm_grams):

@@ -64,7 +64,8 @@ def herald_components(weights, layout, detectors):
     total = 0.0
     for (pairs, coherent), weight in weights.items():
         if coherent:
-            prob = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings).herald[pairs]
+            blocks = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings)
+            prob = block_layers(blocks)[pairs, True].herald
         else:
             prob = herald_classical(layout.t1, layout.t2, detectors)
         total += weight * prob

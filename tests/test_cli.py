@@ -212,14 +212,16 @@ class TestCommands:
         for mc in report["monte_carlo"].values():
             assert mc["n_failures"] == 0 and math.isfinite(mc["certificate"])
 
-    def test_metrics_command(self, tmp_path, fixtures_dir):
-        out = tmp_path / "metrics"
+    def test_reconstruct_without_monte_carlo(self, tmp_path, fixtures_dir):
+        # the point estimate's scalar metrics alone: no --mc-samples, no seed
+        out = tmp_path / "point"
         code = main([
-            "metrics", "--counts", str(fixtures_dir / "counts_30_70.csv"), "--out", str(out),
+            "reconstruct", "--counts", str(fixtures_dir / "counts_30_70.csv"), "--out", str(out),
         ])
         assert code == 0
-        payload = json.loads((out / "metrics.json").read_text())
+        payload = json.loads((out / "reconstruction.json").read_text())
         assert {"fidelity_phi_plus", "tangle", "chsh"} <= set(payload)
+        assert "monte_carlo" not in payload
 
     def test_calibrate_and_tables(self, tmp_path):
         out = tmp_path / "cal"
@@ -357,20 +359,20 @@ class TestNonConvergence:
         assert code == 3
 
 
-# one command line per command, setting every flag it has but --out
+# command lines per command, together setting every flag it has but --out
 REPRESENTATIVE_ARGV = {
-    "simulate": ["simulate", "--config", "config.json"],
-    "sweep": ["sweep", "--t", "0.3,0.5", "--tau", "0.25", "--pairs", "5", "--visibility", "0.9",
-              "--eta", "0.1"],
-    "tomo-sim": ["tomo-sim", "--state", "werner:0.8", "--events", "500", "--seed", "1"],
-    "reconstruct": ["reconstruct", "--counts", "counts.csv", "--optimize-local",
-                    "--mc-samples", "20", "--seed", "3"],
-    "metrics": ["metrics", "--counts", "counts.csv", "--optimize-local"],
-    "reproduce-tables": ["reproduce-tables", "--config", "config.json", "--ratio", "30/70"],
-    "calibrate": ["calibrate", "--target-p11", "6e-4", "--t", "0.3", "--eta", "0.1",
-                  "--visibility", "0.9", "--pairs", "6"],
-    "power-compare": ["power-compare", "--tau-high", "0.2545", "--tau-low", "0.2", "--t", "0.3",
-                      "--eta", "0.1", "--pairs", "5"],
+    "simulate": [["simulate", "--config", "config.json"]],
+    "sweep": [["sweep", "--t", "0.3,0.5", "--tau", "0.25", "--pairs", "5", "--visibility", "0.9",
+               "--eta", "0.1"]],
+    "tomo-sim": [["tomo-sim", "--state", "werner:0.8", "--events", "500", "--seed", "1"]],
+    "reconstruct": [["reconstruct", "--counts", "counts.csv", "--optimize-local",
+                     "--mc-samples", "20", "--seed", "3"],
+                    ["reconstruct", "--counts", "counts.csv", "--optimize-local"]],
+    "reproduce-tables": [["reproduce-tables", "--config", "config.json", "--ratio", "30/70"]],
+    "calibrate": [["calibrate", "--target-p11", "6e-4", "--t", "0.3", "--eta", "0.1",
+                   "--visibility", "0.9", "--pairs", "6"]],
+    "power-compare": [["power-compare", "--tau-high", "0.2545", "--tau-low", "0.2", "--t", "0.3",
+                       "--eta", "0.1", "--pairs", "5"]],
 }
 
 
@@ -410,8 +412,8 @@ class TestParser:
         assert built == [[name]]
         assert own_help == printed_help(full.parse_args, [name, "-h"], capsys)
         assert own_help.startswith(f"usage: heraldsim {name} [-h]")
-        argv = REPRESENTATIVE_ARGV[name]
-        assert _build_parser([name]).parse_args(argv) == full.parse_args(argv)
+        for argv in REPRESENTATIVE_ARGV[name]:
+            assert _build_parser([name]).parse_args(argv) == full.parse_args(argv)
 
     def test_unknown_command_names_every_command(self, capsys, built):
         assert main(["frobnicate"]) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from collections import defaultdict
 
@@ -10,11 +9,11 @@ from heraldsim.detection import (
     DetectorModel,
     HeraldedBlock,
     _arm_kets,
-    _block_plan,
     _fires,
     _heralding_rows,
     _photon_maps,
     _splitter_free_kets,
+    _splitter_powers,
     _thinning,
     arm_totals,
     herald_classical,
@@ -44,11 +43,20 @@ from oracles import (
 IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
+# The array fields of a PairBlocks record.
+BLOCK_FIELDS = ("coincidences", "lossless", "thinning", "one_count")
 
 
 def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
     """The n-pair block heralded arm by arm through the paper's circuit."""
     return block_layers(herald_pair_terms(n_pairs, t1, t2, detectors, settings))[n_pairs, True]
+
+
+def with_pair_term(kets, n):
+    """``_arm_kets`` of block n with arm 1's input k times its pair-term amplitude c_k, as cached."""
+    weighted = kets.copy()
+    weighted[0] *= pair_term(n).values.real[:, None]
+    return weighted
 
 
 def basis_ket(modes, occ):
@@ -246,9 +254,9 @@ class TestHerald:
         _splitter_free_kets.cache_clear()
         evolved = []
 
-        def counting_arm_kets(maps, plan):
-            evolved.append(int(plan.photons[0, 0].sum()))
-            return _arm_kets(maps, plan)
+        def counting_arm_kets(maps, n):
+            evolved.append(n)
+            return _arm_kets(maps, n)
 
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
         blocks = block_layers(herald_pair_terms(3, 0.3, 0.7, detectors, ("x", "y")))
@@ -275,7 +283,7 @@ class TestHerald:
         blocks = herald_pair_terms(4, 0.3, 0.7, det)
         assert len(built) == len(set(built)) == tables
         monkeypatch.undo()
-        assert blocks.herald[4] == block(4, 0.3, 0.7, det).herald > 0.0
+        assert blocks.lossless[4].sum() == block(4, 0.3, 0.7, det).herald > 0.0
 
     def test_herald_probability_monotone_in_efficiency(self):
         probs = [block(3, 0.4, 0.6, DetectorModel(efficiency=eta)).herald
@@ -592,15 +600,15 @@ class TestArmKets:
             arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
-                plan = _block_plan(n)
                 rows = _heralding_rows(n)
-                kets = _arm_kets(maps, plan)
+                kets = _arm_kets(maps, n)
                 assert {(o0, o1) for o0, o1 in zip(*rows)} == {
                     (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
                 }
                 for arm, iso in enumerate(arms):
-                    assert sorted(plan.photons[arm].tolist()) == [[a, n - a] for a in range(n + 1)]
-                    for k, occ in enumerate(plan.photons[arm].tolist()):
+                    photons = pair_term(n).occupations[:, 2 * arm:2 * arm + 2]
+                    assert sorted(photons.tolist()) == [[a, n - a] for a in range(n + 1)]
+                    for k, occ in enumerate(photons.tolist()):
                         evolved = apply_mode_map(basis_ket(2, occ), iso).amplitudes
                         want = {key: amp for key, amp in evolved.items() if key[2] + key[3] <= n - 2}
                         got = {
@@ -618,9 +626,8 @@ class TestArmKets:
         arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
         maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 2)
         # the one output occupation of two photons that can herald: the outputs empty
-        plan = _block_plan(2)
-        kets = _arm_kets(maps, plan)
-        assert plan.photons[1, 1].tolist() == [1, 1]  # arm 2's input k = 1
+        kets = _arm_kets(maps, 2)
+        assert pair_term(2).occupations[1, 2:].tolist() == [1, 1]  # arm 2's input k = 1
         assert kets.shape == (2, 1, 3, 3)
         assert kets[1, 0, 1, 1] == 0.0
         assert abs(kets[1, 0, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -633,21 +640,23 @@ class TestArmKets:
         # the z, z circuit is real, and its splitter-free kets are built in real arithmetic
         assert not matrix.imag.any()
         kets = self.hong_ou_mandel_kets(matrix.real)
-        # at T = 0 every photon reaches the herald at unit amplitude: the splitter-free kets
+        # at T = 0 every photon reaches the herald at unit amplitude: the splitter-free kets,
+        # arm 1's weighted by the pair term
         free = _splitter_free_kets(("z", "z"), 2)[0]
         assert free.dtype == kets.dtype == np.float64
-        assert np.array_equal(free, kets)
+        assert np.array_equal(free, with_pair_term(kets, 2))
 
     def test_hong_ou_mandel_zero_is_exact_through_a_y_analyzer(self):
         # a y analyzer keeps the kets complex, with the same exact zero
         kets = self.hong_ou_mandel_kets(build_paper_circuit(0.0, 0.0, ("x", "y")).matrix)
         free = _splitter_free_kets(("x", "y"), 2)[0]
         assert free.dtype == kets.dtype == np.complex128
-        assert np.array_equal(free, kets)
+        assert np.array_equal(free, with_pair_term(kets, 2))
 
     def test_splitters_scale_each_row(self):
-        # the kets through the whole circuit are the splitter-free kets times
-        # sqrt(R)^m sqrt(T)^(n - m) on each row of m herald photons, T = 0 and 1 included
+        # the kets through the whole circuit, arm 1's weighted by the pair term, are the
+        # splitter-free kets times sqrt(R)^m sqrt(T)^(n - m) on each row of m herald photons,
+        # T = 0 and 1 included
         rng = np.random.default_rng(3101)
         for trial in range(12):
             t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
@@ -657,39 +666,26 @@ class TestArmKets:
             arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n, free in enumerate(_splitter_free_kets(settings, 8), start=2):
-                m = _block_plan(n).herald_photons
+                m = n - sum(_heralding_rows(n))
                 scale = np.array([(1 - t) ** (m / 2) * t ** ((n - m) / 2) for t in (t1, t2)])
-                want = _arm_kets(maps, _block_plan(n))
+                want = with_pair_term(_arm_kets(maps, n), n)
                 got = free * scale[:, :, None, None]
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=1.0)
 
+    def test_splitter_powers_are_pythons(self):
+        # T^m and R^m are Python's powers of the splitter amplitudes, bit for bit, T = 0 and
+        # 1 included: numpy's vector power can round an ulp away from them
+        rng = np.random.default_rng(3402)
+        for t in (0.0, 1.0, 0.5, *rng.uniform(0.0, 1.0, 20).tolist()):
+            want = [[math.sqrt(x) ** (2 * m) for m in range(21)] for x in (t, 1.0 - t)]
+            assert _splitter_powers(t, 21).tolist() == want
 
-def plan_arrays(plan):
-    """Every array of a block plan, including those inside its index tuples."""
-    for field in dataclasses.fields(plan):
-        value = getattr(plan, field.name)
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, np.ndarray):
-                yield field.name, item
 
-
-class TestBlockPlan:
-    def test_plan_arrays_are_read_only(self):
-        # every caller in the process shares one plan per pair number
-        for n in range(2, 7):
-            arrays = list(plan_arrays(_block_plan(n)))
-            assert {name for name, _ in arrays} == {
-                f.name for f in dataclasses.fields(_block_plan(n))
-            }
-            for name, array in arrays:
-                assert not array.flags.writeable, name
-                with pytest.raises(ValueError, match="read-only"):
-                    array[...] = 0
-
-    def test_cold_and_warm_plans_give_identical_blocks(self):
+class TestSplitterFreeKets:
+    def test_cold_and_warm_kets_give_identical_blocks(self):
         # random splitters, settings, both detector kinds and per-detector efficiencies
-        # with dead and perfect detectors: blocks from plans built for the call and from
-        # plans built by earlier calls agree to the last bit
+        # with dead and perfect detectors: blocks from kets built for the call and from
+        # kets built by an earlier call agree to the last bit, as do the kets built twice
         rng = np.random.default_rng(2801)
         for trial in range(12):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -699,43 +695,34 @@ class TestBlockPlan:
                                 resolving=("threshold", "number")[trial % 2])
             settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(2, 9))
-            _block_plan.cache_clear()
             _splitter_free_kets.cache_clear()
             cold = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            assert _block_plan.cache_info().misses == max_pairs - 1
             cold_kets = _splitter_free_kets(settings, max_pairs)
-            # the kets again, on warm plans, then a call on warm kets
+            # the kets built again, then a call on warm kets
             _splitter_free_kets.cache_clear()
             warm = herald_pair_terms(max_pairs, t1, t2, det, settings)
             warm_kets = _splitter_free_kets(settings, max_pairs)
             assert warm_kets is not cold_kets
             assert [k.tobytes() for k in cold_kets] == [k.tobytes() for k in warm_kets]
             again = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            assert _block_plan.cache_info().misses == max_pairs - 1
             assert _splitter_free_kets.cache_info().misses == 1
             for other in (warm, again):
-                for name in ("herald", "direct", "coincidences", "lossless", "thinning", "one_count"):
+                for name in BLOCK_FIELDS:
                     assert getattr(cold, name).tobytes() == getattr(other, name).tobytes(), name
 
-    def test_plan_does_not_depend_on_max_pairs(self):
-        # the plan of block n is one object for every truncation, and built first for
-        # N = n or for N = n + 4 it holds the same arrays
-        det = DetectorModel()
-        _block_plan.cache_clear()
-        herald_pair_terms(4, 0.3, 0.7, det, ("x", "y"))
-        small = {n: _block_plan(n) for n in range(2, 5)}
-        herald_pair_terms(8, 0.3, 0.7, det, ("x", "y"))
-        assert all(_block_plan(n) is plan for n, plan in small.items())
-        _block_plan.cache_clear()
-        herald_pair_terms(8, 0.3, 0.7, det, ("x", "y"))
-        for n, plan in small.items():
-            rebuilt = dict(plan_arrays(_block_plan(n)))
-            assert rebuilt.keys() == dict(plan_arrays(plan)).keys()
-            for (name, want), (_, got) in zip(plan_arrays(plan), plan_arrays(_block_plan(n))):
-                assert got.shape == want.shape and np.array_equal(got, want), name
+    def test_block_kets_do_not_depend_on_max_pairs(self):
+        # every setting, random truncations: the kets of block n are the same bits
+        # whether built for N = n or for N = n + 4
+        rng = np.random.default_rng(3401)
+        for settings in ALL_SETTINGS:
+            n = int(rng.integers(2, 9))
+            small = _splitter_free_kets(settings, n)
+            large = _splitter_free_kets(settings, n + 4)
+            assert len(small) == n - 1 and len(large) == n + 3
+            for got, want in zip(large, small):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
-
-class TestSplitterFreeKets:
     def test_rows_of_a_block_lead_every_larger_block(self):
         # a call builds its per-row tables for its largest block and slices them
         for big in range(2, 13):
@@ -771,7 +758,7 @@ class TestSplitterFreeKets:
             for kets in _splitter_free_kets(settings, 5):
                 assert kets.dtype == (np.float64 if real else np.complex128), settings
         for n in range(2, 9):
-            assert _block_plan(n).weights.dtype == np.float64
+            assert not pair_term(n).values.imag.any()
 
     def test_real_kets_match_complex_kets(self, monkeypatch):
         # every setting, both detector kinds, dead and perfect detectors: the blocks from the
@@ -793,7 +780,7 @@ class TestSplitterFreeKets:
                 k.astype(complex) for k in free_kets(settings, max_pairs)))
             want = herald_pair_terms(max_pairs, t1, t2, det, settings)
             monkeypatch.undo()
-            for name in ("herald", "direct", "coincidences", "lossless", "thinning", "one_count"):
+            for name in BLOCK_FIELDS:
                 a, b = getattr(got, name), getattr(want, name)
                 assert ((a == 0.0) == (b == 0.0)).all(), name
                 assert np.abs(a - b).max() <= 2e-15 * np.abs(b).max(), name
@@ -808,9 +795,9 @@ class TestSplitterFreeKets:
             built.append(n)
             return _photon_maps(matrices, n)
 
-        def counting_arm_kets(maps, plan):
-            evolved.append(int(plan.photons[0, 0].sum()))
-            return _arm_kets(maps, plan)
+        def counting_arm_kets(maps, n):
+            evolved.append(n)
+            return _arm_kets(maps, n)
 
         monkeypatch.setattr("heraldsim.detection._photon_maps", counting_maps)
         monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)

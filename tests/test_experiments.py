@@ -210,9 +210,9 @@ class TestSharedBlocks:
         evolved, visited = [], []
         arm_kets = heraldsim.detection._arm_kets
 
-        def counting_arm_kets(maps, plan):
-            evolved.append(int(plan.photons[0, 0].sum()))
-            return arm_kets(maps, plan)
+        def counting_arm_kets(maps, n):
+            evolved.append(n)
+            return arm_kets(maps, n)
 
         def counting_components(spdc):
             visited.append(spdc.tau)
@@ -229,14 +229,21 @@ class TestSharedBlocks:
 
 
 class TestSweep:
-    def test_plans_are_reused_across_points(self):
-        # a 4-point sweep at N pairs builds the plan of each block 2..N once, not once per
-        # point, and the splitter-free kets of its settings once
-        heraldsim.detection._block_plan.cache_clear()
+    def test_plans_are_reused_across_points(self, monkeypatch):
+        # a 4-point sweep at N pairs builds the splitter-free kets of its settings once, so
+        # the kets of each block 2..N once, not once per point
+        evolved = []
+        arm_kets = heraldsim.detection._arm_kets
+
+        def counting_arm_kets(maps, n):
+            evolved.append(n)
+            return arm_kets(maps, n)
+
+        monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
         heraldsim.detection._splitter_free_kets.cache_clear()
         run_sweep(sweep_configs([0.17, 0.3, 0.5, 0.7], tau=0.25, max_pairs=5))
-        assert heraldsim.detection._block_plan.cache_info().misses == 5 - 1
         assert heraldsim.detection._splitter_free_kets.cache_info().misses == 1
+        assert evolved == [2, 3, 4, 5]
 
     def test_three_pair_truncation_near_quadratic(self):
         rows = run_sweep(sweep_configs([0.17, 0.5, 0.7], tau=0.25, max_pairs=3, visibility=1.0))

@@ -22,7 +22,7 @@ from heraldsim.source import SpdcParams
 from heraldsim.tomography import optimize_local_fidelity
 
 import oracles
-from oracles import wootters_tangle
+from oracles import block_layers, wootters_tangle
 
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 PSI_MINUS_RHO = np.outer(PSI_MINUS, PSI_MINUS.conj())
@@ -279,8 +279,8 @@ class TestChsh:
 
 def direct_preparation(t1, t2, detectors):
     # P(1;1) of the heralded three-pair block before any output loss
-    blocks = herald_pair_terms(3, t1, t2, detectors)
-    return blocks.direct[3] / blocks.herald[3]
+    block = block_layers(herald_pair_terms(3, t1, t2, detectors))[3, True]
+    return block.direct / block.herald
 
 
 class TestDirectPreparation:
