@@ -12,7 +12,6 @@ from .elements import CircuitLayout, beam_splitter_map, build_paper_circuit, hwp
 from .experiments import (
     ExperimentConfig,
     calibrate_tau,
-    heralded_blocks,
     run_power_comparison,
     run_sweep,
     simulate_experiment,

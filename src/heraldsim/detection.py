@@ -1,61 +1,54 @@
 """Detector models, heralding, click statistics and post-selected states.
 
 The circuit never mixes the two arms and every detector counts photons in
-one mode, so the pair block n, sum_k c_k |arm 1 input k>|arm 2 input k>
-with n photons in each arm (``source.pair_term``), is heralded arm by arm,
-both arms on the leading axis of every kernel's arrays.  The herald needs
-a photon in each of an arm's two herald detectors, so of the output
-occupations (o0, o1) of n photons only the n(n-1)/2 with o0 + o1 <= n - 2
-can herald, and every kernel runs over those alone (``_heralding_rows``).
-Each arm's input k evolves in closed form (``_arm_kets``) into a ket over
-its two herald detectors at each of them, from 2-mode maps built photon by
-photon by the creation-operator recurrence (``_photon_maps``).  One contraction,
-sum_{k,k'} c_k c_k' G1[k,k'] G2[k,k'], with G_a arm a's kets overlapped
-per output occupation and weighted by the probability that its herald
-detectors fire, gives the block's lossless table: the joint probability of
-the herald and each output occupation.  Its sum is the herald probability
-and its one-photon-per-arm entries P_direct.  The blocks come back as one
-stacked record (``PairBlocks``), each block's lossless table a layer over
-the rows of the largest block.  Output loss never changes whether the
-herald fires and never adds a photon, and it is linear, so it thins a
-weighted sum of those layers once, within the same occupations, rather
-than each block on its own (``weigh_blocks``).  The coincidence
-matrix, one detected photon per output arm, keeps the coherence between the
-detected polarizations; each arm's part of it is read off the same Gram
-tensors, every output occupation weighted by its chance of giving one
-count, plus one Gram of kets a photon apart for the HV coherence
-(``_arm_grams``).  Loss is per-mode binomial thinning at detection, exact
+one mode, so the pair block n, sum_i c_i |arm 1 input i>|arm 2 input i>
+with n photons in each arm (``source.pair_term``), is heralded arm by arm.
+The herald needs a photon in each of an arm's two herald detectors, so of
+the output occupations (o0, o1) of n photons only the n(n-1)/2 with
+o0 + o1 <= n - 2 can herald, and every kernel runs over those alone
+(``_heralding_rows``).  A row of m = n - o0 - o1 herald photons takes the
+arm's splitter as R^m T^(n-m).
+
+Every pipeline command analyzes both output arms in z, and there each
+block is a closed form (``herald_pair_terms``).  Arm 1's herald, a PBS in
+H/V, and its z analyzer count its H and V photons apart, so a row and the
+r1H count fix the input that was emitted: different inputs never interfere
+in arm 1, and its Gram tensor over the inputs is diagonal, with its HV
+coherence on the neighbouring band alone.  Arm 2's HWP(pi/8) herald mixes
+H and V, but its z analyzer still only splits each input's photons
+binomially between outputs and herald, so its Gram entries are binomial
+roots times one table of herald overlaps of the HWP photon maps, built
+photon by photon by the creation-operator recurrence (``_photon_maps``).
+So the contraction of the two arms runs over the n + 1 inputs alone: the
+lossless table, the joint probability of the herald and each output
+occupation of both arms, is a sum of nonnegative terms, its sum the herald
+probability and its one-photon-per-arm entries P_direct, and the
+coincidence matrix, one detected photon per output arm, keeps the
+coherence between the detected polarizations through each arm's diagonal
+and neighbouring band.  The blocks come back as one stacked record
+(``PairBlocks``), each block's lossless table a layer over the rows of the
+largest block.  Output loss never changes whether the herald fires and
+never adds a photon, and it is linear, so it thins a weighted sum of those
+layers once, within the same occupations, rather than each block on its
+own (``weigh_blocks``): per-mode binomial thinning at detection, exact
 because every element after the source is passive linear optics.  The
-two-pair block's distinguishable photons herald only when all four land one
-in each herald detector, so that block heralds the output vacuum, with a
-probability in closed form that needs no circuit: R1^2 R2^2 / 6 times the
-four herald efficiencies (``herald_classical``).
+two-pair block's distinguishable photons herald only when all four land
+one in each herald detector, so that block heralds the output vacuum, with
+a probability in closed form that needs no circuit: R1^2 R2^2 / 6 times
+the four herald efficiencies (``herald_classical``).
 
-The splitters enter the arm kets only as sqrt(R)^m sqrt(T)^(n-m) on a row
-of m herald photons, so the kets are built once at unit splitter amplitude
-for each pair of analyzer settings, up to a truncation, and each call
-weighs a row's herald by R^m T^(n-m).  Those kets are the kernels' one
-process cache beside the integer binomials of ``_binomials``
-(``_splitter_free_kets``, an ``lru_cache`` keyed by the settings and
-max_pairs, built on first use, never at import): each block's inputs,
-binomial factors and gathers into the photon maps are made once, when its
-kets are built, and arm 1's kets carry the pair-term amplitudes c_k, so
-the contraction needs no weights.  A call on a warm key pays only for its
-splitters and detectors: no photon map and no ket is built.  The rows of
-block n are the leading rows of every larger block (``_heralding_rows``),
-so a call builds its per-row detector tables once, for its largest block.
-
-The kernels take their dtype from the circuit.  The herald maps (the
-identity and HWP(pi/8)) and the x and z analyzers are real, and so are the
-pair-term amplitudes +-1/sqrt(n+1), the splitter factors and every detector
-weight.  So for the four setting pairs in {x, z}^2, every photon map, ket,
-Gram tensor and contraction is real, and complex arithmetic would only add
-products of exact zeros: those settings run in float64, which gives the
-same numbers up to the rounding order of a product, at half the memory and
-a quarter of the multiplications in each product.  A y analyzer has
-imaginary entries, and its settings run in complex128.  The kets hold
-about 20 KB through 6 pairs and 6 MB through 20 per real key, twice that
-per complex one.
+What depends on the truncation alone is the kernels' one process cache
+beside the integer binomials of ``_binomials``: ``_block_gathers``, an
+``lru_cache`` keyed by max_pairs, built on first use, never at import.  It
+holds arm 2's HWP photon maps and, for every (block, row, input), the
+binomial coefficients of both arms' Gram entries and their indices into
+the per-call herald weights, herald overlaps and splitter factors, about
+30 KB through 6 pairs and 3 MB through 20.  A call on a warm key pays only
+for its splitters and detectors, with every block's gathers in one pass.
+The rows of block n are the leading rows of every larger block, so a call
+builds its per-row detector tables once, for its largest block.  Other
+analyzer settings enter the package only through the post-selected
+two-qubit state (``tomography``).
 """
 
 from __future__ import annotations
@@ -67,9 +60,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .elements import HERALD_NAMES, OUTPUT_NAMES, arm_jones_maps, beam_splitter_map
+from .elements import HERALD_NAMES, OUTPUT_NAMES, beam_splitter_map, hwp_map
 from .fock import PRUNE_TOL, Occupation
-from .source import pair_term
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -81,6 +73,22 @@ RESIDUE_TOL = 1e-12
 # Coincidence patterns (one detected photon per output arm) in the order of
 # the two-qubit basis HH, HV, VH, VV.
 COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+
+# The Gram entries of each arm that the kernels read, as pairs of its kets (s, d) of row (o0 + s, o1 - s)
+# and input i - d (``_block_gathers``): arm 1's diagonal and its neighbour band (r + 1, i; r, i - 1), arm 2's
+# diagonal, its band (r, i; r, i - 1) and its neighbour overlaps at (i, i), (i, i - 1) and (i - 1, i).
+_GRAM_ENTRIES = ((((0, 0), (0, 0)), ((1, 0), (0, 1))),
+                 (((0, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 0))))
+# The pieces of each arm's coincidences that ``herald_pair_terms`` sums over the rows, per input i:
+# which of its Gram entries (``_block_gathers``) each takes, and which row weight (seen_H, seen_V or
+# the Kraus factor).  Arm 1's are HH, VV and HV at (i, i - 1); arm 2's are HH and VV at (i, i) and at
+# (i, i - 1), and HV at (i, i), (i, i - 1) and (i - 1, i), its VH the transpose of HV.
+_PIECES = ((np.array([0, 0, 1]), np.array([0, 1, 2])),
+           (np.array([0, 1, 0, 1, 2, 3, 4]), np.array([0, 0, 1, 1, 2, 2, 2])))
+# The pieces that coincidence entry (2a + c, 2b + d) pairs: arm 1's block (a, b) and arm 2's (c, d),
+# both on the diagonal when a = b, and at (i, i - 1) or (i - 1, i) when arm 1's is HV or VH.
+_PAIRED = (np.array([[0, 0, 2, 2], [0, 0, 2, 2], [2, 2, 1, 1], [2, 2, 1, 1]]),
+           np.array([[0, 4, 1, 5], [4, 2, 6, 3], [1, 6, 0, 4], [5, 3, 4, 2]]))
 
 
 @dataclass(frozen=True)
@@ -223,146 +231,75 @@ def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return o0, total - o0
 
 
-def _arm_kets(maps: np.ndarray, n: int) -> np.ndarray:
-    """Both arms' kets of pair block n in closed form, per input, at the occupations that herald.
-
-    ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's ``_photon_maps`` of
-    its herald side [0] and output side [1], for N at least n.  Each arm's
-    K = n + 1 inputs are the (H, V) photon numbers of ``pair_term(n)``, n
-    photons each, and its R rows the output occupations (o0, o1) that can
-    herald (``_heralding_rows(n)``).  Of a H and b V photons, p and q go to
-    the herald side with amplitude sqrt(C(a, p) C(b, q)), from
-    ``_binomials(n)``, after which each side is a 2-mode map on its own
-    photons:
-
-        <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
-                                  herald[m][p, h0] output[n-m][a-p, o0],
-
-    with m = p + q = n - o0 - o1 herald photons, both maps gathered out of
-    ``maps`` at once for every (arm, row, k, p).  Returns an
-    (arms, R, K, n + 1) array over (arm, row, k, h0), with h1 = m - h0 and
-    zeros where that is negative; the inputs k are not weighted by the
-    pair term.  Amplitudes below PRUNE_TOL are set to zero, as
-    ``apply_mode_map`` drops them: an amplitude that cancels within an arm,
-    such as the |1, 1> of arm 2's HWP(pi/8) herald analyzer (a
-    Hong-Ou-Mandel splitter), is then exactly zero and leaves no rounding
-    residue in a statistic.
-    """
-    term = pair_term(n)
-    photons = np.stack([term.occupations[:, :2], term.occupations[:, 2:]])  # (arms, K, (H, V))
-    o0, o1 = _heralding_rows(n)
-    out = o0 + o1
-    m = n - out
-    a, b = photons[:, None, :, :1], photons[:, None, :, 1:]  # (arm, row, k, polarization)
-    p = np.arange(n + 1)
-    q = m[:, None, None] - p
-    roots = np.sqrt(_binomials(n)[0])
-    # roots[a, p] is zero for p > a and roots[b, q] for q > b; q < 0 wraps round and is masked
-    binomial = np.where(q >= 0, roots[a, p] * roots[b, q], 0.0)
-    # x[arm, row, k, p]: p of the m herald photons were H, a - p went to the output side; an
-    # index a - p below zero wraps round to an entry that meets a zero binomial factor
-    arm = np.arange(len(photons))[:, None, None, None]
-    x = binomial * maps[arm, 1, out[:, None, None], a - p, o0[:, None, None]]
-    kets = x @ maps[arm[..., 0, 0], 0, m, :n + 1, :n + 1]
-    return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
-
-
 @functools.lru_cache(maxsize=None)
-def _splitter_free_kets(settings: tuple[str, str], max_pairs: int) -> tuple[np.ndarray, ...]:
-    """The arm kets of pair blocks 2..max_pairs through the circuit at unit splitter amplitudes.
+def _block_gathers(max_pairs: int) -> tuple[np.ndarray, ...]:
+    """The circuit-free arrays of pair blocks 2..max_pairs, one entry per (block, row, input).
 
-    ``_arm_kets`` of each block through ``arm_jones_maps(settings)``, each
-    arm's herald and output Jones maps without their sqrt(R) and sqrt(T),
-    from one ``_photon_maps`` build up to the largest block.  The splitters
-    scale a ket of m herald photons by sqrt(R)^m sqrt(T)^(n-m) and nothing
-    else, so these kets serve every (T1, T2) of the settings.  Arm 1's
-    input k then carries its pair-term amplitude c_k = +-1/sqrt(n+1) of
-    ``pair_term(n)``, multiplied in after pruning: c_k is real, so arm 1's
-    Gram tensor carries c_k c_k' and the contraction of the two arms needs
-    no weights.  The kets are float64 when the Jones maps are real, which
-    holds exactly when both analyzers are x or z, and complex128
-    otherwise.  Kept for the life of the process, keyed by the settings
-    and the truncation; every array is read-only, as every caller shares
-    it.
+    Block n has the R = n(n-1)/2 rows (o0, o1) of ``_heralding_rows(n)``,
+    each of m = n - o0 - o1 herald photons, and the n + 1 inputs of
+    ``pair_term(n)``: input i holds i H and n - i V photons in arm 1, n - i
+    H and i V in arm 2, with amplitude c_i = +-1/sqrt(n+1).  Its entries
+    are one (R, n + 1) slab, row by row, and the slabs follow each other
+    from n = 2.  Returns, every array read-only:
+
+    - ``maps`` (side, side, side), side = max_pairs + 1: the
+      ``_photon_maps`` of arm 2's HWP(pi/8) herald, [m, p, h] the amplitude
+      of h photons in r2+ out of p H and m - p V, zero below PRUNE_TOL;
+    - ``offsets`` (B + 1,) where each block's entries start, and
+      ``starts`` (B,) where its inputs start among all blocks' inputs;
+    - ``row``, ``split`` and ``target`` (E,): each entry's row, its index
+      n * side + m into a table over (n, m), and its input among all
+      blocks' inputs;
+    - ``first`` (2, E) arm 1's coefficients and ``first_at`` their
+      indices m * side + h into its herald weight over (m, h);
+    - ``second`` (5, E) arm 2's coefficients and ``second_at`` their
+      indices (m * side + p) * side + p' into its herald overlaps.
+
+    An arm's ket of row (o0 + s, o1 - s) and input i - d splits the arm's
+    H and V photons binomially between outputs and herald, with amplitude
+    sqrt(C(h, o0 + s) C(n - h, o1 - s)) for the h H photons it holds.  In
+    arm 1 the herald photons then meet r1H and r1V as they are, so that
+    ket sits at h0 = i - d - o0 - s herald H photons alone; in arm 2 they
+    meet the HWP map of their p + d - s H photons, p = n - i - o0.  The
+    coefficients are those products: ``first`` holds arm 1's Gram diagonal
+    (r, i; r, i) and its neighbour band (r + 1, i; r, i - 1), with c_i^2
+    and c_i c_(i-1); ``second`` holds arm 2's Gram at (r, i; r, i) and
+    (r, i; r, i - 1), and its neighbour overlaps (r + 1, i; r, i),
+    (r + 1, i; r, i - 1) and (r + 1, i - 1; r, i).  Kept for the life of
+    the process, keyed by max_pairs alone, built on first use.
     """
-    jones = arm_jones_maps(settings)
-    maps = _photon_maps(jones if jones.imag.any() else jones.real, max_pairs)
-    kets = []
-    for n in range(2, max_pairs + 1):
-        ket = _arm_kets(maps, n)
-        ket[0] *= pair_term(n).values.real[:, None]
-        ket.setflags(write=False)
-        kets.append(ket)
-    return tuple(kets)
-
-
-def _arm_grams(kets: np.ndarray, herald_photons: np.ndarray, herald_weight: np.ndarray,
-               seen: np.ndarray, kraus: np.ndarray):
-    """Both arms' Gram tensors over their inputs (k, k'): lossless output counts and coincidences.
-
-    ``kets`` (arms, R, K, n + 1) come from ``_splitter_free_kets`` at the
-    R output occupations of n photons that can herald
-    (``_heralding_rows``), whose herald photon numbers m = n - o0 - o1
-    ``herald_photons`` (R,) holds; ``herald_weight`` (arms, n + 1, s)
-    holds the weight [arm, m, h0] of the arm's herald firing on h0 and
-    m - h0 photons.  The Gram tensor
-
-        gram[arm, row, k, k'] = sum_h0 w(m, h0) ket[arm, row, k, h0] ket*[arm, row, k', h0]
-
-    is indexed by the rows, each an output occupation (o0, o1) before loss
-    that can herald, with m = n - o0 - o1 herald photons.  The
-    coincidences, one photon detected in the arm, are read off it.
-    ``seen`` (arms, R, 2) holds the chance seen_H(o0, o1) =
-    thinning_H[o0, 1] thinning_V[o1, 0] that the row gives one H count and
-    no V count, and seen_V, the same with the detectors' roles swapped:
-    the H block weighs each row by seen_H, the V block by seen_V.  The HV
-    block keeps the coherence between kets one photon apart, (o0+1, o1)
-    against (o0, o1+1), neighbouring rows: they hold as many herald
-    photons, so share their herald weight, and overlap in one shifted Gram
-    weighted by ``kraus`` (arms, R - 1), the Kraus factors
-    sqrt(seen_H seen_V) of rows r + 1 and r, zero where they hold
-    different numbers of output photons.  VH is its conjugate transpose.
-    Returns the (arms, R, K, K) Gram tensor and the (arms, 2, K, 2, K)
-    coincidences over (arm, polarization, k, polarization', k'), both in
-    the kets' dtype.
-    """
-    n_inputs, size = kets.shape[2:]  # size is n + 1, over h0 = 0..n
-    weighted = kets * herald_weight[:, herald_photons, None, :size]
-    bras = kets.conj().swapaxes(-1, -2)
-    gram = weighted @ bras
-    # kets a photon apart, (o0 + 1, o1) against (o0, o1 + 1), are neighbouring rows of one o0 + o1
-    shifted = weighted[:, 1:] @ bras[:, :-1]
-    coincidences = np.empty((len(kets), 2, n_inputs, 2, n_inputs), dtype=gram.dtype)
-    coincidences[:, 0, :, 0], coincidences[:, 1, :, 1] = np.einsum("arp,arkl->pakl", seen, gram)
-    coincidences[:, 0, :, 1] = np.einsum("ar,arkl->akl", kraus, shifted)
-    coincidences[:, 1, :, 0] = coincidences[:, 0, :, 1].conj().swapaxes(-1, -2)
-    return gram, coincidences
-
-
-def _contract(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Re sum_{k,k'} first[..., k, k'] second[..., k, k'], outer in the leading indices.
-
-    An entry within RESIDUE_TOL of the sum of its terms' magnitudes is set
-    to zero.  The inputs k can cancel exactly across the two arms, as in
-    the HV and VH coincidences of the three-pair block (its heralded state
-    is Phi+), and the contraction then leaves rounding residue: at most
-    2e-16 of that sum in the blocks of up to 9 pairs checked against the
-    8-mode pipeline, where no real probability fell below 3e-4 of it.  The
-    products run in numpy's own loops, not in BLAS, whose threads change
-    the rounding of a large product, so no thread count changes a table.
-    The pair-term weights c_k c_k' ride in arm 1's Gram tensor
-    (``_splitter_free_kets``), and the Gram tensors are real when the kets
-    are: the product of the imaginary parts is then exactly zero and is
-    computed only when both inputs are complex.
-    """
-    pairs = math.prod(first.shape[-2:])
-    a, b = first.reshape(-1, pairs), second.reshape(-1, pairs)
-    value = np.einsum("ik,jk->ij", a.real, b.real)
-    if a.dtype.kind == b.dtype.kind == "c":
-        value -= np.einsum("ik,jk->ij", a.imag, b.imag)
-    bound = np.einsum("ik,jk->ij", np.abs(a), np.abs(b))
-    value[np.abs(value) <= RESIDUE_TOL * bound] = 0.0
-    return value.reshape(first.shape[:-2] + second.shape[:-2])
+    side = max_pairs + 1
+    maps = _photon_maps(hwp_map(math.pi / 8.0).real, max_pairs)
+    maps[np.abs(maps) < PRUNE_TOL] = 0.0
+    # square roots of C(a, b) at [a + 1, b + 1] for a, b = -1..side, zero where either is -1 or side:
+    # every C(side, b) that a coefficient reads meets a factor C(-1, b') = 0
+    roots = np.pad(np.sqrt(_binomials(max_pairs)[0]), 1)
+    # the entries: block n keeps its n(n-1)/2 rows and n + 1 inputs, whose run starts after n(n+1)/2 - 3
+    blocks = np.arange(2, side)
+    grid = np.ix_(blocks, np.arange(max_pairs * (max_pairs - 1) // 2), np.arange(side))
+    kept = (2 * grid[1] < grid[0] * (grid[0] - 1)) & (grid[2] <= grid[0])
+    n, row, i = (x[kept] for x in np.broadcast_arrays(*grid))
+    o0, o1 = (x[row] for x in _heralding_rows(max_pairs))
+    m = n - o0 - o1
+    # ket[arm, s, d]: the binomial amplitude of the arm's ket of row (o0 + s, o1 - s) and input i - d,
+    # which holds h H photons, and its herald photons' H count h - o0 - s
+    arm, s, d = (x[..., None] for x in np.ix_(range(2), range(2), range(2)))
+    h = np.where(arm, n - i + d, i - d)
+    ket = roots[h + 1, o0 + s + 1] * roots[n - h + 1, o1 - s + 1]
+    herald = (h - o0 - s) % side  # a negative count wraps round to an entry that meets a zero amplitude
+    first, second = ([ket[a, sa, da] * ket[a, sb, db] for (sa, da), (sb, db) in entries]
+                     for a, entries in enumerate(_GRAM_ENTRIES))
+    # arm 1's entries carry the pair-term amplitudes, c_i^2 = 1/(n+1) and c_i c_(i-1) = -1/(n+1)
+    first = np.array(first) * np.array([[1.0], [-1.0]]) / (n + 1)
+    first_at = [m * side + herald[0, sa, da] for (sa, da), _ in _GRAM_ENTRIES[0]]
+    second_at = [(m * side + herald[1, sa, da]) * side + herald[1, sb, db]
+                 for (sa, da), (sb, db) in _GRAM_ENTRIES[1]]
+    offsets = np.cumsum([0, *(blocks * (blocks - 1) // 2 * (blocks + 1))])
+    cache = (maps, offsets, blocks * (blocks + 1) // 2 - 3, row, n * side + m, n * (n + 1) // 2 - 3 + i,
+             first, np.array(first_at), np.array(second), np.array(second_at))
+    for array in cache:
+        array.setflags(write=False)
+    return cache
 
 
 def arm_totals(table: np.ndarray) -> np.ndarray:
@@ -385,10 +322,12 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
 class PairBlocks:
     """Heralded pair blocks at unit weight, stacked on a leading block axis, free of tau and V.
 
-    Layer b is the block ``keys[b]`` = (pairs, coherent): ``lossless[b]``
-    is its (R, R) table over both arms' output occupations before output
-    loss, the joint probability of the herald and each (o0, o1) of arm 1
-    and of arm 2, over the R rows of the largest block that can herald
+    Layer b is the block ``keys[b]`` = (pairs, coherent): the pair blocks
+    0..max_pairs in order, and from two pairs on, last, the two-pair block
+    with its photons distinguishable.  ``lossless[b]`` is its (R, R) table
+    over both arms' output occupations before output loss, the joint
+    probability of the herald and each (o0, o1) of arm 1 and of arm 2,
+    over the R rows of the largest block that can herald
     (``_heralding_rows(max_pairs)``); block n fills the leading rows.  The
     layer's herald probability is the sum of its table and P_direct the
     entries at rows 1-2, those of one photon, so neither is stored, and
@@ -444,66 +383,99 @@ def _splitter_powers(t: float, side: int) -> np.ndarray:
     return np.array([[x ** (2 * m) for m in range(side)] for x in amplitudes])
 
 
-def herald_pair_terms(
-    max_pairs: int, t1: float, t2: float, detectors: DetectorModel,
-    settings: tuple[str, str] = ("z", "z"),
-) -> PairBlocks:
-    """Herald the pair blocks 0..max_pairs through the paper's circuit, both arms at once.
+def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorModel) -> PairBlocks:
+    """Herald the pair blocks 0..max_pairs through the paper's circuit at analyzers z, z.
 
-    Block n is ``pair_term(n)``, a sum of products sum_k c_k |a1 input
-    k>|a2 input k> with n photons in each arm, and the circuit that of
-    ``build_paper_circuit(t1, t2, settings)``, whose arms never mix.  Each
-    arm's inputs evolve by ``_arm_kets`` onto its own herald and output
-    detectors, at the output occupations that leave one photon for each
-    herald detector, o0 + o1 <= n - 2 (``_heralding_rows``), through the
-    circuit at unit splitter amplitudes: those kets depend on the settings
-    alone and are built once per process (``_splitter_free_kets``).  A row
-    of m herald photons of arm a then takes its splitter as the factor
-    R_a^m T_a^(n-m) on its herald weight, the square of its kets' sqrt(R_a)^m
-    sqrt(T_a)^(n-m), since the Gram tensors are quadratic in the kets.  One
-    contraction per block over the arms' Gram tensors (``_arm_grams``)
-    gives its lossless table on those occupations, whose sum is the herald
-    probability and whose one-photon-per-arm entries are P_direct.
-    Threshold detectors herald when each herald detector detects at least
-    one photon, number-resolving ones when each detects exactly one; output
-    clicks are never vetoed.  The zero- and one-pair blocks cannot herald,
-    as each of an arm's two herald detectors needs a photon, so they are
-    not evolved: their layers are exactly zero.  Returns layer n for block
-    n, keyed (n, True).
+    Block n is ``pair_term(n)``, sum_i c_i |arm 1 input i>|arm 2 input i>
+    with n photons in each arm, and the circuit that of
+    ``build_paper_circuit(t1, t2)``, whose arms never mix.  Only the output
+    occupations that leave one photon for each herald detector,
+    o0 + o1 <= n - 2 (``_heralding_rows``), can herald, and a row of m
+    herald photons of arm a takes its splitter as R_a^m T_a^(n-m).  Arm 1's
+    herald and z analyzer count its H and V photons apart, so its weighted
+    Gram tensor over the inputs (i, i') is diagonal,
+
+        D1[r, i] = c_i^2 C(i, o0) C(n - i, o1) w1(m, i - o0) R1^m T1^(n-m),
+
+    with w_a(m, h) the chance that arm a's herald detectors fire on h and
+    m - h photons.  Arm 2's HWP(pi/8) herald mixes its polarizations; its
+    Gram entries are binomial roots times one table of herald overlaps,
+    Q[m, p, p'] = sum_h w2(m, h) P_m[p, h] P_m[p', h] over the HWP photon
+    maps P, built once per call, so that
+
+        D2[s, i] = C(n - i, o0) C(i, o1) Q[m, n - i - o0, n - i - o0] R2^m T2^(n-m).
+
+    Block n's lossless table is sum_i D1[r, i] D2[s, i], a sum of
+    nonnegative terms: the joint probability of the herald and each output
+    occupation, whose sum is the herald probability and whose
+    one-photon-per-arm entries are P_direct.  Its coincidences read each
+    arm's Gram tensor on the diagonal and the band i' = i - 1 alone, where
+    arm 1's neighbour overlaps sit: each entry is a sum over the inputs,
+    and an entry within RESIDUE_TOL of the sum of its terms' magnitudes is
+    an exact cancellation, such as the HV and VH entries of the
+    three-pair block (its heralded state is Phi+), and is set to zero.
+    Every product runs in numpy's own loops, not in BLAS, so no thread
+    count changes a figure.  Threshold detectors herald when each herald
+    detector detects at least one photon, number-resolving ones when each
+    detects exactly one; output clicks are never vetoed.  The zero- and
+    one-pair blocks cannot herald, as each of an arm's two herald detectors
+    needs a photon: their layers are exactly zero.  Returns layer n for
+    block n, keyed (n, True), and for max_pairs >= 2 one more layer keyed
+    (2, False): the two-pair block with its photons distinguishable, which
+    heralds the output vacuum alone (``herald_classical``).
     """
     if max_pairs < 0:
         raise ValueError(f"max_pairs must be non-negative, got {max_pairs}")
-    kets = _splitter_free_kets(tuple(settings), max_pairs)
+    side = max_pairs + 1
+    powers = np.array([_splitter_powers(t, side) for t in (t1, t2)])  # [arm, (T, R), m]
     # one thinning table per distinct efficiency: with one efficiency, all eight detectors share it
     herald_etas, output_etas = detectors.etas(HERALD_NAMES), detectors.etas(OUTPUT_NAMES)
     tables = {eta: _thinning(max(max_pairs, 1), eta) for eta in {*herald_etas, *output_etas}}
     firing = {eta: _fires(tables[eta], detectors.resolving) for eta in set(herald_etas)}
-    side = max_pairs + 1
     fires = np.array([firing[eta][:side] for eta in herald_etas]).reshape(2, 2, side)
-    # herald_weight[arm, m, h0]: the arm's herald detectors fire on h0 and m - h0 photons
-    h1 = np.arange(side)[:, None] - np.arange(side)
-    herald_weight = np.where(h1 >= 0, fires[:, 0, None] * fires[:, 1][:, h1.clip(0)], 0.0)
+    # herald_weight[arm, m, h]: the arm's herald detectors fire on h and m - h photons; and
+    # splitter[arm, n, m]: the arm's splitters take m of its n photons to the herald side
+    gap = np.subtract.outer(np.arange(side), np.arange(side))
+    lower, below = gap >= 0, np.maximum(gap, 0)
+    herald_weight = np.where(lower, fires[:, 0, None] * fires[:, 1][:, below], 0.0)
+    splitter = np.where(lower, powers[:, 1, None, :] * powers[:, 0][:, below], 0.0)
     thinning = np.array([tables[eta] for eta in output_etas])
     thinning = thinning.reshape(2, 2, *thinning.shape[1:])
-    # the rows of block n are the leading n(n-1)/2 of the largest block's: every per-row table
-    # is built once, for the largest block, and sliced
     o0, o1 = _heralding_rows(max_pairs)
     seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
-    out = o0 + o1
-    kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
-    powers = np.array([_splitter_powers(t, side) for t in (t1, t2)])  # [arm, (T, R), m]
-    coincidences = np.zeros((side, 4, 4), dtype=complex)
-    lossless = np.zeros((side, len(o0), len(o0)))
-    for n, free in enumerate(kets, start=2):
-        rows = free.shape[1]
-        # a row of m herald photons takes its splitters as R^m T^(n-m) on its herald weight
-        weight = herald_weight[:, :n + 1] * (powers[:, 1, :n + 1] * powers[:, 0, n::-1])[..., None]
-        gram, coincident = _arm_grams(free, n - out[:rows], weight, seen[:, :rows],
-                                      kraus[:, :rows - 1])
-        lossless[n, :rows, :rows] = _contract(*gram)
-        coincidences[n] = np.einsum("akbl,ckdl->acbd", *coincident).reshape(4, 4)
+    layers = side + (max_pairs >= 2)
+    coincidences = np.zeros((layers, 4, 4), dtype=complex)
+    lossless = np.zeros((layers, len(o0), len(o0)))
+    if max_pairs >= 2:
+        lossless[side, 0, 0] = herald_classical(t1, t2, detectors)
+        maps, offsets, starts, row, split, target, first, first_at, second, second_at = (
+            _block_gathers(max_pairs))
+        overlaps = np.einsum("mph,mqh->mpq", maps * herald_weight[1][:, None], maps)
+        arms = (first * herald_weight[0].ravel()[first_at] * splitter[0].ravel()[split],
+                second * overlaps.ravel()[second_at] * splitter[1].ravel()[split])
+        for n, (lo, hi) in enumerate(zip(offsets, offsets[1:]), start=2):
+            rows = n * (n - 1) // 2
+            lossless[n, :rows, :rows] = np.einsum("ri,si->rs", *(
+                arm[0, lo:hi].reshape(rows, n + 1) for arm in arms))
+        # the Kraus factors sqrt(seen_H seen_V) of a row's neighbour a photon apart, (o0 + 1, o1 - 1),
+        # zero where the next row holds another number of output photons, as the last row does
+        out = o0 + o1
+        kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
+        row_weights = np.zeros((2, 3, len(o0)))
+        row_weights[:, :2] = seen.transpose(0, 2, 1)
+        row_weights[:, 2, :-1] = kraus
+        # each arm's coincidence pieces per input, summed over the rows (``_PIECES``)
+        size, pieces = target[-1] + 1, []
+        for arm, weights, (terms, by) in zip(arms, row_weights, _PIECES):
+            slots = np.arange(len(terms))[:, None] * size + target
+            values = arm[terms] * weights[by][:, row]
+            pieces.append(np.bincount(slots.ravel(), values.ravel(), len(terms) * size).reshape(-1, size))
+        terms = pieces[0][_PAIRED[0]] * pieces[1][_PAIRED[1]]  # (4, 4, inputs)
+        value = np.add.reduceat(terms, starts, axis=-1)
+        value[np.abs(value) <= RESIDUE_TOL * np.add.reduceat(np.abs(terms), starts, axis=-1)] = 0.0
+        coincidences[2:side] = value.transpose(2, 0, 1)
     return PairBlocks(
-        keys=tuple((n, True) for n in range(side)),
+        keys=tuple((n, True) for n in range(side)) + ((2, False),) * (max_pairs >= 2),
         coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
         one_count=seen.sum(axis=-1),

@@ -1,24 +1,24 @@
 """End-to-end experiment reproductions: sweeps, power dependence, tables.
 
-The heralding pipeline runs in two stages.  ``heralded_blocks`` heralds
-each pair-number block arm by arm (``herald_pair_terms``) into one stacked
-record of joint probabilities with the herald: per block, the lossless
-table over both arms' output occupations, whose sum is the herald
-probability and whose one-photon entries the direct one-pair-per-arm
-probability, and the coincidence matrix.  A distinguishable-photon copy of
-the two-pair block, one more layer, heralds the output vacuum in closed
-form.  Blocks of different photon number never interfere in photon
-counting, so none of this depends on tau or the visibility.  ``reweight_blocks`` then sums the layers with the emission
-weights (the visibility splitting the two-pair weight) in one product over
-the block axis, and thins the summed lossless table by output loss once.
-power-compare builds the blocks once for both values of tau, and calibrate
-reduces them to two polynomials in tau^2.
+The heralding pipeline runs in two stages.  ``herald_pair_terms`` heralds
+each pair-number block arm by arm into one stacked record of joint
+probabilities with the herald: per block, the lossless table over both
+arms' output occupations, whose sum is the herald probability and whose
+one-photon entries the direct one-pair-per-arm probability, and the
+coincidence matrix.  A distinguishable-photon copy of the two-pair block,
+one more layer, heralds the output vacuum in closed form.  Blocks of
+different photon number never interfere in photon counting, so none of
+this depends on tau or the visibility.  ``reweight_blocks`` then sums the
+layers with the emission weights (the visibility splitting the two-pair
+weight) in one product over the block axis, and thins the summed lossless
+table by output loss once.  power-compare builds the blocks once for both
+values of tau, and calibrate reduces them to two polynomials in tau^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .detection import (
     HeraldedBlock,
     PairBlocks,
     arm_totals,
-    herald_classical,
     herald_pair_terms,
     number_table,
     postselect_two_qubit,
@@ -128,33 +127,6 @@ def _whole_number(value) -> int:
     return int(value)
 
 
-def heralded_blocks(
-    t1: float,
-    t2: float,
-    detectors: DetectorModel,
-    max_pairs: int,
-    settings: tuple[str, str] = ("z", "z"),
-) -> PairBlocks:
-    """Herald each pair block 0..max_pairs once, free of tau and V, as one stacked record.
-
-    The two-pair block also appears with its photons distinguishable, the
-    piece that the visibility mixes in, as one more layer keyed (2, False):
-    it heralds the output vacuum alone, in closed form (``herald_classical``),
-    so its lossless table is the herald probability at rows (0, 0).
-    """
-    blocks = herald_pair_terms(max_pairs, t1, t2, detectors, settings)
-    if max_pairs < 2:
-        return blocks
-    classical = np.zeros_like(blocks.lossless[:1])
-    classical[0, 0, 0] = p = herald_classical(t1, t2, detectors)
-    return replace(
-        blocks,
-        keys=blocks.keys + ((2, False),),
-        coincidences=np.concatenate([blocks.coincidences, np.zeros((1, 4, 4), dtype=complex)]),
-        lossless=np.concatenate([blocks.lossless, classical]),
-    )
-
-
 def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> HeraldedBlock:
     """Sum the heralded blocks with the emission weights of spdc, thinned by output loss once."""
     weights = np.zeros(len(blocks.keys))
@@ -196,7 +168,7 @@ def _preparation_probabilities(
 
 def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline and collect every scalar figure of merit."""
-    blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+    blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
     heralded = reweight_blocks(blocks, config.spdc)
     table = number_table(heralded)
     reduction = arm_totals(heralded.table) / heralded.herald
@@ -250,12 +222,12 @@ def calibrate_tau(
     x = tau^2 is N(x)/D(x), with N = sum v_c J_c x^n and D = sum v_c H_c
     x^n (the truncation renormalization cancels), so tau is the square
     root of the single real root of N - target D with tau in
-    CALIBRATION_TAU_BRACKET.
+    CALIBRATION_TAU_BRACKET, polished by two Newton steps on N/D - target.
     """
     if max_pairs < 0:
         raise ValueError("max_pairs must be non-negative")
     detectors = detectors or DetectorModel()
-    blocks = heralded_blocks(t1, t2, detectors, max_pairs)
+    blocks = herald_pair_terms(max_pairs, t1, t2, detectors)
     # each layer's P(1;1) with the herald: one count in each arm
     joint = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
     herald = blocks.lossless.sum(axis=(1, 2))
@@ -283,6 +255,13 @@ def calibrate_tau(
             f"[{lo}, {hi}], where P11 goes from {p11_at(lo**2):.3e} to {p11_at(hi**2):.3e}"
         )
     (x,) = inside
+    # the root of N - target D carries the rounding of a difference of two nearly equal polynomials;
+    # Newton steps on p11(x) - target, with p11' = (N' D - N D') / D^2, put p11 on the target
+    orders = np.arange(max_pairs + 1)
+    for _ in range(2):
+        powers, slopes = x**orders, orders * x ** (orders - 1)
+        n, d = joint_poly @ powers, herald_poly @ powers
+        x -= (n / d - target_p11) * d * d / ((joint_poly @ slopes) * d - n * (herald_poly @ slopes))
     return {
         "tau": math.sqrt(x),
         "target_p11": target_p11,
@@ -305,7 +284,7 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         raise ValueError("sweep needs at least one configuration")
     rows = []
     for config in configs:
-        blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+        blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
         heralded = reweight_blocks(blocks, config.spdc)
         if heralded.herald > 0.0:
             reduction = arm_totals(heralded.table) / heralded.herald
@@ -355,7 +334,7 @@ def run_power_comparison(
     if tau_low > tau_high:
         raise ValueError("tau_low must not exceed tau_high")
     detectors = detectors or DetectorModel()
-    blocks = heralded_blocks(t, t, detectors, max_pairs)
+    blocks = herald_pair_terms(max_pairs, t, t, detectors)
     out: dict = {
         "t": t,
         "tau_high": tau_high,
@@ -383,7 +362,7 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
     the source amplitude and per-arm efficiencies of the reference data are
     not published.
     """
-    blocks = heralded_blocks(config.t1, config.t2, config.detectors, config.spdc.max_pairs)
+    blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
     heralded = reweight_blocks(blocks, config.spdc)
     table = number_table(heralded)
     n = (arm_totals(heralded.table) / heralded.herald).tolist()

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used only by the tests.
 
-These deliberately avoid the package's closed-form arm kets: state
+These deliberately avoid the package's closed-form pair blocks: state
 evolution goes through the permanent formula for second-quantized linear
 optics, and the emission terms come from explicit creation-operator
 algebra.  Distinguishable photons are routed one at a time through every
@@ -17,10 +17,11 @@ whose number table and post-selected state are sums over those components.
 The tomography estimate reads count tables and estimates the state with
 its own Pauli matrices, linear inversion and positivity projection, sharing
 no code with the package's reconstruction.
-The arm-kernel oracles are the exception: they keep the package's arm kets
-and splitter factors and replace only its photon maps, built for each call
-outside the package's ket cache, and its coincidence kernel, to check
-those two kernels one at a time.
+The Kraus-route oracle is the arm-by-arm kernel that the package ran
+before its closed form at analyzers z, z: each arm's kets per input, from
+photon maps built as binomial sums, overlapped in Gram tensors over every
+pair of inputs, its coincidences from the detected kets times their Kraus
+factors, and the full contraction of the two arms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from unittest import mock
 
 import numpy as np
 
@@ -315,10 +315,11 @@ def dense_evolve_by_arm(amplitudes: dict, matrix: np.ndarray) -> dict:
 
 # --- Arm-kernel oracles -----------------------------------------------------
 #
-# Second routes to what ``herald_pair_terms``'s kernels compute: each
-# photon map as an explicit binomial sum, the coincidences from kets times
-# their Kraus factors, and the distinguishable herald as a sum over all 24
-# assignments of the four photons to the four herald detectors.
+# Second routes to what ``herald_pair_terms`` computes: the arm-by-arm
+# kernel it replaced, with each photon map as an explicit binomial sum and
+# the coincidences from kets times their Kraus factors, and the
+# distinguishable herald as a sum over all 24 assignments of the four
+# photons to the four herald detectors.
 
 
 def binomial_photon_maps(matrices: np.ndarray, n: int) -> np.ndarray:
@@ -351,22 +352,65 @@ def binomial_thinning(n_max, eta):
                       for k in range(n_max + 1)] for n in range(n_max + 1)])
 
 
-def kraus_arm_grams(kets: np.ndarray, herald_weight: np.ndarray, thinning: np.ndarray):
-    """``detection._arm_grams`` with the coincidences built from the detected kets themselves.
+def heralding_rows(n: int) -> list[tuple[int, int]]:
+    """The output occupations (o0, o1) of an arm of n photons that can herald, o0 + o1 <= n - 2.
 
-    Each row is an output occupation (o0, o1) of ``_heralding_rows``,
-    looked up by value, and ``thinning`` holds each output detector's
-    ``binomial_thinning`` table over (arm, polarization).  An occupation
-    (e0, e1) left after one
-    photon of an arm is detected comes from (e0 + 1, e1) seen as H or
-    (e0, e1 + 1) seen as V; each such ket is kept, times its Kraus factor
-    sqrt(thinning[n, 1]) for the detected photon of n and
-    sqrt(thinning[n, 0]) for the detector that sees none.
+    In the order the package's kernels use: by o0 + o1, then by o0.
+    """
+    return [(o0, total - o0) for total in range(n - 1) for o0 in range(total + 1)]
+
+
+def arm_kets(maps: np.ndarray, n: int) -> np.ndarray:
+    """Both arms' kets of pair block n per input, at the occupations that herald.
+
+    ``maps`` (arms, 2, N+1, N+1, N+1) holds each arm's photon maps of its
+    herald side [0] and output side [1], for N at least n.  Of an input's a
+    H and b V photons, p and q go to the herald side with amplitude
+    sqrt(C(a, p) C(b, q)), after which each side is a 2-mode map on its own
+    photons:
+
+        <h0, h1; o0, o1 | a, b> = sum_p sqrt(C(a, p) C(b, q))
+                                  herald[m][p, h0] output[n-m][a-p, o0],
+
+    with m = p + q = n - o0 - o1 herald photons.  Returns an (arms, R, K,
+    n + 1) array over (arm, row, input, h0) in the rows of
+    ``heralding_rows(n)`` and the inputs of ``pair_term(n)``, unweighted by
+    the pair term, with amplitudes below PRUNE_TOL set to zero.
+    """
+    o0, o1 = np.array(heralding_rows(n)).reshape(-1, 2).T
+    m = n - o0 - o1
+    photons = pair_term(n).occupations.reshape(-1, 2, 2).swapaxes(0, 1)  # (arm, k, (H, V))
+    a, b = photons[:, None, :, :1], photons[:, None, :, 1:]  # (arm, row, k, p)
+    p = np.arange(n + 1)
+    q = m[:, None, None] - p
+    roots = np.sqrt([[math.comb(x, y) for y in range(n + 1)] for x in range(n + 1)])
+    # roots[a, p] is zero for p > a and roots[b, q] for q > b; q < 0 wraps round and is masked, and
+    # an index a - p below zero wraps round to an entry that meets a zero binomial factor
+    binomial = np.where(q >= 0, roots[a, p] * roots[b, q], 0.0)
+    arm = np.arange(2)[:, None, None, None]
+    kets = (binomial * maps[arm, 1, (o0 + o1)[:, None, None], a - p, o0[:, None, None]]) @ maps[
+        arm[..., 0, 0], 0, m, :n + 1, :n + 1]
+    return np.where(np.abs(kets) >= PRUNE_TOL, kets, 0.0)
+
+
+def kraus_arm_grams(kets: np.ndarray, herald_weight: np.ndarray, thinning: np.ndarray):
+    """Both arms' Gram tensors over every pair of inputs, and their coincidences from the detected kets.
+
+    ``kets`` (arms, R, K, n + 1) come from ``arm_kets``, ``herald_weight``
+    (arms, N + 1, N + 1) holds the weight [arm, m, h0] of the arm's herald
+    firing on h0 and m - h0 photons, and ``thinning`` each output
+    detector's ``binomial_thinning`` table over (arm, polarization).  An
+    occupation (e0, e1) left after one photon of an arm is detected comes
+    from (e0 + 1, e1) seen as H or (e0, e1 + 1) seen as V; each such ket is
+    kept, times its Kraus factor sqrt(thinning[n, 1]) for the detected
+    photon of n and sqrt(thinning[n, 0]) for the detector that sees none.
     The H and V kets of every input are stacked, weighted by the herald,
-    and overlapped in one product per arm.
+    and overlapped in one product per arm.  Returns the (arms, R, K, K)
+    Gram tensors and the (arms, 2, K, 2, K) coincidences over (arm,
+    polarization, k, polarization', k').
     """
     n_inputs, size = kets.shape[2:]
-    keys = list(zip(*(r.tolist() for r in detection._heralding_rows(size - 1))))
+    keys = heralding_rows(size - 1)
     row = {key: r for r, key in enumerate(keys)}
     weights = np.array([herald_weight[:, size - 1 - o0 - o1, :size] for o0, o1 in keys])
     weights = weights.swapaxes(0, 1)  # (arm, row, h0)
@@ -391,31 +435,56 @@ def kraus_arm_grams(kets: np.ndarray, herald_weight: np.ndarray, thinning: np.nd
     return gram, coincidences
 
 
-def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors, settings=("z", "z")) -> list:
-    """``herald_pair_terms`` with the binomial-sum photon maps and the Kraus-route coincidences.
+def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors) -> detection.PairBlocks:
+    """``herald_pair_terms`` by the arm-by-arm kernel it replaced, at analyzers z, z.
 
-    Its splitter-free kets come from the binomial-sum maps, built for this
-    call alone and never kept, with arm 1's inputs weighted by the pair
-    term, and its coincidences from ``kraus_arm_grams`` on thinning tables
-    of its own.
+    Each arm's kets at unit splitter amplitude come from ``arm_kets`` on
+    binomial-sum photon maps of its herald and output Jones maps
+    (``arm_jones_maps``); a row of m herald photons takes its splitter as
+    R^m T^(n-m) on its herald weight, as the Gram tensors are quadratic in
+    the kets.  The Gram tensors and coincidences come from
+    ``kraus_arm_grams`` on thinning tables of the oracle's own, and the
+    lossless table of block n is the full contraction over every pair of
+    inputs, Re sum_{k,k'} c_k c_k' G1[k,k'] G2[k,k'], with c_k the
+    amplitudes of ``pair_term(n)``.  The distinguishable two-pair layer is
+    the product of the arms' permanents (``herald_classical``).  The
+    record's layers, rows and fields are those of ``herald_pair_terms``.
     """
     side = max_pairs + 1
+    rows = heralding_rows(max_pairs)
+    o0, o1 = (np.array([r[j] for r in rows], dtype=int) for j in (0, 1))
     thinning = np.array([binomial_thinning(max_pairs, eta) for eta in detectors.etas(OUTPUT_NAMES)])
     thinning = thinning.reshape(2, 2, side, side)
-
-    def kets(settings, max_pairs):
-        maps = binomial_photon_maps(arm_jones_maps(settings), max_pairs)
-        kets = [detection._arm_kets(maps, n) for n in range(2, max_pairs + 1)]
-        # arm 1's input k carries its pair-term amplitude c_k, as in the kets the pipeline caches
-        for n, ket in enumerate(kets, start=2):
-            ket[0] *= pair_term(n).values.real[:, None]
-        return kets
-
-    def arm_grams(kets, herald_photons, herald_weight, seen, kraus):
-        return kraus_arm_grams(kets, herald_weight, thinning)
-
-    with mock.patch.multiple(detection, _splitter_free_kets=kets, _arm_grams=arm_grams):
-        return detection.herald_pair_terms(max_pairs, t1, t2, detectors, settings)
+    # a threshold herald detector fires unless it detects nothing, a number-resolving one on one photon
+    herald_tables = [binomial_thinning(max(max_pairs, 1), eta)[:side] for eta in detectors.etas(HERALD_NAMES)]
+    fires = np.array([table[:, 1] if detectors.resolving == "number" else 1.0 - table[:, 0]
+                      for table in herald_tables]).reshape(2, 2, side)
+    herald_weight = np.zeros((2, side, side))
+    for m in range(side):
+        herald_weight[:, m, :m + 1] = fires[:, 0, :m + 1] * fires[:, 1, m::-1]
+    maps = binomial_photon_maps(arm_jones_maps(("z", "z")).real, max_pairs)
+    layers = side + (max_pairs >= 2)
+    lossless = np.zeros((layers, len(rows), len(rows)))
+    coincidences = np.zeros((layers, 4, 4), dtype=complex)
+    for n in range(2, side):
+        m = np.arange(n + 1)
+        splitters = np.array([(1.0 - t) ** m * t ** (n - m) for t in (t1, t2)])
+        kets = arm_kets(maps, n)
+        gram, coincident = kraus_arm_grams(kets, herald_weight[:, :n + 1] * splitters[:, :, None], thinning)
+        pair = np.outer(*[pair_term(n).values.real] * 2)
+        count = len(kets[0])
+        lossless[n, :count, :count] = np.einsum("rkl,skl->rs", pair * gram[0], gram[1]).real
+        coincidences[n] = np.einsum(
+            "akbl,ckdl->acbd", pair[:, None] * coincident[0], coincident[1]).reshape(4, 4)
+    if max_pairs >= 2:
+        lossless[side, 0, 0] = herald_classical(build_paper_circuit(t1, t2).matrix, detectors)
+    seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]
+    return detection.PairBlocks(
+        keys=tuple((n, True) for n in range(side)) + ((2, False),) * (max_pairs >= 2),
+        coincidences=coincidences, lossless=lossless,
+        thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
+        one_count=seen.sum(axis=-1), max_pairs=max_pairs,
+    )
 
 
 def block_layers(blocks: detection.PairBlocks) -> dict:

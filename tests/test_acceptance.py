@@ -64,7 +64,7 @@ def herald_components(weights, layout, detectors):
     total = 0.0
     for (pairs, coherent), weight in weights.items():
         if coherent:
-            blocks = herald_pair_terms(pairs, layout.t1, layout.t2, detectors, layout.settings)
+            blocks = herald_pair_terms(pairs, layout.t1, layout.t2, detectors)
             prob = block_layers(blocks)[pairs, True].herald
         else:
             prob = herald_classical(layout.t1, layout.t2, detectors)

@@ -8,11 +8,10 @@ from heraldsim.detection import (
     COINCIDENCE_PATTERNS,
     DetectorModel,
     HeraldedBlock,
-    _arm_kets,
+    _block_gathers,
     _fires,
     _heralding_rows,
     _photon_maps,
-    _splitter_free_kets,
     _splitter_powers,
     _thinning,
     arm_totals,
@@ -22,7 +21,7 @@ from heraldsim.detection import (
     postselect_two_qubit,
 )
 from heraldsim.elements import ANALYSIS_SETTINGS, HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
-from heraldsim.experiments import heralded_blocks, reweight_blocks
+from heraldsim.experiments import reweight_blocks
 from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, pair_term
@@ -47,16 +46,9 @@ PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 BLOCK_FIELDS = ("coincidences", "lossless", "thinning", "one_count")
 
 
-def block(n_pairs, t1, t2, detectors, settings=("z", "z")):
+def block(n_pairs, t1, t2, detectors):
     """The n-pair block heralded arm by arm through the paper's circuit."""
-    return block_layers(herald_pair_terms(n_pairs, t1, t2, detectors, settings))[n_pairs, True]
-
-
-def with_pair_term(kets, n):
-    """``_arm_kets`` of block n with arm 1's input k times its pair-term amplitude c_k, as cached."""
-    weighted = kets.copy()
-    weighted[0] *= pair_term(n).values.real[:, None]
-    return weighted
+    return block_layers(herald_pair_terms(n_pairs, t1, t2, detectors))[n_pairs, True]
 
 
 def basis_ket(modes, occ):
@@ -233,6 +225,21 @@ class TestHerald:
             assert set(number_table(heralded)) <= set(COINCIDENCE_PATTERNS)
             assert np.abs(postselect_two_qubit(heralded) - PHI_PLUS_RHO).max() <= 1e-12
 
+    def test_three_pair_hv_and_vh_are_exact_zeros(self):
+        # the three-pair block heralds Phi+ whatever the splitters and detectors: every entry of
+        # its coincidences in an HV or VH row or column cancels exactly and reads 0.0, not a
+        # rounding residue, on random splitters (T = 0 and 1 among them), per-detector
+        # efficiencies with dead and perfect detectors and both detector kinds
+        rng = np.random.default_rng(3602)
+        for trial in range(200):
+            t1, t2 = (float(rng.choice([0.0, 1.0]) if rng.random() < 0.1 else rng.uniform()) for _ in range(2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            coincidences = herald_pair_terms(int(rng.integers(3, 9)), t1, t2, det).coincidences[3]
+            assert (coincidences[1:3] == 0.0).all() and (coincidences[:, 1:3] == 0.0).all()
+
     @pytest.mark.parametrize("t1,t2", [(0.17, 0.17), (0.3, 0.7), (0.5, 0.5), (0.7, 0.3)])
     def test_herald_probability_closed_form(self, t1, t2):
         expected = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
@@ -248,19 +255,13 @@ class TestHerald:
         assert block(1, 0.5, 0.5, LOSSLESS_THRESHOLD).herald == 0.0
 
     @pytest.mark.parametrize("detectors", [IDEAL_NUMBER_DETECTORS, DetectorModel(efficiency=0.3)])
-    def test_blocks_below_two_photons_per_arm_are_not_evolved(self, detectors, monkeypatch):
-        # each arm's two herald detectors need a photon each: blocks 0 and 1 are exact
+    def test_blocks_below_two_photons_per_arm_are_not_evolved(self, detectors):
+        # each arm's two herald detectors need a photon each: the gathers hold the entries of
+        # blocks 2 and 3 alone (1 row by 3 inputs, 3 rows by 4), and blocks 0 and 1 are exact
         # zeros of the common table shape
-        _splitter_free_kets.cache_clear()
-        evolved = []
-
-        def counting_arm_kets(maps, n):
-            evolved.append(n)
-            return _arm_kets(maps, n)
-
-        monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
-        blocks = block_layers(herald_pair_terms(3, 0.3, 0.7, detectors, ("x", "y")))
-        assert evolved == [2, 3]
+        _block_gathers.cache_clear()
+        assert _block_gathers(3)[1].tolist() == [0, 3, 15]
+        blocks = block_layers(herald_pair_terms(3, 0.3, 0.7, detectors))
         assert blocks[3, True].herald > 0.0
         for zero in (blocks[0, True], blocks[1, True]):
             assert zero.herald == 0.0 and zero.direct == 0.0
@@ -292,20 +293,18 @@ class TestHerald:
 
     def test_monotone_per_mode_on_random_states(self):
         # bumping any single herald detector's efficiency never lowers the
-        # herald probability, on random splitters, settings and blocks
+        # herald probability, on random splitters and blocks
         rng = np.random.default_rng(12)
         for _ in range(10):
             t1, t2 = rng.uniform(0.05, 0.95, 2)
-            settings = tuple(rng.choice(list(ANALYSIS_SETTINGS), 2))
             n_pairs = int(rng.integers(2, 6))
             base_eta = {name: float(rng.uniform(0.05, 0.9)) for name in HERALD_NAMES}
-            base = block(n_pairs, t1, t2, DetectorModel(efficiency=0.5, per_mode=base_eta),
-                         settings).herald
+            base = block(n_pairs, t1, t2, DetectorModel(efficiency=0.5, per_mode=base_eta)).herald
             for bumped in HERALD_NAMES:
                 per_mode = dict(base_eta)
                 per_mode[bumped] = min(1.0, per_mode[bumped] + 0.1)
                 det = DetectorModel(efficiency=0.5, per_mode=per_mode)
-                assert block(n_pairs, t1, t2, det, settings).herald >= base - 1e-15
+                assert block(n_pairs, t1, t2, det).herald >= base - 1e-15
 
     def test_ket_without_herald_modes_rejected(self):
         with pytest.raises(ValueError, match="herald modes"):
@@ -317,14 +316,11 @@ class TestHerald:
         (vacuum,) = block_layers(herald_pair_terms(0, 0.5, 0.5, LOSSLESS_THRESHOLD)).values()
         assert vacuum.herald == 0.0 and vacuum.table.shape == (1, 1, 1, 1)
 
-    @pytest.mark.parametrize("t1,t2,settings,match", [
-        (-0.1, 0.5, ("z", "z"), "transmission"), (0.5, 1.5, ("z", "z"), "transmission"),
-        (0.5, 0.5, ("z", "w"), "unknown analysis setting"),
-    ])
-    def test_bad_circuit_rejected(self, t1, t2, settings, match):
-        # the kernel checks the splitters and settings it is given, as build_paper_circuit does
-        with pytest.raises(ValueError, match=match):
-            herald_pair_terms(3, t1, t2, LOSSLESS_THRESHOLD, settings)
+    @pytest.mark.parametrize("t1,t2", [(-0.1, 0.5), (0.5, 1.5)])
+    def test_bad_circuit_rejected(self, t1, t2):
+        # the kernel checks the splitters it is given, as build_paper_circuit does
+        with pytest.raises(ValueError, match="transmission"):
+            herald_pair_terms(3, t1, t2, LOSSLESS_THRESHOLD)
 
     def test_component_weights_sum_to_probability(self):
         # the joint probabilities of the herald and each count pattern add up to the herald's
@@ -342,7 +338,7 @@ class TestClassicalChannel:
         dist = classical_occupation_distribution(pair_term(2).amplitudes, layout.total_matrix())
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
         det = DetectorModel(efficiency=0.3)
-        classical = block_layers(heralded_blocks(0.4, 0.6, det, 2))[2, False]
+        classical = block_layers(herald_pair_terms(2, 0.4, 0.6, det))[2, False]
         assert classical.herald == herald_classical(0.4, 0.6, det)
         assert classical.table.sum() == classical.herald
 
@@ -356,7 +352,7 @@ class TestClassicalChannel:
         assert prob == pytest.approx(expected, rel=1e-10)
 
     def test_leaked_output_is_vacuum(self):
-        classical = block_layers(heralded_blocks(0.5, 0.5, DetectorModel(efficiency=0.3), 2))[2, False]
+        classical = block_layers(herald_pair_terms(2, 0.5, 0.5, DetectorModel(efficiency=0.3)))[2, False]
         assert number_table(classical) == {(0, 0, 0, 0): 1.0}
         assert classical.direct == 0.0 and not classical.coincidences.any()
 
@@ -462,19 +458,19 @@ class TestPostselect:
     def test_valid_density_matrix_with_loss_and_higher_orders(self):
         det = DetectorModel(efficiency=0.0966)
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.8)
-        check_density_matrix(postselect_two_qubit(reweight_blocks(heralded_blocks(0.7, 0.7, det, 4), spdc)))
+        check_density_matrix(postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.7, 0.7, det), spdc)))
 
     def test_four_pair_background_is_psi_minus_type(self):
         from heraldsim.experiments import bell_diagonal
 
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.862)
-        rho = postselect_two_qubit(reweight_blocks(heralded_blocks(0.3, 0.3, DetectorModel(), 4), spdc))
+        rho = postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.3, 0.3, DetectorModel()), spdc))
         diag = bell_diagonal(rho)
         background = {k: v for k, v in diag.items() if k != "phi+"}
         assert max(background, key=background.get) == "psi-"
 
     def test_fidelity_drops_when_four_pair_included(self):
-        blocks = heralded_blocks(0.5, 0.5, DetectorModel(), 4)
+        blocks = herald_pair_terms(4, 0.5, 0.5, DetectorModel())
         fids = {}
         for mp in (3, 4):
             spdc = SpdcParams(tau=0.35, max_pairs=mp, visibility=0.862)
@@ -508,7 +504,6 @@ class TestOutputLoss:
         # P_direct are those of perfect output detectors, bit for bit, and the
         # table is the perfect-output table thinned detector by detector
         rng = np.random.default_rng(1995)
-        settings = [(a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS]
         for trial in range(18):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
             heralds = {name: float(rng.uniform(0.05, 1.0)) for name in HERALD_NAMES}
@@ -520,8 +515,7 @@ class TestOutputLoss:
                 for outputs in (etas, [1.0] * 4)
             )
             max_pairs = int(rng.integers(2, 7))
-            got_blocks, ref_blocks = (herald_pair_terms(max_pairs, t1, t2, det, settings[trial % 9])
-                                      for det in (lossy, perfect))
+            got_blocks, ref_blocks = (herald_pair_terms(max_pairs, t1, t2, det) for det in (lossy, perfect))
             assert got_blocks.lossless.tobytes() == ref_blocks.lossless.tobytes()
             for got, ref in zip(block_layers(got_blocks).values(), block_layers(ref_blocks).values()):
                 assert got.herald == ref.herald and got.direct == ref.direct
@@ -593,18 +587,18 @@ class TestPhotonMaps:
 class TestArmKets:
     @pytest.mark.parametrize("setting", ANALYSIS_SETTINGS)
     def test_closed_form_matches_apply_mode_map(self, setting):
-        # each arm's 2 -> 4 isometry on every input of up to 8 photons, amplitude by
-        # amplitude at the output occupations that can herald, with the same amplitudes pruned
+        # the Kraus-route oracle's arm kets: each arm's 2 -> 4 isometry on every input of up to 8
+        # photons, amplitude by amplitude at the output occupations that can herald, with the same
+        # amplitudes pruned, in the rows of the kernels
         for t1, t2 in ((0.3, 0.7), (0.5, 0.5), (0.9, 0.15)):
             matrix = build_paper_circuit(t1, t2, (setting, setting)).matrix
             arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
             maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
             for n in range(2, 9):
-                rows = _heralding_rows(n)
-                kets = _arm_kets(maps, n)
-                assert {(o0, o1) for o0, o1 in zip(*rows)} == {
-                    (o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)
-                }
+                rows = oracles.heralding_rows(n)
+                assert rows == list(zip(*(r.tolist() for r in _heralding_rows(n))))
+                assert set(rows) == {(o0, o1) for o0 in range(n - 1) for o1 in range(n - 1 - o0)}
+                kets = oracles.arm_kets(maps, n)
                 for arm, iso in enumerate(arms):
                     photons = pair_term(n).occupations[:, 2 * arm:2 * arm + 2]
                     assert sorted(photons.tolist()) == [[a, n - a] for a in range(n + 1)]
@@ -613,64 +607,46 @@ class TestArmKets:
                         want = {key: amp for key, amp in evolved.items() if key[2] + key[3] <= n - 2}
                         got = {
                             (h0, n - o0 - o1 - h0, o0, o1): kets[arm, r, k, h0]
-                            for r, (o0, o1) in enumerate(zip(*rows))
+                            for r, (o0, o1) in enumerate(rows)
                             for h0 in range(n + 1 - o0 - o1) if kets[arm, r, k, h0] != 0.0
                         }
                         assert set(got) == set(want)
                         for key, amp in want.items():
                             assert abs(got[key] - amp) <= 1e-12
 
-    @staticmethod
-    def hong_ou_mandel_kets(matrix):
-        """The two-pair block's kets through a T = 0 circuit matrix, with its HOM zero checked."""
-        arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
-        maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 2)
+    def test_hong_ou_mandel_zero_is_exact(self):
+        # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never gives an
+        # r2+ r2- coincidence, an exact zero rather than rounding residue, in the kernels' herald
+        # maps and in the oracle's kets through a T = 0 circuit
+        maps = _block_gathers(2)[0]
+        assert maps[2, 1, 1] == 0.0
+        assert abs(maps[2, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        matrix = build_paper_circuit(0.0, 0.0).matrix
+        assert not matrix.imag.any()
+        arms = [matrix.real[0:2][:, [0, 1, 4, 5]], matrix.real[2:4][:, [2, 3, 6, 7]]]
         # the one output occupation of two photons that can herald: the outputs empty
-        kets = _arm_kets(maps, 2)
+        kets = oracles.arm_kets(_photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 2), 2)
         assert pair_term(2).occupations[1, 2:].tolist() == [1, 1]  # arm 2's input k = 1
         assert kets.shape == (2, 1, 3, 3)
-        assert kets[1, 0, 1, 1] == 0.0
-        assert abs(kets[1, 0, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        return kets
-
-    def test_hong_ou_mandel_zero_is_exact(self):
-        # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never
-        # gives an r2+ r2- coincidence, an exact zero rather than rounding residue
-        matrix = build_paper_circuit(0.0, 0.0).matrix
-        # the z, z circuit is real, and its splitter-free kets are built in real arithmetic
-        assert not matrix.imag.any()
-        kets = self.hong_ou_mandel_kets(matrix.real)
-        # at T = 0 every photon reaches the herald at unit amplitude: the splitter-free kets,
-        # arm 1's weighted by the pair term
-        free = _splitter_free_kets(("z", "z"), 2)[0]
-        assert free.dtype == kets.dtype == np.float64
-        assert np.array_equal(free, with_pair_term(kets, 2))
-
-    def test_hong_ou_mandel_zero_is_exact_through_a_y_analyzer(self):
-        # a y analyzer keeps the kets complex, with the same exact zero
-        kets = self.hong_ou_mandel_kets(build_paper_circuit(0.0, 0.0, ("x", "y")).matrix)
-        free = _splitter_free_kets(("x", "y"), 2)[0]
-        assert free.dtype == kets.dtype == np.complex128
-        assert np.array_equal(free, with_pair_term(kets, 2))
+        # at T = 0 every photon reaches the herald at unit amplitude: arm 2's ket is the herald map
+        assert np.array_equal(kets[1, 0, 1], maps[2, 1])
 
     def test_splitters_scale_each_row(self):
-        # the kets through the whole circuit, arm 1's weighted by the pair term, are the
-        # splitter-free kets times sqrt(R)^m sqrt(T)^(n - m) on each row of m herald photons,
-        # T = 0 and 1 included
+        # a row of m herald photons takes its splitter as R^m T^(n - m): each block's lossless
+        # layer at (T1, T2) is its layer at (T1', T2') times the ratio of those factors, arm 1's
+        # on the rows and arm 2's on the columns
         rng = np.random.default_rng(3101)
-        for trial in range(12):
-            t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
-            t1, t2 = ((t1, t2), (0.0, t2), (t1, 1.0))[trial % 3]
-            settings = ALL_SETTINGS[trial % 9]
-            matrix = build_paper_circuit(t1, t2, settings).matrix
-            arms = [matrix[0:2][:, [0, 1, 4, 5]], matrix[2:4][:, [2, 3, 6, 7]]]
-            maps = _photon_maps(np.array([[arm[:, :2], arm[:, 2:]] for arm in arms]), 8)
-            for n, free in enumerate(_splitter_free_kets(settings, 8), start=2):
-                m = n - sum(_heralding_rows(n))
-                scale = np.array([(1 - t) ** (m / 2) * t ** ((n - m) / 2) for t in (t1, t2)])
-                want = with_pair_term(_arm_kets(maps, n), n)
-                got = free * scale[:, :, None, None]
-                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(initial=1.0)
+        det = DetectorModel(efficiency=0.4, resolving="number")
+        o0, o1 = _heralding_rows(8)
+        for _ in range(12):
+            t1, t2, u1, u2 = (float(t) for t in rng.uniform(0.05, 0.95, 4))
+            got, ref = (herald_pair_terms(8, a, b, det).lossless for a, b in ((t1, t2), (u1, u2)))
+            for n in range(2, 9):
+                m = n - o0 - o1
+                scale = [((1 - t) / (1 - u)) ** m * (t / u) ** (n - m) for t, u in ((t1, u1), (t2, u2))]
+                want = ref[n] * np.outer(*scale)
+                assert ((got[n] == 0.0) == (want == 0.0)).all()
+                assert np.abs(got[n] - want).max() <= 1e-13 * want.max()
 
     def test_splitter_powers_are_pythons(self):
         # T^m and R^m are Python's powers of the splitter amplitudes, bit for bit, T = 0 and
@@ -682,10 +658,13 @@ class TestArmKets:
 
 
 class TestSplitterFreeKets:
+    """The kernels' one process cache, free of splitters and detectors: arm 2's herald kets (the
+    HWP(pi/8) photon maps) and every block's binomial coefficients and gathers (``_block_gathers``)."""
+
     def test_cold_and_warm_kets_give_identical_blocks(self):
-        # random splitters, settings, both detector kinds and per-detector efficiencies
-        # with dead and perfect detectors: blocks from kets built for the call and from
-        # kets built by an earlier call agree to the last bit, as do the kets built twice
+        # random splitters, both detector kinds and per-detector efficiencies with dead and
+        # perfect detectors: blocks from a cache built for the call and from a cache built by an
+        # earlier call agree to the last bit, as do the caches built twice
         rng = np.random.default_rng(2801)
         for trial in range(12):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -693,35 +672,44 @@ class TestSplitterFreeKets:
                         for name in HERALD_NAMES + OUTPUT_NAMES}
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
-            settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(2, 9))
-            _splitter_free_kets.cache_clear()
-            cold = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            cold_kets = _splitter_free_kets(settings, max_pairs)
-            # the kets built again, then a call on warm kets
-            _splitter_free_kets.cache_clear()
-            warm = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            warm_kets = _splitter_free_kets(settings, max_pairs)
-            assert warm_kets is not cold_kets
-            assert [k.tobytes() for k in cold_kets] == [k.tobytes() for k in warm_kets]
-            again = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            assert _splitter_free_kets.cache_info().misses == 1
+            _block_gathers.cache_clear()
+            cold = herald_pair_terms(max_pairs, t1, t2, det)
+            cold_cache = _block_gathers(max_pairs)
+            # the cache built again, then a call on a warm cache
+            _block_gathers.cache_clear()
+            warm = herald_pair_terms(max_pairs, t1, t2, det)
+            warm_cache = _block_gathers(max_pairs)
+            assert warm_cache is not cold_cache
+            assert [a.tobytes() for a in cold_cache] == [a.tobytes() for a in warm_cache]
+            again = herald_pair_terms(max_pairs, t1, t2, det)
+            assert _block_gathers.cache_info().misses == 1
             for other in (warm, again):
                 for name in BLOCK_FIELDS:
                     assert getattr(cold, name).tobytes() == getattr(other, name).tobytes(), name
 
     def test_block_kets_do_not_depend_on_max_pairs(self):
-        # every setting, random truncations: the kets of block n are the same bits
-        # whether built for N = n or for N = n + 4
+        # random truncations: the herald kets of up to n photons and the coefficients, rows,
+        # inputs and gathers of blocks 2..n are the same bits built for N = n or for N = n + 4
         rng = np.random.default_rng(3401)
-        for settings in ALL_SETTINGS:
-            n = int(rng.integers(2, 9))
-            small = _splitter_free_kets(settings, n)
-            large = _splitter_free_kets(settings, n + 4)
-            assert len(small) == n - 1 and len(large) == n + 3
-            for got, want in zip(large, small):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+        for n in rng.integers(2, 9, 6).tolist():
+            small, large = _block_gathers(n), _block_gathers(n + 4)
+            assert large[0][:n + 1, :n + 1, :n + 1].tobytes() == small[0].tobytes()
+            entries, side = small[1][-1], (n + 1, n + 5)
+            assert small[1].tolist() == large[1][:n].tolist()
+            assert small[2].tolist() == large[2][:n - 1].tolist()
+            for got, want in zip(large[3:], small[3:]):
+                assert got.dtype == want.dtype and got.shape[:-1] == want.shape[:-1]
+            row, split, target, first, first_at, second, second_at = (x[..., :entries] for x in large[3:])
+            assert row.tobytes() == small[3].tobytes() and target.tobytes() == small[5].tobytes()
+            assert first.tobytes() == small[6].tobytes() and second.tobytes() == small[8].tobytes()
+            # the indices into tables over (n, m), (m, h) and (m, p, p'), each over its own side,
+            # wherever they meet a coefficient that is not zero
+            for got, want, live in ((split, small[4], True), (first_at, small[7], small[6] != 0.0),
+                                    (second_at, small[9], small[8] != 0.0)):
+                got, want = (np.where(live, np.unravel_index(x, (size,) * 3), 0)
+                             for x, size in ((got, side[1]), (want, side[0])))
+                assert np.array_equal(got, want)
 
     def test_rows_of_a_block_lead_every_larger_block(self):
         # a call builds its per-row tables for its largest block and slices them
@@ -734,80 +722,39 @@ class TestSplitterFreeKets:
                     assert np.array_equal(a, b[:len(a)])
 
     def test_kets_are_read_only(self):
-        # every caller in the process shares the kets of one pair of settings
-        for settings in ALL_SETTINGS:
-            kets = _splitter_free_kets(settings, 5)
-            assert [k.shape for k in kets] == [(2, n * (n - 1) // 2, n + 1, n + 1) for n in range(2, 6)]
-            for k in kets:
-                assert not k.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    k[...] = 0
+        # every caller in the process shares the cache of one truncation
+        cache = _block_gathers(5)
+        assert cache[0].shape == (6, 6, 6)
+        entries = sum(n * (n - 1) // 2 * (n + 1) for n in range(2, 6))
+        assert [x.shape for x in cache[3:]] == [(entries,)] * 3 + [(2, entries)] * 2 + [(5, entries)] * 2
+        for x in cache:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0
 
     def test_kets_through_twenty_pairs_fit_in_sixteen_megabytes(self):
-        kets = _splitter_free_kets(("y", "x"), 20)
-        assert sum(k.nbytes for k in kets) < 16e6
-        # the kets of x and z analyzers are real, and take half that
-        assert 2 * sum(k.nbytes for k in _splitter_free_kets(("z", "x"), 20)) == sum(k.nbytes for k in kets)
-        _splitter_free_kets.cache_clear()
-
-    def test_kets_are_real_exactly_for_x_and_z_analyzers(self):
-        # x and z analyzers and the herald maps are real, and so are the pair-term weights:
-        # the kets of those settings are float64, and a y analyzer keeps them complex
-        for settings in ALL_SETTINGS:
-            real = set(settings) <= {"x", "z"}
-            for kets in _splitter_free_kets(settings, 5):
-                assert kets.dtype == (np.float64 if real else np.complex128), settings
-        for n in range(2, 9):
-            assert not pair_term(n).values.imag.any()
-
-    def test_real_kets_match_complex_kets(self, monkeypatch):
-        # every setting, both detector kinds, dead and perfect detectors: the blocks from the
-        # kets as built, real wherever the analyzers are x or z, against the blocks from the
-        # same kets made complex, field by field on the scale of its largest entry
-        rng = np.random.default_rng(3301)
-        free_kets = _splitter_free_kets
-        for trial in range(45):
-            t1, t2 = (float(t) for t in rng.uniform(0.0, 1.0, 2))
-            t1, t2 = ((t1, t2), (0.0, t2), (t1, 1.0))[trial % 3]
-            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
-                        for name in HERALD_NAMES + OUTPUT_NAMES}
-            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
-                                resolving=("threshold", "number")[trial % 2])
-            settings = ALL_SETTINGS[trial % 9]
-            max_pairs = int(rng.integers(2, 11))
-            got = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            monkeypatch.setattr("heraldsim.detection._splitter_free_kets", lambda settings, max_pairs: tuple(
-                k.astype(complex) for k in free_kets(settings, max_pairs)))
-            want = herald_pair_terms(max_pairs, t1, t2, det, settings)
-            monkeypatch.undo()
-            for name in BLOCK_FIELDS:
-                a, b = getattr(got, name), getattr(want, name)
-                assert ((a == 0.0) == (b == 0.0)).all(), name
-                assert np.abs(a - b).max() <= 2e-15 * np.abs(b).max(), name
+        # about 3 MB: one entry per (block, row, input), 22 thousand through 20 pairs
+        assert sum(x.nbytes for x in _block_gathers(20)) < 4e6
+        _block_gathers.cache_clear()
 
     def test_cold_call_builds_maps_once_and_warm_call_none(self, monkeypatch):
-        # a cold call builds the photon maps once, up to its largest block, and the kets
-        # of each block that can herald; a call on the same settings and truncation at
-        # other splitters and detectors builds neither
-        built, evolved = [], []
+        # a cold call builds the herald maps once, up to its largest block, and the gathers of
+        # each block that can herald; a call on the same truncation at other splitters and
+        # detectors builds neither
+        built = []
 
         def counting_maps(matrices, n):
             built.append(n)
             return _photon_maps(matrices, n)
 
-        def counting_arm_kets(maps, n):
-            evolved.append(n)
-            return _arm_kets(maps, n)
-
         monkeypatch.setattr("heraldsim.detection._photon_maps", counting_maps)
-        monkeypatch.setattr("heraldsim.detection._arm_kets", counting_arm_kets)
-        _splitter_free_kets.cache_clear()
-        herald_pair_terms(6, 0.3, 0.7, DetectorModel(), ("x", "z"))
-        assert built == [6] and evolved == [2, 3, 4, 5, 6]
-        heralded_blocks(0.55, 0.2, DetectorModel(efficiency=0.4, resolving="number"), 6, ("x", "z"))
-        assert built == [6] and evolved == [2, 3, 4, 5, 6]
-        herald_pair_terms(6, 0.3, 0.7, DetectorModel(), ("z", "x"))
-        assert built == [6, 6]
+        _block_gathers.cache_clear()
+        herald_pair_terms(6, 0.3, 0.7, DetectorModel())
+        assert built == [6] and _block_gathers.cache_info().misses == 1
+        herald_pair_terms(6, 0.55, 0.2, DetectorModel(efficiency=0.4, resolving="number"))
+        assert built == [6] and _block_gathers.cache_info().misses == 1
+        herald_pair_terms(5, 0.3, 0.7, DetectorModel())
+        assert built == [6, 5]
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a
@@ -831,15 +778,32 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     @pytest.mark.parametrize("settings", ALL_SETTINGS)
     def test_herald(self, resolving, settings):
-        # every block 0..5 against its permanent-formula ket, heralded pattern by pattern
+        # every block 0..5 against its permanent-formula ket through the circuit of each setting,
+        # heralded pattern by pattern.  The analyzers act after the herald, each on its arm's
+        # output photons alone, so the herald probability and each arm's photon number before
+        # output loss are those of the kernels' z, z at every setting; at z, z the number table
+        # and the post-selected state are too
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
         matrix = build_paper_circuit(0.35, 0.55, settings).matrix
-        for n, heralded in enumerate(block_layers(herald_pair_terms(5, 0.35, 0.55, det, settings)).values()):
+        blocks = herald_pair_terms(5, 0.35, 0.55, det)
+        total = sum(_heralding_rows(5))
+        for b, ((n, coherent), heralded) in enumerate(block_layers(blocks).items()):
+            if not coherent:
+                continue
             state = dense_evolve_by_arm(dict(pair_term(n).amplitudes), matrix)
             want = herald_by_pattern(state, det.etas(HERALD_NAMES), resolving)
             assert heralded.herald == pytest.approx(sum(w for w, _ in want), rel=1e-12, abs=0.0)
             if not want:
                 assert heralded.herald == 0.0 and not heralded.table.any()
+                continue
+            by_arm = np.zeros((4, 4))
+            np.add.at(by_arm, (total[:, None], total), blocks.lossless[b])
+            want_by_arm = np.zeros((4, 4))
+            for weight, amplitudes in want:
+                for (t1h, t1v, t2h, t2v), amp in amplitudes.items():
+                    want_by_arm[t1h + t1v, t2h + t2v] += weight * abs(amp) ** 2
+            assert np.abs(by_arm - want_by_arm).max() <= 1e-12 * want_by_arm.max()
+            if settings != ("z", "z"):
                 continue
             assert_tables_match(number_table(heralded),
                                 detected_number_table(want, det.etas(OUTPUT_NAMES)))
@@ -848,12 +812,12 @@ class TestAgainstOracles:
                 assert np.abs(postselect_two_qubit(heralded) - rho).max() <= 1e-12
 
     def test_kernels_match_the_kraus_route(self):
-        # the photon-by-photon maps and the coincidences read off the Gram tensors against
-        # the binomial-sum maps and the coincidences of the detected kets, on random
-        # splitters, every setting, both detector kinds, 0-9 pairs and per-detector
-        # efficiencies with dead and perfect detectors among them.  Tables are compared on
-        # the scale of their largest entry: an entry far below it is a difference of much
-        # larger terms, and carries their rounding
+        # the closed forms against the kernel they replaced: kets from binomial-sum photon maps,
+        # Gram tensors over every pair of inputs and the coincidences of the detected kets, on
+        # random splitters, both detector kinds, 0-9 pairs and per-detector efficiencies with
+        # dead and perfect detectors among them.  Tables are compared on the scale of their
+        # largest entry: an entry far below it is a difference of much larger terms, and carries
+        # their rounding
         rng = np.random.default_rng(2511)
         for trial in range(36):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -861,11 +825,11 @@ class TestAgainstOracles:
                         for name in HERALD_NAMES + OUTPUT_NAMES}
             det = DetectorModel(efficiency=float(rng.uniform()), resolving=("threshold", "number")[trial % 2],
                                 per_mode=per_mode)
-            settings = ALL_SETTINGS[trial % 9]
             max_pairs = int(rng.integers(0, 10))
-            for got, want in zip(
-                    block_layers(herald_pair_terms(max_pairs, t1, t2, det, settings)).values(),
-                    block_layers(oracles.kraus_route_blocks(max_pairs, t1, t2, det, settings)).values()):
+            got_blocks, want_blocks = (herald_pair_terms(max_pairs, t1, t2, det),
+                                       oracles.kraus_route_blocks(max_pairs, t1, t2, det))
+            assert got_blocks.keys == want_blocks.keys
+            for got, want in zip(block_layers(got_blocks).values(), block_layers(want_blocks).values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
                 assert ((got.table == 0.0) == (want.table == 0.0)).all()
@@ -877,10 +841,42 @@ class TestAgainstOracles:
                 assert (np.abs(got.coincidences - want.coincidences).max()
                         <= 1e-14 * largest + 1e-15 * want.herald)
 
+    def test_closed_form_matches_both_oracles(self):
+        # 100 random configs: 2-12 pairs, splitters with T = 0 and 1 among them, per-detector
+        # efficiencies with dead and perfect detectors and both detector kinds.  Every field of
+        # the record against the Kraus route on the scale of its largest entry, with the same zero
+        # pattern in the lossless layers, and one block per config, of 2-8 pairs, against the
+        # 8-mode pipeline
+        rng = np.random.default_rng(3601)
+        for trial in range(100):
+            t1, t2 = (float(rng.choice([0.0, 1.0]) if rng.random() < 0.2 else rng.uniform())
+                      for _ in range(2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            max_pairs = int(rng.integers(2, 13))
+            got = herald_pair_terms(max_pairs, t1, t2, det)
+            want = oracles.kraus_route_blocks(max_pairs, t1, t2, det)
+            assert got.keys == want.keys
+            assert ((got.lossless == 0.0) == (want.lossless == 0.0)).all()
+            for name in BLOCK_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.abs(a - b).max(initial=0.0) <= 1e-14 * np.abs(b).max(initial=0.0), name
+            n = min(2 + trial % 7, max_pairs)
+            heralded = block_layers(got)[n, True]
+            ens = oracles.herald(build_paper_circuit(t1, t2).run(pair_term(n)), det)
+            assert heralded.herald == pytest.approx(ens.probability, rel=1e-12, abs=1e-300)
+            if ens.probability > 0.0:
+                assert_tables_match(number_table(heralded), oracles.number_table(ens, det))
+                if np.trace(heralded.coincidences).real > 0.0:
+                    rho = oracles.postselect_two_qubit(ens, det)
+                    assert np.abs(postselect_two_qubit(heralded) - rho).max() <= 1e-12
+
     def test_packed_kernels_match_both_oracles(self):
-        # random splitters, settings, per-detector efficiencies and both detector kinds; pair
-        # blocks up to 10 pairs against the Kraus route, and one pair block per trial against
-        # the 8-mode pipeline.  Tables are compared on the scale of their largest entry, as in
+        # random splitters, per-detector efficiencies and both detector kinds; pair blocks up to
+        # 10 pairs against the Kraus route, and one pair block per trial against the 8-mode
+        # pipeline.  Tables are compared on the scale of their largest entry, as in
         # test_kernels_match_the_kraus_route
         rng = np.random.default_rng(2601)
         for trial in range(10):
@@ -891,9 +887,9 @@ class TestAgainstOracles:
                 {name: float(rng.choice([0.0, 1.0, rng.uniform()])) for name in OUTPUT_NAMES})
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
-            layout = build_paper_circuit(t1, t2, ALL_SETTINGS[int(rng.integers(9))])
-            blocks = block_layers(herald_pair_terms(10, t1, t2, det, layout.settings))
-            kraus = block_layers(oracles.kraus_route_blocks(10, t1, t2, det, layout.settings))
+            layout = build_paper_circuit(t1, t2)
+            blocks = block_layers(herald_pair_terms(10, t1, t2, det))
+            kraus = block_layers(oracles.kraus_route_blocks(10, t1, t2, det))
             for got, want in zip(blocks.values(), kraus.values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
@@ -930,9 +926,9 @@ class TestAgainstOracles:
         det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode=EDGE_EFFICIENCIES)
         for max_pairs in (5, 6):
             spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
-            blocks = heralded_blocks(0.35, 0.55, det, max_pairs, ("x", "y"))
+            blocks = herald_pair_terms(max_pairs, 0.35, 0.55, det)
             table = number_table(reweight_blocks(blocks, spdc))
-            ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det, ("x", "y"))
+            ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det)
             if max_pairs == 6:
                 assert_tables_match(table, oracles.number_table(ens, det))
             else:
@@ -948,11 +944,10 @@ class TestAgainstOracles:
             det = DetectorModel(efficiency=0.4, resolving=resolving, per_mode={**herald_etas, **outputs})
             for max_pairs in (4, 6):
                 spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
-                rho = postselect_two_qubit(
-                    reweight_blocks(heralded_blocks(0.35, 0.55, det, max_pairs, ("y", "x")), spdc)
-                )
+                blocks = herald_pair_terms(max_pairs, 0.35, 0.55, det)
+                rho = postselect_two_qubit(reweight_blocks(blocks, spdc))
                 check_density_matrix(rho)
-                ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det, ("y", "x"))
+                ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det)
                 if max_pairs == 6:
                     want = oracles.postselect_two_qubit(ens, det)
                 else:
@@ -962,30 +957,29 @@ class TestAgainstOracles:
 
     def test_blocks_match_the_fock_oracle_block_by_block(self):
         # each unit-weight block's herald probability, table and coincidences
-        # against the 8-mode pipeline's, at 6 pairs on two settings
+        # against the 8-mode pipeline's, at 6 pairs
         det = DetectorModel(efficiency=0.2, per_mode=EDGE_EFFICIENCIES)
-        for settings in (("z", "z"), ("y", "x")):
-            layout = build_paper_circuit(0.3, 0.7, settings)
-            blocks = block_layers(heralded_blocks(0.3, 0.7, det, 6, settings))
-            for n in range(7):
-                ens = oracles.herald(layout.run(pair_term(n)), det)
-                heralded = blocks[n, True]
-                assert heralded.herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
-                if ens.probability > 0.0:
-                    assert_tables_match(number_table(heralded), oracles.number_table(ens, det))
-                    assert np.abs(
-                        postselect_two_qubit(heralded) - oracles.postselect_two_qubit(ens, det)
-                    ).max() <= 1e-12
+        layout = build_paper_circuit(0.3, 0.7)
+        blocks = block_layers(herald_pair_terms(6, 0.3, 0.7, det))
+        for n in range(7):
+            ens = oracles.herald(layout.run(pair_term(n)), det)
+            heralded = blocks[n, True]
+            assert heralded.herald == pytest.approx(ens.probability, rel=1e-12, abs=0.0)
+            if ens.probability > 0.0:
+                assert_tables_match(number_table(heralded), oracles.number_table(ens, det))
+                assert np.abs(
+                    postselect_two_qubit(heralded) - oracles.postselect_two_qubit(ens, det)
+                ).max() <= 1e-12
 
 
 class TestArmTotals:
     """arm_totals against plain sums over the occupation dict and over the Fock oracle's kets."""
 
     def test_matches_dict_sums(self):
-        # all nine settings, both herald kinds, 2-8 pairs, a dead and a perfect output detector
+        # both herald kinds, 2-8 pairs, a dead and a perfect output detector
         rng = np.random.default_rng(2003)
         for trial in range(18):
-            settings, max_pairs = ALL_SETTINGS[trial % 9], 2 + trial % 7
+            max_pairs = 2 + trial % 7
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
             heralds = rng.permutation([1.0, *rng.uniform(0.05, 1.0, 3)]).tolist()
             outputs = rng.permutation([0.0, 1.0, *rng.uniform(0.05, 0.95, 2)]).tolist()
@@ -997,7 +991,7 @@ class TestArmTotals:
                                         **dict(zip(OUTPUT_NAMES, etas))})
                 for etas in (outputs, [1.0] * 4)
             )
-            blocks = heralded_blocks(t1, t2, lossy, max_pairs, settings)
+            blocks = herald_pair_terms(max_pairs, t1, t2, lossy)
             # one table shape for every block, the distinguishable one included
             assert {b.table.shape for b in block_layers(blocks).values()} == {(max_pairs + 1,) * 4}
             heralded = reweight_blocks(blocks, spdc)
@@ -1017,10 +1011,10 @@ class TestArmTotals:
             # P_direct is P(1;1) before output loss: that of perfect output detectors
             p_direct = heralded.direct / heralded.herald
             before_loss = number_table(reweight_blocks(
-                heralded_blocks(t1, t2, perfect, max_pairs, settings), spdc))
+                herald_pair_terms(max_pairs, t1, t2, perfect), spdc))
             p11_before_loss = oracles.one_photon_per_arm(before_loss)
             assert p_direct == pytest.approx(p11_before_loss, rel=1e-14, abs=0.0)
-            ensemble = oracles.heralded_ensemble(t1, t2, spdc, lossy, settings)
+            ensemble = oracles.heralded_ensemble(t1, t2, spdc, lossy)
             assert p_direct == pytest.approx(
                 oracles.one_photon_per_arm_before_loss(ensemble), rel=1e-14, abs=0.0
             )

@@ -22,7 +22,6 @@ from heraldsim.experiments import (
     ExperimentConfig,
     bell_diagonal,
     calibrate_tau,
-    heralded_blocks,
     power_scaled_tau,
     reproduce_number_tables,
     reweight_blocks,
@@ -100,6 +99,23 @@ class TestCalibration:
         with pytest.raises(ValueError):
             power_scaled_tau(0.3, power_low=2.0, power_high=1.0)
 
+    def test_achieved_p11_is_the_target_to_rounding(self):
+        # 50 targets, each the P(1;1) of a random configuration: the polished root puts the
+        # calibrated P(1;1) on its target to a few ulps, where the root of N - target D alone
+        # was off by up to 1e-14
+        rng = np.random.default_rng(3603)
+        for trial in range(50):
+            t1, t2, tau, eta, visibility = (float(x) for x in (
+                *rng.uniform(0.1, 0.9, 2), rng.uniform(0.1, 0.35), rng.uniform(0.05, 0.4),
+                rng.uniform(0.7, 1.0)))
+            max_pairs = int(rng.integers(3, 11))
+            det = DetectorModel(efficiency=eta, resolving=("threshold", "number")[trial % 2])
+            spdc = SpdcParams(tau=tau, max_pairs=max_pairs, visibility=visibility)
+            config = ExperimentConfig(t1=t1, t2=t2, spdc=spdc, detectors=det)
+            target = simulate_experiment(config).metrics["P11_detected"]
+            report = calibrate_tau(target, t1, t2, det, visibility, max_pairs)
+            assert abs(report["achieved_p11"] / target - 1.0) <= 1e-15
+            assert report["tau"] == pytest.approx(tau, rel=1e-9)
 
     def test_converged_truncation_reachable(self):
         # seven pairs need 14 photons; the cap follows max_pairs
@@ -124,32 +140,31 @@ class TestSharedBlocks:
         # each emission component heralded on its own and weighted, as a one-tau pipeline does;
         # the sums run in another order, so they agree to rounding
         det = DetectorModel(efficiency=0.2)
-        for settings in (("z", "z"), ("x", "y")):
-            for visibility in (0.0, 0.862, 1.0):
-                spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
-                herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
-                for (pairs, coherent), weight in emission_components(spdc).items():
-                    if coherent:
-                        block = block_layers(herald_pair_terms(pairs, 0.3, 0.7, det, settings))[pairs, True]
-                        herald_p += weight * block.herald
-                        direct += weight * block.direct
-                        table[tuple(slice(0, s) for s in block.table.shape)] += weight * block.table
-                        coincidences = coincidences + weight * block.coincidences
-                    else:
-                        p = herald_classical(0.3, 0.7, det)
-                        herald_p += weight * p
-                        table[0, 0, 0, 0] += weight * p
-                got = reweight_blocks(heralded_blocks(0.3, 0.7, det, 4, settings), spdc)
-                assert got.herald == pytest.approx(herald_p, rel=1e-14, abs=0.0)
-                assert got.direct == pytest.approx(direct, rel=1e-14, abs=0.0)
-                assert ((got.table == 0.0) == (table == 0.0)).all()
-                assert np.abs(got.table - table).max() <= 1e-14 * table.max()
-                assert np.abs(got.coincidences - coincidences).max() <= 1e-14 * np.abs(coincidences).max()
+        for visibility in (0.0, 0.862, 1.0):
+            spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
+            herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
+            for (pairs, coherent), weight in emission_components(spdc).items():
+                if coherent:
+                    block = block_layers(herald_pair_terms(pairs, 0.3, 0.7, det))[pairs, True]
+                    herald_p += weight * block.herald
+                    direct += weight * block.direct
+                    table[tuple(slice(0, s) for s in block.table.shape)] += weight * block.table
+                    coincidences = coincidences + weight * block.coincidences
+                else:
+                    p = herald_classical(0.3, 0.7, det)
+                    herald_p += weight * p
+                    table[0, 0, 0, 0] += weight * p
+            got = reweight_blocks(herald_pair_terms(4, 0.3, 0.7, det), spdc)
+            assert got.herald == pytest.approx(herald_p, rel=1e-14, abs=0.0)
+            assert got.direct == pytest.approx(direct, rel=1e-14, abs=0.0)
+            assert ((got.table == 0.0) == (table == 0.0)).all()
+            assert np.abs(got.table - table).max() <= 1e-14 * table.max()
+            assert np.abs(got.coincidences - coincidences).max() <= 1e-14 * np.abs(coincidences).max()
 
     def test_thinning_once_equals_thinning_each_block(self):
         # the reweighted lossless table thinned once against the sum of each block's table
         # thinned on its own, and calibrate's one-count product against each thinned block's
-        # P(1;1), on random splitters, every setting, both detector kinds, 2-10 pairs and
+        # P(1;1), on random splitters, both detector kinds, 2-10 pairs and
         # per-detector efficiencies with dead and perfect detectors among them
         rng = np.random.default_rng(3202)
         for trial in range(36):
@@ -158,11 +173,10 @@ class TestSharedBlocks:
                         for name in HERALD_NAMES + OUTPUT_NAMES}
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
-            settings = (("x", "y", "z")[trial % 3], ("x", "y", "z")[trial // 3 % 3])
             max_pairs = int(rng.integers(2, 11))
             spdc = SpdcParams(tau=float(rng.uniform(0.1, 0.4)), max_pairs=max_pairs,
                               visibility=float(rng.uniform(0.7, 1.0)))
-            blocks = heralded_blocks(t1, t2, det, max_pairs, settings)
+            blocks = herald_pair_terms(max_pairs, t1, t2, det)
             layers = block_layers(blocks)
             want = sum(w * layers[key].table for key, w in emission_components(spdc).items())
             got = reweight_blocks(blocks, spdc).table
@@ -203,47 +217,33 @@ class TestSharedBlocks:
                     assert value == pytest.approx(want[name], rel=0.0, abs=1e-12)
 
     def test_each_block_evolves_once(self, monkeypatch):
-        # one set of arm kets per pair block that can herald (two photons or more
-        # per arm), whatever the number of taus; a second command on the same settings
-        # and truncation evolves none, whatever its splitters
-        heraldsim.detection._splitter_free_kets.cache_clear()
-        evolved, visited = [], []
-        arm_kets = heraldsim.detection._arm_kets
-
-        def counting_arm_kets(maps, n):
-            evolved.append(n)
-            return arm_kets(maps, n)
+        # the gathers of the pair blocks that can herald (two photons or more per arm) are built
+        # once, whatever the number of taus; a second command on the same truncation builds
+        # none, whatever its splitters
+        gathers = heraldsim.detection._block_gathers
+        gathers.cache_clear()
+        visited = []
 
         def counting_components(spdc):
             visited.append(spdc.tau)
             return emission_components(spdc)
 
-        monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
         monkeypatch.setattr(heraldsim.experiments, "emission_components", counting_components)
         calibrate_tau(target_p11=6e-4, t1=0.3, t2=0.3, max_pairs=4)
-        assert evolved == [2, 3, 4]
-        evolved.clear()
+        assert gathers.cache_info().misses == 1
         run_power_comparison(0.25, power_scaled_tau(0.25), t=0.5, max_pairs=4)
-        assert evolved == []
+        assert gathers.cache_info().misses == 1
+        assert gathers(4)[2].tolist() == [0, 3, 7]  # the inputs of blocks 2, 3 and 4
         assert len(set(visited)) == 2
 
 
 class TestSweep:
-    def test_plans_are_reused_across_points(self, monkeypatch):
-        # a 4-point sweep at N pairs builds the splitter-free kets of its settings once, so
-        # the kets of each block 2..N once, not once per point
-        evolved = []
-        arm_kets = heraldsim.detection._arm_kets
-
-        def counting_arm_kets(maps, n):
-            evolved.append(n)
-            return arm_kets(maps, n)
-
-        monkeypatch.setattr(heraldsim.detection, "_arm_kets", counting_arm_kets)
-        heraldsim.detection._splitter_free_kets.cache_clear()
+    def test_plans_are_reused_across_points(self):
+        # a 4-point sweep at N pairs builds the gathers of blocks 2..N once, not once per point
+        gathers = heraldsim.detection._block_gathers
+        gathers.cache_clear()
         run_sweep(sweep_configs([0.17, 0.3, 0.5, 0.7], tau=0.25, max_pairs=5))
-        assert heraldsim.detection._splitter_free_kets.cache_info().misses == 1
-        assert evolved == [2, 3, 4, 5]
+        assert gathers.cache_info().misses == 1 and gathers.cache_info().hits == 3
 
     def test_three_pair_truncation_near_quadratic(self):
         rows = run_sweep(sweep_configs([0.17, 0.5, 0.7], tau=0.25, max_pairs=3, visibility=1.0))
@@ -424,16 +424,17 @@ class TestSimulateExperiment:
         )
 
     def test_circuit_statistics_match_reconstruction_inputs(self):
-        # per-setting coincidence statistics from the full circuit equal the
-        # Born probabilities of the post-selected two-qubit state
+        # per-setting coincidence statistics from the 8-mode pipeline through each setting's
+        # circuit equal the Born probabilities of the post-selected two-qubit state of the z, z
+        # kernels
         from heraldsim.detection import COINCIDENCE_PATTERNS
         from heraldsim.tomography import expected_coincidences
 
         det = DetectorModel(efficiency=0.3)
         spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)
-        rho = postselect_two_qubit(reweight_blocks(heralded_blocks(0.5, 0.5, det, 4), spdc))
+        rho = postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.5, 0.5, det), spdc))
         for setting in (("z", "z"), ("x", "x"), ("y", "y"), ("x", "y")):
-            table = number_table(reweight_blocks(heralded_blocks(0.5, 0.5, det, 4, setting), spdc))
+            table = oracles.number_table(oracles.heralded_ensemble(0.5, 0.5, spdc, det, setting), det)
             coinc = np.array([table.get(p, 0.0) for p in COINCIDENCE_PATTERNS])
             coinc /= coinc.sum()
             expected = expected_coincidences(rho, setting)
@@ -485,7 +486,7 @@ class TestPinnedFockOutputs:
         per_mode = {**(detectors.per_mode or {}), **dict.fromkeys(OUTPUT_NAMES, 1.0)}
         # perfect output detectors first, so that the pinned detectors' blocks are reweighted below
         for model in (DetectorModel(**{**c["detectors"], "per_mode": per_mode}), detectors):
-            blocks = heralded_blocks(c["t1"], c["t2"], model, c["max_pairs"])
+            blocks = herald_pair_terms(c["max_pairs"], c["t1"], c["t2"], model)
             for (n, coherent), block in block_layers(blocks).items():
                 # the distinguishable two-pair block heralds the output vacuum alone
                 most = n - 2 if coherent else 0
