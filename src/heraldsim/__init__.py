@@ -18,7 +18,7 @@ from .experiments import (
 )
 from .fock import SparseKet, apply_mode_map, vacuum
 from .metrics import chsh_max, fidelity_to_phi_plus, tangle
-from .source import SpdcParams, emission_coefficients, pair_term
+from .source import SpdcParams, emission_coefficients
 from .tomography import (
     CountTable,
     expected_coincidences,

@@ -2,12 +2,12 @@
 
 The circuit never mixes the two arms and every detector counts photons in
 one mode, so the pair block n, sum_i c_i |arm 1 input i>|arm 2 input i>
-with n photons in each arm (``source.pair_term``), is heralded arm by arm.
-The herald needs a photon in each of an arm's two herald detectors, so of
-the output occupations (o0, o1) of n photons only the n(n-1)/2 with
-o0 + o1 <= n - 2 can herald, and every kernel runs over those alone
-(``_heralding_rows``).  A row of m = n - o0 - o1 herald photons takes the
-arm's splitter as R^m T^(n-m).
+with n photons in each arm (the n-pair term of ``source``), is heralded
+arm by arm.  The herald needs a photon in each of an arm's two herald
+detectors, so of the output occupations (o0, o1) of n photons only the
+n(n-1)/2 with o0 + o1 <= n - 2 can herald, and every kernel runs over
+those alone (``_heralding_rows``).  A row of m = n - o0 - o1 herald
+photons takes the arm's splitter as R^m T^(n-m).
 
 Every pipeline command analyzes both output arms in z, and there each
 block is a closed form (``herald_pair_terms``).  Arm 1's herald, a PBS in
@@ -60,8 +60,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .elements import HERALD_NAMES, OUTPUT_NAMES, beam_splitter_map, hwp_map
+from .elements import HERALD_NAMES, OUTPUT_NAMES, hwp_map
 from .fock import PRUNE_TOL, Occupation
+from .source import block_keys
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
@@ -236,9 +237,9 @@ def _block_gathers(max_pairs: int) -> tuple[np.ndarray, ...]:
     """The circuit-free arrays of pair blocks 2..max_pairs, one entry per (block, row, input).
 
     Block n has the R = n(n-1)/2 rows (o0, o1) of ``_heralding_rows(n)``,
-    each of m = n - o0 - o1 herald photons, and the n + 1 inputs of
-    ``pair_term(n)``: input i holds i H and n - i V photons in arm 1, n - i
-    H and i V in arm 2, with amplitude c_i = +-1/sqrt(n+1).  Its entries
+    each of m = n - o0 - o1 herald photons, and the n + 1 inputs of the
+    n-pair term: input i holds i H and n - i V photons in arm 1, n - i H
+    and i V in arm 2, with amplitude c_i = +-1/sqrt(n+1).  Its entries
     are one (R, n + 1) slab, row by row, and the slabs follow each other
     from n = 2.  Returns, every array read-only:
 
@@ -322,21 +323,21 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
 class PairBlocks:
     """Heralded pair blocks at unit weight, stacked on a leading block axis, free of tau and V.
 
-    Layer b is the block ``keys[b]`` = (pairs, coherent): the pair blocks
-    0..max_pairs in order, and from two pairs on, last, the two-pair block
-    with its photons distinguishable.  ``lossless[b]`` is its (R, R) table
-    over both arms' output occupations before output loss, the joint
-    probability of the herald and each (o0, o1) of arm 1 and of arm 2,
+    Layer b is the block ``keys[b]`` = (pairs, coherent) of ``block_keys``:
+    the pair blocks 0..max_pairs in order, and from two pairs on, last, the
+    two-pair block with its photons distinguishable.  ``lossless[b]`` is its
+    (R, R) table over both arms' output occupations before output loss, the
+    joint probability of the herald and each (o0, o1) of arm 1 and of arm 2,
     over the R rows of the largest block that can herald
     (``_heralding_rows(max_pairs)``); block n fills the leading rows.  The
     layer's herald probability is the sum of its table and P_direct the
     entries at rows 1-2, those of one photon, so neither is stored, and
     ``coincidences[b]`` is its (4, 4) coincidence matrix.  Output loss is
     linear, so a weighted sum of layers is thinned once (``weigh_blocks``).
-    ``thinning`` holds each arm's (R, R) output-loss matrix, entry [r, r']
-    the chance that the output photons of row r leave those of row r'
-    detected, and ``one_count`` each arm's (R,) chance that a row gives
-    exactly one count.
+    ``thinning`` holds each arm's (R, R) output-loss matrix, entry [r, r'] the
+    chance that the output photons of row r leave those of row r' detected,
+    and ``one_count`` each arm's (R,) chance that a row gives exactly one
+    count.
     """
 
     keys: tuple[tuple[int, bool], ...]
@@ -374,19 +375,19 @@ def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
 def _splitter_powers(t: float, side: int) -> np.ndarray:
     """T^m and R^m of a splitter of transmission t, rows (T, R) over m = 0..side-1.
 
-    Each is its ``beam_splitter_map`` amplitude sqrt(T) or sqrt(R) to the
-    power 2m, in Python's ``**``, as in ``_thinning``: on hosts with
-    AVX-512 numpy's vector power can round an ulp away from the C library's
-    pow.
+    Each is the splitter's amplitude sqrt(T) or sqrt(R) to the power 2m, in
+    Python's ``**``, as in ``_thinning``: on hosts with AVX-512 numpy's
+    vector power can round an ulp away from the C library's pow.
     """
-    amplitudes = beam_splitter_map(t)[0].real.tolist()
-    return np.array([[x ** (2 * m) for m in range(side)] for x in amplitudes])
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmission must be in [0, 1], got {t}")
+    return np.array([[x ** (2 * m) for m in range(side)] for x in (math.sqrt(t), math.sqrt(1.0 - t))])
 
 
 def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorModel) -> PairBlocks:
     """Herald the pair blocks 0..max_pairs through the paper's circuit at analyzers z, z.
 
-    Block n is ``pair_term(n)``, sum_i c_i |arm 1 input i>|arm 2 input i>
+    Block n is the n-pair term, sum_i c_i |arm 1 input i>|arm 2 input i>
     with n photons in each arm, and the circuit that of
     ``build_paper_circuit(t1, t2)``, whose arms never mix.  Only the output
     occupations that leave one photon for each herald detector,
@@ -475,8 +476,7 @@ def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorM
         value[np.abs(value) <= RESIDUE_TOL * np.add.reduceat(np.abs(terms), starts, axis=-1)] = 0.0
         coincidences[2:side] = value.transpose(2, 0, 1)
     return PairBlocks(
-        keys=tuple((n, True) for n in range(side)) + ((2, False),) * (max_pairs >= 2),
-        coincidences=coincidences, lossless=lossless,
+        keys=block_keys(max_pairs), coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
         one_count=seen.sum(axis=-1),
         max_pairs=max_pairs,
@@ -490,7 +490,7 @@ def herald_classical(t1: float, t2: float, detectors: DetectorModel) -> float:
     magnitude of its amplitude there; all interference is discarded.  The
     four photons herald only by landing one in each herald detector, which
     leaves the outputs empty, and each does so only if its splitter
-    reflects it, with R = 1 - T.  Of the kets of ``pair_term(2)``,
+    reflects it, with R = 1 - T.  Of the kets of the two-pair term,
     |2,0;0,2>, |1,1;1,1> and |0,2;2,0> at weight 1/3 each, only |1,1;1,1>
     can: arm 1's herald analyzer sends H to r1H and V to r1V, so its two
     photons meet both detectors with R1^2 only when they are one H and one

@@ -8,11 +8,12 @@ one-photon entries the direct one-pair-per-arm probability, and the
 coincidence matrix.  A distinguishable-photon copy of the two-pair block,
 one more layer, heralds the output vacuum in closed form.  Blocks of
 different photon number never interfere in photon counting, so none of
-this depends on tau or the visibility.  ``reweight_blocks`` then sums the
-layers with the emission weights (the visibility splitting the two-pair
-weight) in one product over the block axis, and thins the summed lossless
-table by output loss once.  power-compare builds the blocks once for both
-values of tau, and calibrate reduces them to two polynomials in tau^2.
+this depends on tau or the visibility.  ``weigh_blocks`` then sums the
+layers with ``emission_components``, one weight per layer (the visibility
+splitting the two-pair weight), in one product over the block axis, and
+thins the summed lossless table by output loss once.  power-compare builds
+the blocks once for both values of tau, and calibrate reduces them to two
+polynomials in tau^2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .detection import (
     DetectorModel,
     HeraldedBlock,
-    PairBlocks,
     arm_totals,
     herald_pair_terms,
     number_table,
@@ -127,14 +127,6 @@ def _whole_number(value) -> int:
     return int(value)
 
 
-def reweight_blocks(blocks: PairBlocks, spdc: SpdcParams) -> HeraldedBlock:
-    """Sum the heralded blocks with the emission weights of spdc, thinned by output loss once."""
-    weights = np.zeros(len(blocks.keys))
-    for key, weight in emission_components(spdc).items():
-        weights[blocks.keys.index(key)] = weight
-    return weigh_blocks(blocks, weights)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """Simulated observables of one configuration."""
@@ -169,7 +161,7 @@ def _preparation_probabilities(
 def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full pipeline and collect every scalar figure of merit."""
     blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
-    heralded = reweight_blocks(blocks, config.spdc)
+    heralded = weigh_blocks(blocks, emission_components(config.spdc))
     table = number_table(heralded)
     reduction = arm_totals(heralded.table) / heralded.herald
     p_direct, p_estimator = _preparation_probabilities(heralded, reduction, config.detectors)
@@ -231,12 +223,10 @@ def calibrate_tau(
     # each layer's P(1;1) with the herald: one count in each arm
     joint = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
     herald = blocks.lossless.sum(axis=(1, 2))
-    herald_poly = np.zeros(max_pairs + 1)
-    joint_poly = np.zeros(max_pairs + 1)
-    for key, c in emission_coefficients(max_pairs, visibility).items():
-        layer = blocks.keys.index(key)
-        herald_poly[key[0]] += c * herald[layer]
-        joint_poly[key[0]] += c * joint[layer]
+    # the layers' coefficient-weighted figures summed per pair number: the coefficients of x^n
+    coefficients, pairs = emission_coefficients(max_pairs, visibility), np.array(blocks.keys)[:, 0]
+    herald_poly, joint_poly = (np.bincount(pairs, coefficients * layer, max_pairs + 1)
+                               for layer in (herald, joint))
     if not herald_poly.any():
         cause = (f"max_pairs={max_pairs}: no block of fewer than two pairs can herald"
                  if max_pairs < 2 else f"t1={t1}, t2={t2}")
@@ -285,7 +275,7 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
     rows = []
     for config in configs:
         blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
-        heralded = reweight_blocks(blocks, config.spdc)
+        heralded = weigh_blocks(blocks, emission_components(config.spdc))
         if heralded.herald > 0.0:
             reduction = arm_totals(heralded.table) / heralded.herald
             p_direct, p_estimator = _preparation_probabilities(
@@ -344,7 +334,7 @@ def run_power_comparison(
     }
     for tag, tau in (("high", tau_high), ("low", tau_low)):
         spdc = SpdcParams(tau=tau, max_pairs=max_pairs)
-        rho = postselect_two_qubit(reweight_blocks(blocks, spdc))
+        rho = postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc)))
         out[f"F_post_{tag}"] = fidelity_to_phi_plus(rho)
         out[f"bell_diagonal_{tag}"] = bell_diagonal(rho)
     return out
@@ -363,7 +353,7 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
     not published.
     """
     blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
-    heralded = reweight_blocks(blocks, config.spdc)
+    heralded = weigh_blocks(blocks, emission_components(config.spdc))
     table = number_table(heralded)
     n = (arm_totals(heralded.table) / heralded.herald).tolist()
     aggregates = {

@@ -38,9 +38,11 @@ import numpy as np
 
 from heraldsim import detection
 from heraldsim.detection import COINCIDENCE_PATTERNS
-from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES, arm_jones_maps, build_paper_circuit
+from heraldsim.elements import (
+    HERALD_NAMES, OUTPUT_NAMES, SOURCE_NAMES, arm_jones_maps, build_paper_circuit,
+)
 from heraldsim.fock import PRUNE_TOL, SparseKet, vacuum
-from heraldsim.source import emission_components, pair_term
+from heraldsim.source import block_keys, emission_components
 
 
 def permanent(m: np.ndarray) -> np.ndarray:
@@ -124,6 +126,23 @@ def spdc_pair_operator_expansion(n: int) -> dict:
 def normalized(amplitudes: dict) -> dict:
     norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
     return {k: v / norm for k, v in amplitudes.items()}
+
+
+def pair_term(n: int) -> SparseKet:
+    """Normalized n-pair emission term on the source modes a1H a1V a2H a2V, in closed form.
+
+    (1/sqrt(n+1)) sum_k (-1)^k |n-k, k; k, n-k>, checked against
+    ``spdc_pair_operator_expansion``.
+    """
+    if n < 0:
+        raise ValueError("pair number must be non-negative")
+    norm = 1.0 / math.sqrt(n + 1)
+    ks = range(n, -1, -1)  # descending k puts the rows in lexicographic order
+    return SparseKet(
+        len(SOURCE_NAMES),
+        np.array([(n - k, k, k, n - k) for k in ks], dtype=np.int64),
+        np.array([norm * (-1) ** k for k in ks], dtype=complex),
+    )
 
 
 def classical_occupation_distribution(amplitudes: dict, matrix: np.ndarray) -> dict:
@@ -753,7 +772,9 @@ def heralded_ensemble(t1, t2, spdc, detectors, settings=("z", "z")) -> Condition
     """Every emission component evolved through the whole circuit, heralded and merged at its weight."""
     layout = build_paper_circuit(t1, t2, settings)
     parts = []
-    for (n, coherent), weight in emission_components(spdc).items():
+    for (n, coherent), weight in zip(block_keys(spdc.max_pairs), emission_components(spdc)):
+        if weight == 0.0:
+            continue  # a component of zero weight adds no ensemble member
         state = pair_term(n)
         if coherent:
             part = herald(layout.run(state), detectors)

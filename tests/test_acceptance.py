@@ -27,7 +27,7 @@ from heraldsim.metrics import (
     tangle,
     total_state_fidelity_from_values,
 )
-from heraldsim.source import SpdcParams, emission_coefficients
+from heraldsim.source import SpdcParams, block_keys, emission_coefficients
 
 from oracles import block_layers
 from heraldsim.tomography import (
@@ -60,9 +60,9 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
 
 
 def herald_components(weights, layout, detectors):
-    """Total herald probability of source components keyed by (pairs, coherent)."""
+    """Total herald probability of source components weighted per layer of ``block_keys(2)``."""
     total = 0.0
-    for (pairs, coherent), weight in weights.items():
+    for (pairs, coherent), weight in zip(block_keys(2), weights):
         if coherent:
             blocks = herald_pair_terms(pairs, layout.t1, layout.t2, detectors)
             prob = block_layers(blocks)[pairs, True].herald
@@ -78,12 +78,8 @@ def three_pair_block(t1, t2, detectors):
 
 
 def two_pair_pieces(visibility):
-    """The two-pair block split by the visibility, at unit total weight."""
-    return {
-        (n, coherent): c / 3.0
-        for (n, coherent), c in emission_coefficients(2, visibility).items()
-        if n == 2
-    }
+    """The two-pair block split by the visibility, at unit total weight, per layer of ``block_keys(2)``."""
+    return emission_coefficients(2, visibility) / 3.0 * np.array([n == 2 for n, _ in block_keys(2)])
 
 
 def test_criterion_1_ideal_heralding_exactness():

@@ -19,12 +19,12 @@ from heraldsim.detection import (
     herald_pair_terms,
     number_table,
     postselect_two_qubit,
+    weigh_blocks,
 )
 from heraldsim.elements import ANALYSIS_SETTINGS, HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
-from heraldsim.experiments import reweight_blocks
 from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
-from heraldsim.source import SpdcParams, pair_term
+from heraldsim.source import SpdcParams, emission_components
 
 import oracles
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     dense_evolve_by_arm,
     detected_number_table,
     herald_by_pattern,
+    pair_term,
     postselected_state_through_loss_modes,
 )
 
@@ -458,23 +459,26 @@ class TestPostselect:
     def test_valid_density_matrix_with_loss_and_higher_orders(self):
         det = DetectorModel(efficiency=0.0966)
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.8)
-        check_density_matrix(postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.7, 0.7, det), spdc)))
+        blocks = herald_pair_terms(4, 0.7, 0.7, det)
+        check_density_matrix(postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc))))
 
     def test_four_pair_background_is_psi_minus_type(self):
         from heraldsim.experiments import bell_diagonal
 
         spdc = SpdcParams(tau=0.4, max_pairs=4, visibility=0.862)
-        rho = postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.3, 0.3, DetectorModel()), spdc))
+        blocks = herald_pair_terms(4, 0.3, 0.3, DetectorModel())
+        rho = postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc)))
         diag = bell_diagonal(rho)
         background = {k: v for k, v in diag.items() if k != "phi+"}
         assert max(background, key=background.get) == "psi-"
 
     def test_fidelity_drops_when_four_pair_included(self):
-        blocks = herald_pair_terms(4, 0.5, 0.5, DetectorModel())
         fids = {}
         for mp in (3, 4):
+            blocks = herald_pair_terms(mp, 0.5, 0.5, DetectorModel())
             spdc = SpdcParams(tau=0.35, max_pairs=mp, visibility=0.862)
-            fids[mp] = fidelity_to_phi_plus(postselect_two_qubit(reweight_blocks(blocks, spdc)))
+            rho = postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc)))
+            fids[mp] = fidelity_to_phi_plus(rho)
         assert fids[4] < fids[3]
 
 
@@ -927,7 +931,7 @@ class TestAgainstOracles:
         for max_pairs in (5, 6):
             spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
             blocks = herald_pair_terms(max_pairs, 0.35, 0.55, det)
-            table = number_table(reweight_blocks(blocks, spdc))
+            table = number_table(weigh_blocks(blocks, emission_components(spdc)))
             ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det)
             if max_pairs == 6:
                 assert_tables_match(table, oracles.number_table(ens, det))
@@ -945,7 +949,7 @@ class TestAgainstOracles:
             for max_pairs in (4, 6):
                 spdc = SpdcParams(tau=0.3, max_pairs=max_pairs, visibility=0.9)
                 blocks = herald_pair_terms(max_pairs, 0.35, 0.55, det)
-                rho = postselect_two_qubit(reweight_blocks(blocks, spdc))
+                rho = postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc)))
                 check_density_matrix(rho)
                 ens = oracles.heralded_ensemble(0.35, 0.55, spdc, det)
                 if max_pairs == 6:
@@ -994,7 +998,7 @@ class TestArmTotals:
             blocks = herald_pair_terms(max_pairs, t1, t2, lossy)
             # one table shape for every block, the distinguishable one included
             assert {b.table.shape for b in block_layers(blocks).values()} == {(max_pairs + 1,) * 4}
-            heralded = reweight_blocks(blocks, spdc)
+            heralded = weigh_blocks(blocks, emission_components(spdc))
             totals = arm_totals(heralded.table) / heralded.herald
             table = number_table(heralded)
             by_arm = defaultdict(list)
@@ -1010,8 +1014,8 @@ class TestArmTotals:
             assert totals[1:, 1:].sum() == pytest.approx(clicks, rel=1e-14, abs=0.0)
             # P_direct is P(1;1) before output loss: that of perfect output detectors
             p_direct = heralded.direct / heralded.herald
-            before_loss = number_table(reweight_blocks(
-                herald_pair_terms(max_pairs, t1, t2, perfect), spdc))
+            before_loss = number_table(weigh_blocks(
+                herald_pair_terms(max_pairs, t1, t2, perfect), emission_components(spdc)))
             p11_before_loss = oracles.one_photon_per_arm(before_loss)
             assert p_direct == pytest.approx(p11_before_loss, rel=1e-14, abs=0.0)
             ensemble = oracles.heralded_ensemble(t1, t2, spdc, lossy)

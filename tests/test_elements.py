@@ -14,9 +14,8 @@ from heraldsim.elements import (
     hwp_map,
 )
 from heraldsim.fock import SparseKet, apply_mode_map
-from heraldsim.source import pair_term
 
-from oracles import dense_evolve
+from oracles import dense_evolve, pair_term
 
 # Blocks of the circuit matrix: rows per source arm (a1H a1V | a2H a2V), columns
 # per detector pair in detector order (r1H r1V | r2+ r2- | t1H t1V | t2H t2V).

@@ -14,6 +14,7 @@ from heraldsim.detection import (
     herald_pair_terms,
     number_table,
     postselect_two_qubit,
+    weigh_blocks,
 )
 from heraldsim.elements import HERALD_NAMES, OUTPUT_NAMES
 from heraldsim.experiments import (
@@ -24,13 +25,12 @@ from heraldsim.experiments import (
     calibrate_tau,
     power_scaled_tau,
     reproduce_number_tables,
-    reweight_blocks,
     run_power_comparison,
     run_sweep,
     simulate_experiment,
 )
 from heraldsim.metrics import fidelity_to_phi_plus
-from heraldsim.source import SpdcParams, emission_components
+from heraldsim.source import SpdcParams, block_keys, emission_components
 
 import oracles
 from oracles import (
@@ -143,7 +143,7 @@ class TestSharedBlocks:
         for visibility in (0.0, 0.862, 1.0):
             spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=visibility)
             herald_p, direct, table, coincidences = 0.0, 0.0, np.zeros((5,) * 4), 0.0
-            for (pairs, coherent), weight in emission_components(spdc).items():
+            for (pairs, coherent), weight in zip(block_keys(4), emission_components(spdc)):
                 if coherent:
                     block = block_layers(herald_pair_terms(pairs, 0.3, 0.7, det))[pairs, True]
                     herald_p += weight * block.herald
@@ -154,7 +154,7 @@ class TestSharedBlocks:
                     p = herald_classical(0.3, 0.7, det)
                     herald_p += weight * p
                     table[0, 0, 0, 0] += weight * p
-            got = reweight_blocks(herald_pair_terms(4, 0.3, 0.7, det), spdc)
+            got = weigh_blocks(herald_pair_terms(4, 0.3, 0.7, det), emission_components(spdc))
             assert got.herald == pytest.approx(herald_p, rel=1e-14, abs=0.0)
             assert got.direct == pytest.approx(direct, rel=1e-14, abs=0.0)
             assert ((got.table == 0.0) == (table == 0.0)).all()
@@ -178,8 +178,9 @@ class TestSharedBlocks:
                               visibility=float(rng.uniform(0.7, 1.0)))
             blocks = herald_pair_terms(max_pairs, t1, t2, det)
             layers = block_layers(blocks)
-            want = sum(w * layers[key].table for key, w in emission_components(spdc).items())
-            got = reweight_blocks(blocks, spdc).table
+            weights = zip(block_keys(max_pairs), emission_components(spdc))
+            want = sum(w * layers[key].table for key, w in weights)
+            got = weigh_blocks(blocks, emission_components(spdc)).table
             assert ((got == 0.0) == (want == 0.0)).all()
             assert np.abs(got - want).max() <= 1e-14 * want.max(initial=0.0)
             one = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
@@ -432,7 +433,8 @@ class TestSimulateExperiment:
 
         det = DetectorModel(efficiency=0.3)
         spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)
-        rho = postselect_two_qubit(reweight_blocks(herald_pair_terms(4, 0.5, 0.5, det), spdc))
+        blocks = herald_pair_terms(4, 0.5, 0.5, det)
+        rho = postselect_two_qubit(weigh_blocks(blocks, emission_components(spdc)))
         for setting in (("z", "z"), ("x", "x"), ("y", "y"), ("x", "y")):
             table = oracles.number_table(oracles.heralded_ensemble(0.5, 0.5, spdc, det, setting), det)
             coinc = np.array([table.get(p, 0.0) for p in COINCIDENCE_PATTERNS])
@@ -494,5 +496,5 @@ class TestPinnedFockOutputs:
                 beyond = (t1h + t1v > most) | (t2h + t2v > most)
                 assert (block.table[beyond] == 0.0).all()
         spdc = SpdcParams(tau=c["tau"], max_pairs=c["max_pairs"], visibility=c["visibility"])
-        table = number_table(reweight_blocks(blocks, spdc))
+        table = number_table(weigh_blocks(blocks, emission_components(spdc)))
         assert list(table) == [tuple(map(int, k.split())) for k in pinned["number_table"]]

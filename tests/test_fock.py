@@ -9,9 +9,8 @@ from heraldsim.detection import DetectorModel, herald_pair_terms, postselect_two
 from heraldsim.elements import build_paper_circuit
 from heraldsim.fock import SparseKet, apply_mode_map, vacuum
 from heraldsim.metrics import PHI_PLUS
-from heraldsim.source import pair_term
 
-from oracles import block_layers, dense_evolve, herald
+from oracles import block_layers, dense_evolve, herald, pair_term
 
 BS_50 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 # Lossless threshold detectors: a herald pattern fires when every herald mode is occupied.

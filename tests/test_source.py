@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from heraldsim.fock import vacuum
-from heraldsim.source import SpdcParams, emission_coefficients, emission_components, pair_term
+from heraldsim.detection import DetectorModel, herald_pair_terms
+from heraldsim.source import SpdcParams, block_keys, emission_coefficients, emission_components
 
-from oracles import normalized, spdc_pair_operator_expansion
+from oracles import normalized, pair_term, spdc_pair_operator_expansion
 
 
 class TestPairTerm:
@@ -58,23 +59,21 @@ class TestPairTerm:
 
 
 def block_amplitude(weights, occ):
-    """Emission amplitude of one source occupation: sqrt(block weight) times its term."""
+    """Emission amplitude of one source occupation: sqrt(its coherent layer's weight) times its term."""
     n = occ[0] + occ[1]
-    ((pairs, _), weight), = [(key, w) for key, w in weights.items() if key[0] == n]
-    return math.sqrt(weight) * pair_term(pairs).amplitude(occ)
+    return math.sqrt(weights[n]) * pair_term(n).amplitude(occ)
 
 
 class TestSpdcState:
     def test_tau_zero_is_vacuum(self):
         comps = emission_components(SpdcParams(tau=0.0))
-        assert comps == {(0, True): 1.0}
+        assert comps.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         assert pair_term(0).amplitudes == vacuum(4).amplitudes
 
     def test_one_pair_to_vacuum_ratio(self):
         # P(1)/P(0) = 2 tau^2, unaffected by the common renormalization
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4))
-        weights = {n: w for (n, _), w in comps.items()}
-        assert weights[1] / weights[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
+        assert comps[1] / comps[0] == pytest.approx(2 * 0.3**2, abs=1e-12)
         p0 = abs(block_amplitude(comps, (0, 0, 0, 0))) ** 2
         p1 = sum(
             abs(block_amplitude(comps, occ)) ** 2 for occ in ((1, 0, 0, 1), (0, 1, 1, 0))
@@ -91,8 +90,8 @@ class TestSpdcState:
         for tau in (0.1, 0.3, 0.6):
             params = SpdcParams(tau=tau, max_pairs=4)
             comps = emission_components(params)
-            assert sum(comps.values()) == pytest.approx(1.0, abs=1e-12)
-            for n, _ in comps:
+            assert comps.sum() == pytest.approx(1.0, abs=1e-12)
+            for n, _ in block_keys(params.max_pairs):
                 assert pair_term(n).norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_truncation_tail_bound(self):
@@ -105,11 +104,12 @@ class TestSpdcState:
 
     def test_weights_match_distribution(self):
         params = SpdcParams(tau=0.35, max_pairs=4)
-        # at full visibility there is one component per pair number, in order
-        weights = list(emission_components(params).values())
+        # at full visibility the pair numbers weigh in order and the distinguishable layer is zero
+        weights = emission_components(params)
         raw = [(n + 1) * 0.35 ** (2 * n) for n in range(5)]
         total = sum(raw)
-        assert weights == pytest.approx([w / total for w in raw], abs=1e-14)
+        assert weights[:5] == pytest.approx([w / total for w in raw], abs=1e-14)
+        assert weights[5] == 0.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -125,39 +125,58 @@ class TestSpdcState:
 class TestVisibility:
     def test_full_visibility_keeps_only_coherent_part(self):
         coefficients = emission_coefficients(4, 1.0)
-        assert list(coefficients) == [(n, True) for n in range(5)]
-        assert coefficients[2, True] == pytest.approx(3.0)
+        assert block_keys(4) == tuple((n, True) for n in range(5)) + ((2, False),)
+        assert coefficients[2] == pytest.approx(3.0)
+        assert coefficients.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
 
     def test_zero_visibility_is_fully_distinguishable(self):
         coefficients = emission_coefficients(4, 0.0)
-        assert (2, True) not in coefficients
-        assert coefficients[2, False] == pytest.approx(3.0)
+        assert coefficients[2] == 0.0
+        assert coefficients[5] == pytest.approx(3.0)
 
     def test_mixture_weights(self):
         # c = n+1 per pair number; the visibility splits only the two-pair coefficient
         coefficients = emission_coefficients(3, 0.862)
-        assert coefficients == pytest.approx(
-            {(0, True): 1.0, (1, True): 2.0, (2, True): 3 * 0.862, (2, False): 3 * 0.138,
-             (3, True): 4.0},
-            abs=1e-12,
-        )
+        assert block_keys(3) == ((0, True), (1, True), (2, True), (3, True), (2, False))
+        assert coefficients == pytest.approx([1.0, 2.0, 3 * 0.862, 4.0, 3 * 0.138], abs=1e-12)
         with pytest.raises(ValueError, match="visibility"):
             emission_coefficients(3, 1.2)
 
     def test_emission_components_split_only_two_pair_block(self):
         comps = emission_components(SpdcParams(tau=0.3, max_pairs=4, visibility=0.9))
-        assert [key for key in comps if not key[1]] == [(2, False)]
-        total = sum(comps.values())
+        assert [key for key in block_keys(4) if not key[1]] == [(2, False)]
+        assert comps[2] / comps[5] == pytest.approx(0.9 / 0.1, rel=1e-12)
+        total = comps.sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_components_are_the_nonzero_coefficients_renormalized(self):
+    def test_components_are_the_coefficients_renormalized(self):
         for tau, max_pairs, visibility in itertools.product(
             (0.0, 0.05, 0.3, 0.6), (0, 1, 2, 5), (0.0, 0.862, 1.0)
         ):
             comps = emission_components(SpdcParams(tau, max_pairs, visibility))
             coefficients = emission_coefficients(max_pairs, visibility)
-            assert list(comps) == [
-                (n, coherent) for (n, coherent), c in coefficients.items()
-                if c * tau ** (2 * n) != 0.0
-            ]
-            assert sum(comps.values()) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+            raw = [c * tau ** (2 * n) for (n, _), c in zip(block_keys(max_pairs), coefficients)]
+            assert ((comps == 0.0) == (np.array(raw) == 0.0)).all()
+            assert comps == pytest.approx(np.array(raw) / sum(raw), rel=1e-15, abs=0.0)
+            assert comps.sum() == pytest.approx(1.0, rel=0.0, abs=1e-15)
+
+
+class TestBlockKeys:
+    @pytest.mark.parametrize("max_pairs", range(7))
+    @pytest.mark.parametrize("visibility", [0.0, 0.862, 1.0])
+    def test_emission_arrays_follow_the_heralded_layers(self, max_pairs, visibility):
+        keys = block_keys(max_pairs)
+        blocks = herald_pair_terms(max_pairs, 0.3, 0.7, DetectorModel())
+        assert blocks.keys == keys
+        assert [key for key in keys if not key[1]] == ([(2, False)] if max_pairs >= 2 else [])
+        coefficients = emission_coefficients(max_pairs, visibility)
+        assert len(coefficients) == len(keys) == len(blocks.lossless)
+        # every layer keeps its entry, zero or not: a zero share of the two-pair split,
+        # and at tau = 0 every block but the vacuum
+        split_zero = [(n, coherent, visibility) in ((2, True, 0.0), (2, False, 1.0)) for n, coherent in keys]
+        assert ((coefficients == 0.0) == np.array(split_zero)).all()
+        for tau in (0.0, 0.3):
+            comps = emission_components(SpdcParams(tau, max_pairs, visibility))
+            assert len(comps) == len(keys)
+            zero = [z or (tau == 0.0 and n > 0) for z, (n, _) in zip(split_zero, keys)]
+            assert ((comps == 0.0) == np.array(zero)).all()
