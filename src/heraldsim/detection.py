@@ -37,17 +37,24 @@ one in each herald detector, so that block heralds the output vacuum, with
 a probability in closed form that needs no circuit: R1^2 R2^2 / 6 times
 the four herald efficiencies (``herald_classical``).
 
-What depends on the truncation alone is the kernels' one process cache
-beside the integer binomials of ``_binomials``: ``_block_gathers``, an
-``lru_cache`` keyed by max_pairs, built on first use, never at import.  It
-holds arm 2's HWP photon maps and, for every (block, row, input), the
-binomial coefficients of both arms' Gram entries and their indices into
-the per-call herald weights, herald overlaps and splitter factors, about
-30 KB through 6 pairs and 3 MB through 20.  A call on a warm key pays only
-for its splitters and detectors, with every block's gathers in one pass.
-The rows of block n are the leading rows of every larger block, so a call
-builds its per-row detector tables once, for its largest block.  Other
-analyzer settings enter the package only through the post-selected
+Everything that depends on the truncation alone is the kernels' one
+process cache beside the integer binomials of ``_binomials``:
+``_block_gathers``, an ``lru_cache`` keyed by max_pairs, built on first
+use, never at import, a read-only named tuple.  It holds the layer keys,
+the heralding rows, the masks of the herald weights and splitter factors
+and of the Kraus neighbours, arm 2's HWP photon maps and, for every
+(block, row, input), the binomial coefficients of both arms' Gram entries,
+their indices into the per-call herald weights, herald overlaps and
+splitter factors, and their coincidence slots; and, for the readers of a
+count table (``weigh_blocks``, ``number_table``, ``arm_totals``), the cells
+that the rows fill and the cells that an arm of at most max_pairs photons
+can fill, in lexicographic order.  Every array has one entry per row, per
+count cell or per (block, row, input), none per table pattern: about 40 KB
+through 6 pairs and 3.8 MB through 20.  A call on a warm key pays only for
+its splitters, detectors and weights, with every block's gathers in one
+pass.  The rows of block n are the leading rows of every larger block, so
+a call builds its per-row detector tables once, for its largest block.
+Other analyzer settings enter the package only through the post-selected
 two-qubit state (``tomography``).
 """
 
@@ -56,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,16 +87,18 @@ COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 # diagonal, its band (r, i; r, i - 1) and its neighbour overlaps at (i, i), (i, i - 1) and (i - 1, i).
 _GRAM_ENTRIES = ((((0, 0), (0, 0)), ((1, 0), (0, 1))),
                  (((0, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (0, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 0))))
-# The pieces of each arm's coincidences that ``herald_pair_terms`` sums over the rows, per input i:
-# which of its Gram entries (``_block_gathers``) each takes, and which row weight (seen_H, seen_V or
-# the Kraus factor).  Arm 1's are HH, VV and HV at (i, i - 1); arm 2's are HH and VV at (i, i) and at
-# (i, i - 1), and HV at (i, i), (i, i - 1) and (i - 1, i), its VH the transpose of HV.
-_PIECES = ((np.array([0, 0, 1]), np.array([0, 1, 2])),
-           (np.array([0, 1, 0, 1, 2, 3, 4]), np.array([0, 0, 1, 1, 2, 2, 2])))
+# The arm of each of those seven Gram entries, arm 1's two then arm 2's five, as ``_block_gathers``
+# stacks them.
+_GRAM_ARMS = np.array([0, 0, 1, 1, 1, 1, 1])
+# The pieces of the coincidences that ``herald_pair_terms`` sums over the rows, per input i, arm 1's
+# three then arm 2's seven: which of the seven Gram entries each takes, and which of the six row weights,
+# each arm's seen_H, seen_V and Kraus factor.  Arm 1's are HH, VV and HV at (i, i - 1); arm 2's are HH
+# and VV at (i, i) and at (i, i - 1), and HV at (i, i), (i, i - 1) and (i - 1, i), its VH the transpose of HV.
+_PIECES = (np.array([0, 0, 1, 2, 3, 2, 3, 4, 5, 6]), np.array([0, 1, 2, 3, 3, 4, 4, 5, 5, 5]))
 # The pieces that coincidence entry (2a + c, 2b + d) pairs: arm 1's block (a, b) and arm 2's (c, d),
 # both on the diagonal when a = b, and at (i, i - 1) or (i - 1, i) when arm 1's is HV or VH.
 _PAIRED = (np.array([[0, 0, 2, 2], [0, 0, 2, 2], [2, 2, 1, 1], [2, 2, 1, 1]]),
-           np.array([[0, 4, 1, 5], [4, 2, 6, 3], [1, 6, 0, 4], [5, 3, 4, 2]]))
+           3 + np.array([[0, 4, 1, 5], [4, 2, 6, 3], [1, 6, 0, 4], [5, 3, 4, 2]]))
 
 
 @dataclass(frozen=True)
@@ -232,29 +241,44 @@ def _heralding_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return o0, total - o0
 
 
+class _BlockGathers(NamedTuple):
+    """What the kernels read of one truncation, free of splitters and detectors (``_block_gathers``).
+
+    R is the number of rows of the largest block, E the number of entries,
+    one per (block, row, input) of blocks 2..max_pairs, and side is
+    max_pairs + 1.  Every array is read-only.
+    """
+
+    keys: tuple[tuple[int, bool], ...]  # ``block_keys(max_pairs)``, the order of the layers
+    rows: np.ndarray  # (2, R) the (o0, o1) of ``_heralding_rows(max_pairs)``
+    cells: np.ndarray  # (R,) o0 * side + o1: each row's cell of an arm's (H, V) count plane
+    count_cells: np.ndarray  # (C,) the cells of every (o0, o1) with o0 + o1 <= max_pairs, lexicographic
+    count_rows: np.ndarray  # (2, C) their (o0, o1)
+    lower: np.ndarray  # (side, side) m >= h, where h of m herald photons can reach one detector
+    below: np.ndarray  # (side, side) m - h, zero where m < h
+    neighbours: np.ndarray  # (R - 1,) row r + 1 holds as many output photons as row r
+    maps: np.ndarray  # (side, side, side) arm 2's HWP herald maps
+    offsets: np.ndarray  # (B + 1,) where each block's entries start
+    starts: np.ndarray  # (B,) where each block's inputs start among all blocks' inputs
+    row: np.ndarray  # (E,) each entry's row
+    split: np.ndarray  # (E,) n * side + m into a table over (n, m)
+    gram: np.ndarray  # (7, E) the Gram coefficients, arm 1's two then arm 2's five
+    gram_at: np.ndarray  # (7, E) their indices into arm 1's herald weight and arm 2's herald overlaps
+    slots: np.ndarray  # (10, E) t * I + the entry's input among all I inputs, for piece t
+
+
 @functools.lru_cache(maxsize=None)
-def _block_gathers(max_pairs: int) -> tuple[np.ndarray, ...]:
-    """The circuit-free arrays of pair blocks 2..max_pairs, one entry per (block, row, input).
+def _block_gathers(max_pairs: int) -> _BlockGathers:
+    """Every array of the pair-block kernels that depends on the truncation alone, built once.
 
     Block n has the R = n(n-1)/2 rows (o0, o1) of ``_heralding_rows(n)``,
     each of m = n - o0 - o1 herald photons, and the n + 1 inputs of the
     n-pair term: input i holds i H and n - i V photons in arm 1, n - i H
     and i V in arm 2, with amplitude c_i = +-1/sqrt(n+1).  Its entries
     are one (R, n + 1) slab, row by row, and the slabs follow each other
-    from n = 2.  Returns, every array read-only:
-
-    - ``maps`` (side, side, side), side = max_pairs + 1: the
-      ``_photon_maps`` of arm 2's HWP(pi/8) herald, [m, p, h] the amplitude
-      of h photons in r2+ out of p H and m - p V, zero below PRUNE_TOL;
-    - ``offsets`` (B + 1,) where each block's entries start, and
-      ``starts`` (B,) where its inputs start among all blocks' inputs;
-    - ``row``, ``split`` and ``target`` (E,): each entry's row, its index
-      n * side + m into a table over (n, m), and its input among all
-      blocks' inputs;
-    - ``first`` (2, E) arm 1's coefficients and ``first_at`` their
-      indices m * side + h into its herald weight over (m, h);
-    - ``second`` (5, E) arm 2's coefficients and ``second_at`` their
-      indices (m * side + p) * side + p' into its herald overlaps.
+    from n = 2.  ``maps`` are the ``_photon_maps`` of arm 2's HWP(pi/8)
+    herald, [m, p, h] the amplitude of h photons in r2+ out of p H and
+    m - p V, zero below PRUNE_TOL.
 
     An arm's ket of row (o0 + s, o1 - s) and input i - d splits the arm's
     H and V photons binomially between outputs and herald, with amplitude
@@ -262,14 +286,29 @@ def _block_gathers(max_pairs: int) -> tuple[np.ndarray, ...]:
     arm 1 the herald photons then meet r1H and r1V as they are, so that
     ket sits at h0 = i - d - o0 - s herald H photons alone; in arm 2 they
     meet the HWP map of their p + d - s H photons, p = n - i - o0.  The
-    coefficients are those products: ``first`` holds arm 1's Gram diagonal
+    coefficients in ``gram`` are those products: arm 1's Gram diagonal
     (r, i; r, i) and its neighbour band (r + 1, i; r, i - 1), with c_i^2
-    and c_i c_(i-1); ``second`` holds arm 2's Gram at (r, i; r, i) and
-    (r, i; r, i - 1), and its neighbour overlaps (r + 1, i; r, i),
-    (r + 1, i; r, i - 1) and (r + 1, i - 1; r, i).  Kept for the life of
-    the process, keyed by max_pairs alone, built on first use.
+    and c_i c_(i-1), then arm 2's Gram at (r, i; r, i) and (r, i; r, i - 1),
+    and its neighbour overlaps (r + 1, i; r, i), (r + 1, i; r, i - 1) and
+    (r + 1, i - 1; r, i).  ``gram_at`` indexes arm 1's herald weight over
+    (m, h), at m * side + h, and after its side^2 entries arm 2's herald
+    overlaps over (m, p, p'), at (m * side + p) * side + p'.  ``slots``
+    place each entry's coincidence piece t (``_PIECES``) of its input for
+    one ``bincount``.
+
+    An arm holds at most max_pairs photons, so a count table is read at the
+    C cells (o0, o1) with o0 + o1 <= max_pairs of each arm, and a pattern
+    is a pair of them: as (a, b) runs over the C^2 pairs row by row,
+    (``count_cells``[a], ``count_cells``[b]) runs over the patterns in the
+    table's lexicographic order.  No array of C^2 or R^2 entries is kept.
+    Kept for the life of the process, keyed by max_pairs alone, built on
+    first use.
     """
     side = max_pairs + 1
+    o0, o1 = _heralding_rows(max_pairs)
+    gap = np.subtract.outer(np.arange(side), np.arange(side))
+    counts = np.argwhere(np.add.outer(np.arange(side), np.arange(side)) <= max_pairs)  # in lexicographic order
+    out = o0 + o1
     maps = _photon_maps(hwp_map(math.pi / 8.0).real, max_pairs)
     maps[np.abs(maps) < PRUNE_TOL] = 0.0
     # square roots of C(a, b) at [a + 1, b + 1] for a, b = -1..side, zero where either is -1 or side:
@@ -280,27 +319,36 @@ def _block_gathers(max_pairs: int) -> tuple[np.ndarray, ...]:
     grid = np.ix_(blocks, np.arange(max_pairs * (max_pairs - 1) // 2), np.arange(side))
     kept = (2 * grid[1] < grid[0] * (grid[0] - 1)) & (grid[2] <= grid[0])
     n, row, i = (x[kept] for x in np.broadcast_arrays(*grid))
-    o0, o1 = (x[row] for x in _heralding_rows(max_pairs))
-    m = n - o0 - o1
+    m = n - o0[row] - o1[row]
     # ket[arm, s, d]: the binomial amplitude of the arm's ket of row (o0 + s, o1 - s) and input i - d,
     # which holds h H photons, and its herald photons' H count h - o0 - s
     arm, s, d = (x[..., None] for x in np.ix_(range(2), range(2), range(2)))
     h = np.where(arm, n - i + d, i - d)
-    ket = roots[h + 1, o0 + s + 1] * roots[n - h + 1, o1 - s + 1]
-    herald = (h - o0 - s) % side  # a negative count wraps round to an entry that meets a zero amplitude
+    ket = roots[h + 1, o0[row] + s + 1] * roots[n - h + 1, o1[row] - s + 1]
+    herald = (h - o0[row] - s) % side  # a negative count wraps round to an entry that meets a zero amplitude
     first, second = ([ket[a, sa, da] * ket[a, sb, db] for (sa, da), (sb, db) in entries]
                      for a, entries in enumerate(_GRAM_ENTRIES))
     # arm 1's entries carry the pair-term amplitudes, c_i^2 = 1/(n+1) and c_i c_(i-1) = -1/(n+1)
     first = np.array(first) * np.array([[1.0], [-1.0]]) / (n + 1)
     first_at = [m * side + herald[0, sa, da] for (sa, da), _ in _GRAM_ENTRIES[0]]
-    second_at = [(m * side + herald[1, sa, da]) * side + herald[1, sb, db]
+    second_at = [side * side + (m * side + herald[1, sa, da]) * side + herald[1, sb, db]
                  for (sa, da), (sb, db) in _GRAM_ENTRIES[1]]
-    offsets = np.cumsum([0, *(blocks * (blocks - 1) // 2 * (blocks + 1))])
-    cache = (maps, offsets, blocks * (blocks + 1) // 2 - 3, row, n * side + m, n * (n + 1) // 2 - 3 + i,
-             first, np.array(first_at), np.array(second), np.array(second_at))
-    for array in cache:
-        array.setflags(write=False)
-    return cache
+    # each entry's input among all blocks' inputs, the n + 1 of each block n = 2..max_pairs
+    target, inputs = n * (n + 1) // 2 - 3 + i, side * (side + 1) // 2 - 3
+    gathers = _BlockGathers(
+        keys=block_keys(max_pairs), rows=np.array([o0, o1]), cells=o0 * side + o1,
+        count_cells=counts[:, 0] * side + counts[:, 1], count_rows=counts.T.copy(),
+        lower=gap >= 0, below=np.maximum(gap, 0), neighbours=out[1:] == out[:-1],
+        maps=maps, offsets=np.cumsum([0, *(blocks * (blocks - 1) // 2 * (blocks + 1))]),
+        starts=blocks * (blocks + 1) // 2 - 3, row=row, split=n * side + m,
+        gram=np.concatenate((first, second)), gram_at=np.array(first_at + second_at),
+        # int32 halves the largest index array; bincount widens it as it reads
+        slots=(np.arange(len(_PIECES[0]))[:, None] * inputs + target).astype(np.int32),
+    )
+    for array in gathers:
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return gathers
 
 
 def arm_totals(table: np.ndarray) -> np.ndarray:
@@ -310,13 +358,18 @@ def arm_totals(table: np.ndarray) -> np.ndarray:
     2: P(1;1) is entry [1, 1] and a click in each arm, P(>=1;>=1), the sum
     of [1:, 1:].  The result is at least 3x3, so those entries and the
     Table-1 aggregates up to p22 exist for a table of the vacuum alone.
-    It sums in numpy's loops, not BLAS, so no thread count changes it.
+    A table of shape (max_pairs + 1)^4 is read only at the counts that an
+    arm of at most max_pairs photons can give (``_block_gathers``), in the
+    table's order, and summed in numpy's loops, not BLAS, so no thread
+    count changes the result.
     """
     s = table.shape[-1]
     size = max(2 * s - 1, 3)
-    photons = np.add.outer(np.arange(s), np.arange(s)).ravel()  # an arm's, per (H, V) count pair
-    cells = np.add.outer(photons * size, photons).ravel()  # the (n1, n2) of each count pattern
-    return np.bincount(cells, table.ravel(), size * size).reshape(size, size)
+    gathers = _block_gathers(s - 1)
+    cells, photons = gathers.count_cells, gathers.count_rows.sum(axis=0)
+    counts = table.reshape(s * s, s * s)[cells[:, None], cells]
+    bins = np.add.outer(photons * size, photons).ravel()  # the (n1, n2) of each count pattern
+    return np.bincount(bins, counts.ravel(), size * size).reshape(size, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +416,9 @@ def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
     first, second = blocks.thinning
     lossless = np.einsum("b,brs->rs", weights, blocks.lossless)
     thinned = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
-    o0, o1 = _heralding_rows(blocks.max_pairs)
-    table = np.zeros((blocks.max_pairs + 1,) * 4)
-    table[o0[:, None], o1[:, None], o0, o1] = thinned
+    side, cells = blocks.max_pairs + 1, _block_gathers(blocks.max_pairs).cells
+    table = np.zeros((side,) * 4)
+    table.reshape(side * side, side * side)[cells[:, None], cells] = thinned
     return HeraldedBlock(
         float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),
         np.einsum("b,bij->ij", weights, blocks.coincidences),
@@ -381,7 +434,8 @@ def _splitter_powers(t: float, side: int) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {t}")
-    return np.array([[x ** (2 * m) for m in range(side)] for x in (math.sqrt(t), math.sqrt(1.0 - t))])
+    amplitudes = (math.sqrt(t), math.sqrt(1.0 - t))
+    return np.array([x ** (2 * m) for x in amplitudes for m in range(side)]).reshape(2, side)
 
 
 def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorModel) -> PairBlocks:
@@ -436,48 +490,45 @@ def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorM
     fires = np.array([firing[eta][:side] for eta in herald_etas]).reshape(2, 2, side)
     # herald_weight[arm, m, h]: the arm's herald detectors fire on h and m - h photons; and
     # splitter[arm, n, m]: the arm's splitters take m of its n photons to the herald side
-    gap = np.subtract.outer(np.arange(side), np.arange(side))
-    lower, below = gap >= 0, np.maximum(gap, 0)
+    gathers = _block_gathers(max_pairs)
+    lower, below = gathers.lower, gathers.below
     herald_weight = np.where(lower, fires[:, 0, None] * fires[:, 1][:, below], 0.0)
     splitter = np.where(lower, powers[:, 1, None, :] * powers[:, 0][:, below], 0.0)
     thinning = np.array([tables[eta] for eta in output_etas])
     thinning = thinning.reshape(2, 2, *thinning.shape[1:])
-    o0, o1 = _heralding_rows(max_pairs)
+    o0, o1 = gathers.rows
     seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]  # (arm, row, (seen_H, seen_V))
     layers = side + (max_pairs >= 2)
     coincidences = np.zeros((layers, 4, 4), dtype=complex)
     lossless = np.zeros((layers, len(o0), len(o0)))
     if max_pairs >= 2:
         lossless[side, 0, 0] = herald_classical(t1, t2, detectors)
-        maps, offsets, starts, row, split, target, first, first_at, second, second_at = (
-            _block_gathers(max_pairs))
+        maps, row = gathers.maps, gathers.row
         overlaps = np.einsum("mph,mqh->mpq", maps * herald_weight[1][:, None], maps)
-        arms = (first * herald_weight[0].ravel()[first_at] * splitter[0].ravel()[split],
-                second * overlaps.ravel()[second_at] * splitter[1].ravel()[split])
+        # both arms' Gram entries, arm 1's two then arm 2's five, weighed per entry
+        gram = (gathers.gram * np.concatenate((herald_weight[0].ravel(), overlaps.ravel()))[gathers.gram_at]
+                * splitter.reshape(2, -1)[_GRAM_ARMS[:, None], gathers.split])
+        offsets = gathers.offsets.tolist()
         for n, (lo, hi) in enumerate(zip(offsets, offsets[1:]), start=2):
             rows = n * (n - 1) // 2
-            lossless[n, :rows, :rows] = np.einsum("ri,si->rs", *(
-                arm[0, lo:hi].reshape(rows, n + 1) for arm in arms))
+            np.einsum("ri,si->rs", *(gram[a, lo:hi].reshape(rows, n + 1) for a in (0, 2)),
+                      out=lossless[n, :rows, :rows])
         # the Kraus factors sqrt(seen_H seen_V) of a row's neighbour a photon apart, (o0 + 1, o1 - 1),
         # zero where the next row holds another number of output photons, as the last row does
-        out = o0 + o1
-        kraus = np.where(out[1:] == out[:-1], np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
+        kraus = np.where(gathers.neighbours, np.sqrt(seen[:, 1:, 0] * seen[:, :-1, 1]), 0.0)
         row_weights = np.zeros((2, 3, len(o0)))
         row_weights[:, :2] = seen.transpose(0, 2, 1)
         row_weights[:, 2, :-1] = kraus
-        # each arm's coincidence pieces per input, summed over the rows (``_PIECES``)
-        size, pieces = target[-1] + 1, []
-        for arm, weights, (terms, by) in zip(arms, row_weights, _PIECES):
-            slots = np.arange(len(terms))[:, None] * size + target
-            values = arm[terms] * weights[by][:, row]
-            pieces.append(np.bincount(slots.ravel(), values.ravel(), len(terms) * size).reshape(-1, size))
-        terms = pieces[0][_PAIRED[0]] * pieces[1][_PAIRED[1]]  # (4, 4, inputs)
+        # both arms' coincidence pieces per input, summed over the rows (``_PIECES``)
+        values = gram[_PIECES[0]] * row_weights.reshape(6, -1)[_PIECES[1][:, None], row]
+        pieces = np.bincount(gathers.slots.ravel(), values.ravel()).reshape(len(values), -1)
+        terms, starts = pieces[_PAIRED[0]] * pieces[_PAIRED[1]], gathers.starts  # (4, 4, inputs)
         value = np.add.reduceat(terms, starts, axis=-1)
         value[np.abs(value) <= RESIDUE_TOL * np.add.reduceat(np.abs(terms), starts, axis=-1)] = 0.0
         coincidences[2:side] = value.transpose(2, 0, 1)
     return PairBlocks(
-        keys=block_keys(max_pairs), coincidences=coincidences, lossless=lossless,
-        thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
+        keys=gathers.keys, coincidences=coincidences, lossless=lossless,
+        thinning=thinning[:, 0][:, o0][:, :, o0] * thinning[:, 1][:, o1][:, :, o1],
         one_count=seen.sum(axis=-1),
         max_pairs=max_pairs,
     )
@@ -508,13 +559,18 @@ def number_table(block: HeraldedBlock) -> dict[Occupation, float]:
 
     Includes the output detectors' binomial loss; the probabilities sum to
     1.  Every count pattern with a positive probability is a key, however
-    small, in lexicographic order.
+    small, in lexicographic order.  The table is read only at the counts
+    that an arm of at most max_pairs photons can give (``_block_gathers``).
     """
     if block.herald <= 0.0:
         raise ValueError("zero herald probability; nothing heralds to condition on")
-    patterns = np.argwhere(block.table > 0.0)
-    values = block.table[tuple(patterns.T)] / block.herald
-    return dict(zip(map(tuple, patterns.tolist()), values.tolist()))
+    side = block.table.shape[0]
+    gathers = _block_gathers(side - 1)
+    counts = block.table.reshape(side * side, side * side)[gathers.count_cells[:, None], gathers.count_cells]
+    live = counts > 0.0
+    (o0, o1), (first, second) = gathers.count_rows, np.nonzero(live)
+    keys = zip(*(x.tolist() for x in (o0[first], o1[first], o0[second], o1[second])))
+    return dict(zip(keys, (counts[live] / block.herald).tolist()))
 
 
 def postselect_two_qubit(block: HeraldedBlock) -> np.ndarray:

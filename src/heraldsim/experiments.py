@@ -233,7 +233,7 @@ def calibrate_tau(
         raise ValueError(f"zero herald probability for {cause}")
 
     def p11_at(x: float) -> float:
-        powers = x ** np.arange(max_pairs + 1)
+        powers = _power_series(x, max_pairs)[0]
         return float(joint_poly @ powers / (herald_poly @ powers))
 
     lo, hi = CALIBRATION_TAU_BRACKET
@@ -247,9 +247,8 @@ def calibrate_tau(
     (x,) = inside
     # the root of N - target D carries the rounding of a difference of two nearly equal polynomials;
     # Newton steps on p11(x) - target, with p11' = (N' D - N D') / D^2, put p11 on the target
-    orders = np.arange(max_pairs + 1)
     for _ in range(2):
-        powers, slopes = x**orders, orders * x ** (orders - 1)
+        powers, slopes = _power_series(x, max_pairs)
         n, d = joint_poly @ powers, herald_poly @ powers
         x -= (n / d - target_p11) * d * d / ((joint_poly @ slopes) * d - n * (herald_poly @ slopes))
     return {
@@ -262,6 +261,18 @@ def calibrate_tau(
         "efficiency": detectors.efficiency,
         "max_pairs": max_pairs,
     }
+
+
+def _power_series(x: float, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """x^n and its derivative n x^(n-1) for n = 0..degree, the derivative 0 at n = 0.
+
+    The powers are Python's ``**``, as in ``detection._thinning``: on hosts
+    with AVX-512 numpy's vector power can round an ulp away from the C
+    library's pow.
+    """
+    powers = [x**n for n in range(degree + 1)]
+    slopes = [0.0] + [n * x ** (n - 1) for n in range(1, degree + 1)]
+    return np.array(powers), np.array(slopes)
 
 
 def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:

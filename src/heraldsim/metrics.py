@@ -28,10 +28,13 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
+# <phi+| as a (1, 4) row and |phi+> as a (4, 1) column.
+_PHI_PLUS_BRA, _PHI_PLUS_KET = PHI_PLUS.conj()[None], PHI_PLUS[:, None]
 # sigma_y x sigma_y, Wootters' spin flip.
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
-# (3, 3, 4, 4): sigma_i x sigma_j for i, j in x, y, z.
-_PAULI_PRODUCTS = np.array([[np.kron(PAULIS[a], PAULIS[b]) for b in "xyz"] for a in "xyz"])
+# (9, 16): row 3i + j is (sigma_i x sigma_j)^T raveled for i, j in x, y, z, so that its product with
+# a raveled state is tr(rho sigma_i x sigma_j).
+_PAULI_ROWS = np.array([np.kron(PAULIS[a], PAULIS[b]).T.ravel() for a in "xyz" for b in "xyz"])
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -43,32 +46,46 @@ def _per_state(values: np.ndarray) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a 4x4 state or a (..., 4, 4) stack.
+def _checked(rho: np.ndarray, vectors: bool) -> tuple[np.ndarray, tuple]:
+    """A 4x4 state or a (..., 4, 4) stack as complex, checked for Hermiticity, unit trace and positivity.
 
-    A stack fails when any one of its states does.
+    Returns it with the eigenvalues of its Hermitian part and, if
+    ``vectors``, their eigenvectors (else None): one decomposition serves
+    the positivity check and whatever reads the vectors.  A stack fails
+    when any one of its states does.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    adjoint = _dagger(rho)
     # a NaN or infinite entry leaves NaN in rho - rho†, which fails the comparison
     with np.errstate(invalid="ignore"):
-        asymmetry = np.abs(rho - _dagger(rho)).max()
+        asymmetry = np.abs(rho - adjoint).max()
     if not asymmetry <= HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     traces = np.trace(rho, axis1=-2, axis2=-1).real
     off = np.abs(traces - 1.0) > TRACE_TOL
     if off.any():
         raise ValueError(f"trace is {traces[off].flat[0]}, expected 1")
-    least = np.linalg.eigvalsh((rho + _dagger(rho)) / 2.0)[..., 0].min()
+    hermitian = (rho + adjoint) / 2.0
+    w, v = np.linalg.eigh(hermitian) if vectors else (np.linalg.eigvalsh(hermitian), None)
+    least = w[..., 0].min()
     if least < -PSD_TOL:
         raise ValueError(f"negative eigenvalue {least}")
-    return rho
+    return rho, (w, v)
+
+
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a 4x4 state or a (..., 4, 4) stack.
+
+    A stack fails when any one of its states does.
+    """
+    return _checked(rho, vectors=False)[0]
 
 
 def _fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
     # a (1, 4) bra and a (4, 1) ket round each state of a stack as they round one state
-    return _per_state(np.real(PHI_PLUS.conj()[None] @ rho @ PHI_PLUS[:, None])[..., 0, 0])
+    return _per_state(np.real(_PHI_PLUS_BRA @ rho @ _PHI_PLUS_KET)[..., 0, 0])
 
 
 def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
@@ -76,13 +93,12 @@ def fidelity_to_phi_plus(rho: np.ndarray) -> float | np.ndarray:
     return _fidelity_to_phi_plus(check_density_matrix(rho))
 
 
-def _concurrence(rho: np.ndarray) -> float | np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+def _concurrence(w: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    # sqrt(rho) from the eigenvalues w and eigenvectors v of a checked state
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ _dagger(v)
     lams = np.linalg.svd(sqrt_rho @ _YY @ sqrt_rho.conj(), compute_uv=False)
-    return _per_state(
-        np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
-    )
+    # lambda_1 - lambda_2 - lambda_3 - lambda_4, subtracted in that order
+    return _per_state(np.maximum(0.0, np.subtract.reduce(lams, axis=-1)))
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -93,7 +109,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     (y x y).  Taking them directly keeps full precision where eigenvalues
     near zero would lose half their digits to the square root.
     """
-    return _concurrence(check_density_matrix(rho))
+    return _concurrence(*_checked(rho, vectors=True)[1])
 
 
 def tangle(rho: np.ndarray) -> float | np.ndarray:
@@ -103,8 +119,10 @@ def tangle(rho: np.ndarray) -> float | np.ndarray:
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """(..., 3, 3) Pauli correlations M[i, j] = tr(rho sigma_i x sigma_j)."""
-    rho = np.asarray(rho, dtype=complex)[..., None, None, :, :]
-    return np.trace(rho @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    rho = np.asarray(rho, dtype=complex)
+    lead = rho.shape[:-2]
+    # a length-one row per state: one (S, 16) x (16, 9) product can start BLAS threads for large S
+    return (rho.reshape(*lead, 1, 16) @ _PAULI_ROWS.T).real.reshape(*lead, 3, 3)
 
 
 def _chsh_max(rho: np.ndarray) -> float | np.ndarray:
@@ -122,9 +140,12 @@ def chsh_max(rho: np.ndarray) -> float | np.ndarray:
 
 
 def state_figures(rho: np.ndarray) -> tuple:
-    """``fidelity_to_phi_plus``, ``tangle`` and ``chsh_max`` of a state or a stack, checked once."""
-    rho = check_density_matrix(rho)
-    return _fidelity_to_phi_plus(rho), _concurrence(rho) ** 2, _chsh_max(rho)
+    """``fidelity_to_phi_plus``, ``tangle`` and ``chsh_max`` of a state or a stack, checked once.
+
+    The check's one eigendecomposition also gives the tangle its sqrt(rho).
+    """
+    rho, eigen = _checked(rho, vectors=True)
+    return _fidelity_to_phi_plus(rho), _concurrence(*eigen) ** 2, _chsh_max(rho)
 
 
 def total_state_fidelity_from_values(p11: float, f_post: float) -> float:

@@ -22,6 +22,8 @@ before its closed form at analyzers z, z: each arm's kets per input, from
 photon maps built as binomial sums, overlapped in Gram tensors over every
 pair of inputs, its coincidences from the detected kets times their Kraus
 factors, and the full contraction of the two arms.
+The dense number table scans every cell of the (max_pairs + 1)^4 table, as
+the package did before it read only the counts an arm can hold.
 """
 
 from __future__ import annotations
@@ -717,6 +719,19 @@ def number_table(ensemble: ConditionalEnsemble, output_detectors) -> dict:
     table = np.bincount(inverse, weights=prob, minlength=len(patterns))
     rows = (patterns[:, None] // place % radix).tolist()
     return {tuple(p): v / ensemble.probability for p, v in zip(rows, table.tolist())}
+
+
+def dense_number_table(block: detection.HeraldedBlock) -> dict:
+    """``detection.number_table`` by a scan of every cell of the dense (max_pairs + 1)^4 table.
+
+    Every cell with a positive probability is a key, in lexicographic order,
+    its value divided by the herald probability.
+    """
+    if block.herald <= 0.0:
+        raise ValueError("zero herald probability; nothing heralds to condition on")
+    patterns = np.argwhere(block.table > 0.0)
+    values = block.table[tuple(patterns.T)] / block.herald
+    return dict(zip(map(tuple, patterns.tolist()), values.tolist()))
 
 
 def postselect_two_qubit(ensemble: ConditionalEnsemble, output_detectors) -> np.ndarray:

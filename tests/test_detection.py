@@ -22,9 +22,10 @@ from heraldsim.detection import (
     weigh_blocks,
 )
 from heraldsim.elements import ANALYSIS_SETTINGS, HERALD_NAMES, OUTPUT_NAMES, build_paper_circuit
+from heraldsim.experiments import ExperimentConfig, simulate_experiment
 from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
-from heraldsim.source import SpdcParams, emission_components
+from heraldsim.source import SpdcParams, block_keys, emission_components
 
 import oracles
 from oracles import (
@@ -261,7 +262,7 @@ class TestHerald:
         # blocks 2 and 3 alone (1 row by 3 inputs, 3 rows by 4), and blocks 0 and 1 are exact
         # zeros of the common table shape
         _block_gathers.cache_clear()
-        assert _block_gathers(3)[1].tolist() == [0, 3, 15]
+        assert _block_gathers(3).offsets.tolist() == [0, 3, 15]
         blocks = block_layers(herald_pair_terms(3, 0.3, 0.7, detectors))
         assert blocks[3, True].herald > 0.0
         for zero in (blocks[0, True], blocks[1, True]):
@@ -435,6 +436,39 @@ class TestNumberTable:
     def test_probabilities_sum_to_one(self):
         table = number_table(block(3, 0.3, 0.7, DetectorModel(efficiency=0.2)))
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_the_dense_scan_bit_for_bit(self):
+        # the table read at the counts an arm can hold against a scan of every cell of the dense
+        # table: the same keys in the same order and the same values to the last bit, on six pairs
+        # through perfect number-resolving detectors, where all but 21 of the 784 cells read are
+        # exact zeros that stay out, and on random configs of 0-12 pairs, both detector kinds and
+        # dead and perfect detectors
+        rng = np.random.default_rng(3801)
+        configs = [(6, 0.3, 0.7, DetectorModel(efficiency=1.0, resolving="number"),
+                    SpdcParams(tau=0.2237, max_pairs=6, visibility=0.862))]
+        for trial in range(60):
+            max_pairs = trial % 13
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode if trial % 3 else None,
+                                resolving=("threshold", "number")[trial % 2])
+            spdc = SpdcParams(tau=float(rng.uniform(0.1, 0.4)), max_pairs=max_pairs,
+                              visibility=float(rng.uniform(0.8, 1.0)))
+            configs.append((max_pairs, t1, t2, det, spdc))
+        keys = []
+        for max_pairs, t1, t2, det, spdc in configs:
+            heralded = weigh_blocks(herald_pair_terms(max_pairs, t1, t2, det), emission_components(spdc))
+            if heralded.herald <= 0.0:
+                for table in (number_table, oracles.dense_number_table):
+                    with pytest.raises(ValueError, match="zero herald probability"):
+                        table(heralded)
+                continue
+            got, want = number_table(heralded), oracles.dense_number_table(heralded)
+            assert list(got) == list(want)
+            assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+            keys.append(len(got))
+        assert keys[0] == 21
 
 
 class TestPostselect:
@@ -622,7 +656,7 @@ class TestArmKets:
         # arm 2's HWP(pi/8) herald analyzer is a balanced splitter: |1, 1> never gives an
         # r2+ r2- coincidence, an exact zero rather than rounding residue, in the kernels' herald
         # maps and in the oracle's kets through a T = 0 circuit
-        maps = _block_gathers(2)[0]
+        maps = _block_gathers(2).maps
         assert maps[2, 1, 1] == 0.0
         assert abs(maps[2, 1, 0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
         matrix = build_paper_circuit(0.0, 0.0).matrix
@@ -661,14 +695,20 @@ class TestArmKets:
             assert _splitter_powers(t, 21).tolist() == want
 
 
+def cache_arrays(gathers):
+    """The array fields of a ``_block_gathers`` record, by name."""
+    return {name: value for name, value in gathers._asdict().items() if isinstance(value, np.ndarray)}
+
+
 class TestSplitterFreeKets:
-    """The kernels' one process cache, free of splitters and detectors: arm 2's herald kets (the
-    HWP(pi/8) photon maps) and every block's binomial coefficients and gathers (``_block_gathers``)."""
+    """The kernels' one process cache (``_block_gathers``): everything that depends on the truncation
+    alone, free of splitters and detectors, from arm 2's HWP(pi/8) herald maps and every block's
+    binomial coefficients and gathers to the rows, masks and count cells that the readers index with."""
 
     def test_cold_and_warm_kets_give_identical_blocks(self):
         # random splitters, both detector kinds and per-detector efficiencies with dead and
-        # perfect detectors: blocks from a cache built for the call and from a cache built by an
-        # earlier call agree to the last bit, as do the caches built twice
+        # perfect detectors: blocks and experiment results from a cache built for the call and
+        # from a cache built by an earlier call agree to the last bit, as do the caches built twice
         rng = np.random.default_rng(2801)
         for trial in range(12):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -677,20 +717,36 @@ class TestSplitterFreeKets:
             det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
                                 resolving=("threshold", "number")[trial % 2])
             max_pairs = int(rng.integers(2, 9))
+            # simulate needs a coincidence (three pairs or more), a live herald and one nonzero
+            # efficiency per output arm
+            spdc = SpdcParams(tau=float(rng.uniform(0.15, 0.35)), max_pairs=max(max_pairs, 3),
+                              visibility=float(rng.uniform(0.8, 1.0)))
+            heralds = {name: per_mode[name] or 1.0 for name in HERALD_NAMES}
+            config = ExperimentConfig(t1=t1, t2=t2, spdc=spdc, detectors=DetectorModel(
+                efficiency=det.efficiency, resolving=det.resolving, per_mode=heralds))
             _block_gathers.cache_clear()
             cold = herald_pair_terms(max_pairs, t1, t2, det)
             cold_cache = _block_gathers(max_pairs)
-            # the cache built again, then a call on a warm cache
+            # the cache built again, then calls on a warm cache
             _block_gathers.cache_clear()
             warm = herald_pair_terms(max_pairs, t1, t2, det)
             warm_cache = _block_gathers(max_pairs)
             assert warm_cache is not cold_cache
-            assert [a.tobytes() for a in cold_cache] == [a.tobytes() for a in warm_cache]
+            assert warm_cache.keys == cold_cache.keys
+            assert {name: a.tobytes() for name, a in cache_arrays(cold_cache).items()} == {
+                name: a.tobytes() for name, a in cache_arrays(warm_cache).items()}
             again = herald_pair_terms(max_pairs, t1, t2, det)
             assert _block_gathers.cache_info().misses == 1
             for other in (warm, again):
                 for name in BLOCK_FIELDS:
                     assert getattr(cold, name).tobytes() == getattr(other, name).tobytes(), name
+            _block_gathers.cache_clear()
+            cold_result, warm_result = simulate_experiment(config), simulate_experiment(config)
+            assert _block_gathers.cache_info().misses == 1
+            assert list(cold_result.table.items()) == list(warm_result.table.items())
+            assert cold_result.metrics == warm_result.metrics
+            for name in ("reduction", "rho_post"):
+                assert getattr(cold_result, name).tobytes() == getattr(warm_result, name).tobytes()
 
     def test_block_kets_do_not_depend_on_max_pairs(self):
         # random truncations: the herald kets of up to n photons and the coefficients, rows,
@@ -698,19 +754,28 @@ class TestSplitterFreeKets:
         rng = np.random.default_rng(3401)
         for n in rng.integers(2, 9, 6).tolist():
             small, large = _block_gathers(n), _block_gathers(n + 4)
-            assert large[0][:n + 1, :n + 1, :n + 1].tobytes() == small[0].tobytes()
-            entries, side = small[1][-1], (n + 1, n + 5)
-            assert small[1].tolist() == large[1][:n].tolist()
-            assert small[2].tolist() == large[2][:n - 1].tolist()
-            for got, want in zip(large[3:], small[3:]):
+            assert large.maps[:n + 1, :n + 1, :n + 1].tobytes() == small.maps.tobytes()
+            entries, side = small.offsets[-1], (n + 1, n + 5)
+            assert small.offsets.tolist() == large.offsets[:n].tolist()
+            assert small.starts.tolist() == large.starts[:n - 1].tolist()
+            names = ("row", "split", "gram", "gram_at", "slots")
+            for name in names:
+                got, want = getattr(large, name), getattr(small, name)
                 assert got.dtype == want.dtype and got.shape[:-1] == want.shape[:-1]
-            row, split, target, first, first_at, second, second_at = (x[..., :entries] for x in large[3:])
-            assert row.tobytes() == small[3].tobytes() and target.tobytes() == small[5].tobytes()
-            assert first.tobytes() == small[6].tobytes() and second.tobytes() == small[8].tobytes()
-            # the indices into tables over (n, m), (m, h) and (m, p, p'), each over its own side,
-            # wherever they meet a coefficient that is not zero
-            for got, want, live in ((split, small[4], True), (first_at, small[7], small[6] != 0.0),
-                                    (second_at, small[9], small[8] != 0.0)):
+            row, split, gram, gram_at, slots = (getattr(large, name)[..., :entries] for name in names)
+            assert row.tobytes() == small.row.tobytes() and slots[0].tobytes() == small.slots[0].tobytes()
+            assert gram.tobytes() == small.gram.tobytes()
+            # each piece's slots run over the inputs of all blocks, which differ in number
+            inputs = [x.slots[1, 0] - x.slots[0, 0] for x in (small, large)]
+            assert (slots - slots[0] == np.arange(10)[:, None] * inputs[1]).all()
+            assert (small.slots - small.slots[0] == np.arange(10)[:, None] * inputs[0]).all()
+            # the indices into tables over (n, m), (m, h) and, after the side^2 entries of the
+            # latter, (m, p, p'), each over its own side, wherever they meet a coefficient that is
+            # not zero
+            first_at, second_at = gram_at[:2], gram_at[2:] - side[1] ** 2
+            for got, want, live in ((split, small.split, True),
+                                    (first_at, small.gram_at[:2], small.gram[:2] != 0.0),
+                                    (second_at, small.gram_at[2:] - side[0] ** 2, small.gram[2:] != 0.0)):
                 got, want = (np.where(live, np.unravel_index(x, (size,) * 3), 0)
                              for x, size in ((got, side[1]), (want, side[0])))
                 assert np.array_equal(got, want)
@@ -728,37 +793,66 @@ class TestSplitterFreeKets:
     def test_kets_are_read_only(self):
         # every caller in the process shares the cache of one truncation
         cache = _block_gathers(5)
-        assert cache[0].shape == (6, 6, 6)
+        assert cache.maps.shape == (6, 6, 6)
         entries = sum(n * (n - 1) // 2 * (n + 1) for n in range(2, 6))
-        assert [x.shape for x in cache[3:]] == [(entries,)] * 3 + [(2, entries)] * 2 + [(5, entries)] * 2
-        for x in cache:
+        shapes = {name: x.shape for name, x in cache_arrays(cache).items()}
+        assert [shapes[name] for name in ("row", "split", "gram", "gram_at", "slots")] == (
+            [(entries,)] * 2 + [(7, entries)] * 2 + [(10, entries)])
+        assert shapes["rows"] == (2, 10)
+        for x in cache_arrays(cache).values():
             assert not x.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 x[...] = 0
 
-    def test_kets_through_twenty_pairs_fit_in_sixteen_megabytes(self):
-        # about 3 MB: one entry per (block, row, input), 22 thousand through 20 pairs
-        assert sum(x.nbytes for x in _block_gathers(20)) < 4e6
+    def test_cache_holds_what_the_kernels_rebuilt_per_call(self):
+        # the rows, the layer keys, the masks of the herald weights and splitter factors and the
+        # Kraus neighbours, and the count cells of the readers, each against its definition
+        for max_pairs in range(0, 9):
+            cache, side = _block_gathers(max_pairs), max_pairs + 1
+            o0, o1 = _heralding_rows(max_pairs)
+            assert np.array_equal(cache.rows, [o0, o1]) and cache.keys == block_keys(max_pairs)
+            assert np.array_equal(cache.cells, o0 * side + o1)
+            gap = np.subtract.outer(np.arange(side), np.arange(side))
+            assert np.array_equal(cache.lower, gap >= 0) and np.array_equal(cache.below, gap.clip(0))
+            assert np.array_equal(cache.neighbours, (o0 + o1)[1:] == (o0 + o1)[:-1])
+            counts = [(a, b) for a in range(side) for b in range(side) if a + b <= max_pairs]
+            assert list(zip(*cache.count_rows.tolist())) == counts
+            assert cache.count_cells.tolist() == [a * side + b for a, b in counts]
+
+    def test_cache_through_twenty_pairs_fits_in_four_megabytes(self):
+        # about 3.8 MB: one entry per (block, row, input), 22 thousand through 20 pairs, and
+        # arrays of one entry per row or per count cell
+        assert sum(x.nbytes for x in cache_arrays(_block_gathers(20)).values()) < 4e6
+        _block_gathers.cache_clear()
         _block_gathers.cache_clear()
 
     def test_cold_call_builds_maps_once_and_warm_call_none(self, monkeypatch):
         # a cold call builds the herald maps once, up to its largest block, and the gathers of
         # each block that can herald; a call on the same truncation at other splitters and
-        # detectors builds neither
-        built = []
+        # detectors builds neither, and a warm simulate reads the rows and layer keys from the
+        # cache: it calls neither ``_heralding_rows`` nor ``block_keys``
+        built, rows, keys = [], [], []
 
-        def counting_maps(matrices, n):
-            built.append(n)
-            return _photon_maps(matrices, n)
+        def counting(function, calls, at):
+            def counted(*args):
+                calls.append(args[at])
+                return function(*args)
+            monkeypatch.setattr(f"heraldsim.detection.{function.__name__}", counted)
 
-        monkeypatch.setattr("heraldsim.detection._photon_maps", counting_maps)
+        counting(_photon_maps, built, 1)
+        counting(_heralding_rows, rows, 0)
+        counting(block_keys, keys, 0)
         _block_gathers.cache_clear()
         herald_pair_terms(6, 0.3, 0.7, DetectorModel())
         assert built == [6] and _block_gathers.cache_info().misses == 1
+        assert rows == [6] and keys == [6]
         herald_pair_terms(6, 0.55, 0.2, DetectorModel(efficiency=0.4, resolving="number"))
         assert built == [6] and _block_gathers.cache_info().misses == 1
+        spdc = SpdcParams(tau=0.25, max_pairs=6, visibility=0.9)
+        simulate_experiment(ExperimentConfig(t1=0.4, t2=0.6, spdc=spdc))
+        assert built == [6] and rows == [6] and keys == [6] and _block_gathers.cache_info().misses == 1
         herald_pair_terms(5, 0.3, 0.7, DetectorModel())
-        assert built == [6, 5]
+        assert built == [6, 5] and rows == [6, 5] and keys == [6, 5]
 
 
 # A perfect and a partial herald detector, and a dead, a perfect and a

@@ -117,6 +117,15 @@ class TestCalibration:
             assert abs(report["achieved_p11"] / target - 1.0) <= 1e-15
             assert report["tau"] == pytest.approx(tau, rel=1e-9)
 
+    def test_powers_are_pythons(self):
+        # the polynomial's powers x^n and slopes n x^(n-1) are Python's, bit for bit, x = 0
+        # included: numpy's vector power can round an ulp away from them
+        rng = np.random.default_rng(3802)
+        for x in (0.0, 1.0, *rng.uniform(0.0, 0.5, 40).tolist()):
+            powers, slopes = heraldsim.experiments._power_series(x, 16)
+            assert powers.tolist() == [x**n for n in range(17)]
+            assert slopes.tolist() == [0.0] + [n * x ** (n - 1) for n in range(1, 17)]
+
     def test_converged_truncation_reachable(self):
         # seven pairs need 14 photons; the cap follows max_pairs
         assert calibrate_tau(max_pairs=7)["tau"] == pytest.approx(0.2237, abs=1e-4)
@@ -234,17 +243,18 @@ class TestSharedBlocks:
         assert gathers.cache_info().misses == 1
         run_power_comparison(0.25, power_scaled_tau(0.25), t=0.5, max_pairs=4)
         assert gathers.cache_info().misses == 1
-        assert gathers(4)[2].tolist() == [0, 3, 7]  # the inputs of blocks 2, 3 and 4
+        assert gathers(4).starts.tolist() == [0, 3, 7]  # the inputs of blocks 2, 3 and 4
         assert len(set(visited)) == 2
 
 
 class TestSweep:
     def test_plans_are_reused_across_points(self):
-        # a 4-point sweep at N pairs builds the gathers of blocks 2..N once, not once per point
+        # a 4-point sweep at N pairs builds the gathers of blocks 2..N once, not once per point;
+        # each point reads them three times, in herald_pair_terms, weigh_blocks and arm_totals
         gathers = heraldsim.detection._block_gathers
         gathers.cache_clear()
         run_sweep(sweep_configs([0.17, 0.3, 0.5, 0.7], tau=0.25, max_pairs=5))
-        assert gathers.cache_info().misses == 1 and gathers.cache_info().hits == 3
+        assert gathers.cache_info().misses == 1 and gathers.cache_info().hits == 4 * 3 - 1
 
     def test_three_pair_truncation_near_quadratic(self):
         rows = run_sweep(sweep_configs([0.17, 0.5, 0.7], tau=0.25, max_pairs=3, visibility=1.0))

@@ -5,6 +5,7 @@ import pytest
 
 from heraldsim.detection import DetectorModel, arm_totals, herald_pair_terms
 from heraldsim.experiments import ExperimentConfig, simulate_experiment
+from heraldsim.metrics import _checked as checked
 from heraldsim.metrics import (
     BELL_STATES,
     PHI_PLUS,
@@ -107,6 +108,15 @@ class TestCheckDensityMatrix:
         with pytest.raises(ValueError):
             check_density_matrix(stack)
 
+    def test_needs_no_eigenvectors(self, monkeypatch):
+        # the check alone takes the eigenvalues; one eigh serves the functionals that read vectors
+        def refused(matrix):
+            raise AssertionError("check_density_matrix asked for eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        stack = state_stack(64)
+        assert np.array_equal(check_density_matrix(stack), stack)
+
     @pytest.mark.parametrize("shape", [(3, 3), (4,), (50, 4, 3), (50, 16), (50, 3, 4)])
     def test_trailing_shape_must_be_4x4(self, shape):
         with pytest.raises(ValueError, match="expected a 4x4"):
@@ -178,13 +188,14 @@ class TestStateFigures:
             state_figures(TestCheckDensityMatrix.with_fault(fault))
 
     def test_simulate_checks_its_state_once(self, monkeypatch):
+        # every check goes through the one private helper, which state_figures calls once
         calls = []
 
-        def counting_check(rho):
+        def counting_check(rho, vectors):
             calls.append(rho.shape)
-            return check_density_matrix(rho)
+            return checked(rho, vectors)
 
-        monkeypatch.setattr("heraldsim.metrics.check_density_matrix", counting_check)
+        monkeypatch.setattr("heraldsim.metrics._checked", counting_check)
         config = ExperimentConfig(spdc=SpdcParams(tau=0.3, max_pairs=4, visibility=0.862))
         simulate_experiment(config)
         assert calls == [(4, 4)]
