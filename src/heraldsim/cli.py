@@ -24,7 +24,7 @@ from .experiments import (
     run_sweep,
     simulate_experiment,
 )
-from .metrics import PHI_PLUS, PSI_MINUS, chsh_max, fidelity_to_phi_plus, tangle
+from .metrics import PHI_PLUS, PSI_MINUS, state_figures
 from .source import PAPER_VISIBILITY, SpdcParams
 from .tomography import (
     SETTINGS,
@@ -62,8 +62,7 @@ def _out_dir(arg: str | None) -> Path:
 
 def _write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _rho_to_json(rho: np.ndarray) -> list:
@@ -180,9 +179,12 @@ def _cmd_tomo_sim(args) -> int:
 def _reconstruction_payload(args) -> dict:
     table = ingest_counts(args.counts)
     result = mle_reconstruct(table, args.mc_samples, args.seed)
-    functionals = {"fidelity_phi_plus": fidelity_to_phi_plus, "tangle": tangle, "chsh": chsh_max}
+    # every figure of the point estimate (row 0) and of the certified resamples comes off
+    # one stack, which state_figures and optimize_local_fidelity each check once
+    states = np.concatenate([result.rho[None], result.samples])
+    figures = dict(zip(("fidelity_phi_plus", "tangle", "chsh"), state_figures(states)))
     if args.optimize_local:
-        functionals["fidelity_optimized"] = lambda r: optimize_local_fidelity(r)[0]
+        figures["fidelity_optimized"] = optimize_local_fidelity(states)[0]
     payload = {
         "counts_file": str(args.counts),
         "ratio": table.ratio,
@@ -190,10 +192,10 @@ def _reconstruction_payload(args) -> dict:
         "log_likelihood": result.log_likelihood,
         "iterations": result.iterations,
         "certificate": result.certificate,
-        **{name: fn(result.rho) for name, fn in functionals.items()},
+        **{name: float(values[0]) for name, values in figures.items()},
     }
     if args.mc_samples > 0:
-        report = monte_carlo_report(result, functionals)
+        report = monte_carlo_report(result, {name: values[1:] for name, values in figures.items()})
         payload["monte_carlo"] = {name: asdict(res) for name, res in report.items()}
     return payload
 

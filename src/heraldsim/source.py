@@ -70,11 +70,15 @@ def emission_coefficients(max_pairs: int, visibility: float) -> np.ndarray:
     coherent piece (V) and a distinguishable copy (1-V); a zero
     coefficient keeps its entry.
     """
+    return _coefficients(block_keys(max_pairs), visibility)
+
+
+def _coefficients(keys, visibility: float) -> np.ndarray:
+    """``emission_coefficients`` of the components ``keys``."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must be in [0, 1], got {visibility}")
     shares = {True: visibility, False: 1.0 - visibility}
-    return np.array([(n + 1) * (shares[coherent] if n == 2 else 1.0)
-                     for n, coherent in block_keys(max_pairs)])
+    return np.array([(n + 1) * (shares[coherent] if n == 2 else 1.0) for n, coherent in keys])
 
 
 def emission_components(params: SpdcParams) -> np.ndarray:
@@ -87,6 +91,7 @@ def emission_components(params: SpdcParams) -> np.ndarray:
     Weights are renormalized over the truncated emission, and zero weights
     (every block but the vacuum at tau = 0) keep their entries.
     """
-    powers = np.array([params.tau ** (2 * n) for n, _ in block_keys(params.max_pairs)])
-    raw = emission_coefficients(params.max_pairs, params.visibility) * powers
+    keys = block_keys(params.max_pairs)
+    powers = np.array([params.tau ** (2 * n) for n, _ in keys])
+    raw = _coefficients(keys, params.visibility) * powers
     return raw / sum(raw.tolist())  # summed in layer order, not by numpy's unrolled loop

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +47,10 @@ _DAMPING_START = 1e-3
 # (the state's trace being 1) drops it from the face.
 _FACE_THRESHOLD = 1e-3
 _DROP = 1e-12
+# A sample whose R has a Rayleigh quotient above (1 + _UNCERTIFIABLE) N cannot
+# pass the certificate: the margin of 2 CERTIFICATE_TOL covers the rounding of
+# the quotient and of lambda_max(R), a few ulps of N.
+_UNCERTIFIABLE = 3 * CERTIFICATE_TOL
 # Diluted RrhoR steps, and their dilution e, before the Newton iteration.  They
 # start from the linear inversion floored at _WARM_UP_FLOOR: an RrhoR step
 # grows an eigenvalue by a bounded factor, so one floored lower takes more
@@ -147,35 +152,45 @@ def simulate_counts(
 
 
 def ingest_counts(path) -> CountTable:
-    """Read a count table CSV (header ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,count)."""
-    table = CountTable()
-    ratios = set()
+    """Read a count table CSV (header ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,count).
+
+    Checks what ``CountTable.add`` checks, for all rows at once: known
+    settings, non-negative patterns and counts, no duplicate entries.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise ValueError(f"{path}: empty counts file")
+    if tuple(h.strip() for h in lines[0]) != CSV_HEADER:
+        raise ValueError(f"{path}: bad header {lines[0]}")
+    rows = []  # (ratio, setting, pattern, count)
+    for lineno, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+        ratio, s1, s2, *rest = [f.strip() for f in row]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty counts file") from None
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"{path}: bad header {header}")
-        n_rows = 0
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
-            ratio, s1, s2, *rest = [f.strip() for f in row]
-            try:
-                n1h, n1v, n2h, n2v, count = (int(x) for x in rest)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field") from None
-            table.add((s1, s2), (n1h, n1v, n2h, n2v), count)
-            ratios.add(ratio)
-            n_rows += 1
-        if n_rows == 0:
-            raise ValueError(f"{path}: no data rows")
-    if len(ratios) == 1:
-        table.ratio = ratios.pop()
+            n1h, n1v, n2h, n2v, count = map(int, rest)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer field") from None
+        rows.append((ratio, (s1, s2), (n1h, n1v, n2h, n2v), count))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    ratios, settings, patterns, counts = zip(*rows)
+    if not set(settings) <= set(SETTINGS):
+        raise ValueError(f"unknown setting {next(s for s in settings if s not in SETTINGS)}")
+    if min(map(min, patterns)) < 0:
+        raise ValueError(f"bad pattern {next(p for p in patterns if min(p) < 0)}")
+    if min(counts) < 0:
+        raise ValueError(f"negative count {min(counts)}")
+    keys = list(zip(settings, patterns))
+    table = CountTable(dict(zip(keys, counts)))
+    if len(table.counts) < len(keys):
+        key = next(k for k, n in Counter(keys).items() if n > 1)
+        raise ValueError(f"duplicate entry for {key}")
+    if len(set(ratios)) == 1:
+        table.ratio = ratios[0]
     return table
 
 
@@ -259,7 +274,8 @@ def _certificate(counts: np.ndarray, rho: np.ndarray):
 
     rho maximizes the likelihood exactly when R <= N, and as the
     log-likelihood is concave in rho, no state beats rho's log-likelihood
-    by more than this value.
+    by more than this value.  ``_maximize`` computes it from the R of its
+    pass, for the samples that can stop.
     """
     probs = _probabilities(rho)
     r = _ratio_operator(counts, probs)
@@ -360,7 +376,7 @@ def _chart_products(basis: np.ndarray) -> np.ndarray:
     is the dot product of A's ``_HERMITIAN_PARTS`` and trace with them.
     """
     u = _dagger(basis) @ _VECTORS.T
-    pairs = u[:, _PAIR_P].conj() * u[:, _PAIR_Q]
+    pairs = np.take(u, _PAIR_P, axis=1).conj() * np.take(u, _PAIR_Q, axis=1)
     square = np.square(u.real) + np.square(u.imag)
     products = np.empty((len(basis), 16, 36))
     np.multiply(pairs.real, 2.0, out=products[:, :6])
@@ -392,9 +408,10 @@ def _chart_derivatives(counts, probs, products, lam, rank, ratio):
     # the cross terms read only entries of R off its diagonal, so one gather from
     # R - N, which the terms of two slots of K need, serves all
     shifted = ratio - counts.sum(axis=1)[:, None, None] * np.eye(4)
-    forms = np.take_along_axis(shifted.reshape(n_samples, 16).view(float), _CHART_GATHER[rank], 1)
+    forms = np.take(shifted.view(float), _CHART_GATHER[rank] + 32 * np.arange(n_samples)[:, None])
     forms *= _CHART_SIGNS[rank]
-    forms = forms.reshape(n_samples, 16, 16) * np.where(_CHART_KK[rank], lam_q[:, :, None], 1.0)
+    forms = forms.reshape(n_samples, 16, 16)
+    np.multiply(forms, lam_q[:, :, None], out=forms, where=_CHART_KK[rank])
     return grad, 2.0 * forms - (jac * curvature[:, None, :]) @ np.swapaxes(jac, 1, 2)
 
 
@@ -584,52 +601,69 @@ def _maximize(counts: np.ndarray, rho: np.ndarray) -> _Ascent:
     lambda shrinks by 3 on a taken step and grows by 4 on a refused one.
     -H is almost always positive semidefinite; where it is not, refused
     steps grow lambda N until it exceeds -H's most negative eigenvalue, and
-    the shifted matrix, positive definite, gives a step that climbs.  Each
-    pass recomputes every active sample's state, certificate and
-    derivatives, whether its last step was taken or refused.
+    the shifted matrix, positive definite, gives a step that climbs.
 
     A sample stops once its certificate is at most ``CERTIFICATE_TOL`` times
     its number of counts; one still uncertified after ``MAX_ITERATIONS``
-    iterations has not converged.
+    iterations has not converged.  The working arrays hold the live samples
+    alone: each pass recomputes their states, R and derivatives, whether
+    the last step was taken or refused, and a sample that stops writes its
+    outputs once and leaves them.  R in the chart's basis, which
+    ``_reopen`` reads, has Rayleigh quotients of R on its diagonal, so its
+    largest diagonal entry bounds lambda_max(R) from below.  Where that
+    bound exceeds N by more than ``_UNCERTIFIABLE`` times N, far beyond the
+    bound's and ``eigvalsh``'s rounding, the certificate cannot pass and is
+    not computed; every other sample, and every sample that stops, gets
+    its exact certificate.
     """
     n_samples = counts.shape[0]
-    n_total = counts.sum(axis=1)
     # each sample is in the chart of the rank-r states around basis diag(lam) basis†
     basis, lam, rank, logl = _enter_face(counts, rho)
+    out = _Ascent(
+        np.empty((n_samples, 4, 4), dtype=complex), np.empty(n_samples), np.empty(n_samples),
+        np.empty(n_samples, dtype=int), np.empty(n_samples, dtype=bool), np.empty(n_samples, dtype=int))
+    rows = np.arange(n_samples)  # each live sample's row of the batch
+    n_total = counts.sum(axis=1)
     damping = np.full(n_samples, _DAMPING_START)
     iterations = np.zeros(n_samples, dtype=int)
-    converged = np.zeros(n_samples, dtype=bool)
-    rho = np.empty((n_samples, 4, 4), dtype=complex)
-    certificates = np.empty(n_samples)
-
-    active = np.arange(n_samples)
-    while active.size:
-        rho[active] = _chart_state(basis[active], lam[active])
-        certificates[active], ratio, probs = _certificate(counts[active], rho[active])
-        done = certificates[active] <= CERTIFICATE_TOL * n_total[active]
-        converged[active[done]] = True
-        going = ~done & (iterations[active] < MAX_ITERATIONS)
-        active, ratio, probs = active[going], ratio[going], probs[going]
-        if not active.size:
-            break
-        u = basis[active]
-        basis[active], rank[active], ratio = _reopen(
-            u, rank[active], _dagger(u) @ ratio @ u, n_total[active])
-        products = _chart_products(basis[active])
-        grad, hess = _chart_derivatives(
-            counts[active], probs, products, lam[active], rank[active], ratio)
-        steps = _newton_step(grad, _IDLE[rank[active]] - hess, damping[active] * n_total[active])
-        dq, dnorm, vecs, vals = _chart_step(steps, lam[active], rank[active], products)
-        rise = _rise(counts[active], probs, dq, dnorm, lam[active].sum(axis=1))
+    while True:
+        rho = _chart_state(basis, lam)
+        probs = _probabilities(rho)
+        r = _ratio_operator(counts, probs)
+        ratio = _dagger(basis) @ r @ basis
+        bound = np.diagonal(ratio, axis1=1, axis2=2).real.max(axis=1)
+        capped = iterations >= MAX_ITERATIONS
+        exact = capped | (bound - n_total <= _UNCERTIFIABLE * n_total)
+        certificate = np.full(rows.size, np.inf)
+        if exact.any():
+            certificate[exact] = np.linalg.eigvalsh(r[exact])[:, -1] - n_total[exact]
+        done = certificate <= CERTIFICATE_TOL * n_total
+        stop = done | capped
+        if stop.any():
+            at = rows[stop]
+            out.rho[at], out.log_likelihood[at], out.certificate[at] = (
+                rho[stop], logl[stop], certificate[stop])
+            out.iterations[at], out.converged[at], out.rank[at] = (
+                iterations[stop], done[stop], rank[stop])
+            live = np.flatnonzero(~stop)
+            if not live.size:
+                return out
+            rows, counts, n_total, basis, lam, rank, logl, damping, iterations, probs, ratio = (
+                x.take(live, axis=0) for x in (
+                    rows, counts, n_total, basis, lam, rank, logl, damping, iterations, probs, ratio))
+        basis, rank, ratio = _reopen(basis, rank, ratio, n_total)
+        products = _chart_products(basis)
+        grad, hess = _chart_derivatives(counts, probs, products, lam, rank, ratio)
+        steps = _newton_step(grad, _IDLE[rank] - hess, damping * n_total)
+        dq, dnorm, vecs, vals = _chart_step(steps, lam, rank, products)
+        rise = _rise(counts, probs, dq, dnorm, lam.sum(axis=1))
         up = np.isfinite(rise) & (rise >= 0.0)
-        taken = active[up]
-        basis[taken] = basis[taken] @ vecs[up]
-        lam[taken] = vals[up] / vals[up].sum(axis=1, keepdims=True)
-        rank[taken] = (vals[up] > 0.0).sum(axis=1)
-        logl[taken] += rise[up]
-        damping[active] *= np.where(up, 1.0 / 3.0, 4.0)
-        iterations[active] += 1
-    return _Ascent(rho, logl, certificates, iterations, converged, rank)
+        basis = np.where(up[:, None, None], basis @ vecs, basis)
+        lam = np.divide(vals, vals.sum(axis=1, keepdims=True), out=lam, where=up[:, None])
+        rank = np.where(up, (vals > 0.0).sum(axis=1), rank)
+        logl = np.where(up, logl + rise, logl)
+        damping = damping * np.where(up, 1.0 / 3.0, 4.0)
+        iterations = iterations + 1
 
 
 def _resampled_coincidences(coincidences: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
@@ -737,15 +771,14 @@ class MonteCarloResult:
 
 
 def monte_carlo_report(
-    result: MleResult,
-    functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]],
+    result: MleResult, values: Mapping[str, np.ndarray]
 ) -> dict[str, MonteCarloResult]:
     """Propagate Poissonian count errors through reconstruction.
 
-    Reduces the resampled reconstructions of ``mle_reconstruct``: every
-    functional is called once, on the (K, 4, 4) stack of the K certified
-    states, and returns their K values.  Fewer than two certified states
-    raise ``ConvergenceError``.
+    Reduces, for each named figure, its K values on the K certified
+    resampled reconstructions of ``mle_reconstruct``, in the order of
+    ``result.samples``, to their mean and spread.  Fewer than two certified
+    states raise ``ConvergenceError``.
     """
     kept = len(result.samples)
     if kept < 2:
@@ -754,15 +787,15 @@ def monte_carlo_report(
         )
     certificate = float(result.sample_certificates.max())
     report = {}
-    for name, fn in functionals.items():
-        values = np.asarray(fn(result.samples), dtype=float)
-        if values.shape != (kept,):
+    for name, figure in values.items():
+        figure = np.asarray(figure, dtype=float)
+        if figure.shape != (kept,):
             raise ValueError(
-                f"functional {name!r} returned shape {values.shape} for {kept} states"
+                f"figure {name!r} has shape {figure.shape}, not one value for each of {kept} states"
             )
         report[name] = MonteCarloResult(
-            mean=float(values.mean()),
-            std=float(values.std(ddof=1)),
+            mean=float(figure.mean()),
+            std=float(figure.std(ddof=1)),
             n_samples=kept,
             n_failures=result.n_failures,
             certificate=certificate,

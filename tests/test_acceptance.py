@@ -139,10 +139,10 @@ def paper_tomography(fixtures_dir):
     f_opt_30, _ = optimize_local_fidelity(rec_30.rho)
     mc = monte_carlo_report(
         rec_30,
-        functionals={
-            "fidelity_optimized": lambda r: optimize_local_fidelity(r)[0],
-            "tangle": tangle,
-            "chsh": chsh_max,
+        {
+            "fidelity_optimized": optimize_local_fidelity(rec_30.samples)[0],
+            "tangle": tangle(rec_30.samples),
+            "chsh": chsh_max(rec_30.samples),
         },
     )
     rec_50 = mle_reconstruct(ingest_counts(fixtures_dir / "counts_50_50.csv"))

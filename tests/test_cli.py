@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 import heraldsim
+import heraldsim.metrics
 from heraldsim.cli import _COMMANDS, _build_parser, main
 from heraldsim.experiments import calibrate_tau, power_scaled_tau, run_power_comparison
-from heraldsim.tomography import CERTIFICATE_TOL, ingest_counts
+from heraldsim.metrics import chsh_max, fidelity_to_phi_plus, tangle
+from heraldsim.tomography import (
+    CERTIFICATE_TOL,
+    ingest_counts,
+    mle_reconstruct,
+    optimize_local_fidelity,
+)
 
 
 CONFIG = {
@@ -345,6 +352,45 @@ class TestDeterminism:
             main(["sweep", "--t", "0.3,0.5", "--tau", "0.2", "--out", str(out)])
             outs.append(read_bytes_tree(out))
         assert outs[0] == outs[1]
+
+
+class TestReconstructionFigures:
+    FUNCTIONALS = {
+        "fidelity_phi_plus": fidelity_to_phi_plus,
+        "tangle": tangle,
+        "chsh": chsh_max,
+        "fidelity_optimized": lambda rho: optimize_local_fidelity(rho)[0],
+    }
+
+    @pytest.mark.parametrize("ratio", ["17_83", "30_70", "50_50", "70_30"])
+    def test_one_checked_stack_gives_the_public_functionals(
+        self, tmp_path, fixtures_dir, monkeypatch, ratio
+    ):
+        # reconstruct takes every figure of the point estimate and of its 50 resamples from
+        # one stack, checked twice (state_figures, optimize_local_fidelity); bit for bit, the
+        # point figures are the public functionals of rho, and each Monte Carlo mean and std
+        # their reduction over the certified resamples
+        counts = fixtures_dir / f"counts_{ratio}.csv"
+        checked, checks = heraldsim.metrics._checked, []
+
+        def counting(rho, vectors):
+            checks.append(rho.shape)
+            return checked(rho, vectors)
+
+        with monkeypatch.context() as counted:
+            counted.setattr(heraldsim.metrics, "_checked", counting)
+            assert main([
+                "reconstruct", "--counts", str(counts), "--optimize-local", "--mc-samples", "50",
+                "--seed", "5", "--out", str(tmp_path),
+            ]) == 0
+        payload = json.loads((tmp_path / "reconstruction.json").read_text())
+        result = mle_reconstruct(ingest_counts(counts), 50, 5)
+        assert len(checks) == 2 and result.n_failures == 0
+        for name, functional in self.FUNCTIONALS.items():
+            assert payload[name] == functional(result.rho)
+            values = functional(result.samples)
+            mc = payload["monte_carlo"][name]
+            assert (mc["mean"], mc["std"]) == (float(values.mean()), float(values.std(ddof=1)))
 
 
 class TestNonConvergence:

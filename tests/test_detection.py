@@ -830,18 +830,20 @@ class TestSplitterFreeKets:
         # a cold call builds the herald maps once, up to its largest block, and the gathers of
         # each block that can herald; a call on the same truncation at other splitters and
         # detectors builds neither, and a warm simulate reads the rows and layer keys from the
-        # cache: it calls neither ``_heralding_rows`` nor ``block_keys``
-        built, rows, keys = [], [], []
+        # cache: it calls neither ``_heralding_rows`` nor ``block_keys``, and its emission
+        # weights build the layer keys once
+        built, rows, keys, emitted = [], [], [], []
 
-        def counting(function, calls, at):
+        def counting(function, calls, at, module="detection"):
             def counted(*args):
                 calls.append(args[at])
                 return function(*args)
-            monkeypatch.setattr(f"heraldsim.detection.{function.__name__}", counted)
+            monkeypatch.setattr(f"heraldsim.{module}.{function.__name__}", counted)
 
         counting(_photon_maps, built, 1)
         counting(_heralding_rows, rows, 0)
         counting(block_keys, keys, 0)
+        counting(block_keys, emitted, 0, module="source")
         _block_gathers.cache_clear()
         herald_pair_terms(6, 0.3, 0.7, DetectorModel())
         assert built == [6] and _block_gathers.cache_info().misses == 1
@@ -851,6 +853,7 @@ class TestSplitterFreeKets:
         spdc = SpdcParams(tau=0.25, max_pairs=6, visibility=0.9)
         simulate_experiment(ExperimentConfig(t1=0.4, t2=0.6, spdc=spdc))
         assert built == [6] and rows == [6] and keys == [6] and _block_gathers.cache_info().misses == 1
+        assert emitted == [6]
         herald_pair_terms(5, 0.3, 0.7, DetectorModel())
         assert built == [6, 5] and rows == [6, 5] and keys == [6, 5]
 

@@ -182,6 +182,30 @@ class TestCountTableIO:
         with pytest.raises(ValueError, match="setting"):
             ingest_counts(path)
 
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,counts\nx,z,z,1,0,1,0,3\n")
+        with pytest.raises(ValueError, match=r"header.csv: bad header \['ratio', "):
+            ingest_counts(path)
+
+    def test_non_integer_field_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "float.csv"
+        path.write_text(
+            "ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,count\n"
+            "x,z,z,1,0,1,0,3\n\nx,z,x,1,0,1,0,2.5\n"
+        )
+        with pytest.raises(ValueError, match="float.csv:4: non-integer field"):
+            ingest_counts(path)
+
+    def test_negative_pattern_rejected(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text(
+            "ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,count\n"
+            "x,z,z,1,0,1,0,3\nx,z,z,1,0,-1,0,3\n"
+        )
+        with pytest.raises(ValueError, match=r"bad pattern \(1, 0, -1, 0\)"):
+            ingest_counts(path)
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "malformed.csv"
         path.write_text(
@@ -412,7 +436,9 @@ def draws(table, n_samples, seed):
 
 
 def report(table, n_samples, seed, functionals):
-    return monte_carlo_report(mle_reconstruct(table, n_samples, seed), functionals)
+    """The Monte Carlo report of each functional's values on the certified resamples."""
+    result = mle_reconstruct(table, n_samples, seed)
+    return monte_carlo_report(result, {name: fn(result.samples) for name, fn in functionals.items()})
 
 
 def sparse_table():
@@ -536,7 +562,7 @@ class TestMonteCarlo:
 
     def test_functional_returns_one_value_per_state(self, fixtures_dir):
         table = ingest_counts(fixtures_dir / "counts_30_70.csv")
-        with pytest.raises(ValueError, match="returned shape"):
+        with pytest.raises(ValueError, match="has shape"):
             report(table, 6, seed=2, functionals={"value": lambda r: 0.0})
 
     def test_unconverged_samples_are_failures(self, fixtures_dir, monkeypatch):
@@ -568,7 +594,32 @@ class TestMonteCarlo:
         result = mle_reconstruct(ingest_counts(fixtures_dir / "counts_30_70.csv"), 5, seed=1)
         assert len(result.samples) == 1 and result.n_failures == 4
         with pytest.raises(ConvergenceError, match="only 1 of 5"):
-            monte_carlo_report(result, {"value": tangle})
+            monte_carlo_report(result, {"value": tangle(result.samples)})
+
+
+def werner_batch(seed):
+    """A tomo-mc-like batch: a Werner table with 15-65 counts per setting and its 50 resamples."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.5, 0.95)
+    rho = p * PHI_PLUS_RHO + (1.0 - p) * MIXED_RHO
+    coincidences = np.array([
+        rng.multinomial(int(rng.integers(15, 66)), expected_coincidences(rho, s))
+        for s in SETTINGS], dtype=float)
+    batch = np.concatenate([coincidences[None], _resampled_coincidences(coincidences, 50, seed)])
+    return batch[batch.sum(axis=(1, 2)) > 0]
+
+
+def fixture_and_werner_batches(fixtures_dir):
+    """Each fixture with 50 resamples, then three Werner batches, as (S, 36) counts and warm starts."""
+    batches = [
+        np.concatenate([table.coincidence_matrix()[None],
+                        _resampled_coincidences(table.coincidence_matrix(), 50, seed)])
+        for seed, table in enumerate(ingest_counts(fixtures_dir / f"{name}.csv") for name in FIXTURES)
+    ] + [werner_batch(seed) for seed in range(3)]
+    for batch in batches:
+        batch = batch[batch.sum(axis=(1, 2)) > 0]
+        counts = batch.reshape(len(batch), 36)
+        yield counts, tomo._warm_up(counts, _linear_inversion(batch))
 
 
 def likelihood_paths(monkeypatch, maximize):
@@ -669,15 +720,7 @@ class TestLikelihoodPath:
         # the steps climbing; every row's path still rises and ends certified
         smallest = []
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            p = rng.uniform(0.5, 0.95)
-            rho = p * PHI_PLUS_RHO + (1.0 - p) * MIXED_RHO
-            coincidences = np.array([
-                rng.multinomial(int(rng.integers(15, 66)), expected_coincidences(rho, s))
-                for s in SETTINGS], dtype=float)
-            batch = np.concatenate(
-                [coincidences[None], _resampled_coincidences(coincidences, 50, seed)])
-            batch = batch[batch.sum(axis=(1, 2)) > 0]
+            batch = werner_batch(seed)
             derivatives = tomo._chart_derivatives
 
             def recording(counts, probs, products, lam, rank, ratio):
@@ -804,8 +847,11 @@ class TestCertifiedMaximum:
                 assert ascent.log_likelihood[0] == pytest.approx(-403.69391, abs=1e-5)
         assert total <= 3010
 
-    def test_returned_certificate_is_the_certificate_of_the_returned_state(self, fixtures_dir):
-        # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch
+    def test_returned_certificate_is_the_certificate_of_the_returned_state(
+        self, fixtures_dir, monkeypatch
+    ):
+        # the maximizer's own certificate, bit for bit, on each fixture and on a resampled batch;
+        # and, capped at 0, 1 and 2 iterations, that of every row it returns unconverged
         stacks = [ingest_counts(fixtures_dir / f"{name}.csv").coincidence_matrix()[None]
                   for name in FIXTURES]
         tables, _ = draws(ingest_counts(fixtures_dir / "counts_30_70.csv"), 50, seed=8)
@@ -815,6 +861,65 @@ class TestCertifiedMaximum:
             assert ascent.converged.all()
             recomputed = tomo._certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
             assert np.array_equal(ascent.certificate, recomputed)
+        unconverged = 0
+        for cap in (0, 1, 2):
+            monkeypatch.setattr(tomo, "MAX_ITERATIONS", cap)
+            for coincidences in stacks:
+                ascent = _ascend(coincidences)
+                unconverged += int((~ascent.converged).sum())
+                recomputed = tomo._certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
+                assert np.array_equal(ascent.certificate, recomputed)
+        assert unconverged > 100
+
+    def test_the_diagonal_bound_stays_below_the_certificate(self, fixtures_dir, monkeypatch):
+        # every pass of fixture and Werner batches: the largest diagonal entry of R in the
+        # chart's basis, a Rayleigh quotient of R, is at most lambda_max(R) beyond rounding
+        charts, bounds, tops = [], [], []
+        chart_state, ratio_operator = tomo._chart_state, tomo._ratio_operator
+
+        def recording_state(basis, lam):
+            charts.append(basis)
+            return chart_state(basis, lam)
+
+        def recording_ratio(counts, probs):
+            r = ratio_operator(counts, probs)
+            if charts and len(charts[-1]) == len(r):  # the pass's R, not the first chart's
+                basis = charts.pop()
+                rotated = basis.conj().transpose(0, 2, 1) @ r @ basis
+                bounds.extend(np.diagonal(rotated, axis1=1, axis2=2).real.max(axis=1))
+                tops.extend(np.linalg.eigvalsh(r)[:, -1])
+            return r
+
+        monkeypatch.setattr(tomo, "_chart_state", recording_state)
+        monkeypatch.setattr(tomo, "_ratio_operator", recording_ratio)
+        for counts, start in fixture_and_werner_batches(fixtures_dir):
+            assert _maximize(counts, start).converged.all()
+        bounds, tops = np.array(bounds), np.array(tops)
+        assert len(bounds) > 1000
+        assert (bounds - tops <= 16 * np.finfo(float).eps * tops).all()
+
+    def test_certificate_is_decomposed_only_where_a_row_can_stop(self, fixtures_dir, monkeypatch):
+        # eigvalsh sees far fewer rows than the passes hold, and the certificates it skips
+        # change nothing: with every certificate exact, the ascent is the same bit for bit
+        decomposed, row_passes = [], 0
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            decomposed.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        for counts, start in fixture_and_werner_batches(fixtures_dir):
+            with monkeypatch.context() as counted:
+                counted.setattr(np.linalg, "eigvalsh", counting)
+                ascent = _maximize(counts, start)
+            row_passes += int((ascent.iterations + 1).sum())
+            with monkeypatch.context() as unbounded:
+                unbounded.setattr(tomo, "_UNCERTIFIABLE", np.inf)
+                exact = _maximize(counts, start)
+            assert ascent.converged.all()
+            for got, want in zip(ascent, exact, strict=True):
+                assert got.tobytes() == want.tobytes()
+        assert sum(decomposed) < 0.4 * row_passes
 
     def test_saddle_start_reopens_to_the_maximum(self, monkeypatch):
         # a rank-3 start (a saddle of the likelihood in a factor T of rho = T†T,
