@@ -31,11 +31,14 @@ largest block.  Output loss never changes whether the herald fires and
 never adds a photon, and it is linear, so it thins a weighted sum of those
 layers once, within the same occupations, rather than each block on its
 own (``weigh_blocks``): per-mode binomial thinning at detection, exact
-because every element after the source is passive linear optics.  The
-two-pair block's distinguishable photons herald only when all four land
-one in each herald detector, so that block heralds the output vacuum, with
-a probability in closed form that needs no circuit: R1^2 R2^2 / 6 times
-the four herald efficiencies (``herald_classical``).
+because every element after the source is passive linear optics.  So no
+detected count lies off the heralding rows, and the detected table keeps
+the lossless table's layout, one row per heralding occupation of each arm
+(``HeraldedBlock``).  The two-pair block's distinguishable photons herald
+only when all four land one in each herald detector, so that block heralds
+the output vacuum, with a probability in closed form that needs no
+circuit: R1^2 R2^2 / 6 times the four herald efficiencies
+(``herald_classical``).
 
 Everything that depends on the truncation alone is the kernels' one
 process cache beside the integer binomials of ``_binomials``:
@@ -45,17 +48,15 @@ the heralding rows, the masks of the herald weights and splitter factors
 and of the Kraus neighbours, arm 2's HWP photon maps and, for every
 (block, row, input), the binomial coefficients of both arms' Gram entries,
 their indices into the per-call herald weights, herald overlaps and
-splitter factors, and their coincidence slots; and, for the readers of a
-count table (``weigh_blocks``, ``number_table``, ``arm_totals``), the cells
-that the rows fill and the cells that an arm of at most max_pairs photons
-can fill, in lexicographic order.  Every array has one entry per row, per
-count cell or per (block, row, input), none per table pattern: about 40 KB
-through 6 pairs and 3.8 MB through 20.  A call on a warm key pays only for
-its splitters, detectors and weights, with every block's gathers in one
-pass.  The rows of block n are the leading rows of every larger block, so
-a call builds its per-row detector tables once, for its largest block.
-Other analyzer settings enter the package only through the post-selected
-two-qubit state (``tomography``).
+splitter factors, and their coincidence slots; and, for
+``number_table``, the rows in lexicographic order.  Every array has one
+entry per row or per (block, row, input), none per table pattern: about
+40 KB through 6 pairs and 3.8 MB through 20.  A call on a warm key pays only for its splitters,
+detectors and weights, with every block's gathers in one pass.  The rows
+of block n are the leading rows of every larger block, so a call builds
+its per-row detector tables once, for its largest block.  Other analyzer
+settings enter the package only through the post-selected two-qubit state
+(``tomography``).
 """
 
 from __future__ import annotations
@@ -137,17 +138,21 @@ class HeraldedBlock:
     """What a weighted sum of pair blocks gives every heralded statistic.
 
     Each figure is a joint probability with the herald, not yet conditioned
-    on it: ``herald`` that every herald detector fires; ``table[d]`` that
-    the output detectors t1H, t1V, t2H, t2V also count d; ``direct`` that
-    the outputs hold one photon per arm before output loss; and
-    ``coincidences`` the (4, 4) density matrix of one detected photon per
-    output arm over HH, HV, VH, VV, with the lost photons traced out.
+    on it: ``herald`` that every herald detector fires; ``table[r, s]``
+    that the output detectors t1H, t1V of arm 1 also count the (o0, o1) of
+    row r and t2H, t2V of arm 2 those of row s, over the R rows of
+    ``_heralding_rows(max_pairs)``, the only counts a heralded block can
+    leave; ``direct`` that the outputs hold one photon per arm before output
+    loss; and ``coincidences`` the (4, 4) density matrix of one detected
+    photon per output arm over HH, HV, VH, VV, with the lost photons traced
+    out.
     """
 
     herald: float
-    table: np.ndarray
+    table: np.ndarray  # (R, R)
     direct: float
     coincidences: np.ndarray
+    max_pairs: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,9 +256,7 @@ class _BlockGathers(NamedTuple):
 
     keys: tuple[tuple[int, bool], ...]  # ``block_keys(max_pairs)``, the order of the layers
     rows: np.ndarray  # (2, R) the (o0, o1) of ``_heralding_rows(max_pairs)``
-    cells: np.ndarray  # (R,) o0 * side + o1: each row's cell of an arm's (H, V) count plane
-    count_cells: np.ndarray  # (C,) the cells of every (o0, o1) with o0 + o1 <= max_pairs, lexicographic
-    count_rows: np.ndarray  # (2, C) their (o0, o1)
+    order: np.ndarray  # (R,) the rows in lexicographic order of their (o0, o1)
     lower: np.ndarray  # (side, side) m >= h, where h of m herald photons can reach one detector
     below: np.ndarray  # (side, side) m - h, zero where m < h
     neighbours: np.ndarray  # (R - 1,) row r + 1 holds as many output photons as row r
@@ -296,18 +299,15 @@ def _block_gathers(max_pairs: int) -> _BlockGathers:
     place each entry's coincidence piece t (``_PIECES``) of its input for
     one ``bincount``.
 
-    An arm holds at most max_pairs photons, so a count table is read at the
-    C cells (o0, o1) with o0 + o1 <= max_pairs of each arm, and a pattern
-    is a pair of them: as (a, b) runs over the C^2 pairs row by row,
-    (``count_cells``[a], ``count_cells``[b]) runs over the patterns in the
-    table's lexicographic order.  No array of C^2 or R^2 entries is kept.
+    A detected table's pattern is a pair of rows: as (a, b) runs over the
+    R^2 pairs row by row, (``order``[a], ``order``[b]) runs over the
+    patterns in lexicographic order.  No array of R^2 entries is kept.
     Kept for the life of the process, keyed by max_pairs alone, built on
     first use.
     """
     side = max_pairs + 1
     o0, o1 = _heralding_rows(max_pairs)
     gap = np.subtract.outer(np.arange(side), np.arange(side))
-    counts = np.argwhere(np.add.outer(np.arange(side), np.arange(side)) <= max_pairs)  # in lexicographic order
     out = o0 + o1
     maps = _photon_maps(hwp_map(math.pi / 8.0).real, max_pairs)
     maps[np.abs(maps) < PRUNE_TOL] = 0.0
@@ -336,8 +336,7 @@ def _block_gathers(max_pairs: int) -> _BlockGathers:
     # each entry's input among all blocks' inputs, the n + 1 of each block n = 2..max_pairs
     target, inputs = n * (n + 1) // 2 - 3 + i, side * (side + 1) // 2 - 3
     gathers = _BlockGathers(
-        keys=block_keys(max_pairs), rows=np.array([o0, o1]), cells=o0 * side + o1,
-        count_cells=counts[:, 0] * side + counts[:, 1], count_rows=counts.T.copy(),
+        keys=block_keys(max_pairs), rows=np.array([o0, o1]), order=np.lexsort((o1, o0)),
         lower=gap >= 0, below=np.maximum(gap, 0), neighbours=out[1:] == out[:-1],
         maps=maps, offsets=np.cumsum([0, *(blocks * (blocks - 1) // 2 * (blocks + 1))]),
         starts=blocks * (blocks + 1) // 2 - 3, row=row, split=n * side + m,
@@ -351,25 +350,22 @@ def _block_gathers(max_pairs: int) -> _BlockGathers:
     return gathers
 
 
-def arm_totals(table: np.ndarray) -> np.ndarray:
-    """Sum a (t1H, t1V, t2H, t2V) count table over the polarizations of each arm.
+def arm_totals(block: HeraldedBlock) -> np.ndarray:
+    """Sum a block's detected table over the polarizations of each arm.
 
     Entry [n1, n2] is the probability of n1 photons in arm 1 and n2 in arm
     2: P(1;1) is entry [1, 1] and a click in each arm, P(>=1;>=1), the sum
-    of [1:, 1:].  The result is at least 3x3, so those entries and the
-    Table-1 aggregates up to p22 exist for a table of the vacuum alone.
-    A table of shape (max_pairs + 1)^4 is read only at the counts that an
-    arm of at most max_pairs photons can give (``_block_gathers``), in the
-    table's order, and summed in numpy's loops, not BLAS, so no thread
-    count changes the result.
+    of [1:, 1:].  The result is (max(2 max_pairs + 1, 3))^2, so those
+    entries and the Table-1 aggregates up to p22 exist for a table of the
+    vacuum alone.  The rows of one photon number run by o0, as they do in
+    lexicographic order, so each entry sums its patterns in lexicographic
+    order, in numpy's loops, not BLAS, and no thread count changes the
+    result.
     """
-    s = table.shape[-1]
-    size = max(2 * s - 1, 3)
-    gathers = _block_gathers(s - 1)
-    cells, photons = gathers.count_cells, gathers.count_rows.sum(axis=0)
-    counts = table.reshape(s * s, s * s)[cells[:, None], cells]
+    size = max(2 * block.max_pairs + 1, 3)
+    photons = _block_gathers(block.max_pairs).rows.sum(axis=0)
     bins = np.add.outer(photons * size, photons).ravel()  # the (n1, n2) of each count pattern
-    return np.bincount(bins, counts.ravel(), size * size).reshape(size, size)
+    return np.bincount(bins, block.table.ravel(), size * size).reshape(size, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,16 +384,15 @@ class PairBlocks:
     ``coincidences[b]`` is its (4, 4) coincidence matrix.  Output loss is
     linear, so a weighted sum of layers is thinned once (``weigh_blocks``).
     ``thinning`` holds each arm's (R, R) output-loss matrix, entry [r, r'] the
-    chance that the output photons of row r leave those of row r' detected,
-    and ``one_count`` each arm's (R,) chance that a row gives exactly one
-    count.
+    chance that the output photons of row r leave those of row r' detected;
+    its columns 1-2, the one-photon rows, sum to the chance that a row gives
+    exactly one count.
     """
 
     keys: tuple[tuple[int, bool], ...]
     coincidences: np.ndarray  # (B, 4, 4)
     lossless: np.ndarray  # (B, R, R)
     thinning: np.ndarray  # (arms, R, R)
-    one_count: np.ndarray  # (arms, R)
     max_pairs: int
 
 
@@ -406,22 +401,18 @@ def weigh_blocks(blocks: PairBlocks, weights: np.ndarray) -> HeraldedBlock:
 
     Output loss is linear and never adds a photon, so it thins the summed
     lossless table once, within the same occupations: one thinning matrix
-    per arm, first^T L second, laid into a (t1H, t1V, t2H, t2V) table of
-    (max_pairs + 1)^4 shape, where a count pattern that no row can give is
-    exactly zero.  The herald probability is the sum of the summed lossless
-    table and P_direct its entries at rows 1-2, those of one photon.  Every
+    per arm, first^T L second, the detected (R, R) table over the same
+    rows.  The herald probability is the sum of the summed lossless table
+    and P_direct its entries at rows 1-2, those of one photon.  Every
     product runs in numpy's own loops, not in BLAS, so no thread count
     changes a figure.
     """
     first, second = blocks.thinning
     lossless = np.einsum("b,brs->rs", weights, blocks.lossless)
     thinned = np.einsum("ij,jk->ik", np.einsum("ji,jk->ik", first, lossless), second)
-    side, cells = blocks.max_pairs + 1, _block_gathers(blocks.max_pairs).cells
-    table = np.zeros((side,) * 4)
-    table.reshape(side * side, side * side)[cells[:, None], cells] = thinned
     return HeraldedBlock(
-        float(lossless.sum()), table, float(lossless[1:3, 1:3].sum()),
-        np.einsum("b,bij->ij", weights, blocks.coincidences),
+        float(lossless.sum()), thinned, float(lossless[1:3, 1:3].sum()),
+        np.einsum("b,bij->ij", weights, blocks.coincidences), blocks.max_pairs,
     )
 
 
@@ -529,7 +520,6 @@ def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorM
     return PairBlocks(
         keys=gathers.keys, coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0][:, o0][:, :, o0] * thinning[:, 1][:, o1][:, :, o1],
-        one_count=seen.sum(axis=-1),
         max_pairs=max_pairs,
     )
 
@@ -559,16 +549,14 @@ def number_table(block: HeraldedBlock) -> dict[Occupation, float]:
 
     Includes the output detectors' binomial loss; the probabilities sum to
     1.  Every count pattern with a positive probability is a key, however
-    small, in lexicographic order.  The table is read only at the counts
-    that an arm of at most max_pairs photons can give (``_block_gathers``).
+    small, in lexicographic order (``_block_gathers``).
     """
     if block.herald <= 0.0:
         raise ValueError("zero herald probability; nothing heralds to condition on")
-    side = block.table.shape[0]
-    gathers = _block_gathers(side - 1)
-    counts = block.table.reshape(side * side, side * side)[gathers.count_cells[:, None], gathers.count_cells]
+    gathers = _block_gathers(block.max_pairs)
+    counts = block.table[gathers.order[:, None], gathers.order]
     live = counts > 0.0
-    (o0, o1), (first, second) = gathers.count_rows, np.nonzero(live)
+    (o0, o1), (first, second) = gathers.rows[:, gathers.order], np.nonzero(live)
     keys = zip(*(x.tolist() for x in (o0[first], o1[first], o0[second], o1[second])))
     return dict(zip(keys, (counts[live] / block.herald).tolist()))
 

@@ -163,7 +163,7 @@ def simulate_experiment(config: ExperimentConfig) -> ExperimentResult:
     blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
     heralded = weigh_blocks(blocks, emission_components(config.spdc))
     table = number_table(heralded)
-    reduction = arm_totals(heralded.table) / heralded.herald
+    reduction = arm_totals(heralded) / heralded.herald
     p_direct, p_estimator = _preparation_probabilities(heralded, reduction, config.detectors)
     rho_post = postselect_two_qubit(heralded)
     p11 = float(reduction[1, 1])
@@ -220,8 +220,10 @@ def calibrate_tau(
         raise ValueError("max_pairs must be non-negative")
     detectors = detectors or DetectorModel()
     blocks = herald_pair_terms(max_pairs, t1, t2, detectors)
-    # each layer's P(1;1) with the herald: one count in each arm
-    joint = np.einsum("r,brs,s->b", blocks.one_count[0], blocks.lossless, blocks.one_count[1])
+    # each layer's P(1;1) with the herald: one count in each arm, each row's chance of leaving one of
+    # the one-photon rows 1-2
+    one_count = blocks.thinning[:, :, 1:3].sum(axis=-1)
+    joint = np.einsum("r,brs,s->b", one_count[0], blocks.lossless, one_count[1])
     herald = blocks.lossless.sum(axis=(1, 2))
     # the layers' coefficient-weighted figures summed per pair number: the coefficients of x^n
     coefficients, pairs = emission_coefficients(max_pairs, visibility), np.array(blocks.keys)[:, 0]
@@ -288,7 +290,7 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
         blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
         heralded = weigh_blocks(blocks, emission_components(config.spdc))
         if heralded.herald > 0.0:
-            reduction = arm_totals(heralded.table) / heralded.herald
+            reduction = arm_totals(heralded) / heralded.herald
             p_direct, p_estimator = _preparation_probabilities(
                 heralded, reduction, config.detectors
             )
@@ -366,7 +368,7 @@ def reproduce_number_tables(config: ExperimentConfig, ratio: str | None = None) 
     blocks = herald_pair_terms(config.spdc.max_pairs, config.t1, config.t2, config.detectors)
     heralded = weigh_blocks(blocks, emission_components(config.spdc))
     table = number_table(heralded)
-    n = (arm_totals(heralded.table) / heralded.herald).tolist()
+    n = (arm_totals(heralded) / heralded.herald).tolist()
     aggregates = {
         "p00": n[0][0],
         "p10_plus_p01": n[1][0] + n[0][1],

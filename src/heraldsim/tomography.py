@@ -104,19 +104,6 @@ class CountTable:
     )
     ratio: str | None = None
 
-    def add(self, setting: tuple[str, str], pattern: tuple[int, int, int, int], count: int):
-        setting = tuple(setting)
-        if setting not in SETTINGS:
-            raise ValueError(f"unknown setting {setting}")
-        if len(pattern) != 4 or any(n < 0 for n in pattern):
-            raise ValueError(f"bad pattern {pattern}")
-        if count < 0:
-            raise ValueError(f"negative count {count}")
-        key = (setting, tuple(int(n) for n in pattern))
-        if key in self.counts:
-            raise ValueError(f"duplicate entry for {key}")
-        self.counts[key] = int(count)
-
     def coincidence_matrix(self) -> np.ndarray:
         """(9, 4) coincidences in SETTINGS and port order; a missing setting raises ValueError."""
         present = {s for s, _ in self.counts}
@@ -135,27 +122,29 @@ def simulate_counts(
     events_per_setting: int,
     seed: int,
 ) -> CountTable:
-    """Draw multinomial coincidence counts for each setting."""
+    """Draw multinomial coincidence counts for each setting; a setting given twice raises ValueError."""
     if events_per_setting < 1:
         raise ValueError("events_per_setting must be at least 1")
     rho = check_density_matrix(rho)
-    table = CountTable()
+    settings = [tuple(setting) for setting in settings]
+    repeated = [setting for setting, n in Counter(settings).items() if n > 1]
+    if repeated:
+        raise ValueError(f"duplicate entry for setting {repeated[0]}")
+    counts = {}
     streams = np.random.SeedSequence(seed).spawn(len(settings))
     for setting, stream in zip(settings, streams):
         rng = np.random.Generator(np.random.Philox(stream))
         probs = expected_coincidences(rho, setting)
-        probs = probs / probs.sum()
-        draws = rng.multinomial(events_per_setting, probs)
-        for pattern, n in zip(COINCIDENCE_PATTERNS, draws):
-            table.add(setting, pattern, int(n))
-    return table
+        draws = rng.multinomial(events_per_setting, probs / probs.sum())
+        counts.update(((setting, pattern), n) for pattern, n in zip(COINCIDENCE_PATTERNS, draws.tolist()))
+    return CountTable(counts)
 
 
 def ingest_counts(path) -> CountTable:
     """Read a count table CSV (header ratio,setting_1,setting_2,n1H,n1V,n2H,n2V,count).
 
-    Checks what ``CountTable.add`` checks, for all rows at once: known
-    settings, non-negative patterns and counts, no duplicate entries.
+    Checks all rows at once: known settings, non-negative patterns and
+    counts, no duplicate entries.
     """
     with open(path, newline="") as fh:
         lines = list(csv.reader(fh))
@@ -267,19 +256,6 @@ def _ratio_operator(counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
     weights = np.divide(counts, probs, out=np.zeros_like(probs), where=counts > 0)
     r = (weights[..., None, :] @ _PROJECTORS_REAL).view(complex)
     return r.reshape(probs.shape[:-1] + (4, 4))
-
-
-def _certificate(counts: np.ndarray, rho: np.ndarray):
-    """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k; R and the P_k too.
-
-    rho maximizes the likelihood exactly when R <= N, and as the
-    log-likelihood is concave in rho, no state beats rho's log-likelihood
-    by more than this value.  ``_maximize`` computes it from the R of its
-    pass, for the samples that can stop.
-    """
-    probs = _probabilities(rho)
-    r = _ratio_operator(counts, probs)
-    return np.linalg.eigvalsh(r)[..., -1] - counts.sum(axis=-1), r, probs
 
 
 # The chart of the rank-r states around rho = U diag(lam) U†, whose face is

@@ -22,8 +22,10 @@ before its closed form at analyzers z, z: each arm's kets per input, from
 photon maps built as binomial sums, overlapped in Gram tensors over every
 pair of inputs, its coincidences from the detected kets times their Kraus
 factors, and the full contraction of the two arms.
-The dense number table scans every cell of the (max_pairs + 1)^4 table, as
-the package did before it read only the counts an arm can hold.
+The dense table lays a block's detected table, kept over the heralding
+rows, into the (max_pairs + 1)^4 count table that the package kept before,
+and the dense readers scan every cell of it; the dense detected table thins
+a record's lossless layers detector by detector in that layout.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from heraldsim import detection
+from heraldsim import detection, tomography
 from heraldsim.detection import COINCIDENCE_PATTERNS
 from heraldsim.elements import (
     HERALD_NAMES, OUTPUT_NAMES, SOURCE_NAMES, arm_jones_maps, build_paper_circuit,
@@ -499,12 +501,11 @@ def kraus_route_blocks(max_pairs: int, t1: float, t2: float, detectors) -> detec
             "akbl,ckdl->acbd", pair[:, None] * coincident[0], coincident[1]).reshape(4, 4)
     if max_pairs >= 2:
         lossless[side, 0, 0] = herald_classical(build_paper_circuit(t1, t2).matrix, detectors)
-    seen = thinning[:, 0, o0, 1::-1] * thinning[:, 1, o1, :2]
     return detection.PairBlocks(
         keys=tuple((n, True) for n in range(side)) + ((2, False),) * (max_pairs >= 2),
         coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0, o0[:, None], o0] * thinning[:, 1, o1[:, None], o1],
-        one_count=seen.sum(axis=-1), max_pairs=max_pairs,
+        max_pairs=max_pairs,
     )
 
 
@@ -721,17 +722,60 @@ def number_table(ensemble: ConditionalEnsemble, output_detectors) -> dict:
     return {tuple(p): v / ensemble.probability for p, v in zip(rows, table.tolist())}
 
 
+def dense_table(block: detection.HeraldedBlock) -> np.ndarray:
+    """A block's detected (R, R) table laid into a (t1H, t1V, t2H, t2V) table of (max_pairs + 1)^4 cells.
+
+    Entry [r, s] goes to the cell of the counts of row r in arm 1 and row s
+    in arm 2 (``heralding_rows``); every other cell is zero.
+    """
+    return _laid_out(block.table, block.max_pairs)
+
+
+def _laid_out(rows_table: np.ndarray, max_pairs: int) -> np.ndarray:
+    rows = heralding_rows(max_pairs)
+    table = np.zeros((max_pairs + 1,) * 4)
+    for (r, first), (s, second) in itertools.product(enumerate(rows), repeat=2):
+        table[first + second] = rows_table[r, s]
+    return table
+
+
+def dense_detected_table(blocks: detection.PairBlocks, weights, detectors) -> np.ndarray:
+    """The weighted lossless layers of ``blocks`` laid into the (max_pairs + 1)^4 layout, then thinned.
+
+    Each output detector thins its own axis of the dense table by its
+    ``binomial_thinning`` table, with no heralding row and no per-arm
+    thinning matrix of the record.
+    """
+    lossless = _laid_out(np.tensordot(weights, blocks.lossless, 1), blocks.max_pairs)
+    thin = [binomial_thinning(blocks.max_pairs, eta) for eta in detectors.etas(OUTPUT_NAMES)]
+    return np.einsum("abcd,aA,bB,cC,dD->ABCD", lossless, *thin)
+
+
 def dense_number_table(block: detection.HeraldedBlock) -> dict:
-    """``detection.number_table`` by a scan of every cell of the dense (max_pairs + 1)^4 table.
+    """``detection.number_table`` by a scan of every cell of the block's ``dense_table``.
 
     Every cell with a positive probability is a key, in lexicographic order,
     its value divided by the herald probability.
     """
     if block.herald <= 0.0:
         raise ValueError("zero herald probability; nothing heralds to condition on")
-    patterns = np.argwhere(block.table > 0.0)
-    values = block.table[tuple(patterns.T)] / block.herald
+    table = dense_table(block)
+    patterns = np.argwhere(table > 0.0)
+    values = table[tuple(patterns.T)] / block.herald
     return dict(zip(map(tuple, patterns.tolist()), values.tolist()))
+
+
+def dense_arm_totals(block: detection.HeraldedBlock) -> np.ndarray:
+    """``detection.arm_totals`` by a sum over every cell of the block's ``dense_table``, in its order.
+
+    Cell (a, b, c, d) adds to entry [a + b, c + d] of a (max(2 max_pairs
+    + 1, 3))^2 table, one cell after another.
+    """
+    table = dense_table(block)
+    size = max(2 * block.max_pairs + 1, 3)
+    t1h, t1v, t2h, t2v = np.indices(table.shape)
+    bins = (t1h + t1v) * size + t2h + t2v
+    return np.bincount(bins.ravel(), table.ravel(), size * size).reshape(size, size)
 
 
 def postselect_two_qubit(ensemble: ConditionalEnsemble, output_detectors) -> np.ndarray:
@@ -975,6 +1019,20 @@ def multinomial_log_likelihood(coincidences: np.ndarray, rho: np.ndarray) -> np.
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = counts * np.log(probs.real)
     return np.where(counts > 0, terms, 0.0).sum(axis=1)
+
+
+def certificate(counts: np.ndarray, rho: np.ndarray):
+    """N (lambda_max(R / N) - 1) with R = sum_k (c_k / P_k) Pi_k; R and the P_k too.
+
+    Not an oracle: the package's own probabilities and ratio operator.  rho
+    maximizes the likelihood exactly when R <= N, and as the log-likelihood
+    is concave in rho, no state beats rho's log-likelihood by more than this
+    value.  ``tomography._maximize`` computes it from the R of its pass, for
+    the samples that can stop.
+    """
+    probs = tomography._probabilities(rho)
+    r = tomography._ratio_operator(counts, probs)
+    return np.linalg.eigvalsh(r)[..., -1] - counts.sum(axis=-1), r, probs
 
 
 def rrr_maximum(coincidences: np.ndarray, steps: int = 1000) -> np.ndarray:

@@ -45,7 +45,7 @@ IDEAL_NUMBER_DETECTORS = DetectorModel(efficiency=1.0, resolving="number")
 LOSSLESS_THRESHOLD = DetectorModel(efficiency=1.0, resolving="threshold")
 PHI_PLUS_RHO = np.outer(PHI_PLUS, PHI_PLUS.conj())
 # The array fields of a PairBlocks record.
-BLOCK_FIELDS = ("coincidences", "lossless", "thinning", "one_count")
+BLOCK_FIELDS = ("coincidences", "lossless", "thinning")
 
 
 def block(n_pairs, t1, t2, detectors):
@@ -316,7 +316,7 @@ class TestHerald:
         with pytest.raises(ValueError, match="max_pairs must be non-negative"):
             herald_pair_terms(-1, 0.5, 0.5, LOSSLESS_THRESHOLD)
         (vacuum,) = block_layers(herald_pair_terms(0, 0.5, 0.5, LOSSLESS_THRESHOLD)).values()
-        assert vacuum.herald == 0.0 and vacuum.table.shape == (1, 1, 1, 1)
+        assert vacuum.herald == 0.0 and vacuum.table.shape == (0, 0)
 
     @pytest.mark.parametrize("t1,t2", [(-0.1, 0.5), (0.5, 1.5)])
     def test_bad_circuit_rejected(self, t1, t2):
@@ -426,7 +426,7 @@ class TestClassicalChannel:
 class TestNumberTable:
     def test_ideal_three_pair_concentrates_at_one_per_arm(self):
         heralded = block(3, 0.5, 0.5, IDEAL_NUMBER_DETECTORS)
-        assert arm_totals(heralded.table)[1, 1] / heralded.herald == pytest.approx(1.0, abs=1e-10)
+        assert arm_totals(heralded)[1, 1] / heralded.herald == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_output_efficiency_gives_vacuum(self):
         det = DetectorModel(efficiency=1.0, per_mode={name: 0.0 for name in OUTPUT_NAMES})
@@ -438,11 +438,12 @@ class TestNumberTable:
         assert sum(table.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_the_dense_scan_bit_for_bit(self):
-        # the table read at the counts an arm can hold against a scan of every cell of the dense
-        # table: the same keys in the same order and the same values to the last bit, on six pairs
-        # through perfect number-resolving detectors, where all but 21 of the 784 cells read are
-        # exact zeros that stay out, and on random configs of 0-12 pairs, both detector kinds and
-        # dead and perfect detectors
+        # the table read over the heralding rows against a scan of every cell of its dense layout:
+        # the same keys in the same order and the same values to the last bit, and arm totals that
+        # are the same bits as a sum over every dense cell, on six pairs through perfect
+        # number-resolving detectors, where all but 21 of the 225 row pairs are exact zeros that
+        # stay out, and on random configs of 0-12 pairs, both detector kinds and dead and perfect
+        # detectors
         rng = np.random.default_rng(3801)
         configs = [(6, 0.3, 0.7, DetectorModel(efficiency=1.0, resolving="number"),
                     SpdcParams(tau=0.2237, max_pairs=6, visibility=0.862))]
@@ -459,6 +460,7 @@ class TestNumberTable:
         keys = []
         for max_pairs, t1, t2, det, spdc in configs:
             heralded = weigh_blocks(herald_pair_terms(max_pairs, t1, t2, det), emission_components(spdc))
+            assert arm_totals(heralded).tobytes() == oracles.dense_arm_totals(heralded).tobytes()
             if heralded.herald <= 0.0:
                 for table in (number_table, oracles.dense_number_table):
                     with pytest.raises(ValueError, match="zero herald probability"):
@@ -518,7 +520,7 @@ class TestPostselect:
 
 def click_in_each_arm(heralded):
     """P(>=1;>=1) given the herald, read off the block's arm totals."""
-    return arm_totals(heralded.table)[1:, 1:].sum() / heralded.herald
+    return arm_totals(heralded)[1:, 1:].sum() / heralded.herald
 
 
 def oracle_click_in_each_arm(ensemble, detectors):
@@ -540,7 +542,7 @@ class TestOutputLoss:
     def test_commutes_with_the_herald(self):
         # output loss only thins the photons that reach t1/t2: the herald and
         # P_direct are those of perfect output detectors, bit for bit, and the
-        # table is the perfect-output table thinned detector by detector
+        # table is the perfect-output record's layer thinned detector by detector
         rng = np.random.default_rng(1995)
         for trial in range(18):
             t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
@@ -555,11 +557,12 @@ class TestOutputLoss:
             max_pairs = int(rng.integers(2, 7))
             got_blocks, ref_blocks = (herald_pair_terms(max_pairs, t1, t2, det) for det in (lossy, perfect))
             assert got_blocks.lossless.tobytes() == ref_blocks.lossless.tobytes()
-            for got, ref in zip(block_layers(got_blocks).values(), block_layers(ref_blocks).values()):
+            layers = np.eye(len(ref_blocks.keys))
+            for b, (got, ref) in enumerate(zip(block_layers(got_blocks).values(), block_layers(ref_blocks).values())):
                 assert got.herald == ref.herald and got.direct == ref.direct
-                thin = [binomial_thinning(len(ref.table) - 1, eta) for eta in etas]
-                want = np.einsum("abcd,aA,bB,cC,dD->ABCD", ref.table, *thin, optimize=True)
-                assert np.abs(got.table - want).max() <= 1e-12 * np.abs(want).max(initial=0.0)
+                want = oracles.dense_detected_table(ref_blocks, layers[b], lossy)
+                got = oracles.dense_table(got)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(initial=0.0)
 
 
 class TestPerModeEfficiency:
@@ -703,7 +706,7 @@ def cache_arrays(gathers):
 class TestSplitterFreeKets:
     """The kernels' one process cache (``_block_gathers``): everything that depends on the truncation
     alone, free of splitters and detectors, from arm 2's HWP(pi/8) herald maps and every block's
-    binomial coefficients and gathers to the rows, masks and count cells that the readers index with."""
+    binomial coefficients and gathers to the rows, masks and row order that the readers index with."""
 
     def test_cold_and_warm_kets_give_identical_blocks(self):
         # random splitters, both detector kinds and per-detector efficiencies with dead and
@@ -806,22 +809,19 @@ class TestSplitterFreeKets:
 
     def test_cache_holds_what_the_kernels_rebuilt_per_call(self):
         # the rows, the layer keys, the masks of the herald weights and splitter factors and the
-        # Kraus neighbours, and the count cells of the readers, each against its definition
+        # Kraus neighbours, and the readers' lexicographic order of the rows, each against its definition
         for max_pairs in range(0, 9):
             cache, side = _block_gathers(max_pairs), max_pairs + 1
             o0, o1 = _heralding_rows(max_pairs)
             assert np.array_equal(cache.rows, [o0, o1]) and cache.keys == block_keys(max_pairs)
-            assert np.array_equal(cache.cells, o0 * side + o1)
             gap = np.subtract.outer(np.arange(side), np.arange(side))
             assert np.array_equal(cache.lower, gap >= 0) and np.array_equal(cache.below, gap.clip(0))
             assert np.array_equal(cache.neighbours, (o0 + o1)[1:] == (o0 + o1)[:-1])
-            counts = [(a, b) for a in range(side) for b in range(side) if a + b <= max_pairs]
-            assert list(zip(*cache.count_rows.tolist())) == counts
-            assert cache.count_cells.tolist() == [a * side + b for a, b in counts]
+            assert list(zip(*cache.rows[:, cache.order].tolist())) == sorted(zip(o0.tolist(), o1.tolist()))
 
     def test_cache_through_twenty_pairs_fits_in_four_megabytes(self):
         # about 3.8 MB: one entry per (block, row, input), 22 thousand through 20 pairs, and
-        # arrays of one entry per row or per count cell
+        # arrays of one entry per row
         assert sum(x.nbytes for x in cache_arrays(_block_gathers(20)).values()) < 4e6
         _block_gathers.cache_clear()
         _block_gathers.cache_clear()
@@ -865,6 +865,12 @@ EDGE_EFFICIENCIES = {"r1V": 1.0, "r2+": 0.7, "t1H": 0.0, "t1V": 0.35, "t2V": 1.0
 ALL_SETTINGS = [("z", "z"), ("x", "y")] + [
     (a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS if (a, b) not in (("z", "z"), ("x", "y"))
 ]
+
+
+def on_rows(max_pairs, n):
+    """The cells of a (max_pairs + 1)^4 count table whose arms both lie on the heralding rows of n pairs."""
+    t1h, t1v, t2h, t2v = np.indices((max_pairs + 1,) * 4)
+    return (t1h + t1v <= n - 2) & (t2h + t2v <= n - 2)
 
 
 def assert_tables_match(got, want):
@@ -933,9 +939,9 @@ class TestAgainstOracles:
             for got, want in zip(block_layers(got_blocks).values(), block_layers(want_blocks).values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-13, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-13, abs=0.0)
-                assert ((got.table == 0.0) == (want.table == 0.0)).all()
-                largest = want.table.max(initial=0.0)
-                assert np.abs(got.table - want.table).max() <= 1e-13 * largest
+                got_table, want_table = oracles.dense_table(got), oracles.dense_table(want)
+                assert ((got_table == 0.0) == (want_table == 0.0)).all()
+                assert np.abs(got_table - want_table).max() <= 1e-13 * want_table.max()
                 # an exact zero may read as rounding residue here, or the other way round: on the
                 # scale of the largest entry, plus the rounding of the herald, which bounds them all
                 largest = np.abs(want.coincidences).max()
@@ -994,9 +1000,9 @@ class TestAgainstOracles:
             for got, want in zip(blocks.values(), kraus.values()):
                 assert got.herald == pytest.approx(want.herald, rel=1e-12, abs=0.0)
                 assert got.direct == pytest.approx(want.direct, rel=1e-12, abs=0.0)
-                assert ((got.table == 0.0) == (want.table == 0.0)).all()
-                largest = want.table.max(initial=0.0)
-                assert np.abs(got.table - want.table).max() <= 1e-13 * largest
+                got_table, want_table = oracles.dense_table(got), oracles.dense_table(want)
+                assert ((got_table == 0.0) == (want_table == 0.0)).all()
+                assert np.abs(got_table - want_table).max() <= 1e-13 * want_table.max()
                 largest = np.abs(want.coincidences).max()
                 assert np.abs(got.coincidences - want.coincidences).max() <= 1e-13 * largest
             n = 3 + trial % 8
@@ -1010,6 +1016,39 @@ class TestAgainstOracles:
             if np.trace(blocks[n, True].coincidences).real > 0.0:
                 rho = oracles.postselect_two_qubit(ens, det)
                 assert np.abs(postselect_two_qubit(blocks[n, True]) - rho).max() <= 1e-12
+
+    def test_scattered_table_matches_the_dense_oracles(self):
+        # the detected table kept over the heralding rows, laid into the (max_pairs + 1)^4 layout,
+        # against the Kraus route's reweighted lossless layers thinned detector by detector in that
+        # layout, on the scale of its largest entry, and one block per config against the 8-mode
+        # pipeline's number table, entry by entry; on random splitters, 2-8 pairs, both detector
+        # kinds and per-detector efficiencies with dead and perfect detectors among them.  Neither
+        # oracle gives a count off the rows: none with more than n - 2 photons in an arm of block n
+        rng = np.random.default_rng(4001)
+        for trial in range(24):
+            t1, t2 = (float(t) for t in rng.uniform(0.05, 0.95, 2))
+            per_mode = {name: float(rng.choice([0.0, 1.0]) if rng.random() < 0.3 else rng.uniform())
+                        for name in HERALD_NAMES + OUTPUT_NAMES}
+            det = DetectorModel(efficiency=float(rng.uniform()), per_mode=per_mode,
+                                resolving=("threshold", "number")[trial % 2])
+            max_pairs = int(rng.integers(2, 9))
+            spdc = SpdcParams(tau=float(rng.uniform(0.1, 0.4)), max_pairs=max_pairs,
+                              visibility=float(rng.uniform(0.8, 1.0)))
+            blocks, weights = herald_pair_terms(max_pairs, t1, t2, det), emission_components(spdc)
+            got = oracles.dense_table(weigh_blocks(blocks, weights))
+            want = oracles.dense_detected_table(oracles.kraus_route_blocks(max_pairs, t1, t2, det), weights, det)
+            assert not want[~on_rows(max_pairs, max_pairs)].any()
+            assert ((got == 0.0) == (want == 0.0)).all()
+            assert np.abs(got - want).max() <= 1e-13 * want.max(initial=0.0)
+            n = min(2 + trial % 5, max_pairs)
+            ens = oracles.herald(build_paper_circuit(t1, t2).run(pair_term(n)), det)
+            fock = np.zeros_like(got)
+            if ens.probability > 0.0:
+                for pattern, p in oracles.number_table(ens, det).items():
+                    fock[pattern] = p * ens.probability
+            assert not fock[~on_rows(max_pairs, n)].any()
+            got = oracles.dense_table(block_layers(blocks)[n, True])
+            assert (np.abs(got - fock) <= 1e-12 * fock).all()
 
     @pytest.mark.parametrize("resolving", ["threshold", "number"])
     def test_dead_herald_detector_heralds_nothing(self, resolving):
@@ -1093,10 +1132,11 @@ class TestArmTotals:
                 for etas in (outputs, [1.0] * 4)
             )
             blocks = herald_pair_terms(max_pairs, t1, t2, lossy)
-            # one table shape for every block, the distinguishable one included
-            assert {b.table.shape for b in block_layers(blocks).values()} == {(max_pairs + 1,) * 4}
+            # one table over the heralding rows for every block, the distinguishable one included
+            rows = max_pairs * (max_pairs - 1) // 2
+            assert {b.table.shape for b in block_layers(blocks).values()} == {(rows, rows)}
             heralded = weigh_blocks(blocks, emission_components(spdc))
-            totals = arm_totals(heralded.table) / heralded.herald
+            totals = arm_totals(heralded) / heralded.herald
             table = number_table(heralded)
             by_arm = defaultdict(list)
             for (n1h, n1v, n2h, n2v), p in table.items():
@@ -1123,7 +1163,7 @@ class TestArmTotals:
 
 def test_heralded_block_is_plain_data():
     # the joint probabilities of a block, nothing computed on access
-    zero = HeraldedBlock(0.0, np.zeros((1, 1, 1, 1)), 0.0, np.zeros((4, 4), dtype=complex))
+    zero = HeraldedBlock(0.0, np.zeros((0, 0)), 0.0, np.zeros((4, 4), dtype=complex), 0)
     with pytest.raises(ValueError, match="zero herald probability"):
         number_table(zero)
     with pytest.raises(ValueError, match="zero coincidence probability"):

@@ -10,7 +10,7 @@ from heraldsim.elements import build_paper_circuit
 from heraldsim.fock import SparseKet, apply_mode_map, vacuum
 from heraldsim.metrics import PHI_PLUS
 
-from oracles import block_layers, dense_evolve, herald, pair_term
+from oracles import block_layers, dense_evolve, dense_table, herald, pair_term
 
 BS_50 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 # Lossless threshold detectors: a herald pattern fires when every herald mode is occupied.
@@ -256,9 +256,10 @@ class TestHeraldProjection:
         block = block_layers(herald_pair_terms(3, t1, t2, ideal))[3, True]
         prob = t1 * t2 * (1 - t1) ** 2 * (1 - t2) ** 2 / 2
         assert block.herald == pytest.approx(prob, abs=1e-12)
-        assert block.table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)
-        assert block.table[0, 1, 0, 1] == pytest.approx(prob / 2, abs=1e-12)
-        assert block.table[1, 0, 0, 1] == 0.0 and block.table[0, 1, 1, 0] == 0.0
+        table = dense_table(block)
+        assert table[1, 0, 1, 0] == pytest.approx(prob / 2, abs=1e-12)
+        assert table[0, 1, 0, 1] == pytest.approx(prob / 2, abs=1e-12)
+        assert table[1, 0, 0, 1] == 0.0 and table[0, 1, 1, 0] == 0.0
         rho = postselect_two_qubit(block)
         assert np.abs(rho - np.outer(PHI_PLUS, PHI_PLUS.conj())).max() <= 1e-10
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.detection import DetectorModel, arm_totals, herald_pair_terms
+from heraldsim.detection import DetectorModel, HeraldedBlock, arm_totals, herald_pair_terms
 from heraldsim.experiments import ExperimentConfig, simulate_experiment
 from heraldsim.metrics import _checked as checked
 from heraldsim.metrics import (
@@ -326,10 +326,12 @@ class TestTotalStateFidelity:
         assert abs(value - expected) / expected <= 0.02
 
     def test_from_table_and_state(self):
-        table = np.zeros((2, 2, 2, 2))
-        table[1, 0, 1, 0], table[0, 1, 0, 1], table[0, 0, 0, 0] = 2.0e-3, 1.06e-3, 0.9969
+        # the three rows of 3 pairs, (o0, o1) = (0, 0), (0, 1) and (1, 0), in each arm
+        table = np.zeros((3, 3))
+        table[2, 2], table[1, 1], table[0, 0] = 2.0e-3, 1.06e-3, 0.9969
+        block = HeraldedBlock(1.0, table, 0.0, np.zeros((4, 4), dtype=complex), 3)
         rho = 0.575 * PHI_PLUS_RHO + 0.425 * np.diag([0.0, 1.0, 0.0, 0.0])
-        value = total_state_fidelity_from_values(arm_totals(table)[1, 1], fidelity_to_phi_plus(rho))
+        value = total_state_fidelity_from_values(arm_totals(block)[1, 1], fidelity_to_phi_plus(rho))
         assert value == pytest.approx(3.06e-3 * 0.575, rel=1e-9)
 
     def test_edge_values(self):

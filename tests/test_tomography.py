@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heraldsim.detection import COINCIDENCE_PATTERNS
 from heraldsim.metrics import PHI_PLUS, PSD_TOL, PSI_MINUS, fidelity_to_phi_plus, tangle
 import heraldsim.tomography as tomo
 from heraldsim.tomography import (
@@ -24,6 +25,7 @@ from heraldsim.tomography import (
 )
 
 from oracles import (
+    certificate,
     chart_derivatives,
     chart_slots,
     exact_coincidences,
@@ -127,6 +129,15 @@ class TestSimulateCounts:
             assert counts.sum() == 10**5
             assert np.all(np.abs(counts - 2.5e4) < 5 * math.sqrt(2.5e4))
 
+    def test_unknown_setting_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown setting \('q', 'z'\)"):
+            simulate_counts(PHI_PLUS_RHO, [("z", "z"), ("q", "z")], 10, seed=1)
+
+    def test_repeated_setting_rejected(self):
+        # a list and a tuple name the same setting
+        with pytest.raises(ValueError, match=r"duplicate entry for setting \('x', 'y'\)"):
+            simulate_counts(PHI_PLUS_RHO, [("x", "y"), ("z", "z"), ["x", "y"]], 10, seed=1)
+
 
 class TestCountTableIO:
     def test_fixture_spot_values(self, fixtures_dir):
@@ -226,7 +237,7 @@ class TestMle:
             basis, lam = random_chart(rng, rank)
             counts = rng.integers(1, 50, size=(1, 36)).astype(float)
             counts[0, :5] = 0.0
-            _, ratio, probs = tomo._certificate(counts, tomo._chart_state(basis[None], lam[None]))
+            _, ratio, probs = certificate(counts, tomo._chart_state(basis[None], lam[None]))
             products = tomo._chart_products(basis[None])
             grad, hess = tomo._chart_derivatives(counts, probs, products, lam[None],
                                                  np.array([rank]), basis.conj().T @ ratio[0] @ basis)
@@ -347,8 +358,7 @@ class TestMle:
         assert np.abs(a.rho - b.rho).max() <= 1e-12
 
     def test_missing_settings_rejected(self):
-        table = CountTable()
-        table.add(("z", "z"), (1, 0, 1, 0), 10)
+        table = CountTable({(("z", "z"), (1, 0, 1, 0)): 10})
         with pytest.raises(ValueError, match="missing settings"):
             mle_reconstruct(table)
 
@@ -361,10 +371,7 @@ class TestMle:
             table.coincidence_matrix()
 
     def test_all_zero_rejected(self):
-        table = CountTable()
-        for s in SETTINGS:
-            for p in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)):
-                table.add(s, p, 0)
+        table = CountTable({(s, p): 0 for s in SETTINGS for p in COINCIDENCE_PATTERNS})
         with pytest.raises(ValueError, match="zero"):
             mle_reconstruct(table)
 
@@ -446,10 +453,10 @@ def sparse_table():
     table = CountTable(ratio="sparse")
     rng = np.random.default_rng(53)
     for setting in SETTINGS:
-        for pattern in ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)):
+        for pattern in COINCIDENCE_PATTERNS:
             if rng.random() < 0.7:
-                table.add(setting, pattern, int(rng.integers(0, 12)))
-        table.add(setting, (1, 1, 1, 0), int(rng.integers(0, 5)))
+                table.counts[setting, pattern] = int(rng.integers(0, 12))
+        table.counts[setting, (1, 1, 1, 0)] = int(rng.integers(0, 5))
     return table
 
 
@@ -820,7 +827,7 @@ class TestCertifiedMaximum:
         tables, rhos = draws(table, 12, seed=4)
         result = report(table, 12, seed=4, functionals={"value": tangle})["value"]
         coincidences = np.stack([t.coincidence_matrix() for t in tables]).reshape(12, 36)
-        certificates = [tomo._certificate(c, r)[0] for c, r in zip(coincidences, rhos)]
+        certificates = [certificate(c, r)[0] for c, r in zip(coincidences, rhos)]
         assert result.certificate == max(certificates)
         # each resample is certified against its own number of counts
         assert (np.array(certificates) <= CERTIFICATE_TOL * coincidences.sum(axis=1)).all()
@@ -859,7 +866,7 @@ class TestCertifiedMaximum:
         for coincidences in stacks:
             ascent = _ascend(coincidences)
             assert ascent.converged.all()
-            recomputed = tomo._certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
+            recomputed = certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
             assert np.array_equal(ascent.certificate, recomputed)
         unconverged = 0
         for cap in (0, 1, 2):
@@ -867,7 +874,7 @@ class TestCertifiedMaximum:
             for coincidences in stacks:
                 ascent = _ascend(coincidences)
                 unconverged += int((~ascent.converged).sum())
-                recomputed = tomo._certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
+                recomputed = certificate(coincidences.reshape(-1, 36), ascent.rho)[0]
                 assert np.array_equal(ascent.certificate, recomputed)
         assert unconverged > 100
 
@@ -944,7 +951,7 @@ class TestCertifiedMaximum:
             ascent = _maximize(counts, start[None])
         assert ascent.converged[0] and sum(reopened) > 0
         (path,) = likelihood_paths(monkeypatch, lambda: _maximize(counts, start[None]))
-        assert ascent.certificate[0] == tomo._certificate(counts, ascent.rho)[0][0]
+        assert ascent.certificate[0] == certificate(counts, ascent.rho)[0][0]
         assert all(b >= a for a, b in zip(path, path[1:]))
         assert ascent.log_likelihood[0] == pytest.approx(
             reference.log_likelihood, abs=CERTIFICATE_TOL * 200)
@@ -962,7 +969,7 @@ class TestChart:
             counts = rng.integers(0, 40, size=36).astype(float)
             counts[rng.random(36) < 0.3] = 0.0
             rho = tomo._chart_state(basis[None], lam[None])
-            _, ratio, probs = tomo._certificate(counts[None], rho)
+            _, ratio, probs = certificate(counts[None], rho)
             grad, hess = tomo._chart_derivatives(
                 counts[None], probs, tomo._chart_products(basis[None]), lam[None], np.array([rank]),
                 basis.conj().T @ ratio[0] @ basis)
