@@ -15,6 +15,8 @@ import numpy as np
 
 from .detection import DetectorModel
 from .experiments import (
+    HIGH_POWER_W,
+    LOW_POWER_W,
     REFERENCE_NUMBER_PROBS,
     ExperimentConfig,
     calibrate_tau,
@@ -77,7 +79,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_number_table(path: Path, table) -> None:
-    rows = ([*occ, repr(float(prob))] for occ, prob in sorted(table.items()))
+    rows = ([*occ, repr(float(prob))] for occ, prob in table.items())
     _write_csv(path, ["n1H", "n1V", "n2H", "n2V", "probability"], rows)
 
 
@@ -157,8 +159,6 @@ def emit_fig2_series(rows, path: Path) -> None:
 
 def emit_fig3_series(result: dict, path: Path) -> None:
     """Pump power vs post-selected fidelity series."""
-    from .experiments import HIGH_POWER_W, LOW_POWER_W
-
     _write_csv(path, ["power_w", "F_post"], [
         [repr(LOW_POWER_W), repr(float(result["F_post_low"]))],
         [repr(HIGH_POWER_W), repr(float(result["F_post_high"]))],

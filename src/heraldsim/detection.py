@@ -69,19 +69,11 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .elements import HERALD_NAMES, OUTPUT_NAMES, hwp_map
-from .fock import PRUNE_TOL, Occupation
+from .fock import PRUNE_TOL
 from .source import block_keys
 
 # Coupling times detector efficiency per spatial mode.
 DEFAULT_EFFICIENCY = 0.23 * 0.42
-
-# A contracted probability at most this fraction of the sum of its terms'
-# magnitudes is the rounding residue of an exact zero, and is set to zero.
-RESIDUE_TOL = 1e-12
-
-# Coincidence patterns (one detected photon per output arm) in the order of
-# the two-qubit basis HH, HV, VH, VV.
-COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 # The Gram entries of each arm that the kernels read, as pairs of its kets (s, d) of row (o0 + s, o1 - s)
 # and input i - d (``_block_gathers``): arm 1's diagonal and its neighbour band (r + 1, i; r, i - 1), arm 2's
@@ -456,10 +448,11 @@ def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorM
     occupation, whose sum is the herald probability and whose
     one-photon-per-arm entries are P_direct.  Its coincidences read each
     arm's Gram tensor on the diagonal and the band i' = i - 1 alone, where
-    arm 1's neighbour overlaps sit: each entry is a sum over the inputs,
-    and an entry within RESIDUE_TOL of the sum of its terms' magnitudes is
-    an exact cancellation, such as the HV and VH entries of the
-    three-pair block (its heralded state is Phi+), and is set to zero.
+    arm 1's neighbour overlaps sit: each entry is a sum over the inputs.
+    The HV and VH rows and columns of the three-pair block, whose heralded
+    state is Phi+, cancel exactly in this closed form: the cancellation
+    sits in arm 2's HWP photon maps, pruned to exact zeros at PRUNE_TOL,
+    so each of their terms is 0.0 and no rounding residue is left.
     Every product runs in numpy's own loops, not in BLAS, so no thread
     count changes a figure.  Threshold detectors herald when each herald
     detector detects at least one photon, number-resolving ones when each
@@ -513,10 +506,8 @@ def herald_pair_terms(max_pairs: int, t1: float, t2: float, detectors: DetectorM
         # both arms' coincidence pieces per input, summed over the rows (``_PIECES``)
         values = gram[_PIECES[0]] * row_weights.reshape(6, -1)[_PIECES[1][:, None], row]
         pieces = np.bincount(gathers.slots.ravel(), values.ravel()).reshape(len(values), -1)
-        terms, starts = pieces[_PAIRED[0]] * pieces[_PAIRED[1]], gathers.starts  # (4, 4, inputs)
-        value = np.add.reduceat(terms, starts, axis=-1)
-        value[np.abs(value) <= RESIDUE_TOL * np.add.reduceat(np.abs(terms), starts, axis=-1)] = 0.0
-        coincidences[2:side] = value.transpose(2, 0, 1)
+        terms = pieces[_PAIRED[0]] * pieces[_PAIRED[1]]  # (4, 4, inputs)
+        coincidences[2:side] = np.add.reduceat(terms, gathers.starts, axis=-1).transpose(2, 0, 1)
     return PairBlocks(
         keys=gathers.keys, coincidences=coincidences, lossless=lossless,
         thinning=thinning[:, 0][:, o0][:, :, o0] * thinning[:, 1][:, o1][:, :, o1],
@@ -544,7 +535,7 @@ def herald_classical(t1: float, t2: float, detectors: DetectorModel) -> float:
     return (1.0 - t1) ** 2 * (1.0 - t2) ** 2 / 6.0 * math.prod(detectors.etas(HERALD_NAMES))
 
 
-def number_table(block: HeraldedBlock) -> dict[Occupation, float]:
+def number_table(block: HeraldedBlock) -> dict[tuple[int, int, int, int], float]:
     """Detected photon-number distribution over the output detectors, conditioned on the herald.
 
     Includes the output detectors' binomial loss; the probabilities sum to

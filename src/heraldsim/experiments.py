@@ -34,7 +34,6 @@ from .detection import (
     weigh_blocks,
 )
 from .elements import OUTPUT_NAMES
-from .fock import Occupation
 from .metrics import (
     BELL_STATES,
     fidelity_to_phi_plus,
@@ -133,7 +132,7 @@ class ExperimentResult:
 
     config: ExperimentConfig
     herald_probability: float
-    table: dict[Occupation, float]
+    table: dict[tuple[int, int, int, int], float]  # (n1H, n1V, n2H, n2V): probability
     reduction: np.ndarray  # arm_totals of the table: [n1, n2] photons in arm 1 and arm 2
     rho_post: np.ndarray
     metrics: dict[str, float]
@@ -314,7 +313,12 @@ def run_sweep(configs: Sequence[ExperimentConfig]) -> list[dict]:
 
 
 def bell_diagonal(rho: np.ndarray) -> dict[str, float]:
-    """Diagonal of a two-qubit state in the Bell basis."""
+    """Diagonal of a two-qubit state in the Bell basis.
+
+    A population is a difference of O(1) entries of rho, so a small one (a near-separable
+    state's Phi-, 1e-3 to 1e-4) keeps only about 12 significant digits, as ``metrics.tangle``
+    does there: about 1e-16 absolute is the bound that fits these figures, not a relative one.
+    """
     return {
         name: float(np.real(vec.conj() @ rho @ vec)) for name, vec in BELL_STATES.items()
     }

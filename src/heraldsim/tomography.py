@@ -21,13 +21,15 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .detection import COINCIDENCE_PATTERNS
 from .elements import ANALYSIS_BASES, ANALYSIS_SETTINGS
 from .metrics import PSD_TOL, _dagger, _per_state, check_density_matrix
 
 SETTINGS: tuple[tuple[str, str], ...] = tuple(
     (a, b) for a in ANALYSIS_SETTINGS for b in ANALYSIS_SETTINGS
 )
+
+# (n1H, n1V, n2H, n2V) of one detected photon per output arm, in the two-qubit basis order HH, HV, VH, VV.
+COINCIDENCE_PATTERNS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 CSV_HEADER = ("ratio", "setting_1", "setting_2", "n1H", "n1V", "n2H", "n2V", "count")
 

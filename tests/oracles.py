@@ -41,12 +41,12 @@ from typing import Sequence
 import numpy as np
 
 from heraldsim import detection, tomography
-from heraldsim.detection import COINCIDENCE_PATTERNS
 from heraldsim.elements import (
     HERALD_NAMES, OUTPUT_NAMES, SOURCE_NAMES, arm_jones_maps, build_paper_circuit,
 )
 from heraldsim.fock import PRUNE_TOL, SparseKet, vacuum
 from heraldsim.source import block_keys, emission_components
+from heraldsim.tomography import COINCIDENCE_PATTERNS
 
 
 def permanent(m: np.ndarray) -> np.ndarray:

@@ -257,6 +257,9 @@ class TestCommands:
         assert all(len(occ) == 4 and ",".join(map(str, occ)) in keys for occ in occupations)
         assert len(occupations) == len(keys) == table_csv.count(b"\n") - 1
         assert max(max(occ) for occ in occupations) >= 10
+        # the rows come as number_table returns them, in the order of the integer counts (10 after 9)
+        rows = [tuple(map(int, row[:4])) for row in csv.reader(table_csv.decode().splitlines()[1:])]
+        assert rows == sorted(occupations)
 
     def test_tables_need_no_coincidence(self, tmp_path, capsys):
         # with t1 = 0 the herald fires but no photon reaches output arm 1, so
@@ -479,14 +482,26 @@ class TestPlotSeries:
         assert path.read_text() == "transmission,P_estimator\n"
 
 
+def loaded_modules(statement: str) -> set[str]:
+    """Every module a fresh interpreter holds after running ``statement``."""
+    src = str(Path(heraldsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = f"import sys; {statement}; print(*sys.modules, sep='\\n')"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return set(out.stdout.split())
+
+
 class TestImport:
     def test_cli_loads_no_scipy(self):
         # numpy is the only dependency; a fresh interpreter shows every module the import pulls in
-        src = str(Path(heraldsim.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        code = ("import sys, heraldsim.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        assert not {m for m in loaded_modules("import heraldsim.cli") if m.startswith("scipy")}
+
+    def test_root_and_tomography_load_no_heralding_kernel(self):
+        # the package root imports no submodule, and tomography reads none of the optics pipeline
+        assert not {m for m in loaded_modules("import heraldsim") if m.startswith("heraldsim.")}
+        modules = loaded_modules("import heraldsim.tomography")
+        assert "heraldsim.tomography" in modules
+        optics = {f"heraldsim.{name}" for name in ("detection", "source", "experiments", "cli")}
+        assert not modules & optics

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from heraldsim.detection import (
-    COINCIDENCE_PATTERNS,
     DetectorModel,
     HeraldedBlock,
     _block_gathers,
@@ -26,6 +25,7 @@ from heraldsim.experiments import ExperimentConfig, simulate_experiment
 from heraldsim.fock import SparseKet, apply_mode_map
 from heraldsim.metrics import PHI_PLUS, check_density_matrix, fidelity_to_phi_plus
 from heraldsim.source import SpdcParams, block_keys, emission_components
+from heraldsim.tomography import COINCIDENCE_PATTERNS
 
 import oracles
 from oracles import (

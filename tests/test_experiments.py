@@ -441,8 +441,7 @@ class TestSimulateExperiment:
         # per-setting coincidence statistics from the 8-mode pipeline through each setting's
         # circuit equal the Born probabilities of the post-selected two-qubit state of the z, z
         # kernels
-        from heraldsim.detection import COINCIDENCE_PATTERNS
-        from heraldsim.tomography import expected_coincidences
+        from heraldsim.tomography import COINCIDENCE_PATTERNS, expected_coincidences
 
         det = DetectorModel(efficiency=0.3)
         spdc = SpdcParams(tau=0.3, max_pairs=4, visibility=0.862)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.detection import COINCIDENCE_PATTERNS
 from heraldsim.metrics import PHI_PLUS, PSD_TOL, PSI_MINUS, fidelity_to_phi_plus, tangle
 import heraldsim.tomography as tomo
 from heraldsim.tomography import (
     CERTIFICATE_TOL,
+    COINCIDENCE_PATTERNS,
     SETTINGS,
     ConvergenceError,
     CountTable,
